@@ -11,10 +11,11 @@
 //! every curve for another zoo member. The paper's reference numbers are
 //! tree numbers, so non-tree runs write their record to
 //! `BENCH_headline_<model>.json` by default — the committed tree baseline
-//! is never clobbered by a zoo sweep — and the record names its model so
-//! `bench diff` refuses cross-model comparisons via the accuracy map.
+//! is never clobbered by a zoo sweep — and name the record's benchmark
+//! `headline_<model>`, so `bench diff` refuses cross-model comparisons.
 
-use pulp_bench::{load_or_build_dataset_observed, CommonArgs};
+use pulp_bench::record::ACCURACY_TOLERANCE;
+use pulp_bench::{load_or_build_dataset_observed, BenchRecord, Better, CommonArgs, Tolerance};
 use pulp_energy::{
     default_tolerances, evaluation::curve_from_predictions, report::render_confusion,
     tolerance_curve, top_feature_columns, CacheStats, Protocol, StaticFeatureSet, ToleranceCurve,
@@ -41,19 +42,38 @@ struct Headline {
     always8_at_5: f64,
 }
 
-/// The benchmark-trajectory record `pulp_cli bench diff` consumes. The
-/// `accuracy` map is compared field-by-field; everything else is context.
-#[derive(Debug, Serialize)]
-struct BenchHeadline {
-    schema: &'static str,
-    /// Zoo member behind every accuracy figure (`tree` unless `--model`).
-    model: String,
-    accuracy: Headline,
-    /// How much the tree beats the always-8 naive policy at 5% tolerance.
-    naive_delta: f64,
+/// The benchmark-trajectory record `pulp_cli bench diff` consumes: the
+/// nine accuracy figures, each gated on a one-point drop, then context —
+/// how much the model beats the always-8 policy at 5% tolerance, the wall
+/// time and the sweep-cache counters of `--cache-dir` runs.
+fn bench_record(
+    model: &str,
+    quick: bool,
+    h: &Headline,
     wall_time_ms: u64,
     cache: Option<CacheStats>,
-    manifest_hash: String,
+) -> BenchRecord {
+    use Better::{Higher, Lower};
+    let bench = match model {
+        "tree" => "headline".to_string(),
+        other => format!("headline_{other}"),
+    };
+    let accuracy = Some(Tolerance::Absolute(ACCURACY_TOLERANCE));
+    let mut record =
+        BenchRecord::from_report(&bench, quick, h, &[], |_, _| ("ratio", Higher, accuracy));
+    let delta = h.static_at_5 - h.always8_at_5;
+    record.push("naive_delta", delta, ("ratio", Higher, None));
+    record.push("wall_time_ms", wall_time_ms as f64, ("ms", Lower, None));
+    if let Some(c) = cache {
+        record.push("cache_hits", c.hits as f64, ("count", Higher, None));
+        record.push("cache_misses", c.misses as f64, ("count", Lower, None));
+        record.push(
+            "cache_invalidations",
+            c.invalidations as f64,
+            ("count", Lower, None),
+        );
+    }
+    record
 }
 
 /// `--bench-out <path>`; parsed directly because it is headline-specific
@@ -325,51 +345,33 @@ fn main() {
 
     args.dump_json(&h);
 
-    // The headline accuracy figures land in the journal tail so
+    // Every figure of the record lands in the journal tail so
     // `pulp_cli bench history` can read trajectories from journals alone.
-    for (name, value) in [
-        ("static_at_0", h.static_at_0),
-        ("static_at_5", h.static_at_5),
-        ("static_at_8", h.static_at_8),
-        ("optimized_at_0", h.optimized_at_0),
-        ("optimized_at_5", h.optimized_at_5),
-        ("dynamic_at_5", h.dynamic_at_5),
-    ] {
-        journal_event(
-            &mut journal,
-            JournalEvent::BenchRecord {
-                bench: "headline".into(),
-                name: name.into(),
-                value,
-            },
-        );
+    let mut record = bench_record(
+        &model,
+        args.quick,
+        &h,
+        start.elapsed().as_millis() as u64,
+        opts.cache.as_ref().map(|c| c.stats()),
+    );
+    if let Some(j) = journal.as_mut() {
+        if let Err(e) = record.journal(j) {
+            eprintln!("[headline] warning: journal write failed: {e}");
+        }
     }
     args.finish_journal(journal);
 
     // Provenance + the benchmark-trajectory record `bench diff` compares.
     let manifest = args.write_manifest("headline", &opts, Some(&protocol), start);
-    let bench = BenchHeadline {
-        schema: "pulp-headline/v1",
-        model: model.clone(),
-        naive_delta: h.static_at_5 - h.always8_at_5,
-        accuracy: h,
-        wall_time_ms: start.elapsed().as_millis() as u64,
-        cache: opts.cache.as_ref().map(|c| c.stats()),
-        manifest_hash: manifest.manifest_hash(),
-    };
+    record.manifest_hash = manifest.manifest_hash();
     let out = bench_out_path(&model);
-    match serde_json::to_string_pretty(&bench) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&out, s) {
-                eprintln!("warning: cannot write {}: {e}", out.display());
-            } else if !args.quiet {
-                args.logger().info(
-                    "bench",
-                    "headline record written",
-                    &[("path", out.display().to_string())],
-                );
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise bench record: {e}"),
+    match record.write(&out) {
+        Err(e) => eprintln!("warning: {e}"),
+        Ok(()) if !args.quiet => args.logger().info(
+            "bench",
+            "headline record written",
+            &[("path", out.display().to_string())],
+        ),
+        Ok(()) => {}
     }
 }

@@ -14,7 +14,7 @@
 //! pulp_cli cache    stats --cache-dir DIR             # sweep-cache usage
 //! pulp_cli cache    clear --cache-dir DIR             # delete cached sweeps
 //! pulp_cli serve    [--addr HOST:PORT] [--full]       # HTTP prediction service
-//! pulp_cli bench    diff OLD.json NEW.json            # regression gate (headline/sim/serve/models)
+//! pulp_cli bench    diff OLD.json NEW.json            # regression gate over two BENCH_*.json records
 //! pulp_cli bench    sim [--quick] [--out PATH]        # simulator perf benchmark
 //! pulp_cli bench    serve [--quick] [--out PATH]      # serving-layer load benchmark
 //! pulp_cli bench    models [--quick] [--out PATH]     # model-zoo accuracy + flat-parity benchmark
@@ -55,22 +55,20 @@
 //! the quantized flat compilation of each tree-backed model against the
 //! float reference on every dataset row; writes `BENCH_models.json`
 //! (override with `--out`). `--cv-threads N` pins the CV worker count —
-//! the record is bit-identical at any value. `--predictor flat|float` on
-//! `bench serve` selects the model form the server under test walks.
+//! the record is bit-identical at any value.
 //!
-//! `bench diff OLD NEW` dispatches on the record's `bench` field:
-//! headline records gate on accuracy (>1 pt drop fails), `BENCH_sim.json`
-//! on fast-forward throughput (>20% cycles-per-wall-second drop on any
-//! basket fails), `BENCH_serve.json` on tail latency (p99 regression beyond
-//! `--p99-tolerance`, default 20%, on any mix, or any shed in the quick
-//! profile, fails), `BENCH_models.json` on per-model accuracy (>1 pt
-//! static@5 drop fails) and flat/float parity (any mismatch fails).
+//! Every `BENCH_*.json` is one [`BenchRecord`] schema: bench, profile,
+//! manifest hash and a list of metrics, each carrying its own gate — a
+//! relative or absolute worsening allowed against the baseline, or a limit
+//! on the candidate alone. `bench diff OLD NEW` fails when a gated metric
+//! of OLD is missing from NEW, when NEW breaks a gate, or (as an error)
+//! when the two records differ in bench or profile.
 //!
 //! `bench history DIR` reads every `BENCH_*.json` record in `DIR` (sorted by
-//! file name), groups them by benchmark kind and profile, prints the
-//! trajectory as a table, and flags regressions between consecutive records
-//! of a group using the same thresholds as `bench diff`. Run journals
-//! (`*.jsonl`) in the directory contribute their `bench_record` tails.
+//! file name), groups them by bench and profile, prints each record's worst
+//! gated figures, and flags regressions between consecutive records of a
+//! group with the comparator behind `bench diff`. Run journals (`*.jsonl`)
+//! in the directory contribute their `bench_record` tails.
 //!
 //! `report RUN.jsonl` validates a run journal and renders its deterministic
 //! report: per-stage wall breakdown, shard throughput table, top-K slowest
@@ -80,12 +78,10 @@
 //! the dataset-building bins' `--journal PATH` write such journals.
 
 use kernel_ir::{lower, DType, Kernel};
-use pulp_bench::serve::{
-    install_signal_shutdown, PredictorBackend, ServeOptions, ServeState, Server,
-};
+use pulp_bench::serve::{install_signal_shutdown, ServeOptions, ServeState, Server};
 use pulp_bench::{
-    profile_run, recorder_of_run, run_models_bench, run_serve_bench, CommonArgs, ServeBenchOptions,
-    SimBenchOptions, QUICK_KERNELS,
+    profile_run, recorder_of_run, run_models_bench, run_serve_bench, BenchRecord, CommonArgs,
+    ServeBenchOptions, SimBenchOptions, QUICK_KERNELS,
 };
 use pulp_energy::{
     default_cache_version, measure_kernel,
@@ -97,7 +93,6 @@ use pulp_kernels::{registry, KernelDef, KernelParams};
 use pulp_ml::{DecisionTree, TreeParams};
 use pulp_obs::{LogFormat, Logger};
 use pulp_sim::{simulate_traced, ClusterConfig, TextSink};
-use serde::Value;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -130,10 +125,8 @@ struct Args {
     hist_out: Option<String>,
     log_json: bool,
     trace_out: Option<String>,
-    p99_tolerance: Option<f64>,
     journal: Option<String>,
     cv_threads: Option<usize>,
-    predictor: Option<PredictorBackend>,
 }
 
 fn parse_args() -> Option<Args> {
@@ -169,10 +162,8 @@ fn parse_from(mut argv: impl Iterator<Item = String>) -> Option<Args> {
         hist_out: None,
         log_json: false,
         trace_out: None,
-        p99_tolerance: None,
         journal: None,
         cv_threads: None,
-        predictor: None,
     };
     // `--flag N` where N must be a strictly positive integer.
     fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
@@ -234,29 +225,9 @@ fn parse_from(mut argv: impl Iterator<Item = String>) -> Option<Args> {
             }
             "--hist-out" => args.hist_out = Some(argv.next()?),
             "--cv-threads" => args.cv_threads = Some(positive(&mut argv, "--cv-threads")?),
-            "--predictor" => {
-                let raw = argv.next()?;
-                match PredictorBackend::parse(&raw) {
-                    Some(b) => args.predictor = Some(b),
-                    None => {
-                        eprintln!("--predictor expects `flat` or `float`, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
             "--log-json" => args.log_json = true,
             "--trace-out" => args.trace_out = Some(argv.next()?),
             "--journal" => args.journal = Some(argv.next()?),
-            "--p99-tolerance" => {
-                let raw = argv.next()?;
-                match raw.parse::<f64>() {
-                    Ok(x) if x > 0.0 && x.is_finite() => args.p99_tolerance = Some(x),
-                    _ => {
-                        eprintln!("--p99-tolerance expects a positive number, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
             "--dtype" => {
                 args.dtype = match argv.next().as_deref() {
                     Some("i32") => Some(DType::I32),
@@ -292,13 +263,13 @@ fn usage() -> ExitCode {
          or: pulp_cli serve [--addr HOST:PORT] [--full] [--cache-dir DIR] [--workers N]\n   \
                 [--queue-depth N] [--timeout-ms N] [--max-body-bytes N] [--keepalive-max N]\n   \
                 [--slow-ms N] [--flight-capacity N] [--retry-after-secs N] [--log-json]\n   \
-         or: pulp_cli bench diff OLD.json NEW.json [--p99-tolerance X]\n   \
+         or: pulp_cli bench diff OLD.json NEW.json\n   \
          or: pulp_cli bench sim [--quick] [--out PATH] [--max-cycles N] [--iters N] [--journal PATH]\n   \
          or: pulp_cli bench serve [--quick] [--out PATH] [--trace-out PATH] [--rate RPS]\n   \
-                [--hist-out PATH] [--predictor flat|float]\n   \
+                [--hist-out PATH]\n   \
          or: pulp_cli bench models [--quick] [--out PATH] [--cv-threads N] [--journal PATH]\n   \
                 [--cache-dir DIR]\n   \
-         or: pulp_cli bench history DIR [--p99-tolerance X]\n   \
+         or: pulp_cli bench history DIR\n   \
          or: pulp_cli report RUN.jsonl\n   \
          or: pulp_cli journal validate RUN.jsonl [RUN2.jsonl ...]"
     );
@@ -309,338 +280,12 @@ fn usage() -> ExitCode {
 /// (override with `--max-cycles`).
 const DEFAULT_RUN_BUDGET: u64 = 100_000_000;
 
-/// Maximum tolerated accuracy drop between baseline and candidate before
-/// `bench diff` fails: one percentage point.
-const REGRESSION_TOLERANCE: f64 = 0.01;
-
-/// Maximum tolerated relative drop in simulator throughput
-/// (`ff_cycles_per_s`) per basket before `bench diff` fails: 20%.
-const SIM_THROUGHPUT_TOLERANCE: f64 = 0.20;
-
-/// Minimum fast-forward speedup over the single-step oracle tolerated on
-/// any candidate basket: the fast-forward path must never be slower than
-/// just stepping. Guards the contended-path regression (PR 4 shipped ALU
-/// baskets at 0.64–0.89×) from coming back.
-const SIM_SPEEDUP_FLOOR: f64 = 1.0;
-
-/// Wall-clock jitter allowance on the speedup floor. Contended baskets sit
-/// at parity (speedup ≈ 1.00 — nothing is skippable, so the fast-forward
-/// does the same work as the oracle), and a knife-edge `< 1.0` check would
-/// flake on scheduler noise; the regression this gate guards shipped at
-/// 0.64–0.89×, far below the 0.95 effective floor.
-const SIM_SPEEDUP_NOISE: f64 = 0.05;
-
-/// Maximum tolerated relative drop in labeling throughput
-/// (`labeling_samples_per_s`) before `bench diff` fails: 20%. Only gated
-/// when both records carry the measurement (older baselines predate it).
-const SIM_LABELING_TOLERANCE: f64 = 0.20;
-
-/// Default maximum tolerated relative p99-latency regression per serve
-/// mix before `bench diff` fails: 20%. Override with `--p99-tolerance`
-/// (CI's recorder-overhead gate tightens it to 10%).
-const SERVE_P99_TOLERANCE: f64 = 0.20;
-
-/// Compares two benchmark records, dispatching on their `bench` field:
-/// `"sim"` gates on per-basket fast-forward throughput, `"serve"` on
-/// per-mix p99 latency plus shedding (tolerance from `--p99-tolerance`,
-/// default [`SERVE_P99_TOLERANCE`]), anything else on the headline
-/// `accuracy` map. Returns the regressions found.
-fn bench_regressions_with(
-    old: &Value,
-    new: &Value,
-    serve_p99_tolerance: f64,
-) -> Result<Vec<String>, String> {
-    let kind = old.field("bench").and_then(Value::as_str).unwrap_or("");
-    match kind {
-        "sim" => sim_regressions(old, new),
-        "serve" => serve_regressions(old, new, serve_p99_tolerance),
-        "models" => models_regressions(old, new),
-        _ => headline_regressions(old, new),
-    }
-}
-
-/// Both records must come from the same profile — a `--quick` candidate
-/// against a full baseline (or vice versa) compares different workloads.
-fn check_same_profile(old: &Value, new: &Value) -> Result<(), String> {
-    let profile = |v: &Value, side: &str| {
-        v.field("quick")
-            .and_then(Value::as_bool)
-            .map_err(|e| format!("{side}: {e}"))
-    };
-    let (old_quick, new_quick) = (profile(old, "baseline")?, profile(new, "candidate")?);
-    if old_quick != new_quick {
-        return Err(format!(
-            "profiles differ (baseline quick={old_quick}, candidate quick={new_quick}); \
-             records are not comparable"
-        ));
-    }
-    Ok(())
-}
-
-/// Pulls the `rows` sequence out of a benchmark record, labelling parse
-/// failures with which side (baseline/candidate) was at fault.
-fn record_rows<'a>(v: &'a Value, side: &str) -> Result<&'a [Value], String> {
-    v.field("rows")
-        .and_then(Value::as_seq)
-        .map_err(|e| format!("{side}: {e}"))
-}
-
-/// `BENCH_sim.json`: fail on >20% `ff_cycles_per_s` drop on any
-/// (basket, cores) row, a row missing from the candidate, any candidate
-/// row with fast-forward `speedup` below [`SIM_SPEEDUP_FLOOR`], or a >20%
-/// drop in labeling throughput when both records measure it.
-fn sim_regressions(old: &Value, new: &Value) -> Result<Vec<String>, String> {
-    check_same_profile(old, new)?;
-    let (old_rows, new_rows) = (
-        record_rows(old, "baseline")?,
-        record_rows(new, "candidate")?,
-    );
-    let key = |r: &Value| -> Option<(String, u64)> {
-        Some((
-            r.field("basket").and_then(Value::as_str).ok()?.to_string(),
-            r.field("cores").and_then(Value::as_u64).ok()?,
-        ))
-    };
-    let mut regressions = Vec::new();
-    for old_row in old_rows {
-        let Some((basket, cores)) = key(old_row) else {
-            return Err("baseline: row without basket/cores".to_string());
-        };
-        let Ok(old_cps) = old_row.field("ff_cycles_per_s").and_then(Value::as_f64) else {
-            continue;
-        };
-        let Some(new_cps) = new_rows
-            .iter()
-            .filter(|r| key(r).as_ref() == Some(&(basket.clone(), cores)))
-            .find_map(|r| r.field("ff_cycles_per_s").and_then(Value::as_f64).ok())
-        else {
-            regressions.push(format!("{basket} @ {cores} cores: missing from candidate"));
-            continue;
-        };
-        if new_cps < old_cps * (1.0 - SIM_THROUGHPUT_TOLERANCE) {
-            regressions.push(format!(
-                "{basket} @ {cores} cores: {old_cps:.3e} -> {new_cps:.3e} cycles/s \
-                 (drop {:.1}% > {:.0}% tolerance)",
-                (1.0 - new_cps / old_cps) * 100.0,
-                SIM_THROUGHPUT_TOLERANCE * 100.0
-            ));
-        }
-    }
-    // Absolute floor on every candidate row: the fast-forward must beat
-    // (or match) the oracle on all baskets, not just avoid drops vs the
-    // previous record.
-    for new_row in new_rows {
-        let Some((basket, cores)) = key(new_row) else {
-            return Err("candidate: row without basket/cores".to_string());
-        };
-        let Ok(speedup) = new_row.field("speedup").and_then(Value::as_f64) else {
-            continue;
-        };
-        if speedup < SIM_SPEEDUP_FLOOR - SIM_SPEEDUP_NOISE {
-            regressions.push(format!(
-                "{basket} @ {cores} cores: fast-forward speedup {speedup:.2}x \
-                 below the {SIM_SPEEDUP_FLOOR:.1}x floor (with {:.0}% jitter \
-                 allowance) — the skipping path is slower than single-stepping",
-                SIM_SPEEDUP_NOISE * 100.0
-            ));
-        }
-    }
-    // Labeling throughput: gate only when both records carry a positive
-    // measurement (baselines from before the column lack it).
-    let labeling = |v: &Value| {
-        v.field("labeling_samples_per_s")
-            .and_then(Value::as_f64)
-            .ok()
-            .filter(|&s| s > 0.0)
-    };
-    if let (Some(old_sps), Some(new_sps)) = (labeling(old), labeling(new)) {
-        if new_sps < old_sps * (1.0 - SIM_LABELING_TOLERANCE) {
-            regressions.push(format!(
-                "labeling throughput: {old_sps:.1} -> {new_sps:.1} samples/s \
-                 (drop {:.1}% > {:.0}% tolerance)",
-                (1.0 - new_sps / old_sps) * 100.0,
-                SIM_LABELING_TOLERANCE * 100.0
-            ));
-        }
-    }
-    Ok(regressions)
-}
-
-/// `BENCH_serve.json`: fail on a p99 regression beyond `p99_tolerance` on
-/// any mix, a mix missing from the candidate, any shed in a quick-profile
-/// candidate, or candidate correctness errors.
-fn serve_regressions(old: &Value, new: &Value, p99_tolerance: f64) -> Result<Vec<String>, String> {
-    check_same_profile(old, new)?;
-    let (old_rows, new_rows) = (
-        record_rows(old, "baseline")?,
-        record_rows(new, "candidate")?,
-    );
-    let mut regressions = Vec::new();
-    for old_row in old_rows {
-        let Ok(mix) = old_row.field("mix").and_then(Value::as_str) else {
-            return Err("baseline: row without mix".to_string());
-        };
-        let Ok(old_p99) = old_row.field("p99_us").and_then(Value::as_f64) else {
-            continue;
-        };
-        let Some(new_p99) = new_rows
-            .iter()
-            .filter(|r| r.field("mix").and_then(Value::as_str) == Ok(mix))
-            .find_map(|r| r.field("p99_us").and_then(Value::as_f64).ok())
-        else {
-            regressions.push(format!("mix {mix}: missing from candidate"));
-            continue;
-        };
-        if new_p99 > old_p99 * (1.0 + p99_tolerance) {
-            regressions.push(format!(
-                "mix {mix}: p99 {old_p99:.0}us -> {new_p99:.0}us \
-                 (+{:.1}% > {:.0}% tolerance)",
-                (new_p99 / old_p99 - 1.0) * 100.0,
-                p99_tolerance * 100.0
-            ));
-        }
-    }
-    let quick = new.field("quick").and_then(Value::as_bool).unwrap_or(false);
-    let shed = new
-        .field("shed_total")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    if quick && shed > 0.0 {
-        regressions.push(format!(
-            "candidate shed {shed} connection(s); the quick profile must never shed"
-        ));
-    }
-    let errors = new.field("errors").and_then(Value::as_u64).unwrap_or(0);
-    if errors > 0 {
-        regressions.push(format!("candidate had {errors} failed request(s)"));
-    }
-    // Open-loop (coordinated-omission-safe) envelope: gated only when the
-    // baseline carries the section, so pre-open-loop records keep diffing.
-    let open_p99 = |record: &Value| {
-        record
-            .field("open_loop")
-            .ok()
-            .and_then(|o| o.field("p99_us").and_then(Value::as_f64).ok())
-    };
-    if let Some(old_p99) = open_p99(old) {
-        match open_p99(new) {
-            None => regressions
-                .push("open-loop results missing from candidate (baseline has them)".to_string()),
-            Some(new_p99) if new_p99 > old_p99 * (1.0 + p99_tolerance) => {
-                regressions.push(format!(
-                    "open-loop: p99 {old_p99:.0}us -> {new_p99:.0}us \
-                     (+{:.1}% > {:.0}% tolerance)",
-                    (new_p99 / old_p99 - 1.0) * 100.0,
-                    p99_tolerance * 100.0
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(regressions)
-}
-
-/// `BENCH_models.json`: fail on a >1-pt `static_at_5` accuracy drop for
-/// any zoo model, a model missing from the candidate, or any candidate
-/// row reporting flat/float prediction mismatches — the quantized flat
-/// path must stay bit-exact with the float reference on the dataset.
-fn models_regressions(old: &Value, new: &Value) -> Result<Vec<String>, String> {
-    check_same_profile(old, new)?;
-    let (old_rows, new_rows) = (
-        record_rows(old, "baseline")?,
-        record_rows(new, "candidate")?,
-    );
-    let mut regressions = Vec::new();
-    for old_row in old_rows {
-        let Ok(model) = old_row.field("model").and_then(Value::as_str) else {
-            return Err("baseline: row without model".to_string());
-        };
-        let Ok(old_acc) = old_row.field("static_at_5").and_then(Value::as_f64) else {
-            continue;
-        };
-        let Some(new_acc) = new_rows
-            .iter()
-            .filter(|r| r.field("model").and_then(Value::as_str) == Ok(model))
-            .find_map(|r| r.field("static_at_5").and_then(Value::as_f64).ok())
-        else {
-            regressions.push(format!("model {model}: missing from candidate"));
-            continue;
-        };
-        if new_acc < old_acc - REGRESSION_TOLERANCE {
-            regressions.push(format!(
-                "model {model}: static@5 {:.1}% -> {:.1}% (drop {:.1} pts > {:.0} pt tolerance)",
-                old_acc * 100.0,
-                new_acc * 100.0,
-                (old_acc - new_acc) * 100.0,
-                REGRESSION_TOLERANCE * 100.0
-            ));
-        }
-    }
-    for new_row in new_rows {
-        let model = new_row
-            .field("model")
-            .and_then(Value::as_str)
-            .unwrap_or("?");
-        if let Ok(m) = new_row.field("flat_mismatches").and_then(Value::as_u64) {
-            if m > 0 {
-                regressions.push(format!(
-                    "model {model}: flat inference diverged from the float reference \
-                     on {m} row(s); the quantized path must be bit-exact"
-                ));
-            }
-        }
-    }
-    Ok(regressions)
-}
-
-/// Compares two `BENCH_headline.json` records field-by-field over their
-/// `accuracy` maps; returns the regressions found.
-fn headline_regressions(old: &Value, new: &Value) -> Result<Vec<String>, String> {
-    let old_acc = old
-        .field("accuracy")
-        .and_then(Value::as_map)
-        .map_err(|e| format!("baseline: {e}"))?;
-    let new_acc = new
-        .field("accuracy")
-        .and_then(Value::as_map)
-        .map_err(|e| format!("candidate: {e}"))?;
-    let mut regressions = Vec::new();
-    for (name, old_v) in old_acc {
-        let Ok(old_v) = old_v.as_f64() else { continue };
-        let Some(new_v) = new_acc
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_f64().ok())
-        else {
-            regressions.push(format!("{name}: missing from candidate"));
-            continue;
-        };
-        if new_v < old_v - REGRESSION_TOLERANCE {
-            regressions.push(format!(
-                "{name}: {:.1}% -> {:.1}% (drop {:.1} pts > {:.0} pt tolerance)",
-                old_v * 100.0,
-                new_v * 100.0,
-                (old_v - new_v) * 100.0,
-                REGRESSION_TOLERANCE * 100.0
-            ));
-        }
-    }
-    Ok(regressions)
-}
-
-fn cmd_bench_diff(old_path: &str, new_path: &str, p99_tolerance: Option<f64>) -> ExitCode {
-    let load = |path: &str| -> Result<Value, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("bench diff: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match bench_regressions_with(&old, &new, p99_tolerance.unwrap_or(SERVE_P99_TOLERANCE)) {
+/// `bench diff`: gates the candidate record at `new_path` against the
+/// baseline at `old_path`.
+fn cmd_bench_diff(old_path: &str, new_path: &str) -> ExitCode {
+    let load = |path: &str| BenchRecord::load(std::path::Path::new(path));
+    let outcome = load(old_path).and_then(|old| old.regressions(&load(new_path)?));
+    match outcome {
         Ok(regressions) if regressions.is_empty() => {
             println!("bench diff: no regressions ({old_path} -> {new_path})");
             ExitCode::SUCCESS
@@ -699,83 +344,12 @@ fn cmd_journal_validate(paths: &[String]) -> ExitCode {
     }
 }
 
-/// One line summarising a benchmark record for the `bench history` table.
-fn record_summary(kind: &str, v: &Value) -> String {
-    match kind {
-        "sim" => {
-            let sps = v
-                .field("labeling_samples_per_s")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            let min_speedup = v
-                .field("rows")
-                .and_then(Value::as_seq)
-                .ok()
-                .and_then(|rows| {
-                    rows.iter()
-                        .filter_map(|r| r.field("speedup").and_then(Value::as_f64).ok())
-                        .min_by(f64::total_cmp)
-                });
-            match min_speedup {
-                Some(s) => format!("labeling {sps:.1} samples/s, min speedup {s:.2}x"),
-                None => format!("labeling {sps:.1} samples/s"),
-            }
-        }
-        "serve" => {
-            let max_p99 = v
-                .field("rows")
-                .and_then(Value::as_seq)
-                .ok()
-                .and_then(|rows| {
-                    rows.iter()
-                        .filter_map(|r| r.field("p99_us").and_then(Value::as_f64).ok())
-                        .max_by(f64::total_cmp)
-                });
-            match max_p99 {
-                Some(p) => format!("worst-mix p99 {p:.0}us"),
-                None => "no rows".to_string(),
-            }
-        }
-        "models" => match v.field("rows").and_then(Value::as_seq) {
-            Ok(rows) => {
-                let mut parts: Vec<String> = rows
-                    .iter()
-                    .filter_map(|r| {
-                        let model = r.field("model").and_then(Value::as_str).ok()?;
-                        let acc = r.field("static_at_5").and_then(Value::as_f64).ok()?;
-                        Some(format!("{model}@5={:.1}%", acc * 100.0))
-                    })
-                    .collect();
-                let mismatches: u64 = rows
-                    .iter()
-                    .filter_map(|r| r.field("flat_mismatches").and_then(Value::as_u64).ok())
-                    .sum();
-                parts.push(if mismatches == 0 {
-                    "flat=exact".to_string()
-                } else {
-                    format!("flat={mismatches} mismatch(es)")
-                });
-                parts.join(" ")
-            }
-            Err(_) => "no rows".to_string(),
-        },
-        _ => match v.field("accuracy").and_then(Value::as_map) {
-            Ok(acc) => acc
-                .iter()
-                .filter_map(|(k, val)| val.as_f64().ok().map(|x| format!("{k}={:.1}%", x * 100.0)))
-                .collect::<Vec<_>>()
-                .join(" "),
-            Err(_) => "no accuracy map".to_string(),
-        },
-    }
-}
-
 /// Reads every `BENCH_*.json` record in `dir` (sorted by file name), groups
-/// them by `(bench kind, quick)`, prints the trajectory, and flags
-/// regressions between consecutive records of a group with the same
-/// thresholds as `bench diff`. Journals (`*.jsonl`) in the directory
-/// contribute their `bench_record` tails.
-fn cmd_bench_history(dir: &str, p99_tolerance: Option<f64>) -> ExitCode {
+/// them by `(bench, profile)`, prints the trajectory, and flags
+/// regressions between consecutive records of a group with the comparator
+/// behind `bench diff`. Journals (`*.jsonl`) in the directory contribute
+/// their `bench_record` tails.
+fn cmd_bench_history(dir: &str) -> ExitCode {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
@@ -799,49 +373,38 @@ fn cmd_bench_history(dir: &str, p99_tolerance: Option<f64>) -> ExitCode {
         println!("bench history: no BENCH_*.json records or *.jsonl journals in {dir}");
         return ExitCode::SUCCESS;
     }
-    // Parse and group by (kind, quick); groups keep file-name order.
-    // One group: the (bench kind, quick profile) key plus its (file, record) rows.
-    type HistoryGroup = ((String, bool), Vec<(String, Value)>);
+    // Parse and group by (bench, profile); groups keep file-name order.
+    // One group: the (bench, profile) key plus its (file, record) rows.
+    type HistoryGroup = ((String, String), Vec<(String, BenchRecord)>);
     let mut groups: Vec<HistoryGroup> = Vec::new();
     for name in &records {
-        let path = format!("{dir}/{name}");
-        let parsed: Result<Value, String> = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()));
-        let v = match parsed {
-            Ok(v) => v,
+        let record = match BenchRecord::load(&std::path::Path::new(dir).join(name)) {
+            Ok(r) => r,
             Err(e) => {
-                eprintln!("bench history: skipping {name}: {e}");
+                eprintln!("bench history: skipping {e}");
                 continue;
             }
         };
-        let kind = v
-            .field("bench")
-            .and_then(Value::as_str)
-            .unwrap_or("headline")
-            .to_string();
-        let quick = v.field("quick").and_then(Value::as_bool).unwrap_or(false);
-        let key = (kind, quick);
+        let key = (record.bench.clone(), record.profile.clone());
         match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, list)) => list.push((name.clone(), v)),
-            None => groups.push((key, vec![(name.clone(), v)])),
+            Some((_, list)) => list.push((name.clone(), record)),
+            None => groups.push((key, vec![(name.clone(), record)])),
         }
     }
     groups.sort_by(|(a, _), (b, _)| a.cmp(b));
     let mut flagged = 0usize;
-    for ((kind, quick), list) in &groups {
+    for ((bench, profile), list) in &groups {
         println!(
-            "== {kind} ({} profile), {} record(s) ==",
-            if *quick { "quick" } else { "full" },
+            "== {bench} ({profile} profile), {} record(s) ==",
             list.len()
         );
-        for (name, v) in list {
-            println!("  {name:<28} {}", record_summary(kind, v));
+        for (name, record) in list {
+            println!("  {name:<28} {}", record.summary());
         }
         for pair in list.windows(2) {
             let (old_name, old) = &pair[0];
             let (new_name, new) = &pair[1];
-            match bench_regressions_with(old, new, p99_tolerance.unwrap_or(SERVE_P99_TOLERANCE)) {
+            match old.regressions(new) {
                 Ok(regressions) => {
                     for r in &regressions {
                         println!("  REGRESSION {old_name} -> {new_name}: {r}");
@@ -873,6 +436,39 @@ fn cmd_bench_history(dir: &str, p99_tolerance: Option<f64>) -> ExitCode {
         println!("bench history: no regressions across consecutive records");
     }
     ExitCode::SUCCESS
+}
+
+/// Writes `record` to `path` (see [`BenchRecord::to_json`]); reports the
+/// outcome and returns whether it succeeded.
+fn write_record(record: &BenchRecord, path: &str) -> bool {
+    match record.write(std::path::Path::new(path)) {
+        Ok(()) => {
+            println!("wrote {path}");
+            true
+        }
+        Err(e) => {
+            eprintln!("bench {}: {e}", record.bench);
+            false
+        }
+    }
+}
+
+/// Reports a bench's invariant check: `ok` on success, every violation
+/// (and a failing exit code) otherwise.
+fn verdict(bench: &str, ok: &str, outcome: Result<(), Vec<String>>) -> ExitCode {
+    match outcome {
+        Ok(()) => {
+            println!("bench {bench}: {ok}");
+            ExitCode::SUCCESS
+        }
+        Err(problems) => {
+            eprintln!("bench {bench}: {} invariant violation(s):", problems.len());
+            for p in &problems {
+                eprintln!("  {p}");
+            }
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Runs the simulator performance benchmark and writes `BENCH_sim.json`
@@ -934,31 +530,14 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
     }
     print!("{}", report.render_table());
     let out_path = args.out.as_deref().unwrap_or("BENCH_sim.json");
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench sim: cannot serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("bench sim: cannot write {out_path}: {e}");
+    if !write_record(&report.record(), out_path) {
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
-    match report.verify() {
-        Ok(()) => {
-            println!("bench sim: all runs bit-identical to the single-step oracle");
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            eprintln!("bench sim: {} invariant violation(s):", problems.len());
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    verdict(
+        "sim",
+        "all runs bit-identical to the single-step oracle",
+        report.verify(),
+    )
 }
 
 /// The server capacity knobs implied by the command line.
@@ -1086,14 +665,10 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     if let Some(rate) = args.rate {
         opts.open_loop_rate_rps = rate;
     }
-    if let Some(backend) = args.predictor {
-        opts.backend = backend;
-    }
     eprintln!(
-        "bench serve: {} run, {} predictor ({} rounds of {} clients x {} requests, {} workers, \
+        "bench serve: {} run ({} rounds of {} clients x {} requests, {} workers, \
          queue depth {}, open-loop {} rps)...",
         if opts.quick { "quick" } else { "full" },
-        opts.backend.name(),
         opts.rounds,
         opts.clients,
         opts.requests_per_client,
@@ -1104,18 +679,9 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     let run = run_serve_bench(&opts);
     print!("{}", run.report.render_table());
     let out_path = args.out.as_deref().unwrap_or("BENCH_serve.json");
-    let json = match serde_json::to_string_pretty(&run.report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench serve: cannot serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("bench serve: cannot write {out_path}: {e}");
+    if !write_record(&run.report.record(), out_path) {
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
     if let Some(trace_path) = &args.trace_out {
         if let Err(e) = std::fs::write(trace_path, &run.trace_json) {
             eprintln!("bench serve: cannot write {trace_path}: {e}");
@@ -1130,19 +696,7 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
         }
         println!("wrote {hist_path} (open-loop latency histogram)");
     }
-    match run.verify() {
-        Ok(()) => {
-            println!("bench serve: all invariants hold");
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            eprintln!("bench serve: {} invariant violation(s):", problems.len());
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    verdict("serve", "all invariants hold", run.verify())
 }
 
 /// Runs the model-zoo evaluation benchmark and writes `BENCH_models.json`
@@ -1177,50 +731,23 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
     let mut report = run_models_bench(&data, &protocol, args.quick);
     let manifest = common.write_manifest("bench_models", &opts, Some(&protocol), start);
     report.manifest_hash = manifest.manifest_hash();
+    let record = report.record();
     if let Some(j) = journal.as_mut() {
-        for row in &report.rows {
-            let record = |name: String, value: f64| pulp_obs::JournalEvent::BenchRecord {
-                bench: "models".to_string(),
-                name,
-                value,
-            };
-            let _ = j.event(record(
-                format!("{}_static_at_5", row.model),
-                row.static_at_5,
-            ));
-            if let Some(m) = row.flat_mismatches {
-                let _ = j.event(record(format!("{}_flat_mismatches", row.model), m as f64));
-            }
+        if let Err(e) = record.journal(j) {
+            eprintln!("bench models: journal write failed: {e}");
         }
     }
     common.finish_journal(journal);
     print!("{}", report.render_table());
     let out_path = args.out.as_deref().unwrap_or("BENCH_models.json");
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench models: cannot serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("bench models: cannot write {out_path}: {e}");
+    if !write_record(&record, out_path) {
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
-    match report.verify() {
-        Ok(()) => {
-            println!("bench models: flat inference bit-exact with the float reference");
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            eprintln!("bench models: {} invariant violation(s):", problems.len());
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    verdict(
+        "models",
+        "flat inference bit-exact with the float reference",
+        report.verify(),
+    )
 }
 
 fn find_kernel<'a>(defs: &'a [KernelDef], name: &str) -> Option<&'a KernelDef> {
@@ -1586,15 +1113,11 @@ fn main() -> ExitCode {
             _ => usage(),
         },
         "bench" => match args.kernel.as_deref() {
-            Some("diff") if args.rest.len() == 2 => {
-                cmd_bench_diff(&args.rest[0], &args.rest[1], args.p99_tolerance)
-            }
+            Some("diff") if args.rest.len() == 2 => cmd_bench_diff(&args.rest[0], &args.rest[1]),
             Some("sim") if args.rest.is_empty() => cmd_bench_sim(&args),
             Some("serve") if args.rest.is_empty() => cmd_bench_serve(&args),
             Some("models") if args.rest.is_empty() => cmd_bench_models(&args),
-            Some("history") if args.rest.len() == 1 => {
-                cmd_bench_history(&args.rest[0], args.p99_tolerance)
-            }
+            Some("history") if args.rest.len() == 1 => cmd_bench_history(&args.rest[0]),
             _ => usage(),
         },
         _ => usage(),
@@ -1604,14 +1127,13 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulp_bench::record::ACCURACY_TOLERANCE;
+    use pulp_bench::{Better, Tolerance};
+    use Better::{Higher, Lower};
+    use Tolerance::{Absolute, Limit, Relative};
 
     fn parse(words: &[&str]) -> Option<Args> {
         parse_from(words.iter().map(|s| s.to_string()))
-    }
-
-    /// [`bench_regressions_with`] at the default serve p99 tolerance.
-    fn bench_regressions(old: &Value, new: &Value) -> Result<Vec<String>, String> {
-        bench_regressions_with(old, new, SERVE_P99_TOLERANCE)
     }
 
     #[test]
@@ -1684,39 +1206,495 @@ mod tests {
         assert!(parse(&["bench", "sim", "--max-cycles"]).is_none());
     }
 
-    fn headline_value(static_at_5: f64) -> Value {
-        Value::Map(vec![(
-            "accuracy".to_string(),
-            Value::Map(vec![
-                ("static_at_0".to_string(), Value::F64(0.55)),
-                ("static_at_5".to_string(), Value::F64(static_at_5)),
-            ]),
-        )])
+    type MetricRow<'a> = (&'a str, f64, Better, Option<Tolerance>);
+
+    fn rec(bench: &str, quick: bool, metrics: &[MetricRow]) -> BenchRecord {
+        let mut r = BenchRecord::new(bench, quick);
+        for &(name, value, better, tolerance) in metrics {
+            r.push(name, value, ("u", better, tolerance));
+        }
+        r
+    }
+
+    fn headline(static_at_5: f64) -> BenchRecord {
+        let acc = Some(Absolute(ACCURACY_TOLERANCE));
+        rec(
+            "headline",
+            true,
+            &[
+                ("static_at_0", 0.55, Higher, acc),
+                ("static_at_5", static_at_5, Higher, acc),
+            ],
+        )
+    }
+
+    /// Two sim rows gated on relative throughput, plus optional
+    /// speedup-floor and labeling-throughput metrics.
+    fn sim(quick: bool, rows: &[(&str, f64, Option<f64>)], labeling: Option<f64>) -> BenchRecord {
+        let names: Vec<(String, String)> = rows
+            .iter()
+            .map(|(row, _, _)| (format!("{row}/ff_cycles_per_s"), format!("{row}/speedup")))
+            .collect();
+        let mut specs: Vec<MetricRow> = Vec::new();
+        for ((cps_name, speedup_name), (_, cps, speedup)) in names.iter().zip(rows) {
+            specs.push((cps_name, *cps, Higher, Some(Relative(0.20))));
+            if let Some(s) = speedup {
+                specs.push((speedup_name, *s, Higher, Some(Limit(0.95))));
+            }
+        }
+        if let Some(sps) = labeling {
+            specs.push(("labeling_samples_per_s", sps, Higher, Some(Relative(0.20))));
+        }
+        rec("sim", quick, &specs)
+    }
+
+    fn sim_cps(quick: bool, alu1_cps: f64) -> BenchRecord {
+        sim(
+            quick,
+            &[("alu@1", alu1_cps, None), ("barrier_dma@8", 5e8, None)],
+            None,
+        )
+    }
+
+    fn sim_speedup(rows: &[(&str, f64)], labeling: Option<f64>) -> BenchRecord {
+        let rows: Vec<(&str, f64, Option<f64>)> =
+            rows.iter().map(|&(r, s)| (r, 1e7, Some(s))).collect();
+        sim(true, &rows, labeling)
+    }
+
+    /// A serve record: two mixes plus an optional open-loop p99, all at
+    /// relative tolerance `tol`; quick records also gate shedding.
+    fn serve_with(
+        quick: bool,
+        tol: f64,
+        kernel_p99: f64,
+        shed: f64,
+        errors: f64,
+        open_p99: Option<f64>,
+    ) -> BenchRecord {
+        let p99 = Some(Relative(tol));
+        let mut specs: Vec<MetricRow> = vec![
+            ("errors", errors, Lower, Some(Limit(0.0))),
+            ("shed_total", shed, Lower, quick.then_some(Limit(0.0))),
+            ("kernel/p99_us", kernel_p99, Lower, p99),
+            ("batch/p99_us", 900.0, Lower, p99),
+        ];
+        if let Some(p) = open_p99 {
+            specs.push(("open_loop/p99_us", p, Lower, p99));
+        }
+        rec("serve", quick, &specs)
+    }
+
+    fn serve(quick: bool, kernel_p99: f64, shed: f64, errors: f64) -> BenchRecord {
+        serve_with(quick, 0.20, kernel_p99, shed, errors, None)
+    }
+
+    fn open_loop(p99: Option<f64>) -> BenchRecord {
+        serve_with(true, 0.10, 500.0, 0.0, 0.0, p99)
+    }
+
+    fn models(quick: bool, rows: &[(&str, f64, Option<f64>)]) -> BenchRecord {
+        let names: Vec<(String, String)> = rows
+            .iter()
+            .map(|(m, _, _)| (format!("{m}/static_at_5"), format!("{m}/flat_mismatches")))
+            .collect();
+        let mut specs: Vec<MetricRow> = Vec::new();
+        for ((acc_name, flat_name), (_, at5, mismatches)) in names.iter().zip(rows) {
+            specs.push((acc_name, *at5, Higher, Some(Absolute(ACCURACY_TOLERANCE))));
+            if let Some(m) = mismatches {
+                specs.push((flat_name, *m, Lower, Some(Limit(0.0))));
+            }
+        }
+        rec("models", quick, &specs)
+    }
+
+    fn zoo(tree: f64, gbt: f64, knn: f64, tree_mismatches: f64) -> BenchRecord {
+        models(
+            true,
+            &[
+                ("tree", tree, Some(tree_mismatches)),
+                ("gbt", gbt, Some(0.0)),
+                ("knn", knn, None),
+            ],
+        )
+    }
+
+    /// Expected outcome: `Ok` lists one substring per expected regression
+    /// message; `Err` is a substring of the refusal.
+    type Expect = Result<&'static [&'static str], &'static str>;
+
+    /// One row of the comparator table: what the row checks, baseline,
+    /// candidate and expected verdict.
+    type DiffCase = (&'static str, BenchRecord, BenchRecord, Expect);
+
+    /// Runs rows of the comparator table through `BenchRecord::regressions`,
+    /// the one comparator behind `bench diff` and `bench history`.
+    fn check_diffs(cases: Vec<DiffCase>) {
+        for (what, base, cand, expect) in cases {
+            let got = base.regressions(&cand);
+            match expect {
+                Ok(expected) => {
+                    let got = got.unwrap_or_else(|e| panic!("{what}: refused: {e}"));
+                    assert_eq!(got.len(), expected.len(), "{what}: {got:?}");
+                    for e in expected {
+                        assert!(
+                            got.iter().any(|g| g.contains(e)),
+                            "{what}: {e:?} not in {got:?}"
+                        );
+                    }
+                }
+                Err(expected) => {
+                    let err = got.expect_err(what);
+                    assert!(err.contains(expected), "{what}: {err}");
+                }
+            }
+        }
     }
 
     #[test]
     fn bench_diff_flags_only_real_regressions() {
-        let base = headline_value(0.80);
-        // Within tolerance: a 1-point drop passes.
-        let ok = bench_regressions(&base, &headline_value(0.79)).expect("compare");
-        assert!(ok.is_empty(), "{ok:?}");
-        // Beyond tolerance fails and names the field.
-        let bad = bench_regressions(&base, &headline_value(0.70)).expect("compare");
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("static_at_5"), "{bad:?}");
-        // Improvements never fail.
-        assert!(bench_regressions(&base, &headline_value(0.95))
-            .expect("compare")
-            .is_empty());
-        // A field missing from the candidate is a failure, not a skip.
-        let missing = Value::Map(vec![(
-            "accuracy".to_string(),
-            Value::Map(vec![("static_at_0".to_string(), Value::F64(0.55))]),
-        )]);
-        let out = bench_regressions(&base, &missing).expect("compare");
-        assert!(out.iter().any(|r| r.contains("missing")), "{out:?}");
-        // Records without an accuracy map are an error.
-        assert!(bench_regressions(&Value::Map(vec![]), &base).is_err());
+        // Absolute gate (headline accuracy map).
+        check_diffs(vec![
+            (
+                "headline: 1-pt drop is inside",
+                headline(0.80),
+                headline(0.79),
+                Ok(&[]),
+            ),
+            (
+                "headline: 10-pt drop names the field",
+                headline(0.80),
+                headline(0.70),
+                Ok(&["static_at_5: 0.8 -> 0.7"]),
+            ),
+            (
+                "headline: improvement",
+                headline(0.80),
+                headline(0.95),
+                Ok(&[]),
+            ),
+            (
+                "headline: field missing from the candidate",
+                headline(0.80),
+                rec("headline", true, &[("static_at_0", 0.55, Higher, None)]),
+                Ok(&["static_at_5: missing from candidate"]),
+            ),
+            (
+                "benchmarks differ",
+                headline(0.80),
+                sim_cps(true, 1e7),
+                Err("not comparable"),
+            ),
+        ]);
+        // Anything that is not a bench record (here, an empty object and
+        // the retired headline schema) is an error, not a silent pass.
+        assert!(serde_json::from_str::<BenchRecord>("{}").is_err());
+        let retired = r#"{"schema": "pulp-headline/v1", "accuracy": {"static_at_5": 0.9}}"#;
+        assert!(serde_json::from_str::<BenchRecord>(retired).is_err());
+    }
+
+    #[test]
+    fn bench_diff_gates_sim_throughput() {
+        // Relative gate (sim throughput).
+        check_diffs(vec![
+            (
+                "sim: -15% throughput is inside",
+                sim_cps(true, 1e7),
+                sim_cps(true, 0.85e7),
+                Ok(&[]),
+            ),
+            (
+                "sim: -50% throughput names the row",
+                sim_cps(true, 1e7),
+                sim_cps(true, 0.5e7),
+                Ok(&["alu@1/ff_cycles_per_s"]),
+            ),
+            (
+                "sim: improvement",
+                sim_cps(true, 1e7),
+                sim_cps(true, 5e7),
+                Ok(&[]),
+            ),
+            (
+                "sim: quick vs full",
+                sim_cps(true, 1e7),
+                sim_cps(false, 1e7),
+                Err("not comparable"),
+            ),
+            (
+                "sim: row missing from the candidate",
+                sim_cps(true, 1e7),
+                sim(true, &[("alu@1", 1e7, None)], None),
+                Ok(&["barrier_dma@8/ff_cycles_per_s: missing"]),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn bench_diff_gates_sim_speedup_floor() {
+        // Limit gate (sim speedup floor).
+        check_diffs(vec![
+            (
+                "speedup: 1.0x passes although the baseline was faster",
+                sim_speedup(&[("alu@1", 1.2)], None),
+                sim_speedup(&[("alu@1", 1.0)], None),
+                Ok(&[]),
+            ),
+            (
+                "speedup: 0.96x is inside the jitter allowance",
+                sim_speedup(&[("alu@1", 1.2)], None),
+                sim_speedup(&[("alu@1", 0.96)], None),
+                Ok(&[]),
+            ),
+            (
+                "speedup: a candidate-only row below the floor",
+                sim_speedup(&[("alu@1", 1.2)], None),
+                sim_speedup(&[("alu@1", 1.1), ("tcdm_conflict@8", 0.84)], None),
+                Ok(&["tcdm_conflict@8/speedup: 0.84 u below the 0.95 limit"]),
+            ),
+            (
+                "speedup: a candidate without the column",
+                sim_speedup(&[("alu@1", 1.2)], None),
+                sim_cps(true, 1e7),
+                Ok(&["alu@1/speedup: missing"]),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn bench_diff_gates_labeling_throughput() {
+        // Relative gate (labeling throughput).
+        check_diffs(vec![
+            (
+                "labeling: -15% is inside",
+                sim_speedup(&[("alu@1", 1.2)], Some(100.0)),
+                sim_speedup(&[("alu@1", 1.2)], Some(85.0)),
+                Ok(&[]),
+            ),
+            (
+                "labeling: -50% is flagged",
+                sim_speedup(&[("alu@1", 1.2)], Some(100.0)),
+                sim_speedup(&[("alu@1", 1.2)], Some(50.0)),
+                Ok(&["labeling_samples_per_s: 100 -> 50"]),
+            ),
+            (
+                "labeling: missing from the candidate",
+                sim_speedup(&[("alu@1", 1.2)], Some(100.0)),
+                sim_speedup(&[("alu@1", 1.2)], None),
+                Ok(&["labeling_samples_per_s: missing"]),
+            ),
+            (
+                "labeling: a zero baseline never fails",
+                sim_speedup(&[("alu@1", 1.2)], Some(0.0)),
+                sim_speedup(&[("alu@1", 1.2)], Some(50.0)),
+                Ok(&[]),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn bench_diff_gates_serve_latency_and_shed() {
+        // Relative gate (serve p99) and limit gates (serve errors and
+        // quick-profile shedding).
+        check_diffs(vec![
+            (
+                "serve: +18% p99 inside 20%",
+                serve(true, 500.0, 0.0, 0.0),
+                serve(true, 590.0, 0.0, 0.0),
+                Ok(&[]),
+            ),
+            (
+                "serve: +40% p99 names the mix",
+                serve(true, 500.0, 0.0, 0.0),
+                serve(true, 700.0, 0.0, 0.0),
+                Ok(&["kernel/p99_us"]),
+            ),
+            (
+                "serve: a quick candidate that shed",
+                serve(true, 500.0, 0.0, 0.0),
+                serve(true, 100.0, 3.0, 0.0),
+                Ok(&["shed_total: 3 u above the 0 limit"]),
+            ),
+            (
+                "serve: a full-profile candidate that shed is not gated",
+                serve(false, 500.0, 0.0, 0.0),
+                serve(false, 500.0, 3.0, 0.0),
+                Ok(&[]),
+            ),
+            (
+                "serve: failed requests",
+                serve(true, 500.0, 0.0, 0.0),
+                serve(true, 100.0, 0.0, 2.0),
+                Ok(&["errors: 2 u above the 0 limit"]),
+            ),
+            (
+                "serve: quick vs full",
+                serve(true, 500.0, 0.0, 0.0),
+                serve(false, 500.0, 0.0, 0.0),
+                Err("not comparable"),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn p99_tolerance_parses_and_tightens_the_serve_gate() {
+        // The p99 tolerance is read from the baseline record: one gate
+        // kind and one number, nothing else.
+        let tol = |json: &str| serde_json::from_str::<Tolerance>(json);
+        assert_eq!(tol(r#"{"relative": 0.1}"#).expect("parse"), Relative(0.1));
+        assert!(tol(r#"{"relative": "x"}"#).is_err());
+        assert!(tol(r#"{"relative": 0.1, "limit": 0}"#).is_err());
+        assert!(tol("0.1").is_err());
+        let baseline = serve_with(true, 0.10, 500.0, 0.0, 0.0, None);
+        let text = baseline.to_json();
+        assert!(text.contains(r#""tolerance":{"relative":0.1}"#), "{text}");
+        let parsed: BenchRecord = serde_json::from_str(&text).expect("parse");
+        assert_eq!(parsed, baseline);
+        // +15% p99 passes a 20% baseline gate but fails a 10% one.
+        check_diffs(vec![
+            (
+                "serve: +15% p99 inside 20%",
+                serve(true, 500.0, 0.0, 0.0),
+                serve(true, 575.0, 0.0, 0.0),
+                Ok(&[]),
+            ),
+            (
+                "serve: +15% p99 outside 10%",
+                parsed,
+                serve(true, 575.0, 0.0, 0.0),
+                Ok(&["kernel/p99_us: 500 -> 575 u (15.0% worse > 10% tolerance)"]),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn bench_diff_gates_the_open_loop_envelope() {
+        check_diffs(vec![
+            (
+                "open loop: +10% is inside",
+                open_loop(Some(1000.0)),
+                open_loop(Some(1100.0)),
+                Ok(&[]),
+            ),
+            (
+                "open loop: +50% is flagged",
+                open_loop(Some(1000.0)),
+                open_loop(Some(1500.0)),
+                Ok(&["open_loop/p99_us"]),
+            ),
+            (
+                "open loop: section dropped by the candidate",
+                open_loop(Some(1000.0)),
+                open_loop(None),
+                Ok(&["open_loop/p99_us: missing from candidate"]),
+            ),
+            (
+                "open loop: a baseline without the section gates nothing",
+                open_loop(None),
+                open_loop(Some(99_999.0)),
+                Ok(&[]),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn bench_diff_gates_model_zoo_accuracy_and_flat_parity() {
+        // Absolute accuracy gate and the flat-parity limit.
+        let zoo_base = zoo(0.93, 0.94, 0.90, 0.0);
+        check_diffs(vec![
+            (
+                "models: 0.5-pt drops are inside",
+                zoo_base.clone(),
+                zoo(0.925, 0.935, 0.91, 0.0),
+                Ok(&[]),
+            ),
+            (
+                "models: 3-pt drop names the model",
+                zoo_base.clone(),
+                zoo(0.90, 0.94, 0.90, 0.0),
+                Ok(&["tree/static_at_5"]),
+            ),
+            (
+                "models: flat mismatches fail despite perfect accuracy",
+                zoo_base.clone(),
+                zoo(0.99, 0.99, 0.99, 2.0),
+                Ok(&["tree/flat_mismatches: 2 u above the 0 limit"]),
+            ),
+            (
+                "models: a model missing from the candidate",
+                zoo_base.clone(),
+                models(true, &[("tree", 0.93, Some(0.0)), ("knn", 0.90, None)]),
+                Ok(&["gbt/static_at_5: missing", "gbt/flat_mismatches: missing"]),
+            ),
+            (
+                "models: quick vs full",
+                zoo_base,
+                models(false, &[("tree", 0.93, Some(0.0))]),
+                Err("not comparable"),
+            ),
+        ]);
+    }
+
+    /// One row of the summary table: a record, substrings its summary
+    /// must hold and substrings it must not.
+    type SummaryCase = (
+        BenchRecord,
+        &'static [&'static str],
+        &'static [&'static str],
+    );
+
+    fn check_summaries(cases: Vec<SummaryCase>) {
+        for (record, present, absent) in cases {
+            let s = record.summary();
+            for p in present {
+                assert!(s.contains(p), "{p:?} not in {s:?}");
+            }
+            for a in absent {
+                assert!(!s.contains(a), "{a:?} in {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_summaries_name_the_headline_figures() {
+        check_summaries(vec![
+            (
+                sim_speedup(&[("alu@1", 1.2), ("alu@8", 0.97)], Some(100.0)),
+                &[
+                    "alu@1/ff_cycles_per_s=1.000e7",
+                    "alu@8/speedup=0.97",
+                    "labeling_samples_per_s=100",
+                ],
+                &["alu@1/speedup"],
+            ),
+            (
+                serve(true, 500.0, 0.0, 0.0),
+                &["batch/p99_us=900", "errors=0", "shed_total=0"],
+                &["kernel/"],
+            ),
+            (
+                headline(0.80),
+                &["static_at_0=0.55", "static_at_5=0.8"],
+                &[],
+            ),
+            (
+                rec("serve", false, &[("wall_s", 1.0, Lower, None)]),
+                &["no gated metrics"],
+                &["wall_s"],
+            ),
+        ]);
+    }
+
+    #[test]
+    fn models_record_summary_names_models_and_parity() {
+        check_summaries(vec![
+            (
+                zoo(0.93, 0.94, 0.90, 0.0),
+                &["knn/static_at_5=0.9", "tree/flat_mismatches=0"],
+                &["tree/static_at_5", "gbt/static_at_5"],
+            ),
+            (zoo(0.93, 0.94, 0.90, 4.0), &["tree/flat_mismatches=4"], &[]),
+        ]);
     }
 
     #[test]
@@ -1829,336 +1807,6 @@ mod tests {
     }
 
     #[test]
-    fn p99_tolerance_parses_and_tightens_the_serve_gate() {
-        let a = parse(&[
-            "bench",
-            "diff",
-            "a.json",
-            "b.json",
-            "--p99-tolerance",
-            "0.10",
-        ])
-        .expect("parse");
-        assert_eq!(a.p99_tolerance, Some(0.10));
-        assert!(parse(&["bench", "diff", "a.json", "b.json", "--p99-tolerance", "0"]).is_none());
-        assert!(parse(&["bench", "diff", "a.json", "b.json", "--p99-tolerance", "x"]).is_none());
-        // +15% p99 passes the default 20% gate but fails a 10% one.
-        let base = serve_value(true, 500.0, 0.0, 0);
-        let cand = serve_value(true, 575.0, 0.0, 0);
-        assert!(bench_regressions(&base, &cand).expect("compare").is_empty());
-        let tight = bench_regressions_with(&base, &cand, 0.10).expect("compare");
-        assert_eq!(tight.len(), 1);
-        assert!(tight[0].contains("mix kernel"), "{tight:?}");
-    }
-
-    fn sim_value(quick: bool, alu1_cps: f64) -> Value {
-        let row = |basket: &str, cores: u64, cps: f64| {
-            Value::Map(vec![
-                ("basket".to_string(), Value::Str(basket.to_string())),
-                ("cores".to_string(), Value::U64(cores)),
-                ("ff_cycles_per_s".to_string(), Value::F64(cps)),
-            ])
-        };
-        Value::Map(vec![
-            ("bench".to_string(), Value::Str("sim".to_string())),
-            ("quick".to_string(), Value::Bool(quick)),
-            (
-                "rows".to_string(),
-                Value::Seq(vec![row("alu", 1, alu1_cps), row("barrier_dma", 8, 5e8)]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn bench_diff_gates_sim_throughput() {
-        let base = sim_value(true, 1e7);
-        // Within 20% passes; beyond fails and names the basket.
-        assert!(bench_regressions(&base, &sim_value(true, 0.85e7))
-            .expect("compare")
-            .is_empty());
-        let bad = bench_regressions(&base, &sim_value(true, 0.5e7)).expect("compare");
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("alu @ 1 cores"), "{bad:?}");
-        // Improvements never fail.
-        assert!(bench_regressions(&base, &sim_value(true, 5e7))
-            .expect("compare")
-            .is_empty());
-        // Quick-vs-full comparisons are refused, not silently compared.
-        let err = bench_regressions(&base, &sim_value(false, 1e7)).unwrap_err();
-        assert!(err.contains("not comparable"), "{err}");
-        // A missing row is a regression.
-        let mut missing = sim_value(true, 1e7);
-        if let Value::Map(entries) = &mut missing {
-            for (k, v) in entries.iter_mut() {
-                if k == "rows" {
-                    if let Value::Seq(rows) = v {
-                        rows.truncate(1);
-                    }
-                }
-            }
-        }
-        let out = bench_regressions(&base, &missing).expect("compare");
-        assert!(out.iter().any(|r| r.contains("missing")), "{out:?}");
-    }
-
-    fn sim_value_gated(speedups: &[(&str, u64, f64)], labeling_sps: Option<f64>) -> Value {
-        let rows = speedups
-            .iter()
-            .map(|(basket, cores, speedup)| {
-                Value::Map(vec![
-                    ("basket".to_string(), Value::Str((*basket).to_string())),
-                    ("cores".to_string(), Value::U64(*cores)),
-                    ("ff_cycles_per_s".to_string(), Value::F64(1e7)),
-                    ("speedup".to_string(), Value::F64(*speedup)),
-                ])
-            })
-            .collect();
-        let mut entries = vec![
-            ("bench".to_string(), Value::Str("sim".to_string())),
-            ("quick".to_string(), Value::Bool(true)),
-            ("rows".to_string(), Value::Seq(rows)),
-        ];
-        if let Some(sps) = labeling_sps {
-            entries.push(("labeling_samples_per_s".to_string(), Value::F64(sps)));
-        }
-        Value::Map(entries)
-    }
-
-    #[test]
-    fn bench_diff_gates_sim_speedup_floor() {
-        let base = sim_value_gated(&[("alu", 1, 1.2)], None);
-        // At or above 1.0x passes even when the baseline was faster, and
-        // parity within the jitter allowance (0.96x) is tolerated.
-        assert!(
-            bench_regressions(&base, &sim_value_gated(&[("alu", 1, 1.0)], None))
-                .expect("compare")
-                .is_empty()
-        );
-        assert!(
-            bench_regressions(&base, &sim_value_gated(&[("alu", 1, 0.96)], None))
-                .expect("compare")
-                .is_empty()
-        );
-        // Any candidate basket below 1.0x fails, regardless of the baseline
-        // (extra candidate rows are still gated).
-        let bad = bench_regressions(
-            &base,
-            &sim_value_gated(&[("alu", 1, 1.1), ("tcdm_conflict", 8, 0.84)], None),
-        )
-        .expect("compare");
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(
-            bad[0].contains("tcdm_conflict @ 8 cores") && bad[0].contains("floor"),
-            "{bad:?}"
-        );
-        // Rows without the column (older records) are skipped, not failed.
-        assert!(bench_regressions(&base, &sim_value(true, 1e7))
-            .expect("compare")
-            .is_empty());
-    }
-
-    #[test]
-    fn bench_diff_gates_labeling_throughput() {
-        let base = sim_value_gated(&[("alu", 1, 1.2)], Some(100.0));
-        // Within 20% passes; beyond fails and names the column.
-        assert!(
-            bench_regressions(&base, &sim_value_gated(&[("alu", 1, 1.2)], Some(85.0)))
-                .expect("compare")
-                .is_empty()
-        );
-        let bad = bench_regressions(&base, &sim_value_gated(&[("alu", 1, 1.2)], Some(50.0)))
-            .expect("compare");
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("labeling throughput"), "{bad:?}");
-        // Either side missing (or zero) disables the gate: old baselines
-        // predate the column.
-        assert!(
-            bench_regressions(&base, &sim_value_gated(&[("alu", 1, 1.2)], None))
-                .expect("compare")
-                .is_empty()
-        );
-        assert!(bench_regressions(
-            &sim_value_gated(&[("alu", 1, 1.2)], Some(0.0)),
-            &sim_value_gated(&[("alu", 1, 1.2)], Some(50.0))
-        )
-        .expect("compare")
-        .is_empty());
-    }
-
-    fn serve_value(quick: bool, kernel_p99: f64, shed: f64, errors: u64) -> Value {
-        let row = |mix: &str, p99: f64| {
-            Value::Map(vec![
-                ("mix".to_string(), Value::Str(mix.to_string())),
-                ("p99_us".to_string(), Value::F64(p99)),
-            ])
-        };
-        Value::Map(vec![
-            ("bench".to_string(), Value::Str("serve".to_string())),
-            ("quick".to_string(), Value::Bool(quick)),
-            ("shed_total".to_string(), Value::F64(shed)),
-            ("errors".to_string(), Value::U64(errors)),
-            (
-                "rows".to_string(),
-                Value::Seq(vec![row("kernel", kernel_p99), row("batch", 900.0)]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn bench_diff_gates_serve_latency_and_shed() {
-        let base = serve_value(true, 500.0, 0.0, 0);
-        // Within 20% passes.
-        assert!(bench_regressions(&base, &serve_value(true, 590.0, 0.0, 0))
-            .expect("compare")
-            .is_empty());
-        // A >20% p99 regression fails and names the mix.
-        let bad = bench_regressions(&base, &serve_value(true, 700.0, 0.0, 0)).expect("compare");
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("mix kernel"), "{bad:?}");
-        // Any shed in a quick candidate fails even with great latency.
-        let shed = bench_regressions(&base, &serve_value(true, 100.0, 3.0, 0)).expect("compare");
-        assert!(shed.iter().any(|r| r.contains("shed")), "{shed:?}");
-        // Candidate correctness errors fail.
-        let err = bench_regressions(&base, &serve_value(true, 100.0, 0.0, 2)).expect("compare");
-        assert!(err.iter().any(|r| r.contains("failed request")), "{err:?}");
-        // Quick-vs-full refused.
-        assert!(bench_regressions(&base, &serve_value(false, 500.0, 0.0, 0)).is_err());
-    }
-
-    /// `serve_value` plus an `open_loop` section at the given p99.
-    fn serve_value_with_open_loop(p99: f64) -> Value {
-        let Value::Map(mut fields) = serve_value(true, 500.0, 0.0, 0) else {
-            unreachable!("serve_value builds a map");
-        };
-        fields.push((
-            "open_loop".to_string(),
-            Value::Map(vec![("p99_us".to_string(), Value::F64(p99))]),
-        ));
-        Value::Map(fields)
-    }
-
-    #[test]
-    fn bench_diff_gates_the_open_loop_envelope() {
-        let base = serve_value_with_open_loop(1000.0);
-        // Within tolerance passes.
-        assert!(
-            bench_regressions(&base, &serve_value_with_open_loop(1100.0))
-                .expect("compare")
-                .is_empty()
-        );
-        // Beyond tolerance fails and names the open-loop gate.
-        let bad = bench_regressions(&base, &serve_value_with_open_loop(1500.0)).expect("compare");
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].contains("open-loop"), "{bad:?}");
-        // A candidate that silently dropped its open-loop section fails.
-        let dropped = bench_regressions(&base, &serve_value(true, 500.0, 0.0, 0)).expect("compare");
-        assert!(
-            dropped.iter().any(|r| r.contains("missing from candidate")),
-            "{dropped:?}"
-        );
-        // Old baselines without the section never engage the gate.
-        let old_base = serve_value(true, 500.0, 0.0, 0);
-        assert!(
-            bench_regressions(&old_base, &serve_value_with_open_loop(99999.0))
-                .expect("compare")
-                .is_empty()
-        );
-    }
-
-    /// A `BENCH_models.json`-shaped record with the given per-model
-    /// static@5 accuracies and flat mismatch counts (`None` = kNN-style
-    /// row without a flat form).
-    fn models_value(rows: &[(&str, f64, Option<u64>)]) -> Value {
-        let rows = rows
-            .iter()
-            .map(|(model, at5, mismatches)| {
-                Value::Map(vec![
-                    ("model".to_string(), Value::Str((*model).to_string())),
-                    ("static_at_5".to_string(), Value::F64(*at5)),
-                    (
-                        "flat_mismatches".to_string(),
-                        mismatches.map_or(Value::Null, Value::U64),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            ("bench".to_string(), Value::Str("models".to_string())),
-            ("quick".to_string(), Value::Bool(true)),
-            ("rows".to_string(), Value::Seq(rows)),
-        ])
-    }
-
-    #[test]
-    fn bench_diff_gates_model_zoo_accuracy_and_flat_parity() {
-        let base = models_value(&[
-            ("tree", 0.93, Some(0)),
-            ("gbt", 0.94, Some(0)),
-            ("knn", 0.90, None),
-        ]);
-        // Within 1 pt passes.
-        let ok = bench_regressions(
-            &base,
-            &models_value(&[
-                ("tree", 0.925, Some(0)),
-                ("gbt", 0.935, Some(0)),
-                ("knn", 0.91, None),
-            ]),
-        )
-        .expect("compare");
-        assert!(ok.is_empty(), "{ok:?}");
-        // A >1-pt static@5 drop fails and names the model.
-        let bad = bench_regressions(
-            &base,
-            &models_value(&[
-                ("tree", 0.90, Some(0)),
-                ("gbt", 0.94, Some(0)),
-                ("knn", 0.90, None),
-            ]),
-        )
-        .expect("compare");
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("model tree"), "{bad:?}");
-        // Any flat mismatch fails even with perfect accuracy.
-        let diverged = bench_regressions(
-            &base,
-            &models_value(&[
-                ("tree", 0.99, Some(2)),
-                ("gbt", 0.99, Some(0)),
-                ("knn", 0.99, None),
-            ]),
-        )
-        .expect("compare");
-        assert_eq!(diverged.len(), 1, "{diverged:?}");
-        assert!(
-            diverged[0].contains("bit-exact") && diverged[0].contains("2 row(s)"),
-            "{diverged:?}"
-        );
-        // A model missing from the candidate is a failure, not a skip.
-        let missing = bench_regressions(
-            &base,
-            &models_value(&[("tree", 0.93, Some(0)), ("knn", 0.90, None)]),
-        )
-        .expect("compare");
-        assert!(
-            missing
-                .iter()
-                .any(|r| r.contains("gbt") && r.contains("missing")),
-            "{missing:?}"
-        );
-        // Quick-vs-full refused.
-        let mut full = models_value(&[("tree", 0.93, Some(0))]);
-        if let Value::Map(fields) = &mut full {
-            for (k, v) in fields.iter_mut() {
-                if k == "quick" {
-                    *v = Value::Bool(false);
-                }
-            }
-        }
-        assert!(bench_regressions(&base, &full).is_err());
-    }
-
-    #[test]
     fn bench_models_subcommand_and_flags_parse() {
         let a = parse(&[
             "bench",
@@ -2184,34 +1832,6 @@ mod tests {
     }
 
     #[test]
-    fn predictor_flag_parses_strictly() {
-        let a = parse(&["bench", "serve", "--quick", "--predictor", "float"]).expect("parse");
-        assert_eq!(a.predictor, Some(PredictorBackend::Float));
-        let a = parse(&["bench", "serve", "--predictor", "flat"]).expect("parse");
-        assert_eq!(a.predictor, Some(PredictorBackend::Flat));
-        // Default: no override, the bench keeps its flat default.
-        assert_eq!(parse(&["bench", "serve"]).expect("parse").predictor, None);
-        assert!(parse(&["bench", "serve", "--predictor", "boxed"]).is_none());
-        assert!(parse(&["bench", "serve", "--predictor"]).is_none());
-    }
-
-    #[test]
-    fn models_record_summary_names_models_and_parity() {
-        let v = models_value(&[
-            ("tree", 0.93, Some(0)),
-            ("gbt", 0.94, Some(0)),
-            ("knn", 0.90, None),
-        ]);
-        let s = record_summary("models", &v);
-        assert!(s.contains("tree@5=93.0%"), "{s}");
-        assert!(s.contains("gbt@5=94.0%"), "{s}");
-        assert!(s.contains("flat=exact"), "{s}");
-        let diverged = models_value(&[("tree", 0.93, Some(4))]);
-        let s = record_summary("models", &diverged);
-        assert!(s.contains("flat=4 mismatch(es)"), "{s}");
-    }
-
-    #[test]
     fn report_and_journal_subcommands_parse() {
         let a = parse(&["report", "RUN.jsonl"]).expect("parse");
         assert_eq!(a.command, "report");
@@ -2232,16 +1852,18 @@ mod tests {
     }
 
     #[test]
-    fn record_summaries_name_the_headline_figures() {
-        let sim = sim_value_gated(&[("alu", 1, 1.2)], Some(100.0));
-        let s = record_summary("sim", &sim);
-        assert!(s.contains("labeling 100.0 samples/s"), "{s}");
-        assert!(s.contains("min speedup 1.20x"), "{s}");
-        let serve = serve_value(true, 500.0, 0.0, 0);
-        assert_eq!(record_summary("serve", &serve), "worst-mix p99 900us");
-        let headline = headline_value(0.80);
-        let s = record_summary("headline", &headline);
-        assert!(s.contains("static_at_5=80.0%"), "{s}");
+    fn retired_bench_flags_are_rejected() {
+        // Gates live in the baseline record; the server walks the flat model.
+        assert!(parse(&[
+            "bench",
+            "diff",
+            "a.json",
+            "b.json",
+            "--p99-tolerance",
+            "0.1"
+        ])
+        .is_none());
+        assert!(parse(&["bench", "serve", "--predictor", "float"]).is_none());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 pub mod models_bench;
 pub mod net;
 pub mod profiling;
+pub mod record;
 pub mod serve;
 pub mod serve_bench;
 pub mod sim_bench;
@@ -33,6 +34,7 @@ pub use models_bench::{run_models_bench, ModelsBenchReport, ModelsBenchRow, MODE
 pub use profiling::{
     chrome_trace_of_run, profile_run, recorder_of_run, CauseRun, CoreTimeline, ProfiledRun,
 };
+pub use record::{BenchRecord, Better, Tolerance};
 pub use serve_bench::{
     run_serve_bench, OpenLoopReport, ServeBenchMixRow, ServeBenchOptions, ServeBenchReport,
     ServeBenchRun,

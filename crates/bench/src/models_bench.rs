@@ -9,8 +9,9 @@
 //! quantized flat inference path: every flattenable model is also fitted
 //! on the **full** dataset, compiled to a [`FlatModel`], and its integer
 //! predictions are compared row-by-row against the float reference. The
-//! mismatch counts land in the record, and `pulp_cli bench diff` fails on
-//! any count above zero — so a quantization bug can never ship silently.
+//! mismatch counts land in the record, whose zero limit makes
+//! `pulp_cli bench diff` fail on any count above zero — so a quantization
+//! bug can never ship silently.
 //!
 //! Determinism: predictions come from
 //! [`repeated_cross_val_predict`], which stripes repetitions round-robin
@@ -19,6 +20,7 @@
 //! repetition counts are scaled down (`repeats / 10`, minimum 2) while
 //! keeping the fold structure, exactly as `forest_extension` did.
 
+use crate::record::{BenchRecord, Better, Tolerance, ACCURACY_TOLERANCE};
 use pulp_energy::evaluation::curve_from_predictions;
 use pulp_energy::pipeline::LabeledDataset;
 use pulp_energy::{default_tolerances, Protocol, StaticFeatureSet};
@@ -60,7 +62,7 @@ pub struct ModelsBenchRow {
     pub flat_mismatches: Option<u64>,
 }
 
-/// The full benchmark record written to `BENCH_models.json`.
+/// The full benchmark report; its `record()` is written to `BENCH_models.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelsBenchReport {
     /// Tool identifier for downstream diffing (`"models"`).
@@ -77,7 +79,6 @@ pub struct ModelsBenchReport {
     pub samples: usize,
     /// Hash of the run manifest, tying the record to its provenance
     /// (empty when the manifest was skipped).
-    #[serde(default)]
     pub manifest_hash: String,
     /// One row per zoo member.
     pub rows: Vec<ModelsBenchRow>,
@@ -129,6 +130,30 @@ impl ModelsBenchReport {
         } else {
             Err(problems)
         }
+    }
+
+    /// The `BENCH_models.json` record: every figure of the report, zoo
+    /// members as `model/field`, gated on static@5 accuracy
+    /// ([`ACCURACY_TOLERANCE`]) and on zero flat/float mismatches. Models
+    /// without a flat form carry no flat metrics.
+    pub fn record(&self) -> BenchRecord {
+        use Better::{Higher, Lower};
+        let accuracy = Some(Tolerance::Absolute(ACCURACY_TOLERANCE));
+        let flat = Some(Tolerance::Limit(0.0));
+        let mut record =
+            BenchRecord::from_report(&self.bench, self.quick, self, &["model"], |_, field| {
+                match field {
+                    "static_at_5" => ("ratio", Higher, accuracy),
+                    "static_at_0" => ("ratio", Higher, None),
+                    "std_at_5" => ("ratio", Lower, None),
+                    "flat_mismatches" => ("count", Lower, flat),
+                    "flat_nodes" | "flat_trees" => ("count", Lower, None),
+                    "wall_s" => ("s", Lower, None),
+                    _ => ("count", Higher, None),
+                }
+            });
+        record.manifest_hash = self.manifest_hash.clone();
+        record
     }
 
     /// Renders the human-readable table.
@@ -423,6 +448,25 @@ mod tests {
         let back: ModelsBenchReport = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(r, back);
         assert_eq!(back.rows[3].flat_mismatches, None, "knn has no flat form");
+    }
+
+    #[test]
+    fn record_gates_accuracy_and_flat_parity() {
+        let record = healthy_report().record();
+        assert_eq!(record.profile, "quick");
+        let gate = |name: &str| record.get(name).and_then(|m| m.tolerance);
+        assert_eq!(
+            gate("tree/static_at_5"),
+            Some(Tolerance::Absolute(ACCURACY_TOLERANCE))
+        );
+        assert_eq!(gate("gbt/flat_mismatches"), Some(Tolerance::Limit(0.0)));
+        assert_eq!(gate("tree/static_at_0"), None);
+        assert!(record.get("knn/static_at_5").is_some());
+        assert!(
+            record.get("knn/flat_mismatches").is_none(),
+            "kNN has no flat form"
+        );
+        assert!(record.regressions(&record).expect("comparable").is_empty());
     }
 
     #[test]

@@ -37,9 +37,7 @@
 //!   replies `{"count": N, "results": [<one /predict reply each>]}` via
 //!   [`EnergyPredictor::predict_cores_batch`], bit-identical to N
 //!   sequential `/predict` calls. Both prediction endpoints walk the
-//!   quantized flat compilation of the model by default
-//!   ([`PredictorBackend::Flat`]); `--predictor float` selects the boxed
-//!   reference tree for baseline comparisons.
+//!   quantized flat compilation of the model.
 //! * `POST /admin/shutdown` — begins a graceful drain: in-flight and queued
 //!   requests complete, new connections are refused, [`Server::run`]
 //!   returns after joining every worker. SIGTERM/ctrl-c do the same when
@@ -86,9 +84,7 @@ use crate::net::{raw_fd, Event, HttpParser, Interest, Parsed, Poller, TimerWheel
 pub use crate::net::{Request, RequestError};
 use pulp_energy::manifest::RunManifest;
 use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
-use pulp_energy::{
-    static_feature_vector, EnergyPredictor, PredictorError, PredictorMetadata, StaticFeatureSet,
-};
+use pulp_energy::{static_feature_vector, EnergyPredictor, PredictorMetadata, StaticFeatureSet};
 use pulp_ml::TreeParams;
 use pulp_obs::recorder::{Recorder, SpanId};
 use pulp_obs::{
@@ -143,37 +139,6 @@ pub struct ServeOptions {
 /// Default flight-recorder retention (traces).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
-/// Which compiled form of the model the prediction handlers walk
-/// (`pulp_cli bench serve --predictor`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PredictorBackend {
-    /// The quantized flat node arrays — the serving hot path.
-    #[default]
-    Flat,
-    /// The boxed float reference tree — the baseline the load benchmark
-    /// gates the flat path against.
-    Float,
-}
-
-impl PredictorBackend {
-    /// Stable lowercase name (bench records, CLI flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Flat => "flat",
-            Self::Float => "float",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "flat" => Some(Self::Flat),
-            "float" => Some(Self::Float),
-            _ => None,
-        }
-    }
-}
-
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
@@ -211,8 +176,6 @@ pub struct ServeState {
     /// Service start time — anchors the `now_s` clock of the sliding-window
     /// metrics.
     started: Instant,
-    /// Model form the prediction handlers walk (flat by default).
-    backend: PredictorBackend,
 }
 
 impl ServeState {
@@ -299,30 +262,6 @@ impl ServeState {
             flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
             trace_ids: TraceIdGen::default(),
             started: Instant::now(),
-            backend: PredictorBackend::default(),
-        }
-    }
-
-    /// Selects the model form the prediction handlers walk (flat by
-    /// default). Builder-style: call before wrapping the state in an
-    /// `Arc`.
-    #[must_use]
-    pub fn with_backend(mut self, backend: PredictorBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The model form this service's prediction handlers walk.
-    pub fn backend(&self) -> PredictorBackend {
-        self.backend
-    }
-
-    /// Runs one batch of full static feature vectors through the selected
-    /// backend — the single chokepoint both prediction handlers use.
-    fn predict_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<usize>, PredictorError> {
-        match self.backend {
-            PredictorBackend::Flat => self.predictor.predict_cores_batch(rows),
-            PredictorBackend::Float => self.predictor.predict_cores_batch_float(rows),
         }
     }
 
@@ -1831,7 +1770,8 @@ fn predict(
 
     let span = tracer.begin("predict");
     let cores = state
-        .predict_rows(std::slice::from_ref(&featurized.full))
+        .predictor
+        .predict_cores_batch(std::slice::from_ref(&featurized.full))
         .map_err(|e| e.to_string())?[0];
     let predict_s = tracer.finish(span);
 
@@ -1898,7 +1838,10 @@ fn predict_batch(
     let features_s = tracer.finish(span);
 
     let span = tracer.begin("predict");
-    let cores = state.predict_rows(&rows).map_err(|e| e.to_string())?;
+    let cores = state
+        .predictor
+        .predict_cores_batch(&rows)
+        .map_err(|e| e.to_string())?;
     let predict_s = tracer.finish(span);
 
     let span = tracer.begin("serialize");

@@ -16,18 +16,19 @@
 //! calls, and the run finishes by exercising the graceful-shutdown path
 //! (`POST /admin/shutdown`, then joining [`Server::run`]). The load runs
 //! in [`ServeBenchOptions::rounds`] rounds and reports the median across
-//! rounds of each round's percentiles — stable enough for a 20% CI gate
-//! where a single round's p99 is not. The report carries throughput,
-//! per-mix p50/p90/p99 latency and the server's own
-//! shed/timeout/keep-alive counters; `BENCH_serve.json` feeds
-//! `pulp_cli bench diff`, which gates CI on p99 regressions and on any
-//! shedding in the quick profile.
+//! rounds of each round's percentiles — stable enough for a CI gate where
+//! a single round's p99 is not. The report carries throughput, per-mix
+//! p50/p90/p99 latency and the server's own shed/timeout/keep-alive
+//! counters; its [`record`](ServeBenchReport::record) is
+//! `BENCH_serve.json`, which `pulp_cli bench diff` gates on p99
+//! regressions, failed requests and any shedding in the quick profile.
 //!
 //! The model is always the quick-trained one: the predictor costs
 //! microseconds either way, and this benchmark measures the serving layer
 //! (admission control, parsing, keep-alive) rather than the tree.
 
-use crate::serve::{PredictorBackend, ServeOptions, ServeState, Server};
+use crate::record::{BenchRecord, Better, Tolerance};
+use crate::serve::{ServeOptions, ServeState, Server};
 use crate::QUICK_KERNELS;
 use pulp_energy::pipeline::PipelineOptions;
 use pulp_energy::static_feature_vector;
@@ -37,6 +38,11 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Largest tolerated relative p99 regression, closed-loop per mix and
+/// open-loop: 10%. The flight recorder runs on every request, so this gate
+/// is what keeps its overhead honest.
+pub const P99_TOLERANCE: f64 = 0.10;
 
 /// The three request mixes, in report order.
 pub const MIXES: [&str; 3] = ["kernel", "features", "batch"];
@@ -53,8 +59,8 @@ pub struct ServeBenchOptions {
     /// Measurement rounds. Reported percentiles are the **median across
     /// rounds** of each round's percentile: a single round's p99 at
     /// microsecond latencies is dominated by scheduler noise (±30%
-    /// run-to-run), the median of five rounds is stable enough for a 20%
-    /// CI gate.
+    /// run-to-run), the median of five rounds is stable enough for the
+    /// [`P99_TOLERANCE`] CI gate.
     pub rounds: usize,
     /// Items per `/predict/batch` request in the batch mix.
     pub batch_size: usize,
@@ -67,10 +73,6 @@ pub struct ServeBenchOptions {
     /// Keep-alive connections the open-loop generator spreads its
     /// arrival process over.
     pub open_loop_connections: usize,
-    /// Which compiled form of the model the server walks (`--predictor`).
-    /// Flat is the production default; `float` measures the boxed
-    /// reference tree so the flat path can be gated against it.
-    pub backend: PredictorBackend,
     /// Capacity knobs of the server under test.
     pub serve: ServeOptions,
 }
@@ -86,7 +88,6 @@ impl Default for ServeBenchOptions {
             open_loop_rate_rps: 2_000.0,
             open_loop_duration_s: 4.0,
             open_loop_connections: 8,
-            backend: PredictorBackend::default(),
             serve: ServeOptions::default(),
         }
     }
@@ -171,21 +172,13 @@ pub struct OpenLoopReport {
     pub max_us: f64,
 }
 
-/// The full benchmark record written to `BENCH_serve.json`.
+/// The full benchmark report; its `record()` is written to `BENCH_serve.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeBenchReport {
     /// Tool identifier for downstream diffing (`"serve"`).
     pub bench: String,
     /// `true` for `--quick` runs (not comparable to full runs).
     pub quick: bool,
-    /// Predictor backend the server walked (`"flat"` or `"float"`).
-    /// Records written before the backend knob existed deserialise with
-    /// this empty; [`predictor_name`](Self::predictor_name) maps that to
-    /// `"float"` (what those runs actually measured), which is exactly
-    /// what lets `bench diff` gate a new flat record against a committed
-    /// float-era baseline.
-    #[serde(default)]
-    pub predictor: String,
     /// Concurrent clients that drove the run.
     pub clients: usize,
     /// Measurement rounds behind the median-of-rounds percentiles.
@@ -214,18 +207,15 @@ pub struct ServeBenchReport {
     /// One latency digest per mix.
     pub rows: Vec<ServeBenchMixRow>,
     /// Open-loop (Poisson-arrival, coordinated-omission-safe) results.
-    /// `None` in records written before the open-loop mode existed — the
-    /// diff gate only engages when both records carry it.
-    #[serde(default)]
-    pub open_loop: Option<OpenLoopReport>,
+    pub open_loop: OpenLoopReport,
 }
 
-/// Result of one benchmark invocation: the JSON-committable report plus
+/// Result of one benchmark invocation: the report plus
 /// the flight-recorder capture, which is written as a separate artifact
 /// (`--trace-out`) rather than into `BENCH_serve.json`.
 #[derive(Debug, Clone)]
 pub struct ServeBenchRun {
-    /// The record destined for `BENCH_serve.json`.
+    /// The report, whose `record()` is written to `BENCH_serve.json`.
     pub report: ServeBenchReport,
     /// Chrome-trace JSON from `GET /debug/requests`, captured right before
     /// shutdown — the tail of the load, one lane per request.
@@ -634,7 +624,7 @@ fn batch_matches_sequential(addr: SocketAddr, batch_size: usize) -> bool {
 /// there is nothing to measure without either.
 pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
     let pipeline = PipelineOptions::quick(QUICK_KERNELS);
-    let state = Arc::new(ServeState::train(&pipeline).with_backend(opts.backend));
+    let state = Arc::new(ServeState::train(&pipeline));
     let server = Server::bind_with("127.0.0.1:0", Arc::clone(&state), opts.serve)
         .expect("bench: bind ephemeral port");
     let addr = server.addr;
@@ -820,7 +810,6 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
         report: ServeBenchReport {
             bench: "serve".to_string(),
             quick: opts.quick,
-            predictor: opts.backend.name().to_string(),
             clients,
             rounds,
             workers: opts.serve.workers,
@@ -834,7 +823,7 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
             keepalive_reuse_total,
             batch_matches_sequential: batch_ok,
             rows,
-            open_loop: Some(open_report),
+            open_loop: open_report,
         },
         trace_json,
         open_loop_latencies_us: open.latencies_us,
@@ -842,14 +831,32 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
 }
 
 impl ServeBenchReport {
-    /// The backend this record measured, with the pre-knob empty field
-    /// normalised to `"float"` (see [`predictor`](Self::predictor)).
-    pub fn predictor_name(&self) -> &str {
-        if self.predictor.is_empty() {
-            PredictorBackend::Float.name()
-        } else {
-            &self.predictor
-        }
+    /// The `BENCH_serve.json` record: every figure of the report, closed-loop
+    /// mixes as `mix/field` and the open loop as `open_loop/field`, gated on
+    /// p99 latency ([`P99_TOLERANCE`]), failed requests and — in the quick
+    /// profile, whose fleet fits the queue — any shedding.
+    pub fn record(&self) -> BenchRecord {
+        use Better::{Higher, Lower};
+        let p99 = Some(Tolerance::Relative(P99_TOLERANCE));
+        let none = Some(Tolerance::Limit(0.0));
+        BenchRecord::from_report(
+            &self.bench,
+            self.quick,
+            self,
+            &["mix"],
+            |row, field| match field {
+                "p99_us" => ("us", Lower, p99),
+                "p50_us" | "p90_us" | "p999_us" | "max_us" => ("us", Lower, None),
+                "errors" if row.is_empty() => ("count", Lower, none),
+                "shed_total" => ("count", Lower, none.filter(|_| self.quick)),
+                "errors" | "timeouts_total" | "late_sends" => ("count", Lower, None),
+                "wall_s" => ("s", Lower, None),
+                "duration_s" => ("s", Higher, None),
+                "throughput_rps" | "target_rps" | "achieved_rps" => ("1/s", Higher, None),
+                "batch_matches_sequential" => ("bool", Higher, None),
+                _ => ("count", Higher, None),
+            },
+        )
     }
 
     /// Renders the human-readable table.
@@ -858,9 +865,8 @@ impl ServeBenchReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "serve bench [{} predictor]: {} clients vs {} workers (queue {}), {:.0} req/s \
+            "serve bench: {} clients vs {} workers (queue {}), {:.0} req/s \
              over {:.2}s, median of {} rounds",
-            self.predictor_name(),
             self.clients,
             self.workers,
             self.queue_depth,
@@ -892,25 +898,24 @@ impl ServeBenchReport {
                 "FAIL"
             }
         );
-        if let Some(o) = &self.open_loop {
-            let _ = writeln!(
-                out,
-                "open-loop: target {:.0} rps → achieved {:.0} rps over {:.1}s on {} conns \
-                 (CO-safe) · p50 {:.0}us p90 {:.0}us p99 {:.0}us p99.9 {:.0}us max {:.0}us \
-                 · {} errors · {} late sends",
-                o.target_rps,
-                o.achieved_rps,
-                o.duration_s,
-                o.connections,
-                o.p50_us,
-                o.p90_us,
-                o.p99_us,
-                o.p999_us,
-                o.max_us,
-                o.errors,
-                o.late_sends
-            );
-        }
+        let o = &self.open_loop;
+        let _ = writeln!(
+            out,
+            "open-loop: target {:.0} rps → achieved {:.0} rps over {:.1}s on {} conns \
+             (CO-safe) · p50 {:.0}us p90 {:.0}us p99 {:.0}us p99.9 {:.0}us max {:.0}us \
+             · {} errors · {} late sends",
+            o.target_rps,
+            o.achieved_rps,
+            o.duration_s,
+            o.connections,
+            o.p50_us,
+            o.p90_us,
+            o.p99_us,
+            o.p999_us,
+            o.max_us,
+            o.errors,
+            o.late_sends
+        );
         out
     }
 
@@ -948,20 +953,19 @@ impl ServeBenchReport {
         if self.rows.iter().map(|r| r.requests).sum::<u64>() != self.total_requests {
             problems.push("per-mix request counts do not add up".to_string());
         }
-        if let Some(o) = &self.open_loop {
-            if self.quick && o.errors > 0 {
-                problems.push(format!(
-                    "open-loop quick profile had {} failed response(s)",
-                    o.errors
-                ));
-            }
-            if o.requests > 0 && o.achieved_rps < o.target_rps * 0.25 {
-                problems.push(format!(
-                    "open-loop generator only achieved {:.0} of {:.0} target rps — \
-                     the schedule collapsed instead of measuring the server",
-                    o.achieved_rps, o.target_rps
-                ));
-            }
+        let o = &self.open_loop;
+        if self.quick && o.errors > 0 {
+            problems.push(format!(
+                "open-loop quick profile had {} failed response(s)",
+                o.errors
+            ));
+        }
+        if o.requests > 0 && o.achieved_rps < o.target_rps * 0.25 {
+            problems.push(format!(
+                "open-loop generator only achieved {:.0} of {:.0} target rps — \
+                 the schedule collapsed instead of measuring the server",
+                o.achieved_rps, o.target_rps
+            ));
         }
         if problems.is_empty() {
             Ok(())
@@ -1024,7 +1028,6 @@ mod tests {
         ServeBenchReport {
             bench: "serve".to_string(),
             quick: true,
-            predictor: "flat".to_string(),
             clients: 3,
             rounds: 2,
             workers: 2,
@@ -1049,7 +1052,7 @@ mod tests {
                     max_us: 400.0,
                 })
                 .collect(),
-            open_loop: Some(OpenLoopReport {
+            open_loop: OpenLoopReport {
                 target_rps: 300.0,
                 achieved_rps: 295.0,
                 duration_s: 1.5,
@@ -1062,7 +1065,7 @@ mod tests {
                 p99_us: 900.0,
                 p999_us: 1500.0,
                 max_us: 2100.0,
-            }),
+            },
         }
     }
 
@@ -1103,45 +1106,16 @@ mod tests {
     }
 
     #[test]
-    fn reports_without_an_open_loop_section_still_deserialize() {
-        // A baseline written before open-loop mode and the predictor knob
-        // existed.
-        let mut old = healthy_report();
-        old.open_loop = None;
-        let mut json = serde_json::to_string_pretty(&old).expect("serialise");
-        // Strip the fields entirely to mimic the old schema.
-        json = json
-            .lines()
-            .filter(|l| !l.contains("open_loop") && !l.contains("predictor"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        // Drop a dangling comma if the filtered field was last.
-        let json = json.replace(",\n}", "\n}");
-        let back: ServeBenchReport = serde_json::from_str(&json).expect("old schema deserialises");
-        assert_eq!(back.open_loop, None);
-        assert_eq!(
-            back.predictor_name(),
-            "float",
-            "pre-knob records were measured on the float tree"
-        );
-        back.verify().expect("old-schema report still verifies");
-    }
-
-    #[test]
     fn open_loop_gates_catch_errors_and_collapsed_schedules() {
         let mut report = healthy_report();
-        if let Some(o) = report.open_loop.as_mut() {
-            o.errors = 3;
-        }
+        report.open_loop.errors = 3;
         let problems = report.verify().expect_err("quick open-loop errors fail");
         assert!(
             problems.iter().any(|p| p.contains("open-loop")),
             "{problems:?}"
         );
         let mut collapsed = healthy_report();
-        if let Some(o) = collapsed.open_loop.as_mut() {
-            o.achieved_rps = o.target_rps * 0.1;
-        }
+        collapsed.open_loop.achieved_rps = collapsed.open_loop.target_rps * 0.1;
         let problems = collapsed.verify().expect_err("collapsed schedule fails");
         assert!(
             problems.iter().any(|p| p.contains("achieved")),
@@ -1165,6 +1139,26 @@ mod tests {
         // A full-profile run may shed without failing.
         shedding.quick = false;
         shedding.verify().expect("full profile tolerates shed");
+    }
+
+    #[test]
+    fn record_gates_p99_errors_and_quick_shedding() {
+        let record = healthy_report().record();
+        let gate = |name: &str| record.get(name).and_then(|m| m.tolerance);
+        let p99 = Some(Tolerance::Relative(P99_TOLERANCE));
+        for mix in MIXES {
+            assert_eq!(gate(&format!("{mix}/p99_us")), p99, "{mix}");
+            assert_eq!(gate(&format!("{mix}/p50_us")), None, "{mix}");
+        }
+        assert_eq!(gate("open_loop/p99_us"), p99);
+        assert_eq!(gate("errors"), Some(Tolerance::Limit(0.0)));
+        assert_eq!(gate("shed_total"), Some(Tolerance::Limit(0.0)));
+        let mut full = healthy_report();
+        full.quick = false;
+        let full = full.record();
+        assert_eq!(full.profile, "full");
+        assert_eq!(full.get("shed_total").and_then(|m| m.tolerance), None);
+        assert!(record.regressions(&record).expect("comparable").is_empty());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! skip ratio. Every pair is also checked for bit-identical architectural
 //! results, so the benchmark doubles as an end-to-end differential test.
 //!
-//! The JSON record (`BENCH_sim.json` by default) seeds the repository's
-//! simulator performance trajectory: future optimisation PRs append their
-//! own records and compare against this baseline.
+//! [`SimBenchReport::record`] is the `BENCH_sim.json` record (see
+//! [`crate::record`]): `bench diff` gates it on per-basket fast-forward
+//! throughput, the speedup floor and labeling throughput.
 //!
 //! ## How the `scan`/`hit` columns are measured
 //!
@@ -29,6 +29,7 @@
 //! set and reported as samples labelled per wall-second, giving the corpus
 //! build a tracked baseline.
 
+use crate::record::{BenchRecord, Better, Tolerance};
 use pulp_energy::{measure_kernels_sharded, measure_kernels_sharded_observed, SweepObserver};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
@@ -47,6 +48,17 @@ use std::time::Instant;
 /// breaks `bench diff` downstream. One nanosecond is below any observable
 /// `Instant` resolution, so the clamp never distorts a real measurement.
 const WALL_FLOOR_S: f64 = 1e-9;
+
+/// Largest tolerated relative drop of fast-forward throughput
+/// (`ff_cycles_per_s`) on any basket, and of labeling throughput: 20%.
+pub const THROUGHPUT_TOLERANCE: f64 = 0.20;
+
+/// Lowest fast-forward speedup over the single-step oracle any basket may
+/// show. The fast-forward path must never be slower than just stepping;
+/// contended baskets sit at parity (nothing is skippable), so the floor
+/// of 1.0x carries a 5% allowance for wall-clock jitter. The regression
+/// this guards shipped ALU baskets at 0.64–0.89x, far below it.
+pub const SPEEDUP_FLOOR: f64 = 0.95;
 
 /// Team sizes every basket is run at.
 pub const TEAM_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -124,22 +136,18 @@ pub struct SimBenchRow {
     pub oracle_match: bool,
     /// Fraction of horizon computations that produced a bulk skip, from a
     /// separate `horizon_timing`-instrumented run.
-    #[serde(default)]
     pub horizon_hit_rate: f64,
     /// Wall seconds the instrumented run spent scanning for the next event
     /// horizon.
-    #[serde(default)]
     pub horizon_scan_s: f64,
     /// Wall seconds the instrumented run spent in per-cycle stepping.
-    #[serde(default)]
     pub horizon_step_s: f64,
     /// `horizon_scan_s / (horizon_scan_s + horizon_step_s)` — the share of
     /// instrumented wall time paid for the fast-forward bookkeeping.
-    #[serde(default)]
     pub horizon_scan_share: f64,
 }
 
-/// The full benchmark record written to `BENCH_sim.json`.
+/// The full benchmark report; its `record()` is written to `BENCH_sim.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimBenchReport {
     /// Tool identifier for downstream diffing.
@@ -149,30 +157,23 @@ pub struct SimBenchReport {
     /// One row per (basket, team size).
     pub rows: Vec<SimBenchRow>,
     /// Samples labelled by the sharded-sweep throughput measurement.
-    #[serde(default)]
     pub labeling_samples: u64,
     /// Worker threads the sharded sweep ran with.
-    #[serde(default)]
     pub labeling_threads: u64,
     /// Wall seconds of the sharded sweep.
-    #[serde(default)]
     pub labeling_wall_s: f64,
     /// Labelled samples per wall-second — the corpus-build throughput
     /// baseline (`labeling_samples / labeling_wall_s`).
-    #[serde(default)]
     pub labeling_samples_per_s: f64,
     /// Wall seconds of the **observed** sharded sweep: same kernel set,
     /// but with journaling and live progress enabled.
-    #[serde(default)]
     pub labeling_observed_wall_s: f64,
     /// Labelled samples per wall-second with journaling + progress on.
-    #[serde(default)]
     pub labeling_observed_samples_per_s: f64,
     /// `labeling_observed_wall_s / labeling_wall_s` — the observability
     /// tax. The acceptance bar is ≤ 1.02 on a quiet full-profile box; the
     /// figure is tracked here rather than hard-gated because CI boxes are
     /// noisy.
-    #[serde(default)]
     pub labeling_journal_overhead: f64,
 }
 
@@ -372,9 +373,9 @@ fn journal_event(journal: &mut Option<&mut JournalWriter>, ev: JournalEvent) {
 }
 
 /// [`run_sim_bench`] with an optional run journal: each basket and the
-/// labeling measurement become journal stages, and every headline figure
-/// is recorded as a `bench_record` event so `bench history` can read the
-/// trajectory straight from journals.
+/// labeling measurement become journal stages, and every metric of the
+/// [`record`](SimBenchReport::record) is recorded as a `bench_record` event
+/// so `bench history` can read the trajectory straight from journals.
 pub fn run_sim_bench_journaled(
     opts: &SimBenchOptions,
     mut journal: Option<&mut JournalWriter>,
@@ -438,15 +439,6 @@ pub fn run_sim_bench_journaled(
                 horizon_step_s: timed.fast_forward.step_nanos as f64 / 1e9,
                 horizon_scan_share: timed.fast_forward.horizon_scan_share(),
             });
-            let row = rows.last().expect("just pushed");
-            journal_event(
-                &mut journal,
-                JournalEvent::BenchRecord {
-                    bench: "sim".to_string(),
-                    name: format!("{basket}@{team}/ff_cycles_per_s"),
-                    value: row.ff_cycles_per_s,
-                },
-            );
         }
         journal_event(
             &mut journal,
@@ -471,24 +463,7 @@ pub fn run_sim_bench_journaled(
             wall_ms: labeling_start.elapsed().as_secs_f64() * 1e3,
         },
     );
-    for (name, value) in [
-        ("labeling/samples_per_s", labeling.samples_per_s),
-        (
-            "labeling/observed_samples_per_s",
-            labeling.observed_samples_per_s,
-        ),
-        ("labeling/journal_overhead", labeling.journal_overhead),
-    ] {
-        journal_event(
-            &mut journal,
-            JournalEvent::BenchRecord {
-                bench: "sim".to_string(),
-                name: name.to_string(),
-                value,
-            },
-        );
-    }
-    SimBenchReport {
+    let report = SimBenchReport {
         bench: "sim".to_string(),
         quick: opts.quick,
         rows,
@@ -499,7 +474,13 @@ pub fn run_sim_bench_journaled(
         labeling_observed_wall_s: labeling.observed_wall_s,
         labeling_observed_samples_per_s: labeling.observed_samples_per_s,
         labeling_journal_overhead: labeling.journal_overhead,
+    };
+    if let Some(j) = journal {
+        if let Err(e) = report.record().journal(j) {
+            eprintln!("[journal] dropped bench records: {e}");
+        }
     }
+    report
 }
 
 /// `cycles / wall`, clamped so a sub-resolution wall time stays finite.
@@ -590,6 +571,38 @@ fn measure_labeling_throughput(quick: bool, max_cycles: u64) -> LabelingThroughp
 }
 
 impl SimBenchReport {
+    /// The `BENCH_sim.json` record: every figure of the report, rows as
+    /// `basket@cores/field`, gated on throughput ([`THROUGHPUT_TOLERANCE`])
+    /// and the fast-forward speedup floor ([`SPEEDUP_FLOOR`]).
+    pub fn record(&self) -> BenchRecord {
+        use Better::{Higher, Lower};
+        let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
+        let floor = Some(Tolerance::Limit(SPEEDUP_FLOOR));
+        let rows = ["basket", "cores"];
+        BenchRecord::from_report(
+            &self.bench,
+            self.quick,
+            self,
+            &rows,
+            |_, field| match field {
+                "ff_cycles_per_s" => ("cycles/s", Higher, throughput),
+                "oracle_cycles_per_s" => ("cycles/s", Higher, None),
+                "labeling_samples_per_s" => ("samples/s", Higher, throughput),
+                "labeling_observed_samples_per_s" => ("samples/s", Higher, None),
+                "speedup" => ("x", Higher, floor),
+                "cycles" => ("cycles", Lower, None),
+                "oracle_match" => ("bool", Higher, None),
+                "skip_ratio" | "horizon_hit_rate" => ("ratio", Higher, None),
+                "horizon_scan_share" | "labeling_journal_overhead" => ("ratio", Lower, None),
+                "ff_wall_s" | "oracle_wall_s" | "horizon_scan_s" | "horizon_step_s" => {
+                    ("s", Lower, None)
+                }
+                "labeling_wall_s" | "labeling_observed_wall_s" => ("s", Lower, None),
+                _ => ("count", Higher, None),
+            },
+        )
+    }
+
     /// Renders the human-readable table.
     pub fn render_table(&self) -> String {
         use std::fmt::Write;
@@ -626,25 +639,21 @@ impl SimBenchReport {
         }
         // `scan` above is the sampled horizon-timing split (1 event in 32,
         // scaled); see the module docs for the method.
-        if self.labeling_samples > 0 {
-            let _ = writeln!(
-                out,
-                "labeling: {} samples @ {} threads in {:.3}s = {:.1} samples/s",
-                self.labeling_samples,
-                self.labeling_threads,
-                self.labeling_wall_s,
-                self.labeling_samples_per_s
-            );
-        }
-        if self.labeling_observed_wall_s > 0.0 {
-            let _ = writeln!(
-                out,
-                "labeling+journal: {:.3}s = {:.1} samples/s (overhead {:.3}x)",
-                self.labeling_observed_wall_s,
-                self.labeling_observed_samples_per_s,
-                self.labeling_journal_overhead
-            );
-        }
+        let _ = writeln!(
+            out,
+            "labeling: {} samples @ {} threads in {:.3}s = {:.1} samples/s",
+            self.labeling_samples,
+            self.labeling_threads,
+            self.labeling_wall_s,
+            self.labeling_samples_per_s
+        );
+        let _ = writeln!(
+            out,
+            "labeling+journal: {:.3}s = {:.1} samples/s (overhead {:.3}x)",
+            self.labeling_observed_wall_s,
+            self.labeling_observed_samples_per_s,
+            self.labeling_journal_overhead
+        );
         out
     }
 
@@ -686,42 +695,14 @@ impl SimBenchReport {
                     r.basket, r.cores
                 ));
             }
-            // Non-finite floats don't survive serde_json and break
-            // `bench diff`; the wall clamps must keep every ratio finite.
-            let floats = [
-                ("ff_wall_s", r.ff_wall_s),
-                ("oracle_wall_s", r.oracle_wall_s),
-                ("ff_cycles_per_s", r.ff_cycles_per_s),
-                ("oracle_cycles_per_s", r.oracle_cycles_per_s),
-                ("speedup", r.speedup),
-                ("skip_ratio", r.skip_ratio),
-                ("horizon_hit_rate", r.horizon_hit_rate),
-                ("horizon_scan_s", r.horizon_scan_s),
-                ("horizon_step_s", r.horizon_step_s),
-                ("horizon_scan_share", r.horizon_scan_share),
-            ];
-            for (name, v) in floats {
-                if !v.is_finite() {
-                    problems.push(format!(
-                        "{} @ {} cores: {name} is non-finite ({v}) — would corrupt the JSON record",
-                        r.basket, r.cores
-                    ));
-                }
-            }
         }
-        for (name, v) in [
-            ("labeling_wall_s", self.labeling_wall_s),
-            ("labeling_samples_per_s", self.labeling_samples_per_s),
-            ("labeling_observed_wall_s", self.labeling_observed_wall_s),
-            (
-                "labeling_observed_samples_per_s",
-                self.labeling_observed_samples_per_s,
-            ),
-            ("labeling_journal_overhead", self.labeling_journal_overhead),
-        ] {
-            if !v.is_finite() {
+        // Non-finite floats don't survive serde_json and break `bench
+        // diff`; the wall clamps must keep every figure finite.
+        for m in self.record().metrics {
+            if !m.value.is_finite() {
                 problems.push(format!(
-                    "{name} is non-finite ({v}) — would corrupt the JSON record"
+                    "{} is non-finite ({}) — would corrupt the JSON record",
+                    m.name, m.value
                 ));
             }
         }
@@ -873,13 +854,69 @@ mod tests {
         let mut expected: Vec<&str> = BASKETS.to_vec();
         expected.push("labeling");
         assert_eq!(stages, expected);
-        // One bench_record per row plus the three labeling figures.
-        let records = parsed
+        // One bench_record per metric of the record, under its name.
+        let records: Vec<&str> = parsed
             .events
             .iter()
-            .filter(|e| matches!(e, pulp_obs::JournalEvent::BenchRecord { .. }))
-            .count();
-        assert_eq!(records, report.rows.len() + 3);
+            .filter_map(|e| match e {
+                pulp_obs::JournalEvent::BenchRecord { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        let record = report.record();
+        let names: Vec<&str> = record.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(records, names);
+    }
+
+    #[test]
+    fn record_gates_throughput_and_the_speedup_floor() {
+        let row = SimBenchRow {
+            basket: "alu".to_string(),
+            cores: 8,
+            cycles: 40_050,
+            ff_wall_s: 0.007,
+            oracle_wall_s: 0.007,
+            ff_cycles_per_s: 5.7e6,
+            oracle_cycles_per_s: 5.7e6,
+            speedup: 1.0,
+            skip_ratio: 0.001,
+            spans: 1,
+            oracle_match: true,
+            horizon_hit_rate: 0.3,
+            horizon_scan_s: 1e-6,
+            horizon_step_s: 0.009,
+            horizon_scan_share: 1e-4,
+        };
+        let report = SimBenchReport {
+            bench: "sim".to_string(),
+            quick: false,
+            rows: vec![row],
+            labeling_samples: 24,
+            labeling_threads: 1,
+            labeling_wall_s: 0.12,
+            labeling_samples_per_s: 200.0,
+            labeling_observed_wall_s: 0.12,
+            labeling_observed_samples_per_s: 200.0,
+            labeling_journal_overhead: 1.0,
+        };
+        let record = report.record();
+        assert_eq!(
+            (record.bench.as_str(), record.profile.as_str()),
+            ("sim", "full")
+        );
+        assert_eq!(
+            record.metrics.len(),
+            13 + 7,
+            "every row and labeling figure"
+        );
+        let gate = |name: &str| record.get(name).and_then(|m| m.tolerance);
+        let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
+        assert_eq!(gate("alu@8/ff_cycles_per_s"), throughput);
+        assert_eq!(gate("labeling_samples_per_s"), throughput);
+        assert_eq!(gate("alu@8/speedup"), Some(Tolerance::Limit(SPEEDUP_FLOOR)));
+        assert_eq!(gate("alu@8/oracle_cycles_per_s"), None);
+        assert_eq!(record.get("alu@8/oracle_match").map(|m| m.value), Some(1.0));
+        assert!(record.regressions(&record).expect("comparable").is_empty());
     }
 
     #[test]

@@ -774,6 +774,35 @@ fn windowed_p99_tracks_the_cumulative_p99_under_steady_load() {
 }
 
 #[test]
+fn deeply_nested_json_bodies_get_400_and_the_server_lives_on() {
+    let (addr, _state, handle, thread) = spawn_server(ServeOptions::default());
+
+    // Just under the default 1 MiB body cap: without a nesting limit the
+    // recursive-descent parser overflows a worker's stack and aborts the
+    // whole process.
+    let depth = ServeOptions::default().max_body_bytes - 64;
+    for (path, body) in [
+        ("/predict", "[".repeat(depth)),
+        (
+            "/predict/batch",
+            "{\"requests\":".to_string() + &"[".repeat(depth),
+        ),
+        ("/predict", "{\"a\":".repeat(depth / 5)),
+    ] {
+        let (status, reply) = request(addr, "POST", path, &body);
+        assert_eq!(status, 400, "{path}: nested body must be refused: {reply}");
+        let (status, reply) = request(addr, "GET", "/healthz", "");
+        assert_eq!(
+            status, 200,
+            "server must survive a nested {path} body: {reply}"
+        );
+    }
+
+    handle.trigger();
+    thread.join().expect("server thread joins");
+}
+
+#[test]
 fn malformed_request_lines_get_400_not_a_dropped_connection() {
     let (addr, _state, handle, thread) = spawn_server(ServeOptions::default());
 
