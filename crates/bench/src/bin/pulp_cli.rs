@@ -11,6 +11,8 @@
 //! pulp_cli profile  <kernel> [...]                    # stall causes + energy, 1..=8 cores
 //! pulp_cli trace    <kernel> [--team t] [...]         # GVSOC-style trace
 //! pulp_cli trace    <kernel> --chrome out.json [...]  # Chrome trace-event JSON
+//! pulp_cli repro                                  # list the paper's experiments
+//! pulp_cli repro    <name> [--quick] [--json PATH]    # regenerate one table/figure
 //! pulp_cli cache    stats --cache-dir DIR             # sweep-cache usage
 //! pulp_cli cache    clear --cache-dir DIR             # delete cached sweeps
 //! pulp_cli serve    [--addr HOST:PORT] [--full]       # HTTP prediction service
@@ -23,9 +25,17 @@
 //! pulp_cli journal  validate RUN.jsonl [...]          # structural check of run journals
 //! ```
 //!
+//! Every subcommand shares one strict parser ([`Args`]): an unknown flag
+//! or a malformed value names the flag and exits with status 2.
 //! Defaults: `--dtype f32` (or the kernel's only supported type),
 //! `--size 2048`, `--team 4`, `--addr 127.0.0.1:7878`,
 //! `--max-cycles 100000000` for profile/trace runs.
+//!
+//! `repro <name>` runs one entry of the experiment registry
+//! ([`pulp_bench::repro`]): the paper's Table I, dataset statistics,
+//! Figure 2 left and right, Table IV and headline numbers, the extensions
+//! and the `dataset_export` / `profile_report` utilities. `repro` alone
+//! prints the registry names, one per line.
 //!
 //! `serve` capacity knobs: `--workers N` (worker threads), `--queue-depth N`
 //! (bounded accept queue; overflow sheds with 503 + `Retry-After`),
@@ -40,7 +50,9 @@
 //! `bench sim` runs the fixed kernel basket (ALU-bound, TCDM-conflict,
 //! barrier/DMA-heavy, FP-contended) at 1/2/4/8 cores with the event-horizon
 //! fast-forward and the single-step oracle, verifies the two agree
-//! bit-for-bit, and writes `BENCH_sim.json` (override with `--out`).
+//! bit-for-bit, times the no-op telemetry hooks against the plain
+//! simulator (gated at 2%), and writes `BENCH_sim.json` (override with
+//! `--out`).
 //!
 //! `bench serve` boots the prediction server in-process and drives it with
 //! concurrent keep-alive clients over kernel-name, raw-feature and batch
@@ -54,8 +66,9 @@
 //! gradient-boosted trees, kNN) under the repeated-CV protocol and checks
 //! the quantized flat compilation of each tree-backed model against the
 //! float reference on every dataset row; writes `BENCH_models.json`
-//! (override with `--out`). `--cv-threads N` pins the CV worker count —
-//! the record is bit-identical at any value.
+//! (override with `--out`). `--cv-threads N` pins the CV worker count (0,
+//! the default, uses every core) — the record is bit-identical at any
+//! value.
 //!
 //! Every `BENCH_*.json` is one [`BenchRecord`] schema: bench, profile,
 //! manifest hash and a list of metrics, each carrying its own gate — a
@@ -74,13 +87,14 @@
 //! report: per-stage wall breakdown, shard throughput table, top-K slowest
 //! kernels and cache attribution. `journal validate` runs just the
 //! structural check (schema version, gap-free sequence, framing, stage
-//! discipline) over any number of journals. `bench sim --journal PATH` and
-//! the dataset-building bins' `--journal PATH` write such journals.
+//! discipline) over any number of journals. `bench sim`, `bench models`
+//! and `repro` accept `--journal PATH` to write such journals.
 
 use kernel_ir::{lower, DType, Kernel};
+use pulp_bench::cli::USAGE;
 use pulp_bench::serve::{install_signal_shutdown, ServeOptions, ServeState, Server};
 use pulp_bench::{
-    profile_run, recorder_of_run, run_models_bench, run_serve_bench, BenchRecord, CommonArgs,
+    profile_run, recorder_of_run, repro, run_models_bench, run_serve_bench, Args, BenchRecord,
     ServeBenchOptions, SimBenchOptions, QUICK_KERNELS,
 };
 use pulp_energy::{
@@ -91,189 +105,15 @@ use pulp_energy::{
 use pulp_energy_model::{energy_waterfall, EnergyModel};
 use pulp_kernels::{registry, KernelDef, KernelParams};
 use pulp_ml::{DecisionTree, TreeParams};
-use pulp_obs::{LogFormat, Logger};
 use pulp_sim::{simulate_traced, ClusterConfig, TextSink};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-#[derive(Debug)]
-struct Args {
-    command: String,
-    kernel: Option<String>,
-    /// Positional arguments after the first (e.g. `bench diff` paths).
-    rest: Vec<String>,
-    dtype: Option<DType>,
-    size: usize,
-    team: usize,
-    chrome: Option<String>,
-    cache_dir: Option<String>,
-    addr: Option<String>,
-    full: bool,
-    quick: bool,
-    out: Option<String>,
-    max_cycles: Option<u64>,
-    iters: Option<u32>,
-    workers: Option<usize>,
-    queue_depth: Option<usize>,
-    timeout_ms: Option<u64>,
-    max_body_bytes: Option<usize>,
-    keepalive_max: Option<usize>,
-    slow_ms: Option<u64>,
-    flight_capacity: Option<usize>,
-    retry_after_secs: Option<u64>,
-    rate: Option<f64>,
-    hist_out: Option<String>,
-    log_json: bool,
-    trace_out: Option<String>,
-    journal: Option<String>,
-    cv_threads: Option<usize>,
-}
-
-fn parse_args() -> Option<Args> {
-    parse_from(std::env::args().skip(1))
-}
-
-fn parse_from(mut argv: impl Iterator<Item = String>) -> Option<Args> {
-    let command = argv.next()?;
-    let mut args = Args {
-        command,
-        kernel: None,
-        rest: Vec::new(),
-        dtype: None,
-        size: 2048,
-        team: 4,
-        chrome: None,
-        cache_dir: None,
-        addr: None,
-        full: false,
-        quick: false,
-        out: None,
-        max_cycles: None,
-        iters: None,
-        workers: None,
-        queue_depth: None,
-        timeout_ms: None,
-        max_body_bytes: None,
-        keepalive_max: None,
-        slow_ms: None,
-        flight_capacity: None,
-        retry_after_secs: None,
-        rate: None,
-        hist_out: None,
-        log_json: false,
-        trace_out: None,
-        journal: None,
-        cv_threads: None,
-    };
-    // `--flag N` where N must be a strictly positive integer.
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Option<T> {
-        let raw = argv.next()?;
-        match raw.parse::<T>() {
-            Ok(n) if n >= T::from(1u8) => Some(n),
-            _ => {
-                eprintln!("{flag} expects a positive integer, got {raw:?}");
-                None
-            }
-        }
-    }
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--chrome" => args.chrome = Some(argv.next()?),
-            "--cache-dir" => args.cache_dir = Some(argv.next()?),
-            "--addr" => args.addr = Some(argv.next()?),
-            "--full" => args.full = true,
-            "--quick" => args.quick = true,
-            "--out" => args.out = Some(argv.next()?),
-            "--max-cycles" => args.max_cycles = Some(positive(&mut argv, "--max-cycles")?),
-            "--iters" => args.iters = Some(positive(&mut argv, "--iters")?),
-            "--workers" => args.workers = Some(positive(&mut argv, "--workers")?),
-            "--queue-depth" => args.queue_depth = Some(positive(&mut argv, "--queue-depth")?),
-            "--timeout-ms" => args.timeout_ms = Some(positive(&mut argv, "--timeout-ms")?),
-            "--max-body-bytes" => {
-                args.max_body_bytes = Some(positive(&mut argv, "--max-body-bytes")?);
-            }
-            "--keepalive-max" => args.keepalive_max = Some(positive(&mut argv, "--keepalive-max")?),
-            "--slow-ms" => {
-                // Zero is meaningful: log every request.
-                let raw = argv.next()?;
-                match raw.parse::<u64>() {
-                    Ok(n) => args.slow_ms = Some(n),
-                    Err(_) => {
-                        eprintln!("--slow-ms expects a non-negative integer, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
-            "--flight-capacity" => {
-                args.flight_capacity = Some(positive(&mut argv, "--flight-capacity")?);
-            }
-            "--retry-after-secs" => {
-                args.retry_after_secs = Some(positive(&mut argv, "--retry-after-secs")?);
-            }
-            "--rate" => {
-                let raw = argv.next()?;
-                match raw.parse::<f64>() {
-                    Ok(x) if x > 0.0 && x.is_finite() => args.rate = Some(x),
-                    _ => {
-                        eprintln!("--rate expects a positive requests/second, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
-            "--hist-out" => args.hist_out = Some(argv.next()?),
-            "--cv-threads" => args.cv_threads = Some(positive(&mut argv, "--cv-threads")?),
-            "--log-json" => args.log_json = true,
-            "--trace-out" => args.trace_out = Some(argv.next()?),
-            "--journal" => args.journal = Some(argv.next()?),
-            "--dtype" => {
-                args.dtype = match argv.next().as_deref() {
-                    Some("i32") => Some(DType::I32),
-                    Some("f32") => Some(DType::F32),
-                    other => {
-                        eprintln!("unknown dtype {other:?} (use i32 or f32)");
-                        return None;
-                    }
-                };
-            }
-            "--size" => args.size = argv.next()?.parse().ok()?,
-            "--team" => args.team = argv.next()?.parse().ok()?,
-            other if !other.starts_with("--") && args.kernel.is_none() => {
-                args.kernel = Some(other.to_string());
-            }
-            other if !other.starts_with("--") => {
-                args.rest.push(other.to_string());
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                return None;
-            }
-        }
-    }
-    Some(args)
-}
-
+/// A command line that parses but does not fit its subcommand.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: pulp_cli <list|pretty|features|disasm|measure|classify|mca|profile|trace> \
-         [kernel] [--dtype i32|f32] [--size BYTES] [--team N] [--chrome OUT.json]\n   \
-         or: pulp_cli cache <stats|clear> --cache-dir DIR\n   \
-         or: pulp_cli serve [--addr HOST:PORT] [--full] [--cache-dir DIR] [--workers N]\n   \
-                [--queue-depth N] [--timeout-ms N] [--max-body-bytes N] [--keepalive-max N]\n   \
-                [--slow-ms N] [--flight-capacity N] [--retry-after-secs N] [--log-json]\n   \
-         or: pulp_cli bench diff OLD.json NEW.json\n   \
-         or: pulp_cli bench sim [--quick] [--out PATH] [--max-cycles N] [--iters N] [--journal PATH]\n   \
-         or: pulp_cli bench serve [--quick] [--out PATH] [--trace-out PATH] [--rate RPS]\n   \
-                [--hist-out PATH]\n   \
-         or: pulp_cli bench models [--quick] [--out PATH] [--cv-threads N] [--journal PATH]\n   \
-                [--cache-dir DIR]\n   \
-         or: pulp_cli bench history DIR\n   \
-         or: pulp_cli report RUN.jsonl\n   \
-         or: pulp_cli journal validate RUN.jsonl [RUN2.jsonl ...]"
-    );
-    ExitCode::FAILURE
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
 }
 
 /// Default cycle budget for interactive `profile`/`trace` runs
@@ -283,7 +123,7 @@ const DEFAULT_RUN_BUDGET: u64 = 100_000_000;
 /// `bench diff`: gates the candidate record at `new_path` against the
 /// baseline at `old_path`.
 fn cmd_bench_diff(old_path: &str, new_path: &str) -> ExitCode {
-    let load = |path: &str| BenchRecord::load(std::path::Path::new(path));
+    let load = |path: &str| BenchRecord::load(Path::new(path));
     let outcome = load(old_path).and_then(|old| old.regressions(&load(new_path)?));
     match outcome {
         Ok(regressions) if regressions.is_empty() => {
@@ -308,7 +148,7 @@ fn cmd_bench_diff(old_path: &str, new_path: &str) -> ExitCode {
 /// wall breakdown, shard throughput table, top-K slowest kernels and cache
 /// attribution. The output is a pure function of the journal bytes.
 fn cmd_report(path: &str) -> ExitCode {
-    match pulp_obs::JournalReader::read_file(std::path::Path::new(path)) {
+    match pulp_obs::JournalReader::read_file(Path::new(path)) {
         Ok(journal) => {
             print!("{}", pulp_obs::render_report(&journal));
             ExitCode::SUCCESS
@@ -378,7 +218,7 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
     type HistoryGroup = ((String, String), Vec<(String, BenchRecord)>);
     let mut groups: Vec<HistoryGroup> = Vec::new();
     for name in &records {
-        let record = match BenchRecord::load(&std::path::Path::new(dir).join(name)) {
+        let record = match BenchRecord::load(&Path::new(dir).join(name)) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("bench history: skipping {e}");
@@ -417,7 +257,7 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
     }
     for name in &journals {
         let path = format!("{dir}/{name}");
-        match pulp_obs::JournalReader::read_file(std::path::Path::new(&path)) {
+        match pulp_obs::JournalReader::read_file(Path::new(&path)) {
             Ok(journal) => {
                 let (tool, _, _) = journal.run_start();
                 println!("== journal {name} (run {}, tool {tool}) ==", journal.run_id);
@@ -440,10 +280,10 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
 
 /// Writes `record` to `path` (see [`BenchRecord::to_json`]); reports the
 /// outcome and returns whether it succeeded.
-fn write_record(record: &BenchRecord, path: &str) -> bool {
-    match record.write(std::path::Path::new(path)) {
+fn write_record(record: &BenchRecord, path: &Path) -> bool {
+    match record.write(path) {
         Ok(()) => {
-            println!("wrote {path}");
+            println!("wrote {}", path.display());
             true
         }
         Err(e) => {
@@ -473,7 +313,8 @@ fn verdict(bench: &str, ok: &str, outcome: Result<(), Vec<String>>) -> ExitCode 
 
 /// Runs the simulator performance benchmark and writes `BENCH_sim.json`
 /// (or `--out PATH`). Fails if any fast-forward run diverges from its
-/// single-step oracle or if the barrier/DMA basket never skips a cycle.
+/// single-step oracle, if the barrier/DMA basket never skips a cycle, or
+/// if the no-op telemetry hooks change the simulation's results.
 fn cmd_bench_sim(args: &Args) -> ExitCode {
     let mut opts = if args.quick {
         SimBenchOptions::quick()
@@ -496,40 +337,11 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
     // The journal's run id is seeded from the pre-run provenance manifest
     // (wall times excluded), so re-running the same configuration re-derives
     // the same id.
-    let mut journal = args.journal.as_deref().and_then(|path| {
-        let pre = pulp_energy::RunManifest::new(
-            "bench_sim",
-            &ClusterConfig::default(),
-            &EnergyModel::table1(),
-        )
-        .with_extra("quick", opts.quick);
-        match pulp_obs::JournalWriter::create(
-            std::path::Path::new(path),
-            "bench_sim",
-            &pre.manifest_hash(),
-            pre.seed,
-        ) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("bench sim: cannot open journal {path}: {e}");
-                None
-            }
-        }
-    });
+    let mut journal = args.journal_writer("bench_sim", &args.pipeline_options(), None);
     let report = pulp_bench::sim_bench::run_sim_bench_journaled(&opts, journal.as_mut());
-    if let Some(j) = journal {
-        let run = j.run_id().to_string();
-        match j.finalize() {
-            Ok(()) => {
-                if let Some(path) = &args.journal {
-                    println!("wrote {path} (run journal, run {run})");
-                }
-            }
-            Err(e) => eprintln!("bench sim: cannot finalize journal: {e}"),
-        }
-    }
+    args.finish_journal(journal);
     print!("{}", report.render_table());
-    let out_path = args.out.as_deref().unwrap_or("BENCH_sim.json");
+    let out_path = args.out.as_deref().unwrap_or(Path::new("BENCH_sim.json"));
     if !write_record(&report.record(), out_path) {
         return ExitCode::FAILURE;
     }
@@ -570,17 +382,8 @@ fn serve_options(args: &Args) -> ServeOptions {
     o
 }
 
-/// The log format implied by `--log-json`.
-fn log_format(args: &Args) -> LogFormat {
-    if args.log_json {
-        LogFormat::Json
-    } else {
-        LogFormat::Text
-    }
-}
-
 fn cmd_serve(args: &Args) -> ExitCode {
-    let log = Logger::new(log_format(args));
+    let log = args.logger();
     let mut opts = if args.full {
         PipelineOptions::default()
     } else {
@@ -592,7 +395,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
             Err(e) => log.warn(
                 "serve",
                 "cannot open cache dir; continuing uncached",
-                &[("dir", dir.clone()), ("error", e.to_string())],
+                &[("dir", dir.display().to_string()), ("error", e.to_string())],
             ),
         }
     }
@@ -610,7 +413,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
     let state = Arc::new(
         ServeState::train(&opts)
             .with_flight_capacity(serve_opts.flight_capacity)
-            .with_logger(Logger::new(log_format(args))),
+            .with_logger(args.logger()),
     );
     let addr = args.addr.as_deref().unwrap_or("127.0.0.1:7878");
     let server = match Server::bind_with(addr, state, serve_opts) {
@@ -678,23 +481,29 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     );
     let run = run_serve_bench(&opts);
     print!("{}", run.report.render_table());
-    let out_path = args.out.as_deref().unwrap_or("BENCH_serve.json");
+    let out_path = args.out.as_deref().unwrap_or(Path::new("BENCH_serve.json"));
     if !write_record(&run.report.record(), out_path) {
         return ExitCode::FAILURE;
     }
     if let Some(trace_path) = &args.trace_out {
         if let Err(e) = std::fs::write(trace_path, &run.trace_json) {
-            eprintln!("bench serve: cannot write {trace_path}: {e}");
+            eprintln!("bench serve: cannot write {}: {e}", trace_path.display());
             return ExitCode::FAILURE;
         }
-        println!("wrote {trace_path} (flight-recorder Chrome trace)");
+        println!(
+            "wrote {} (flight-recorder Chrome trace)",
+            trace_path.display()
+        );
     }
     if let Some(hist_path) = &args.hist_out {
         if let Err(e) = std::fs::write(hist_path, run.open_loop_histogram_json()) {
-            eprintln!("bench serve: cannot write {hist_path}: {e}");
+            eprintln!("bench serve: cannot write {}: {e}", hist_path.display());
             return ExitCode::FAILURE;
         }
-        println!("wrote {hist_path} (open-loop latency histogram)");
+        println!(
+            "wrote {} (open-loop latency histogram)",
+            hist_path.display()
+        );
     }
     verdict("serve", "all invariants hold", run.verify())
 }
@@ -703,18 +512,11 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
 /// (or `--out PATH`). Builds (or loads) the dataset with the usual
 /// pipeline caches, evaluates every zoo model under the repeated-CV
 /// protocol, checks flat/float parity on the full dataset, and wires the
-/// run manifest + journal exactly like the other benches.
+/// run manifest + journal exactly like the `repro` experiments.
 fn cmd_bench_models(args: &Args) -> ExitCode {
     let start = std::time::Instant::now();
-    let common = CommonArgs {
-        quick: args.quick,
-        cv_threads: args.cv_threads.unwrap_or(0),
-        cache_dir: args.cache_dir.clone().map(std::path::PathBuf::from),
-        journal: args.journal.clone().map(std::path::PathBuf::from),
-        ..CommonArgs::default()
-    };
-    let opts = common.pipeline_options();
-    let protocol = common.protocol();
+    let opts = args.pipeline_options();
+    let protocol = args.protocol();
     eprintln!(
         "bench models: {} run ({} folds x {} repeats, cv-threads {})...",
         if args.quick { "quick" } else { "full" },
@@ -726,10 +528,10 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
             protocol.cv_threads.to_string()
         }
     );
-    let mut journal = common.journal_writer("bench_models", &opts, Some(&protocol));
-    let data = pulp_bench::load_or_build_dataset_observed(&opts, &common, journal.as_mut());
+    let mut journal = args.journal_writer("bench_models", &opts, Some(&protocol));
+    let data = pulp_bench::load_or_build_dataset(&opts, args, journal.as_mut());
     let mut report = run_models_bench(&data, &protocol, args.quick);
-    let manifest = common.write_manifest("bench_models", &opts, Some(&protocol), start);
+    let manifest = args.write_manifest("bench_models", &opts, Some(&protocol), start);
     report.manifest_hash = manifest.manifest_hash();
     let record = report.record();
     if let Some(j) = journal.as_mut() {
@@ -737,9 +539,12 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
             eprintln!("bench models: journal write failed: {e}");
         }
     }
-    common.finish_journal(journal);
+    args.finish_journal(journal);
     print!("{}", report.render_table());
-    let out_path = args.out.as_deref().unwrap_or("BENCH_models.json");
+    let out_path = args
+        .out
+        .as_deref()
+        .unwrap_or(Path::new("BENCH_models.json"));
     if !write_record(&record, out_path) {
         return ExitCode::FAILURE;
     }
@@ -750,15 +555,17 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
     )
 }
 
-fn find_kernel<'a>(defs: &'a [KernelDef], name: &str) -> Option<&'a KernelDef> {
-    let found = defs.iter().find(|d| d.name == name);
-    if found.is_none() {
+/// The kernel the command line names (its one operand), instantiated at
+/// `--dtype` and `--size`. Every failure is reported here; the `Err` is
+/// the exit code.
+fn kernel_arg<'a>(defs: &[KernelDef], args: &'a Args) -> Result<(&'a str, Kernel), ExitCode> {
+    let [name] = args.operands.as_slice() else {
+        return Err(usage());
+    };
+    let Some(def) = defs.iter().find(|d| d.name == name) else {
         eprintln!("unknown kernel `{name}`; run `pulp_cli list`");
-    }
-    found
-}
-
-fn instantiate(def: &KernelDef, args: &Args) -> Option<Kernel> {
+        return Err(ExitCode::FAILURE);
+    };
     let dtype = args.dtype.unwrap_or_else(|| {
         if def.supports(DType::F32) {
             DType::F32
@@ -768,20 +575,24 @@ fn instantiate(def: &KernelDef, args: &Args) -> Option<Kernel> {
     });
     if !def.supports(dtype) {
         eprintln!("kernel {} does not support {dtype}", def.name);
-        return None;
+        return Err(ExitCode::FAILURE);
     }
-    match def.build(&KernelParams::new(dtype, args.size)) {
-        Ok(k) => Some(k),
+    match def.build(&KernelParams::new(dtype, args.size())) {
+        Ok(k) => Ok((name, k)),
         Err(e) => {
             eprintln!("cannot instantiate {}: {e}", def.name);
-            None
+            Err(ExitCode::FAILURE)
         }
     }
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        return usage();
+    let args = match Args::parse_from(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("error: {msg}\n");
+            return usage();
+        }
     };
     let defs = registry();
     let config = ClusterConfig::default();
@@ -801,27 +612,17 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "pretty" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
+            let (_, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
             print!("{kernel}");
             ExitCode::SUCCESS
         }
         "features" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
+            let (_, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
             for (n, v) in static_feature_names()
                 .iter()
@@ -832,16 +633,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "disasm" => {
-            let Some(name) = &args.kernel else {
-                return usage();
+            let (_, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            match lower(&kernel, args.team, &config) {
+            match lower(&kernel, args.team(), &config) {
                 Ok(lowered) => {
                     print!("{}", lowered.program.disassemble());
                     ExitCode::SUCCESS
@@ -853,14 +649,9 @@ fn main() -> ExitCode {
             }
         }
         "measure" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
+            let (_, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
             match measure_kernel(&kernel, &config, &EnergyModel::table1()) {
                 Ok(profile) => {
@@ -891,14 +682,9 @@ fn main() -> ExitCode {
             }
         }
         "classify" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
+            let (_, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
             eprintln!("training on the quick kernel set...");
             let data = match LabeledDataset::build(&PipelineOptions::quick(QUICK_KERNELS)) {
@@ -932,14 +718,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "mca" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
+            let (_, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
             let block = pulp_mca::kernel_block(&kernel);
             let features = pulp_mca::analyze_block(&block, pulp_mca::DEFAULT_ITERATIONS);
@@ -950,14 +731,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "profile" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
+            let (name, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
             let model = EnergyModel::table1();
             for team in 1..=config.num_cores {
@@ -1007,16 +783,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "trace" => {
-            let Some(name) = &args.kernel else {
-                return usage();
+            let (name, kernel) = match kernel_arg(&defs, &args) {
+                Ok(k) => k,
+                Err(code) => return code,
             };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            let lowered = match lower(&kernel, args.team, &config) {
+            let lowered = match lower(&kernel, args.team(), &config) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("lowering failed: {e}");
@@ -1037,13 +808,15 @@ fn main() -> ExitCode {
                 };
                 let mut rec = recorder_of_run(&run);
                 energy_waterfall(&run.stats, &EnergyModel::table1(), &config).record(&mut rec);
-                let json = pulp_obs::chrome_trace(&rec, &format!("pulp_cli {name} t{}", args.team));
+                let json =
+                    pulp_obs::chrome_trace(&rec, &format!("pulp_cli {name} t{}", args.team()));
                 if let Err(e) = std::fs::write(path, &json) {
-                    eprintln!("cannot write {path}: {e}");
+                    eprintln!("cannot write {}: {e}", path.display());
                     return ExitCode::FAILURE;
                 }
                 println!(
-                    "wrote {path}: {} cycles, {} spans (load in chrome://tracing or ui.perfetto.dev)",
+                    "wrote {}: {} cycles, {} spans (load in chrome://tracing or ui.perfetto.dev)",
+                    path.display(),
                     run.stats.cycles,
                     rec.spans().len()
                 );
@@ -1068,15 +841,14 @@ fn main() -> ExitCode {
             }
         }
         "cache" => {
-            let Some(action) = args.kernel.as_deref() else {
+            let [action] = args.operands.as_slice() else {
                 return usage();
             };
             let Some(dir) = args.cache_dir.as_deref() else {
                 eprintln!("cache {action}: --cache-dir DIR is required");
                 return ExitCode::FAILURE;
             };
-            let dir = std::path::Path::new(dir);
-            match action {
+            match action.as_str() {
                 "stats" => match SweepCache::dir_stats(dir) {
                     Ok(stats) => {
                         println!("cache dir : {}", dir.display());
@@ -1104,20 +876,32 @@ fn main() -> ExitCode {
             }
         }
         "serve" => cmd_serve(&args),
-        "report" => match args.kernel.as_deref() {
-            Some(path) if args.rest.is_empty() => cmd_report(path),
+        "repro" => match args.operands.as_slice() {
+            [] => {
+                for (name, _) in repro::EXPERIMENTS {
+                    println!("{name}");
+                }
+                ExitCode::SUCCESS
+            }
+            [name] => repro::run(name, &args),
             _ => usage(),
         },
-        "journal" => match args.kernel.as_deref() {
-            Some("validate") if !args.rest.is_empty() => cmd_journal_validate(&args.rest),
+        "report" => match args.operands.as_slice() {
+            [path] => cmd_report(path),
             _ => usage(),
         },
-        "bench" => match args.kernel.as_deref() {
-            Some("diff") if args.rest.len() == 2 => cmd_bench_diff(&args.rest[0], &args.rest[1]),
-            Some("sim") if args.rest.is_empty() => cmd_bench_sim(&args),
-            Some("serve") if args.rest.is_empty() => cmd_bench_serve(&args),
-            Some("models") if args.rest.is_empty() => cmd_bench_models(&args),
-            Some("history") if args.rest.len() == 1 => cmd_bench_history(&args.rest[0]),
+        "journal" => match args.operands.as_slice() {
+            [action, paths @ ..] if action == "validate" && !paths.is_empty() => {
+                cmd_journal_validate(paths)
+            }
+            _ => usage(),
+        },
+        "bench" => match args.operands.as_slice() {
+            [action, old, new] if action == "diff" => cmd_bench_diff(old, new),
+            [action] if action == "sim" => cmd_bench_sim(&args),
+            [action] if action == "serve" => cmd_bench_serve(&args),
+            [action] if action == "models" => cmd_bench_models(&args),
+            [action, dir] if action == "history" => cmd_bench_history(dir),
             _ => usage(),
         },
         _ => usage(),
@@ -1132,78 +916,347 @@ mod tests {
     use Better::{Higher, Lower};
     use Tolerance::{Absolute, Limit, Relative};
 
-    fn parse(words: &[&str]) -> Option<Args> {
-        parse_from(words.iter().map(|s| s.to_string()))
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse_from(line.split_whitespace().map(str::to_string))
+    }
+
+    /// One row of the parser table: a command line, and either the
+    /// [`Args`] it must parse to or a substring of its error.
+    type ParseRow = (&'static str, Result<Args, &'static str>);
+
+    /// `words` (a command and its operands) with every flag at its
+    /// default, then `edit`ed: the expected parse of a table row.
+    fn parsed(words: &str, edit: fn(&mut Args)) -> Result<Args, &'static str> {
+        let mut words = words.split_whitespace().map(str::to_string);
+        let mut a = Args {
+            command: words.next().expect("a command"),
+            operands: words.collect(),
+            ..Args::default()
+        };
+        edit(&mut a);
+        Ok(a)
+    }
+
+    /// Runs rows of the parser table through [`Args::parse_from`], the one
+    /// parser behind every subcommand.
+    fn check_parses(rows: Vec<ParseRow>) {
+        for (line, expect) in rows {
+            match (parse(line), expect) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{line:?}"),
+                (Err(err), Err(want)) => assert!(err.contains(want), "{line:?}: {err}"),
+                (got, want) => panic!("{line:?}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]
     fn parses_full_command_line() {
-        let a = parse(&[
-            "measure", "gemm", "--dtype", "i32", "--size", "512", "--team", "6",
-        ])
-        .expect("parse");
-        assert_eq!(a.command, "measure");
-        assert_eq!(a.kernel.as_deref(), Some("gemm"));
-        assert_eq!(a.dtype, Some(DType::I32));
-        assert_eq!(a.size, 512);
-        assert_eq!(a.team, 6);
+        check_parses(vec![(
+            "measure gemm --dtype i32 --size 512 --team 6",
+            parsed("measure gemm", |a| {
+                a.dtype = Some(DType::I32);
+                a.size = Some(512);
+                a.team = Some(6);
+            }),
+        )]);
     }
 
     #[test]
     fn defaults_apply() {
-        let a = parse(&["pretty", "fir"]).expect("parse");
-        assert_eq!(a.dtype, None);
-        assert_eq!(a.size, 2048);
-        assert_eq!(a.team, 4);
+        let a = parse("pretty fir").expect("parse");
+        assert_eq!((a.dtype, a.size(), a.team()), (None, 2048, 4));
+        assert_eq!(a.cv_threads, 0, "0 = all cores");
     }
 
     #[test]
     fn rejects_bad_dtype_and_flags() {
-        assert!(parse(&["measure", "gemm", "--dtype", "f64"]).is_none());
-        assert!(parse(&["measure", "gemm", "--bogus"]).is_none());
-        assert!(parse(&[]).is_none());
+        check_parses(vec![
+            (
+                "measure gemm --dtype f64",
+                Err("--dtype expects i32 or f32, got `f64`"),
+            ),
+            ("measure gemm --bogus", Err("unknown flag `--bogus`")),
+            ("", Err("missing command")),
+        ]);
+    }
+
+    #[test]
+    fn one_meaning_per_flag() {
+        check_parses(vec![
+            // `--cv-threads 0` is "all cores" for every subcommand; `bench
+            // models` used to reject its own default.
+            (
+                "bench models --cv-threads 0",
+                parsed("bench models", |_| {}),
+            ),
+            (
+                "repro headline --cv-threads 0",
+                parsed("repro headline", |_| {}),
+            ),
+            // Malformed sizes and teams name the flag (they used to print
+            // a bare usage).
+            (
+                "measure gemm --size banana",
+                Err("--size expects a positive integer, got `banana`"),
+            ),
+            (
+                "disasm gemm --team banana",
+                Err("--team expects a positive integer, got `banana`"),
+            ),
+            ("disasm gemm --team 0", Err("--team expects")),
+            // Unknown flags are rejected everywhere, including the retired
+            // experiment-only and guard-only ones.
+            ("repro headline --bogus", Err("unknown flag `--bogus`")),
+            (
+                "repro headline --bench-out B.json",
+                Err("unknown flag `--bench-out`"),
+            ),
+            ("repro headline --model gbt", Err("unknown flag `--model`")),
+            ("bench sim --threshold 2", Err("unknown flag `--threshold`")),
+            ("bench sim --strict", Err("unknown flag `--strict`")),
+            // The experiment flags reach `repro` unchanged.
+            (
+                "repro profile_report --size 512 --detail --json p.json --out B.json",
+                parsed("repro profile_report", |a| {
+                    a.size = Some(512);
+                    a.detail = true;
+                    a.json = Some("p.json".into());
+                    a.out = Some("B.json".into());
+                }),
+            ),
+        ]);
     }
 
     #[test]
     fn chrome_flag_takes_a_path() {
-        let a = parse(&["trace", "fir", "--chrome", "out.json"]).expect("parse");
-        assert_eq!(a.chrome.as_deref(), Some("out.json"));
-        assert!(parse(&["trace", "fir", "--chrome"]).is_none());
+        check_parses(vec![
+            (
+                "trace fir --chrome out.json",
+                parsed("trace fir", |a| a.chrome = Some("out.json".into())),
+            ),
+            ("trace fir --chrome", Err("--chrome requires a value")),
+        ]);
     }
 
     #[test]
     fn serve_and_bench_subcommands_parse() {
-        let a = parse(&["serve", "--addr", "0.0.0.0:9000", "--full"]).expect("parse");
-        assert_eq!(a.command, "serve");
-        assert_eq!(a.addr.as_deref(), Some("0.0.0.0:9000"));
-        assert!(a.full);
-
-        let a = parse(&["bench", "diff", "old.json", "new.json"]).expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("diff"));
-        assert_eq!(a.rest, vec!["old.json".to_string(), "new.json".to_string()]);
+        check_parses(vec![
+            (
+                "serve --addr 0.0.0.0:9000 --full",
+                parsed("serve", |a| {
+                    a.addr = Some("0.0.0.0:9000".into());
+                    a.full = true;
+                }),
+            ),
+            (
+                "bench diff old.json new.json",
+                parsed("bench diff old.json new.json", |_| {}),
+            ),
+        ]);
     }
 
     #[test]
     fn bench_sim_flags_parse_strictly() {
-        let a = parse(&[
-            "bench",
-            "sim",
-            "--quick",
-            "--out",
-            "custom.json",
-            "--max-cycles",
-            "5000",
-        ])
-        .expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("sim"));
-        assert!(a.quick);
-        assert_eq!(a.out.as_deref(), Some("custom.json"));
-        assert_eq!(a.max_cycles, Some(5_000));
-        // Zero, negative and garbage budgets are rejected outright.
-        assert!(parse(&["bench", "sim", "--max-cycles", "0"]).is_none());
-        assert!(parse(&["bench", "sim", "--max-cycles", "-3"]).is_none());
-        assert!(parse(&["bench", "sim", "--max-cycles", "many"]).is_none());
-        assert!(parse(&["bench", "sim", "--max-cycles"]).is_none());
+        check_parses(vec![
+            (
+                "bench sim --quick --out custom.json --max-cycles 5000 --iters 3",
+                parsed("bench sim", |a| {
+                    a.quick = true;
+                    a.out = Some("custom.json".into());
+                    a.max_cycles = Some(5_000);
+                    a.iters = Some(3);
+                }),
+            ),
+            // Zero, negative and garbage budgets are rejected outright.
+            ("bench sim --max-cycles 0", Err("--max-cycles")),
+            ("bench sim --max-cycles -3", Err("--max-cycles")),
+            ("bench sim --max-cycles many", Err("--max-cycles")),
+            ("bench sim --max-cycles", Err("--max-cycles")),
+            ("bench sim --iters 0", Err("--iters")),
+        ]);
+    }
+
+    #[test]
+    fn serve_capacity_flags_parse_strictly() {
+        let line = "serve --workers 8 --queue-depth 128 --timeout-ms 250 \
+                    --max-body-bytes 4096 --keepalive-max 32";
+        check_parses(vec![
+            (
+                line,
+                parsed("serve", |a| {
+                    a.workers = Some(8);
+                    a.queue_depth = Some(128);
+                    a.timeout_ms = Some(250);
+                    a.max_body_bytes = Some(4096);
+                    a.keepalive_max = Some(32);
+                }),
+            ),
+            // Zero, negatives and garbage are rejected outright.
+            ("serve --workers 0", Err("--workers")),
+            ("serve --queue-depth -1", Err("--queue-depth")),
+            ("serve --timeout-ms soon", Err("--timeout-ms")),
+            ("serve --max-body-bytes", Err("--max-body-bytes")),
+        ]);
+        let o = serve_options(&parse(line).expect("parse"));
+        assert_eq!((o.workers, o.queue_depth, o.timeout_ms), (8, 128, 250));
+        assert_eq!((o.max_body_bytes, o.keepalive_max_requests), (4096, 32));
+        // Defaults flow through when flags are absent.
+        let defaults = serve_options(&parse("serve").expect("parse"));
+        assert_eq!(defaults, ServeOptions::default());
+    }
+
+    #[test]
+    fn retry_after_flag_parses_strictly_and_reaches_the_options() {
+        check_parses(vec![
+            (
+                "serve --retry-after-secs 5",
+                parsed("serve", |a| a.retry_after_secs = Some(5)),
+            ),
+            ("serve --retry-after-secs 0", Err("--retry-after-secs")),
+            ("serve --retry-after-secs -2", Err("--retry-after-secs")),
+            ("serve --retry-after-secs soon", Err("--retry-after-secs")),
+            ("serve --retry-after-secs", Err("--retry-after-secs")),
+        ]);
+        let a = parse("serve --retry-after-secs 5").expect("parse");
+        assert_eq!(serve_options(&a).retry_after_secs, 5);
+        // Default is 1 second, unchanged from the pre-flag behaviour.
+        let d = serve_options(&parse("serve").expect("parse"));
+        assert_eq!(d.retry_after_secs, 1);
+    }
+
+    #[test]
+    fn open_loop_flags_parse_strictly() {
+        check_parses(vec![
+            (
+                "bench serve --quick --rate 750.5 --hist-out H.json",
+                parsed("bench serve", |a| {
+                    a.quick = true;
+                    a.rate = Some(750.5);
+                    a.hist_out = Some("H.json".into());
+                }),
+            ),
+            // Zero, negatives, garbage and missing values are rejected.
+            ("bench serve --rate 0", Err("--rate")),
+            ("bench serve --rate -100", Err("--rate")),
+            ("bench serve --rate fast", Err("--rate")),
+            ("bench serve --rate inf", Err("--rate")),
+            ("bench serve --hist-out", Err("--hist-out")),
+        ]);
+    }
+
+    #[test]
+    fn bench_serve_subcommand_parses() {
+        check_parses(vec![
+            (
+                "bench serve --quick --out S.json",
+                parsed("bench serve", |a| {
+                    a.quick = true;
+                    a.out = Some("S.json".into());
+                }),
+            ),
+            (
+                "bench serve --quick --trace-out T.json",
+                parsed("bench serve", |a| {
+                    a.quick = true;
+                    a.trace_out = Some("T.json".into());
+                }),
+            ),
+            ("bench serve --trace-out", Err("--trace-out")),
+        ]);
+    }
+
+    #[test]
+    fn observability_flags_parse_strictly() {
+        let line = "serve --slow-ms 0 --flight-capacity 512 --log-json";
+        check_parses(vec![
+            (
+                line,
+                parsed("serve", |a| {
+                    a.slow_ms = Some(0);
+                    a.flight_capacity = Some(512);
+                    a.log_json = true;
+                }),
+            ),
+            // Garbage and missing values are rejected outright.
+            ("serve --slow-ms fast", Err("--slow-ms")),
+            ("serve --slow-ms -1", Err("--slow-ms")),
+            ("serve --flight-capacity 0", Err("--flight-capacity")),
+            ("serve --flight-capacity", Err("--flight-capacity")),
+        ]);
+        let o = serve_options(&parse(line).expect("parse"));
+        assert_eq!((o.slow_ms, o.flight_capacity), (0, 512));
+        // Defaults flow through when the flags are absent.
+        let d = serve_options(&parse("serve").expect("parse"));
+        assert_eq!(d.slow_ms, ServeOptions::default().slow_ms);
+        assert_eq!(d.flight_capacity, ServeOptions::default().flight_capacity);
+    }
+
+    #[test]
+    fn bench_models_subcommand_and_flags_parse() {
+        check_parses(vec![
+            (
+                "bench models --quick --out M.json --cv-threads 4 --journal R.jsonl",
+                parsed("bench models", |a| {
+                    a.quick = true;
+                    a.out = Some("M.json".into());
+                    a.cv_threads = 4;
+                    a.journal = Some("R.jsonl".into());
+                }),
+            ),
+            // Negative, garbage and missing cv-thread counts are rejected.
+            ("bench models --cv-threads -1", Err("--cv-threads")),
+            ("bench models --cv-threads x", Err("--cv-threads")),
+            ("bench models --cv-threads", Err("--cv-threads")),
+        ]);
+    }
+
+    #[test]
+    fn report_and_journal_subcommands_parse() {
+        check_parses(vec![
+            ("report RUN.jsonl", parsed("report RUN.jsonl", |_| {})),
+            (
+                "journal validate a.jsonl b.jsonl",
+                parsed("journal validate a.jsonl b.jsonl", |_| {}),
+            ),
+            (
+                "bench history baselines",
+                parsed("bench history baselines", |_| {}),
+            ),
+            (
+                "bench sim --quick --journal R.jsonl",
+                parsed("bench sim", |a| {
+                    a.quick = true;
+                    a.journal = Some("R.jsonl".into());
+                }),
+            ),
+            ("bench sim --journal", Err("--journal")),
+        ]);
+    }
+
+    #[test]
+    fn retired_bench_flags_are_rejected() {
+        // Gates live in the baseline record; the server walks the flat model.
+        check_parses(vec![
+            (
+                "bench diff a.json b.json --p99-tolerance 0.1",
+                Err("unknown flag `--p99-tolerance`"),
+            ),
+            (
+                "bench serve --predictor float",
+                Err("unknown flag `--predictor`"),
+            ),
+        ]);
+    }
+
+    #[test]
+    fn cache_subcommand_parses() {
+        check_parses(vec![
+            (
+                "cache stats --cache-dir /tmp/sweeps",
+                parsed("cache stats", |a| a.cache_dir = Some("/tmp/sweeps".into())),
+            ),
+            ("cache clear --cache-dir", Err("--cache-dir")),
+        ]);
     }
 
     type MetricRow<'a> = (&'a str, f64, Better, Option<Tolerance>);
@@ -1695,183 +1748,5 @@ mod tests {
             ),
             (zoo(0.93, 0.94, 0.90, 4.0), &["tree/flat_mismatches=4"], &[]),
         ]);
-    }
-
-    #[test]
-    fn serve_capacity_flags_parse_strictly() {
-        let a = parse(&[
-            "serve",
-            "--workers",
-            "8",
-            "--queue-depth",
-            "128",
-            "--timeout-ms",
-            "250",
-            "--max-body-bytes",
-            "4096",
-            "--keepalive-max",
-            "32",
-        ])
-        .expect("parse");
-        assert_eq!(a.workers, Some(8));
-        assert_eq!(a.queue_depth, Some(128));
-        assert_eq!(a.timeout_ms, Some(250));
-        assert_eq!(a.max_body_bytes, Some(4096));
-        assert_eq!(a.keepalive_max, Some(32));
-        let o = serve_options(&a);
-        assert_eq!((o.workers, o.queue_depth, o.timeout_ms), (8, 128, 250));
-        assert_eq!((o.max_body_bytes, o.keepalive_max_requests), (4096, 32));
-        // Defaults flow through when flags are absent.
-        let defaults = serve_options(&parse(&["serve"]).expect("parse"));
-        assert_eq!(defaults, ServeOptions::default());
-        // Zero, negatives and garbage are rejected outright.
-        assert!(parse(&["serve", "--workers", "0"]).is_none());
-        assert!(parse(&["serve", "--queue-depth", "-1"]).is_none());
-        assert!(parse(&["serve", "--timeout-ms", "soon"]).is_none());
-        assert!(parse(&["serve", "--max-body-bytes"]).is_none());
-    }
-
-    #[test]
-    fn retry_after_flag_parses_strictly_and_reaches_the_options() {
-        let a = parse(&["serve", "--retry-after-secs", "5"]).expect("parse");
-        assert_eq!(a.retry_after_secs, Some(5));
-        assert_eq!(serve_options(&a).retry_after_secs, 5);
-        // Default is 1 second, unchanged from the pre-flag behaviour.
-        let d = serve_options(&parse(&["serve"]).expect("parse"));
-        assert_eq!(d.retry_after_secs, 1);
-        // Zero, negatives and garbage are rejected outright.
-        assert!(parse(&["serve", "--retry-after-secs", "0"]).is_none());
-        assert!(parse(&["serve", "--retry-after-secs", "-2"]).is_none());
-        assert!(parse(&["serve", "--retry-after-secs", "soon"]).is_none());
-        assert!(parse(&["serve", "--retry-after-secs"]).is_none());
-    }
-
-    #[test]
-    fn open_loop_flags_parse_strictly() {
-        let a = parse(&[
-            "bench",
-            "serve",
-            "--quick",
-            "--rate",
-            "750.5",
-            "--hist-out",
-            "H.json",
-        ])
-        .expect("parse");
-        assert_eq!(a.rate, Some(750.5));
-        assert_eq!(a.hist_out.as_deref(), Some("H.json"));
-        // Zero, negatives, garbage and missing values are rejected.
-        assert!(parse(&["bench", "serve", "--rate", "0"]).is_none());
-        assert!(parse(&["bench", "serve", "--rate", "-100"]).is_none());
-        assert!(parse(&["bench", "serve", "--rate", "fast"]).is_none());
-        assert!(parse(&["bench", "serve", "--rate", "inf"]).is_none());
-        assert!(parse(&["bench", "serve", "--hist-out"]).is_none());
-    }
-
-    #[test]
-    fn bench_serve_subcommand_parses() {
-        let a = parse(&["bench", "serve", "--quick", "--out", "S.json"]).expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("serve"));
-        assert!(a.quick);
-        assert_eq!(a.out.as_deref(), Some("S.json"));
-        let a = parse(&["bench", "serve", "--quick", "--trace-out", "T.json"]).expect("parse");
-        assert_eq!(a.trace_out.as_deref(), Some("T.json"));
-        assert!(parse(&["bench", "serve", "--trace-out"]).is_none());
-    }
-
-    #[test]
-    fn observability_flags_parse_strictly() {
-        let a = parse(&[
-            "serve",
-            "--slow-ms",
-            "0",
-            "--flight-capacity",
-            "512",
-            "--log-json",
-        ])
-        .expect("parse");
-        assert_eq!(a.slow_ms, Some(0));
-        assert_eq!(a.flight_capacity, Some(512));
-        assert!(a.log_json);
-        let o = serve_options(&a);
-        assert_eq!((o.slow_ms, o.flight_capacity), (0, 512));
-        // Defaults flow through when the flags are absent.
-        let d = serve_options(&parse(&["serve"]).expect("parse"));
-        assert_eq!(d.slow_ms, ServeOptions::default().slow_ms);
-        assert_eq!(d.flight_capacity, ServeOptions::default().flight_capacity);
-        // Garbage and missing values are rejected outright.
-        assert!(parse(&["serve", "--slow-ms", "fast"]).is_none());
-        assert!(parse(&["serve", "--slow-ms", "-1"]).is_none());
-        assert!(parse(&["serve", "--flight-capacity", "0"]).is_none());
-        assert!(parse(&["serve", "--flight-capacity"]).is_none());
-    }
-
-    #[test]
-    fn bench_models_subcommand_and_flags_parse() {
-        let a = parse(&[
-            "bench",
-            "models",
-            "--quick",
-            "--out",
-            "M.json",
-            "--cv-threads",
-            "4",
-            "--journal",
-            "R.jsonl",
-        ])
-        .expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("models"));
-        assert!(a.quick);
-        assert_eq!(a.out.as_deref(), Some("M.json"));
-        assert_eq!(a.cv_threads, Some(4));
-        assert_eq!(a.journal.as_deref(), Some("R.jsonl"));
-        // Zero, garbage and missing cv-thread counts are rejected.
-        assert!(parse(&["bench", "models", "--cv-threads", "0"]).is_none());
-        assert!(parse(&["bench", "models", "--cv-threads", "x"]).is_none());
-        assert!(parse(&["bench", "models", "--cv-threads"]).is_none());
-    }
-
-    #[test]
-    fn report_and_journal_subcommands_parse() {
-        let a = parse(&["report", "RUN.jsonl"]).expect("parse");
-        assert_eq!(a.command, "report");
-        assert_eq!(a.kernel.as_deref(), Some("RUN.jsonl"));
-
-        let a = parse(&["journal", "validate", "a.jsonl", "b.jsonl"]).expect("parse");
-        assert_eq!(a.command, "journal");
-        assert_eq!(a.kernel.as_deref(), Some("validate"));
-        assert_eq!(a.rest, vec!["a.jsonl".to_string(), "b.jsonl".to_string()]);
-
-        let a = parse(&["bench", "history", "baselines"]).expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("history"));
-        assert_eq!(a.rest, vec!["baselines".to_string()]);
-
-        let a = parse(&["bench", "sim", "--quick", "--journal", "R.jsonl"]).expect("parse");
-        assert_eq!(a.journal.as_deref(), Some("R.jsonl"));
-        assert!(parse(&["bench", "sim", "--journal"]).is_none());
-    }
-
-    #[test]
-    fn retired_bench_flags_are_rejected() {
-        // Gates live in the baseline record; the server walks the flat model.
-        assert!(parse(&[
-            "bench",
-            "diff",
-            "a.json",
-            "b.json",
-            "--p99-tolerance",
-            "0.1"
-        ])
-        .is_none());
-        assert!(parse(&["bench", "serve", "--predictor", "float"]).is_none());
-    }
-
-    #[test]
-    fn cache_subcommand_parses() {
-        let a = parse(&["cache", "stats", "--cache-dir", "/tmp/sweeps"]).expect("parse");
-        assert_eq!(a.command, "cache");
-        assert_eq!(a.kernel.as_deref(), Some("stats"));
-        assert_eq!(a.cache_dir.as_deref(), Some("/tmp/sweeps"));
-        assert!(parse(&["cache", "clear", "--cache-dir"]).is_none());
     }
 }

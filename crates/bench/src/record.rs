@@ -1,6 +1,6 @@
 //! `BENCH_*.json` — the one benchmark-record schema, and the one gate.
 //!
-//! `headline`, `bench sim`, `bench serve` and `bench models` all write a
+//! `repro headline`, `bench sim`, `bench serve` and `bench models` all write a
 //! [`BenchRecord`]: which benchmark, which profile, the provenance hash
 //! and a flat list of named [`Metric`]s. Each metric carries its own
 //! gate ([`Tolerance`]), so [`BenchRecord::regressions`] — behind both

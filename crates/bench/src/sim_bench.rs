@@ -28,6 +28,15 @@
 //! sweep driver (`measure_kernels_sharded`) is timed over the quick kernel
 //! set and reported as samples labelled per wall-second, giving the corpus
 //! build a tracked baseline.
+//!
+//! Finally it prices the **telemetry hooks**. `simulate` monomorphises its
+//! generic telemetry parameter with [`NoTelemetry`], whose hooks are empty
+//! `#[inline(always)]` methods, so the instrumented loop must compile to
+//! the uninstrumented one. `simulate_traced` and
+//! `simulate_instrumented(NoTelemetry)` run the same gemm workload in
+//! interleaved pairs, and the median per-pair cost is gated at
+//! [`TELEMETRY_LIMIT_PCT`]: a real regression (hooks made non-inlinable,
+//! work added outside them) shows up as a stable gap.
 
 use crate::record::{BenchRecord, Better, Tolerance};
 use pulp_energy::{measure_kernels_sharded, measure_kernels_sharded_observed, SweepObserver};
@@ -35,8 +44,8 @@ use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
 use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger};
 use pulp_sim::{
-    simulate_opts, AddrExpr, ClusterConfig, NoTelemetry, NullSink, OpKind, Program, SegOp,
-    SimOptions, SimScratch, SimStats, TCDM_BASE,
+    simulate_instrumented, simulate_opts, simulate_traced, AddrExpr, ClusterConfig, NoTelemetry,
+    NullSink, OpKind, Program, SegOp, SimOptions, SimScratch, SimStats, TCDM_BASE,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -59,6 +68,10 @@ pub const THROUGHPUT_TOLERANCE: f64 = 0.20;
 /// of 1.0x carries a 5% allowance for wall-clock jitter. The regression
 /// this guards shipped ALU baskets at 0.64–0.89x, far below it.
 pub const SPEEDUP_FLOOR: f64 = 0.95;
+
+/// Largest tolerated cost of the no-op telemetry hooks, in percent of the
+/// plain simulator's wall time.
+pub const TELEMETRY_LIMIT_PCT: f64 = 2.0;
 
 /// Team sizes every basket is run at.
 pub const TEAM_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -175,6 +188,15 @@ pub struct SimBenchReport {
     /// figure is tracked here rather than hard-gated because CI boxes are
     /// noisy.
     pub labeling_journal_overhead: f64,
+    /// Simulated cycles of the telemetry workload (gemm, f32, 32768 B,
+    /// 8 cores).
+    pub telemetry_cycles: u64,
+    /// Cost of the no-op telemetry hooks in percent: the median over the
+    /// interleaved pairs of `simulate_instrumented(NoTelemetry)` wall over
+    /// `simulate_traced` wall, minus one. Gated at [`TELEMETRY_LIMIT_PCT`].
+    pub telemetry_overhead_pct: f64,
+    /// `true` when both entry points produced identical statistics.
+    pub telemetry_match: bool,
 }
 
 fn instr(kind: OpKind) -> SegOp {
@@ -261,89 +283,82 @@ pub fn basket_program(basket: &str, team: usize, scale: u64) -> Program {
     Program::new(streams)
 }
 
-fn timed_run(
+/// One run of a benchmark program.
+fn simulate_basket(
     config: &ClusterConfig,
     program: &Program,
     opts: &SimOptions,
-    iters: u32,
     scratch: &mut SimScratch,
-) -> (SimStats, f64) {
-    let mut best = f64::INFINITY;
-    let mut stats = None;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        let s = simulate_opts(
-            config,
-            program,
-            opts,
-            &mut NullSink,
-            &mut NoTelemetry,
-            scratch,
-        )
-        .expect("benchmark basket must simulate cleanly");
-        let wall = start.elapsed().as_secs_f64();
-        best = best.min(wall);
-        stats = Some(s);
-    }
-    (stats.expect("at least one iteration"), best)
+) -> SimStats {
+    simulate_opts(
+        config,
+        program,
+        opts,
+        &mut NullSink,
+        &mut NoTelemetry,
+        scratch,
+    )
+    .expect("benchmark basket must simulate cleanly")
 }
 
-/// Times the fast-forward and oracle runs **interleaved** (ff, oracle, ff,
-/// oracle, ...) rather than as two back-to-back batches. The `speedup`
-/// column is a ratio of two wall times; when one side's whole batch lands
-/// in a noisy scheduling window (CI runners, shared boxes) the ratio is
-/// biased in a way best-of-k cannot repair. Interleaving exposes both sides
-/// to the same noise environment, and the speedup is taken as the median of
-/// the per-pair ratios (each comparing two time-adjacent runs), while the
-/// throughput columns keep the conventional best wall per side.
-fn timed_pair(
-    config: &ClusterConfig,
-    program: &Program,
-    ff_opts: &SimOptions,
-    oracle_opts: &SimOptions,
+/// Times two simulations of one program **interleaved** (a, b, b, a, ...)
+/// rather than as two back-to-back batches. A ratio of two wall times is
+/// biased when one side's whole batch lands in a noisy scheduling window
+/// (CI runners, shared boxes), in a way best-of-k cannot repair.
+/// Interleaving exposes both sides to the same noise, and the ratio is
+/// the median of the per-pair `b_wall / a_wall` ratios, each comparing two
+/// time-adjacent runs. The wall columns keep the conventional best per
+/// side.
+fn interleaved(
     iters: u32,
     scratch: &mut SimScratch,
-) -> TimedPair {
-    let mut ff = None;
-    let mut oracle = None;
-    let (mut ff_best, mut oracle_best) = (f64::INFINITY, f64::INFINITY);
+    mut a: impl FnMut(&mut SimScratch) -> SimStats,
+    mut b: impl FnMut(&mut SimScratch) -> SimStats,
+) -> Interleaved {
+    fn timed(
+        run: &mut dyn FnMut(&mut SimScratch) -> SimStats,
+        s: &mut SimScratch,
+    ) -> (SimStats, f64) {
+        let start = Instant::now();
+        let stats = run(s);
+        (stats, start.elapsed().as_secs_f64())
+    }
+    let mut out = Interleaved {
+        a: SimStats::default(),
+        a_wall: f64::INFINITY,
+        b: SimStats::default(),
+        b_wall: f64::INFINITY,
+        ratio: f64::NAN,
+    };
     let mut ratios = Vec::new();
     for i in 0..iters.max(1) {
         // Alternate which side runs first within the pair: whoever runs
         // first pays any warmup/scheduler-quantum cost, and a fixed order
         // would turn that into a systematic bias on the ratio.
-        let (ff_wall, oracle_wall) = if i % 2 == 0 {
-            let (s, ff_wall) = timed_run(config, program, ff_opts, 1, scratch);
-            ff = Some(s);
-            let (s, oracle_wall) = timed_run(config, program, oracle_opts, 1, scratch);
-            oracle = Some(s);
-            (ff_wall, oracle_wall)
+        let ((a, a_wall), (b, b_wall)) = if i % 2 == 0 {
+            let a = timed(&mut a, scratch);
+            (a, timed(&mut b, scratch))
         } else {
-            let (s, oracle_wall) = timed_run(config, program, oracle_opts, 1, scratch);
-            oracle = Some(s);
-            let (s, ff_wall) = timed_run(config, program, ff_opts, 1, scratch);
-            ff = Some(s);
-            (ff_wall, oracle_wall)
+            let b = timed(&mut b, scratch);
+            (timed(&mut a, scratch), b)
         };
-        ff_best = ff_best.min(ff_wall);
-        oracle_best = oracle_best.min(oracle_wall);
-        ratios.push(speedup_of(oracle_wall, ff_wall));
+        out.a_wall = out.a_wall.min(a_wall);
+        out.b_wall = out.b_wall.min(b_wall);
+        ratios.push(speedup_of(b_wall, a_wall));
+        (out.a, out.b) = (a, b);
     }
-    TimedPair {
-        ff: ff.expect("at least one iteration"),
-        ff_wall: ff_best,
-        oracle: oracle.expect("at least one iteration"),
-        oracle_wall: oracle_best,
-        speedup: median(&mut ratios),
-    }
+    out.ratio = median(&mut ratios);
+    out
 }
 
-struct TimedPair {
-    ff: SimStats,
-    ff_wall: f64,
-    oracle: SimStats,
-    oracle_wall: f64,
-    speedup: f64,
+/// The last statistics and best wall of each side of [`interleaved`],
+/// plus the median per-pair `b_wall / a_wall` ratio.
+struct Interleaved {
+    a: SimStats,
+    a_wall: f64,
+    b: SimStats,
+    b_wall: f64,
+    ratio: f64,
 }
 
 /// Median of a non-empty sample (mean of the middle two when even).
@@ -402,25 +417,23 @@ pub fn run_sim_bench_journaled(
         );
         for team in TEAM_SIZES {
             let program = basket_program(basket, team, scale);
-            let TimedPair {
-                ff,
-                ff_wall,
-                oracle,
-                oracle_wall,
-                speedup,
-            } = timed_pair(
-                &config,
-                &program,
-                &ff_opts,
-                &oracle_opts,
+            let Interleaved {
+                a: ff,
+                a_wall: ff_wall,
+                b: oracle,
+                b_wall: oracle_wall,
+                ratio: speedup,
+            } = interleaved(
                 opts.iters,
                 &mut scratch,
+                |s| simulate_basket(&config, &program, &ff_opts, s),
+                |s| simulate_basket(&config, &program, &oracle_opts, s),
             );
             // A separate instrumented pass: `horizon_timing` samples one
             // event in 32 (see the module docs), but even the sampled probes
             // must not pollute `ff_wall_s`. One iteration is enough — the
             // split is a ratio, not a throughput claim.
-            let (timed, _) = timed_run(&config, &program, &timing_opts, 1, &mut scratch);
+            let timed = simulate_basket(&config, &program, &timing_opts, &mut scratch);
             let cycles = ff.cycles;
             rows.push(SimBenchRow {
                 basket: basket.to_string(),
@@ -448,6 +461,21 @@ pub fn run_sim_bench_journaled(
             },
         );
     }
+    let telemetry_start = Instant::now();
+    journal_event(
+        &mut journal,
+        JournalEvent::StageStart {
+            stage: "telemetry".to_string(),
+        },
+    );
+    let telemetry = measure_telemetry_overhead(&config, opts, &mut scratch);
+    journal_event(
+        &mut journal,
+        JournalEvent::StageEnd {
+            stage: "telemetry".to_string(),
+            wall_ms: telemetry_start.elapsed().as_secs_f64() * 1e3,
+        },
+    );
     let labeling_start = Instant::now();
     journal_event(
         &mut journal,
@@ -474,6 +502,9 @@ pub fn run_sim_bench_journaled(
         labeling_observed_wall_s: labeling.observed_wall_s,
         labeling_observed_samples_per_s: labeling.observed_samples_per_s,
         labeling_journal_overhead: labeling.journal_overhead,
+        telemetry_cycles: telemetry.a.cycles,
+        telemetry_overhead_pct: (telemetry.ratio - 1.0) * 100.0,
+        telemetry_match: telemetry.a == telemetry.b,
     };
     if let Some(j) = journal {
         if let Err(e) = report.record().journal(j) {
@@ -493,6 +524,44 @@ fn throughput(cycles: u64, wall_s: f64) -> f64 {
 /// non-finite JSON number and breaks `bench diff`.
 fn speedup_of(oracle_wall_s: f64, ff_wall_s: f64) -> f64 {
     oracle_wall_s.max(WALL_FLOOR_S) / ff_wall_s.max(WALL_FLOOR_S)
+}
+
+/// Times `simulate_traced` (side a) against
+/// `simulate_instrumented(NoTelemetry)` (side b) on gemm (f32, 32768 B,
+/// 8 cores): one run takes tens of milliseconds, so timing noise on a
+/// shared runner stays well under the limit being enforced.
+fn measure_telemetry_overhead(
+    config: &ClusterConfig,
+    opts: &SimBenchOptions,
+    scratch: &mut SimScratch,
+) -> Interleaved {
+    let gemm = pulp_kernels::registry()
+        .into_iter()
+        .find(|d| d.name == "gemm")
+        .expect("gemm in registry")
+        .build(&KernelParams::new(kernel_ir::DType::F32, 32768))
+        .expect("gemm instantiates");
+    let program = kernel_ir::lower(&gemm, 8, config)
+        .expect("gemm lowers")
+        .program;
+    interleaved(
+        opts.iters,
+        scratch,
+        |_| {
+            simulate_traced(config, &program, opts.max_cycles, &mut NullSink)
+                .expect("telemetry workload must simulate cleanly")
+        },
+        |_| {
+            simulate_instrumented(
+                config,
+                &program,
+                opts.max_cycles,
+                &mut NullSink,
+                &mut NoTelemetry,
+            )
+            .expect("telemetry workload must simulate cleanly")
+        },
+    )
 }
 
 struct LabelingThroughput {
@@ -572,12 +641,14 @@ fn measure_labeling_throughput(quick: bool, max_cycles: u64) -> LabelingThroughp
 
 impl SimBenchReport {
     /// The `BENCH_sim.json` record: every figure of the report, rows as
-    /// `basket@cores/field`, gated on throughput ([`THROUGHPUT_TOLERANCE`])
-    /// and the fast-forward speedup floor ([`SPEEDUP_FLOOR`]).
+    /// `basket@cores/field`, gated on throughput ([`THROUGHPUT_TOLERANCE`]),
+    /// the fast-forward speedup floor ([`SPEEDUP_FLOOR`]) and the telemetry
+    /// cost limit ([`TELEMETRY_LIMIT_PCT`]).
     pub fn record(&self) -> BenchRecord {
         use Better::{Higher, Lower};
         let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
         let floor = Some(Tolerance::Limit(SPEEDUP_FLOOR));
+        let telemetry = Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT));
         let rows = ["basket", "cores"];
         BenchRecord::from_report(
             &self.bench,
@@ -590,8 +661,9 @@ impl SimBenchReport {
                 "labeling_samples_per_s" => ("samples/s", Higher, throughput),
                 "labeling_observed_samples_per_s" => ("samples/s", Higher, None),
                 "speedup" => ("x", Higher, floor),
-                "cycles" => ("cycles", Lower, None),
-                "oracle_match" => ("bool", Higher, None),
+                "telemetry_overhead_pct" => ("%", Lower, telemetry),
+                "cycles" | "telemetry_cycles" => ("cycles", Lower, None),
+                "oracle_match" | "telemetry_match" => ("bool", Higher, None),
                 "skip_ratio" | "horizon_hit_rate" => ("ratio", Higher, None),
                 "horizon_scan_share" | "labeling_journal_overhead" => ("ratio", Lower, None),
                 "ff_wall_s" | "oracle_wall_s" | "horizon_scan_s" | "horizon_step_s" => {
@@ -654,12 +726,21 @@ impl SimBenchReport {
             self.labeling_observed_samples_per_s,
             self.labeling_journal_overhead
         );
+        let _ = writeln!(
+            out,
+            "telemetry: gemm f32 32768B team 8 ({} cycles): no-op hooks {:+.2}% vs simulate \
+             (limit {TELEMETRY_LIMIT_PCT}%), stats {}",
+            self.telemetry_cycles,
+            self.telemetry_overhead_pct,
+            if self.telemetry_match { "ok" } else { "FAIL" }
+        );
         out
     }
 
     /// Checks the invariants the benchmark must uphold: every fast-forward
-    /// run bit-identical to its oracle, and the barrier/DMA basket actually
-    /// skipping cycles (a zero skip there means the fast-forward is dead).
+    /// run bit-identical to its oracle, the barrier/DMA basket actually
+    /// skipping cycles (a zero skip there means the fast-forward is dead),
+    /// both telemetry entry points agreeing, and every figure finite.
     ///
     /// # Errors
     ///
@@ -695,6 +776,12 @@ impl SimBenchReport {
                     r.basket, r.cores
                 ));
             }
+        }
+        if !self.telemetry_match {
+            problems.push(
+                "telemetry: simulate_instrumented(NoTelemetry) and simulate_traced disagree"
+                    .to_string(),
+            );
         }
         // Non-finite floats don't survive serde_json and break `bench
         // diff`; the wall clamps must keep every figure finite.
@@ -808,6 +895,50 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_overhead_is_measured_finite_and_gated() {
+        // Regression: the standalone guard indexed an empty sample and
+        // panicked when asked for zero iterations; one pair must give a
+        // usable figure.
+        let mut report = run_sim_bench(&SimBenchOptions {
+            quick: true,
+            iters: 1,
+            ..SimBenchOptions::default()
+        });
+        assert!(report.telemetry_match, "both entry points agree");
+        assert!(report.telemetry_cycles > 0);
+        let record = report.record();
+        let metric = record
+            .get("telemetry_overhead_pct")
+            .expect("telemetry metric present");
+        assert!(metric.value.is_finite(), "{}", metric.value);
+        assert_eq!(metric.better, Better::Lower);
+        assert_eq!(
+            metric.tolerance,
+            Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT))
+        );
+        assert!(report
+            .render_table()
+            .contains("telemetry: gemm f32 32768B team 8"));
+        report.verify().expect("benchmark invariants hold");
+
+        report.telemetry_overhead_pct = f64::NAN;
+        let problems = report.verify().expect_err("NaN must be rejected");
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("telemetry_overhead_pct is non-finite")),
+            "got {problems:?}"
+        );
+        report.telemetry_overhead_pct = 0.0;
+        report.telemetry_match = false;
+        let problems = report.verify().expect_err("diverging stats must fail");
+        assert!(
+            problems.iter().any(|p| p.contains("telemetry")),
+            "got {problems:?}"
+        );
+    }
+
+    #[test]
     fn labeling_throughput_is_measured_and_finite() {
         let report = run_sim_bench(&SimBenchOptions {
             quick: true,
@@ -852,7 +983,7 @@ mod tests {
             })
             .collect();
         let mut expected: Vec<&str> = BASKETS.to_vec();
-        expected.push("labeling");
+        expected.extend(["telemetry", "labeling"]);
         assert_eq!(stages, expected);
         // One bench_record per metric of the record, under its name.
         let records: Vec<&str> = parsed
@@ -898,6 +1029,9 @@ mod tests {
             labeling_observed_wall_s: 0.12,
             labeling_observed_samples_per_s: 200.0,
             labeling_journal_overhead: 1.0,
+            telemetry_cycles: 400_000,
+            telemetry_overhead_pct: 0.3,
+            telemetry_match: true,
         };
         let record = report.record();
         assert_eq!(
@@ -906,8 +1040,8 @@ mod tests {
         );
         assert_eq!(
             record.metrics.len(),
-            13 + 7,
-            "every row and labeling figure"
+            13 + 7 + 3,
+            "every row, labeling and telemetry figure"
         );
         let gate = |name: &str| record.get(name).and_then(|m| m.tolerance);
         let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
@@ -915,6 +1049,10 @@ mod tests {
         assert_eq!(gate("labeling_samples_per_s"), throughput);
         assert_eq!(gate("alu@8/speedup"), Some(Tolerance::Limit(SPEEDUP_FLOOR)));
         assert_eq!(gate("alu@8/oracle_cycles_per_s"), None);
+        assert_eq!(
+            gate("telemetry_overhead_pct"),
+            Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT))
+        );
         assert_eq!(record.get("alu@8/oracle_match").map(|m| m.value), Some(1.0));
         assert!(record.regressions(&record).expect("comparable").is_empty());
     }

@@ -166,7 +166,7 @@ pub fn measure_kernel(
 }
 
 /// [`measure_kernel`] with an explicit per-run cycle budget
-/// (`--max-cycles` on the dataset binaries).
+/// (`--max-cycles` on `pulp_cli`).
 ///
 /// The 8 per-team-size simulations share one [`SimScratch`], so the sweep
 /// allocates its per-core state vectors once instead of once per run.

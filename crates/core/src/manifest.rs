@@ -6,8 +6,8 @@
 //! (the *same* hashing as the sweep-cache key, via
 //! [`content_hash_hex`](crate::cache::content_hash_hex), so a manifest's
 //! `config_hash` is directly comparable with cache keying inputs), the CV
-//! protocol and seed, cache hit/miss counters and wall time. Bench
-//! binaries write it as `manifest.json` next to their output.
+//! protocol and seed, cache hit/miss counters and wall time. `pulp_cli
+//! repro` experiments write it as `manifest.json` next to their output.
 //!
 //! Determinism contract: two runs with identical inputs produce
 //! byte-identical manifests except for the wall-time field, and

@@ -39,14 +39,14 @@ pub struct PipelineOptions {
     pub kernel_filter: Option<Vec<String>>,
     /// Worker threads for the simulation sweep (`0` = all cores).
     pub threads: usize,
-    /// Print measurement progress to stderr (`--progress` on the dataset
-    /// binaries).
+    /// Print measurement progress to stderr (`--progress` on
+    /// `pulp_cli`).
     pub progress: bool,
-    /// Content-addressed sweep cache (`--cache-dir` on the binaries);
+    /// Content-addressed sweep cache (`--cache-dir` on `pulp_cli`);
     /// `None` simulates every sample from scratch. Shared across the
     /// worker threads.
     pub cache: Option<Arc<SweepCache>>,
-    /// Per-run simulation cycle budget (`--max-cycles` on the binaries);
+    /// Per-run simulation cycle budget (`--max-cycles` on `pulp_cli`);
     /// a sample exceeding it fails the build with a `CycleLimit` error
     /// instead of spinning.
     pub max_cycles: u64,

@@ -1,6 +1,6 @@
 //! Plain-text and JSON rendering of experiment results.
 //!
-//! The bench binaries print the same rows/series the paper reports; these
+//! The `pulp_cli repro` experiments print the same rows/series the paper reports; these
 //! helpers keep the formatting consistent and dump machine-readable
 //! records for EXPERIMENTS.md.
 

@@ -1,6 +1,6 @@
 //! Structured logging: one line per record, plain text or JSON-lines.
 //!
-//! The bench binaries historically wrote ad-hoc `eprintln!("[cache] ...")`
+//! The experiment binaries historically wrote ad-hoc `eprintln!("[cache] ...")`
 //! lines. [`Logger`] keeps that text shape byte-for-byte (`[stage] message
 //! k=v`) so existing greps — including the CI warm-cache check — keep
 //! working, while `--log-json` switches every record to a single JSON
@@ -34,8 +34,8 @@ pub enum LogFormat {
     Json,
 }
 
-/// Record severity. Only used as a field today (no filtering): the bench
-/// binaries log sparsely enough that suppression happens at the call site
+/// Record severity. Only used as a field today (no filtering):
+/// `pulp_cli` logs sparsely enough that suppression happens at the call site
 /// via `--quiet`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogLevel {

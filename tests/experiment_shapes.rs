@@ -1,6 +1,6 @@
 //! Shape checks for the paper's experiments on a reduced-but-diverse
-//! dataset (the full-dataset equivalents are regenerated by the
-//! `pulp-bench` binaries; see EXPERIMENTS.md).
+//! dataset (the full-dataset equivalents are regenerated by
+//! `pulp_cli repro <name>`; see EXPERIMENTS.md).
 
 use pulp_energy::{
     evaluation::{rank_features, tolerance_curve, Protocol},
