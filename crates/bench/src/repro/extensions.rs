@@ -260,7 +260,7 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
     for train_folds in 1..folds_per_step {
         // Each repetition derives everything from its index, so fanning
         // them over `--cv-threads` workers is deterministic.
-        let reps = parallel_seeds(repeats, protocol.cv_threads, |rep| {
+        let rep = |(): &mut (), rep: usize| {
             let folds = stratified_folds(all.labels(), folds_per_step, rep as u64);
             let train: Vec<usize> = folds[..train_folds].iter().flatten().copied().collect();
             let test: Vec<usize> = folds[train_folds..].iter().flatten().copied().collect();
@@ -273,7 +273,8 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
                 tolerance_accuracy(&preds, &test_energies, 0.0),
                 tolerance_accuracy(&preds, &test_energies, 0.05),
             )
-        });
+        };
+        let (reps, _) = parallel_seeds(repeats, protocol.cv_threads, |_| (), rep);
         let train_samples = reps.last().map_or(0, |r| r.0);
         let acc0: Vec<f64> = reps.iter().map(|r| r.1).collect();
         let acc5: Vec<f64> = reps.iter().map(|r| r.2).collect();

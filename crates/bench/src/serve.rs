@@ -83,7 +83,7 @@
 use crate::net::{raw_fd, Event, HttpParser, Interest, Parsed, Poller, TimerWheel, Waker};
 pub use crate::net::{Request, RequestError};
 use pulp_energy::manifest::RunManifest;
-use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
+use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy::{static_feature_vector, EnergyPredictor, PredictorMetadata, StaticFeatureSet};
 use pulp_ml::TreeParams;
 use pulp_obs::recorder::{Recorder, SpanId};
@@ -189,9 +189,11 @@ impl ServeState {
     /// Panics when the dataset cannot be built or the model cannot be
     /// trained — the service is useless without either.
     pub fn train(opts: &PipelineOptions) -> Self {
-        let mut metrics = MetricsRegistry::new();
-        let data = LabeledDataset::build_with_metrics(opts, &mut metrics)
+        let mut rec = Recorder::new();
+        let data = LabeledDataset::build_observed(opts, &mut rec, BuildObserver::default())
             .expect("serve: dataset build failed");
+        let mut metrics = MetricsRegistry::new();
+        metrics.observe_recorder("pulp_pipeline", &rec);
         let predictor = EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default())
             .expect("serve: model training failed");
         Self::from_parts(predictor, &data, metrics, opts)

@@ -24,8 +24,8 @@
 //! diagnostic, not a throughput claim — `ff [cyc/s]` always comes from the
 //! uninstrumented run.
 //!
-//! The report also carries a **labeling throughput** figure: the sharded
-//! sweep driver (`measure_kernels_sharded`) is timed over the quick kernel
+//! The report also carries a **labeling throughput** figure: the sweep
+//! driver ([`sweep_kernels`]) is timed over the quick kernel
 //! set and reported as samples labelled per wall-second, giving the corpus
 //! build a tracked baseline.
 //!
@@ -39,10 +39,10 @@
 //! work added outside them) shows up as a stable gap.
 
 use crate::record::{BenchRecord, Better, Tolerance};
-use pulp_energy::{measure_kernels_sharded, measure_kernels_sharded_observed, SweepObserver};
+use pulp_energy::{sweep_kernels, BuildObserver, EnergyProfile, MeasureContext, MeasureError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
-use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger};
+use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
 use pulp_sim::{
     simulate_instrumented, simulate_opts, simulate_traced, AddrExpr, ClusterConfig, NoTelemetry,
     NullSink, OpKind, Program, SegOp, SimOptions, SimScratch, SimStats, TCDM_BASE,
@@ -574,13 +574,13 @@ struct LabelingThroughput {
     journal_overhead: f64,
 }
 
-/// Times the sharded sweep driver over the quick kernel set: every quick
+/// Times the sweep driver over the quick kernel set: every quick
 /// kernel at one payload size (`--quick`) or three (full), labelled across
 /// all available cores. This is the figure ROADMAP item 1's corpus build
 /// scales from.
 ///
-/// The same workload is then re-run through the **observed** driver — an
-/// in-memory journal plus live progress into a sink logger — so the report
+/// The same workload is then re-run with observation on — an in-memory
+/// journal plus live progress into a sink logger — so the report
 /// carries the journaling overhead as a tracked ratio. The observed pass
 /// must produce bit-identical profiles; anything else means the observer
 /// leaked into the measurement.
@@ -599,27 +599,34 @@ fn measure_labeling_throughput(quick: bool, max_cycles: u64) -> LabelingThroughp
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ctx = MeasureContext {
+        max_cycles,
+        ..MeasureContext::new(&config, &model)
+    };
+    let sweep = |obs: BuildObserver<'_>| {
+        let kernel = |i| &kernels[i];
+        sweep_kernels(
+            kernels.len(),
+            kernel,
+            &ctx,
+            threads,
+            &mut Recorder::new(),
+            obs,
+        )
+        .into_iter()
+        .collect::<Result<Vec<EnergyProfile>, MeasureError>>()
+    };
     let start = Instant::now();
-    let profiles = measure_kernels_sharded(&kernels, &config, &model, max_cycles, threads)
-        .expect("quick kernels must label cleanly");
+    let profiles = sweep(BuildObserver::default()).expect("quick kernels must label cleanly");
     let wall_s = start.elapsed().as_secs_f64();
 
     let mut journal = JournalWriter::in_memory("bench_sim_labeling", "unseeded", 0);
     let progress_sink = Logger::to_sink(LogFormat::Text);
     let observed_start = Instant::now();
-    let observed = measure_kernels_sharded_observed(
-        &kernels,
-        &config,
-        &model,
-        max_cycles,
-        threads,
-        SweepObserver {
-            journal: Some(&mut journal),
-            logger: Some(&progress_sink),
-            progress: true,
-            ..SweepObserver::default()
-        },
-    )
+    let observed = sweep(BuildObserver {
+        journal: Some(&mut journal),
+        logger: Some(&progress_sink),
+    })
     .expect("quick kernels must label cleanly under observation");
     let observed_wall_s = observed_start.elapsed().as_secs_f64();
     assert_eq!(

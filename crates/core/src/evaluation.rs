@@ -5,8 +5,7 @@
 
 use crate::labeling::NUM_CLASSES;
 use pulp_ml::{
-    cv::repeated_cross_val_predict_instrumented, mean_std, tolerance_accuracy, Dataset,
-    DecisionTree, TreeParams,
+    mean_std, repeated_cross_val_predict, tolerance_accuracy, Dataset, DecisionTree, TreeParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -121,59 +120,15 @@ pub fn tolerance_curve(
     tolerances: &[f64],
     protocol: &Protocol,
 ) -> ToleranceCurve {
-    let mut rec = pulp_obs::Recorder::new();
-    tolerance_curve_instrumented(label, data, energies, tolerances, protocol, &mut rec)
-}
-
-/// [`tolerance_curve`] that folds the recorded evaluation telemetry into
-/// a [`MetricsRegistry`](pulp_obs::MetricsRegistry) as
-/// `pulp_eval_stage_ticks` histograms — the online counterpart of
-/// [`tolerance_curve_instrumented`] for services exposing `/metrics`.
-pub fn tolerance_curve_with_metrics(
-    label: impl Into<String>,
-    data: &Dataset,
-    energies: &[Vec<f64>],
-    tolerances: &[f64],
-    protocol: &Protocol,
-    metrics: &mut pulp_obs::MetricsRegistry,
-) -> ToleranceCurve {
-    let mut rec = pulp_obs::Recorder::new();
-    let curve = tolerance_curve_instrumented(label, data, energies, tolerances, protocol, &mut rec);
-    metrics.observe_recorder("pulp_eval", &rec);
-    curve
-}
-
-/// [`tolerance_curve`] with stage telemetry: records a `cv_predict` span
-/// around the repeated cross-validation and a `score` span around the
-/// tolerance sweep.
-pub fn tolerance_curve_instrumented(
-    label: impl Into<String>,
-    data: &Dataset,
-    energies: &[Vec<f64>],
-    tolerances: &[f64],
-    protocol: &Protocol,
-    rec: &mut pulp_obs::Recorder,
-) -> ToleranceCurve {
-    let label = label.into();
-    let cv = rec.start_cat(&format!("cv_predict {label}"), "evaluate");
-    rec.annotate(cv, "folds", protocol.folds);
-    rec.annotate(cv, "repeats", protocol.repeats);
-    rec.annotate(cv, "cv_threads", protocol.cv_threads);
-    let reps = repeated_cross_val_predict_instrumented(
+    let reps = repeated_cross_val_predict(
         data,
         protocol.folds,
         protocol.repeats,
         protocol.seed,
         protocol.cv_threads,
-        rec,
         |_seed| DecisionTree::new(protocol.tree),
     );
-    rec.end(cv);
-    let score = rec.start_cat(&format!("score {label}"), "evaluate");
-    rec.annotate(score, "tolerances", tolerances.len());
-    let curve = curve_from_predictions(label, &reps, energies, tolerances);
-    rec.end(score);
-    curve
+    curve_from_predictions(label, &reps, energies, tolerances)
 }
 
 /// Builds a curve from precomputed per-repetition predictions.

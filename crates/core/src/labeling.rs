@@ -3,6 +3,11 @@
 //! Each dataset sample is simulated with every team size from 1 to 8; the
 //! Table-I energy model assigns each run an energy; the arg-min team size
 //! becomes the sample's class label.
+//!
+//! One kernel is measured by [`measure_kernel_with`] (or its defaulted
+//! form [`measure_kernel`]); a batch is measured by the sweep driver
+//! [`sweep_kernels`], which runs that call on a worker pool with optional
+//! journal and progress observation.
 
 use crate::cache::SweepCache;
 use kernel_ir::{lower, Kernel, LowerError};
@@ -13,6 +18,7 @@ use pulp_sim::{
     DEFAULT_MAX_CYCLES,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -151,6 +157,33 @@ impl EnergyProfile {
     }
 }
 
+/// What every measurement of a sweep shares: the cluster, the energy
+/// model, the per-run cycle budget and an optional sweep cache. Plain
+/// references, so one context is shared by every sweep worker.
+#[derive(Clone, Copy)]
+pub struct MeasureContext<'a> {
+    /// Cluster to simulate.
+    pub config: &'a ClusterConfig,
+    /// Energy model applied to each run.
+    pub model: &'a EnergyModel,
+    /// Per-run simulation cycle budget (`--max-cycles` on `pulp_cli`).
+    pub max_cycles: u64,
+    /// Content-addressed sweep cache; `None` simulates every kernel.
+    pub cache: Option<&'a SweepCache>,
+}
+
+impl<'a> MeasureContext<'a> {
+    /// `config` and `model` at the default cycle budget, without a cache.
+    pub fn new(config: &'a ClusterConfig, model: &'a EnergyModel) -> Self {
+        Self {
+            config,
+            model,
+            max_cycles: DEFAULT_MAX_CYCLES,
+            cache: None,
+        }
+    }
+}
+
 /// Simulates `kernel` at every team size and assembles its energy profile.
 ///
 /// # Errors
@@ -162,126 +195,104 @@ pub fn measure_kernel(
     config: &ClusterConfig,
     model: &EnergyModel,
 ) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_budgeted(kernel, config, model, DEFAULT_MAX_CYCLES)
+    measure_kernel_with(
+        kernel,
+        &MeasureContext::new(config, model),
+        &mut SimScratch::new(),
+        &mut Recorder::new(),
+    )
 }
 
-/// [`measure_kernel`] with an explicit per-run cycle budget
-/// (`--max-cycles` on `pulp_cli`).
-///
-/// The 8 per-team-size simulations share one [`SimScratch`], so the sweep
-/// allocates its per-core state vectors once instead of once per run.
+/// [`measure_kernel`] with full control: the budget and cache of `ctx`,
+/// a caller-provided [`SimScratch`] (a sweep worker reuses one across all
+/// its kernels, so the simulator's per-core state is allocated once per
+/// worker, not once per run) and stage telemetry into `rec`: one `sample`
+/// span annotated with the label, nesting a `simulate` span per team size
+/// or, on a valid cache entry, one `cache` span. A cache miss (or a stale
+/// or corrupt entry) simulates and stores the fresh sweep.
 ///
 /// # Errors
 ///
 /// See [`measure_kernel`]; additionally fails with
-/// [`pulp_sim::SimError::CycleLimit`] when a run exceeds `max_cycles`.
-pub fn measure_kernel_budgeted(
+/// [`pulp_sim::SimError::CycleLimit`] when a run exceeds `ctx.max_cycles`.
+/// Cache I/O never fails the measurement — a bad entry simply falls back
+/// to recomputing.
+pub fn measure_kernel_with(
     kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_scratch(kernel, config, model, max_cycles, &mut SimScratch::new())
-}
-
-/// [`measure_kernel_budgeted`] with a caller-provided [`SimScratch`].
-///
-/// The sharded sweep driver ([`measure_kernels_sharded`]) hands each worker
-/// thread one scratch that is reused across *all* its kernels and team
-/// sizes, so a multi-thousand-sample labelling run performs a handful of
-/// scratch allocations instead of one per sample.
-///
-/// # Errors
-///
-/// See [`measure_kernel_budgeted`].
-pub fn measure_kernel_scratch(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
+    ctx: &MeasureContext<'_>,
     scratch: &mut SimScratch,
+    rec: &mut Recorder,
 ) -> Result<EnergyProfile, MeasureError> {
-    let mut energy = [0.0; NUM_CLASSES];
-    let mut cycles = [0u64; NUM_CLASSES];
-    let mut dynamic = Vec::with_capacity(NUM_CLASSES);
-    let opts = SimOptions::default().with_max_cycles(max_cycles);
-    for team in 1..=NUM_CLASSES.min(config.num_cores) {
-        let lowered = lower(kernel, team, config)?;
-        let stats = simulate_opts(
-            config,
-            &lowered.program,
-            &opts,
-            &mut NullSink,
-            &mut NoTelemetry,
-            scratch,
-        )?;
-        energy[team - 1] = energy_of(&stats, model, config).total();
-        cycles[team - 1] = stats.cycles;
-        dynamic.push(DynamicFeatures::extract(&stats));
+    let sample = kernel.sample_id();
+    let span = rec.start_cat(&sample, "sample");
+    let measured = cached_or_simulated(kernel, &sample, ctx, scratch, rec);
+    match &measured {
+        Ok(profile) => rec.annotate(span, "label", profile.label() + 1),
+        Err(e) => rec.annotate(span, "error", e),
     }
-    Ok(EnergyProfile {
-        energy,
-        cycles,
-        dynamic,
-    })
+    rec.end(span);
+    measured
 }
 
-/// [`measure_kernel`] with stage telemetry: each team-size simulation gets
-/// a `simulate` span annotated with its cycle count and energy.
-///
-/// # Errors
-///
-/// See [`measure_kernel`].
-pub fn measure_kernel_instrumented(
+/// The cached sweep of `sample` if `ctx.cache` holds a well-formed one,
+/// otherwise a fresh simulation (stored back when a cache is attached).
+fn cached_or_simulated(
     kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
+    sample: &str,
+    ctx: &MeasureContext<'_>,
+    scratch: &mut SimScratch,
     rec: &mut Recorder,
 ) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_instrumented_scratch(
-        kernel,
-        config,
-        model,
-        max_cycles,
-        rec,
-        &mut SimScratch::new(),
-    )
+    let Some(cache) = ctx.cache else {
+        return simulate_teams(kernel, ctx, scratch, rec);
+    };
+    let key = cache.key(sample, ctx.config, ctx.model);
+    if let Some(summaries) = cache.lookup(&key) {
+        let teams = NUM_CLASSES.min(ctx.config.num_cores);
+        let shape_ok =
+            summaries.len() == teams && summaries.iter().enumerate().all(|(i, s)| s.cores == i + 1);
+        if shape_ok {
+            let span = rec.start_cat(&format!("cache hit {sample}"), "cache");
+            rec.end(span);
+            return Ok(EnergyProfile::from_summaries(&summaries));
+        }
+        // A hash collision or foreign entry of the wrong shape: ignore it
+        // and recompute (the store below overwrites it).
+    }
+    let profile = simulate_teams(kernel, ctx, scratch, rec)?;
+    cache.store(&key, &profile.summaries());
+    Ok(profile)
 }
 
-/// [`measure_kernel_instrumented`] with a caller-provided [`SimScratch`]
-/// (see [`measure_kernel_scratch`] for why sweeps thread one through).
-///
-/// # Errors
-///
-/// See [`measure_kernel`].
-pub fn measure_kernel_instrumented_scratch(
+/// The measurement loop: lower, simulate and account `kernel` at team
+/// sizes `1..=8`, each inside a `simulate` span annotated with its cycle
+/// count and energy (or its error).
+fn simulate_teams(
     kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    rec: &mut Recorder,
+    ctx: &MeasureContext<'_>,
     scratch: &mut SimScratch,
+    rec: &mut Recorder,
 ) -> Result<EnergyProfile, MeasureError> {
     let mut energy = [0.0; NUM_CLASSES];
     let mut cycles = [0u64; NUM_CLASSES];
     let mut dynamic = Vec::with_capacity(NUM_CLASSES);
-    let opts = SimOptions::default().with_max_cycles(max_cycles);
-    for team in 1..=NUM_CLASSES.min(config.num_cores) {
+    let opts = SimOptions::default().with_max_cycles(ctx.max_cycles);
+    for team in 1..=NUM_CLASSES.min(ctx.config.num_cores) {
         let span = rec.start_cat(&format!("simulate t{team}"), "simulate");
-        let result = (|| -> Result<_, MeasureError> {
-            let lowered = lower(kernel, team, config)?;
-            let stats = simulate_opts(
-                config,
-                &lowered.program,
-                &opts,
-                &mut NullSink,
-                &mut NoTelemetry,
-                scratch,
-            )?;
-            Ok(stats)
-        })();
-        let stats = match result {
+        let run = lower(kernel, team, ctx.config)
+            .map_err(MeasureError::from)
+            .and_then(|lowered| {
+                simulate_opts(
+                    ctx.config,
+                    &lowered.program,
+                    &opts,
+                    &mut NullSink,
+                    &mut NoTelemetry,
+                    scratch,
+                )
+                .map_err(MeasureError::from)
+            });
+        let stats = match run {
             Ok(stats) => stats,
             Err(e) => {
                 rec.annotate(span, "error", &e);
@@ -289,7 +300,7 @@ pub fn measure_kernel_instrumented_scratch(
                 return Err(e);
             }
         };
-        let fj = energy_of(&stats, model, config).total();
+        let fj = energy_of(&stats, ctx.model, ctx.config).total();
         rec.annotate(span, "cycles", stats.cycles);
         rec.annotate(span, "energy_uj", format!("{:.4}", fj * 1e-9));
         rec.end(span);
@@ -302,69 +313,6 @@ pub fn measure_kernel_instrumented_scratch(
         cycles,
         dynamic,
     })
-}
-
-/// [`measure_kernel_instrumented`] behind the content-addressed sweep
-/// cache: a valid cached sweep short-circuits all 1..=8 simulator
-/// invocations; a miss (or stale/corrupt entry) recomputes and stores the
-/// fresh sweep atomically.
-///
-/// # Errors
-///
-/// See [`measure_kernel`]. Cache I/O never fails the measurement — a bad
-/// entry simply falls back to recomputing.
-pub fn measure_kernel_cached(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    cache: &SweepCache,
-    rec: &mut Recorder,
-) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_cached_scratch(
-        kernel,
-        config,
-        model,
-        max_cycles,
-        cache,
-        rec,
-        &mut SimScratch::new(),
-    )
-}
-
-/// [`measure_kernel_cached`] with a caller-provided [`SimScratch`]
-/// (see [`measure_kernel_scratch`]; the scratch is only touched on a miss).
-///
-/// # Errors
-///
-/// See [`measure_kernel`].
-pub fn measure_kernel_cached_scratch(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    cache: &SweepCache,
-    rec: &mut Recorder,
-    scratch: &mut SimScratch,
-) -> Result<EnergyProfile, MeasureError> {
-    let sample = kernel.sample_id();
-    let key = cache.key(&sample, config, model);
-    let expected_teams = NUM_CLASSES.min(config.num_cores);
-    if let Some(summaries) = cache.lookup(&key) {
-        let shape_ok = summaries.len() == expected_teams
-            && summaries.iter().enumerate().all(|(i, s)| s.cores == i + 1);
-        if shape_ok {
-            let span = rec.start_cat(&format!("cache hit {sample}"), "cache");
-            rec.end(span);
-            return Ok(EnergyProfile::from_summaries(&summaries));
-        }
-        // A hash collision or foreign entry of the wrong shape: ignore it
-        // and recompute (the store below overwrites it).
-    }
-    let profile =
-        measure_kernel_instrumented_scratch(kernel, config, model, max_cycles, rec, scratch)?;
-    cache.store(&key, &profile.summaries());
-    Ok(profile)
 }
 
 /// Live progress state for a sharded sweep: one lock-free counter per
@@ -391,11 +339,6 @@ impl SweepProgress {
     /// Records one finished kernel on `shard`.
     pub fn record(&self, shard: usize) {
         self.shard_done[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total kernels in the sweep.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Milliseconds since the sweep started.
@@ -504,260 +447,200 @@ impl SweepSnapshot {
     }
 }
 
-/// Observation hooks for [`measure_kernels_sharded_observed`]: an
-/// optional journal receiving heartbeats and slow-kernel events, an
-/// optional logger for the live progress line, and the heartbeat cadence.
-/// [`SweepObserver::disabled`] turns the observed driver back into the
-/// bare sweep with no per-kernel timing on the hot loop.
+/// Observation hooks for a sweep: an optional run journal and an optional
+/// logger for the live progress line. The default observer keeps
+/// per-kernel timing off the hot loop entirely.
+/// [`LabeledDataset::build_observed`](crate::pipeline::LabeledDataset::build_observed)
+/// forwards the logger to [`sweep_kernels`] only when `opts.progress` is
+/// set, falling back to a stderr logger when none is given.
 #[derive(Default)]
-pub struct SweepObserver<'a> {
-    /// Receives per-shard heartbeats and slow-kernel events, buffered in
-    /// each worker and merged in shard order after the join (so journal
-    /// writes never touch the measurement loop).
+pub struct BuildObserver<'a> {
+    /// Durable event log for the run (see [`pulp_obs::journal`]).
     pub journal: Option<&'a mut JournalWriter>,
-    /// Sink for the live progress line; `None` with `progress` set falls
-    /// back to a plain-text stderr logger.
+    /// Sink for progress lines.
     pub logger: Option<&'a Logger>,
-    /// Emit a throttled `[sweep]` progress line with ETA and straggler
-    /// flags while the sweep runs.
-    pub progress: bool,
-    /// Kernels between heartbeats per shard (`0` = the default of 16).
-    pub heartbeat_every: u64,
 }
 
-impl SweepObserver<'_> {
-    /// No journal, no progress — observation fully off.
-    pub fn disabled() -> SweepObserver<'static> {
-        SweepObserver::default()
-    }
-}
-
+/// Kernels between journal heartbeats per shard (each shard also sends a
+/// final heartbeat when its stripe is done).
+const HEARTBEAT_EVERY: u64 = 16;
 /// Slow-kernel entries each shard tracks (the report merges and re-ranks
 /// them globally).
 const SLOW_PER_SHARD: usize = 4;
 
-/// Sweeps a batch of independent kernels across a scoped worker pool.
-///
-/// Labelling is embarrassingly parallel per sample: each kernel's 1..=8
-/// team-size sweep touches no shared state. Workers claim kernels by
-/// round-robin striding (worker `t` measures indices `t, t + threads, ...`),
-/// each reusing one [`SimScratch`] across every run it performs, and the
-/// profiles land in input order — the result is **bit-identical to
-/// sequential measurement at any thread count**, which the unit tests pin
-/// at 1/2/8 threads.
-///
-/// `threads == 0` uses all available cores; the count is clamped to the
-/// batch size.
-///
-/// # Errors
-///
-/// If any kernels fail, returns the error of the **lowest-indexed** failing
-/// kernel (independent of thread interleaving), as sequential measurement
-/// would.
-pub fn measure_kernels_sharded(
-    kernels: &[Kernel],
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    threads: usize,
-) -> Result<Vec<EnergyProfile>, MeasureError> {
-    measure_kernels_sharded_observed(
-        kernels,
-        config,
-        model,
-        max_cycles,
-        threads,
-        SweepObserver::disabled(),
-    )
+/// One sweep worker: its simulator scratch and recorder, reused across
+/// every kernel it measures, and the journal events it buffers until the
+/// pool joins.
+struct Shard {
+    index: usize,
+    assigned: u64,
+    done: u64,
+    /// Whether the sweep has a cache, so misses are worth counting.
+    caching: bool,
+    cache_hits: u64,
+    scratch: SimScratch,
+    rec: Recorder,
+    events: Vec<JournalEvent>,
+    /// `(sample, wall_ms, cycles)` of the slowest kernels so far,
+    /// slowest first.
+    slow: Vec<(String, f64, u64)>,
 }
 
-/// [`measure_kernels_sharded`] with observation: per-shard journal
-/// heartbeats (kernels done, kernels/s), per-shard slow-kernel tracking,
-/// and a live throttled progress line with ETA and straggler flags.
-///
-/// The measured profiles are **bit-identical** to the unobserved sweep at
-/// any thread count — observation only adds per-kernel wall timing (and
-/// only when a journal is attached), lock-free progress counts, and
-/// worker-local event buffers written to the journal in shard order after
-/// the join.
-///
-/// # Errors
-///
-/// See [`measure_kernels_sharded`]. Journal write failures after the
-/// sweep are reported to stderr but do not fail the measurement.
-pub fn measure_kernels_sharded_observed(
-    kernels: &[Kernel],
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    threads: usize,
-    obs: SweepObserver<'_>,
-) -> Result<Vec<EnergyProfile>, MeasureError> {
-    if kernels.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .min(kernels.len());
-    let journaling = obs.journal.is_some();
-    if threads == 1 && !journaling && !obs.progress {
-        let mut scratch = SimScratch::new();
-        return kernels
-            .iter()
-            .map(|k| measure_kernel_scratch(k, config, model, max_cycles, &mut scratch))
-            .collect();
+impl Shard {
+    /// Books one journaled kernel: a slow-kernel candidate, and a
+    /// heartbeat every [`HEARTBEAT_EVERY`] kernels and at the stripe's end.
+    fn observe(&mut self, sample: String, wall_ms: f64, cycles: u64, elapsed_ms: u64) {
+        self.slow.push((sample, wall_ms, cycles));
+        self.slow
+            .sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        self.slow.truncate(SLOW_PER_SHARD);
+        if self.done.is_multiple_of(HEARTBEAT_EVERY) || self.done == self.assigned {
+            let elapsed_s = elapsed_ms as f64 / 1e3;
+            self.events.push(JournalEvent::Heartbeat {
+                shard: self.index as u64,
+                done: self.done,
+                assigned: self.assigned,
+                elapsed_ms,
+                kernels_per_s: if elapsed_s > 0.0 {
+                    self.done as f64 / elapsed_s
+                } else {
+                    0.0
+                },
+                cache_hits: self.cache_hits,
+                cache_misses: if self.caching {
+                    self.done - self.cache_hits
+                } else {
+                    0
+                },
+            });
+        }
     }
 
-    let heartbeat_every = if obs.heartbeat_every == 0 {
-        16
-    } else {
-        obs.heartbeat_every
-    };
-    // Shard `t` owns indices `t, t + threads, ...`.
-    let assigned: Vec<u64> = (0..threads)
-        .map(|t| ((kernels.len() - t).div_ceil(threads)) as u64)
-        .collect();
-    let progress = SweepProgress::new(kernels.len(), threads);
-    let fallback_logger = Logger::new(pulp_obs::LogFormat::Text);
-    let logger: Option<&Logger> = if obs.progress {
-        Some(obs.logger.unwrap_or(&fallback_logger))
-    } else {
-        None
-    };
-
-    let mut profiles: Vec<Option<EnergyProfile>> = vec![None; kernels.len()];
-    let mut first_error: Option<(usize, MeasureError)> = None;
-    let mut shard_events: Vec<Vec<JournalEvent>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let progress = &progress;
-            handles.push(scope.spawn(move || {
-                let mut scratch = SimScratch::new();
-                let mut out = Vec::new();
-                let mut events: Vec<JournalEvent> = Vec::new();
-                let mut slow: Vec<(String, f64, u64)> = Vec::new();
-                let mut done = 0u64;
-                let shard_total = ((kernels.len() - t).div_ceil(threads)) as u64;
-                let mut i = t;
-                while i < kernels.len() {
-                    let t0 = journaling.then(Instant::now);
-                    let res = measure_kernel_scratch(
-                        &kernels[i],
-                        config,
-                        model,
-                        max_cycles,
-                        &mut scratch,
-                    );
-                    done += 1;
-                    if let Some(t0) = t0 {
-                        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                        let cycles = res.as_ref().map_or(0, |p| p.cycles[0]);
-                        slow.push((kernels[i].sample_id(), wall_ms, cycles));
-                        if slow.len() > SLOW_PER_SHARD {
-                            // Keep the SLOW_PER_SHARD largest by wall time.
-                            slow.sort_by(|a, b| {
-                                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                            });
-                            slow.truncate(SLOW_PER_SHARD);
-                        }
-                        if done.is_multiple_of(heartbeat_every) || done == shard_total {
-                            let elapsed_ms = progress.elapsed_ms();
-                            let elapsed_s = elapsed_ms as f64 / 1e3;
-                            events.push(JournalEvent::Heartbeat {
-                                shard: t as u64,
-                                done,
-                                assigned: shard_total,
-                                elapsed_ms,
-                                kernels_per_s: if elapsed_s > 0.0 {
-                                    done as f64 / elapsed_s
-                                } else {
-                                    0.0
-                                },
-                                cache_hits: 0,
-                                cache_misses: 0,
-                            });
-                        }
-                    }
-                    out.push((i, res));
-                    progress.record(t);
-                    i += threads;
-                }
-                slow.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
+    /// The shard's journal events: its heartbeats, then its slowest
+    /// kernels.
+    fn into_events(mut self) -> Vec<JournalEvent> {
+        let slow =
+            self.slow
+                .into_iter()
+                .map(|(sample, wall_ms, cycles)| JournalEvent::SlowKernel {
+                    sample,
+                    wall_ms,
+                    cycles,
                 });
-                for (sample, wall_ms, cycles) in slow {
-                    events.push(JournalEvent::SlowKernel {
-                        sample,
-                        wall_ms,
-                        cycles,
-                    });
-                }
-                (out, events)
-            }));
+        self.events.extend(slow);
+        self.events
+    }
+}
+
+/// The labelling sweep: measures `kernel(0), ..., kernel(n - 1)` under
+/// `ctx` on [`pulp_ml::parallel_seeds`] (`threads == 0` = all cores) and
+/// returns one result per kernel, in index order. Workers fetch each
+/// kernel as they reach it, so a caller building kernels on demand never
+/// holds the whole batch; a caller holding a slice passes `|i| &kernels[i]`.
+///
+/// Workers stride round-robin (worker `t` takes `t, t + threads, ...`),
+/// each reusing one [`SimScratch`] and one [`Recorder`]; the recorders are
+/// merged into `rec` afterwards, one track per worker. The profiles are
+/// **bit-identical to sequential measurement at any thread count**, and
+/// collecting them into a `Result<Vec<_>, _>` yields the
+/// **lowest-indexed** error, as sequential measurement would.
+///
+/// With `obs.journal` set each kernel is wall-timed, and each shard
+/// buffers heartbeats (kernels done, kernels/s, cache hits/misses) and its
+/// slowest kernels, written in shard order after the join so the writer
+/// never touches the measurement loop; a failed write only warns. With
+/// `obs.logger` set a monitor thread prints a throttled `[sweep]` line with
+/// ETA and straggler flags.
+pub fn sweep_kernels<K: Borrow<Kernel>>(
+    n: usize,
+    kernel: impl Fn(usize) -> K + Sync,
+    ctx: &MeasureContext<'_>,
+    threads: usize,
+    rec: &mut Recorder,
+    obs: BuildObserver<'_>,
+) -> Vec<Result<EnergyProfile, MeasureError>> {
+    let threads = pulp_ml::resolve_threads(threads, n);
+    let assigned: Vec<u64> = (0..threads)
+        .map(|t| n.saturating_sub(t).div_ceil(threads) as u64)
+        .collect();
+    let journaling = obs.journal.is_some();
+    let progress = SweepProgress::new(n, threads);
+    let init = |index: usize| Shard {
+        index,
+        assigned: assigned[index],
+        done: 0,
+        caching: ctx.cache.is_some(),
+        cache_hits: 0,
+        scratch: SimScratch::new(),
+        rec: Recorder::new(),
+        events: Vec::new(),
+        slow: Vec::new(),
+    };
+    let measure = |shard: &mut Shard, i: usize| {
+        let fetched = kernel(i);
+        let kernel = fetched.borrow();
+        let spans_before = shard.rec.spans().len();
+        let t0 = journaling.then(Instant::now);
+        let res = measure_kernel_with(kernel, ctx, &mut shard.scratch, &mut shard.rec);
+        shard.done += 1;
+        if let Some(t0) = t0 {
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let new_spans = &shard.rec.spans()[spans_before..];
+            shard.cache_hits += u64::from(new_spans.iter().any(|s| s.cat == "cache"));
+            let cycles = res.as_ref().map_or(0, |p| p.cycles[0]);
+            let elapsed_ms = progress.elapsed_ms();
+            shard.observe(kernel.sample_id(), wall_ms, cycles, elapsed_ms);
         }
-        let monitor = logger.map(|log| {
-            let progress = &progress;
-            let assigned = &assigned;
-            scope.spawn(move || {
-                let mut last = u64::MAX;
-                loop {
-                    let snap = progress.snapshot();
-                    if snap.done() != last {
-                        last = snap.done();
-                        log.info(
-                            "sweep",
-                            &format!("measured {}/{}", snap.done(), snap.total),
-                            &snap.progress_fields(assigned),
-                        );
-                    }
-                    if snap.done() >= snap.total {
-                        break;
-                    }
-                    // Parked, not slept: the join path unparks us the moment
-                    // the last worker finishes, so a short sweep never pays a
-                    // full monitor tick of extra wall time. An unpark that
-                    // races ahead of the park is stored, not lost.
-                    std::thread::park_timeout(std::time::Duration::from_millis(200));
-                }
-            })
-        });
-        for h in handles {
-            let (results, events) = h.join().expect("sharded sweep worker panicked");
-            shard_events.push(events);
-            for (i, res) in results {
-                match res {
-                    Ok(p) => profiles[i] = Some(p),
-                    Err(e) => {
-                        if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                            first_error = Some((i, e));
-                        }
-                    }
-                }
-            }
-        }
+        progress.record(shard.index);
+        res
+    };
+    let (profiles, shards) = std::thread::scope(|scope| {
+        let monitor = obs
+            .logger
+            .map(|log| scope.spawn(|| report_progress(&progress, &assigned, log)));
+        let swept = pulp_ml::parallel_seeds(n, threads, init, measure);
+        // Wake the monitor for its final line instead of letting it sit
+        // out a full tick.
         if let Some(m) = &monitor {
             m.thread().unpark();
         }
+        swept
     });
+    let mut events = Vec::new();
+    for mut shard in shards {
+        rec.merge(std::mem::take(&mut shard.rec));
+        events.extend(shard.into_events());
+    }
     if let Some(journal) = obs.journal {
-        // Deterministic merge: shard 0's buffer first, then shard 1's, ...
-        if let Err(e) = journal.events(shard_events.into_iter().flatten()) {
+        if let Err(e) = journal.events(events) {
             eprintln!("[sweep] warning: journal write failed: {e}");
         }
     }
-    if let Some((_, e)) = first_error {
-        return Err(e);
+    profiles
+}
+
+/// The live `[sweep]` progress line: logs each new snapshot until every
+/// kernel is measured. Parked, not slept, between ticks: the sweep unparks
+/// the monitor the moment the pool joins, so a short sweep never pays a
+/// full tick of extra wall time (an unpark that races ahead of the park is
+/// stored, not lost).
+fn report_progress(progress: &SweepProgress, assigned: &[u64], log: &Logger) {
+    let mut last = u64::MAX;
+    loop {
+        let snap = progress.snapshot();
+        if snap.done() != last {
+            last = snap.done();
+            log.info(
+                "sweep",
+                &format!("measured {}/{}", snap.done(), snap.total),
+                &snap.progress_fields(assigned),
+            );
+        }
+        if snap.done() >= snap.total {
+            break;
+        }
+        std::thread::park_timeout(std::time::Duration::from_millis(200));
     }
-    Ok(profiles
-        .into_iter()
-        .map(|p| p.expect("all kernels measured"))
-        .collect())
 }
 
 #[cfg(test)]
@@ -876,61 +759,75 @@ mod tests {
         assert_eq!(EnergyProfile::from_summaries(&summaries), p);
     }
 
-    #[test]
-    fn sharded_sweep_is_bit_identical_to_sequential_at_1_2_8_threads() {
-        let config = ClusterConfig::default();
-        let model = EnergyModel::table1();
-        let kernels: Vec<Kernel> = [64usize, 128, 192, 256, 96, 160, 224, 80, 144, 208]
+    /// [`sweep_kernels`] on the default cluster, first error wins.
+    fn sweep(
+        kernels: &[Kernel],
+        max_cycles: u64,
+        threads: usize,
+        obs: BuildObserver<'_>,
+    ) -> Result<Vec<EnergyProfile>, MeasureError> {
+        let (config, model) = (ClusterConfig::default(), EnergyModel::table1());
+        let ctx = MeasureContext {
+            max_cycles,
+            ..MeasureContext::new(&config, &model)
+        };
+        let kernel = |i| &kernels[i];
+        sweep_kernels(
+            kernels.len(),
+            kernel,
+            &ctx,
+            threads,
+            &mut Recorder::new(),
+            obs,
+        )
+        .into_iter()
+        .collect()
+    }
+
+    fn ten_kernels() -> Vec<Kernel> {
+        [64usize, 128, 192, 256, 96, 160, 224, 80, 144, 208]
             .iter()
             .map(|&n| compute_kernel(n))
-            .collect();
-        let sequential: Vec<EnergyProfile> = kernels
-            .iter()
-            .map(|k| measure_kernel(k, &config, &model).expect("sequential"))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn sharded_sweep_is_bit_identical_to_sequential_at_1_2_8_threads() {
+        let kernels = ten_kernels();
+        let sequential: Vec<EnergyProfile> = kernels.iter().map(measure).collect();
         for threads in [1usize, 2, 8] {
-            let sharded =
-                measure_kernels_sharded(&kernels, &config, &model, DEFAULT_MAX_CYCLES, threads)
-                    .expect("sharded");
+            let sharded = sweep(
+                &kernels,
+                DEFAULT_MAX_CYCLES,
+                threads,
+                BuildObserver::default(),
+            )
+            .expect("sharded");
             assert_eq!(
                 sharded, sequential,
                 "sharding across {threads} threads must not change any profile"
             );
         }
-        assert!(
-            measure_kernels_sharded(&[], &config, &model, DEFAULT_MAX_CYCLES, 4)
-                .expect("empty batch")
-                .is_empty()
-        );
+        assert!(sweep(&[], DEFAULT_MAX_CYCLES, 4, BuildObserver::default())
+            .expect("empty batch")
+            .is_empty());
     }
 
     #[test]
     fn observed_sweep_is_bit_identical_and_journals_round_trip_at_1_2_8_threads() {
         use pulp_obs::{validate_journal, JournalReader, JournalWriter};
-        let config = ClusterConfig::default();
-        let model = EnergyModel::table1();
-        let kernels: Vec<Kernel> = [64usize, 128, 192, 256, 96, 160, 224, 80, 144, 208]
-            .iter()
-            .map(|&n| compute_kernel(n))
-            .collect();
-        let plain = measure_kernels_sharded(&kernels, &config, &model, DEFAULT_MAX_CYCLES, 2)
-            .expect("plain");
-        for threads in [1usize, 2, 8] {
+        // Forty kernels, so stripes of 40 and 20 send a heartbeat every 16
+        // kernels before their final one.
+        let kernels: Vec<Kernel> = (0..4).flat_map(|_| ten_kernels()).collect();
+        let plain =
+            sweep(&kernels, DEFAULT_MAX_CYCLES, 2, BuildObserver::default()).expect("plain");
+        for (threads, heartbeats) in [(1usize, 3), (2, 4), (8, 8)] {
             let mut journal = JournalWriter::in_memory("test_sweep", "cafe", 7);
-            let observed = measure_kernels_sharded_observed(
-                &kernels,
-                &config,
-                &model,
-                DEFAULT_MAX_CYCLES,
-                threads,
-                SweepObserver {
-                    journal: Some(&mut journal),
-                    logger: None,
-                    progress: false,
-                    heartbeat_every: 4,
-                },
-            )
-            .expect("observed");
+            let obs = BuildObserver {
+                journal: Some(&mut journal),
+                logger: None,
+            };
+            let observed = sweep(&kernels, DEFAULT_MAX_CYCLES, threads, obs).expect("observed");
             assert_eq!(
                 observed, plain,
                 "observation must not perturb profiles at {threads} threads"
@@ -946,15 +843,20 @@ mod tests {
             );
             // Every shard's final heartbeat covers its full stripe.
             let mut last: Vec<Option<(u64, u64)>> = vec![None; threads];
+            let mut seen = 0;
             for ev in &parsed.events {
                 if let pulp_obs::JournalEvent::Heartbeat {
                     shard,
                     done,
                     assigned,
+                    cache_hits,
+                    cache_misses,
                     ..
                 } = ev
                 {
+                    assert_eq!((*cache_hits, *cache_misses), (0, 0), "no cache, no counts");
                     last[*shard as usize] = Some((*done, *assigned));
+                    seen += 1;
                 }
             }
             let covered: u64 = last
@@ -966,6 +868,7 @@ mod tests {
                 })
                 .sum();
             assert_eq!(covered, kernels.len() as u64);
+            assert_eq!(seen, heartbeats, "heartbeat cadence at {threads} threads");
             assert!(
                 parsed
                     .events
@@ -979,24 +882,13 @@ mod tests {
     #[test]
     fn observed_sweep_progress_lines_reach_the_logger() {
         use pulp_obs::{LogFormat, Logger};
-        let config = ClusterConfig::default();
-        let model = EnergyModel::table1();
         let kernels: Vec<Kernel> = (0..4).map(|i| compute_kernel(64 + i * 32)).collect();
         let log = Logger::to_sink(LogFormat::Text);
-        measure_kernels_sharded_observed(
-            &kernels,
-            &config,
-            &model,
-            DEFAULT_MAX_CYCLES,
-            2,
-            SweepObserver {
-                journal: None,
-                logger: Some(&log),
-                progress: true,
-                heartbeat_every: 0,
-            },
-        )
-        .expect("observed");
+        let obs = BuildObserver {
+            journal: None,
+            logger: Some(&log),
+        };
+        sweep(&kernels, DEFAULT_MAX_CYCLES, 2, obs).expect("observed");
         let lines = log.take_sink().expect("sink");
         assert!(!lines.is_empty(), "progress lines expected");
         assert!(
@@ -1048,7 +940,6 @@ mod tests {
     #[test]
     fn live_progress_aggregator_counts_per_shard() {
         let prog = SweepProgress::new(6, 2);
-        assert_eq!(prog.total(), 6);
         prog.record(0);
         prog.record(1);
         prog.record(1);
@@ -1061,13 +952,20 @@ mod tests {
     fn sharded_sweep_reports_the_lowest_indexed_error() {
         // A 1-cycle budget fails every kernel; the reported error must be
         // kernel 0's regardless of which worker hits an error first.
-        let config = ClusterConfig::default();
-        let model = EnergyModel::table1();
+        let (config, model) = (ClusterConfig::default(), EnergyModel::table1());
         let kernels: Vec<Kernel> = (0..6).map(|i| compute_kernel(64 + i * 32)).collect();
-        let err = measure_kernels_sharded(&kernels, &config, &model, 1, 3)
-            .expect_err("1-cycle budget must fail");
-        let seq_err = measure_kernel_budgeted(&kernels[0], &config, &model, 1)
-            .expect_err("sequential fails too");
+        let err = sweep(&kernels, 1, 3, BuildObserver::default()).expect_err("1-cycle budget");
+        let ctx = MeasureContext {
+            max_cycles: 1,
+            ..MeasureContext::new(&config, &model)
+        };
+        let seq_err = measure_kernel_with(
+            &kernels[0],
+            &ctx,
+            &mut SimScratch::new(),
+            &mut Recorder::new(),
+        )
+        .expect_err("sequential fails too");
         assert_eq!(format!("{err}"), format!("{seq_err}"));
     }
 
@@ -1084,26 +982,15 @@ mod tests {
         let model = EnergyModel::table1();
         let kernel = compute_kernel(256);
 
+        let ctx = MeasureContext {
+            cache: Some(&cache),
+            ..MeasureContext::new(&config, &model)
+        };
+        let mut scratch = SimScratch::new();
         let mut rec = Recorder::new();
-        let cold = measure_kernel_cached(
-            &kernel,
-            &config,
-            &model,
-            DEFAULT_MAX_CYCLES,
-            &cache,
-            &mut rec,
-        )
-        .expect("cold run");
+        let cold = measure_kernel_with(&kernel, &ctx, &mut scratch, &mut rec).expect("cold run");
         let mut rec = Recorder::new();
-        let warm = measure_kernel_cached(
-            &kernel,
-            &config,
-            &model,
-            DEFAULT_MAX_CYCLES,
-            &cache,
-            &mut rec,
-        )
-        .expect("warm run");
+        let warm = measure_kernel_with(&kernel, &ctx, &mut scratch, &mut rec).expect("warm run");
         assert_eq!(cold, warm, "cache round-trip must be bit-identical");
         assert!(
             rec.spans().iter().all(|s| s.cat != "simulate"),

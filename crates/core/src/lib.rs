@@ -17,7 +17,8 @@
 //! The workflow (paper Figure 1) is: extract static features (A), simulate
 //! each sample at 1..=8 cores (B, C), apply the energy model (D), label
 //! with the arg-min-energy core count (E) and train/evaluate the decision
-//! tree (F). [`LabeledDataset::build`] runs A–E;
+//! tree (F). [`LabeledDataset::build`] runs A–E, labelling through the
+//! sweep driver [`sweep_kernels`] (one kernel alone: [`measure_kernel`]);
 //! [`evaluation::tolerance_curve`] runs F under the paper's repeated
 //! stratified cross-validation with an energy-waste tolerance sweep.
 //!
@@ -59,22 +60,17 @@ pub mod report;
 
 pub use cache::{content_hash_hex, default_cache_version, CacheDirStats, CacheStats, SweepCache};
 pub use evaluation::{
-    always_n_curve, default_tolerances, rank_features, tolerance_curve,
-    tolerance_curve_instrumented, tolerance_curve_with_metrics, top_feature_columns, Protocol,
-    RankedFeature, ToleranceCurve,
+    always_n_curve, default_tolerances, rank_features, tolerance_curve, top_feature_columns,
+    Protocol, RankedFeature, ToleranceCurve,
 };
 pub use features::{
     dynamic_feature_names, dynamic_feature_vector, static_feature_names, static_feature_vector,
     StaticFeatureSet,
 };
 pub use labeling::{
-    measure_kernel, measure_kernel_budgeted, measure_kernel_cached, measure_kernel_cached_scratch,
-    measure_kernel_instrumented, measure_kernel_instrumented_scratch, measure_kernel_scratch,
-    measure_kernels_sharded, measure_kernels_sharded_observed, EnergyProfile, MeasureError,
-    SweepObserver, SweepProgress, SweepSnapshot, NUM_CLASSES,
+    measure_kernel, measure_kernel_with, sweep_kernels, BuildObserver, EnergyProfile,
+    MeasureContext, MeasureError, SweepProgress, SweepSnapshot, NUM_CLASSES,
 };
 pub use manifest::RunManifest;
-pub use pipeline::{
-    BuildDatasetError, BuildObserver, LabeledDataset, PipelineOptions, SampleRecord,
-};
+pub use pipeline::{BuildDatasetError, LabeledDataset, PipelineOptions, SampleRecord};
 pub use predictor::{EnergyPredictor, PredictorError, PredictorMetadata};

@@ -4,7 +4,7 @@
 //! bench-binary run: crate and simulator/energy-model versions, FNV-1a
 //! content hashes of the exact [`ClusterConfig`] and [`EnergyModel`] used
 //! (the *same* hashing as the sweep-cache key, via
-//! [`content_hash_hex`](crate::cache::content_hash_hex), so a manifest's
+//! [`crate::cache::content_hash_hex`], so a manifest's
 //! `config_hash` is directly comparable with cache keying inputs), the CV
 //! protocol and seed, cache hit/miss counters and wall time. `pulp_cli
 //! repro` experiments write it as `manifest.json` next to their output.

@@ -11,16 +11,14 @@ use crate::features::{
     dynamic_feature_names, dynamic_feature_vector, static_feature_names, static_feature_vector,
     StaticFeatureSet,
 };
-use crate::labeling::{
-    measure_kernel_cached_scratch, measure_kernel_instrumented_scratch, MeasureError,
-    SweepProgress, NUM_CLASSES,
-};
+pub use crate::labeling::BuildObserver;
+use crate::labeling::{sweep_kernels, MeasureContext, MeasureError, NUM_CLASSES};
 use kernel_ir::{DType, Suite, ValidateKernelError};
 use pulp_energy_model::EnergyModel;
-use pulp_kernels::{all_samples, registry, KernelDef, SampleSpec, PAYLOAD_SIZES};
+use pulp_kernels::{all_samples, registry, SampleSpec, PAYLOAD_SIZES};
 use pulp_ml::{Dataset, DatasetError};
-use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
-use pulp_sim::{ClusterConfig, SimScratch};
+use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder, SpanId};
+use pulp_sim::ClusterConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -78,25 +76,6 @@ impl PipelineOptions {
         }
     }
 }
-
-/// Observation hooks for [`LabeledDataset::build_observed`]: an optional
-/// run journal receiving stage/heartbeat/cache/slow-kernel events, and an
-/// optional logger for the live `--progress` line. The default observer
-/// (no journal, no logger) keeps per-kernel timing off the hot loop
-/// entirely.
-#[derive(Default)]
-pub struct BuildObserver<'a> {
-    /// Durable event log for the build (see [`pulp_obs::journal`]).
-    pub journal: Option<&'a mut JournalWriter>,
-    /// Sink for progress lines; `None` with `opts.progress` set falls
-    /// back to a plain-text stderr logger.
-    pub logger: Option<&'a Logger>,
-}
-
-/// Samples between journal heartbeats per worker.
-const PIPELINE_HEARTBEAT_EVERY: u64 = 16;
-/// Slow-sample entries each worker tracks for the journal.
-const PIPELINE_SLOW_PER_SHARD: usize = 4;
 
 /// Errors produced while building the dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,325 +161,138 @@ impl LabeledDataset {
     /// Propagates kernel-instantiation and simulation failures, tagged
     /// with the offending sample id.
     pub fn build(opts: &PipelineOptions) -> Result<Self, BuildDatasetError> {
-        let mut rec = Recorder::new();
-        Self::build_instrumented(opts, &mut rec)
+        Self::build_observed(opts, &mut Recorder::new(), BuildObserver::default())
     }
 
-    /// [`build`](Self::build) that folds the recorded stage telemetry into
-    /// a [`MetricsRegistry`](pulp_obs::MetricsRegistry) as
-    /// `pulp_pipeline_stage_ticks{stage=...}` latency histograms and
-    /// `pulp_pipeline_counter{name=...}` gauges — the online aggregate
-    /// view of the same spans [`build_instrumented`](Self::build_instrumented)
-    /// records offline. The prediction service uses this to expose
-    /// startup-training latencies on `/metrics`.
+    /// [`build`](Self::build) with telemetry and durable observation.
     ///
-    /// # Errors
-    ///
-    /// See [`build`](Self::build).
-    pub fn build_with_metrics(
-        opts: &PipelineOptions,
-        metrics: &mut pulp_obs::MetricsRegistry,
-    ) -> Result<Self, BuildDatasetError> {
-        let mut rec = Recorder::new();
-        let built = Self::build_instrumented(opts, &mut rec);
-        metrics.observe_recorder("pulp_pipeline", &rec);
-        built
-    }
-
-    /// [`build`](Self::build) with stage telemetry: records `enumerate`,
-    /// `measure` and `assemble` stage spans plus one span per sample
-    /// (nesting the per-team-size `simulate` spans) into `rec`. Worker
-    /// threads record into private [`Recorder`]s that are merged, one
-    /// track per worker, after the sweep joins.
-    ///
-    /// # Errors
-    ///
-    /// See [`build`](Self::build).
-    pub fn build_instrumented(
-        opts: &PipelineOptions,
-        rec: &mut Recorder,
-    ) -> Result<Self, BuildDatasetError> {
-        Self::build_observed(opts, rec, BuildObserver::default())
-    }
-
-    /// [`build_instrumented`](Self::build_instrumented) with durable
-    /// observation: stage start/end, per-shard heartbeats (kernels done,
-    /// kernels/s, cache hits/misses) and slow-kernel entries go to
-    /// `obs.journal`, and `opts.progress` drives a live throttled
-    /// `[sweep]` line (ETA + straggler flags) through `obs.logger`.
-    ///
-    /// Journal events are buffered per worker and appended in shard order
-    /// after the join — the hot measurement loop never touches the
-    /// writer, and the measured dataset is bit-identical to an unobserved
+    /// `rec` receives `enumerate`, `measure` and `assemble` stage spans plus
+    /// the per-sample spans of [`sweep_kernels`];
+    /// [`MetricsRegistry::observe_recorder`](pulp_obs::MetricsRegistry::observe_recorder)
+    /// turns them into the `pulp_pipeline_stage_ticks` histograms the
+    /// prediction service exposes on `/metrics`. Stage start/end, the
+    /// sweep's heartbeats and slow kernels and the cache summary go to
+    /// `obs.journal`; `opts.progress` drives the live `[sweep]` line
+    /// through `obs.logger`. The dataset is bit-identical to an unobserved
     /// build at any thread count.
     ///
     /// # Errors
     ///
-    /// See [`build`](Self::build). Journal write failures warn on stderr
-    /// but never fail the build.
+    /// See [`build`](Self::build); of several failing samples the one
+    /// enumerated first is reported, at any thread count. Journal write
+    /// failures warn on stderr but never fail the build.
     pub fn build_observed(
         opts: &PipelineOptions,
         rec: &mut Recorder,
         obs: BuildObserver<'_>,
     ) -> Result<Self, BuildDatasetError> {
-        let BuildObserver { journal, logger } = obs;
-        let mut journal = journal;
-        let stage_guard = |journal: &mut Option<&mut JournalWriter>, ev: JournalEvent| {
-            if let Some(j) = journal {
-                if let Err(e) = j.event(ev) {
-                    eprintln!("[pipeline] warning: journal write failed: {e}");
-                }
-            }
-        };
+        let BuildObserver {
+            mut journal,
+            logger,
+        } = obs;
 
-        let stage_t0 = Instant::now();
-        stage_guard(
-            &mut journal,
-            JournalEvent::StageStart {
-                stage: "enumerate".into(),
-            },
-        );
-        let enumerate = rec.start_cat("enumerate", "stage");
-        let defs = registry();
-        let specs: Vec<SampleSpec> = all_samples()
-            .into_iter()
-            .filter(|s| {
-                opts.payload_sizes.contains(&s.payload_bytes)
-                    && opts
-                        .kernel_filter
-                        .as_ref()
-                        .is_none_or(|f| f.iter().any(|n| n == defs[s.kernel_index].name))
-            })
-            .collect();
-        rec.annotate(enumerate, "samples", specs.len());
-        rec.end(enumerate);
-        stage_guard(
-            &mut journal,
-            JournalEvent::StageEnd {
-                stage: "enumerate".into(),
-                wall_ms: stage_t0.elapsed().as_secs_f64() * 1e3,
-            },
-        );
+        let (defs, specs) = stage("enumerate", rec, &mut journal, |rec, _, span| {
+            let defs = registry();
+            let specs: Vec<SampleSpec> = all_samples()
+                .into_iter()
+                .filter(|s| {
+                    opts.payload_sizes.contains(&s.payload_bytes)
+                        && opts
+                            .kernel_filter
+                            .as_ref()
+                            .is_none_or(|f| f.iter().any(|n| n == defs[s.kernel_index].name))
+                })
+                .collect();
+            rec.annotate(span, "samples", specs.len());
+            (defs, specs)
+        });
         if specs.is_empty() {
             return Err(BuildDatasetError::EmptySelection);
         }
 
-        let threads = if opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            opts.threads
-        }
-        .min(specs.len());
-
-        let stage_t0 = Instant::now();
-        stage_guard(
-            &mut journal,
-            JournalEvent::StageStart {
-                stage: "measure".into(),
-            },
-        );
-        let measure = rec.start_cat("measure", "stage");
-        rec.annotate(measure, "threads", threads);
-        let total = specs.len();
-        let journaling = journal.is_some();
-        let caching = opts.cache.is_some();
-        // Shard `t` owns indices `t, t + threads, ...`.
-        let assigned: Vec<u64> = (0..threads)
-            .map(|t| ((total - t).div_ceil(threads)) as u64)
-            .collect();
-        let progress = SweepProgress::new(total, threads);
-        let fallback_logger = Logger::new(LogFormat::Text);
-        let progress_logger: Option<&Logger> = if opts.progress {
-            Some(logger.unwrap_or(&fallback_logger))
-        } else {
-            None
-        };
-        let mut samples: Vec<Option<SampleRecord>> = vec![None; specs.len()];
-        let mut first_error: Option<BuildDatasetError> = None;
-        let mut shard_events: Vec<Vec<JournalEvent>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let specs = &specs;
-                let defs = &defs;
-                let opts_ref = &*opts;
-                let progress = &progress;
-                handles.push(scope.spawn(move || {
-                    let mut worker_rec = Recorder::new();
-                    // One simulator scratch per worker, reused across every
-                    // sample and team size this worker measures.
-                    let mut scratch = SimScratch::new();
-                    let mut out = Vec::new();
-                    let mut events: Vec<JournalEvent> = Vec::new();
-                    let mut slow: Vec<(String, f64, u64)> = Vec::new();
-                    let mut done = 0u64;
-                    let mut cache_hits = 0u64;
-                    let shard_total = ((specs.len() - t).div_ceil(threads)) as u64;
-                    let mut i = t;
-                    while i < specs.len() {
-                        let spans_before = worker_rec.spans().len();
-                        let t0 = journaling.then(Instant::now);
-                        let res = measure_one_instrumented(
-                            &specs[i],
-                            &defs[specs[i].kernel_index],
-                            opts_ref,
-                            &mut worker_rec,
-                            &mut scratch,
-                        );
-                        done += 1;
-                        if let Some(t0) = t0 {
-                            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                            let new_spans = &worker_rec.spans()[spans_before..];
-                            if new_spans.iter().any(|s| s.cat == "cache") {
-                                cache_hits += 1;
-                            }
-                            let cycles = res.as_ref().map_or(0, |r| r.cycles[0]);
-                            let sample = res.as_ref().map_or_else(
-                                |_| defs[specs[i].kernel_index].name.to_string(),
-                                |r| r.id.clone(),
-                            );
-                            slow.push((sample, wall_ms, cycles));
-                            if slow.len() > PIPELINE_SLOW_PER_SHARD {
-                                slow.sort_by(|a, b| {
-                                    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                                });
-                                slow.truncate(PIPELINE_SLOW_PER_SHARD);
-                            }
-                            if done.is_multiple_of(PIPELINE_HEARTBEAT_EVERY) || done == shard_total
-                            {
-                                let elapsed_ms = progress.elapsed_ms();
-                                let elapsed_s = elapsed_ms as f64 / 1e3;
-                                events.push(JournalEvent::Heartbeat {
-                                    shard: t as u64,
-                                    done,
-                                    assigned: shard_total,
-                                    elapsed_ms,
-                                    kernels_per_s: if elapsed_s > 0.0 {
-                                        done as f64 / elapsed_s
-                                    } else {
-                                        0.0
-                                    },
-                                    cache_hits,
-                                    cache_misses: if caching { done - cache_hits } else { 0 },
-                                });
-                            }
-                        }
-                        out.push((i, res));
-                        progress.record(t);
-                        i += threads;
-                    }
-                    slow.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.0.cmp(&b.0))
-                    });
-                    for (sample, wall_ms, cycles) in slow {
-                        events.push(JournalEvent::SlowKernel {
-                            sample,
-                            wall_ms,
-                            cycles,
-                        });
-                    }
-                    (out, events, worker_rec)
-                }));
+        let (statics, profiles) = stage("measure", rec, &mut journal, |rec, journal, span| {
+            // Each kernel is built here (an invalid one fails the build
+            // before any simulation) and again by the worker measuring it:
+            // holding all of them through the sweep costs ~2 KiB of peak
+            // memory per sample.
+            let build = |spec: &SampleSpec| {
+                let def = &defs[spec.kernel_index];
+                def.build(&spec.params())
+                    .map_err(|source| BuildDatasetError::Kernel {
+                        sample: format!(
+                            "{}/{}/{}/{}",
+                            def.suite, def.name, spec.dtype, spec.payload_bytes
+                        ),
+                        source,
+                    })
+            };
+            let statics = specs
+                .iter()
+                .map(|spec| build(spec).map(|k| (k.sample_id(), static_feature_vector(&k))))
+                .collect::<Result<Vec<_>, _>>()?;
+            let threads = pulp_ml::resolve_threads(opts.threads, specs.len());
+            rec.annotate(span, "threads", threads);
+            let ctx = MeasureContext {
+                config: &opts.config,
+                model: &opts.model,
+                max_cycles: opts.max_cycles,
+                cache: opts.cache.as_deref(),
+            };
+            let fallback_logger = Logger::new(LogFormat::Text);
+            let sweep_obs = BuildObserver {
+                journal: journal.as_deref_mut(),
+                logger: opts.progress.then(|| logger.unwrap_or(&fallback_logger)),
+            };
+            let kernel = |i| build(&specs[i]).expect("every kernel built once already");
+            let profiles = sweep_kernels(specs.len(), kernel, &ctx, threads, rec, sweep_obs);
+            rec.counter("pipeline/samples", specs.len() as f64);
+            if let Some(cache) = &opts.cache {
+                cache.record(rec);
+                let stats = cache.stats();
+                journal_event(
+                    journal,
+                    JournalEvent::Cache {
+                        hits: stats.hits,
+                        misses: stats.misses,
+                        invalidations: stats.invalidations,
+                    },
+                );
             }
-            let monitor = progress_logger.map(|log| {
-                let progress = &progress;
-                let assigned = &assigned;
-                scope.spawn(move || {
-                    let mut last = u64::MAX;
-                    loop {
-                        let snap = progress.snapshot();
-                        if snap.done() != last {
-                            last = snap.done();
-                            log.info(
-                                "sweep",
-                                &format!("measured {}/{}", snap.done(), snap.total),
-                                &snap.progress_fields(assigned),
-                            );
-                        }
-                        if snap.done() >= snap.total {
-                            break;
-                        }
-                        // Parked, not slept: the join path unparks us as soon
-                        // as the last worker finishes, so short builds never
-                        // pay a full monitor tick of extra wall time.
-                        std::thread::park_timeout(std::time::Duration::from_millis(200));
+            let profiles = profiles
+                .into_iter()
+                .zip(&statics)
+                .map(|(measured, (sample, _))| {
+                    measured.map_err(|source| BuildDatasetError::Measure {
+                        sample: sample.clone(),
+                        source,
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok::<_, BuildDatasetError>((statics, profiles))
+        })?;
+
+        Ok(stage("assemble", rec, &mut journal, |_, _, _| {
+            let samples = specs
+                .iter()
+                .zip(statics.into_iter().zip(profiles))
+                .map(|(spec, ((id, static_x), profile))| {
+                    let def = &defs[spec.kernel_index];
+                    SampleRecord {
+                        id,
+                        kernel: def.name.to_string(),
+                        suite: def.suite,
+                        dtype: spec.dtype,
+                        payload_bytes: spec.payload_bytes,
+                        label: profile.label(),
+                        energy: profile.energy.to_vec(),
+                        cycles: profile.cycles.to_vec(),
+                        static_x,
+                        dynamic_x: dynamic_feature_vector(&profile),
                     }
                 })
-            });
-            for h in handles {
-                let (results, events, worker_rec) = h.join().expect("worker panicked");
-                rec.merge(worker_rec);
-                shard_events.push(events);
-                for (i, res) in results {
-                    match res {
-                        Ok(record) => samples[i] = Some(record),
-                        Err(e) => {
-                            if first_error.is_none() {
-                                first_error = Some(e);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(m) = &monitor {
-                m.thread().unpark();
-            }
-        });
-        rec.counter("pipeline/samples", progress.snapshot().done() as f64);
-        if let Some(j) = &mut journal {
-            // Deterministic merge: shard 0's buffer first, then shard 1's.
-            if let Err(e) = j.events(shard_events.into_iter().flatten()) {
-                eprintln!("[pipeline] warning: journal write failed: {e}");
-            }
-        }
-        if let Some(cache) = &opts.cache {
-            cache.record(rec);
-            let stats = cache.stats();
-            stage_guard(
-                &mut journal,
-                JournalEvent::Cache {
-                    hits: stats.hits,
-                    misses: stats.misses,
-                    invalidations: stats.invalidations,
-                },
-            );
-        }
-        rec.end(measure);
-        stage_guard(
-            &mut journal,
-            JournalEvent::StageEnd {
-                stage: "measure".into(),
-                wall_ms: stage_t0.elapsed().as_secs_f64() * 1e3,
-            },
-        );
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let stage_t0 = Instant::now();
-        stage_guard(
-            &mut journal,
-            JournalEvent::StageStart {
-                stage: "assemble".into(),
-            },
-        );
-        let assemble = rec.start_cat("assemble", "stage");
-        let out = Self {
-            samples: samples
-                .into_iter()
-                .map(|s| s.expect("all filled"))
-                .collect(),
-        };
-        rec.end(assemble);
-        stage_guard(
-            &mut journal,
-            JournalEvent::StageEnd {
-                stage: "assemble".into(),
-                wall_ms: stage_t0.elapsed().as_secs_f64() * 1e3,
-            },
-        );
-        Ok(out)
+                .collect();
+            Self { samples }
+        }))
     }
 
     /// Number of samples.
@@ -579,68 +371,37 @@ impl LabeledDataset {
     }
 }
 
-fn measure_one_instrumented(
-    spec: &SampleSpec,
-    def: &KernelDef,
-    opts: &PipelineOptions,
+/// Runs `body` as pipeline stage `name`: a `stage` span in `rec` (handed
+/// to `body` for annotations) and a start/end pair in the journal around
+/// it.
+fn stage<T>(
+    name: &str,
     rec: &mut Recorder,
-    scratch: &mut SimScratch,
-) -> Result<SampleRecord, BuildDatasetError> {
-    let params = spec.params();
-    let kernel = def
-        .build(&params)
-        .map_err(|source| BuildDatasetError::Kernel {
-            sample: format!(
-                "{}/{}/{}/{}",
-                def.suite, def.name, spec.dtype, spec.payload_bytes
-            ),
-            source,
-        })?;
-    let span = rec.start_cat(&kernel.sample_id(), "sample");
-    let measured = match &opts.cache {
-        Some(cache) => measure_kernel_cached_scratch(
-            &kernel,
-            &opts.config,
-            &opts.model,
-            opts.max_cycles,
-            cache,
-            rec,
-            scratch,
-        ),
-        None => measure_kernel_instrumented_scratch(
-            &kernel,
-            &opts.config,
-            &opts.model,
-            opts.max_cycles,
-            rec,
-            scratch,
-        ),
-    };
-    let profile = match measured {
-        Ok(p) => p,
-        Err(source) => {
-            rec.annotate(span, "error", &source);
-            rec.end(span);
-            return Err(BuildDatasetError::Measure {
-                sample: kernel.sample_id(),
-                source,
-            });
-        }
-    };
-    rec.annotate(span, "label", profile.label() + 1);
+    journal: &mut Option<&mut JournalWriter>,
+    body: impl FnOnce(&mut Recorder, &mut Option<&mut JournalWriter>, SpanId) -> T,
+) -> T {
+    let t0 = Instant::now();
+    journal_event(journal, JournalEvent::StageStart { stage: name.into() });
+    let span = rec.start_cat(name, "stage");
+    let out = body(rec, journal, span);
     rec.end(span);
-    Ok(SampleRecord {
-        id: kernel.sample_id(),
-        kernel: def.name.to_string(),
-        suite: def.suite,
-        dtype: spec.dtype,
-        payload_bytes: spec.payload_bytes,
-        label: profile.label(),
-        energy: profile.energy.to_vec(),
-        cycles: profile.cycles.to_vec(),
-        static_x: static_feature_vector(&kernel),
-        dynamic_x: dynamic_feature_vector(&profile),
-    })
+    journal_event(
+        journal,
+        JournalEvent::StageEnd {
+            stage: name.into(),
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        },
+    );
+    out
+}
+
+/// Appends `ev` to the journal, if any; a failed write only warns.
+fn journal_event(journal: &mut Option<&mut JournalWriter>, ev: JournalEvent) {
+    if let Some(j) = journal {
+        if let Err(e) = j.event(ev) {
+            eprintln!("[pipeline] warning: journal write failed: {e}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -706,6 +467,23 @@ mod tests {
         opts.threads = 4;
         let d4 = LabeledDataset::build(&opts).expect("build");
         assert_eq!(d1, d4);
+    }
+
+    #[test]
+    fn build_error_names_the_first_failing_sample_at_any_thread_count() {
+        // At this budget several samples overrun; the error must name the
+        // first in enumeration order, not the first worker to be joined.
+        let mut opts = PipelineOptions::quick(&["vec_scale", "bank_hammer"]);
+        opts.max_cycles = 1982;
+        for threads in 1..=4 {
+            opts.threads = threads;
+            match LabeledDataset::build(&opts) {
+                Err(BuildDatasetError::Measure { sample, .. }) => {
+                    assert_eq!(sample, "utdsp/vec_scale/i32/2048", "at {threads} threads");
+                }
+                other => panic!("expected a measure error at {threads} threads, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -797,7 +575,8 @@ mod tests {
         let warm_cache = Arc::new(SweepCache::new(&dir).expect("cache"));
         opts.cache = Some(Arc::clone(&warm_cache));
         let mut rec = pulp_obs::Recorder::new();
-        let warm = LabeledDataset::build_instrumented(&opts, &mut rec).expect("warm build");
+        let warm = LabeledDataset::build_observed(&opts, &mut rec, BuildObserver::default())
+            .expect("warm build");
 
         assert_eq!(cold, warm, "warm-cache build must be bit-identical");
         let stats = warm_cache.stats();

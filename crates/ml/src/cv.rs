@@ -8,7 +8,6 @@
 //! predictions are bit-identical at any thread count.
 
 use crate::dataset::Dataset;
-use pulp_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -121,7 +120,7 @@ pub fn cross_val_predict<C: Classifier>(
 
 /// Picks the worker count for `jobs` independent jobs: `0` means all
 /// available cores, and the result never exceeds the job count.
-fn resolve_threads(requested: usize, jobs: usize) -> usize {
+pub fn resolve_threads(requested: usize, jobs: usize) -> usize {
     let t = if requested == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -145,114 +144,56 @@ pub fn repeated_cross_val_predict<C: Classifier>(
     threads: usize,
     make: impl Fn(u64) -> C + Sync,
 ) -> Vec<Vec<usize>> {
-    let mut rec = Recorder::new();
-    repeated_cross_val_predict_instrumented(data, k, repeats, base_seed, threads, &mut rec, make)
-}
-
-/// [`repeated_cross_val_predict`] with stage telemetry: one `cv rep N`
-/// span per repetition (annotated with its seed), recorded into private
-/// per-worker [`Recorder`]s that are merged — one track per worker — after
-/// the pool joins, plus a final `cv/repetitions` counter.
-pub fn repeated_cross_val_predict_instrumented<C: Classifier>(
-    data: &Dataset,
-    k: usize,
-    repeats: usize,
-    base_seed: u64,
-    threads: usize,
-    rec: &mut Recorder,
-    make: impl Fn(u64) -> C + Sync,
-) -> Vec<Vec<usize>> {
-    if repeats == 0 {
-        return Vec::new();
-    }
-    let threads = resolve_threads(threads, repeats);
-    let run_rep = |r: usize, worker_rec: &mut Recorder| {
+    let rep = |(): &mut (), r: usize| {
         let seed = base_seed + r as u64;
-        let span = worker_rec.start_cat(&format!("cv rep {r}"), "cv");
-        worker_rec.annotate(span, "seed", seed);
-        let preds = cross_val_predict(data, k, seed, || make(seed));
-        worker_rec.end(span);
-        preds
+        cross_val_predict(data, k, seed, || make(seed))
     };
-    let mut out: Vec<Option<Vec<usize>>> = vec![None; repeats];
-    if threads == 1 {
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = Some(run_rep(r, rec));
-        }
-    } else {
-        let run_rep = &run_rep;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                handles.push(scope.spawn(move || {
-                    let mut worker_rec = Recorder::new();
-                    let mut results = Vec::new();
-                    let mut r = t;
-                    while r < repeats {
-                        results.push((r, run_rep(r, &mut worker_rec)));
-                        r += threads;
-                    }
-                    (results, worker_rec)
-                }));
-            }
-            for h in handles {
-                let (results, worker_rec) = h.join().expect("CV worker panicked");
-                rec.merge(worker_rec);
-                for (r, preds) in results {
-                    out[r] = Some(preds);
-                }
-            }
-        });
-    }
-    rec.counter("cv/repetitions", repeats as f64);
-    out.into_iter()
-        .map(|p| p.expect("all repetitions filled"))
-        .collect()
+    parallel_seeds(repeats, threads, |_| (), rep).0
 }
 
 /// Fans `n` independent seeded jobs out over `threads` workers (`0` = all
-/// cores), returning `f(0), f(1), ..., f(n - 1)` in index order.
+/// cores, clamped to `1..=n`) and returns `f(state, 0), ..., f(state, n - 1)`
+/// in index order, plus every worker's final state in worker order.
 ///
-/// The same round-robin scoped-pool pattern [`repeated_cross_val_predict`]
-/// uses, exposed for experiment loops (e.g. the learning-curve harness)
-/// whose per-seed work does not fit the [`Classifier`] shape. `f` must
-/// derive all randomness from its index argument to stay deterministic
-/// across thread counts.
-pub fn parallel_seeds<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// Worker `t` starts from `init(t)` and claims indices by round-robin
+/// striding (`t, t + threads, ...`); its state carries whatever it
+/// accumulates across its jobs (a simulator scratch, a private recorder,
+/// journal buffers). At one thread the jobs run inline on the caller's
+/// thread. `f` must derive all randomness from its index argument to stay
+/// deterministic across thread counts. This is the one worker pool of the
+/// workspace: [`repeated_cross_val_predict`], the labelling sweep driver
+/// and the learning-curve harness all run on it.
+pub fn parallel_seeds<S: Send, T: Send>(
+    n: usize,
+    threads: usize,
+    init: impl Fn(usize) -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> (Vec<T>, Vec<S>) {
     let threads = resolve_threads(threads, n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    if threads == 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
+    let worker = |t: usize| {
+        let mut state = init(t);
+        let results: Vec<T> = (t..n).step_by(threads).map(|i| f(&mut state, i)).collect();
+        (results.into_iter(), state)
+    };
+    let mut shards: Vec<_> = if threads == 1 {
+        vec![worker(0)]
     } else {
-        let f = &f;
+        let worker = &worker;
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                handles.push(scope.spawn(move || {
-                    let mut results = Vec::new();
-                    let mut i = t;
-                    while i < n {
-                        results.push((i, f(i)));
-                        i += threads;
-                    }
-                    results
-                }));
-            }
-            for h in handles {
-                for (i, v) in h.join().expect("seed worker panicked") {
-                    out[i] = Some(v);
-                }
-            }
-        });
-    }
-    out.into_iter()
-        .map(|v| v.expect("all jobs filled"))
-        .collect()
+            let handles: Vec<_> = (0..threads)
+                .map(|t| scope.spawn(move || worker(t)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("seed worker panicked"))
+                .collect()
+        })
+    };
+    // Job `i` was the `i / threads`-th result of worker `i % threads`.
+    let out = (0..n)
+        .map(|i| shards[i % threads].0.next().expect("all jobs filled"))
+        .collect();
+    (out, shards.into_iter().map(|(_, state)| state).collect())
 }
 
 #[cfg(test)]
@@ -454,26 +395,46 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_cv_records_one_span_per_repetition() {
-        let features: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
-        let labels: Vec<usize> = (0..30).map(|i| i % 2).collect();
-        let data = Dataset::new(features, labels, vec!["x".into()], 2).expect("dataset");
-        let mut rec = Recorder::new();
-        let reps = repeated_cross_val_predict_instrumented(&data, 3, 6, 0, 2, &mut rec, |_| {
-            DecisionTree::new(TreeParams::default())
-        });
-        assert_eq!(reps.len(), 6);
-        let cv_spans = rec.spans().iter().filter(|s| s.cat == "cv").count();
-        assert_eq!(cv_spans, 6);
-        let last = rec.counters()["cv/repetitions"].last().expect("counter");
-        assert_eq!(last.value, 6.0);
-    }
-
-    #[test]
     fn parallel_seeds_preserves_index_order() {
-        let out = parallel_seeds(17, 4, |i| i * i);
-        assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(parallel_seeds(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_seeds(3, 0, |i| i), vec![0, 1, 2]);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // (jobs, requested threads, expected workers)
+        let table = [
+            (17, 4, 4),
+            (5, 0, cores.min(5)),
+            (5, 1, 1),
+            (5, 3, 3),
+            (12, 8, 8),
+            (3, 8, 3),
+            (0, 4, 1),
+        ];
+        for (n, threads, workers) in table {
+            let (out, states) = parallel_seeds(
+                n,
+                threads,
+                |t| (t, Vec::new()),
+                |(_, seen): &mut (usize, Vec<usize>), i| {
+                    seen.push(i);
+                    i * i
+                },
+            );
+            let case = format!("n = {n}, threads = {threads}");
+            assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>(), "{case}");
+            assert_eq!(states.len(), workers, "{case}");
+            let mut visited: Vec<usize> = Vec::new();
+            for (w, (t, seen)) in states.iter().enumerate() {
+                assert_eq!(*t, w, "states come back in worker order ({case})");
+                assert!(
+                    seen.iter().all(|i| i % workers == w),
+                    "worker {w} strides round-robin ({case})"
+                );
+                visited.extend(seen);
+            }
+            visited.sort_unstable();
+            assert_eq!(
+                visited,
+                (0..n).collect::<Vec<_>>(),
+                "each index once ({case})"
+            );
+        }
     }
 }

@@ -46,8 +46,8 @@ pub mod split;
 pub mod tree;
 
 pub use cv::{
-    cross_val_predict, parallel_seeds, repeated_cross_val_predict,
-    repeated_cross_val_predict_instrumented, stratified_folds, Classifier,
+    cross_val_predict, parallel_seeds, repeated_cross_val_predict, resolve_threads,
+    stratified_folds, Classifier,
 };
 pub use dataset::{Dataset, DatasetError};
 pub use flat::{FlatModel, MAX_SCALE_BITS};

@@ -149,7 +149,7 @@ const SLOW_TABLE_CAP: usize = 64;
 /// trace in O(1) and contention is spread across stripes. A global atomic
 /// sequence totals completions and lets [`FlightRecorder::recent`] merge
 /// stripes back into completion order. A separate bounded table keeps the
-/// worst [`SLOW_TABLE_CAP`] traces by total duration since start.
+/// worst `SLOW_TABLE_CAP` traces by total duration since start.
 #[derive(Debug)]
 pub struct FlightRecorder {
     stripes: Vec<Mutex<VecDeque<Arc<RequestTrace>>>>,
@@ -186,7 +186,7 @@ impl FlightRecorder {
         self.stripe_cap * self.stripes.len()
     }
 
-    /// Maximum traces the slow table retains ([`SLOW_TABLE_CAP`]) — the
+    /// Maximum traces the slow table retains (`SLOW_TABLE_CAP`) — the
     /// upper bound for `/debug/slow?n=` requests.
     pub fn slow_capacity(&self) -> usize {
         SLOW_TABLE_CAP

@@ -2,7 +2,7 @@
 //! histograms with deterministic text-format exposition.
 //!
 //! [`MetricsRegistry`] is the *online* counterpart of the offline
-//! [`Recorder`](crate::Recorder): where the recorder keeps every span for
+//! [`crate::Recorder`]: where the recorder keeps every span for
 //! post-hoc trace inspection, the registry keeps only aggregates — a
 //! monotonic [`counter`](MetricsRegistry::counter_add), a last-write-wins
 //! [`gauge`](MetricsRegistry::gauge_set) and a fixed-bucket

@@ -141,7 +141,7 @@ pub struct SimOptions {
     /// perturb throughput runs, so benchmarks take a separate instrumented
     /// run for the split. To keep the observer effect out of the measured
     /// split itself, timing is *sampled*: one in
-    /// [`TIMING_SAMPLE_PERIOD`] scan/step events is clocked (the first
+    /// `TIMING_SAMPLE_PERIOD` scan/step events is clocked (the first
     /// always is) and the totals are scaled up by the event count at the
     /// end, so short runs still report a non-zero split while long runs pay
     /// two clock reads per 32 events instead of per iteration.

@@ -12,7 +12,7 @@
 //!    pipeline spans into a valid, deterministic text exposition.
 
 use kernel_ir::lower;
-use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
+use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy_model::stats_from_trace;
 use pulp_obs::{chrome_trace, validate_chrome_trace, Recorder};
 use pulp_sim::{
@@ -81,12 +81,16 @@ fn listener_replay_reproduces_fast_path_stall_causes() {
     }
 }
 
+/// The four-sample `vec_scale` dataset, built with telemetry into `rec`.
+fn build_vec_scale(rec: &mut Recorder) -> LabeledDataset {
+    let opts = PipelineOptions::quick(&["vec_scale"]);
+    LabeledDataset::build_observed(&opts, rec, BuildObserver::default()).expect("build")
+}
+
 #[test]
 fn pipeline_chrome_trace_round_trips_with_nesting_and_monotonic_time() {
     let mut rec = Recorder::new();
-    let data =
-        LabeledDataset::build_instrumented(&PipelineOptions::quick(&["vec_scale"]), &mut rec)
-            .expect("build");
+    let data = build_vec_scale(&mut rec);
     assert_eq!(data.len(), 4);
 
     // Per-sample spans nest the per-team simulate spans.
@@ -153,10 +157,10 @@ fn pipeline_chrome_trace_round_trips_with_nesting_and_monotonic_time() {
 fn pipeline_metrics_render_a_valid_prometheus_exposition() {
     use pulp_obs::{validate_exposition, MetricsRegistry};
 
+    let mut rec = Recorder::new();
+    let data = build_vec_scale(&mut rec);
     let mut metrics = MetricsRegistry::new();
-    let data =
-        LabeledDataset::build_with_metrics(&PipelineOptions::quick(&["vec_scale"]), &mut metrics)
-            .expect("build");
+    metrics.observe_recorder("pulp_pipeline", &rec);
     assert_eq!(data.len(), 4);
 
     let text = metrics.render();

@@ -10,10 +10,12 @@
 //!    request counters move in exact lockstep with the requests we issue.
 
 use pulp_bench::serve::{check_exposition, ServeOptions, ServeState, Server, ShutdownHandle};
-use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
+use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy::{static_feature_vector, EnergyPredictor, StaticFeatureSet};
 use pulp_ml::TreeParams;
-use pulp_obs::{validate_chrome_trace, validate_exposition, LogFormat, Logger, MetricsRegistry};
+use pulp_obs::{
+    validate_chrome_trace, validate_exposition, LogFormat, Logger, MetricsRegistry, Recorder,
+};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -27,9 +29,7 @@ fn fixture() -> &'static (PipelineOptions, LabeledDataset) {
     static DATA: OnceLock<(PipelineOptions, LabeledDataset)> = OnceLock::new();
     DATA.get_or_init(|| {
         let opts = PipelineOptions::quick(&["vec_scale", "fpu_storm"]);
-        let mut metrics = MetricsRegistry::new();
-        let data =
-            LabeledDataset::build_with_metrics(&opts, &mut metrics).expect("quick dataset builds");
+        let data = LabeledDataset::build(&opts).expect("quick dataset builds");
         (opts, data)
     })
 }
@@ -150,9 +150,11 @@ fn serve_round_trip_matches_offline_pipeline_and_counts_requests() {
     // One shared quick dataset: the server trains from it and the offline
     // reference predictor trains on the identical inputs.
     let opts = PipelineOptions::quick(&["vec_scale", "fpu_storm"]);
+    let mut rec = Recorder::new();
+    let data = LabeledDataset::build_observed(&opts, &mut rec, BuildObserver::default())
+        .expect("quick dataset builds");
     let mut metrics = MetricsRegistry::new();
-    let data =
-        LabeledDataset::build_with_metrics(&opts, &mut metrics).expect("quick dataset builds");
+    metrics.observe_recorder("pulp_pipeline", &rec);
     let offline = EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default())
         .expect("offline predictor trains");
     let state = Arc::new(ServeState::from_parts(
