@@ -6,16 +6,16 @@
 //! pulp_cli features <kernel> [--dtype d] [--size n]   # static features
 //! pulp_cli disasm   <kernel> [--team t] [...]         # lowered program
 //! pulp_cli measure  <kernel> [...]                    # energy at 1..=8 cores
-//! pulp_cli classify <kernel> [...]                    # train + predict
+//! pulp_cli classify <kernel> [--quick] [...]          # train + predict
 //! pulp_cli mca      <kernel> [...]                    # LLVM-MCA-style report
 //! pulp_cli profile  <kernel> [...]                    # stall causes + energy, 1..=8 cores
 //! pulp_cli trace    <kernel> [--team t] [...]         # GVSOC-style trace
 //! pulp_cli trace    <kernel> --chrome out.json [...]  # Chrome trace-event JSON
 //! pulp_cli repro                                  # list the paper's experiments
 //! pulp_cli repro    <name> [--quick] [--json PATH]    # regenerate one table/figure
-//! pulp_cli cache    stats --cache-dir DIR             # sweep-cache usage
-//! pulp_cli cache    clear --cache-dir DIR             # delete cached sweeps
-//! pulp_cli serve    [--addr HOST:PORT] [--full]       # HTTP prediction service
+//! pulp_cli cache    stats [--cache-dir DIR]           # sweep-cache usage
+//! pulp_cli cache    clear [--cache-dir DIR]           # delete cached sweeps
+//! pulp_cli serve    [--addr HOST:PORT] [--quick]      # HTTP prediction service
 //! pulp_cli bench    diff OLD.json NEW.json            # regression gate over two BENCH_*.json records
 //! pulp_cli bench    sim [--quick] [--out PATH]        # simulator perf benchmark
 //! pulp_cli bench    serve [--quick] [--out PATH]      # serving-layer load benchmark
@@ -30,6 +30,13 @@
 //! Defaults: `--dtype f32` (or the kernel's only supported type),
 //! `--size 2048`, `--team 4`, `--addr 127.0.0.1:7878`,
 //! `--max-cycles 100000000` for profile/trace runs.
+//!
+//! Every command that reads the labelled dataset (`repro`, `classify`,
+//! `serve`, `bench models`) takes its options from
+//! [`Args::pipeline_options`]: the full 448-sample dataset, or the reduced
+//! one under `--quick`, simulated through the sweep cache at
+//! `--cache-dir` (default: `pulp-sweep-cache` in the cargo target
+//! directory). `cache stats|clear` act on the same directory.
 //!
 //! `repro <name>` runs one entry of the experiment registry
 //! ([`pulp_bench::repro`]): the paper's Table I, dataset statistics,
@@ -95,16 +102,15 @@ use pulp_bench::cli::USAGE;
 use pulp_bench::serve::{install_signal_shutdown, ServeOptions, ServeState, Server};
 use pulp_bench::{
     profile_run, recorder_of_run, repro, run_models_bench, run_serve_bench, Args, BenchRecord,
-    ServeBenchOptions, SimBenchOptions, QUICK_KERNELS,
+    ServeBenchOptions, SimBenchOptions,
 };
 use pulp_energy::{
-    default_cache_version, measure_kernel,
-    pipeline::{LabeledDataset, PipelineOptions},
-    static_feature_names, static_feature_vector, StaticFeatureSet, SweepCache,
+    default_cache_version, measure_kernel, static_feature_names, static_feature_vector,
+    EnergyPredictor, StaticFeatureSet, SweepCache,
 };
 use pulp_energy_model::{energy_waterfall, EnergyModel};
 use pulp_kernels::{registry, KernelDef, KernelParams};
-use pulp_ml::{DecisionTree, TreeParams};
+use pulp_ml::TreeParams;
 use pulp_sim::{simulate_traced, ClusterConfig, TextSink};
 use std::path::Path;
 use std::process::ExitCode;
@@ -384,28 +390,11 @@ fn serve_options(args: &Args) -> ServeOptions {
 
 fn cmd_serve(args: &Args) -> ExitCode {
     let log = args.logger();
-    let mut opts = if args.full {
-        PipelineOptions::default()
-    } else {
-        PipelineOptions::quick(QUICK_KERNELS)
-    };
-    if let Some(dir) = &args.cache_dir {
-        match SweepCache::new(dir) {
-            Ok(cache) => opts.cache = Some(Arc::new(cache)),
-            Err(e) => log.warn(
-                "serve",
-                "cannot open cache dir; continuing uncached",
-                &[("dir", dir.display().to_string()), ("error", e.to_string())],
-            ),
-        }
-    }
+    let opts = args.pipeline_options();
     log.info(
         "serve",
         "training model (this simulates the training sweep unless cached)...",
-        &[(
-            "profile",
-            if args.full { "full" } else { "quick" }.to_string(),
-        )],
+        &[("profile", profile_name(args).to_string())],
     );
     let serve_opts = serve_options(args);
     // The request-path logger moves into the server state: slow-request
@@ -508,6 +497,15 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     verdict("serve", "all invariants hold", run.verify())
 }
 
+/// `quick` or `full`: the dataset profile `--quick` selects.
+fn profile_name(args: &Args) -> &'static str {
+    if args.quick {
+        "quick"
+    } else {
+        "full"
+    }
+}
+
 /// Runs the model-zoo evaluation benchmark and writes `BENCH_models.json`
 /// (or `--out PATH`). Builds (or loads) the dataset with the usual
 /// pipeline caches, evaluates every zoo model under the repeated-CV
@@ -519,7 +517,7 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
     let protocol = args.protocol();
     eprintln!(
         "bench models: {} run ({} folds x {} repeats, cv-threads {})...",
-        if args.quick { "quick" } else { "full" },
+        profile_name(args),
         protocol.folds,
         protocol.repeats,
         if protocol.cv_threads == 0 {
@@ -529,7 +527,13 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
         }
     );
     let mut journal = args.journal_writer("bench_models", &opts, Some(&protocol));
-    let data = pulp_bench::load_or_build_dataset(&opts, args, journal.as_mut());
+    let data = match pulp_bench::load_or_build_dataset(&opts, args, journal.as_mut()) {
+        Ok(data) => data,
+        Err(e) => {
+            eprintln!("bench models: dataset build failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut report = run_models_bench(&data, &protocol, args.quick);
     let manifest = args.write_manifest("bench_models", &opts, Some(&protocol), start);
     report.manifest_hash = manifest.manifest_hash();
@@ -686,33 +690,28 @@ fn main() -> ExitCode {
                 Ok(k) => k,
                 Err(code) => return code,
             };
-            eprintln!("training on the quick kernel set...");
-            let data = match LabeledDataset::build(&PipelineOptions::quick(QUICK_KERNELS)) {
-                Ok(d) => d,
+            eprintln!("training on the {} kernel set...", profile_name(&args));
+            let opts = args.pipeline_options();
+            let trained = pulp_bench::load_or_build_dataset(&opts, &args, None)
+                .map_err(|e| format!("training-set build failed: {e}"))
+                .and_then(|data| {
+                    EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default())
+                        .map_err(|e| format!("training failed: {e}"))
+                });
+            let predictor = match trained {
+                Ok(p) => p,
                 Err(e) => {
-                    eprintln!("training-set build failed: {e}");
+                    eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let ds = match data.static_dataset(StaticFeatureSet::All) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("dataset assembly failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut tree = DecisionTree::new(TreeParams::default());
-            tree.fit(&ds);
-            let predicted = tree.predict(&static_feature_vector(&kernel));
-            println!(
-                "predicted minimum-energy configuration: {} cores",
-                predicted + 1
-            );
+            let cores = predictor.predict_cores(&kernel);
+            println!("predicted minimum-energy configuration: {cores} cores");
             if let Ok(profile) = measure_kernel(&kernel, &config, &EnergyModel::table1()) {
                 println!(
                     "simulated ground truth: {} cores (waste of prediction: {:.2}%)",
                     profile.label() + 1,
-                    profile.waste(predicted) * 100.0
+                    profile.waste(cores - 1) * 100.0
                 );
             }
             ExitCode::SUCCESS
@@ -844,12 +843,9 @@ fn main() -> ExitCode {
             let [action] = args.operands.as_slice() else {
                 return usage();
             };
-            let Some(dir) = args.cache_dir.as_deref() else {
-                eprintln!("cache {action}: --cache-dir DIR is required");
-                return ExitCode::FAILURE;
-            };
+            let dir = args.sweep_cache_dir();
             match action.as_str() {
-                "stats" => match SweepCache::dir_stats(dir) {
+                "stats" => match SweepCache::dir_stats(&dir) {
                     Ok(stats) => {
                         println!("cache dir : {}", dir.display());
                         println!("version   : {}", default_cache_version());
@@ -862,7 +858,7 @@ fn main() -> ExitCode {
                         ExitCode::FAILURE
                     }
                 },
-                "clear" => match SweepCache::clear(dir) {
+                "clear" => match SweepCache::clear(&dir) {
                     Ok(removed) => {
                         println!("removed {removed} cached sweep(s) from {}", dir.display());
                         ExitCode::SUCCESS
@@ -1042,12 +1038,14 @@ mod tests {
     fn serve_and_bench_subcommands_parse() {
         check_parses(vec![
             (
-                "serve --addr 0.0.0.0:9000 --full",
+                "serve --addr 0.0.0.0:9000 --quick",
                 parsed("serve", |a| {
                     a.addr = Some("0.0.0.0:9000".into());
-                    a.full = true;
+                    a.quick = true;
                 }),
             ),
+            // One dataset flag for every command: `--quick`.
+            ("serve --full", Err("unknown flag `--full`")),
             (
                 "bench diff old.json new.json",
                 parsed("bench diff old.json new.json", |_| {}),
@@ -1256,6 +1254,9 @@ mod tests {
                 parsed("cache stats", |a| a.cache_dir = Some("/tmp/sweeps".into())),
             ),
             ("cache clear --cache-dir", Err("--cache-dir")),
+            // Without `--cache-dir` both actions use the default sweep
+            // cache, the one every dataset-reading command opens.
+            ("cache stats", parsed("cache stats", |_| {})),
         ]);
     }
 

@@ -10,7 +10,7 @@ use kernel_ir::DType;
 use pulp_energy::pipeline::PipelineOptions;
 use pulp_energy::{Protocol, RunManifest, SweepCache};
 use pulp_obs::{JournalWriter, LogFormat, Logger};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,8 +20,8 @@ pub const USAGE: &str =
     "usage: pulp_cli <list|pretty|features|disasm|measure|classify|mca|profile|trace> \
 [kernel] [--dtype i32|f32] [--size BYTES] [--team N] [--chrome OUT.json] [--max-cycles N]
    or: pulp_cli repro [NAME] [experiment options]      (no NAME: list the experiments)
-   or: pulp_cli cache <stats|clear> --cache-dir DIR
-   or: pulp_cli serve [--addr HOST:PORT] [--full] [--cache-dir DIR] [--workers N]
+   or: pulp_cli cache <stats|clear> [--cache-dir DIR]
+   or: pulp_cli serve [--addr HOST:PORT] [--quick] [--cache-dir DIR] [--workers N]
           [--queue-depth N] [--timeout-ms N] [--max-body-bytes N] [--keepalive-max N]
           [--slow-ms N] [--flight-capacity N] [--retry-after-secs N] [--log-json]
    or: pulp_cli bench diff OLD.json NEW.json
@@ -34,13 +34,13 @@ pub const USAGE: &str =
    or: pulp_cli report RUN.jsonl
    or: pulp_cli journal validate RUN.jsonl [RUN2.jsonl ...]
 
-experiment options (repro, bench models):
+experiment options (repro, bench models; classify and serve read the dataset ones):
   --quick             reduced dataset + reduced CV protocol
   --json <path>       dump the machine-readable record to <path>
   --out <path>        bench record path (repro headline: BENCH_headline.json)
   --threads <n>       simulation worker threads (0 = all cores)
   --cv-threads <n>    cross-validation worker threads (0 = all cores)
-  --cache-dir <dir>   content-addressed sweep cache directory
+  --cache-dir <dir>   sweep cache directory (default: <target dir>/pulp-sweep-cache)
   --progress          per-sample progress lines on stderr
   --quiet             suppress informational stderr chatter
   --log-json          JSON-lines structured logs on stderr (default: text)
@@ -69,8 +69,6 @@ pub struct Args {
     pub chrome: Option<PathBuf>,
     /// Reduced dataset + protocol (`--quick`).
     pub quick: bool,
-    /// Full kernel set for `serve` (`--full`).
-    pub full: bool,
     /// `--json` dump path.
     pub json: Option<PathBuf>,
     /// Bench-record output path (`--out`).
@@ -79,7 +77,8 @@ pub struct Args {
     pub threads: usize,
     /// Cross-validation threads (`--cv-threads`; 0 = all cores).
     pub cv_threads: usize,
-    /// Sweep-cache directory (`--cache-dir`).
+    /// Sweep-cache directory (`--cache-dir`); see
+    /// [`Args::sweep_cache_dir`].
     pub cache_dir: Option<PathBuf>,
     /// Per-sample progress on stderr (`--progress`).
     pub progress: bool,
@@ -175,7 +174,6 @@ impl Args {
             let flag = tok.as_str();
             match flag {
                 "--quick" => a.quick = true,
-                "--full" => a.full = true,
                 "--progress" => a.progress = true,
                 "--quiet" => a.quiet = true,
                 "--log-json" => a.log_json = true,
@@ -244,9 +242,23 @@ impl Args {
         self.team.unwrap_or(4)
     }
 
-    /// The pipeline options implied by these arguments. Opens the sweep
-    /// cache when `--cache-dir` was given (an unopenable directory warns
-    /// and degrades to uncached simulation).
+    /// The sweep-cache directory: `--cache-dir`, else `pulp-sweep-cache`
+    /// in the cargo target directory (`CARGO_TARGET_DIR`, else the
+    /// `target` directory above the running executable, else the working
+    /// directory). Every dataset-reading command and `cache stats|clear`
+    /// use this one directory.
+    pub fn sweep_cache_dir(&self) -> PathBuf {
+        self.cache_dir.clone().unwrap_or_else(|| {
+            std::env::var_os("CARGO_TARGET_DIR")
+                .map_or_else(find_target_dir, PathBuf::from)
+                .join("pulp-sweep-cache")
+        })
+    }
+
+    /// The pipeline options implied by these arguments — the one source of
+    /// every command's dataset options. Opens the sweep cache at
+    /// [`sweep_cache_dir`](Self::sweep_cache_dir) (an unopenable directory
+    /// warns and degrades to uncached simulation).
     pub fn pipeline_options(&self) -> PipelineOptions {
         let mut opts = if self.quick {
             PipelineOptions::quick(QUICK_KERNELS)
@@ -260,14 +272,13 @@ impl Args {
         if let Some(max_cycles) = self.max_cycles {
             opts.max_cycles = max_cycles;
         }
-        if let Some(dir) = &self.cache_dir {
-            match SweepCache::new(dir) {
-                Ok(cache) => opts.cache = Some(Arc::new(cache)),
-                Err(e) => eprintln!(
-                    "warning: cannot open cache dir {}: {e}; continuing uncached",
-                    dir.display()
-                ),
-            }
+        let dir = self.sweep_cache_dir();
+        match SweepCache::new(&dir) {
+            Ok(cache) => opts.cache = Some(Arc::new(cache)),
+            Err(e) => eprintln!(
+                "warning: cannot open cache dir {}: {e}; continuing uncached",
+                dir.display()
+            ),
         }
         opts
     }
@@ -424,4 +435,19 @@ impl Args {
             }
         }
     }
+}
+
+/// The `target` directory above the running executable, or the working
+/// directory when there is none.
+fn find_target_dir() -> PathBuf {
+    if let Ok(exe) = std::env::current_exe() {
+        let mut p: &Path = exe.as_path();
+        while let Some(parent) = p.parent() {
+            if parent.file_name().is_some_and(|n| n == "target") {
+                return parent.to_path_buf();
+            }
+            p = parent;
+        }
+    }
+    PathBuf::from(".")
 }

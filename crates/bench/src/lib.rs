@@ -13,17 +13,19 @@
 //! * `--threads <n>` — simulation worker threads (default: all cores).
 //! * `--cv-threads <n>` — cross-validation worker threads (default: all
 //!   cores; predictions are bit-identical at any value).
-//! * `--cache-dir <dir>` — content-addressed sweep cache; repeat runs skip
-//!   every previously simulated sample.
+//! * `--cache-dir <dir>` — content-addressed sweep cache directory
+//!   (default: `pulp-sweep-cache` in the cargo target directory, see
+//!   [`Args::sweep_cache_dir`]); repeat runs skip every previously
+//!   simulated sample.
 //! * `--progress` — per-sample progress lines on stderr during the sweep.
 //! * `--quiet` — suppress informational stderr chatter.
 //! * `--journal <path>`, `--manifest <path>`, `--no-manifest` — run
 //!   journal and run manifest (see [`Args`]).
 //!
-//! Without `--cache-dir` the full dataset build (448 samples × 8 team
-//! sizes) is cached wholesale on disk (`target/pulp-dataset-*.json`) so
-//! consecutive experiments reuse it; with `--cache-dir` that coarse cache
-//! is bypassed in favour of the per-sample sweep cache.
+//! The sweep cache is the only dataset cache: its entries are keyed by
+//! sample, cluster config, energy model and the simulator, model and
+//! format versions, so a version bump re-simulates instead of reusing
+//! stale labels.
 
 pub mod cli;
 pub mod models_bench;
@@ -37,9 +39,7 @@ pub mod sim_bench;
 
 pub use cli::Args;
 pub use models_bench::{run_models_bench, ModelsBenchReport, ModelsBenchRow, MODELS};
-pub use profiling::{
-    chrome_trace_of_run, profile_run, recorder_of_run, CauseRun, CoreTimeline, ProfiledRun,
-};
+pub use profiling::{profile_run, recorder_of_run, CauseRun, CoreTimeline, ProfiledRun};
 pub use record::{BenchRecord, Better, Tolerance};
 pub use serve_bench::{
     run_serve_bench, OpenLoopReport, ServeBenchMixRow, ServeBenchOptions, ServeBenchReport,
@@ -47,9 +47,8 @@ pub use serve_bench::{
 };
 pub use sim_bench::{basket_program, run_sim_bench, SimBenchOptions, SimBenchReport, SimBenchRow};
 
-use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
-use pulp_obs::{JournalEvent, JournalWriter, Recorder};
-use std::path::{Path, PathBuf};
+use pulp_energy::pipeline::{BuildDatasetError, BuildObserver, LabeledDataset, PipelineOptions};
+use pulp_obs::{JournalWriter, Recorder};
 
 /// Kernel subset used by `--quick` runs: one representative per behaviour
 /// class.
@@ -64,75 +63,30 @@ pub const QUICK_KERNELS: &[&str] = &[
     "l2_stream",
 ];
 
-/// Builds the dataset, reusing an on-disk cache when the options match.
-/// `--quiet` suppresses the stderr chatter; `--progress` (already folded
-/// into `opts` by [`Args::pipeline_options`]) adds per-sample lines.
+/// Builds the dataset through the sweep cache of `opts` (see
+/// [`Args::pipeline_options`]). `--quiet` suppresses the stderr chatter;
+/// `--progress` (already folded into `opts`) adds per-sample lines.
 ///
 /// With a run journal, the build's stage events, per-shard heartbeats,
 /// slow kernels and cache attribution are appended to `journal`, and the
 /// `--progress` line (with ETA and straggler flags) goes through the
 /// [`Args::logger`] — so `--log-json` yields machine-readable progress
-/// too. A dataset reused from the coarse JSON cache journals a
-/// `dataset_load` stage instead of a build.
+/// too.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the dataset cannot be built — experiments cannot proceed
-/// without it.
+/// Returns the build error, which names the failing sample.
 pub fn load_or_build_dataset(
     opts: &PipelineOptions,
     args: &Args,
-    mut journal: Option<&mut JournalWriter>,
-) -> LabeledDataset {
+    journal: Option<&mut JournalWriter>,
+) -> Result<LabeledDataset, BuildDatasetError> {
     let quiet = args.quiet;
     let log = args.logger();
-    let journal_stage = |journal: &mut Option<&mut JournalWriter>, ev: JournalEvent| {
-        if let Some(j) = journal {
-            if let Err(e) = j.event(ev) {
-                eprintln!("[dataset] warning: journal write failed: {e}");
-            }
-        }
-    };
-    // With a sweep cache the per-sample entries are the source of truth:
-    // the coarse whole-dataset JSON cache is bypassed so every sample goes
-    // through (and populates) the content-addressed store.
-    let dataset_cache = if opts.cache.is_none() {
-        Some(cache_path(args.quick))
-    } else {
-        None
-    };
-    if let Some(cache) = &dataset_cache {
-        let load_t0 = std::time::Instant::now();
-        if let Ok(text) = std::fs::read_to_string(cache) {
-            if let Ok(data) = serde_json::from_str::<LabeledDataset>(&text) {
-                if !quiet {
-                    log.info(
-                        "dataset",
-                        "reusing cache",
-                        &[("path", cache.display().to_string())],
-                    );
-                }
-                journal_stage(
-                    &mut journal,
-                    JournalEvent::StageStart {
-                        stage: "dataset_load".into(),
-                    },
-                );
-                journal_stage(
-                    &mut journal,
-                    JournalEvent::StageEnd {
-                        stage: "dataset_load".into(),
-                        wall_ms: load_t0.elapsed().as_secs_f64() * 1e3,
-                    },
-                );
-                return data;
-            }
-        }
-    }
     if !quiet {
         log.info(
             "dataset",
-            "building (this simulates every sample at 1..=8 cores)",
+            "building (simulates at 1..=8 cores every sample the sweep cache lacks)",
             &[(
                 "kernels",
                 opts.kernel_filter.as_ref().map_or(59, Vec::len).to_string(),
@@ -148,8 +102,7 @@ pub fn load_or_build_dataset(
             journal,
             logger: Some(&log),
         },
-    )
-    .expect("dataset build failed");
+    )?;
     if !quiet {
         log.info(
             "dataset",
@@ -167,44 +120,7 @@ pub fn load_or_build_dataset(
         // invocations).
         log.info("cache", &sweep.stats().to_string(), &[]);
     }
-    if let Some(cache) = &dataset_cache {
-        if let Ok(s) = serde_json::to_string(&data) {
-            if std::fs::write(cache, s).is_ok() && !quiet {
-                log.info(
-                    "dataset",
-                    "cached",
-                    &[("path", cache.display().to_string())],
-                );
-            }
-        }
-    }
-    data
-}
-
-fn cache_path(quick: bool) -> PathBuf {
-    let dir = std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(find_target_dir);
-    dir.join(if quick {
-        "pulp-dataset-quick.json"
-    } else {
-        "pulp-dataset-full.json"
-    })
-}
-
-fn find_target_dir() -> PathBuf {
-    // Walk up from the executable towards a `target` directory; fall back
-    // to the current directory.
-    if let Ok(exe) = std::env::current_exe() {
-        let mut p: &Path = exe.as_path();
-        while let Some(parent) = p.parent() {
-            if parent.file_name().is_some_and(|n| n == "target") {
-                return parent.to_path_buf();
-            }
-            p = parent;
-        }
-    }
-    PathBuf::from(".")
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -230,7 +146,6 @@ mod tests {
         let opts = args.pipeline_options();
         assert_eq!(opts.threads, 2);
         assert!(opts.progress);
-        assert!(opts.cache.is_none());
         assert_eq!(
             opts.kernel_filter.as_ref().map(Vec::len),
             Some(QUICK_KERNELS.len())
@@ -382,6 +297,19 @@ mod tests {
         // No journal flag → no writer.
         assert!(Args::default().journal_writer("t", &opts, None).is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_default_cache_is_the_sweep_cache_under_the_target_dir() {
+        // No `--cache-dir`: every command still reads the dataset through
+        // the content-addressed sweep cache.
+        let opts = Args::default().pipeline_options();
+        let cache = opts.cache.expect("a default sweep cache");
+        assert!(
+            cache.dir().ends_with("pulp-sweep-cache"),
+            "{:?}",
+            cache.dir()
+        );
     }
 
     #[test]

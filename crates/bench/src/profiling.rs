@@ -2,13 +2,13 @@
 //!
 //! [`profile_run`] executes a program once with full attribution telemetry
 //! and returns the statistics, the serial/parallel region profiles and a
-//! per-core cause timeline. [`chrome_trace_of_run`] renders that into a
-//! Chrome trace-event JSON (load it at `chrome://tracing` or ui.perfetto.dev):
-//! track 0 carries the region spans and fork/release markers, tracks
-//! `1..=n` carry one lane per core whose spans are maximal runs of a
-//! single [`CycleCause`].
+//! per-core cause timeline. [`recorder_of_run`] turns that into a
+//! recorder whose [`pulp_obs::chrome_trace`] is a Chrome trace-event JSON
+//! (load it at `chrome://tracing` or ui.perfetto.dev): track 0 carries the
+//! region spans and fork/release markers, tracks `1..=n` carry one lane
+//! per core whose spans are maximal runs of a single [`CycleCause`].
 
-use pulp_obs::{chrome_trace, Recorder};
+use pulp_obs::Recorder;
 use pulp_sim::{
     simulate_instrumented, ClusterConfig, CycleCause, NullSink, Program, RegionProfile,
     RegionProfiler, SimError, SimStats, Telemetry,
@@ -176,22 +176,6 @@ pub fn recorder_of_run(run: &ProfiledRun) -> Recorder {
     rec
 }
 
-/// Simulates `program` and renders the run as Chrome trace-event JSON.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn chrome_trace_of_run(
-    config: &ClusterConfig,
-    program: &Program,
-    max_cycles: u64,
-    process_name: &str,
-) -> Result<String, SimError> {
-    let run = profile_run(config, program, max_cycles)?;
-    let rec = recorder_of_run(&run);
-    Ok(chrome_trace(&rec, process_name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,11 +233,15 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_of_run_is_valid_and_deterministic() {
+    fn chrome_trace_of_a_profiled_run_is_valid_and_deterministic() {
+        // The rendering `pulp_cli trace --chrome` does.
         let config = ClusterConfig::default();
         let p = fork_join_program();
-        let a = chrome_trace_of_run(&config, &p, 10_000, "demo").expect("trace");
-        let b = chrome_trace_of_run(&config, &p, 10_000, "demo").expect("trace");
+        let trace = || {
+            let run = profile_run(&config, &p, 10_000).expect("simulate");
+            pulp_obs::chrome_trace(&recorder_of_run(&run), "demo")
+        };
+        let (a, b) = (trace(), trace());
         assert_eq!(a, b, "manual clock must make the trace deterministic");
         pulp_obs::validate_chrome_trace(&a).expect("valid chrome trace");
         assert!(a.contains("serial#0"));

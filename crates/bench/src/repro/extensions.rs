@@ -3,9 +3,8 @@
 //! shapes (E11) and leave-one-suite-out generalisation (E12).
 
 use super::{Output, Run};
-use crate::QUICK_KERNELS;
 use kernel_ir::{lower, unroll_innermost, DType};
-use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
+use pulp_energy::pipeline::LabeledDataset;
 use pulp_energy::report::render_class_distribution;
 use pulp_energy::{measure_kernel, static_feature_vector, EnergyPredictor, StaticFeatureSet};
 use pulp_energy_model::{energy_of, EnergyModel};
@@ -57,19 +56,13 @@ pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, String> {
 
     let mut datasets: BTreeMap<&str, LabeledDataset> = BTreeMap::new();
     for (name, config) in &variants {
-        let mut opts = if args.quick {
-            PipelineOptions::quick(QUICK_KERNELS)
-        } else {
-            PipelineOptions {
-                // The ablation sweep rebuilds the dataset 4x; keep the
-                // full kernel set but the two payload extremes unless
-                // --quick.
-                payload_sizes: vec![512, 32768],
-                ..PipelineOptions::default()
-            }
-        };
-        opts.threads = args.threads;
+        let mut opts = run.opts.clone();
         opts.config = config.clone();
+        if !args.quick {
+            // The ablation sweep builds the dataset 4x; keep the full
+            // kernel set but only the two payload extremes.
+            opts.payload_sizes = vec![512, 32768];
+        }
         if !args.quiet {
             args.logger().info(
                 "ablation",

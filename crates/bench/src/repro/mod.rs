@@ -131,8 +131,10 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
     let outcome = match exp {
         Standalone(body) => body(&mut run),
         Dataset(body) | Evaluation(body) => {
-            let data = load_or_build_dataset(&run.opts, args, run.journal.as_mut());
-            body(&mut run, &data)
+            match load_or_build_dataset(&run.opts, args, run.journal.as_mut()) {
+                Ok(data) => body(&mut run, &data),
+                Err(e) => Err(format!("dataset build failed: {e}")),
+            }
         }
     };
     let out = match outcome {
@@ -206,6 +208,24 @@ mod tests {
         assert_eq!(rows.as_seq().expect("one row per class").len(), 6);
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
         assert!(manifest.contains("\"table1_energy_model\""), "{manifest}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_dataset_build_is_an_error_exit_not_a_panic() {
+        // 1982 cycles is below what `polybench/gemm/i32/512` needs, so the
+        // cold build fails on that sample's cycle budget.
+        let dir = std::env::temp_dir().join(format!("pulp-repro-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = Args {
+            quick: true,
+            max_cycles: Some(1982),
+            cache_dir: Some(dir.clone()),
+            no_manifest: true,
+            quiet: true,
+            ..Args::default()
+        };
+        assert_eq!(run("headline", &args), ExitCode::FAILURE);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -88,8 +88,8 @@ use pulp_energy::{static_feature_vector, EnergyPredictor, PredictorMetadata, Sta
 use pulp_ml::TreeParams;
 use pulp_obs::recorder::{Recorder, SpanId};
 use pulp_obs::{
-    validate_exposition, FlightRecorder, LogFormat, Logger, MetricsRegistry, RequestTrace,
-    TraceContext, TraceIdGen, WindowConfig,
+    FlightRecorder, LogFormat, Logger, MetricsRegistry, RequestTrace, TraceContext, TraceIdGen,
+    WindowConfig,
 };
 use serde::Value;
 use std::collections::VecDeque;
@@ -1638,11 +1638,7 @@ fn route(
             Ok(n) => (200, state.flight.slow_json(n), "application/json"),
             Err(msg) => (400, json_error(msg), "application/json"),
         },
-        ("POST", "/predict") => match predict(req, state, tracer) {
-            Ok(body) => (200, body, "application/json"),
-            Err(msg) => (400, json_error(msg), "application/json"),
-        },
-        ("POST", "/predict/batch") => match predict_batch(req, state, tracer) {
+        ("POST", "/predict" | "/predict/batch") => match predict(req, state, tracer) {
             Ok(body) => (200, body, "application/json"),
             Err(msg) => (400, json_error(msg), "application/json"),
         },
@@ -1699,11 +1695,12 @@ fn featurize(body: &Value) -> Result<Featurized, String> {
 }
 
 /// Builds one `/predict`-reply map for a finished prediction, folding the
-/// expected-energy lookup into the energy-lookup counter.
-fn reply_map(state: &ServeState, cores: usize, featurized: &Featurized) -> Value {
+/// expected-energy lookup into the energy-lookup counter. `lookup` is the
+/// `(kernel, dtype, size)` identity of a registered kernel's request.
+fn reply_map(state: &ServeState, cores: usize, lookup: Option<&(String, String, usize)>) -> Value {
     // Expected energy at the predicted core count, when the training sweep
     // measured this exact sample.
-    let expected = featurized.lookup.as_ref().and_then(|(name, dtype, size)| {
+    let expected = lookup.and_then(|(name, dtype, size)| {
         state
             .samples
             .iter()
@@ -1729,7 +1726,7 @@ fn reply_map(state: &ServeState, cores: usize, featurized: &Featurized) -> Value
             Value::Str(state.metadata.feature_set.clone()),
         ),
     ];
-    if let Some((name, dtype, size)) = &featurized.lookup {
+    if let Some((name, dtype, size)) = lookup {
         reply.push(("kernel".to_string(), Value::Str(name.clone())));
         reply.push(("dtype".to_string(), Value::Str(dtype.clone())));
         reply.push(("size".to_string(), Value::U64(*size as u64)));
@@ -1751,92 +1748,59 @@ fn observe_stages(state: &ServeState, stages: &[(&str, f64)]) {
     }
 }
 
-/// Serves one `/predict` request body. Stage timings come from the
-/// request tracer's spans, so the `pulp_predict_stage_seconds` histograms
-/// and the span tree in the flight recorder always agree. Error returns
-/// may leave the current stage span open; the tracer closes stragglers
-/// when the request tree is frozen.
+/// Serves both prediction routes: one `/predict` body, or a
+/// `/predict/batch` body whose `requests` array holds `/predict` bodies.
+/// Parse → featurise and width-check every item → one
+/// [`EnergyPredictor::predict_cores_batch`] call → the item's reply map,
+/// or `{count, results}` with one map per item, in order. A batch item's
+/// error names it (`requests[i]: ...`).
+///
+/// Stage timings come from the request tracer's spans, so the
+/// `pulp_predict_stage_seconds` histograms and the span tree in the flight
+/// recorder always agree. Error returns may leave the current stage span
+/// open; the tracer closes stragglers when the request tree is frozen.
 fn predict(
     req: &Request,
     state: &ServeState,
     tracer: &mut RequestTracer,
 ) -> Result<String, String> {
+    let batch = split_query(&req.path).0 == "/predict/batch";
     let span = tracer.begin("parse");
     let body: Value =
         serde_json::from_str(&req.body).map_err(|e| format!("invalid JSON body: {e}"))?;
+    let items = if batch {
+        let items = body
+            .field("requests")
+            .and_then(Value::as_seq)
+            .map_err(|_| "body needs `requests` (array of /predict bodies)".to_string())?;
+        if items.is_empty() {
+            return Err("`requests` must not be empty".to_string());
+        }
+        items
+    } else {
+        std::slice::from_ref(&body)
+    };
     let parse_s = tracer.finish(span);
 
     let span = tracer.begin("features");
-    let featurized = featurize(&body)?;
-    let features_s = tracer.finish(span);
-
-    let span = tracer.begin("predict");
-    let cores = state
-        .predictor
-        .predict_cores_batch(std::slice::from_ref(&featurized.full))
-        .map_err(|e| e.to_string())?[0];
-    let predict_s = tracer.finish(span);
-
-    let span = tracer.begin("serialize");
-    let reply = reply_map(state, cores, &featurized);
-    let out = serde_json::to_string(&reply).map_err(|e| e.to_string());
-    let serialize_s = tracer.finish(span);
-
-    observe_stages(
-        state,
-        &[
-            ("parse", parse_s),
-            ("features", features_s),
-            ("predict", predict_s),
-            ("serialize", serialize_s),
-        ],
-    );
-    out
-}
-
-/// Serves one `/predict/batch` request body: featurises every item, runs
-/// the whole batch through [`EnergyPredictor::predict_cores_batch`] and
-/// replies with one `/predict`-shaped result per item, in order.
-fn predict_batch(
-    req: &Request,
-    state: &ServeState,
-    tracer: &mut RequestTracer,
-) -> Result<String, String> {
-    let span = tracer.begin("parse");
-    let body: Value =
-        serde_json::from_str(&req.body).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let items = body
-        .field("requests")
-        .and_then(Value::as_seq)
-        .map_err(|_| "body needs `requests` (array of /predict bodies)".to_string())?;
-    if items.is_empty() {
-        return Err("`requests` must not be empty".to_string());
+    let mut rows = Vec::with_capacity(items.len());
+    let mut lookups = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        // Validated per item so a batch error names the offender;
+        // `predict_cores_batch` would only report the width.
+        let featurized = featurize(item).and_then(|f| {
+            EnergyPredictor::check_feature_width(&f.full).map_err(|e| e.to_string())?;
+            Ok(f)
+        });
+        match featurized {
+            Ok(Featurized { full, lookup }) => {
+                rows.push(full);
+                lookups.push(lookup);
+            }
+            Err(e) if batch => return Err(format!("requests[{i}]: {e}")),
+            Err(e) => return Err(e),
+        }
     }
-    let parse_s = tracer.finish(span);
-
-    let span = tracer.begin("features");
-    let width = pulp_energy::static_feature_names().len();
-    let featurized: Vec<Featurized> = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            featurize(item)
-                .and_then(|f| {
-                    // Validate per item so the error names the offender;
-                    // `predict_cores_batch` would only report the width.
-                    if f.full.len() == width {
-                        Ok(f)
-                    } else {
-                        Err(format!(
-                            "feature vector has {} dims, expected the full static vector ({width})",
-                            f.full.len()
-                        ))
-                    }
-                })
-                .map_err(|e| format!("requests[{i}]: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let rows: Vec<Vec<f64>> = featurized.iter().map(|f| f.full.clone()).collect();
     let features_s = tracer.finish(span);
 
     let span = tracer.begin("predict");
@@ -1847,15 +1811,19 @@ fn predict_batch(
     let predict_s = tracer.finish(span);
 
     let span = tracer.begin("serialize");
-    let results: Vec<Value> = cores
+    let mut results: Vec<Value> = cores
         .iter()
-        .zip(&featurized)
-        .map(|(&c, f)| reply_map(state, c, f))
+        .zip(&lookups)
+        .map(|(&c, lookup)| reply_map(state, c, lookup.as_ref()))
         .collect();
-    let reply = Value::Map(vec![
-        ("count".to_string(), Value::U64(results.len() as u64)),
-        ("results".to_string(), Value::Seq(results)),
-    ]);
+    let reply = if batch {
+        Value::Map(vec![
+            ("count".to_string(), Value::U64(results.len() as u64)),
+            ("results".to_string(), Value::Seq(results)),
+        ])
+    } else {
+        results.swap_remove(0)
+    };
     let out = serde_json::to_string(&reply).map_err(|e| e.to_string());
     let serialize_s = tracer.finish(span);
 
@@ -1868,13 +1836,15 @@ fn predict_batch(
             ("serialize", serialize_s),
         ],
     );
-    if let Ok(mut metrics) = state.metrics.lock() {
-        metrics.histogram_observe(
-            "pulp_predict_batch_size",
-            "Items per /predict/batch request.",
-            &[],
-            items.len() as f64,
-        );
+    if batch {
+        if let Ok(mut metrics) = state.metrics.lock() {
+            metrics.histogram_observe(
+                "pulp_predict_batch_size",
+                "Items per /predict/batch request.",
+                &[],
+                items.len() as f64,
+            );
+        }
     }
     out
 }
@@ -1910,16 +1880,6 @@ fn record_request(state: &ServeState, req: &Request, status: u16, elapsed_s: f64
             },
         );
     }
-}
-
-/// Sanity-checks a rendered exposition (`debug_assert` style helper for
-/// callers that want the guarantee without importing pulp-obs).
-///
-/// # Errors
-///
-/// See [`validate_exposition`].
-pub fn check_exposition(text: &str) -> Result<(), String> {
-    validate_exposition(text)
 }
 
 #[cfg(unix)]
@@ -1980,6 +1940,7 @@ pub fn install_signal_shutdown(handle: ShutdownHandle) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulp_obs::validate_exposition;
 
     fn quick_state() -> ServeState {
         let opts = PipelineOptions::quick(&["vec_scale", "fpu_storm"]);
@@ -1999,12 +1960,9 @@ mod tests {
         RequestTracer::new(TraceContext::root(0), 0)
     }
 
+    /// The one prediction handler, on the route `req` names.
     fn predict(req: &Request, state: &ServeState) -> Result<String, String> {
         super::predict(req, state, &mut tracer())
-    }
-
-    fn predict_batch(req: &Request, state: &ServeState) -> Result<String, String> {
-        super::predict_batch(req, state, &mut tracer())
     }
 
     fn route(req: &Request, state: &ServeState) -> (u16, String, &'static str) {
@@ -2095,7 +2053,7 @@ mod tests {
             })
             .collect();
         let batch_body = format!("{{\"requests\": [{}]}}", bodies.join(","));
-        let reply = predict_batch(&post("/predict/batch", &batch_body), &state).expect("batch");
+        let reply = predict(&post("/predict/batch", &batch_body), &state).expect("batch");
         let v: Value = serde_json::from_str(&reply).expect("json");
         assert_eq!(
             v.field("count").and_then(Value::as_u64),
@@ -2114,15 +2072,15 @@ mod tests {
     #[test]
     fn batch_predict_rejects_bad_shapes() {
         let state = quick_state();
-        assert!(predict_batch(&post("/predict/batch", "{}"), &state)
+        assert!(predict(&post("/predict/batch", "{}"), &state)
             .unwrap_err()
             .contains("requests"));
         assert!(
-            predict_batch(&post("/predict/batch", r#"{"requests": []}"#), &state)
+            predict(&post("/predict/batch", r#"{"requests": []}"#), &state)
                 .unwrap_err()
                 .contains("empty")
         );
-        let err = predict_batch(
+        let err = predict(
             &post(
                 "/predict/batch",
                 r#"{"requests": [{"kernel": "vec_scale"}, {"kernel": "nope"}]}"#,

@@ -10,10 +10,11 @@
 //! repro` experiments write it as `manifest.json` next to their output.
 //!
 //! Determinism contract: two runs with identical inputs produce
-//! byte-identical manifests except for the wall-time field, and
-//! [`RunManifest::manifest_hash`] hashes the manifest with wall time
-//! zeroed and the protocol's CV thread count canonicalised (the fan-out
-//! is bit-identical at any width), so equal hashes ⇔ equal provenance.
+//! byte-identical manifests except for the wall-time field and the cache
+//! counters, and [`RunManifest::manifest_hash`] hashes the manifest with
+//! wall time zeroed, the cache counters dropped and the protocol's CV
+//! thread count canonicalised (cache warmth and fan-out width do not move
+//! a single output bit), so equal hashes ⇔ equal provenance.
 //!
 //! # Examples
 //!
@@ -134,15 +135,17 @@ impl RunManifest {
         self
     }
 
-    /// FNV-1a hex hash of the manifest with wall time zeroed and the
-    /// protocol's `cv_threads` canonicalised to 0: equal hashes mean the
-    /// runs had identical provenance, however long they took and however
-    /// many worker threads fanned the CV out (predictions are bit-identical
-    /// at any `cv_threads`, so thread count is execution detail, not
-    /// provenance).
+    /// FNV-1a hex hash of the manifest with wall time zeroed, the cache
+    /// counters dropped and the protocol's `cv_threads` canonicalised to
+    /// 0: equal hashes mean the runs had identical provenance, however
+    /// long they took, however warm the sweep cache was (a hit returns the
+    /// bytes a miss would have computed) and however many worker threads
+    /// fanned the CV out (predictions are bit-identical at any
+    /// `cv_threads`, so thread count is execution detail, not provenance).
     pub fn manifest_hash(&self) -> String {
         let mut canonical = self.clone();
         canonical.wall_time_ms = 0;
+        canonical.cache_stats = None;
         if let Some(p) = canonical.protocol.as_mut() {
             p.cv_threads = 0;
         }
@@ -185,6 +188,19 @@ mod tests {
         };
         assert_eq!(strip(&a), strip(&b));
         assert_eq!(a.manifest_hash(), b.manifest_hash());
+        // A cold and a warm cache run of the same inputs: the manifests
+        // record different counters, the hashes agree (and equal the
+        // hash of an uncached run).
+        let counters = |hits, misses| CacheStats {
+            hits,
+            misses,
+            invalidations: 0,
+        };
+        let cold = a.clone().with_cache_stats(counters(0, 32));
+        let warm = b.clone().with_cache_stats(counters(32, 0));
+        assert_ne!(cold.to_json_pretty(), warm.to_json_pretty());
+        assert_eq!(cold.manifest_hash(), warm.manifest_hash());
+        assert_eq!(cold.manifest_hash(), a.manifest_hash());
         assert_ne!(
             a.manifest_hash(),
             manifest().with_seed(8).manifest_hash(),

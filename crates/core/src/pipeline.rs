@@ -40,9 +40,9 @@ pub struct PipelineOptions {
     /// Print measurement progress to stderr (`--progress` on
     /// `pulp_cli`).
     pub progress: bool,
-    /// Content-addressed sweep cache (`--cache-dir` on `pulp_cli`);
-    /// `None` simulates every sample from scratch. Shared across the
-    /// worker threads.
+    /// Content-addressed sweep cache (`pulp_cli` always opens one, at
+    /// `--cache-dir` or its default directory); `None` simulates every
+    /// sample from scratch. Shared across the worker threads.
     pub cache: Option<Arc<SweepCache>>,
     /// Per-run simulation cycle budget (`--max-cycles` on `pulp_cli`);
     /// a sample exceeding it fails the build with a `CycleLimit` error

@@ -15,6 +15,10 @@ use pulp_ml::{DatasetError, DecisionTree, FlatModel, TreeParams};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Width of the full static vector: RAW (4), AGG (3) and MCA features, in
+/// the order of [`static_feature_names`](crate::static_feature_names).
+const STATIC_WIDTH: usize = 7 + pulp_mca::MCA_FEATURE_NAMES.len();
+
 /// Errors produced when building or loading a predictor.
 #[derive(Debug)]
 pub enum PredictorError {
@@ -140,42 +144,21 @@ impl EnergyPredictor {
     }
 
     /// Predicts the minimum-energy core count (1..=8) of `kernel` from
-    /// its static features only — no simulation involved.
+    /// its static features only — no simulation involved. One row through
+    /// the flat walk of [`predict_cores_batch`](Self::predict_cores_batch).
     pub fn predict_cores(&self, kernel: &Kernel) -> usize {
         let full = static_feature_vector(kernel);
-        self.predict_cores_from_static(&full)
-            .expect("static_feature_vector width matches training")
-    }
-
-    /// Predicts the minimum-energy core count (1..=8) from a caller-built
-    /// **full** static feature vector (the 20-dim layout of
-    /// [`static_feature_vector`]) — the single-sample path the prediction
-    /// service uses when features arrive over the wire rather than from a
-    /// [`Kernel`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PredictorError::FeatureWidth`] when `full` does not cover
-    /// every column this predictor was trained on.
-    pub fn predict_cores_from_static(&self, full: &[f64]) -> Result<usize, PredictorError> {
-        let width = crate::features::static_feature_names().len();
-        if full.len() != width {
-            return Err(PredictorError::FeatureWidth {
-                expected: width,
-                got: full.len(),
-            });
-        }
-        let projected: Vec<f64> = self.columns.iter().map(|&c| full[c]).collect();
-        Ok(self.tree.predict(&projected) + 1)
+        self.predict_cores_batch(std::slice::from_ref(&full))
+            .expect("static_feature_vector width matches training")[0]
     }
 
     /// Predicts the minimum-energy core count (1..=8) for a batch of
-    /// caller-built **full** static feature vectors — the `/predict/batch`
-    /// path of the prediction service. The whole batch is validated up
-    /// front, then every row walks the **quantized flat compilation** of
-    /// the tree ([`pulp_ml::FlatModel`]): contiguous breadth-first node
-    /// arrays with integer compares, reusing one projection and one
-    /// quantization scratch buffer across rows.
+    /// caller-built **full** static feature vectors (the 20-dim layout of
+    /// [`static_feature_vector`]) — the prediction service's path. The
+    /// whole batch is validated up front, then every row walks the
+    /// **quantized flat compilation** of the tree ([`pulp_ml::FlatModel`]):
+    /// contiguous breadth-first node arrays with integer compares, reusing
+    /// one projection and one quantization scratch buffer across rows.
     ///
     /// Flat decisions are bit-exact against the float tree for any input
     /// on the quantization grid (see `pulp_ml::flat`), which covers every
@@ -188,30 +171,14 @@ impl EnergyPredictor {
     /// width does not cover every trained column; no row is predicted
     /// until all widths check out.
     pub fn predict_cores_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<usize>, PredictorError> {
-        let width = crate::features::static_feature_names().len();
-        if let Some(bad) = rows.iter().find(|r| r.len() != width) {
-            return Err(PredictorError::FeatureWidth {
-                expected: width,
-                got: bad.len(),
-            });
-        }
-        let mut projected = vec![0.0; self.columns.len()];
         let mut scratch = Vec::with_capacity(self.columns.len());
-        Ok(rows
-            .iter()
-            .map(|full| {
-                for (dst, &c) in projected.iter_mut().zip(&self.columns) {
-                    *dst = full[c];
-                }
-                self.flat.predict_with(&mut scratch, &projected) + 1
-            })
-            .collect())
+        self.predict_rows(rows, |x| self.flat.predict_with(&mut scratch, x))
     }
 
     /// [`predict_cores_batch`](Self::predict_cores_batch) through the
-    /// float reference tree instead of the flat compilation — the
-    /// baseline the serve benchmark compares the flat hot path against,
-    /// and the oracle for mismatch counting in `bench models`.
+    /// float reference tree instead of the flat compilation — the oracle
+    /// the flat walk is tested and benchmarked against; it serves no
+    /// requests.
     ///
     /// # Errors
     ///
@@ -221,13 +188,35 @@ impl EnergyPredictor {
         &self,
         rows: &[Vec<f64>],
     ) -> Result<Vec<usize>, PredictorError> {
-        let width = crate::features::static_feature_names().len();
-        if let Some(bad) = rows.iter().find(|r| r.len() != width) {
-            return Err(PredictorError::FeatureWidth {
-                expected: width,
-                got: bad.len(),
-            });
+        self.predict_rows(rows, |x| self.tree.predict(x))
+    }
+
+    /// Checks that `full` is a **full** static feature vector (the 20-dim
+    /// layout of [`static_feature_vector`]), the input of every batch walk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PredictorError::FeatureWidth`] for any other width.
+    pub fn check_feature_width(full: &[f64]) -> Result<(), PredictorError> {
+        if full.len() == STATIC_WIDTH {
+            Ok(())
+        } else {
+            Err(PredictorError::FeatureWidth {
+                expected: STATIC_WIDTH,
+                got: full.len(),
+            })
         }
+    }
+
+    /// The width check and column projection both batch walks share:
+    /// validates every row, then maps each row's trained columns through
+    /// `walk` (a 0-based class) to a core count.
+    fn predict_rows(
+        &self,
+        rows: &[Vec<f64>],
+        mut walk: impl FnMut(&[f64]) -> usize,
+    ) -> Result<Vec<usize>, PredictorError> {
+        rows.iter().try_for_each(|r| Self::check_feature_width(r))?;
         let mut projected = vec![0.0; self.columns.len()];
         Ok(rows
             .iter()
@@ -235,7 +224,7 @@ impl EnergyPredictor {
                 for (dst, &c) in projected.iter_mut().zip(&self.columns) {
                     *dst = full[c];
                 }
-                self.tree.predict(&projected) + 1
+                walk(&projected) + 1
             })
             .collect())
     }
@@ -375,11 +364,13 @@ mod tests {
             .expect("train");
         let k = sample_kernel();
         let full = static_feature_vector(&k);
+        assert_eq!(crate::features::static_feature_names().len(), STATIC_WIDTH);
         assert_eq!(
-            p.predict_cores_from_static(&full).expect("width ok"),
-            p.predict_cores(&k)
+            p.predict_cores_batch_float(std::slice::from_ref(&full))
+                .expect("width ok"),
+            vec![p.predict_cores(&k)]
         );
-        let err = p.predict_cores_from_static(&full[..5]).unwrap_err();
+        let err = p.predict_cores_batch(&[full[..5].to_vec()]).unwrap_err();
         assert!(matches!(
             err,
             PredictorError::FeatureWidth {
@@ -406,7 +397,10 @@ mod tests {
         let batch = p.predict_cores_batch(&rows).expect("batch predicts");
         let sequential: Vec<usize> = rows
             .iter()
-            .map(|r| p.predict_cores_from_static(r).expect("row predicts"))
+            .map(|r| {
+                p.predict_cores_batch_float(std::slice::from_ref(r))
+                    .expect("row")[0]
+            })
             .collect();
         assert_eq!(batch, sequential);
         // Works for pruned-column predictors too.
@@ -420,7 +414,9 @@ mod tests {
         assert_eq!(
             pruned.predict_cores_batch(&rows).expect("batch"),
             rows.iter()
-                .map(|r| pruned.predict_cores_from_static(r).expect("row"))
+                .map(|r| pruned
+                    .predict_cores_batch_float(std::slice::from_ref(r))
+                    .expect("row")[0])
                 .collect::<Vec<_>>()
         );
         // Empty batches are fine; a bad row fails the whole batch up front.

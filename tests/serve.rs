@@ -9,7 +9,7 @@
 //! 3. `/metrics` always passes the Prometheus exposition validator and its
 //!    request counters move in exact lockstep with the requests we issue.
 
-use pulp_bench::serve::{check_exposition, ServeOptions, ServeState, Server, ShutdownHandle};
+use pulp_bench::serve::{ServeOptions, ServeState, Server, ShutdownHandle};
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy::{static_feature_vector, EnergyPredictor, StaticFeatureSet};
 use pulp_ml::TreeParams;
@@ -177,10 +177,10 @@ fn serve_round_trip_matches_offline_pipeline_and_counts_requests() {
 
     let (status, first_metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
-    check_exposition(&first_metrics).expect("first exposition valid");
+    validate_exposition(&first_metrics).expect("first exposition valid");
 
-    // 2. /predict by kernel name matches the offline predictor on the
-    //    exact same feature vector.
+    // 2. /predict by kernel name matches the offline float-tree oracle on
+    //    the exact same feature vector.
     let (status, body) = request(
         addr,
         "POST",
@@ -203,8 +203,8 @@ fn serve_round_trip_matches_offline_pipeline_and_counts_requests() {
         .expect("vec_scale instantiates");
     let full = static_feature_vector(&kernel);
     let expected = offline
-        .predict_cores_from_static(&full)
-        .expect("offline prediction");
+        .predict_cores_batch_float(std::slice::from_ref(&full))
+        .expect("offline prediction")[0];
     assert_eq!(
         served, expected,
         "served prediction must match the offline pipeline"
@@ -250,7 +250,7 @@ fn serve_round_trip_matches_offline_pipeline_and_counts_requests() {
     //    scrape shows up here with count 1.
     let (status, text) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
-    check_exposition(&text).expect("second exposition valid");
+    validate_exposition(&text).expect("second exposition valid");
     let count = |series: &str| sample(&text, series).unwrap_or(f64::NAN);
     assert_eq!(
         count(r#"pulp_http_requests_total{endpoint="/healthz",status="200"}"#),
