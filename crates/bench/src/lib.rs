@@ -69,7 +69,7 @@ pub const QUICK_KERNELS: &[&str] = &[
 ///
 /// With a run journal, the build's stage events, per-shard heartbeats,
 /// slow kernels and cache attribution are appended to `journal`, and the
-/// `--progress` line (with ETA and straggler flags) goes through the
+/// `--progress` line (with rate and ETA) goes through the
 /// [`Args::logger`] — so `--log-json` yields machine-readable progress
 /// too.
 ///

@@ -14,11 +14,12 @@
 //! bug can never ship silently.
 //!
 //! Determinism: predictions come from
-//! [`repeated_cross_val_predict`], which stripes repetitions round-robin
-//! over workers, so the record is bit-identical at any `--cv-threads`
-//! value. Forests and GBTs are ~50x the training cost of a tree; their
-//! repetition counts are scaled down (`repeats / 10`, minimum 2) while
-//! keeping the fold structure, exactly as `forest_extension` did.
+//! [`repeated_cross_val_predict`], which places each repetition's
+//! predictions by its index whichever worker claims it, so the record is
+//! bit-identical at any `--cv-threads` value. Forests and GBTs are ~50x
+//! the training cost of a tree; their repetition counts are scaled down
+//! (`repeats / 10`, minimum 2) while keeping the fold structure, exactly
+//! as `forest_extension` did.
 
 use crate::record::{BenchRecord, Better, Tolerance, ACCURACY_TOLERANCE};
 use pulp_energy::evaluation::curve_from_predictions;

@@ -361,7 +361,7 @@ impl SweepProgress {
 }
 
 /// A point-in-time view of a [`SweepProgress`]. Plain data — the derived
-/// quantities (rate, ETA, stragglers) are pure functions of the fields,
+/// quantities (rate, ETA) are pure functions of the fields,
 /// so the unit tests exercise them without any timing dependence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSnapshot {
@@ -402,48 +402,19 @@ impl SweepSnapshot {
         }
     }
 
-    /// Shards more than 2× the median behind: shard `s` is a straggler
-    /// when its remaining work exceeds twice the (lower) median remaining
-    /// across all shards. `assigned[s]` is the kernel count shard `s`
-    /// owns.
-    pub fn stragglers(&self, assigned: &[u64]) -> Vec<usize> {
-        let remaining: Vec<u64> = assigned
-            .iter()
-            .zip(&self.shard_done)
-            .map(|(a, d)| a.saturating_sub(*d))
-            .collect();
-        if remaining.is_empty() {
-            return Vec::new();
-        }
-        let mut sorted = remaining.clone();
-        sorted.sort_unstable();
-        let median = sorted[(sorted.len() - 1) / 2];
-        remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r > 0 && r > 2 * median)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// The `--progress` line's key-value fields (percent done, rate, ETA,
-    /// straggler shards if any), ready for [`Logger::info`].
-    pub fn progress_fields(&self, assigned: &[u64]) -> Vec<(&'static str, String)> {
+    /// The `--progress` line's key-value fields (percent done, rate, ETA),
+    /// ready for [`Logger::info`].
+    pub fn progress_fields(&self) -> Vec<(&'static str, String)> {
         let pct = if self.total > 0 {
             self.done() as f64 / self.total as f64 * 100.0
         } else {
             100.0
         };
-        let mut fields = vec![
+        vec![
             ("pct", format!("{pct:.1}")),
             ("rate", format!("{:.1}", self.rate())),
             ("eta_s", format!("{:.0}", self.eta_s())),
-        ];
-        let stragglers = self.stragglers(assigned);
-        if !stragglers.is_empty() {
-            fields.push(("stragglers", format!("{stragglers:?}")));
-        }
-        fields
+        ]
     }
 }
 
@@ -462,7 +433,7 @@ pub struct BuildObserver<'a> {
 }
 
 /// Kernels between journal heartbeats per shard (each shard also sends a
-/// final heartbeat when its stripe is done).
+/// final heartbeat once the pool has no kernel left for it).
 const HEARTBEAT_EVERY: u64 = 16;
 /// Slow-kernel entries each shard tracks (the report merges and re-ranks
 /// them globally).
@@ -473,14 +444,16 @@ const SLOW_PER_SHARD: usize = 4;
 /// pool joins.
 struct Shard {
     index: usize,
-    assigned: u64,
     done: u64,
     /// Whether the sweep has a cache, so misses are worth counting.
     caching: bool,
     cache_hits: u64,
     scratch: SimScratch,
     rec: Recorder,
-    events: Vec<JournalEvent>,
+    /// Sweep-relative time of the shard's last kernel.
+    last_elapsed_ms: u64,
+    /// `(done, elapsed_ms, cache_hits)` at each heartbeat so far.
+    beats: Vec<(u64, u64, u64)>,
     /// `(sample, wall_ms, cycles)` of the slowest kernels so far,
     /// slowest first.
     slow: Vec<(String, f64, u64)>,
@@ -488,37 +461,47 @@ struct Shard {
 
 impl Shard {
     /// Books one journaled kernel: a slow-kernel candidate, and a
-    /// heartbeat every [`HEARTBEAT_EVERY`] kernels and at the stripe's end.
+    /// heartbeat every [`HEARTBEAT_EVERY`] kernels.
     fn observe(&mut self, sample: String, wall_ms: f64, cycles: u64, elapsed_ms: u64) {
         self.slow.push((sample, wall_ms, cycles));
         self.slow
             .sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         self.slow.truncate(SLOW_PER_SHARD);
-        if self.done.is_multiple_of(HEARTBEAT_EVERY) || self.done == self.assigned {
-            let elapsed_s = elapsed_ms as f64 / 1e3;
-            self.events.push(JournalEvent::Heartbeat {
-                shard: self.index as u64,
-                done: self.done,
-                assigned: self.assigned,
-                elapsed_ms,
-                kernels_per_s: if elapsed_s > 0.0 {
-                    self.done as f64 / elapsed_s
-                } else {
-                    0.0
-                },
-                cache_hits: self.cache_hits,
-                cache_misses: if self.caching {
-                    self.done - self.cache_hits
-                } else {
-                    0
-                },
-            });
+        self.last_elapsed_ms = elapsed_ms;
+        if self.done.is_multiple_of(HEARTBEAT_EVERY) {
+            self.beats.push((self.done, elapsed_ms, self.cache_hits));
         }
     }
 
-    /// The shard's journal events: its heartbeats, then its slowest
-    /// kernels.
+    /// The shard's journal events once the pool has drained: its
+    /// heartbeats, each stamped with the shard's final count as
+    /// `assigned` (so exactly the last one has `done == assigned`), then
+    /// its slowest kernels.
     fn into_events(mut self) -> Vec<JournalEvent> {
+        if self.done == 0 || !self.done.is_multiple_of(HEARTBEAT_EVERY) {
+            self.beats
+                .push((self.done, self.last_elapsed_ms, self.cache_hits));
+        }
+        let (shard, assigned, caching) = (self.index as u64, self.done, self.caching);
+        let beats = self
+            .beats
+            .into_iter()
+            .map(|(done, elapsed_ms, cache_hits)| {
+                let elapsed_s = elapsed_ms as f64 / 1e3;
+                JournalEvent::Heartbeat {
+                    shard,
+                    done,
+                    assigned,
+                    elapsed_ms,
+                    kernels_per_s: if elapsed_s > 0.0 {
+                        done as f64 / elapsed_s
+                    } else {
+                        0.0
+                    },
+                    cache_hits,
+                    cache_misses: if caching { done - cache_hits } else { 0 },
+                }
+            });
         let slow =
             self.slow
                 .into_iter()
@@ -527,8 +510,7 @@ impl Shard {
                     wall_ms,
                     cycles,
                 });
-        self.events.extend(slow);
-        self.events
+        beats.chain(slow).collect()
     }
 }
 
@@ -538,9 +520,10 @@ impl Shard {
 /// kernel as they reach it, so a caller building kernels on demand never
 /// holds the whole batch; a caller holding a slice passes `|i| &kernels[i]`.
 ///
-/// Workers stride round-robin (worker `t` takes `t, t + threads, ...`),
-/// each reusing one [`SimScratch`] and one [`Recorder`]; the recorders are
-/// merged into `rec` afterwards, one track per worker. The profiles are
+/// Workers claim kernels from one shared queue in index order, so a worker
+/// that draws cheap kernels keeps going while another simulates a large
+/// one. Each reuses one [`SimScratch`] and one [`Recorder`]; the recorders
+/// are merged into `rec` afterwards, one track per worker. The profiles are
 /// **bit-identical to sequential measurement at any thread count**, and
 /// collecting them into a `Result<Vec<_>, _>` yields the
 /// **lowest-indexed** error, as sequential measurement would.
@@ -548,9 +531,10 @@ impl Shard {
 /// With `obs.journal` set each kernel is wall-timed, and each shard
 /// buffers heartbeats (kernels done, kernels/s, cache hits/misses) and its
 /// slowest kernels, written in shard order after the join so the writer
-/// never touches the measurement loop; a failed write only warns. With
-/// `obs.logger` set a monitor thread prints a throttled `[sweep]` line with
-/// ETA and straggler flags.
+/// never touches the measurement loop; a failed write only warns. Each
+/// shard's final heartbeat has `done == assigned`, both the number of
+/// kernels that shard claimed. With `obs.logger` set a monitor thread
+/// prints a throttled `[sweep]` line with rate and ETA.
 pub fn sweep_kernels<K: Borrow<Kernel>>(
     n: usize,
     kernel: impl Fn(usize) -> K + Sync,
@@ -560,20 +544,17 @@ pub fn sweep_kernels<K: Borrow<Kernel>>(
     obs: BuildObserver<'_>,
 ) -> Vec<Result<EnergyProfile, MeasureError>> {
     let threads = pulp_ml::resolve_threads(threads, n);
-    let assigned: Vec<u64> = (0..threads)
-        .map(|t| n.saturating_sub(t).div_ceil(threads) as u64)
-        .collect();
     let journaling = obs.journal.is_some();
     let progress = SweepProgress::new(n, threads);
     let init = |index: usize| Shard {
         index,
-        assigned: assigned[index],
         done: 0,
         caching: ctx.cache.is_some(),
         cache_hits: 0,
         scratch: SimScratch::new(),
         rec: Recorder::new(),
-        events: Vec::new(),
+        last_elapsed_ms: 0,
+        beats: Vec::new(),
         slow: Vec::new(),
     };
     let measure = |shard: &mut Shard, i: usize| {
@@ -597,7 +578,7 @@ pub fn sweep_kernels<K: Borrow<Kernel>>(
     let (profiles, shards) = std::thread::scope(|scope| {
         let monitor = obs
             .logger
-            .map(|log| scope.spawn(|| report_progress(&progress, &assigned, log)));
+            .map(|log| scope.spawn(|| report_progress(&progress, log)));
         let swept = pulp_ml::parallel_seeds(n, threads, init, measure);
         // Wake the monitor for its final line instead of letting it sit
         // out a full tick.
@@ -624,7 +605,7 @@ pub fn sweep_kernels<K: Borrow<Kernel>>(
 /// the monitor the moment the pool joins, so a short sweep never pays a
 /// full tick of extra wall time (an unpark that races ahead of the park is
 /// stored, not lost).
-fn report_progress(progress: &SweepProgress, assigned: &[u64], log: &Logger) {
+fn report_progress(progress: &SweepProgress, log: &Logger) {
     let mut last = u64::MAX;
     loop {
         let snap = progress.snapshot();
@@ -633,7 +614,7 @@ fn report_progress(progress: &SweepProgress, assigned: &[u64], log: &Logger) {
             log.info(
                 "sweep",
                 &format!("measured {}/{}", snap.done(), snap.total),
-                &snap.progress_fields(assigned),
+                &snap.progress_fields(),
             );
         }
         if snap.done() >= snap.total {
@@ -816,12 +797,12 @@ mod tests {
     #[test]
     fn observed_sweep_is_bit_identical_and_journals_round_trip_at_1_2_8_threads() {
         use pulp_obs::{validate_journal, JournalReader, JournalWriter};
-        // Forty kernels, so stripes of 40 and 20 send a heartbeat every 16
-        // kernels before their final one.
+        // Forty kernels, so a shard that claims more than 16 sends a
+        // heartbeat every 16 kernels before its final one.
         let kernels: Vec<Kernel> = (0..4).flat_map(|_| ten_kernels()).collect();
         let plain =
             sweep(&kernels, DEFAULT_MAX_CYCLES, 2, BuildObserver::default()).expect("plain");
-        for (threads, heartbeats) in [(1usize, 3), (2, 4), (8, 8)] {
+        for threads in [1usize, 2, 8] {
             let mut journal = JournalWriter::in_memory("test_sweep", "cafe", 7);
             let obs = BuildObserver {
                 journal: Some(&mut journal),
@@ -841,9 +822,9 @@ mod tests {
                 text,
                 "journal round-trip at {threads} threads"
             );
-            // Every shard's final heartbeat covers its full stripe.
+            // Every shard's final heartbeat covers every kernel it claimed.
             let mut last: Vec<Option<(u64, u64)>> = vec![None; threads];
-            let mut seen = 0;
+            let mut seen = vec![0u64; threads];
             for ev in &parsed.events {
                 if let pulp_obs::JournalEvent::Heartbeat {
                     shard,
@@ -856,19 +837,22 @@ mod tests {
                 {
                     assert_eq!((*cache_hits, *cache_misses), (0, 0), "no cache, no counts");
                     last[*shard as usize] = Some((*done, *assigned));
-                    seen += 1;
+                    seen[*shard as usize] += 1;
                 }
             }
-            let covered: u64 = last
-                .iter()
-                .map(|hb| {
-                    let (done, assigned) = hb.expect("each shard heartbeats");
-                    assert_eq!(done, assigned, "final heartbeat covers the stripe");
-                    done
-                })
-                .sum();
+            let mut covered = 0;
+            for (s, hb) in last.iter().enumerate() {
+                let (done, assigned) = hb.expect("each shard heartbeats");
+                assert_eq!(done, assigned, "final heartbeat covers the shard's kernels");
+                let cadence =
+                    (done / HEARTBEAT_EVERY + u64::from(done % HEARTBEAT_EVERY != 0)).max(1);
+                assert_eq!(
+                    seen[s], cadence,
+                    "heartbeat cadence of shard {s} at {threads} threads"
+                );
+                covered += done;
+            }
             assert_eq!(covered, kernels.len() as u64);
-            assert_eq!(seen, heartbeats, "heartbeat cadence at {threads} threads");
             assert!(
                 parsed
                     .events
@@ -899,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_math_is_pure_and_flags_stragglers() {
+    fn snapshot_math_is_pure() {
         let snap = SweepSnapshot {
             total: 100,
             shard_done: vec![30, 30, 2],
@@ -908,25 +892,8 @@ mod tests {
         assert_eq!(snap.done(), 62);
         assert!((snap.rate() - 2.0).abs() < 1e-9);
         assert!((snap.eta_s() - 19.0).abs() < 1e-9);
-        // Remaining: [4, 4, 31]; median 4 → shard 2 (> 8 behind) straggles.
-        assert_eq!(snap.stragglers(&[34, 34, 33]), vec![2]);
-        // Even remaining → nobody straggles.
-        let even = SweepSnapshot {
-            total: 100,
-            shard_done: vec![20, 20, 20],
-            elapsed_s: 10.0,
-        };
-        assert!(even.stragglers(&[34, 33, 33]).is_empty());
-        // One shard done, one far behind: lower median (0) flags it.
-        let tail = SweepSnapshot {
-            total: 20,
-            shard_done: vec![10, 3],
-            elapsed_s: 5.0,
-        };
-        assert_eq!(tail.stragglers(&[10, 10]), vec![1]);
-        let fields = snap.progress_fields(&[34, 34, 33]);
+        let fields = snap.progress_fields();
         assert!(fields.iter().any(|(k, v)| *k == "pct" && v == "62.0"));
-        assert!(fields.iter().any(|(k, v)| *k == "stragglers" && v == "[2]"));
         // Zero-progress snapshots report an unbounded ETA without panicking.
         let cold = SweepSnapshot {
             total: 10,

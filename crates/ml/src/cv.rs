@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A model trainable on row subsets — implemented by the decision tree and
 /// the random forest.
@@ -155,10 +156,12 @@ pub fn repeated_cross_val_predict<C: Classifier>(
 /// cores, clamped to `1..=n`) and returns `f(state, 0), ..., f(state, n - 1)`
 /// in index order, plus every worker's final state in worker order.
 ///
-/// Worker `t` starts from `init(t)` and claims indices by round-robin
-/// striding (`t, t + threads, ...`); its state carries whatever it
-/// accumulates across its jobs (a simulator scratch, a private recorder,
-/// journal buffers). At one thread the jobs run inline on the caller's
+/// Worker `t` starts from `init(t)` and claims the next unclaimed index
+/// from one shared counter until none are left, so a worker that draws
+/// short jobs keeps claiming while another finishes a long one; its state
+/// carries whatever it accumulates across its jobs (a simulator scratch, a
+/// private recorder, journal buffers). Each worker claims its indices in
+/// increasing order. At one thread the jobs run inline on the caller's
 /// thread. `f` must derive all randomness from its index argument to stay
 /// deterministic across thread counts. This is the one worker pool of the
 /// workspace: [`repeated_cross_val_predict`], the labelling sweep driver
@@ -170,12 +173,22 @@ pub fn parallel_seeds<S: Send, T: Send>(
     f: impl Fn(&mut S, usize) -> T + Sync,
 ) -> (Vec<T>, Vec<S>) {
     let threads = resolve_threads(threads, n);
+    // The counter hands out indices only; results reach the caller through
+    // the join, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
     let worker = |t: usize| {
         let mut state = init(t);
-        let results: Vec<T> = (t..n).step_by(threads).map(|i| f(&mut state, i)).collect();
-        (results.into_iter(), state)
+        let mut results = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            results.push((i, f(&mut state, i)));
+        }
+        (results, state)
     };
-    let mut shards: Vec<_> = if threads == 1 {
+    let shards: Vec<_> = if threads == 1 {
         vec![worker(0)]
     } else {
         let worker = &worker;
@@ -189,11 +202,14 @@ pub fn parallel_seeds<S: Send, T: Send>(
                 .collect()
         })
     };
-    // Job `i` was the `i / threads`-th result of worker `i % threads`.
-    let out = (0..n)
-        .map(|i| shards[i % threads].0.next().expect("all jobs filled"))
-        .collect();
-    (out, shards.into_iter().map(|(_, state)| state).collect())
+    let mut indexed = Vec::with_capacity(n);
+    let mut states = Vec::with_capacity(threads);
+    for (results, state) in shards {
+        indexed.extend(results);
+        states.push(state);
+    }
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    (indexed.into_iter().map(|(_, r)| r).collect(), states)
 }
 
 #[cfg(test)]
@@ -424,8 +440,8 @@ mod tests {
             for (w, (t, seen)) in states.iter().enumerate() {
                 assert_eq!(*t, w, "states come back in worker order ({case})");
                 assert!(
-                    seen.iter().all(|i| i % workers == w),
-                    "worker {w} strides round-robin ({case})"
+                    seen.windows(2).all(|p| p[0] < p[1]),
+                    "worker {w} claims increasing indices ({case})"
                 );
                 visited.extend(seen);
             }
@@ -436,5 +452,32 @@ mod tests {
                 "each index once ({case})"
             );
         }
+    }
+
+    #[test]
+    fn parallel_seeds_balances_uneven_jobs() {
+        use std::time::{Duration, Instant};
+        // Job 0 waits for jobs 1..=5. Whichever worker claims job 0 is
+        // held there, so the other must claim all five; under a static
+        // round-robin or chunked split job 0's worker would own some of
+        // them and job 0 would time out.
+        let finished = AtomicUsize::new(0);
+        let (out, _) = parallel_seeds(
+            6,
+            2,
+            |_| (),
+            |(), i| {
+                if i > 0 {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    return true;
+                }
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while finished.load(Ordering::SeqCst) < 5 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                finished.load(Ordering::SeqCst) == 5
+            },
+        );
+        assert_eq!(out, [true; 6], "job 0 saw jobs 1..=5 finish");
     }
 }
