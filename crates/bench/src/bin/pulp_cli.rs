@@ -344,7 +344,7 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
     // (wall times excluded), so re-running the same configuration re-derives
     // the same id.
     let mut journal = args.journal_writer("bench_sim", &args.pipeline_options(), None);
-    let report = pulp_bench::sim_bench::run_sim_bench_journaled(&opts, journal.as_mut());
+    let report = pulp_bench::run_sim_bench(&opts, journal.as_mut());
     args.finish_journal(journal);
     print!("{}", report.render_table());
     let out_path = args.out.as_deref().unwrap_or(Path::new("BENCH_sim.json"));
@@ -538,11 +538,7 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
     let manifest = args.write_manifest("bench_models", &opts, Some(&protocol), start);
     report.manifest_hash = manifest.manifest_hash();
     let record = report.record();
-    if let Some(j) = journal.as_mut() {
-        if let Err(e) = record.journal(j) {
-            eprintln!("bench models: journal write failed: {e}");
-        }
-    }
+    pulp_obs::append_or_warn(journal.as_mut(), record.journal_events());
     args.finish_journal(journal);
     print!("{}", report.render_table());
     let out_path = args

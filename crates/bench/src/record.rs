@@ -8,9 +8,9 @@
 //! particular benchmark. Metric names are `field` or `row/field` (for
 //! example `static_at_5`, `alu@8/ff_cycles_per_s`, `kernel/p99_us`), and
 //! the run journal's `bench_record` events carry exactly these names
-//! ([`BenchRecord::journal`]).
+//! ([`BenchRecord::journal_events`]).
 
-use pulp_obs::{JournalEvent, JournalWriter};
+use pulp_obs::JournalEvent;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
 
@@ -330,18 +330,14 @@ impl BenchRecord {
             .map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Emits one `bench_record` journal event per metric, under the
-    /// metric's own name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the journal's write error.
-    pub fn journal(&self, journal: &mut JournalWriter) -> std::io::Result<()> {
-        journal.events(self.metrics.iter().map(|m| JournalEvent::BenchRecord {
+    /// One `bench_record` journal event per metric, under the metric's
+    /// own name.
+    pub fn journal_events(&self) -> impl Iterator<Item = JournalEvent> + '_ {
+        self.metrics.iter().map(|m| JournalEvent::BenchRecord {
             bench: self.bench.clone(),
             name: m.name.clone(),
             value: m.value,
-        }))
+        })
     }
 
     /// Compares `candidate` against `self` as the baseline and returns one

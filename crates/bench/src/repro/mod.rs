@@ -21,7 +21,7 @@ mod tools;
 use crate::{load_or_build_dataset, Args, BenchRecord};
 use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
 use pulp_energy::Protocol;
-use pulp_obs::{JournalEvent, JournalWriter};
+use pulp_obs::{append_or_warn, JournalWriter};
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -51,18 +51,6 @@ pub struct Run<'a> {
     pub(crate) protocol: Protocol,
     /// The run journal (`--journal`), if one is open.
     pub(crate) journal: Option<JournalWriter>,
-}
-
-impl Run<'_> {
-    /// Appends `ev` to the run journal, if any. A failed write warns and
-    /// never fails the experiment.
-    pub(crate) fn journal_event(&mut self, ev: JournalEvent) {
-        if let Some(j) = &mut self.journal {
-            if let Err(e) = j.event(ev) {
-                eprintln!("[journal] warning: journal write failed: {e}");
-            }
-        }
-    }
 }
 
 /// What an experiment body returns to the shared steps.
@@ -150,10 +138,8 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
     } = run;
     // Every figure of the bench record lands in the journal tail, so
     // `pulp_cli bench history` can read trajectories from journals alone.
-    if let (Some(record), Some(j)) = (&out.bench, journal.as_mut()) {
-        if let Err(e) = record.journal(j) {
-            eprintln!("[journal] warning: journal write failed: {e}");
-        }
+    if let Some(record) = &out.bench {
+        append_or_warn(journal.as_mut(), record.journal_events());
     }
     args.finish_journal(journal);
     let manifest = args.write_manifest(tool, &opts, provenance, start);

@@ -14,7 +14,7 @@ use pulp_energy::{
 };
 use pulp_energy_model::{energy_of, EnergyModel};
 use pulp_ml::{confusion_matrix, cross_val_predict, DecisionTree};
-use pulp_obs::JournalEvent;
+use pulp_obs::{append_or_warn, JournalEvent};
 use pulp_sim::{
     simulate, AddrExpr, ClusterConfig, FpOp, OpKind, Program, SegOp, L2_BASE, TCDM_BASE,
 };
@@ -451,9 +451,12 @@ fn headline_record(
 pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
     let tolerances = default_tolerances();
     let energies = data.energies();
-    run.journal_event(JournalEvent::StageStart {
-        stage: "train_eval".into(),
-    });
+    append_or_warn(
+        run.journal.as_mut(),
+        [JournalEvent::StageStart {
+            stage: "train_eval".into(),
+        }],
+    );
     let eval_t0 = Instant::now();
     let protocol = run.protocol;
 
@@ -467,10 +470,13 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
     let dynamic_curve = tolerance_curve("dynamic", &dynamic, &energies, &tolerances, &protocol);
     let naive = always_n_curve(8, &energies, &tolerances);
 
-    run.journal_event(JournalEvent::StageEnd {
-        stage: "train_eval".into(),
-        wall_ms: eval_t0.elapsed().as_secs_f64() * 1e3,
-    });
+    append_or_warn(
+        run.journal.as_mut(),
+        [JournalEvent::StageEnd {
+            stage: "train_eval".into(),
+            wall_ms: eval_t0.elapsed().as_secs_f64() * 1e3,
+        }],
+    );
 
     let h = Headline {
         static_at_0: at(&static_curve, 0.0),

@@ -58,8 +58,9 @@
 //! * `GET /debug/slow?n=K` — the K worst requests by total latency since
 //!   start as a compact JSON span breakdown, slowest first.
 //!
-//! Every admitted connection is stamped with a [`TraceContext`] at accept;
-//! each request records read/queue-wait/features/predict/serialize/write
+//! Every admitted request draws a plain `u64` trace id from a
+//! [`TraceIdGen`] (at accept, and afresh on each keep-alive reuse); each
+//! request records read/queue-wait/features/predict/serialize/write
 //! child spans under one `request` root, feeds the completed tree
 //! into a bounded [`FlightRecorder`], and — when it exceeds
 //! [`ServeOptions::slow_ms`] — emits a structured slow-request log line
@@ -88,8 +89,7 @@ use pulp_energy::{static_feature_vector, EnergyPredictor, PredictorMetadata, Sta
 use pulp_ml::TreeParams;
 use pulp_obs::recorder::{Recorder, SpanId};
 use pulp_obs::{
-    FlightRecorder, LogFormat, Logger, MetricsRegistry, RequestTrace, TraceContext, TraceIdGen,
-    WindowConfig,
+    FlightRecorder, LogFormat, Logger, MetricsRegistry, RequestTrace, TraceIdGen, WindowConfig,
 };
 use serde::Value;
 use std::collections::VecDeque;
@@ -543,9 +543,9 @@ struct Conn {
     stream: TcpStream,
     phase: Phase,
     parser: HttpParser,
-    /// Trace identity for the connection's next request (stamped at accept
-    /// for the first; fresh ids on keep-alive reuse).
-    trace: TraceContext,
+    /// Trace id of the connection's next request (drawn at accept for the
+    /// first; fresh ids on keep-alive reuse).
+    trace_id: u64,
     /// Requests dispatched on this connection so far.
     served: usize,
     /// First byte of the current request (accept time for fresh
@@ -571,7 +571,7 @@ struct Conn {
 struct Job {
     token: u64,
     req: Request,
-    trace: TraceContext,
+    trace_id: u64,
     /// Wire time: first byte to parse completion, in µs (the `read` span).
     read_us: u64,
     /// Queued-at instant; pickup time minus this is the queue wait.
@@ -905,7 +905,7 @@ impl EventLoop {
             stream,
             phase: Phase::Reading,
             parser: HttpParser::new(),
-            trace: TraceContext::root(self.state.trace_ids.next_id()),
+            trace_id: self.state.trace_ids.next_id(),
             served: 0,
             request_started: Instant::now(),
             deadline_ms: None,
@@ -1061,7 +1061,7 @@ impl EventLoop {
         conn.holds_slot = true;
         conn.phase = Phase::Reading;
         conn.request_started = Instant::now();
-        conn.trace = TraceContext::root(self.state.trace_ids.next_id());
+        conn.trace_id = self.state.trace_ids.next_id();
         self.arm_deadline(idx, deadline);
         true
     }
@@ -1105,7 +1105,7 @@ impl EventLoop {
         let job = Job {
             token,
             req,
-            trace: conn.trace,
+            trace_id: conn.trace_id,
             read_us: conn.request_started.elapsed().as_micros() as u64,
             enqueued: Instant::now(),
             index: conn.served,
@@ -1359,7 +1359,7 @@ fn worker_loop(ctx: &ServerCtx) {
     while let Some(job) = ctx.queue.pop() {
         ctx.state.note_queue_depth(ctx.queue.depth());
         let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
-        let mut tracer = RequestTracer::with_read(job.trace, job.read_us, queue_wait_us);
+        let mut tracer = RequestTracer::with_read(job.trace_id, job.read_us, queue_wait_us);
         if job.index > 1 {
             ctx.state.note_keepalive_reuse();
         }
@@ -1408,6 +1408,8 @@ fn worker_loop(ctx: &ServerCtx) {
 /// ([`RequestTracer::into_trace`]) closes the root and yields the
 /// [`RequestTrace`] fed to the flight recorder.
 struct RequestTracer {
+    /// Trace id drawn for this request at admission.
+    trace_id: u64,
     rec: Recorder,
     /// Real-time anchor: the instant the worker picked the connection up.
     epoch: Instant,
@@ -1419,16 +1421,16 @@ struct RequestTracer {
 impl RequestTracer {
     /// A tracer with no wire history — queue wait only (unit tests).
     #[cfg(test)]
-    fn new(trace: TraceContext, queue_wait_us: u64) -> Self {
-        Self::with_read(trace, 0, queue_wait_us)
+    fn new(trace_id: u64, queue_wait_us: u64) -> Self {
+        Self::with_read(trace_id, 0, queue_wait_us)
     }
 
     /// Builds a tracer whose pre-pickup history is already known: the wire
     /// time (`read` span, `[0, read_us)`) the event loop measured, then
     /// the queue wait (`[read_us, read_us + queue_wait_us)`). The worker
     /// calls this at pickup so every later span is stamped live.
-    fn with_read(trace: TraceContext, read_us: u64, queue_wait_us: u64) -> Self {
-        let mut rec = Recorder::manual().with_trace(trace);
+    fn with_read(trace_id: u64, read_us: u64, queue_wait_us: u64) -> Self {
+        let mut rec = Recorder::manual();
         let root = rec.start("request");
         if read_us > 0 {
             let read = rec.start("read");
@@ -1439,6 +1441,7 @@ impl RequestTracer {
         rec.set_time(read_us + queue_wait_us);
         rec.end(wait);
         Self {
+            trace_id,
             rec,
             epoch: Instant::now(),
             offset_us: read_us + queue_wait_us,
@@ -1475,7 +1478,7 @@ impl RequestTracer {
         self.rec.set_time(t);
         self.rec.end(self.root);
         self.rec.close_all();
-        RequestTrace::from_recorder(label, status, &self.rec)
+        RequestTrace::new(self.trace_id, label, status, self.rec.spans().to_vec())
     }
 }
 
@@ -1957,7 +1960,7 @@ mod tests {
     }
 
     fn tracer() -> RequestTracer {
-        RequestTracer::new(TraceContext::root(0), 0)
+        RequestTracer::new(0, 0)
     }
 
     /// The one prediction handler, on the route `req` names.

@@ -1164,10 +1164,10 @@ mod tests {
     #[test]
     fn run_verification_gates_on_the_captured_trace() {
         use pulp_obs::recorder::Recorder;
-        use pulp_obs::{FlightRecorder, RequestTrace, TraceContext};
+        use pulp_obs::{FlightRecorder, RequestTrace};
 
         let flight = FlightRecorder::new(4);
-        let mut rec = Recorder::manual().with_trace(TraceContext::root(7));
+        let mut rec = Recorder::manual();
         let root = rec.start("request");
         let mut t = 0;
         for name in ["queue_wait", "predict", "write"] {
@@ -1177,7 +1177,7 @@ mod tests {
             rec.end(span);
         }
         rec.end(root);
-        flight.record(RequestTrace::from_recorder("/predict", 200, &rec));
+        flight.record(RequestTrace::new(7, "/predict", 200, rec.spans().to_vec()));
 
         let run = ServeBenchRun {
             report: healthy_report(),

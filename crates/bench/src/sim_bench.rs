@@ -42,7 +42,7 @@ use crate::record::{BenchRecord, Better, Tolerance};
 use pulp_energy::{sweep_kernels, BuildObserver, EnergyProfile, MeasureContext, MeasureError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
-use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
+use pulp_obs::{append_or_warn, JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
 use pulp_sim::{
     simulate_instrumented, simulate_opts, simulate_traced, AddrExpr, ClusterConfig, NoTelemetry,
     NullSink, OpKind, Program, SegOp, SimOptions, SimScratch, SimStats, TCDM_BASE,
@@ -372,26 +372,11 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// Runs the full benchmark matrix.
-pub fn run_sim_bench(opts: &SimBenchOptions) -> SimBenchReport {
-    run_sim_bench_journaled(opts, None)
-}
-
-/// Emits a journal event, downgrading failures to a stderr warning so a
-/// full disk never aborts a benchmark that already has its numbers.
-fn journal_event(journal: &mut Option<&mut JournalWriter>, ev: JournalEvent) {
-    if let Some(j) = journal.as_deref_mut() {
-        if let Err(e) = j.event(ev) {
-            eprintln!("[journal] dropped event: {e}");
-        }
-    }
-}
-
-/// [`run_sim_bench`] with an optional run journal: each basket and the
+/// Runs the full benchmark matrix. With a run journal, each basket and the
 /// labeling measurement become journal stages, and every metric of the
 /// [`record`](SimBenchReport::record) is recorded as a `bench_record` event
 /// so `bench history` can read the trajectory straight from journals.
-pub fn run_sim_bench_journaled(
+pub fn run_sim_bench(
     opts: &SimBenchOptions,
     mut journal: Option<&mut JournalWriter>,
 ) -> SimBenchReport {
@@ -409,11 +394,11 @@ pub fn run_sim_bench_journaled(
     let mut rows = Vec::new();
     for basket in BASKETS {
         let basket_start = Instant::now();
-        journal_event(
-            &mut journal,
-            JournalEvent::StageStart {
+        append_or_warn(
+            journal.as_deref_mut(),
+            [JournalEvent::StageStart {
                 stage: basket.to_string(),
-            },
+            }],
         );
         for team in TEAM_SIZES {
             let program = basket_program(basket, team, scale);
@@ -453,43 +438,43 @@ pub fn run_sim_bench_journaled(
                 horizon_scan_share: timed.fast_forward.horizon_scan_share(),
             });
         }
-        journal_event(
-            &mut journal,
-            JournalEvent::StageEnd {
+        append_or_warn(
+            journal.as_deref_mut(),
+            [JournalEvent::StageEnd {
                 stage: basket.to_string(),
                 wall_ms: basket_start.elapsed().as_secs_f64() * 1e3,
-            },
+            }],
         );
     }
     let telemetry_start = Instant::now();
-    journal_event(
-        &mut journal,
-        JournalEvent::StageStart {
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageStart {
             stage: "telemetry".to_string(),
-        },
+        }],
     );
     let telemetry = measure_telemetry_overhead(&config, opts, &mut scratch);
-    journal_event(
-        &mut journal,
-        JournalEvent::StageEnd {
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageEnd {
             stage: "telemetry".to_string(),
             wall_ms: telemetry_start.elapsed().as_secs_f64() * 1e3,
-        },
+        }],
     );
     let labeling_start = Instant::now();
-    journal_event(
-        &mut journal,
-        JournalEvent::StageStart {
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageStart {
             stage: "labeling".to_string(),
-        },
+        }],
     );
     let labeling = measure_labeling_throughput(opts.quick, opts.max_cycles);
-    journal_event(
-        &mut journal,
-        JournalEvent::StageEnd {
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageEnd {
             stage: "labeling".to_string(),
             wall_ms: labeling_start.elapsed().as_secs_f64() * 1e3,
-        },
+        }],
     );
     let report = SimBenchReport {
         bench: "sim".to_string(),
@@ -506,11 +491,7 @@ pub fn run_sim_bench_journaled(
         telemetry_overhead_pct: (telemetry.ratio - 1.0) * 100.0,
         telemetry_match: telemetry.a == telemetry.b,
     };
-    if let Some(j) = journal {
-        if let Err(e) = report.record().journal(j) {
-            eprintln!("[journal] dropped bench records: {e}");
-        }
-    }
+    append_or_warn(journal, report.record().journal_events());
     report
 }
 
@@ -827,11 +808,14 @@ mod tests {
 
     #[test]
     fn quick_bench_passes_its_own_verification() {
-        let report = run_sim_bench(&SimBenchOptions {
-            quick: true,
-            iters: 1,
-            ..SimBenchOptions::default()
-        });
+        let report = run_sim_bench(
+            &SimBenchOptions {
+                quick: true,
+                iters: 1,
+                ..SimBenchOptions::default()
+            },
+            None,
+        );
         assert_eq!(report.rows.len(), BASKETS.len() * TEAM_SIZES.len());
         report.verify().expect("benchmark invariants hold");
         // The barrier/DMA basket is the fast-forward's best case: sleeping
@@ -888,11 +872,14 @@ mod tests {
 
     #[test]
     fn verify_rejects_non_finite_ratios() {
-        let mut report = run_sim_bench(&SimBenchOptions {
-            quick: true,
-            iters: 1,
-            ..SimBenchOptions::default()
-        });
+        let mut report = run_sim_bench(
+            &SimBenchOptions {
+                quick: true,
+                iters: 1,
+                ..SimBenchOptions::default()
+            },
+            None,
+        );
         report.rows[0].speedup = f64::INFINITY;
         let problems = report.verify().expect_err("inf must be rejected");
         assert!(
@@ -906,11 +893,14 @@ mod tests {
         // Regression: the standalone guard indexed an empty sample and
         // panicked when asked for zero iterations; one pair must give a
         // usable figure.
-        let mut report = run_sim_bench(&SimBenchOptions {
-            quick: true,
-            iters: 1,
-            ..SimBenchOptions::default()
-        });
+        let mut report = run_sim_bench(
+            &SimBenchOptions {
+                quick: true,
+                iters: 1,
+                ..SimBenchOptions::default()
+            },
+            None,
+        );
         assert!(report.telemetry_match, "both entry points agree");
         assert!(report.telemetry_cycles > 0);
         let record = report.record();
@@ -947,11 +937,14 @@ mod tests {
 
     #[test]
     fn labeling_throughput_is_measured_and_finite() {
-        let report = run_sim_bench(&SimBenchOptions {
-            quick: true,
-            iters: 1,
-            ..SimBenchOptions::default()
-        });
+        let report = run_sim_bench(
+            &SimBenchOptions {
+                quick: true,
+                iters: 1,
+                ..SimBenchOptions::default()
+            },
+            None,
+        );
         assert!(report.labeling_samples > 0, "no kernels labelled");
         assert!(report.labeling_threads > 0);
         assert!(report.labeling_samples_per_s > 0.0);
@@ -970,7 +963,7 @@ mod tests {
     #[test]
     fn journaled_bench_writes_a_valid_staged_journal() {
         let mut journal = pulp_obs::JournalWriter::in_memory("bench_sim", "cafe", 7);
-        let report = run_sim_bench_journaled(
+        let report = run_sim_bench(
             &SimBenchOptions {
                 quick: true,
                 iters: 1,
@@ -1066,11 +1059,14 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = run_sim_bench(&SimBenchOptions {
-            quick: true,
-            iters: 1,
-            ..SimBenchOptions::default()
-        });
+        let report = run_sim_bench(
+            &SimBenchOptions {
+                quick: true,
+                iters: 1,
+                ..SimBenchOptions::default()
+            },
+            None,
+        );
         let json = serde_json::to_string_pretty(&report).expect("serialise");
         let back: SimBenchReport = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(back, report);

@@ -12,7 +12,7 @@
 use crate::cache::SweepCache;
 use kernel_ir::{lower, Kernel, LowerError};
 use pulp_energy_model::{energy_of, DynamicFeatures, EnergyModel, EnergySummary};
-use pulp_obs::{JournalEvent, JournalWriter, Logger, Recorder};
+use pulp_obs::{append_or_warn, JournalEvent, JournalWriter, Logger, Recorder};
 use pulp_sim::{
     simulate_opts, ClusterConfig, NoTelemetry, NullSink, SimError, SimOptions, SimScratch,
     DEFAULT_MAX_CYCLES,
@@ -315,30 +315,30 @@ fn simulate_teams(
     })
 }
 
-/// Live progress state for a sharded sweep: one lock-free counter per
-/// shard, bumped by the worker after each kernel. Snapshots are cheap
-/// (relaxed loads) and drive both the `--progress` line and the journal
-/// heartbeats without any lock on the hot measurement loop.
+/// Live progress of a sweep: one lock-free count of finished kernels,
+/// bumped by whichever worker measured one. Snapshots are cheap (a relaxed
+/// load) and drive the `--progress` line without any lock on the hot
+/// measurement loop.
 #[derive(Debug)]
-pub struct SweepProgress {
+pub(crate) struct SweepProgress {
     total: u64,
     start: Instant,
-    shard_done: Vec<AtomicU64>,
+    done: AtomicU64,
 }
 
 impl SweepProgress {
-    /// A fresh aggregator for `total` kernels across `shards` workers.
-    pub fn new(total: usize, shards: usize) -> Self {
+    /// A fresh aggregator for `total` kernels.
+    pub fn new(total: usize) -> Self {
         Self {
             total: total as u64,
             start: Instant::now(),
-            shard_done: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            done: AtomicU64::new(0),
         }
     }
 
-    /// Records one finished kernel on `shard`.
-    pub fn record(&self, shard: usize) {
-        self.shard_done[shard].fetch_add(1, Ordering::Relaxed);
+    /// Records one finished kernel.
+    pub fn record(&self) {
+        self.done.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Milliseconds since the sweep started.
@@ -346,15 +346,11 @@ impl SweepProgress {
         self.start.elapsed().as_millis() as u64
     }
 
-    /// A point-in-time copy of the counters.
+    /// A point-in-time copy of the count.
     pub fn snapshot(&self) -> SweepSnapshot {
         SweepSnapshot {
             total: self.total,
-            shard_done: self
-                .shard_done
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            done: self.done.load(Ordering::Relaxed),
             elapsed_s: self.start.elapsed().as_secs_f64(),
         }
     }
@@ -364,25 +360,20 @@ impl SweepProgress {
 /// quantities (rate, ETA) are pure functions of the fields,
 /// so the unit tests exercise them without any timing dependence.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepSnapshot {
+pub(crate) struct SweepSnapshot {
     /// Total kernels in the sweep.
     pub total: u64,
-    /// Kernels finished per shard.
-    pub shard_done: Vec<u64>,
+    /// Kernels finished so far.
+    pub done: u64,
     /// Seconds since the sweep started.
     pub elapsed_s: f64,
 }
 
 impl SweepSnapshot {
-    /// Kernels finished across all shards.
-    pub fn done(&self) -> u64 {
-        self.shard_done.iter().sum()
-    }
-
     /// Aggregate throughput so far (kernels per second).
     pub fn rate(&self) -> f64 {
         if self.elapsed_s > 0.0 {
-            self.done() as f64 / self.elapsed_s
+            self.done as f64 / self.elapsed_s
         } else {
             0.0
         }
@@ -391,7 +382,7 @@ impl SweepSnapshot {
     /// Estimated seconds to completion at the current rate
     /// (`f64::INFINITY` before any kernel finishes).
     pub fn eta_s(&self) -> f64 {
-        let remaining = self.total.saturating_sub(self.done()) as f64;
+        let remaining = self.total.saturating_sub(self.done) as f64;
         let rate = self.rate();
         if remaining == 0.0 {
             0.0
@@ -406,7 +397,7 @@ impl SweepSnapshot {
     /// ready for [`Logger::info`].
     pub fn progress_fields(&self) -> Vec<(&'static str, String)> {
         let pct = if self.total > 0 {
-            self.done() as f64 / self.total as f64 * 100.0
+            self.done as f64 / self.total as f64 * 100.0
         } else {
             100.0
         };
@@ -545,7 +536,7 @@ pub fn sweep_kernels<K: Borrow<Kernel>>(
 ) -> Vec<Result<EnergyProfile, MeasureError>> {
     let threads = pulp_ml::resolve_threads(threads, n);
     let journaling = obs.journal.is_some();
-    let progress = SweepProgress::new(n, threads);
+    let progress = SweepProgress::new(n);
     let init = |index: usize| Shard {
         index,
         done: 0,
@@ -572,7 +563,7 @@ pub fn sweep_kernels<K: Borrow<Kernel>>(
             let elapsed_ms = progress.elapsed_ms();
             shard.observe(kernel.sample_id(), wall_ms, cycles, elapsed_ms);
         }
-        progress.record(shard.index);
+        progress.record();
         res
     };
     let (profiles, shards) = std::thread::scope(|scope| {
@@ -592,11 +583,7 @@ pub fn sweep_kernels<K: Borrow<Kernel>>(
         rec.merge(std::mem::take(&mut shard.rec));
         events.extend(shard.into_events());
     }
-    if let Some(journal) = obs.journal {
-        if let Err(e) = journal.events(events) {
-            eprintln!("[sweep] warning: journal write failed: {e}");
-        }
-    }
+    append_or_warn(obs.journal, events);
     profiles
 }
 
@@ -609,15 +596,15 @@ fn report_progress(progress: &SweepProgress, log: &Logger) {
     let mut last = u64::MAX;
     loop {
         let snap = progress.snapshot();
-        if snap.done() != last {
-            last = snap.done();
+        if snap.done != last {
+            last = snap.done;
             log.info(
                 "sweep",
-                &format!("measured {}/{}", snap.done(), snap.total),
+                &format!("measured {}/{}", snap.done, snap.total),
                 &snap.progress_fields(),
             );
         }
-        if snap.done() >= snap.total {
+        if snap.done >= snap.total {
             break;
         }
         std::thread::park_timeout(std::time::Duration::from_millis(200));
@@ -886,10 +873,10 @@ mod tests {
     fn snapshot_math_is_pure() {
         let snap = SweepSnapshot {
             total: 100,
-            shard_done: vec![30, 30, 2],
+            done: 62,
             elapsed_s: 31.0,
         };
-        assert_eq!(snap.done(), 62);
+        assert_eq!(snap.done, 62);
         assert!((snap.rate() - 2.0).abs() < 1e-9);
         assert!((snap.eta_s() - 19.0).abs() < 1e-9);
         let fields = snap.progress_fields();
@@ -897,7 +884,7 @@ mod tests {
         // Zero-progress snapshots report an unbounded ETA without panicking.
         let cold = SweepSnapshot {
             total: 10,
-            shard_done: vec![0, 0],
+            done: 0,
             elapsed_s: 0.0,
         };
         assert_eq!(cold.rate(), 0.0);
@@ -906,13 +893,16 @@ mod tests {
 
     #[test]
     fn live_progress_aggregator_counts_per_shard() {
-        let prog = SweepProgress::new(6, 2);
-        prog.record(0);
-        prog.record(1);
-        prog.record(1);
+        let prog = SweepProgress::new(6);
+        std::thread::scope(|scope| {
+            scope.spawn(|| prog.record());
+            scope.spawn(|| {
+                prog.record();
+                prog.record();
+            });
+        });
         let snap = prog.snapshot();
-        assert_eq!(snap.shard_done, vec![1, 2]);
-        assert_eq!(snap.done(), 3);
+        assert_eq!((snap.done, snap.total), (3, 6));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use features::{
 };
 pub use labeling::{
     measure_kernel, measure_kernel_with, sweep_kernels, BuildObserver, EnergyProfile,
-    MeasureContext, MeasureError, SweepProgress, SweepSnapshot, NUM_CLASSES,
+    MeasureContext, MeasureError, NUM_CLASSES,
 };
 pub use manifest::RunManifest;
 pub use pipeline::{BuildDatasetError, LabeledDataset, PipelineOptions, SampleRecord};

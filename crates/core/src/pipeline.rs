@@ -17,7 +17,7 @@ use kernel_ir::{DType, Suite, ValidateKernelError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::{all_samples, registry, SampleSpec, PAYLOAD_SIZES};
 use pulp_ml::{Dataset, DatasetError};
-use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder, SpanId};
+use pulp_obs::{append_or_warn, JournalEvent, JournalWriter, LogFormat, Logger, Recorder, SpanId};
 use pulp_sim::ClusterConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -249,13 +249,13 @@ impl LabeledDataset {
             if let Some(cache) = &opts.cache {
                 cache.record(rec);
                 let stats = cache.stats();
-                journal_event(
-                    journal,
-                    JournalEvent::Cache {
+                append_or_warn(
+                    journal.as_deref_mut(),
+                    [JournalEvent::Cache {
                         hits: stats.hits,
                         misses: stats.misses,
                         invalidations: stats.invalidations,
-                    },
+                    }],
                 );
             }
             let profiles = profiles
@@ -381,27 +381,21 @@ fn stage<T>(
     body: impl FnOnce(&mut Recorder, &mut Option<&mut JournalWriter>, SpanId) -> T,
 ) -> T {
     let t0 = Instant::now();
-    journal_event(journal, JournalEvent::StageStart { stage: name.into() });
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageStart { stage: name.into() }],
+    );
     let span = rec.start_cat(name, "stage");
     let out = body(rec, journal, span);
     rec.end(span);
-    journal_event(
-        journal,
-        JournalEvent::StageEnd {
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageEnd {
             stage: name.into(),
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        },
+        }],
     );
     out
-}
-
-/// Appends `ev` to the journal, if any; a failed write only warns.
-fn journal_event(journal: &mut Option<&mut JournalWriter>, ev: JournalEvent) {
-    if let Some(j) = journal {
-        if let Err(e) = j.event(ev) {
-            eprintln!("[pipeline] warning: journal write failed: {e}");
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,56 +1,20 @@
 //! Flight recorder: bounded retention of completed request traces.
 //!
-//! The serving tier stamps every admitted connection with a [`TraceContext`]
-//! and records each request's stages as a span tree in a [`Recorder`]. On
-//! completion the tree is frozen into a [`RequestTrace`] and pushed into the
-//! [`FlightRecorder`], a lock-striped ring that keeps the last N completed
-//! traces with O(1) eviction, plus a small "worst K since start" table for
-//! post-hoc tail forensics. Retained traces render deterministically as
-//! Chrome trace-event JSON (one thread lane per trace) accepted by
+//! The serving tier gives every admitted request a trace id from a
+//! [`TraceIdGen`] and records its stages as a span tree in a
+//! [`crate::Recorder`]. On completion the tree is frozen into a
+//! [`RequestTrace`] and pushed into the [`FlightRecorder`], a lock-striped
+//! ring that keeps the last N completed traces with O(1) eviction, plus a
+//! small "worst K since start" table for post-hoc tail forensics. Retained
+//! traces render deterministically as Chrome trace-event JSON (one thread
+//! lane per trace, see [`crate::chrome`]) accepted by
 //! [`crate::validate_chrome_trace`], or as a compact JSON summary.
 
-use crate::recorder::{Recorder, SpanId, SpanRecord};
+use crate::recorder::SpanRecord;
 use serde::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Identity of one request-scoped trace tree.
-///
-/// A context is stamped once at admission (a process-unique `trace_id` from
-/// a [`TraceIdGen`]) and threaded through the [`Recorder`] that collects the
-/// request's spans. `parent_span` re-roots spans recorded by a child-stage
-/// recorder under a span of the recorder it is later merged into (see
-/// [`Recorder::merge`]), so per-request spans form a single tree even when
-/// stages record independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceContext {
-    /// Process-unique trace id.
-    pub trace_id: u64,
-    /// Index (into the merge-target recorder's span list) of the span new
-    /// root spans nest under; `None` at the root of the request.
-    pub parent_span: Option<u64>,
-}
-
-impl TraceContext {
-    /// A root context for `trace_id` with no parent span.
-    pub fn root(trace_id: u64) -> Self {
-        Self {
-            trace_id,
-            parent_span: None,
-        }
-    }
-
-    /// This context re-rooted under `span`, for handing to a child stage
-    /// whose recorder will be merged back under that span.
-    #[must_use]
-    pub fn child_of(self, span: SpanId) -> Self {
-        Self {
-            trace_id: self.trace_id,
-            parent_span: Some(span.0 as u64),
-        }
-    }
-}
 
 /// Monotonic trace-id source: an atomic counter starting at a seed.
 ///
@@ -99,7 +63,8 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// Builds a trace from explicit parts (tests and non-recorder callers).
+    /// Builds a trace from its parts; `spans` are a closed span tree, root
+    /// first ([`crate::Recorder::spans`] after [`crate::Recorder::close_all`]).
     pub fn new(trace_id: u64, label: &str, status: u16, spans: Vec<SpanRecord>) -> Self {
         Self {
             trace_id,
@@ -108,18 +73,6 @@ impl RequestTrace {
             spans,
             seq: 0,
         }
-    }
-
-    /// Freezes a recorder's span tree into a trace. The trace id comes from
-    /// the recorder's [`TraceContext`] (zero if none was set); open spans
-    /// should be closed first ([`Recorder::close_all`]).
-    pub fn from_recorder(label: &str, status: u16, rec: &Recorder) -> Self {
-        Self::new(
-            rec.trace().map(|t| t.trace_id).unwrap_or(0),
-            label,
-            status,
-            rec.spans().to_vec(),
-        )
     }
 
     /// Completion sequence number (insertion order across the recorder).
@@ -263,150 +216,59 @@ impl FlightRecorder {
         slow.iter().take(k).cloned().collect()
     }
 
-    /// The most recent `n` traces as a Chrome trace-event JSON string; see
-    /// [`chrome_value_of_traces`].
+    /// The most recent `n` traces as a Chrome trace-event JSON string, one
+    /// thread lane per trace.
     pub fn chrome_recent(&self, n: usize, process_name: &str) -> String {
-        serde_json::to_string(&chrome_value_of_traces(&self.recent(n), process_name))
-            .expect("value serialises")
+        crate::chrome::chrome_trace_of_requests(&self.recent(n), process_name)
     }
 
-    /// The worst `k` traces since start as a deterministic JSON summary;
-    /// see [`summary_value_of_traces`].
+    /// The worst `k` traces since start as a deterministic JSON summary,
+    /// slowest first: a sequence of `{trace_id, label, status,
+    /// total_ticks, spans: [{name, start, dur}]}` maps.
     pub fn slow_json(&self, k: usize) -> String {
-        serde_json::to_string(&summary_value_of_traces(&self.slowest(k))).expect("value serialises")
-    }
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Renders a set of completed traces as one Chrome trace-event [`Value`].
-///
-/// Each trace gets its own thread lane (`tid` = position in `traces`,
-/// thread-named `trace<id> <label>`), so per-lane timestamps restart at the
-/// trace's own clock zero while staying monotone within the lane — the
-/// shape [`crate::validate_chrome_trace`] checks. Span `args` carry the
-/// trace id and status on root spans in addition to any recorded
-/// annotations.
-pub fn chrome_value_of_traces(traces: &[Arc<RequestTrace>], process_name: &str) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-    events.push(obj(vec![
-        ("name", Value::Str("process_name".into())),
-        ("ph", Value::Str("M".into())),
-        ("pid", Value::U64(0)),
-        ("tid", Value::U64(0)),
-        ("args", obj(vec![("name", Value::Str(process_name.into()))])),
-    ]));
-    for (tid, trace) in traces.iter().enumerate() {
-        events.push(obj(vec![
-            ("name", Value::Str("thread_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::U64(0)),
-            ("tid", Value::U64(tid as u64)),
-            (
-                "args",
-                obj(vec![(
-                    "name",
-                    Value::Str(format!("trace{} {}", trace.trace_id, trace.label)),
-                )]),
-            ),
-        ]));
-    }
-    for (tid, trace) in traces.iter().enumerate() {
-        for s in &trace.spans {
-            let mut args: Vec<(String, Value)> = s
-                .args
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                .collect();
-            if s.parent.is_none() {
-                args.push(("status".to_string(), Value::U64(u64::from(trace.status))));
-                args.push(("trace_id".to_string(), Value::U64(trace.trace_id)));
-            }
-            let mut fields = vec![
-                ("name", Value::Str(s.name.clone())),
-                (
-                    "cat",
-                    Value::Str(if s.cat.is_empty() {
-                        "request".into()
-                    } else {
-                        s.cat.clone()
-                    }),
-                ),
-                ("ph", Value::Str("X".into())),
-                ("ts", Value::U64(s.start)),
-                ("dur", Value::U64(s.duration())),
-                ("pid", Value::U64(0)),
-                ("tid", Value::U64(tid as u64)),
-            ];
-            if !args.is_empty() {
-                args.sort_by(|a, b| a.0.cmp(&b.0));
-                fields.push(("args", Value::Map(args)));
-            }
-            events.push(obj(fields));
-        }
-    }
-    Value::Map(vec![
-        ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-        ("traceEvents".to_string(), Value::Seq(events)),
-    ])
-}
-
-/// Renders traces as a deterministic JSON summary: a sequence of
-/// `{trace_id, label, status, total_ticks, spans: [{name, start, dur}]}`
-/// maps, in the order given.
-pub fn summary_value_of_traces(traces: &[Arc<RequestTrace>]) -> Value {
-    Value::Seq(
-        traces
+        let summary = self
+            .slowest(k)
             .iter()
             .map(|t| {
+                let spans = t
+                    .spans
+                    .iter()
+                    .map(|s| {
+                        Value::Map(vec![
+                            ("name".to_string(), Value::Str(s.name.clone())),
+                            ("start".to_string(), Value::U64(s.start)),
+                            ("dur".to_string(), Value::U64(s.duration())),
+                        ])
+                    })
+                    .collect();
                 Value::Map(vec![
                     ("trace_id".to_string(), Value::U64(t.trace_id)),
                     ("label".to_string(), Value::Str(t.label.clone())),
                     ("status".to_string(), Value::U64(u64::from(t.status))),
                     ("total_ticks".to_string(), Value::U64(t.total_ticks())),
-                    (
-                        "spans".to_string(),
-                        Value::Seq(
-                            t.spans
-                                .iter()
-                                .map(|s| {
-                                    Value::Map(vec![
-                                        ("name".to_string(), Value::Str(s.name.clone())),
-                                        ("start".to_string(), Value::U64(s.start)),
-                                        ("dur".to_string(), Value::U64(s.duration())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                    ("spans".to_string(), Value::Seq(spans)),
                 ])
             })
-            .collect(),
-    )
+            .collect();
+        serde_json::to_string(&Value::Seq(summary)).expect("value serialises")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chrome::validate_chrome_trace;
+    use crate::recorder::Recorder;
 
     fn trace_of(id: u64, total: u64) -> RequestTrace {
         let mut rec = Recorder::manual();
-        rec.set_trace(TraceContext::root(id));
         let root = rec.start("request");
         let child = rec.start("work");
         rec.set_time(total / 2);
         rec.end(child);
         rec.set_time(total);
         rec.end(root);
-        RequestTrace::from_recorder("/predict", 200, &rec)
+        RequestTrace::new(id, "/predict", 200, rec.spans().to_vec())
     }
 
     #[test]
@@ -414,16 +276,6 @@ mod tests {
         let gen = TraceIdGen::new(7);
         assert_eq!(gen.next_id(), 7);
         assert_eq!(gen.next_id(), 8);
-    }
-
-    #[test]
-    fn child_context_keeps_trace_id() {
-        let ctx = TraceContext::root(3);
-        let mut rec = Recorder::manual();
-        let span = rec.start("stage");
-        let child = ctx.child_of(span);
-        assert_eq!(child.trace_id, 3);
-        assert_eq!(child.parent_span, Some(0));
     }
 
     #[test]

@@ -489,6 +489,21 @@ impl Drop for JournalWriter {
     }
 }
 
+/// Appends `events` to `journal`, if one is open. The journal records a
+/// run; it is not part of the run's result, so a failed write prints one
+/// `[journal] warning: journal write failed: …` line to stderr and never
+/// fails the run.
+pub fn append_or_warn(
+    journal: Option<&mut JournalWriter>,
+    events: impl IntoIterator<Item = JournalEvent>,
+) {
+    if let Some(j) = journal {
+        if let Err(e) = j.events(events) {
+            eprintln!("[journal] warning: journal write failed: {e}");
+        }
+    }
+}
+
 /// A fully parsed and validated journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Journal {
@@ -1011,7 +1026,16 @@ mod tests {
                 seed: 0
             })
             .is_err());
-        w.finalize_to_string().unwrap();
+        // The warn-only path refuses them too, and the run goes on.
+        append_or_warn(
+            Some(&mut w),
+            [JournalEvent::RunEnd {
+                ok: true,
+                events: 0,
+            }],
+        );
+        let text = w.finalize_to_string().unwrap();
+        validate_journal(&text).expect("still one well-framed run");
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! dependencies beyond the workspace `serde` stack and no global state:
 //! whoever wants telemetry owns a [`Recorder`] and passes it down.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`Recorder`] — collects nested [`SpanRecord`]s, counter series and
 //!   instant events against either a wall clock (µs) or a caller-driven
 //!   manual clock (deterministic; the simulator bridge feeds it cycles).
-//! * [`Summary`] — `Display` table of span durations and counter values.
 //! * [`chrome_trace`] — Chrome trace-event JSON (loadable in
 //!   `chrome://tracing` / Perfetto), with [`validate_chrome_trace`]
-//!   checking nesting and timestamp monotonicity structurally.
+//!   checking nesting and timestamp monotonicity structurally. The flight
+//!   recorder's request traces render through the same writer.
 //!
 //! # Examples
 //!
@@ -22,7 +22,7 @@
 //! let mut rec = Recorder::manual();
 //! let run = rec.start("run");
 //! rec.set_time(3);
-//! rec.time("train", |r| r.counter("folds", 10.0));
+//! rec.counter("folds", 10.0);
 //! rec.set_time(10);
 //! rec.end(run);
 //!
@@ -41,15 +41,12 @@ pub mod log;
 pub mod metrics;
 pub mod recorder;
 
-pub use chrome::{chrome_trace, chrome_trace_value, validate_chrome_trace};
-pub use flight::{
-    chrome_value_of_traces, summary_value_of_traces, FlightRecorder, RequestTrace, TraceContext,
-    TraceIdGen,
-};
+pub use chrome::{chrome_trace, validate_chrome_trace};
+pub use flight::{FlightRecorder, RequestTrace, TraceIdGen};
 pub use journal::{
-    render_journal, render_report, seeded_run_id, validate_journal, Journal, JournalEvent,
-    JournalReader, JournalWriter, JOURNAL_SCHEMA_VERSION,
+    append_or_warn, render_journal, render_report, seeded_run_id, validate_journal, Journal,
+    JournalEvent, JournalReader, JournalWriter, JOURNAL_SCHEMA_VERSION,
 };
 pub use log::{LogFormat, Logger};
 pub use metrics::{validate_exposition, MetricsRegistry, WindowConfig};
-pub use recorder::{CounterSample, EventRecord, Recorder, SpanId, SpanRecord, Summary};
+pub use recorder::{CounterSample, EventRecord, Recorder, SpanId, SpanRecord};

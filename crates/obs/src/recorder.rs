@@ -1,14 +1,12 @@
 //! Span/counter recorder with pluggable clock.
 
-use crate::flight::TraceContext;
-use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
 /// Handle to a span opened with [`Recorder::start`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanId(pub(crate) usize);
+pub struct SpanId(usize);
 
 /// One recorded span: a named interval on a track.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +82,6 @@ pub struct Recorder {
     counters: BTreeMap<String, Vec<CounterSample>>,
     track: u32,
     next_track: u32,
-    trace: Option<TraceContext>,
 }
 
 impl Default for Recorder {
@@ -115,31 +112,7 @@ impl Recorder {
             counters: BTreeMap::new(),
             track: 0,
             next_track: 1,
-            trace: None,
         }
-    }
-
-    /// Stamps this recorder with a request-scoped [`TraceContext`].
-    ///
-    /// The context identifies every span recorded here as part of one
-    /// request tree: the trace id flows into
-    /// [`crate::RequestTrace::from_recorder`] and the JSON dump, and a
-    /// context with a parent span makes [`Recorder::merge`] re-home this
-    /// recorder's root spans under that span of the merge target.
-    pub fn set_trace(&mut self, trace: TraceContext) {
-        self.trace = Some(trace);
-    }
-
-    /// Builder form of [`Recorder::set_trace`].
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceContext) -> Self {
-        self.set_trace(trace);
-        self
-    }
-
-    /// The trace context stamped on this recorder, if any.
-    pub fn trace(&self) -> Option<TraceContext> {
-        self.trace
     }
 
     /// Current tick count.
@@ -193,15 +166,6 @@ impl Recorder {
         }
     }
 
-    /// Runs `f` inside a span named `name`; the span closes when `f`
-    /// returns (even through `?`-free early returns within `f`).
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        let id = self.start(name);
-        let out = f(self);
-        self.end(id);
-        out
-    }
-
     /// Attaches a key/value annotation to a span.
     pub fn annotate(&mut self, span: SpanId, key: &str, value: impl fmt::Display) {
         if let Some(s) = self.spans.get_mut(span.0) {
@@ -226,17 +190,6 @@ impl Recorder {
             .entry(name.to_string())
             .or_default()
             .push(CounterSample { ts, value });
-    }
-
-    /// Adds `delta` to counter `name`'s latest value (starting from 0).
-    pub fn counter_add(&mut self, name: &str, delta: f64) {
-        let last = self
-            .counters
-            .get(name)
-            .and_then(|s| s.last())
-            .map(|s| s.value)
-            .unwrap_or(0.0);
-        self.counter(name, last + delta);
     }
 
     /// Closes every span still open, in reverse open order.
@@ -271,29 +224,15 @@ impl Recorder {
     /// Absorbs `other`, re-homing its tracks after this recorder's so the
     /// two span forests never interleave. Use for per-thread recorders
     /// joined back into the pipeline's main one.
-    ///
-    /// If `other` carries a [`TraceContext`] whose `parent_span` names a
-    /// span of *this* recorder, `other`'s root spans are adopted as
-    /// children of that span, so child-stage recorders fold back into one
-    /// request tree.
-    pub fn merge(&mut self, other: Recorder) {
-        let mut other = other;
+    pub fn merge(&mut self, mut other: Recorder) {
         other.close_all();
         let base_span = self.spans.len();
-        let adopt = other
-            .trace
-            .and_then(|t| t.parent_span)
-            .map(|p| p as usize)
-            .filter(|p| *p < base_span);
         let shift = self.next_track;
         let mut max_track = 0;
         for mut s in other.spans {
             s.track += shift;
             max_track = max_track.max(s.track);
-            s.parent = match s.parent {
-                Some(p) => Some(p + base_span),
-                None => adopt,
-            };
+            s.parent = s.parent.map(|p| p + base_span);
             self.spans.push(s);
         }
         for mut e in other.events {
@@ -305,119 +244,6 @@ impl Recorder {
             self.counters.entry(name).or_default().extend(samples);
         }
         self.next_track = self.next_track.max(max_track + 1);
-    }
-
-    /// Deterministic [`Value`] tree: spans in open order, counters sorted
-    /// by name, fixed key order inside every object.
-    pub fn to_value(&self) -> Value {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                let mut m = vec![
-                    ("name".to_string(), Value::Str(s.name.clone())),
-                    ("cat".to_string(), Value::Str(s.cat.clone())),
-                    ("track".to_string(), Value::U64(u64::from(s.track))),
-                    ("start".to_string(), Value::U64(s.start)),
-                    ("end".to_string(), Value::U64(s.end)),
-                    ("depth".to_string(), Value::U64(s.depth as u64)),
-                ];
-                if !s.args.is_empty() {
-                    m.push((
-                        "args".to_string(),
-                        Value::Map(
-                            s.args
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                                .collect(),
-                        ),
-                    ));
-                }
-                Value::Map(m)
-            })
-            .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, samples)| {
-                let seq = samples
-                    .iter()
-                    .map(|s| {
-                        Value::Map(vec![
-                            ("ts".to_string(), Value::U64(s.ts)),
-                            ("value".to_string(), Value::F64(s.value)),
-                        ])
-                    })
-                    .collect();
-                (name.clone(), Value::Seq(seq))
-            })
-            .collect();
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Value::Map(vec![
-                    ("name".to_string(), Value::Str(e.name.clone())),
-                    ("track".to_string(), Value::U64(u64::from(e.track))),
-                    ("ts".to_string(), Value::U64(e.ts)),
-                ])
-            })
-            .collect();
-        let mut top = Vec::new();
-        if let Some(t) = self.trace {
-            top.push(("trace_id".to_string(), Value::U64(t.trace_id)));
-        }
-        top.push(("spans".to_string(), Value::Seq(spans)));
-        top.push(("counters".to_string(), Value::Map(counters)));
-        top.push(("events".to_string(), Value::Seq(events)));
-        Value::Map(top)
-    }
-
-    /// Compact deterministic JSON dump of [`Recorder::to_value`].
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_value()).expect("value serialises")
-    }
-
-    /// Human-readable summary table ([`fmt::Display`]).
-    pub fn summary(&self) -> Summary<'_> {
-        Summary { rec: self }
-    }
-}
-
-/// Display adapter over a [`Recorder`]: indented span table plus final
-/// counter values.
-#[derive(Debug, Clone, Copy)]
-pub struct Summary<'a> {
-    rec: &'a Recorder,
-}
-
-impl fmt::Display for Summary<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let total: u64 = self
-            .rec
-            .spans
-            .iter()
-            .filter(|s| s.depth == 0)
-            .map(SpanRecord::duration)
-            .sum();
-        writeln!(f, "{:<44} {:>12} {:>7}", "span", "ticks", "share")?;
-        for s in &self.rec.spans {
-            let label = format!("{}{}", "  ".repeat(s.depth), s.name);
-            let share = if total == 0 {
-                0.0
-            } else {
-                100.0 * s.duration() as f64 / total as f64
-            };
-            writeln!(f, "{:<44} {:>12} {:>6.1}%", label, s.duration(), share)?;
-        }
-        if !self.rec.counters.is_empty() {
-            writeln!(f, "{:<44} {:>12}", "counter", "last")?;
-            for (name, samples) in &self.rec.counters {
-                let last = samples.last().map(|s| s.value).unwrap_or(0.0);
-                writeln!(f, "{name:<44} {last:>12.3}")?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -458,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_add_accumulates() {
-        let mut r = Recorder::manual();
-        r.counter_add("energy_uj", 1.5);
-        r.set_time(2);
-        r.counter_add("energy_uj", 2.0);
-        let series = &r.counters()["energy_uj"];
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[1].value, 3.5);
-    }
-
-    #[test]
     fn merge_rehomes_tracks_and_parents() {
         let mut main = Recorder::manual();
         let m = main.start("main");
@@ -490,71 +305,5 @@ mod tests {
         assert_eq!(spans[1].track, 1);
         assert_eq!(spans[2].track, 1);
         assert_eq!(spans[2].parent, Some(1));
-    }
-
-    #[test]
-    fn merge_adopts_roots_under_the_trace_parent_span() {
-        let mut main = Recorder::manual();
-        let root = main.start("request");
-        main.set_time(2);
-        let predict = main.start("predict");
-
-        let mut stage =
-            Recorder::manual().with_trace(crate::TraceContext::root(9).child_of(predict));
-        let inner = stage.start("project");
-        stage.set_time(1);
-        stage.end(inner);
-
-        main.merge(stage);
-        main.set_time(5);
-        main.end(predict);
-        main.end(root);
-        let spans = main.spans();
-        // The child stage's root span hangs off `predict`, not top level.
-        assert_eq!(spans[2].name, "project");
-        assert_eq!(spans[2].parent, Some(1));
-        // Local nesting inside the merged recorder is still shifted as before.
-        assert_eq!(spans[1].parent, Some(0));
-    }
-
-    #[test]
-    fn trace_context_round_trips_and_shows_in_the_dump() {
-        let ctx = crate::TraceContext::root(42);
-        let mut r = Recorder::manual().with_trace(ctx);
-        assert_eq!(r.trace(), Some(ctx));
-        let s = r.start("request");
-        r.set_time(3);
-        r.end(s);
-        assert!(r.to_json().contains("\"trace_id\":42"), "{}", r.to_json());
-        // Untraced recorders keep the historical dump shape.
-        assert!(!Recorder::manual().to_json().contains("trace_id"));
-    }
-
-    #[test]
-    fn json_dump_is_stable() {
-        let mut r = Recorder::manual();
-        r.counter("zeta", 1.0);
-        r.counter("alpha", 2.0);
-        let s = r.start("stage");
-        r.set_time(7);
-        r.end(s);
-        let a = r.to_json();
-        let b = r.to_json();
-        assert_eq!(a, b);
-        // Counters are key-sorted in the dump.
-        assert!(a.find("alpha").unwrap() < a.find("zeta").unwrap());
-    }
-
-    #[test]
-    fn summary_lists_spans_and_counters() {
-        let mut r = Recorder::manual();
-        let s = r.start("simulate");
-        r.set_time(10);
-        r.end(s);
-        r.counter("kernels", 3.0);
-        let text = r.summary().to_string();
-        assert!(text.contains("simulate"));
-        assert!(text.contains("kernels"));
-        assert!(text.contains("100.0%"));
     }
 }
