@@ -57,9 +57,9 @@
 //! `bench sim` runs the fixed kernel basket (ALU-bound, TCDM-conflict,
 //! barrier/DMA-heavy, FP-contended) at 1/2/4/8 cores with the event-horizon
 //! fast-forward and the single-step oracle, verifies the two agree
-//! bit-for-bit, times the no-op telemetry hooks against the plain
-//! simulator (gated at 2%), and writes `BENCH_sim.json` (override with
-//! `--out`).
+//! bit-for-bit, times the profiling telemetry (`profile_run`) against the
+//! same run with `NoTelemetry` (gated at `TELEMETRY_LIMIT_PCT`), and writes
+//! `BENCH_sim.json` (override with `--out`).
 //!
 //! `bench serve` boots the prediction server in-process and drives it with
 //! concurrent keep-alive clients over kernel-name, raw-feature and batch
@@ -320,7 +320,7 @@ fn verdict(bench: &str, ok: &str, outcome: Result<(), Vec<String>>) -> ExitCode 
 /// Runs the simulator performance benchmark and writes `BENCH_sim.json`
 /// (or `--out PATH`). Fails if any fast-forward run diverges from its
 /// single-step oracle, if the barrier/DMA basket never skips a cycle, or
-/// if the no-op telemetry hooks change the simulation's results.
+/// if the profiling telemetry changes the simulation's results.
 fn cmd_bench_sim(args: &Args) -> ExitCode {
     let mut opts = if args.quick {
         SimBenchOptions::quick()

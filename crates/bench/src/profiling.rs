@@ -10,8 +10,8 @@
 
 use pulp_obs::Recorder;
 use pulp_sim::{
-    simulate_instrumented, ClusterConfig, CycleCause, NullSink, Program, RegionProfile,
-    RegionProfiler, SimError, SimStats, Telemetry,
+    simulate_opts, ClusterConfig, CycleCause, NullSink, Program, RegionProfile, RegionProfiler,
+    SimError, SimOptions, SimScratch, SimStats, Telemetry,
 };
 
 /// A maximal run of consecutive cycles a core spent on one cause.
@@ -47,11 +47,7 @@ impl CoreTimeline {
 }
 
 impl Telemetry for CoreTimeline {
-    fn on_cycle(&mut self, cycle: u64, core: usize, cause: CycleCause) {
-        self.advance_n(cycle, core, 1, cause);
-    }
-
-    // O(1) bulk attribution for the simulator's fast-forward: a quiescent
+    // O(1) attribution, also for the simulator's fast-forward spans: a
     // span either extends the core's current run or opens one new run.
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         if n == 0 {
@@ -96,11 +92,6 @@ struct BridgeTelemetry {
 }
 
 impl Telemetry for BridgeTelemetry {
-    fn on_cycle(&mut self, cycle: u64, core: usize, cause: CycleCause) {
-        self.regions.on_cycle(cycle, core, cause);
-        self.timeline.on_cycle(cycle, core, cause);
-    }
-
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         self.regions.advance_n(cycle, core, n, cause);
         self.timeline.advance_n(cycle, core, n, cause);
@@ -132,7 +123,14 @@ pub fn profile_run(
     max_cycles: u64,
 ) -> Result<ProfiledRun, SimError> {
     let mut tel = BridgeTelemetry::default();
-    let stats = simulate_instrumented(config, program, max_cycles, &mut NullSink, &mut tel)?;
+    let stats = simulate_opts(
+        config,
+        program,
+        &SimOptions::default().with_max_cycles(max_cycles),
+        &mut NullSink,
+        &mut tel,
+        &mut SimScratch::new(),
+    )?;
     Ok(ProfiledRun {
         stats,
         regions: tel.regions.regions().to_vec(),
@@ -213,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_advance_n_matches_repeated_on_cycle() {
+    fn timeline_advance_n_matches_repeated_single_steps() {
         use pulp_sim::CycleCause;
         let mut bulk = CoreTimeline::default();
         let mut single = CoreTimeline::default();
@@ -226,7 +224,7 @@ mod tests {
         for (cycle, core, n, cause) in pattern {
             bulk.advance_n(cycle, core, n, cause);
             for i in 0..n {
-                single.on_cycle(cycle + i, core, cause);
+                single.advance_n(cycle + i, core, 1, cause);
             }
         }
         assert_eq!(bulk.lanes(), single.lanes());

@@ -29,23 +29,25 @@
 //! set and reported as samples labelled per wall-second, giving the corpus
 //! build a tracked baseline.
 //!
-//! Finally it prices the **telemetry hooks**. `simulate` monomorphises its
-//! generic telemetry parameter with [`NoTelemetry`], whose hooks are empty
-//! `#[inline(always)]` methods, so the instrumented loop must compile to
-//! the uninstrumented one. `simulate_traced` and
-//! `simulate_instrumented(NoTelemetry)` run the same gemm workload in
-//! interleaved pairs, and the median per-pair cost is gated at
-//! [`TELEMETRY_LIMIT_PCT`]: a real regression (hooks made non-inlinable,
-//! work added outside them) shows up as a stable gap.
+//! Finally it prices **production telemetry**: [`profile_run`], the
+//! full-attribution run behind `pulp_cli profile`, `trace --chrome` and
+//! `repro profile_report`, against `simulate_opts(.., NoTelemetry)` on the
+//! same gemm workload in interleaved pairs. The median per-pair cost is
+//! gated at [`TELEMETRY_LIMIT_PCT`], so telemetry that gets slower shows
+//! up as a breach. `NoTelemetry` itself is free by construction: its hooks
+//! are the trait's empty `#[inline(always)]` defaults, and the simulator
+//! has no second loop for it to drift from. Its runs are what the
+//! `ff_cycles_per_s` rows already time.
 
+use crate::profiling::profile_run;
 use crate::record::{BenchRecord, Better, Tolerance};
 use pulp_energy::{sweep_kernels, BuildObserver, EnergyProfile, MeasureContext, MeasureError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
 use pulp_obs::{append_or_warn, JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
 use pulp_sim::{
-    simulate_instrumented, simulate_opts, simulate_traced, AddrExpr, ClusterConfig, NoTelemetry,
-    NullSink, OpKind, Program, SegOp, SimOptions, SimScratch, SimStats, TCDM_BASE,
+    simulate_opts, AddrExpr, ClusterConfig, NoTelemetry, NullSink, OpKind, Program, SegOp,
+    SimOptions, SimScratch, SimStats, TCDM_BASE,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -69,9 +71,13 @@ pub const THROUGHPUT_TOLERANCE: f64 = 0.20;
 /// this guards shipped ALU baskets at 0.64–0.89x, far below it.
 pub const SPEEDUP_FLOOR: f64 = 0.95;
 
-/// Largest tolerated cost of the no-op telemetry hooks, in percent of the
-/// plain simulator's wall time.
-pub const TELEMETRY_LIMIT_PCT: f64 = 2.0;
+/// Largest tolerated cost of [`profile_run`]'s telemetry, in percent of
+/// the wall time of the same run with `NoTelemetry`.
+///
+/// Set from 20 back-to-back `bench sim --quick` runs on a 2-vCPU container,
+/// which read 60.4–81.3% (median 68.3%); the same runs with `profile_run`
+/// stretched to 1.25x its wall time read 103.8–114.7%.
+pub const TELEMETRY_LIMIT_PCT: f64 = 95.0;
 
 /// Team sizes every basket is run at.
 pub const TEAM_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -191,11 +197,12 @@ pub struct SimBenchReport {
     /// Simulated cycles of the telemetry workload (gemm, f32, 32768 B,
     /// 8 cores).
     pub telemetry_cycles: u64,
-    /// Cost of the no-op telemetry hooks in percent: the median over the
-    /// interleaved pairs of `simulate_instrumented(NoTelemetry)` wall over
-    /// `simulate_traced` wall, minus one. Gated at [`TELEMETRY_LIMIT_PCT`].
+    /// Cost of production telemetry in percent: the median over the
+    /// interleaved pairs of [`profile_run`] wall over
+    /// `simulate_opts(.., NoTelemetry)` wall, minus one. Gated at
+    /// [`TELEMETRY_LIMIT_PCT`].
     pub telemetry_overhead_pct: f64,
-    /// `true` when both entry points produced identical statistics.
+    /// `true` when both runs produced identical statistics.
     pub telemetry_match: bool,
 }
 
@@ -507,10 +514,10 @@ fn speedup_of(oracle_wall_s: f64, ff_wall_s: f64) -> f64 {
     oracle_wall_s.max(WALL_FLOOR_S) / ff_wall_s.max(WALL_FLOOR_S)
 }
 
-/// Times `simulate_traced` (side a) against
-/// `simulate_instrumented(NoTelemetry)` (side b) on gemm (f32, 32768 B,
-/// 8 cores): one run takes tens of milliseconds, so timing noise on a
-/// shared runner stays well under the limit being enforced.
+/// Times `simulate_opts(.., NoTelemetry)` (side a) against
+/// [`profile_run`] (side b) on gemm (f32, 32768 B, 8 cores): one run takes
+/// tens of milliseconds, so timing noise on a shared runner stays well
+/// under the limit being enforced.
 fn measure_telemetry_overhead(
     config: &ClusterConfig,
     opts: &SimBenchOptions,
@@ -525,22 +532,15 @@ fn measure_telemetry_overhead(
     let program = kernel_ir::lower(&gemm, 8, config)
         .expect("gemm lowers")
         .program;
+    let sim_opts = SimOptions::default().with_max_cycles(opts.max_cycles);
     interleaved(
         opts.iters,
         scratch,
+        |s| simulate_basket(config, &program, &sim_opts, s),
         |_| {
-            simulate_traced(config, &program, opts.max_cycles, &mut NullSink)
+            profile_run(config, &program, opts.max_cycles)
                 .expect("telemetry workload must simulate cleanly")
-        },
-        |_| {
-            simulate_instrumented(
-                config,
-                &program,
-                opts.max_cycles,
-                &mut NullSink,
-                &mut NoTelemetry,
-            )
-            .expect("telemetry workload must simulate cleanly")
+                .stats
         },
     )
 }
@@ -716,7 +716,7 @@ impl SimBenchReport {
         );
         let _ = writeln!(
             out,
-            "telemetry: gemm f32 32768B team 8 ({} cycles): no-op hooks {:+.2}% vs simulate \
+            "telemetry: gemm f32 32768B team 8 ({} cycles): profile_run {:+.2}% vs NoTelemetry \
              (limit {TELEMETRY_LIMIT_PCT}%), stats {}",
             self.telemetry_cycles,
             self.telemetry_overhead_pct,
@@ -728,7 +728,8 @@ impl SimBenchReport {
     /// Checks the invariants the benchmark must uphold: every fast-forward
     /// run bit-identical to its oracle, the barrier/DMA basket actually
     /// skipping cycles (a zero skip there means the fast-forward is dead),
-    /// both telemetry entry points agreeing, and every figure finite.
+    /// the profiled and the `NoTelemetry` run agreeing, and every figure
+    /// finite.
     ///
     /// # Errors
     ///
@@ -766,10 +767,8 @@ impl SimBenchReport {
             }
         }
         if !self.telemetry_match {
-            problems.push(
-                "telemetry: simulate_instrumented(NoTelemetry) and simulate_traced disagree"
-                    .to_string(),
-            );
+            problems
+                .push("telemetry: profile_run and simulate_opts(NoTelemetry) disagree".to_string());
         }
         // Non-finite floats don't survive serde_json and break `bench
         // diff`; the wall clamps must keep every figure finite.
@@ -901,7 +900,7 @@ mod tests {
             },
             None,
         );
-        assert!(report.telemetry_match, "both entry points agree");
+        assert!(report.telemetry_match, "profiled and plain runs agree");
         assert!(report.telemetry_cycles > 0);
         let record = report.record();
         let metric = record

@@ -71,7 +71,7 @@ pub use model::{
 pub use power::{render_profile, PowerProbe};
 pub use summary::EnergySummary;
 pub use trace_analyser::{
-    parse_line, stats_from_trace, ParseTraceError, ParsedLine, TraceAnalyser,
+    parse_line, replay_oracle, stats_from_trace, ParseTraceError, ParsedLine, TraceAnalyser,
 };
 
 #[cfg(test)]
@@ -80,10 +80,7 @@ mod parity_tests {
     //! and therefore identical energy.
 
     use super::*;
-    use pulp_sim::{
-        simulate_traced, AddrExpr, ClusterConfig, OpKind, Program, SegOp, TextSink, L2_BASE,
-        TCDM_BASE,
-    };
+    use pulp_sim::{AddrExpr, ClusterConfig, OpKind, Program, SegOp, L2_BASE, TCDM_BASE};
 
     fn demo_program() -> Program {
         let instr = |kind| SegOp::Instr { kind, addr: None };
@@ -123,11 +120,7 @@ mod parity_tests {
     #[test]
     fn trace_reconstruction_matches_simulator_stats() {
         let config = ClusterConfig::default();
-        let program = demo_program();
-        let mut sink = TextSink::new();
-        let direct = simulate_traced(&config, &program, 1_000_000, &mut sink).expect("simulate");
-        let reconstructed =
-            stats_from_trace(&sink.text, &config, program.num_cores()).expect("replay");
+        let (direct, reconstructed) = replay_oracle(&config, &demo_program(), 1_000_000);
         // Replay reconstructs architectural state; fast-forward span
         // counters are diagnostics the trace does not carry.
         assert_eq!(direct.without_fast_forward(), reconstructed);
@@ -136,13 +129,9 @@ mod parity_tests {
     #[test]
     fn energy_agrees_between_paths() {
         let config = ClusterConfig::default();
-        let program = demo_program();
-        let mut sink = TextSink::new();
-        let direct = simulate_traced(&config, &program, 1_000_000, &mut sink).expect("simulate");
+        let (direct, reconstructed) = replay_oracle(&config, &demo_program(), 1_000_000);
         let model = EnergyModel::table1();
         let e_direct = energy_of(&direct, &model, &config);
-        let reconstructed =
-            stats_from_trace(&sink.text, &config, program.num_cores()).expect("replay");
         let e_trace = energy_of(&reconstructed, &model, &config);
         assert!((e_direct.total() - e_trace.total()).abs() < 1e-6);
     }

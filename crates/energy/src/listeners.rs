@@ -6,6 +6,14 @@
 //! itself on the trace-analyser with the component path whose events it
 //! wants. This module is that structure; the parsing half lives in
 //! [`crate::trace_analyser`].
+//!
+//! Together they are the paper's method: execution trace → listeners →
+//! per-component event counts → Table I energy. Production computes the
+//! same energy directly from the simulator's counters with
+//! [`energy_of`](crate::energy_of); this stack is kept as the test oracle
+//! for that fast path. Only tests (through
+//! [`replay_oracle`](crate::replay_oracle)) and the `trace_inspection`
+//! example reach it.
 
 use pulp_sim::{ClusterConfig, CycleBreakdown, CycleCause, OpKind, SimStats};
 use std::collections::HashMap;

@@ -64,11 +64,6 @@ impl PowerProbe {
             + m.other.leakage
     }
 
-    /// Dynamic (event) energy accumulated per window, in femtojoules.
-    pub fn dynamic_energy(&self) -> &[f64] {
-        &self.buckets
-    }
-
     /// Total dynamic energy observed.
     pub fn dynamic_total(&self) -> f64 {
         self.buckets.iter().sum()

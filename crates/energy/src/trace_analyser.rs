@@ -1,6 +1,12 @@
 //! The trace analyser: parses GVSOC-style text traces line by line and
 //! feeds the listener hierarchy.
 //!
+//! This is the paper's trace → listener → Table I method, kept as the test
+//! oracle for [`energy_of`](crate::energy_of): [`replay_oracle`] simulates
+//! a program, replays its text trace through [`crate::listeners`], and
+//! returns both statistics for the caller to compare. No production path
+//! reads traces; only tests and the `trace_inspection` example do.
+//!
 //! Line grammar (see `pulp_sim::trace::render_line`):
 //!
 //! ```text
@@ -14,7 +20,7 @@
 //! everything.
 
 use crate::listeners::{ListenError, PulpListeners};
-use pulp_sim::ClusterConfig;
+use pulp_sim::{simulate_traced, ClusterConfig, Program, SimStats, TextSink};
 use std::fmt;
 
 /// Errors produced while replaying a textual trace.
@@ -141,10 +147,33 @@ pub fn stats_from_trace(
     text: &str,
     config: &ClusterConfig,
     team_size: usize,
-) -> Result<pulp_sim::SimStats, ParseTraceError> {
+) -> Result<SimStats, ParseTraceError> {
     let mut listeners = PulpListeners::new(config);
     TraceAnalyser::new().analyse(text, &mut listeners)?;
     Ok(listeners.into_stats(team_size))
+}
+
+/// The trace-replay oracle: simulates `program` into a [`TextSink`] and
+/// replays the text through [`stats_from_trace`].
+///
+/// Returns `(direct, replayed)`. Replay reconstructs architectural state
+/// only, so compare `direct.without_fast_forward()` with `replayed`: the
+/// fast-forward span counters are diagnostics the trace does not carry.
+///
+/// # Panics
+///
+/// Panics if the simulation fails or its own trace does not replay — both
+/// are bugs in the code under test.
+pub fn replay_oracle(
+    config: &ClusterConfig,
+    program: &Program,
+    max_cycles: u64,
+) -> (SimStats, SimStats) {
+    let mut sink = TextSink::new();
+    let direct = simulate_traced(config, program, max_cycles, &mut sink).expect("simulate");
+    let replayed =
+        stats_from_trace(&sink.text, config, program.num_cores()).expect("replay its own trace");
+    (direct, replayed)
 }
 
 #[cfg(test)]

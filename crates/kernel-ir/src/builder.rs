@@ -260,17 +260,6 @@ impl KernelBuilder {
         });
     }
 
-    /// Starts an asynchronous TCDM → L2 transfer.
-    pub fn dma_out_async(&mut self, l2: ArrayId, tcdm: ArrayId, words: u64) {
-        self.push(Stmt::DmaTransfer {
-            l2,
-            tcdm,
-            words,
-            inbound: false,
-            blocking: false,
-        });
-    }
-
     /// Waits for all outstanding asynchronous DMA transfers.
     pub fn dma_wait(&mut self) {
         self.push(Stmt::DmaWait);

@@ -79,11 +79,6 @@ impl Idx {
         self.terms.iter().copied()
     }
 
-    /// All loop variables referenced with a non-zero coefficient.
-    pub fn vars(&self) -> impl Iterator<Item = LoopVar> + '_ {
-        self.terms.iter().map(|(v, _)| *v)
-    }
-
     fn add_term(&mut self, v: LoopVar, c: i64) {
         if c == 0 {
             return;

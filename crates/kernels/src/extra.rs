@@ -170,16 +170,12 @@ mod tests {
 
     #[test]
     fn dma_trace_parity() {
-        use pulp_energy_model::stats_from_trace;
-        use pulp_sim::{simulate_traced, TextSink};
         let p = KernelParams::new(DType::I32, 512);
         let tiled = dma_tiled_scale(&p).expect("tiled");
         let cfg = ClusterConfig::default();
         let lowered = lower(&tiled, 2, &cfg).expect("lower");
-        let mut sink = TextSink::new();
-        let direct =
-            simulate_traced(&cfg, &lowered.program, 10_000_000, &mut sink).expect("simulate");
-        let replayed = stats_from_trace(&sink.text, &cfg, 2).expect("replay");
+        let (direct, replayed) =
+            pulp_energy_model::replay_oracle(&cfg, &lowered.program, 10_000_000);
         // Replay reconstructs architectural state; fast-forward span
         // counters are diagnostics the trace does not carry.
         assert_eq!(direct.without_fast_forward(), replayed);

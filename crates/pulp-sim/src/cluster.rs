@@ -266,67 +266,51 @@ pub fn simulate(config: &ClusterConfig, program: &Program) -> Result<SimStats, S
 
 /// Runs `program` on the cluster, streaming trace events into `sink`.
 ///
-/// Convenience wrapper over [`simulate_instrumented`] with no telemetry.
+/// Convenience wrapper over [`simulate_opts`] with no telemetry and a
+/// fresh [`SimScratch`].
 ///
 /// # Errors
 ///
-/// See [`simulate_instrumented`].
+/// See [`simulate_opts`].
 pub fn simulate_traced<S: TraceSink>(
     config: &ClusterConfig,
     program: &Program,
     max_cycles: u64,
     sink: &mut S,
 ) -> Result<SimStats, SimError> {
-    simulate_instrumented(config, program, max_cycles, sink, &mut NoTelemetry)
-}
-
-/// Runs `program` on the cluster with trace and telemetry observers.
-///
-/// Cores `0..program.num_cores()` execute the program streams; remaining
-/// cluster cores are clock-gated for the whole run (their leakage and
-/// gating energy still counts, which is what makes small team sizes pay for
-/// the silicon they do not use).
-///
-/// `telemetry` receives one [`Telemetry::on_cycle`] call per team/cluster
-/// core per cycle with the cycle's exclusive [`CycleCause`], plus fork and
-/// barrier-release region boundaries. Pass [`NoTelemetry`] (or use
-/// [`simulate_traced`]) for the zero-cost path.
-///
-/// # Errors
-///
-/// Returns an error if the program is structurally invalid, requests more
-/// cores than available, touches an unmapped address, or fails to finish
-/// within `max_cycles`.
-pub fn simulate_instrumented<S: TraceSink, T: Telemetry>(
-    config: &ClusterConfig,
-    program: &Program,
-    max_cycles: u64,
-    sink: &mut S,
-    telemetry: &mut T,
-) -> Result<SimStats, SimError> {
     simulate_opts(
         config,
         program,
         &SimOptions::default().with_max_cycles(max_cycles),
         sink,
-        telemetry,
+        &mut NoTelemetry,
         &mut SimScratch::new(),
     )
 }
 
-/// Runs `program` on the cluster with explicit [`SimOptions`] and a caller-
-/// provided [`SimScratch`].
+/// Runs `program` on the cluster with explicit [`SimOptions`], trace and
+/// telemetry observers, and a caller-provided [`SimScratch`].
 ///
-/// This is the full-control entry point behind every other `simulate_*`
-/// wrapper. `opts.fast_forward` selects between the event-horizon
-/// fast-forward (default; bulk-advances over quiescent spans) and the
-/// single-step oracle; both produce bit-identical architectural results.
-/// `scratch` is reinitialised on entry and may be reused across runs to
-/// avoid reallocating per-core state.
+/// This is the full-control entry point behind [`simulate`] and
+/// [`simulate_traced`]. Cores `0..program.num_cores()` execute the program
+/// streams; remaining cluster cores are clock-gated for the whole run
+/// (their leakage and gating energy still counts, which is what makes
+/// small team sizes pay for the silicon they do not use).
+///
+/// `telemetry` receives [`Telemetry::advance_n`] calls that attribute
+/// every cycle of every cluster core to one exclusive [`CycleCause`], plus
+/// fork and barrier-release region boundaries. Pass [`NoTelemetry`] for
+/// the zero-cost path. `opts.fast_forward` selects between the
+/// event-horizon fast-forward (default; bulk-advances over quiescent
+/// spans) and the single-step oracle; both produce bit-identical
+/// architectural results. `scratch` is reinitialised on entry and may be
+/// reused across runs to avoid reallocating per-core state.
 ///
 /// # Errors
 ///
-/// See [`simulate_instrumented`].
+/// Returns an error if the program is structurally invalid, requests more
+/// cores than available, touches an unmapped address, or fails to finish
+/// within `opts.max_cycles`.
 pub fn simulate_opts<S: TraceSink, T: Telemetry>(
     config: &ClusterConfig,
     program: &Program,
@@ -687,7 +671,7 @@ fn stall<S: TraceSink, T: Telemetry>(
 ) {
     stats.cores[core].idle_cycles += 1;
     stats.cores[core].breakdown.add(cause);
-    telemetry.on_cycle(cycle, core, cause);
+    telemetry.advance_n(cycle, core, 1, cause);
     sink.emit(cycle, TraceEvent::Stall { core, cause });
 }
 
@@ -713,7 +697,7 @@ fn count_sleep<S: TraceSink, T: Telemetry>(
         }
         stats.cores[core].cg_cycles += 1;
         stats.cores[core].breakdown.add(cause);
-        telemetry.on_cycle(cycle, core, cause);
+        telemetry.advance_n(cycle, core, 1, cause);
     } else {
         stall(stats, sink, telemetry, cycle, core, cause);
     }
@@ -1013,7 +997,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 );
                 stats.cores[core].cg_cycles += 1;
                 stats.cores[core].breakdown.add(CycleCause::ForkWait);
-                telemetry.on_cycle(cycle, core, CycleCause::ForkWait);
+                telemetry.advance_n(cycle, core, 1, CycleCause::ForkWait);
                 return Ok(false);
             }
             stall(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
@@ -1100,7 +1084,7 @@ fn retire<S: TraceSink, T: Telemetry>(
 ) {
     stats.cores[core].fetches += 1;
     stats.cores[core].breakdown.add(CycleCause::Execute);
-    telemetry.on_cycle(cycle, core, CycleCause::Execute);
+    telemetry.advance_n(cycle, core, 1, CycleCause::Execute);
     sink.emit(cycle, TraceEvent::Insn { core, kind, addr });
 }
 

@@ -110,11 +110,6 @@ impl EventUnit {
         self.arrived_count = 0;
     }
 
-    /// Returns `true` if `core` is currently waiting at the barrier.
-    pub fn is_waiting(&self, core: usize) -> bool {
-        self.arrived[core]
-    }
-
     /// Signals one fork (master side).
     pub fn signal_fork(&mut self) {
         self.forks_signalled += 1;
@@ -170,10 +165,8 @@ mod tests {
         let mut eu = EventUnit::new(3);
         assert!(!eu.arrive(0));
         assert!(!eu.arrive(2));
-        assert!(eu.is_waiting(0));
         assert!(eu.arrive(1));
         eu.release_barrier();
-        assert!(!eu.is_waiting(0));
         // Reusable for the next episode.
         assert!(!eu.arrive(1));
         assert!(!eu.arrive(0));

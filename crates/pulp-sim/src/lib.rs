@@ -74,8 +74,7 @@ pub const SIM_VERSION: u32 = 1;
 
 pub use cause::{CycleBreakdown, CycleCause};
 pub use cluster::{
-    simulate, simulate_instrumented, simulate_opts, simulate_traced, SimError, SimOptions,
-    SimScratch, DEFAULT_MAX_CYCLES,
+    simulate, simulate_opts, simulate_traced, SimError, SimOptions, SimScratch, DEFAULT_MAX_CYCLES,
 };
 pub use config::{ClusterConfig, L2_BASE, TCDM_BASE};
 pub use isa::{FpOp, MicroOp, OpKind};

@@ -288,11 +288,6 @@ impl Program {
         self.streams.iter().map(|s| Self::count_stream(s)).sum()
     }
 
-    /// Dynamic micro-op count of a single core stream.
-    pub fn dynamic_op_count_of(&self, core: usize) -> u64 {
-        Self::count_stream(&self.streams[core])
-    }
-
     /// Renders the program as a human-readable per-core listing.
     ///
     /// Loops are shown symbolically with their trip counts; address
@@ -530,11 +525,6 @@ impl<'p> Cursor<'p> {
             self.pc += 1;
         }
     }
-
-    /// Returns `true` once the stream is exhausted.
-    pub fn is_done(&mut self) -> bool {
-        matches!(self.current(), Step::Done)
-    }
 }
 
 #[cfg(test)]
@@ -728,7 +718,7 @@ mod tests {
         assert!(matches!(c.current(), Step::Op(_)));
         c.advance();
         assert!(!c.next_is_dma_wait());
-        assert!(c.is_done());
+        assert_eq!(c.current(), Step::Done);
     }
 
     #[test]

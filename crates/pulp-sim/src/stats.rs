@@ -237,12 +237,6 @@ impl SimStats {
         (self.cycles * self.l1_banks.len() as u64).saturating_sub(busy)
     }
 
-    /// Sum over L2 banks of cycles with no request served.
-    pub fn l2_idle_cycles(&self) -> u64 {
-        let busy: u64 = self.l2_banks.iter().map(BankStats::busy_cycles).sum();
-        (self.cycles * self.l2_banks.len() as u64).saturating_sub(busy)
-    }
-
     /// Internal consistency checks; used by tests and debug assertions.
     ///
     /// Verifies that per-core cycle decompositions sum to the total cycle

@@ -1,15 +1,18 @@
 //! Telemetry hook points for the simulator's hot loop.
 //!
-//! [`Telemetry`] receives one callback per core per cycle (with its
-//! attributed [`CycleCause`]) plus region boundaries (fork signals and
-//! barrier releases). The no-op impl [`NoTelemetry`] has empty
-//! `#[inline(always)]` methods, so `simulate` monomorphises to exactly the
-//! uninstrumented loop — the bench guard in `pulp-bench` keeps this honest.
+//! [`Telemetry`] receives one attribution callback per core per span of
+//! cycles (with its [`CycleCause`]) plus region boundaries (fork signals
+//! and barrier releases). Every hook defaults to an empty
+//! `#[inline(always)]` method and [`NoTelemetry`] overrides none, so
+//! `simulate` monomorphises to exactly the uninstrumented loop: there is
+//! no second loop for the instrumented path to drift from.
 //!
 //! [`RegionProfiler`] is the bundled implementation: it segments a run
 //! into serial/parallel regions (fork → barrier-release spans) and
 //! accumulates a [`CycleBreakdown`] per segment, giving the per-parallel-
-//! region attribution the profiling CLI reports.
+//! region attribution the profiling CLI reports. The cost of the profiling
+//! run built on it (`pulp-bench`'s `profile_run`) is `bench sim`'s gated
+//! `telemetry_overhead_pct`.
 
 use crate::cause::{CycleBreakdown, CycleCause};
 
@@ -18,28 +21,17 @@ use crate::cause::{CycleBreakdown, CycleCause};
 /// All methods default to no-ops so implementations override only what
 /// they need.
 pub trait Telemetry {
-    /// One core spent `cycle` on `cause`.
-    #[inline(always)]
-    fn on_cycle(&mut self, cycle: u64, core: usize, cause: CycleCause) {
-        let _ = (cycle, core, cause);
-    }
-
     /// One core spent `n` consecutive cycles starting at `cycle` on `cause`.
     ///
-    /// Bulk entry point used by the simulator's event-horizon fast-forward:
-    /// inside a bulk span nothing can change, so a core's whole span is
-    /// reported in one call instead of `n` [`Telemetry::on_cycle`] calls.
-    /// The default implementation falls back to per-cycle `on_cycle` calls,
-    /// so existing observers stay correct without changes. Note the
-    /// cross-core interleaving differs from single-step mode (spans arrive
-    /// core-major rather than cycle-major); per-core or order-insensitive
-    /// accumulators — every implementation in this workspace — are
-    /// unaffected.
+    /// The one attribution hook. A stepped cycle arrives with `n == 1`; the
+    /// event-horizon fast-forward reports a core's whole quiescent span in
+    /// one call (nothing can change inside it). Across cores, spans arrive
+    /// core-major inside a bulk step rather than cycle-major; per-core or
+    /// order-insensitive accumulators — every implementation in this
+    /// workspace — are unaffected.
     #[inline(always)]
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
-        for i in 0..n {
-            self.on_cycle(cycle + i, core, cause);
-        }
+        let _ = (cycle, core, n, cause);
     }
 
     /// The master signalled a fork (a parallel region opens).
@@ -65,39 +57,7 @@ pub trait Telemetry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoTelemetry;
 
-impl Telemetry for NoTelemetry {
-    // Explicitly empty (rather than the looping default) so the bulk path
-    // monomorphises to pure counter arithmetic.
-    #[inline(always)]
-    fn advance_n(&mut self, _cycle: u64, _core: usize, _n: u64, _cause: CycleCause) {}
-}
-
-impl<T: Telemetry + ?Sized> Telemetry for &mut T {
-    #[inline(always)]
-    fn on_cycle(&mut self, cycle: u64, core: usize, cause: CycleCause) {
-        (**self).on_cycle(cycle, core, cause);
-    }
-
-    #[inline(always)]
-    fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
-        (**self).advance_n(cycle, core, n, cause);
-    }
-
-    #[inline(always)]
-    fn on_fork(&mut self, cycle: u64) {
-        (**self).on_fork(cycle);
-    }
-
-    #[inline(always)]
-    fn on_barrier_release(&mut self, cycle: u64) {
-        (**self).on_barrier_release(cycle);
-    }
-
-    #[inline(always)]
-    fn on_finish(&mut self, cycles: u64) {
-        (**self).on_finish(cycles);
-    }
-}
+impl Telemetry for NoTelemetry {}
 
 /// Kind of a [`RegionProfile`] segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,17 +158,6 @@ impl RegionProfiler {
 }
 
 impl Telemetry for RegionProfiler {
-    fn on_cycle(&mut self, cycle: u64, _core: usize, cause: CycleCause) {
-        if self.regions.is_empty() {
-            self.open(RegionKind::Serial, cycle);
-        }
-        self.totals.add(cause);
-        if let Some(r) = self.regions.last_mut() {
-            r.breakdown.add(cause);
-            r.end_cycle = r.end_cycle.max(cycle + 1);
-        }
-    }
-
     fn advance_n(&mut self, cycle: u64, _core: usize, n: u64, cause: CycleCause) {
         // O(1) bulk attribution: a span never crosses a fork or release
         // (those end the span), so it lands entirely in the current region.
@@ -260,7 +209,7 @@ mod tests {
     #[test]
     fn no_telemetry_is_a_unit() {
         let mut t = NoTelemetry;
-        t.on_cycle(0, 0, CycleCause::Execute);
+        t.advance_n(0, 0, 1, CycleCause::Execute);
         t.on_fork(1);
         t.on_barrier_release(2);
         t.on_finish(3);
@@ -270,17 +219,17 @@ mod tests {
     fn profiler_segments_fork_join() {
         let mut p = RegionProfiler::new();
         // Serial prologue: 2 cycles of execute on core 0.
-        p.on_cycle(0, 0, CycleCause::Execute);
-        p.on_cycle(1, 0, CycleCause::Runtime);
+        p.advance_n(0, 0, 1, CycleCause::Execute);
+        p.advance_n(1, 0, 1, CycleCause::Runtime);
         p.on_fork(1);
         // Parallel body.
-        p.on_cycle(2, 0, CycleCause::Execute);
-        p.on_cycle(2, 1, CycleCause::Execute);
-        p.on_cycle(3, 0, CycleCause::Barrier);
-        p.on_cycle(3, 1, CycleCause::Execute);
+        p.advance_n(2, 0, 1, CycleCause::Execute);
+        p.advance_n(2, 1, 1, CycleCause::Execute);
+        p.advance_n(3, 0, 1, CycleCause::Barrier);
+        p.advance_n(3, 1, 1, CycleCause::Execute);
         p.on_barrier_release(3);
         // Serial epilogue.
-        p.on_cycle(4, 0, CycleCause::Execute);
+        p.advance_n(4, 0, 1, CycleCause::Execute);
         p.on_finish(5);
 
         let regions = p.regions();
@@ -297,19 +246,19 @@ mod tests {
     }
 
     #[test]
-    fn advance_n_matches_repeated_on_cycle() {
+    fn advance_n_matches_repeated_single_steps() {
         let mut bulk = RegionProfiler::new();
         let mut single = RegionProfiler::new();
         // Serial prologue, fork, a long quiet parallel span, join.
         for p in [&mut bulk, &mut single] {
-            p.on_cycle(0, 0, CycleCause::Execute);
+            p.advance_n(0, 0, 1, CycleCause::Execute);
             p.on_fork(0);
         }
         bulk.advance_n(1, 0, 40, CycleCause::Barrier);
         bulk.advance_n(1, 1, 40, CycleCause::ForkWait);
         for c in 1..41 {
-            single.on_cycle(c, 0, CycleCause::Barrier);
-            single.on_cycle(c, 1, CycleCause::ForkWait);
+            single.advance_n(c, 0, 1, CycleCause::Barrier);
+            single.advance_n(c, 1, 1, CycleCause::ForkWait);
         }
         for p in [&mut bulk, &mut single] {
             p.on_barrier_release(40);
@@ -330,9 +279,9 @@ mod tests {
     #[test]
     fn spurious_release_in_serial_is_neutral() {
         let mut p = RegionProfiler::new();
-        p.on_cycle(0, 0, CycleCause::Execute);
+        p.advance_n(0, 0, 1, CycleCause::Execute);
         p.on_barrier_release(0);
-        p.on_cycle(1, 0, CycleCause::Execute);
+        p.advance_n(1, 0, 1, CycleCause::Execute);
         p.on_finish(2);
         assert_eq!(p.regions().len(), 1);
         assert_eq!(p.regions()[0].breakdown.execute, 2);

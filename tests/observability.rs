@@ -13,11 +13,9 @@
 
 use kernel_ir::lower;
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
-use pulp_energy_model::stats_from_trace;
+use pulp_energy_model::replay_oracle;
 use pulp_obs::{chrome_trace, validate_chrome_trace, Recorder};
-use pulp_sim::{
-    simulate_instrumented, simulate_traced, ClusterConfig, NullSink, RegionProfiler, TextSink,
-};
+use pulp_sim::{simulate_opts, ClusterConfig, NullSink, RegionProfiler, SimOptions, SimScratch};
 use serde::Value;
 
 fn lowered_program(team: usize, config: &ClusterConfig) -> pulp_sim::Program {
@@ -38,9 +36,15 @@ fn every_cycle_has_exactly_one_cause_at_every_team_size() {
     for team in 1..=8 {
         let program = lowered_program(team, &config);
         let mut profiler = RegionProfiler::new();
-        let stats =
-            simulate_instrumented(&config, &program, 10_000_000, &mut NullSink, &mut profiler)
-                .expect("simulate");
+        let stats = simulate_opts(
+            &config,
+            &program,
+            &SimOptions::default().with_max_cycles(10_000_000),
+            &mut NullSink,
+            &mut profiler,
+            &mut SimScratch::new(),
+        )
+        .expect("simulate");
         stats.check_consistency().expect("attribution consistent");
         for (id, core) in stats.cores.iter().enumerate() {
             assert_eq!(
@@ -66,9 +70,7 @@ fn listener_replay_reproduces_fast_path_stall_causes() {
     let config = ClusterConfig::default();
     for team in [1, 3, 8] {
         let program = lowered_program(team, &config);
-        let mut sink = TextSink::new();
-        let direct = simulate_traced(&config, &program, 10_000_000, &mut sink).expect("simulate");
-        let replayed = stats_from_trace(&sink.text, &config, program.num_cores()).expect("replay");
+        let (direct, replayed) = replay_oracle(&config, &program, 10_000_000);
         for (id, (d, r)) in direct.cores.iter().zip(&replayed.cores).enumerate() {
             assert_eq!(
                 d.breakdown, r.breakdown,

@@ -2,11 +2,10 @@
 
 use kernel_ir::{lower, DType, KernelBuilder, Suite};
 use proptest::prelude::*;
-use pulp_energy_model::{energy_of, stats_from_trace, EnergyModel};
+use pulp_energy_model::{energy_of, replay_oracle, EnergyModel};
 use pulp_ml::{stratified_folds, tolerance_accuracy};
 use pulp_sim::{
-    render_line, simulate, simulate_traced, ClusterConfig, FpOp, OpKind, Program, SegOp, TextSink,
-    TraceEvent,
+    render_line, simulate, simulate_traced, ClusterConfig, FpOp, OpKind, Program, SegOp, TraceEvent,
 };
 
 fn config() -> ClusterConfig {
@@ -108,10 +107,7 @@ proptest! {
     fn trace_parity_on_random_kernels(kernel in arb_kernel()) {
         let cfg = config();
         let lowered = lower(&kernel, 3, &cfg).expect("lower");
-        let mut sink = TextSink::new();
-        let direct =
-            simulate_traced(&cfg, &lowered.program, 50_000_000, &mut sink).expect("simulate");
-        let replayed = stats_from_trace(&sink.text, &cfg, 3).expect("replay");
+        let (direct, replayed) = replay_oracle(&cfg, &lowered.program, 50_000_000);
         // Replay reconstructs architectural state; fast-forward span
         // counters are diagnostics the trace does not carry.
         prop_assert_eq!(direct.without_fast_forward(), replayed);
@@ -276,4 +272,75 @@ proptest! {
             base.manifest_hash()
         );
     }
+}
+
+/// Every strict prefix of `text` (cut at char boundaries), then a few
+/// garbage inputs: what a crash mid-write or a hostile file leaves behind.
+fn truncations_and_garbage(text: &str) -> impl Iterator<Item = &str> {
+    const GARBAGE: [&str; 8] = [
+        "\0",
+        "not json {{{",
+        "null",
+        "[]",
+        "{\"unexpected\": true}",
+        "\u{feff}{}",
+        "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[",
+        "{\"a\": 1e999999}\n",
+    ];
+    text.char_indices()
+        .map(move |(i, _)| &text[..i])
+        .chain(GARBAGE)
+}
+
+/// The on-disk readers reject a cut or garbage file with an `Err` or a
+/// cache miss, and never panic.
+#[test]
+fn readers_reject_every_prefix_and_garbage_without_panicking() {
+    use pulp_energy::{
+        EnergyPredictor, LabeledDataset, PipelineOptions, StaticFeatureSet, SweepCache,
+    };
+    use pulp_energy_model::{DynamicFeatures, EnergySummary};
+    use pulp_obs::{validate_journal, JournalReader};
+
+    let data = LabeledDataset::build(&PipelineOptions::quick(&["vec_scale"])).expect("build");
+    let model = EnergyPredictor::train(&data, StaticFeatureSet::All, Default::default())
+        .expect("train")
+        .to_json();
+    assert!(EnergyPredictor::from_json(&model).is_ok());
+    for input in truncations_and_garbage(&model) {
+        assert!(
+            EnergyPredictor::from_json(input).is_err(),
+            "model {input:?}"
+        );
+    }
+
+    let journal = include_str!("fixtures/sweep_journal.jsonl");
+    assert!(validate_journal(journal).is_ok());
+    for input in truncations_and_garbage(journal) {
+        assert!(JournalReader::read_str(input).is_err(), "journal {input:?}");
+        assert!(validate_journal(input).is_err(), "journal {input:?}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("pulp-prefix-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = SweepCache::new(&dir).expect("open cache");
+    let key = cache.key("vec_scale/f32/512", &config(), &EnergyModel::table1());
+    let summaries: Vec<EnergySummary> = (1..=8)
+        .map(|cores| EnergySummary {
+            cores,
+            energy_fj: 1000.0 * cores as f64 + 0.125,
+            cycles: 10_000 / cores as u64,
+            dynamic: DynamicFeatures::extract(&pulp_sim::SimStats::default()),
+        })
+        .collect();
+    cache.store(&key, &summaries);
+    let path = dir.join(key.file_name());
+    let entry = std::fs::read_to_string(&path).expect("entry written");
+    assert_eq!(cache.lookup(&key), Some(summaries));
+    for input in truncations_and_garbage(&entry) {
+        std::fs::write(&path, input).expect("rewrite entry");
+        assert_eq!(cache.lookup(&key), None, "cache entry {input:?}");
+    }
+    assert_eq!(cache.stats().hits, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,9 +2,9 @@
 //! energy, with conservation checks and trace-path parity on real kernels.
 
 use kernel_ir::{lower, DType};
-use pulp_energy_model::{energy_of, stats_from_trace, EnergyModel};
+use pulp_energy_model::{energy_of, replay_oracle, EnergyModel};
 use pulp_kernels::{registry, KernelParams};
-use pulp_sim::{simulate, simulate_traced, ClusterConfig, TextSink};
+use pulp_sim::{simulate, ClusterConfig};
 
 fn config() -> ClusterConfig {
     ClusterConfig::default()
@@ -103,9 +103,7 @@ fn trace_parity_on_dataset_kernel() {
         .build(&KernelParams::new(DType::F32, 512))
         .expect("build");
     let lowered = lower(&kernel, 4, &cfg).expect("lower");
-    let mut sink = TextSink::new();
-    let direct = simulate_traced(&cfg, &lowered.program, 10_000_000, &mut sink).expect("simulate");
-    let replayed = stats_from_trace(&sink.text, &cfg, 4).expect("replay");
+    let (direct, replayed) = replay_oracle(&cfg, &lowered.program, 10_000_000);
     // Replay reconstructs architectural state; fast-forward span counters
     // are diagnostics the trace does not carry.
     assert_eq!(direct.without_fast_forward(), replayed);
