@@ -5,7 +5,8 @@
 
 use crate::labeling::NUM_CLASSES;
 use pulp_ml::{
-    mean_std, repeated_cross_val_predict, tolerance_accuracy, Dataset, DecisionTree, TreeParams,
+    mean_std, parallel_seeds, repeated_cross_val_predict, tolerance_accuracy, Dataset,
+    DecisionTree, TreeParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -179,20 +180,26 @@ pub struct RankedFeature {
 /// Ranks features by decision-tree importance, averaged over `repeats`
 /// stratified refits (subsampling via CV folds stabilises the ranking the
 /// same way the paper's repeated protocol does).
+///
+/// The refits run on `protocol.cv_threads` workers; their importances are
+/// summed in repetition order, so the ranking is bit-identical at any
+/// thread count.
 pub fn rank_features(data: &Dataset, protocol: &Protocol) -> Vec<RankedFeature> {
-    let mut total = vec![0.0f64; data.n_features()];
-    let repeats = protocol.repeats.max(1);
-    for r in 0..repeats {
+    let refit = |(): &mut (), r: usize| {
         let folds =
             pulp_ml::stratified_folds(data.labels(), protocol.folds, protocol.seed + r as u64);
         // Train on all but the first fold — a (k-1)/k subsample per seed.
         let rows: Vec<usize> = folds.iter().skip(1).flatten().copied().collect();
-        if rows.is_empty() {
-            continue;
-        }
-        let mut tree = DecisionTree::new(protocol.tree);
-        tree.fit_rows(data, &rows);
-        for (c, imp) in tree.feature_importances().iter().enumerate() {
+        (!rows.is_empty()).then(|| {
+            let mut tree = DecisionTree::new(protocol.tree);
+            tree.fit_rows(data, &rows);
+            tree.feature_importances().to_vec()
+        })
+    };
+    let (refits, _) = parallel_seeds(protocol.repeats.max(1), protocol.cv_threads, |_| (), refit);
+    let mut total = vec![0.0f64; data.n_features()];
+    for importances in refits.iter().flatten() {
+        for (c, imp) in importances.iter().enumerate() {
             total[c] += imp;
         }
     }
@@ -379,5 +386,31 @@ mod tests {
         let c1 = tolerance_curve("t", &data, &energies, &tol, &serial);
         let c4 = tolerance_curve("t", &data, &energies, &tol, &parallel);
         assert_eq!(c1, c4, "curves must be bit-identical at any thread count");
+    }
+
+    #[test]
+    fn cv_threads_do_not_change_the_ranking() {
+        let (data, _) = synthetic(80);
+        let ranking = |cv_threads| -> Vec<(usize, u64)> {
+            let p = Protocol {
+                cv_threads,
+                ..Protocol::quick()
+            };
+            rank_features(&data, &p)
+                .iter()
+                .map(|r| (r.column, r.importance.to_bits()))
+                .collect()
+        };
+        let serial = ranking(1);
+        assert_eq!(
+            serial,
+            ranking(2),
+            "ranking must be bit-identical at 2 threads"
+        );
+        assert_eq!(
+            serial,
+            ranking(8),
+            "ranking must be bit-identical at 8 threads"
+        );
     }
 }

@@ -164,8 +164,9 @@ pub fn repeated_cross_val_predict<C: Classifier>(
 /// increasing order. At one thread the jobs run inline on the caller's
 /// thread. `f` must derive all randomness from its index argument to stay
 /// deterministic across thread counts. This is the one worker pool of the
-/// workspace: [`repeated_cross_val_predict`], the labelling sweep driver
-/// and the learning-curve harness all run on it.
+/// workspace: [`repeated_cross_val_predict`], the feature ranking's
+/// refits, the labelling sweep driver and the learning-curve harness all
+/// run on it.
 pub fn parallel_seeds<S: Send, T: Send>(
     n: usize,
     threads: usize,

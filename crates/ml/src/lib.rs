@@ -57,5 +57,5 @@ pub use knn::{KNearestNeighbors, KnnParams};
 pub use metrics::{
     accuracy, class_scores, confusion_matrix, mean_std, tolerance_accuracy, ClassScore,
 };
-pub use split::{best_split, best_split_with, entropy, gini, Criterion, Split};
+pub use split::{entropy, gini, Criterion};
 pub use tree::{DecisionTree, NodeView, TreeParams};

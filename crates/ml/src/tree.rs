@@ -4,9 +4,20 @@
 //! because it "supports decisions by checking a sequence of control
 //! statements" and allows insight into which features matter (Table IV
 //! reports its feature importances).
+//!
+//! A fit sorts each feature of its training rows once
+//! ([`Presort`](crate::split)); every node then scans its own range of
+//! each sorted block and a split stable-partitions those ranges, so no
+//! node re-sorts. The trees are bit-identical to those of a search that
+//! re-sorts at every node: a split depends only on the class counts at the
+//! boundaries between distinct values, scanned in ascending value order,
+//! and those do not depend on how tied values are ordered. Both searches
+//! share the threshold, impurity and tie-break expressions, and a
+//! differential test against the re-sorting search checks every node and
+//! importance bit for bit.
 
 use crate::dataset::Dataset;
-use crate::split::{best_split_with, Criterion, Split};
+use crate::split::{Criterion, Presort};
 use serde::{Deserialize, Serialize};
 
 /// Decision-tree hyperparameters.
@@ -101,7 +112,7 @@ impl DecisionTree {
     }
 
     /// Fits the tree on a row subset (used by cross-validation and
-    /// bagging).
+    /// bagging). `rows` may repeat a row (bootstrap samples).
     ///
     /// # Panics
     ///
@@ -111,10 +122,12 @@ impl DecisionTree {
         self.nodes.clear();
         self.n_features = data.n_features();
         self.importances = vec![0.0; data.n_features()];
-        let all_features: Vec<usize> = (0..data.n_features()).collect();
-        let mut rows = rows.to_vec();
-        let n_total = rows.len();
-        self.grow(data, &mut rows, &all_features, 0, n_total);
+        let mut presort = Presort::new(data, rows);
+        let mut counts = vec![0usize; data.n_classes()];
+        for &r in rows {
+            counts[data.label(r)] += 1;
+        }
+        self.grow(&mut presort, &mut counts, 0, rows.len(), 0);
         let norm: f64 = self.importances.iter().sum();
         if norm > 0.0 {
             for i in &mut self.importances {
@@ -123,68 +136,63 @@ impl DecisionTree {
         }
     }
 
+    /// Grows the subtree of the node `[lo, hi)` at `depth` and returns its
+    /// id. `counts` stacks one class-count histogram per depth: the node's
+    /// own is slot `depth`, and its children use slot `depth + 1` in turn
+    /// (a subtree writes only to slots deeper than its own).
     fn grow(
         &mut self,
-        data: &Dataset,
-        rows: &mut [usize],
-        features: &[usize],
+        presort: &mut Presort<'_>,
+        counts: &mut Vec<usize>,
+        lo: usize,
+        hi: usize,
         depth: usize,
-        n_total: usize,
     ) -> usize {
-        let split = if depth >= self.params.max_depth || rows.len() < self.params.min_samples_split
-        {
+        let (k, n_total) = (presort.n_classes(), presort.n_rows());
+        let here = depth * k..(depth + 1) * k;
+        let split = if depth >= self.params.max_depth || hi - lo < self.params.min_samples_split {
             None
         } else {
-            best_split_with(
-                data,
-                rows,
-                features,
+            presort.best_split(
+                lo,
+                hi,
+                &counts[here.clone()],
                 self.params.min_samples_leaf,
                 n_total,
                 self.params.criterion,
             )
         };
-        match split {
-            None => self.push_leaf(data, rows),
-            Some(Split {
-                feature,
-                threshold,
-                weighted_decrease,
-            }) => {
-                self.importances[feature] += weighted_decrease;
-                let (mut left_rows, mut right_rows): (Vec<usize>, Vec<usize>) = rows
-                    .iter()
-                    .partition(|&&r| data.row(r)[feature] <= threshold);
-                debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
-                let id = self.nodes.len();
-                // Reserve the slot; children are appended after.
-                self.nodes.push(Node::Leaf { class: 0 });
-                let left = self.grow(data, &mut left_rows, features, depth + 1, n_total);
-                let right = self.grow(data, &mut right_rows, features, depth + 1, n_total);
-                self.nodes[id] = Node::Internal {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
-                id
-            }
+        let Some(split) = split else {
+            let class = counts[here]
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, c)| c)
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            self.nodes.push(Node::Leaf { class });
+            return self.nodes.len() - 1;
+        };
+        self.importances[split.feature] += split.weighted_decrease;
+        let child = (depth + 1) * k..(depth + 2) * k;
+        if counts.len() < child.end {
+            counts.resize(child.end, 0);
         }
-    }
-
-    fn push_leaf(&mut self, data: &Dataset, rows: &[usize]) -> usize {
-        let mut counts = vec![0usize; data.n_classes()];
-        for &r in rows {
-            counts[data.label(r)] += 1;
-        }
-        let class = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let mid = presort.partition(lo, hi, &split, &mut counts[child.clone()]);
         let id = self.nodes.len();
-        self.nodes.push(Node::Leaf { class });
+        // Reserve the slot; children are appended after.
+        self.nodes.push(Node::Leaf { class: 0 });
+        let left = self.grow(presort, counts, lo, mid, depth + 1);
+        // The left subtree left its own counts in slot `depth + 1`.
+        for (i, j) in here.zip(child) {
+            counts[j] = counts[i] - counts[j];
+        }
+        let right = self.grow(presort, counts, mid, hi, depth + 1);
+        self.nodes[id] = Node::Internal {
+            feature: split.feature,
+            threshold: split.threshold,
+            left,
+            right,
+        };
         id
     }
 
@@ -352,6 +360,175 @@ impl DecisionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split::oracle;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The tree the per-node re-sorting search grows: the fit the
+    /// presorted one replaced, kept as its differential oracle.
+    fn fit_reference(params: TreeParams, data: &Dataset, rows: &[usize]) -> DecisionTree {
+        fn grow(
+            t: &mut DecisionTree,
+            data: &Dataset,
+            rows: &mut [usize],
+            depth: usize,
+            n_total: usize,
+        ) -> usize {
+            let features: Vec<usize> = (0..data.n_features()).collect();
+            let split = if depth >= t.params.max_depth || rows.len() < t.params.min_samples_split {
+                None
+            } else {
+                oracle::best_split_with(
+                    data,
+                    rows,
+                    &features,
+                    t.params.min_samples_leaf,
+                    n_total,
+                    t.params.criterion,
+                )
+            };
+            let Some(split) = split else {
+                let mut counts = vec![0usize; data.n_classes()];
+                for &r in rows.iter() {
+                    counts[data.label(r)] += 1;
+                }
+                let class = counts
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(_, c)| c)
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                t.nodes.push(Node::Leaf { class });
+                return t.nodes.len() - 1;
+            };
+            t.importances[split.feature] += split.weighted_decrease;
+            let (mut left_rows, mut right_rows): (Vec<usize>, Vec<usize>) = rows
+                .iter()
+                .partition(|&&r| data.row(r)[split.feature] <= split.threshold);
+            let id = t.nodes.len();
+            t.nodes.push(Node::Leaf { class: 0 });
+            let left = grow(t, data, &mut left_rows, depth + 1, n_total);
+            let right = grow(t, data, &mut right_rows, depth + 1, n_total);
+            t.nodes[id] = Node::Internal {
+                feature: split.feature,
+                threshold: split.threshold,
+                left,
+                right,
+            };
+            id
+        }
+        let mut t = DecisionTree::new(params);
+        t.n_features = data.n_features();
+        t.importances = vec![0.0; data.n_features()];
+        grow(&mut t, data, &mut rows.to_vec(), 0, rows.len());
+        let norm: f64 = t.importances.iter().sum();
+        if norm > 0.0 {
+            for i in &mut t.importances {
+                *i /= norm;
+            }
+        }
+        t
+    }
+
+    /// Every node and importance of `t`, floats by their bits.
+    fn bits(t: &DecisionTree) -> (Vec<[u64; 4]>, Vec<u64>) {
+        let nodes = (0..t.node_count())
+            .map(|id| match t.node(id) {
+                NodeView::Leaf { class } => [u64::MAX, class as u64, 0, 0],
+                NodeView::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => [
+                    feature as u64,
+                    threshold.to_bits(),
+                    left as u64,
+                    right as u64,
+                ],
+            })
+            .collect();
+        let importances = t
+            .feature_importances()
+            .iter()
+            .map(|i| i.to_bits())
+            .collect();
+        (nodes, importances)
+    }
+
+    /// A random 8-class dataset with some classes absent and columns that
+    /// are constant, heavily tied or continuous. A tied column takes 3-5
+    /// of a few values that include both signed zeros and pairs whose
+    /// midpoint overflows to infinity.
+    fn random_dataset(rng: &mut StdRng) -> Dataset {
+        let n = rng.gen_range(2..90);
+        let width = rng.gen_range(1..7);
+        let present: Vec<usize> = (0..8).filter(|_| rng.gen_range(0..5) < 3).collect();
+        let present = if present.is_empty() { vec![5] } else { present };
+        let columns: Vec<Vec<f64>> = (0..width)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => vec![rng.gen_range(-3.0..3.0); n],
+                1 | 2 => {
+                    let mut levels = vec![0.0, -0.0, 1.5, -2.0, 7.25, 1e308, 1.7e308, f64::MAX];
+                    levels.shuffle(rng);
+                    levels.truncate(rng.gen_range(3..6));
+                    (0..n)
+                        .map(|_| levels[rng.gen_range(0..levels.len())])
+                        .collect()
+                }
+                _ => (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect(),
+            })
+            .collect();
+        let features = (0..n)
+            .map(|i| columns.iter().map(|c| c[i]).collect())
+            .collect();
+        let labels = (0..n)
+            .map(|_| present[rng.gen_range(0..present.len())])
+            .collect();
+        let names = (0..width).map(|i| format!("f{i}")).collect();
+        Dataset::new(features, labels, names, 8).expect("valid dataset")
+    }
+
+    #[test]
+    fn presorted_fit_matches_the_resorting_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut internal = 0;
+        for case in 0..150 {
+            let d = random_dataset(&mut rng);
+            let n = d.len();
+            let rows: Vec<usize> = match case % 3 {
+                0 => (0..n).collect(),
+                // A bootstrap sample: duplicates, some rows left out.
+                1 => (0..n).map(|_| rng.gen_range(0..n)).collect(),
+                _ => (0..n)
+                    .filter(|_| rng.gen_range(0..10) < 7)
+                    .chain([0])
+                    .collect(),
+            };
+            for criterion in [Criterion::Gini, Criterion::Entropy] {
+                for min_samples_leaf in [1, 3] {
+                    for max_depth in [2, 16] {
+                        let params = TreeParams {
+                            max_depth,
+                            min_samples_leaf,
+                            criterion,
+                            ..TreeParams::default()
+                        };
+                        let mut t = DecisionTree::new(params);
+                        t.fit_rows(&d, &rows);
+                        let want = fit_reference(params, &d, &rows);
+                        assert_eq!(bits(&t), bits(&want), "case {case}, {params:?}");
+                        internal += t.node_count() / 2;
+                    }
+                }
+            }
+        }
+        assert!(
+            internal > 1000,
+            "the cases must grow real trees: {internal}"
+        );
+    }
 
     fn xor_data() -> Dataset {
         // XOR needs depth 2.
