@@ -32,7 +32,7 @@
 //! `--max-cycles 100000000` for profile/trace runs.
 //!
 //! Every command that reads the labelled dataset (`repro`, `classify`,
-//! `serve`, `bench models`) takes its options from
+//! `serve`, `bench serve`, `bench models`) takes its options from
 //! [`Args::pipeline_options`]: the full 448-sample dataset, or the reduced
 //! one under `--quick`, simulated through the sweep cache at
 //! `--cache-dir` (default: `pulp-sweep-cache` in the cargo target
@@ -42,7 +42,13 @@
 //! ([`pulp_bench::repro`]): the paper's Table I, dataset statistics,
 //! Figure 2 left and right, Table IV and headline numbers, the extensions
 //! and the `dataset_export` / `profile_report` utilities. `repro` alone
-//! prints the registry names, one per line.
+//! prints the registry names, one per line. `bench sim|serve|models` run
+//! the entries of the bench table through the same runner. Every
+//! record-writing command (`repro headline` and the three benches) writes
+//! the run manifest (`--manifest PATH`, default `manifest.json`;
+//! `--no-manifest` skips it), stamps its hash into the record's
+//! `manifest_hash`, and honours `--journal PATH` and `--json PATH`. A
+//! record that cannot be written, or a bench invariant violation, exits 1.
 //!
 //! `serve` capacity knobs: `--workers N` (worker threads), `--queue-depth N`
 //! (bounded accept queue; overflow sheds with 503 + `Retry-After`),
@@ -61,13 +67,13 @@
 //! same run with `NoTelemetry` (gated at `TELEMETRY_LIMIT_PCT`), and writes
 //! `BENCH_sim.json` (override with `--out`).
 //!
-//! `bench serve` boots the prediction server in-process and drives it with
-//! concurrent keep-alive clients over kernel-name, raw-feature and batch
-//! request mixes, reporting throughput, per-mix p50/p90/p99 latency and the
-//! shed/timeout counters; writes `BENCH_serve.json` (override with
-//! `--out`). `--trace-out PATH` additionally captures `GET /debug/requests`
-//! (the flight recorder's tail of the load) as Chrome-trace JSON; the
-//! capture is validated either way.
+//! `bench serve` trains the prediction server on the dataset, boots it
+//! in-process and drives it with concurrent keep-alive clients over
+//! kernel-name, raw-feature and batch request mixes, reporting throughput,
+//! per-mix p50/p90/p99 latency and the shed/timeout counters; writes
+//! `BENCH_serve.json` (override with `--out`). `--trace-out PATH`
+//! additionally captures `GET /debug/requests` (the flight recorder's tail
+//! of the load) as Chrome-trace JSON; the capture is validated either way.
 //!
 //! `bench models` evaluates the whole model zoo (tree, random forest,
 //! gradient-boosted trees, kNN) under the repeated-CV protocol and checks
@@ -94,16 +100,13 @@
 //! report: per-stage wall breakdown, shard throughput table, top-K slowest
 //! kernels and cache attribution. `journal validate` runs just the
 //! structural check (schema version, gap-free sequence, framing, stage
-//! discipline) over any number of journals. `bench sim`, `bench models`
-//! and `repro` accept `--journal PATH` to write such journals.
+//! discipline) over any number of journals. `repro` and `bench
+//! sim|serve|models` accept `--journal PATH` to write such journals.
 
 use kernel_ir::{lower, DType, Kernel};
 use pulp_bench::cli::USAGE;
 use pulp_bench::serve::{install_signal_shutdown, ServeOptions, ServeState, Server};
-use pulp_bench::{
-    profile_run, recorder_of_run, repro, run_models_bench, run_serve_bench, Args, BenchRecord,
-    ServeBenchOptions, SimBenchOptions,
-};
+use pulp_bench::{profile_run, recorder_of_run, repro, Args, BenchRecord};
 use pulp_energy::{
     default_cache_version, measure_kernel, static_feature_names, static_feature_vector,
     EnergyPredictor, StaticFeatureSet, SweepCache,
@@ -284,80 +287,6 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Writes `record` to `path` (see [`BenchRecord::to_json`]); reports the
-/// outcome and returns whether it succeeded.
-fn write_record(record: &BenchRecord, path: &Path) -> bool {
-    match record.write(path) {
-        Ok(()) => {
-            println!("wrote {}", path.display());
-            true
-        }
-        Err(e) => {
-            eprintln!("bench {}: {e}", record.bench);
-            false
-        }
-    }
-}
-
-/// Reports a bench's invariant check: `ok` on success, every violation
-/// (and a failing exit code) otherwise.
-fn verdict(bench: &str, ok: &str, outcome: Result<(), Vec<String>>) -> ExitCode {
-    match outcome {
-        Ok(()) => {
-            println!("bench {bench}: {ok}");
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            eprintln!("bench {bench}: {} invariant violation(s):", problems.len());
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the simulator performance benchmark and writes `BENCH_sim.json`
-/// (or `--out PATH`). Fails if any fast-forward run diverges from its
-/// single-step oracle, if the barrier/DMA basket never skips a cycle, or
-/// if the profiling telemetry changes the simulation's results.
-fn cmd_bench_sim(args: &Args) -> ExitCode {
-    let mut opts = if args.quick {
-        SimBenchOptions::quick()
-    } else {
-        SimBenchOptions::default()
-    };
-    if let Some(n) = args.max_cycles {
-        opts.max_cycles = n;
-    }
-    if let Some(n) = args.iters {
-        opts.iters = n;
-    }
-    eprintln!(
-        "bench sim: {} run ({} baskets x {} team sizes, {} timing iteration(s))...",
-        if opts.quick { "quick" } else { "full" },
-        pulp_bench::sim_bench::BASKETS.len(),
-        pulp_bench::sim_bench::TEAM_SIZES.len(),
-        opts.iters
-    );
-    // The journal's run id is seeded from the pre-run provenance manifest
-    // (wall times excluded), so re-running the same configuration re-derives
-    // the same id.
-    let mut journal = args.journal_writer("bench_sim", &args.pipeline_options(), None);
-    let report = pulp_bench::run_sim_bench(&opts, journal.as_mut());
-    args.finish_journal(journal);
-    print!("{}", report.render_table());
-    let out_path = args.out.as_deref().unwrap_or(Path::new("BENCH_sim.json"));
-    if !write_record(&report.record(), out_path) {
-        return ExitCode::FAILURE;
-    }
-    verdict(
-        "sim",
-        "all runs bit-identical to the single-step oracle",
-        report.verify(),
-    )
-}
-
 /// The server capacity knobs implied by the command line.
 fn serve_options(args: &Args) -> ServeOptions {
     let mut o = ServeOptions::default();
@@ -394,7 +323,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
     log.info(
         "serve",
         "training model (this simulates the training sweep unless cached)...",
-        &[("profile", profile_name(args).to_string())],
+        &[("profile", args.profile().to_string())],
     );
     let serve_opts = serve_options(args);
     // The request-path logger moves into the server state: slow-request
@@ -443,116 +372,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
     server.run();
     log.info("serve", "drained; all workers joined", &[]);
     ExitCode::SUCCESS
-}
-
-/// Runs the serving-layer load benchmark and writes `BENCH_serve.json`
-/// (or `--out PATH`). Fails on correctness errors, a batch/sequential
-/// divergence, or (in the quick profile) any shed or timeout.
-fn cmd_bench_serve(args: &Args) -> ExitCode {
-    let mut opts = if args.quick {
-        ServeBenchOptions::quick()
-    } else {
-        ServeBenchOptions::default()
-    };
-    if let Some(rate) = args.rate {
-        opts.open_loop_rate_rps = rate;
-    }
-    eprintln!(
-        "bench serve: {} run ({} rounds of {} clients x {} requests, {} workers, \
-         queue depth {}, open-loop {} rps)...",
-        if opts.quick { "quick" } else { "full" },
-        opts.rounds,
-        opts.clients,
-        opts.requests_per_client,
-        opts.serve.workers,
-        opts.serve.queue_depth,
-        opts.open_loop_rate_rps
-    );
-    let run = run_serve_bench(&opts);
-    print!("{}", run.report.render_table());
-    let out_path = args.out.as_deref().unwrap_or(Path::new("BENCH_serve.json"));
-    if !write_record(&run.report.record(), out_path) {
-        return ExitCode::FAILURE;
-    }
-    if let Some(trace_path) = &args.trace_out {
-        if let Err(e) = std::fs::write(trace_path, &run.trace_json) {
-            eprintln!("bench serve: cannot write {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "wrote {} (flight-recorder Chrome trace)",
-            trace_path.display()
-        );
-    }
-    if let Some(hist_path) = &args.hist_out {
-        if let Err(e) = std::fs::write(hist_path, run.open_loop_histogram_json()) {
-            eprintln!("bench serve: cannot write {}: {e}", hist_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "wrote {} (open-loop latency histogram)",
-            hist_path.display()
-        );
-    }
-    verdict("serve", "all invariants hold", run.verify())
-}
-
-/// `quick` or `full`: the dataset profile `--quick` selects.
-fn profile_name(args: &Args) -> &'static str {
-    if args.quick {
-        "quick"
-    } else {
-        "full"
-    }
-}
-
-/// Runs the model-zoo evaluation benchmark and writes `BENCH_models.json`
-/// (or `--out PATH`). Builds (or loads) the dataset with the usual
-/// pipeline caches, evaluates every zoo model under the repeated-CV
-/// protocol, checks flat/float parity on the full dataset, and wires the
-/// run manifest + journal exactly like the `repro` experiments.
-fn cmd_bench_models(args: &Args) -> ExitCode {
-    let start = std::time::Instant::now();
-    let opts = args.pipeline_options();
-    let protocol = args.protocol();
-    eprintln!(
-        "bench models: {} run ({} folds x {} repeats, cv-threads {})...",
-        profile_name(args),
-        protocol.folds,
-        protocol.repeats,
-        if protocol.cv_threads == 0 {
-            "all".to_string()
-        } else {
-            protocol.cv_threads.to_string()
-        }
-    );
-    let mut journal = args.journal_writer("bench_models", &opts, Some(&protocol));
-    let data = match pulp_bench::load_or_build_dataset(&opts, args, journal.as_mut()) {
-        Ok(data) => data,
-        Err(e) => {
-            eprintln!("bench models: dataset build failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut report = run_models_bench(&data, &protocol, args.quick);
-    let manifest = args.write_manifest("bench_models", &opts, Some(&protocol), start);
-    report.manifest_hash = manifest.manifest_hash();
-    let record = report.record();
-    pulp_obs::append_or_warn(journal.as_mut(), record.journal_events());
-    args.finish_journal(journal);
-    print!("{}", report.render_table());
-    let out_path = args
-        .out
-        .as_deref()
-        .unwrap_or(Path::new("BENCH_models.json"));
-    if !write_record(&record, out_path) {
-        return ExitCode::FAILURE;
-    }
-    verdict(
-        "models",
-        "flat inference bit-exact with the float reference",
-        report.verify(),
-    )
 }
 
 /// The kernel the command line names (its one operand), instantiated at
@@ -686,7 +505,7 @@ fn main() -> ExitCode {
                 Ok(k) => k,
                 Err(code) => return code,
             };
-            eprintln!("training on the {} kernel set...", profile_name(&args));
+            eprintln!("training on the {} kernel set...", args.profile());
             let opts = args.pipeline_options();
             let trained = pulp_bench::load_or_build_dataset(&opts, &args, None)
                 .map_err(|e| format!("training-set build failed: {e}"))
@@ -890,10 +709,8 @@ fn main() -> ExitCode {
         },
         "bench" => match args.operands.as_slice() {
             [action, old, new] if action == "diff" => cmd_bench_diff(old, new),
-            [action] if action == "sim" => cmd_bench_sim(&args),
-            [action] if action == "serve" => cmd_bench_serve(&args),
-            [action] if action == "models" => cmd_bench_models(&args),
             [action, dir] if action == "history" => cmd_bench_history(dir),
+            [name] => repro::bench(name, &args),
             _ => usage(),
         },
         _ => usage(),

@@ -25,19 +25,19 @@ pub const USAGE: &str =
           [--queue-depth N] [--timeout-ms N] [--max-body-bytes N] [--keepalive-max N]
           [--slow-ms N] [--flight-capacity N] [--retry-after-secs N] [--log-json]
    or: pulp_cli bench diff OLD.json NEW.json
-   or: pulp_cli bench sim [--quick] [--out PATH] [--max-cycles N] [--iters N] [--journal PATH]
-   or: pulp_cli bench serve [--quick] [--out PATH] [--trace-out PATH] [--rate RPS]
-          [--hist-out PATH]
-   or: pulp_cli bench models [--quick] [--out PATH] [--cv-threads N] [--journal PATH]
-          [--cache-dir DIR]
+   or: pulp_cli bench sim [experiment options] [--iters N]
+   or: pulp_cli bench serve [experiment options] [--trace-out PATH] [--rate RPS] [--hist-out PATH]
+   or: pulp_cli bench models [experiment options]
    or: pulp_cli bench history DIR
    or: pulp_cli report RUN.jsonl
    or: pulp_cli journal validate RUN.jsonl [RUN2.jsonl ...]
 
-experiment options (repro, bench models; classify and serve read the dataset ones):
+experiment options (repro, bench sim|serve|models; classify and serve read the dataset ones).
+Every record-writing command (repro headline, bench sim|serve|models) writes the manifest,
+stamps its hash into the record and exits 1 when the record cannot be written:
   --quick             reduced dataset + reduced CV protocol
   --json <path>       dump the machine-readable record to <path>
-  --out <path>        bench record path (repro headline: BENCH_headline.json)
+  --out <path>        bench record path (default: BENCH_<bench>.json)
   --threads <n>       simulation worker threads (0 = all cores)
   --cv-threads <n>    cross-validation worker threads (0 = all cores)
   --cache-dir <dir>   sweep cache directory (default: <target dir>/pulp-sweep-cache)
@@ -240,6 +240,15 @@ impl Args {
     /// Team size: `--team`, 4 by default.
     pub fn team(&self) -> usize {
         self.team.unwrap_or(4)
+    }
+
+    /// The dataset profile `--quick` selects: `quick` or `full`.
+    pub fn profile(&self) -> &'static str {
+        if self.quick {
+            "quick"
+        } else {
+            "full"
+        }
     }
 
     /// The sweep-cache directory: `--cache-dir`, else `pulp-sweep-cache`

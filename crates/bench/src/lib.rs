@@ -3,8 +3,9 @@
 //! Everything runs through one binary, `pulp_cli`. Each table and figure
 //! of the paper (see DESIGN.md §5 and EXPERIMENTS.md) is one entry of the
 //! [`repro`] registry, run as `pulp_cli repro <name>`; the benches behind
-//! `pulp_cli bench sim|serve|models` write [`BenchRecord`]s. [`Args`] is
-//! the one command line they all share. Every experiment accepts:
+//! `pulp_cli bench sim|serve|models` are entries of its bench table, run
+//! by the same runner, and write [`BenchRecord`]s. [`Args`] is the one
+//! command line they all share. Every experiment accepts:
 //!
 //! * `--quick` — reduced dataset (subset of kernels, 2 payload sizes) and
 //!   reduced CV protocol; for smoke-testing the harness.

@@ -78,9 +78,6 @@ pub struct ModelsBenchReport {
     pub seed: u64,
     /// Dataset samples evaluated.
     pub samples: usize,
-    /// Hash of the run manifest, tying the record to its provenance
-    /// (empty when the manifest was skipped).
-    pub manifest_hash: String,
     /// One row per zoo member.
     pub rows: Vec<ModelsBenchRow>,
     /// Wall time of the evaluation, seconds.
@@ -141,20 +138,21 @@ impl ModelsBenchReport {
         use Better::{Higher, Lower};
         let accuracy = Some(Tolerance::Absolute(ACCURACY_TOLERANCE));
         let flat = Some(Tolerance::Limit(0.0));
-        let mut record =
-            BenchRecord::from_report(&self.bench, self.quick, self, &["model"], |_, field| {
-                match field {
-                    "static_at_5" => ("ratio", Higher, accuracy),
-                    "static_at_0" => ("ratio", Higher, None),
-                    "std_at_5" => ("ratio", Lower, None),
-                    "flat_mismatches" => ("count", Lower, flat),
-                    "flat_nodes" | "flat_trees" => ("count", Lower, None),
-                    "wall_s" => ("s", Lower, None),
-                    _ => ("count", Higher, None),
-                }
-            });
-        record.manifest_hash = self.manifest_hash.clone();
-        record
+        BenchRecord::from_report(
+            &self.bench,
+            self.quick,
+            self,
+            &["model"],
+            |_, field| match field {
+                "static_at_5" => ("ratio", Higher, accuracy),
+                "static_at_0" => ("ratio", Higher, None),
+                "std_at_5" => ("ratio", Lower, None),
+                "flat_mismatches" => ("count", Lower, flat),
+                "flat_nodes" | "flat_trees" => ("count", Lower, None),
+                "wall_s" => ("s", Lower, None),
+                _ => ("count", Higher, None),
+            },
+        )
     }
 
     /// Renders the human-readable table.
@@ -358,7 +356,6 @@ pub fn run_models_bench(
         repeats: protocol.repeats,
         seed: protocol.seed,
         samples: data.len(),
-        manifest_hash: String::new(),
         rows,
         wall_s: start.elapsed().as_secs_f64(),
     }
@@ -386,7 +383,6 @@ mod tests {
             repeats: 5,
             seed: 0,
             samples: 64,
-            manifest_hash: String::new(),
             rows: vec![
                 row("tree", true),
                 row("forest", true),

@@ -1,19 +1,24 @@
 //! `pulp_cli repro <name>` — every table and figure of the paper (E1–E6),
 //! the extensions (E7, E9–E12) and the dataset and profiling utilities,
-//! one [`EXPERIMENTS`] entry each.
+//! one [`EXPERIMENTS`] entry each — and `pulp_cli bench sim|serve|models`,
+//! one [`BENCHES`] entry each.
 //!
-//! [`run`] does the steps every experiment shares, once: it starts the
-//! timer, builds the pipeline options and protocol from [`Args`], opens
-//! the run journal, loads the dataset for the experiments that read it,
-//! writes the `--json` dump and the run manifest, and writes the bench
-//! record of the experiments that produce one. An experiment body keeps
-//! only its computation and its printing.
+//! One runner does the steps every entry of both tables shares, once: it
+//! starts the timer, builds the pipeline options and protocol from
+//! [`Args`], opens the run journal, loads the dataset for the entries that
+//! read it, writes the `--json` dump and the run manifest, and writes the
+//! bench record of the entries that produce one, stamped with the
+//! manifest hash and journalled as the `bench_record` tail. It prints
+//! every invariant violation a bench reports. A violation or a failed
+//! record write is an error exit. An entry's body keeps only its
+//! computation, its printing and its extra artifacts.
 //!
-//! Each registry name is also the manifest and journal `tool` string, so
-//! a manifest hash or journal run id depends only on the experiment and
-//! its inputs. Cross-validated experiments ([`Experiment::Evaluation`])
-//! also record their evaluation protocol.
+//! Each experiment name is also the manifest and journal `tool` string,
+//! and a bench runs as `bench_<name>`, so a manifest hash or journal run
+//! id depends only on the entry and its inputs. Cross-validated entries
+//! ([`Experiment::Evaluation`]) also record their evaluation protocol.
 
+mod benches;
 mod extensions;
 mod paper;
 mod tools;
@@ -59,6 +64,8 @@ pub struct Output {
     json: Value,
     /// The bench record to journal and write (`--out`).
     bench: Option<BenchRecord>,
+    /// The bench's invariant check: one message per violation.
+    verdict: Result<(), Vec<String>>,
 }
 
 impl Output {
@@ -67,6 +74,21 @@ impl Output {
         Self {
             json: record.to_value(),
             bench: None,
+            verdict: Ok(()),
+        }
+    }
+
+    /// An output whose `--json` record is `report`, writing `bench` and
+    /// reporting `verdict`.
+    fn bench(
+        report: &impl Serialize,
+        bench: BenchRecord,
+        verdict: Result<(), Vec<String>>,
+    ) -> Self {
+        Self {
+            json: report.to_value(),
+            bench: Some(bench),
+            verdict,
         }
     }
 }
@@ -98,12 +120,39 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("profile_report", Standalone(tools::profile_report)),
 ];
 
+/// The benches behind `pulp_cli bench <name>`; each runs under the tool
+/// string `bench_<name>`.
+pub const BENCHES: &[(&str, Experiment)] = &[
+    ("sim", Standalone(benches::sim)),
+    ("serve", Dataset(benches::serve)),
+    ("models", Evaluation(benches::models)),
+];
+
 /// Runs the experiment called `name` with `args`.
 pub fn run(name: &str, args: &Args) -> ExitCode {
-    let Some((tool, exp)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) else {
-        eprintln!("error: unknown experiment `{name}`; `pulp_cli repro` lists them");
-        return ExitCode::from(2);
-    };
+    match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        Some((tool, exp)) => execute(tool, exp, args),
+        None => {
+            eprintln!("error: unknown experiment `{name}`; `pulp_cli repro` lists them");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Runs the bench called `name` with `args`.
+pub fn bench(name: &str, args: &Args) -> ExitCode {
+    match BENCHES.iter().find(|(n, _)| *n == name) {
+        Some((_, exp)) => execute(&format!("bench_{name}"), exp, args),
+        None => {
+            eprintln!("error: unknown bench `{name}`; want sim, serve or models");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// The one runner: runs `exp` under the manifest and journal tool string
+/// `tool`.
+fn execute(tool: &str, exp: &Experiment, args: &Args) -> ExitCode {
     let start = Instant::now();
     let opts = args.pipeline_options();
     let protocol = args.protocol();
@@ -128,7 +177,7 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
     let out = match outcome {
         Ok(out) => out,
         Err(e) => {
-            eprintln!("{name}: {e}");
+            eprintln!("{tool}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -143,6 +192,7 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
     }
     args.finish_journal(journal);
     let manifest = args.write_manifest(tool, &opts, provenance, start);
+    let mut ok = true;
     if let Some(mut record) = out.bench {
         record.manifest_hash = manifest.manifest_hash();
         let path = args
@@ -150,7 +200,10 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
             .clone()
             .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", record.bench)));
         match record.write(&path) {
-            Err(e) => eprintln!("warning: {e}"),
+            Err(e) => {
+                eprintln!("{tool}: {e}");
+                ok = false;
+            }
             Ok(()) if !args.quiet => args.logger().info(
                 "bench",
                 &format!("{} record written", record.bench),
@@ -159,21 +212,98 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
             Ok(()) => {}
         }
     }
-    ExitCode::SUCCESS
+    if let Err(problems) = &out.verdict {
+        eprintln!("{tool}: {} invariant violation(s):", problems.len());
+        for p in problems {
+            eprintln!("  {p}");
+        }
+        ok = false;
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A bench body's output that measures nothing: one metric and
+    /// `verdict`.
+    fn stub(verdict: Result<(), Vec<String>>) -> Result<Output, String> {
+        let mut record = BenchRecord::new("stub", true);
+        record.push("x", 1.0, ("count", crate::Better::Lower, None));
+        Ok(Output::bench(&"stub", record, verdict))
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pulp-repro-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
     #[test]
     fn registry_names_are_unique_and_unknown_names_are_usage_errors() {
         let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
         assert_eq!(names.len(), 13);
+        names.extend(BENCHES.iter().map(|(n, _)| *n));
+        assert_eq!(names.len(), 16);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 13, "duplicate registry name");
+        assert_eq!(names.len(), 16, "duplicate registry name");
         assert_eq!(run("nope", &Args::default()), ExitCode::from(2));
+        assert_eq!(bench("nope", &Args::default()), ExitCode::from(2));
+        // A record that cannot be written (`--out` names a directory) is an
+        // error exit, for every entry of either table.
+        let dir = scratch("unwritable");
+        let args = Args {
+            out: Some(dir.clone()),
+            no_manifest: true,
+            quiet: true,
+            ..Args::default()
+        };
+        let body = Standalone(|_| stub(Ok(())));
+        assert_eq!(execute("stub", &body, &args), ExitCode::FAILURE);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_runner_journals_stamps_and_gates_every_bench_record() {
+        let dir = scratch("record");
+        let args = Args {
+            out: Some(dir.join("BENCH_stub.json")),
+            manifest: Some(dir.join("manifest.json")),
+            journal: Some(dir.join("run.jsonl")),
+            quiet: true,
+            ..Args::default()
+        };
+        let body = Standalone(|_| stub(Ok(())));
+        assert_eq!(execute("stub", &body, &args), ExitCode::SUCCESS);
+        let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record written");
+        assert!(
+            !record.manifest_hash.is_empty(),
+            "stamped with the manifest"
+        );
+        let journal = pulp_obs::JournalReader::read_file(&dir.join("run.jsonl")).expect("journal");
+        let tail: Vec<&str> = journal
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                pulp_obs::JournalEvent::BenchRecord { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tail, ["x"]);
+        // A violation fails the run, but the record is still written.
+        std::fs::remove_file(dir.join("BENCH_stub.json")).expect("remove record");
+        let body = Standalone(|_| stub(Err(vec!["x is wrong".to_string()])));
+        assert_eq!(execute("stub", &body, &args), ExitCode::FAILURE);
+        assert!(dir.join("BENCH_stub.json").is_file());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,13 +14,12 @@ use pulp_energy::{
 };
 use pulp_energy_model::{energy_of, EnergyModel};
 use pulp_ml::{confusion_matrix, cross_val_predict, DecisionTree};
-use pulp_obs::{append_or_warn, JournalEvent};
+use pulp_obs::journal_stage;
 use pulp_sim::{
     simulate, AddrExpr, ClusterConfig, FpOp, OpKind, Program, SegOp, L2_BASE, TCDM_BASE,
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 fn microbench(kind: OpKind, addr: Option<u32>, n: u64) -> Program {
     let instr = SegOp::Instr {
@@ -451,32 +450,22 @@ fn headline_record(
 pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
     let tolerances = default_tolerances();
     let energies = data.energies();
-    append_or_warn(
-        run.journal.as_mut(),
-        [JournalEvent::StageStart {
-            stage: "train_eval".into(),
-        }],
-    );
-    let eval_t0 = Instant::now();
     let protocol = run.protocol;
-
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
-    let static_curve = tolerance_curve("static", &all, &energies, &tolerances, &protocol);
-    let top = top_feature_columns(&all, OPTIMIZED_FEATURES, &protocol);
-    let optimized = all.select_features(&top);
-    let optimized_curve =
-        tolerance_curve("optimised", &optimized, &energies, &tolerances, &protocol);
-    let dynamic = data.dynamic_dataset().expect("dynamic");
-    let dynamic_curve = tolerance_curve("dynamic", &dynamic, &energies, &tolerances, &protocol);
+    let mut journal = run.journal.as_mut();
+    let (static_curve, optimized_curve, dynamic_curve) =
+        journal_stage(&mut journal, "train_eval", |_| {
+            let static_curve = tolerance_curve("static", &all, &energies, &tolerances, &protocol);
+            let top = top_feature_columns(&all, OPTIMIZED_FEATURES, &protocol);
+            let optimized = all.select_features(&top);
+            let optimized_curve =
+                tolerance_curve("optimised", &optimized, &energies, &tolerances, &protocol);
+            let dynamic = data.dynamic_dataset().expect("dynamic");
+            let dynamic_curve =
+                tolerance_curve("dynamic", &dynamic, &energies, &tolerances, &protocol);
+            (static_curve, optimized_curve, dynamic_curve)
+        });
     let naive = always_n_curve(8, &energies, &tolerances);
-
-    append_or_warn(
-        run.journal.as_mut(),
-        [JournalEvent::StageEnd {
-            stage: "train_eval".into(),
-            wall_ms: eval_t0.elapsed().as_secs_f64() * 1e3,
-        }],
-    );
 
     let h = Headline {
         static_at_0: at(&static_curve, 0.0),
@@ -538,8 +527,5 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
         run.start.elapsed().as_millis() as u64,
         run.opts.cache.as_ref().map(|c| c.stats()),
     );
-    Ok(Output {
-        json: h.to_value(),
-        bench: Some(record),
-    })
+    Ok(Output::bench(&h, record, Ok(())))
 }

@@ -165,11 +165,8 @@ pub(super) fn profile_report(run: &mut Run) -> Result<Output, String> {
         json_kernels.push((name.to_string(), Value::Seq(team_values)));
     }
 
-    Ok(Output {
-        json: Value::Map(vec![
-            ("size".to_string(), Value::U64(args.size() as u64)),
-            ("kernels".to_string(), Value::Map(json_kernels)),
-        ]),
-        bench: None,
-    })
+    Ok(Output::json(&Value::Map(vec![
+        ("size".to_string(), Value::U64(args.size() as u64)),
+        ("kernels".to_string(), Value::Map(json_kernels)),
+    ])))
 }

@@ -194,9 +194,19 @@ impl ServeState {
             .expect("serve: dataset build failed");
         let mut metrics = MetricsRegistry::new();
         metrics.observe_recorder("pulp_pipeline", &rec);
-        let predictor = EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default())
+        Self::fit(&data, metrics, opts)
+    }
+
+    /// Trains the service model on `data`, built with `opts`, and
+    /// prepares the metrics registry on top of `metrics`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the model cannot be trained.
+    pub fn fit(data: &LabeledDataset, metrics: MetricsRegistry, opts: &PipelineOptions) -> Self {
+        let predictor = EnergyPredictor::train(data, StaticFeatureSet::All, TreeParams::default())
             .expect("serve: model training failed");
-        Self::from_parts(predictor, &data, metrics, opts)
+        Self::from_parts(predictor, data, metrics, opts)
     }
 
     /// Assembles the state from pre-built parts (the integration test
@@ -1688,6 +1698,9 @@ fn featurize(body: &Value) -> Result<Featurized, String> {
         .into_iter()
         .find(|d| d.name == name)
         .ok_or_else(|| format!("unknown kernel `{name}`"))?;
+    if !def.supports(dtype) {
+        return Err(format!("kernel `{name}` does not support {dtype}"));
+    }
     let kernel = def
         .build(&pulp_kernels::KernelParams::new(dtype, size))
         .map_err(|e| format!("kernel `{name}` rejects size {size}: {e}"))?;

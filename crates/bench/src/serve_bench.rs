@@ -23,16 +23,18 @@
 //! `BENCH_serve.json`, which `pulp_cli bench diff` gates on p99
 //! regressions, failed requests and any shedding in the quick profile.
 //!
-//! The model is always the quick-trained one: the predictor costs
-//! microseconds either way, and this benchmark measures the serving layer
-//! (admission control, parsing, keep-alive) rather than the tree.
+//! The model is trained on the dataset `pulp_cli bench serve` loads through
+//! the sweep cache, like `pulp_cli serve`: the quick kernel set under
+//! `--quick`, all 448 samples otherwise. The predictor costs microseconds
+//! either way; this benchmark measures the serving layer (admission
+//! control, parsing, keep-alive) rather than the tree.
 
 use crate::record::{BenchRecord, Better, Tolerance};
 use crate::serve::{ServeOptions, ServeState, Server};
 use crate::QUICK_KERNELS;
-use pulp_energy::pipeline::PipelineOptions;
+use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
 use pulp_energy::static_feature_vector;
-use pulp_obs::validate_chrome_trace;
+use pulp_obs::{validate_chrome_trace, MetricsRegistry};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -614,17 +616,21 @@ fn batch_matches_sequential(addr: SocketAddr, batch_size: usize) -> bool {
     !batch.is_empty() && batch.iter().all(Option::is_some) && batch == sequential
 }
 
-/// Runs the load benchmark: trains the quick model, boots the server,
-/// drives it with the configured client fleet, snapshots the flight
-/// recorder, then shuts the server down gracefully and returns the run.
+/// Runs the load benchmark: trains the model on `data` (built with
+/// `pipeline`), boots the server, drives it with the configured client
+/// fleet, snapshots the flight recorder, then shuts the server down
+/// gracefully and returns the run.
 ///
 /// # Panics
 ///
 /// Panics when the model cannot be trained or the server cannot bind —
 /// there is nothing to measure without either.
-pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
-    let pipeline = PipelineOptions::quick(QUICK_KERNELS);
-    let state = Arc::new(ServeState::train(&pipeline));
+pub fn run_serve_bench(
+    opts: &ServeBenchOptions,
+    data: &LabeledDataset,
+    pipeline: &PipelineOptions,
+) -> ServeBenchRun {
+    let state = Arc::new(ServeState::fit(data, MetricsRegistry::new(), pipeline));
     let server = Server::bind_with("127.0.0.1:0", Arc::clone(&state), opts.serve)
         .expect("bench: bind ephemeral port");
     let addr = server.addr;

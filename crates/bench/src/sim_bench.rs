@@ -44,7 +44,7 @@ use crate::record::{BenchRecord, Better, Tolerance};
 use pulp_energy::{sweep_kernels, BuildObserver, EnergyProfile, MeasureContext, MeasureError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
-use pulp_obs::{append_or_warn, JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
+use pulp_obs::{journal_stage, JournalWriter, LogFormat, Logger, Recorder};
 use pulp_sim::{
     simulate_opts, AddrExpr, ClusterConfig, NoTelemetry, NullSink, OpKind, Program, SegOp,
     SimOptions, SimScratch, SimStats, TCDM_BASE,
@@ -379,10 +379,9 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// Runs the full benchmark matrix. With a run journal, each basket and the
-/// labeling measurement become journal stages, and every metric of the
-/// [`record`](SimBenchReport::record) is recorded as a `bench_record` event
-/// so `bench history` can read the trajectory straight from journals.
+/// Runs the full benchmark matrix. With a run journal, each basket, the
+/// telemetry measurement and the labeling measurement become journal
+/// stages.
 pub fn run_sim_bench(
     opts: &SimBenchOptions,
     mut journal: Option<&mut JournalWriter>,
@@ -400,90 +399,54 @@ pub fn run_sim_bench(
     let mut scratch = SimScratch::new();
     let mut rows = Vec::new();
     for basket in BASKETS {
-        let basket_start = Instant::now();
-        append_or_warn(
-            journal.as_deref_mut(),
-            [JournalEvent::StageStart {
-                stage: basket.to_string(),
-            }],
-        );
-        for team in TEAM_SIZES {
-            let program = basket_program(basket, team, scale);
-            let Interleaved {
-                a: ff,
-                a_wall: ff_wall,
-                b: oracle,
-                b_wall: oracle_wall,
-                ratio: speedup,
-            } = interleaved(
-                opts.iters,
-                &mut scratch,
-                |s| simulate_basket(&config, &program, &ff_opts, s),
-                |s| simulate_basket(&config, &program, &oracle_opts, s),
-            );
-            // A separate instrumented pass: `horizon_timing` samples one
-            // event in 32 (see the module docs), but even the sampled probes
-            // must not pollute `ff_wall_s`. One iteration is enough — the
-            // split is a ratio, not a throughput claim.
-            let timed = simulate_basket(&config, &program, &timing_opts, &mut scratch);
-            let cycles = ff.cycles;
-            rows.push(SimBenchRow {
-                basket: basket.to_string(),
-                cores: team,
-                cycles,
-                ff_wall_s: ff_wall,
-                oracle_wall_s: oracle_wall,
-                ff_cycles_per_s: throughput(cycles, ff_wall),
-                oracle_cycles_per_s: throughput(cycles, oracle_wall),
-                speedup,
-                skip_ratio: ff.skip_ratio(),
-                spans: ff.fast_forward.spans,
-                oracle_match: ff.without_fast_forward() == oracle,
-                horizon_hit_rate: timed.fast_forward.horizon_hit_rate(),
-                horizon_scan_s: timed.fast_forward.horizon_scan_nanos as f64 / 1e9,
-                horizon_step_s: timed.fast_forward.step_nanos as f64 / 1e9,
-                horizon_scan_share: timed.fast_forward.horizon_scan_share(),
-            });
-        }
-        append_or_warn(
-            journal.as_deref_mut(),
-            [JournalEvent::StageEnd {
-                stage: basket.to_string(),
-                wall_ms: basket_start.elapsed().as_secs_f64() * 1e3,
-            }],
-        );
+        journal_stage(&mut journal, basket, |_| {
+            for team in TEAM_SIZES {
+                let program = basket_program(basket, team, scale);
+                let Interleaved {
+                    a: ff,
+                    a_wall: ff_wall,
+                    b: oracle,
+                    b_wall: oracle_wall,
+                    ratio: speedup,
+                } = interleaved(
+                    opts.iters,
+                    &mut scratch,
+                    |s| simulate_basket(&config, &program, &ff_opts, s),
+                    |s| simulate_basket(&config, &program, &oracle_opts, s),
+                );
+                // A separate instrumented pass: `horizon_timing` samples one
+                // event in 32 (see the module docs), but even the sampled
+                // probes must not pollute `ff_wall_s`. One iteration is
+                // enough — the split is a ratio, not a throughput claim.
+                let timed = simulate_basket(&config, &program, &timing_opts, &mut scratch);
+                let cycles = ff.cycles;
+                rows.push(SimBenchRow {
+                    basket: basket.to_string(),
+                    cores: team,
+                    cycles,
+                    ff_wall_s: ff_wall,
+                    oracle_wall_s: oracle_wall,
+                    ff_cycles_per_s: throughput(cycles, ff_wall),
+                    oracle_cycles_per_s: throughput(cycles, oracle_wall),
+                    speedup,
+                    skip_ratio: ff.skip_ratio(),
+                    spans: ff.fast_forward.spans,
+                    oracle_match: ff.without_fast_forward() == oracle,
+                    horizon_hit_rate: timed.fast_forward.horizon_hit_rate(),
+                    horizon_scan_s: timed.fast_forward.horizon_scan_nanos as f64 / 1e9,
+                    horizon_step_s: timed.fast_forward.step_nanos as f64 / 1e9,
+                    horizon_scan_share: timed.fast_forward.horizon_scan_share(),
+                });
+            }
+        });
     }
-    let telemetry_start = Instant::now();
-    append_or_warn(
-        journal.as_deref_mut(),
-        [JournalEvent::StageStart {
-            stage: "telemetry".to_string(),
-        }],
-    );
-    let telemetry = measure_telemetry_overhead(&config, opts, &mut scratch);
-    append_or_warn(
-        journal.as_deref_mut(),
-        [JournalEvent::StageEnd {
-            stage: "telemetry".to_string(),
-            wall_ms: telemetry_start.elapsed().as_secs_f64() * 1e3,
-        }],
-    );
-    let labeling_start = Instant::now();
-    append_or_warn(
-        journal.as_deref_mut(),
-        [JournalEvent::StageStart {
-            stage: "labeling".to_string(),
-        }],
-    );
-    let labeling = measure_labeling_throughput(opts.quick, opts.max_cycles);
-    append_or_warn(
-        journal.as_deref_mut(),
-        [JournalEvent::StageEnd {
-            stage: "labeling".to_string(),
-            wall_ms: labeling_start.elapsed().as_secs_f64() * 1e3,
-        }],
-    );
-    let report = SimBenchReport {
+    let telemetry = journal_stage(&mut journal, "telemetry", |_| {
+        measure_telemetry_overhead(&config, opts, &mut scratch)
+    });
+    let labeling = journal_stage(&mut journal, "labeling", |_| {
+        measure_labeling_throughput(opts.quick, opts.max_cycles)
+    });
+    SimBenchReport {
         bench: "sim".to_string(),
         quick: opts.quick,
         rows,
@@ -497,9 +460,7 @@ pub fn run_sim_bench(
         telemetry_cycles: telemetry.a.cycles,
         telemetry_overhead_pct: (telemetry.ratio - 1.0) * 100.0,
         telemetry_match: telemetry.a == telemetry.b,
-    };
-    append_or_warn(journal, report.record().journal_events());
-    report
+    }
 }
 
 /// `cycles / wall`, clamped so a sub-resolution wall time stays finite.
@@ -792,6 +753,15 @@ impl SimBenchReport {
 mod tests {
     use super::*;
 
+    /// The quick profile at one timing pair per configuration.
+    fn quick_run(journal: Option<&mut JournalWriter>) -> SimBenchReport {
+        let opts = SimBenchOptions {
+            iters: 1,
+            ..SimBenchOptions::quick()
+        };
+        run_sim_bench(&opts, journal)
+    }
+
     #[test]
     fn every_basket_builds_and_validates_at_every_team_size() {
         for basket in BASKETS {
@@ -807,14 +777,7 @@ mod tests {
 
     #[test]
     fn quick_bench_passes_its_own_verification() {
-        let report = run_sim_bench(
-            &SimBenchOptions {
-                quick: true,
-                iters: 1,
-                ..SimBenchOptions::default()
-            },
-            None,
-        );
+        let report = quick_run(None);
         assert_eq!(report.rows.len(), BASKETS.len() * TEAM_SIZES.len());
         report.verify().expect("benchmark invariants hold");
         // The barrier/DMA basket is the fast-forward's best case: sleeping
@@ -871,14 +834,7 @@ mod tests {
 
     #[test]
     fn verify_rejects_non_finite_ratios() {
-        let mut report = run_sim_bench(
-            &SimBenchOptions {
-                quick: true,
-                iters: 1,
-                ..SimBenchOptions::default()
-            },
-            None,
-        );
+        let mut report = quick_run(None);
         report.rows[0].speedup = f64::INFINITY;
         let problems = report.verify().expect_err("inf must be rejected");
         assert!(
@@ -892,14 +848,7 @@ mod tests {
         // Regression: the standalone guard indexed an empty sample and
         // panicked when asked for zero iterations; one pair must give a
         // usable figure.
-        let mut report = run_sim_bench(
-            &SimBenchOptions {
-                quick: true,
-                iters: 1,
-                ..SimBenchOptions::default()
-            },
-            None,
-        );
+        let mut report = quick_run(None);
         assert!(report.telemetry_match, "profiled and plain runs agree");
         assert!(report.telemetry_cycles > 0);
         let record = report.record();
@@ -936,14 +885,7 @@ mod tests {
 
     #[test]
     fn labeling_throughput_is_measured_and_finite() {
-        let report = run_sim_bench(
-            &SimBenchOptions {
-                quick: true,
-                iters: 1,
-                ..SimBenchOptions::default()
-            },
-            None,
-        );
+        let report = quick_run(None);
         assert!(report.labeling_samples > 0, "no kernels labelled");
         assert!(report.labeling_threads > 0);
         assert!(report.labeling_samples_per_s > 0.0);
@@ -962,14 +904,7 @@ mod tests {
     #[test]
     fn journaled_bench_writes_a_valid_staged_journal() {
         let mut journal = pulp_obs::JournalWriter::in_memory("bench_sim", "cafe", 7);
-        let report = run_sim_bench(
-            &SimBenchOptions {
-                quick: true,
-                iters: 1,
-                ..SimBenchOptions::default()
-            },
-            Some(&mut journal),
-        );
+        quick_run(Some(&mut journal));
         let text = journal.finalize_to_string().expect("finalize");
         let parsed = pulp_obs::JournalReader::read_str(&text).expect("journal validates");
         assert!(parsed.ok(), "journal must finalize ok=true");
@@ -984,18 +919,12 @@ mod tests {
         let mut expected: Vec<&str> = BASKETS.to_vec();
         expected.extend(["telemetry", "labeling"]);
         assert_eq!(stages, expected);
-        // One bench_record per metric of the record, under its name.
-        let records: Vec<&str> = parsed
+        // The record's `bench_record` tail is the runner's to write, once
+        // for every bench (see `repro::run`).
+        assert!(!parsed
             .events
             .iter()
-            .filter_map(|e| match e {
-                pulp_obs::JournalEvent::BenchRecord { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect();
-        let record = report.record();
-        let names: Vec<&str> = record.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(records, names);
+            .any(|e| matches!(e, pulp_obs::JournalEvent::BenchRecord { .. })));
     }
 
     #[test]
@@ -1058,14 +987,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = run_sim_bench(
-            &SimBenchOptions {
-                quick: true,
-                iters: 1,
-                ..SimBenchOptions::default()
-            },
-            None,
-        );
+        let report = quick_run(None);
         let json = serde_json::to_string_pretty(&report).expect("serialise");
         let back: SimBenchReport = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(back, report);

@@ -17,12 +17,13 @@ use kernel_ir::{DType, Suite, ValidateKernelError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::{all_samples, registry, SampleSpec, PAYLOAD_SIZES};
 use pulp_ml::{Dataset, DatasetError};
-use pulp_obs::{append_or_warn, JournalEvent, JournalWriter, LogFormat, Logger, Recorder, SpanId};
+use pulp_obs::{
+    append_or_warn, journal_stage, JournalEvent, JournalWriter, LogFormat, Logger, Recorder, SpanId,
+};
 use pulp_sim::ClusterConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Options controlling dataset construction.
 #[derive(Debug, Clone)]
@@ -380,22 +381,12 @@ fn stage<T>(
     journal: &mut Option<&mut JournalWriter>,
     body: impl FnOnce(&mut Recorder, &mut Option<&mut JournalWriter>, SpanId) -> T,
 ) -> T {
-    let t0 = Instant::now();
-    append_or_warn(
-        journal.as_deref_mut(),
-        [JournalEvent::StageStart { stage: name.into() }],
-    );
-    let span = rec.start_cat(name, "stage");
-    let out = body(rec, journal, span);
-    rec.end(span);
-    append_or_warn(
-        journal.as_deref_mut(),
-        [JournalEvent::StageEnd {
-            stage: name.into(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        }],
-    );
-    out
+    journal_stage(journal, name, |journal| {
+        let span = rec.start_cat(name, "stage");
+        let out = body(rec, journal, span);
+        rec.end(span);
+        out
+    })
 }
 
 #[cfg(test)]

@@ -504,6 +504,31 @@ pub fn append_or_warn(
     }
 }
 
+/// Runs `body` as journal stage `name`: a `stage_start` before it and a
+/// `stage_end` carrying its wall time after it, both through
+/// [`append_or_warn`]. `body` gets the journal back, to append events of
+/// its own in between.
+pub fn journal_stage<T>(
+    journal: &mut Option<&mut JournalWriter>,
+    name: &str,
+    body: impl FnOnce(&mut Option<&mut JournalWriter>) -> T,
+) -> T {
+    let t0 = std::time::Instant::now();
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageStart { stage: name.into() }],
+    );
+    let out = body(journal);
+    append_or_warn(
+        journal.as_deref_mut(),
+        [JournalEvent::StageEnd {
+            stage: name.into(),
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        }],
+    );
+    out
+}
+
 /// A fully parsed and validated journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Journal {

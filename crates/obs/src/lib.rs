@@ -44,8 +44,8 @@ pub mod recorder;
 pub use chrome::{chrome_trace, validate_chrome_trace};
 pub use flight::{FlightRecorder, RequestTrace, TraceIdGen};
 pub use journal::{
-    append_or_warn, render_journal, render_report, seeded_run_id, validate_journal, Journal,
-    JournalEvent, JournalReader, JournalWriter, JOURNAL_SCHEMA_VERSION,
+    append_or_warn, journal_stage, render_journal, render_report, seeded_run_id, validate_journal,
+    Journal, JournalEvent, JournalReader, JournalWriter, JOURNAL_SCHEMA_VERSION,
 };
 pub use log::{LogFormat, Logger};
 pub use metrics::{validate_exposition, MetricsRegistry, WindowConfig};

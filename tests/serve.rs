@@ -113,6 +113,10 @@ fn read_framed(reader: &mut BufReader<TcpStream>) -> (u16, Vec<(String, String)>
 /// Issues one HTTP/1.1 request and returns `(status, body)`.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    // A server that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
     let req = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
@@ -529,6 +533,51 @@ fn batch_predictions_match_sequential_over_http() {
 
     handle.trigger();
     thread.join().expect("server thread joins");
+}
+
+#[test]
+fn unsupported_kernel_dtypes_get_400_and_the_worker_lives_on() {
+    // One worker: a request that kills it leaves nobody to answer the next
+    // request or to drain.
+    let (addr, _state, _handle, thread) = spawn_server(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+
+    // `fft` is f32-only and the default dtype is i32; `histogram` is
+    // i32-only.
+    for (path, body, names) in [
+        (
+            "/predict",
+            r#"{"kernel": "fft"}"#,
+            "kernel `fft` does not support i32",
+        ),
+        (
+            "/predict",
+            r#"{"kernel": "histogram", "dtype": "f32"}"#,
+            "kernel `histogram` does not support f32",
+        ),
+        (
+            "/predict/batch",
+            r#"{"requests": [{"kernel": "vec_scale"}, {"kernel": "fft"}]}"#,
+            "requests[1]: kernel `fft` does not support i32",
+        ),
+    ] {
+        let (status, reply) = request(addr, "POST", path, body);
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains(names), "{body}: {reply}");
+    }
+    let (status, reply) = request(addr, "POST", "/predict", r#"{"kernel": "vec_scale"}"#);
+    assert_eq!(status, 200, "the worker still serves: {reply}");
+
+    let (status, reply) = request(addr, "POST", "/admin/shutdown", "");
+    assert_eq!(status, 200, "shutdown ack: {reply}");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !thread.is_finished() {
+        assert!(std::time::Instant::now() < deadline, "server never drained");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    thread.join().expect("server drains and joins");
 }
 
 #[test]
