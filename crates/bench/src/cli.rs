@@ -317,8 +317,8 @@ impl Args {
 
     /// The run manifest of `tool` before the run starts: versions,
     /// config/model hashes (sweep-cache keying), the `quick` flag and the
-    /// protocol.
-    fn pre_run_manifest(
+    /// protocol. A bench adds its own options as extras.
+    pub fn pre_run_manifest(
         &self,
         tool: &str,
         opts: &PipelineOptions,
@@ -331,8 +331,8 @@ impl Args {
         }
     }
 
-    /// Writes the run manifest for `tool` (unless `--no-manifest`): the
-    /// pre-run provenance plus cache counters and wall time since `start`.
+    /// Writes the run manifest (unless `--no-manifest`): the pre-run
+    /// manifest `pre` plus cache counters and wall time since `start`.
     /// The default path is `manifest.json` in the working directory,
     /// overridable with `--manifest <path>`.
     ///
@@ -340,14 +340,11 @@ impl Args {
     /// failed), so callers can embed its hash in their own reports.
     pub fn write_manifest(
         &self,
-        tool: &str,
+        pre: RunManifest,
         opts: &PipelineOptions,
-        protocol: Option<&Protocol>,
         start: Instant,
     ) -> RunManifest {
-        let mut m = self
-            .pre_run_manifest(tool, opts, protocol)
-            .with_wall_time_ms(start.elapsed().as_millis() as u64);
+        let mut m = pre.with_wall_time_ms(start.elapsed().as_millis() as u64);
         if let Some(cache) = &opts.cache {
             m = m.with_cache_stats(cache.stats());
         }
@@ -381,22 +378,17 @@ impl Args {
     }
 
     /// Opens the run journal when `--journal` was given. The run id is
-    /// seeded from the **pre-run** manifest hash — the provenance
-    /// [`write_manifest`](Self::write_manifest) records minus the fields
-    /// only known at exit (wall time, cache counters) — so the id is
-    /// stable for identical inputs and computable before the run starts.
+    /// seeded from the hash of the **pre-run** manifest `pre` — the
+    /// provenance [`write_manifest`](Self::write_manifest) records minus
+    /// the fields only known at exit (wall time, cache counters) — so the
+    /// id is stable for identical inputs and computable before the run
+    /// starts.
     ///
     /// An unopenable path warns and degrades to no journal; observability
     /// must never fail the experiment.
-    pub fn journal_writer(
-        &self,
-        tool: &str,
-        opts: &PipelineOptions,
-        protocol: Option<&Protocol>,
-    ) -> Option<JournalWriter> {
+    pub fn journal_writer(&self, pre: &RunManifest) -> Option<JournalWriter> {
         let path = self.journal.as_ref()?;
-        let pre = self.pre_run_manifest(tool, opts, protocol);
-        match JournalWriter::create(path, tool, &pre.manifest_hash(), pre.seed) {
+        match JournalWriter::create(path, &pre.tool, &pre.manifest_hash(), pre.seed) {
             Ok(w) => Some(w),
             Err(e) => {
                 self.logger().warn(

@@ -278,9 +278,8 @@ mod tests {
         };
         let opts = args.pipeline_options();
         let protocol = args.protocol();
-        let w = args
-            .journal_writer("test_tool", &opts, Some(&protocol))
-            .expect("journal opens");
+        let pre = args.pre_run_manifest("test_tool", &opts, Some(&protocol));
+        let w = args.journal_writer(&pre).expect("journal opens");
         // Run id derives from the pre-run manifest: stable across calls.
         let run_id = w.run_id().to_string();
         args.finish_journal(Some(w));
@@ -290,13 +289,12 @@ mod tests {
         let (tool, _, seed) = journal.run_start();
         assert_eq!(tool, "test_tool");
         assert_eq!(seed, protocol.seed);
-        let again = args
-            .journal_writer("test_tool", &opts, Some(&protocol))
-            .expect("journal reopens");
+        let pre = args.pre_run_manifest("test_tool", &opts, Some(&protocol));
+        let again = args.journal_writer(&pre).expect("journal reopens");
         assert_eq!(again.run_id(), run_id, "run id is deterministic");
         drop(again);
         // No journal flag → no writer.
-        assert!(Args::default().journal_writer("t", &opts, None).is_none());
+        assert!(Args::default().journal_writer(&pre).is_none());
         let _ = std::fs::remove_file(&path);
     }
 

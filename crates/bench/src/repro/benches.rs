@@ -3,15 +3,13 @@
 //! report, record and invariant check to the runner.
 
 use super::{Output, Run};
-use crate::{run_models_bench, run_serve_bench, run_sim_bench, ServeBenchOptions, SimBenchOptions};
+use crate::{
+    run_models_bench, run_serve_bench, run_sim_bench, Args, ServeBenchOptions, SimBenchOptions,
+};
 use pulp_energy::pipeline::LabeledDataset;
 
-/// The simulator benchmark (see [`crate::sim_bench`]): fails if any
-/// fast-forward run diverges from its single-step oracle, if the
-/// barrier/DMA basket never skips a cycle, or if the profiling telemetry
-/// changes the simulation's results.
-pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
-    let args = run.args;
+/// `bench sim`'s options: the profile's, then `--max-cycles` and `--iters`.
+fn sim_options(args: &Args) -> SimBenchOptions {
     let mut opts = if args.quick {
         SimBenchOptions::quick()
     } else {
@@ -23,6 +21,44 @@ pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
     if let Some(n) = args.iters {
         opts.iters = n;
     }
+    opts
+}
+
+/// The manifest extras of `bench sim`.
+pub(super) fn sim_provenance(args: &Args) -> Vec<(&'static str, String)> {
+    let opts = sim_options(args);
+    vec![
+        ("iters", opts.iters.to_string()),
+        ("max_cycles", opts.max_cycles.to_string()),
+    ]
+}
+
+/// `bench serve`'s options: the profile's, then `--rate`.
+fn serve_options(args: &Args) -> ServeBenchOptions {
+    let mut opts = if args.quick {
+        ServeBenchOptions::quick()
+    } else {
+        ServeBenchOptions::default()
+    };
+    if let Some(rate) = args.rate {
+        opts.open_loop_rate_rps = rate;
+    }
+    opts
+}
+
+/// The manifest extras of `bench serve`.
+pub(super) fn serve_provenance(args: &Args) -> Vec<(&'static str, String)> {
+    let rate = serve_options(args).open_loop_rate_rps;
+    vec![("rate_rps", rate.to_string())]
+}
+
+/// The simulator benchmark (see [`crate::sim_bench`]): fails if any
+/// fast-forward run diverges from its single-step oracle, if the
+/// barrier/DMA basket never skips a cycle, or if the profiling telemetry
+/// changes the simulation's results.
+pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
+    let args = run.args;
+    let opts = sim_options(args);
     eprintln!(
         "bench sim: {} run ({} baskets x {} team sizes, {} timing iteration(s))...",
         args.profile(),
@@ -42,14 +78,7 @@ pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
 /// and the open-loop latency histogram.
 pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
     let args = run.args;
-    let mut opts = if args.quick {
-        ServeBenchOptions::quick()
-    } else {
-        ServeBenchOptions::default()
-    };
-    if let Some(rate) = args.rate {
-        opts.open_loop_rate_rps = rate;
-    }
+    let opts = serve_options(args);
     eprintln!(
         "bench serve: {} run ({} rounds of {} clients x {} requests, {} workers, \
          queue depth {}, open-loop {} rps)...",

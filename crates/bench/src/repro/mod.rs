@@ -16,7 +16,8 @@
 //! Each experiment name is also the manifest and journal `tool` string,
 //! and a bench runs as `bench_<name>`, so a manifest hash or journal run
 //! id depends only on the entry and its inputs. Cross-validated entries
-//! ([`Experiment::Evaluation`]) also record their evaluation protocol.
+//! ([`Experiment::Evaluation`]) also record their evaluation protocol,
+//! and a bench records the options its body reads ([`BenchOptions`]).
 
 mod benches;
 mod extensions;
@@ -120,18 +121,23 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("profile_report", Standalone(tools::profile_report)),
 ];
 
+/// The options a bench body reads from [`Args`] beyond the pipeline
+/// options and the protocol, resolved against the profile's defaults, as
+/// manifest extras.
+pub type BenchOptions = fn(&Args) -> Vec<(&'static str, String)>;
+
 /// The benches behind `pulp_cli bench <name>`; each runs under the tool
 /// string `bench_<name>`.
-pub const BENCHES: &[(&str, Experiment)] = &[
-    ("sim", Standalone(benches::sim)),
-    ("serve", Dataset(benches::serve)),
-    ("models", Evaluation(benches::models)),
+pub const BENCHES: &[(&str, Experiment, BenchOptions)] = &[
+    ("sim", Standalone(benches::sim), benches::sim_provenance),
+    ("serve", Dataset(benches::serve), benches::serve_provenance),
+    ("models", Evaluation(benches::models), |_| Vec::new()),
 ];
 
 /// Runs the experiment called `name` with `args`.
 pub fn run(name: &str, args: &Args) -> ExitCode {
     match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-        Some((tool, exp)) => execute(tool, exp, args),
+        Some((tool, exp)) => execute(tool, exp, &[], args),
         None => {
             eprintln!("error: unknown experiment `{name}`; `pulp_cli repro` lists them");
             ExitCode::from(2)
@@ -141,8 +147,8 @@ pub fn run(name: &str, args: &Args) -> ExitCode {
 
 /// Runs the bench called `name` with `args`.
 pub fn bench(name: &str, args: &Args) -> ExitCode {
-    match BENCHES.iter().find(|(n, _)| *n == name) {
-        Some((_, exp)) => execute(&format!("bench_{name}"), exp, args),
+    match BENCHES.iter().find(|(n, ..)| *n == name) {
+        Some((_, exp, options)) => execute(&format!("bench_{name}"), exp, &options(args), args),
         None => {
             eprintln!("error: unknown bench `{name}`; want sim, serve or models");
             ExitCode::from(2)
@@ -151,13 +157,17 @@ pub fn bench(name: &str, args: &Args) -> ExitCode {
 }
 
 /// The one runner: runs `exp` under the manifest and journal tool string
-/// `tool`.
-fn execute(tool: &str, exp: &Experiment, args: &Args) -> ExitCode {
+/// `tool`, with `options` as manifest extras.
+fn execute(tool: &str, exp: &Experiment, options: &[(&str, String)], args: &Args) -> ExitCode {
     let start = Instant::now();
     let opts = args.pipeline_options();
     let protocol = args.protocol();
     let provenance = matches!(exp, Evaluation(_)).then_some(&protocol);
-    let journal = args.journal_writer(tool, &opts, provenance);
+    let mut manifest = args.pre_run_manifest(tool, &opts, provenance);
+    for (key, value) in options {
+        manifest = manifest.with_extra(key, value);
+    }
+    let journal = args.journal_writer(&manifest);
     let mut run = Run {
         args,
         start,
@@ -191,7 +201,7 @@ fn execute(tool: &str, exp: &Experiment, args: &Args) -> ExitCode {
         append_or_warn(journal.as_mut(), record.journal_events());
     }
     args.finish_journal(journal);
-    let manifest = args.write_manifest(tool, &opts, provenance, start);
+    let manifest = args.write_manifest(manifest, &opts, start);
     let mut ok = true;
     if let Some(mut record) = out.bench {
         record.manifest_hash = manifest.manifest_hash();
@@ -250,7 +260,7 @@ mod tests {
     fn registry_names_are_unique_and_unknown_names_are_usage_errors() {
         let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
         assert_eq!(names.len(), 13);
-        names.extend(BENCHES.iter().map(|(n, _)| *n));
+        names.extend(BENCHES.iter().map(|(n, ..)| *n));
         assert_eq!(names.len(), 16);
         names.sort_unstable();
         names.dedup();
@@ -267,7 +277,7 @@ mod tests {
             ..Args::default()
         };
         let body = Standalone(|_| stub(Ok(())));
-        assert_eq!(execute("stub", &body, &args), ExitCode::FAILURE);
+        assert_eq!(execute("stub", &body, &[], &args), ExitCode::FAILURE);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -282,7 +292,7 @@ mod tests {
             ..Args::default()
         };
         let body = Standalone(|_| stub(Ok(())));
-        assert_eq!(execute("stub", &body, &args), ExitCode::SUCCESS);
+        assert_eq!(execute("stub", &body, &[], &args), ExitCode::SUCCESS);
         let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record written");
         assert!(
             !record.manifest_hash.is_empty(),
@@ -301,8 +311,37 @@ mod tests {
         // A violation fails the run, but the record is still written.
         std::fs::remove_file(dir.join("BENCH_stub.json")).expect("remove record");
         let body = Standalone(|_| stub(Err(vec!["x is wrong".to_string()])));
-        assert_eq!(execute("stub", &body, &args), ExitCode::FAILURE);
+        assert_eq!(execute("stub", &body, &[], &args), ExitCode::FAILURE);
         assert!(dir.join("BENCH_stub.json").is_file());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bench_manifests_hash_the_options_the_bench_reads() {
+        let dir = scratch("options");
+        let (_, _, sim_options) = BENCHES.iter().find(|(n, ..)| *n == "sim").expect("sim");
+        let hash = |iters: Option<u32>| {
+            let args = Args {
+                quick: true,
+                iters,
+                out: Some(dir.join("BENCH_stub.json")),
+                manifest: Some(dir.join("manifest.json")),
+                quiet: true,
+                ..Args::default()
+            };
+            let body = Standalone(|_| stub(Ok(())));
+            let options = sim_options(&args);
+            assert_eq!(
+                execute("bench_sim", &body, &options, &args),
+                ExitCode::SUCCESS
+            );
+            let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record");
+            record.manifest_hash
+        };
+        assert_ne!(hash(Some(1)), hash(None), "--iters must reach the manifest");
+        // The resolved value is recorded, not the flag as typed.
+        let quick_iters = crate::SimBenchOptions::quick().iters;
+        assert_eq!(hash(Some(quick_iters)), hash(None));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,8 @@
 //! Endpoints:
 //!
 //! * `POST /predict` — body `{"kernel": "gemm", "dtype": "f32", "size":
-//!   2048}` (a known kernel, features computed server-side) or
+//!   2048}` (a known kernel: a swept sample's features come from a table
+//!   built at train time, any other size is built server-side) or
 //!   `{"features": [/* full 20-dim static vector */]}`; replies with the
 //!   predicted core count, the 0-based class, and — when the sample was in
 //!   the training sweep — the expected energy at that core count.
@@ -83,6 +84,7 @@
 
 use crate::net::{raw_fd, Event, HttpParser, Interest, Parsed, Poller, TimerWheel, Waker};
 pub use crate::net::{Request, RequestError};
+use kernel_ir::DType;
 use pulp_energy::manifest::RunManifest;
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy::{static_feature_vector, EnergyPredictor, PredictorMetadata, StaticFeatureSet};
@@ -92,11 +94,13 @@ use pulp_obs::{
     FlightRecorder, LogFormat, Logger, MetricsRegistry, RequestTrace, TraceIdGen, WindowConfig,
 };
 use serde::Value;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Histogram bucket layout for request latencies: 100ns .. 10s.
@@ -154,14 +158,17 @@ impl Default for ServeOptions {
     }
 }
 
+/// A training sample's `(kernel, dtype, payload_bytes)`.
+type SampleKey = (String, DType, usize);
+
 /// Shared state of one running prediction service.
 pub struct ServeState {
     predictor: EnergyPredictor,
     metadata: PredictorMetadata,
-    /// Training samples by `(kernel, dtype, payload_bytes)` — used to
-    /// answer "expected energy at the predicted core count" for kernels
-    /// the sweep has measured.
-    samples: Vec<(String, String, usize, Vec<f64>)>,
+    /// Every training sample's `(static row, energy per core count)`. The
+    /// pipeline computes the row with the call `featurize` makes on a miss,
+    /// so serving a swept kernel from here is exact.
+    registered: HashMap<SampleKey, (Vec<f64>, Vec<f64>)>,
     metrics: Mutex<MetricsRegistry>,
     manifest: RunManifest,
     inflight: AtomicI64,
@@ -251,22 +258,18 @@ impl ServeState {
         if let Some(cache) = &opts.cache {
             manifest = manifest.with_cache_stats(cache.stats());
         }
-        let samples = data
+        let registered = data
             .samples
             .iter()
             .map(|s| {
-                (
-                    s.kernel.clone(),
-                    s.dtype.to_string(),
-                    s.payload_bytes,
-                    s.energy.clone(),
-                )
+                let key = (s.kernel.clone(), s.dtype, s.payload_bytes);
+                (key, (s.static_x.clone(), s.energy.clone()))
             })
             .collect();
         Self {
             predictor,
             metadata,
-            samples,
+            registered,
             metrics: Mutex::new(metrics),
             manifest,
             inflight: AtomicI64::new(0),
@@ -323,43 +326,39 @@ impl ServeState {
     /// A sliding-window quantile (`pulp_serve_*_window` series), if the
     /// series exists and its window holds observations.
     pub fn windowed_quantile(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<f64> {
-        self.metrics.lock().ok()?.windowed_quantile(name, labels, q)
+        self.metrics().windowed_quantile(name, labels, q)
     }
 
     /// A cumulative-histogram quantile at bucket resolution, if the series
     /// exists and is non-empty.
     pub fn histogram_quantile(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<f64> {
-        self.metrics
-            .lock()
-            .ok()?
-            .histogram_quantile(name, labels, q)
+        self.metrics().histogram_quantile(name, labels, q)
+    }
+
+    /// The metrics registry. A panic caught on a worker while it held the
+    /// lock leaves the registry usable, so the poison is ignored.
+    fn metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Renders the current `/metrics` exposition.
     pub fn render_metrics(&self) -> String {
-        self.metrics.lock().expect("metrics lock").render()
+        self.metrics().render()
     }
 
     /// Reads one metric sample back out of the registry — the programmatic
     /// mirror of scraping `/metrics`, used by the load benchmark and the
     /// integration tests.
     pub fn metric_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .value(name, labels)
+        self.metrics().value(name, labels)
     }
 
     fn counter_add(&self, name: &str, help: &'static str, labels: &[(&str, &str)], delta: f64) {
-        if let Ok(mut m) = self.metrics.lock() {
-            m.counter_add(name, help, labels, delta);
-        }
+        self.metrics().counter_add(name, help, labels, delta);
     }
 
     fn gauge_set(&self, name: &str, help: &'static str, labels: &[(&str, &str)], value: f64) {
-        if let Ok(mut m) = self.metrics.lock() {
-            m.gauge_set(name, help, labels, value);
-        }
+        self.metrics().gauge_set(name, help, labels, value);
     }
 
     /// Adjusts the in-flight request count and mirrors it into the gauge.
@@ -380,15 +379,13 @@ impl ServeState {
             &[],
             depth as f64,
         );
-        if let Ok(mut m) = self.metrics.lock() {
-            m.windowed_gauge_set(
-                "pulp_serve_queue_depth_window",
-                "Peak accept-queue depth over the sliding window.",
-                &[],
-                depth as f64,
-                self.started.elapsed().as_secs(),
-            );
-        }
+        self.metrics().windowed_gauge_set(
+            "pulp_serve_queue_depth_window",
+            "Peak accept-queue depth over the sliding window.",
+            &[],
+            depth as f64,
+            self.started.elapsed().as_secs(),
+        );
     }
 
     fn note_shed(&self) {
@@ -532,6 +529,10 @@ pub struct Server {
     poller: Poller,
 }
 
+/// What workers run for every request but `POST /admin/shutdown`:
+/// [`route`], which only tests replace.
+type Handler = fn(&Request, &ServeState, &mut RequestTracer) -> (u16, String, &'static str);
+
 /// Where a connection currently is in its life cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Phase {
@@ -607,6 +608,7 @@ struct ServerCtx {
     queue: Arc<BoundedQueue<Job>>,
     completions: Mutex<Vec<Completion>>,
     shutdown: ShutdownHandle,
+    handler: Handler,
 }
 
 /// Event-loop token of the listening socket.
@@ -683,6 +685,11 @@ impl Server {
     /// requests (including partially read ones) complete, then workers are
     /// joined.
     pub fn run(self) {
+        self.run_with(route);
+    }
+
+    /// [`Server::run`] with workers calling `handler` instead of [`route`].
+    fn run_with(self, handler: Handler) {
         let shutdown = self.shutdown_handle();
         let Server {
             addr: _,
@@ -721,6 +728,7 @@ impl Server {
             queue: Arc::clone(&queue),
             completions: Mutex::new(Vec::new()),
             shutdown: shutdown.clone(),
+            handler,
         });
         let workers: Vec<_> = (0..opts.workers.max(1))
             .map(|i| {
@@ -864,7 +872,9 @@ impl EventLoop {
         }
     }
 
-    fn arm_deadline(&mut self, idx: usize, at_ms: u64) {
+    /// Arms the connection's read/write deadline, `timeout_ms` from now.
+    fn arm_deadline(&mut self, idx: usize) {
+        let at_ms = self.now_ms() + self.opts.timeout_ms.max(1);
         let token = self.token_of(idx);
         let conn = self.conns[idx].as_mut().expect("live conn");
         conn.deadline_ms = Some(at_ms);
@@ -945,8 +955,7 @@ impl EventLoop {
             self.close_conn(idx);
             return;
         }
-        let deadline = self.now_ms() + self.opts.timeout_ms.max(1);
-        self.arm_deadline(idx, deadline);
+        self.arm_deadline(idx);
     }
 
     /// Sheds a just-accepted connection (no slot available): 503 +
@@ -1057,22 +1066,15 @@ impl EventLoop {
     /// becoming `Reading` (i.e. it is shedding).
     fn reactivate(&mut self, idx: usize) -> bool {
         if !self.try_acquire_slot() {
-            self.note_shed_with_log();
-            self.respond_and_close(
-                idx,
-                503,
-                "server overloaded, retry later\n".to_string(),
-                &[("Retry-After", &self.opts.retry_after_secs.to_string())],
-            );
+            self.shed(idx);
             return false;
         }
-        let deadline = self.now_ms() + self.opts.timeout_ms.max(1);
         let conn = self.conns[idx].as_mut().expect("live conn");
         conn.holds_slot = true;
         conn.phase = Phase::Reading;
         conn.request_started = Instant::now();
         conn.trace_id = self.state.trace_ids.next_id();
-        self.arm_deadline(idx, deadline);
+        self.arm_deadline(idx);
         true
     }
 
@@ -1124,18 +1126,19 @@ impl EventLoop {
         let _ = self.poller.modify(fd, token, Interest::None);
         match self.ctx.queue.try_push(job) {
             Ok(depth) => self.state.note_queue_depth(depth),
-            Err(_) => {
-                // Unreachable by construction (active slots bound queued
-                // jobs), but degrade like any other overload if it happens.
-                self.note_shed_with_log();
-                self.respond_and_close(
-                    idx,
-                    503,
-                    "server overloaded, retry later\n".to_string(),
-                    &[("Retry-After", &self.opts.retry_after_secs.to_string())],
-                );
-            }
+            // Unreachable by construction (active slots bound queued jobs),
+            // but degrade like any other overload if it happens.
+            Err(_) => self.shed(idx),
         }
+    }
+
+    /// Sheds an admitted connection with the same 503 + `Retry-After`
+    /// contract as a fresh one.
+    fn shed(&mut self, idx: usize) {
+        self.note_shed_with_log();
+        let retry_after = self.opts.retry_after_secs.to_string();
+        let body = "server overloaded, retry later\n".to_string();
+        self.respond_and_close(idx, 503, body, &[("Retry-After", &retry_after)]);
     }
 
     /// Starts flushing a transport-level error response (400/408/413/503)
@@ -1152,8 +1155,7 @@ impl EventLoop {
         conn.phase = Phase::Writing;
         let fd = raw_fd(&conn.stream);
         let _ = self.poller.modify(fd, token, Interest::None);
-        let deadline = self.now_ms() + self.opts.timeout_ms.max(1);
-        self.arm_deadline(idx, deadline);
+        self.arm_deadline(idx);
         self.do_write(idx);
     }
 
@@ -1199,8 +1201,7 @@ impl EventLoop {
         conn.keep_after_write = keep;
         conn.write_meta = Some((tracer, span, endpoint, status));
         conn.phase = Phase::Writing;
-        let deadline = self.now_ms() + self.opts.timeout_ms.max(1);
-        self.arm_deadline(idx, deadline);
+        self.arm_deadline(idx);
         self.do_write(idx);
     }
 
@@ -1385,7 +1386,14 @@ fn worker_loop(ctx: &ServerCtx) {
                 "text/plain; charset=utf-8",
             )
         } else {
-            route(&job.req, &ctx.state, &mut tracer)
+            // A panicking handler still answers: its connection waits for
+            // this completion, and a drain waits for the connection.
+            let handle = AssertUnwindSafe(|| (ctx.handler)(&job.req, &ctx.state, &mut tracer));
+            std::panic::catch_unwind(handle).unwrap_or_else(|_| {
+                let fields = [("trace_id", job.trace_id.to_string())];
+                ctx.state.logger.warn("serve", "handler panicked", &fields);
+                (500, json_error("internal error"), "application/json")
+            })
         };
         let elapsed = tracer.finish(handle_span);
         record_request(&ctx.state, &job.req, status, elapsed);
@@ -1429,12 +1437,6 @@ struct RequestTracer {
 }
 
 impl RequestTracer {
-    /// A tracer with no wire history — queue wait only (unit tests).
-    #[cfg(test)]
-    fn new(trace_id: u64, queue_wait_us: u64) -> Self {
-        Self::with_read(trace_id, 0, queue_wait_us)
-    }
-
     /// Builds a tracer whose pre-pickup history is already known: the wire
     /// time (`read` span, `[0, read_us)`) the event loop measured, then
     /// the queue wait (`[read_us, read_us + queue_wait_us)`). The worker
@@ -1618,6 +1620,12 @@ fn endpoint_label(target: &str) -> &'static str {
     }
 }
 
+/// `{"error": msg}` as a JSON body.
+fn json_error(msg: &str) -> String {
+    let msg = serde_json::to_string(msg).unwrap_or_default();
+    format!("{{\"error\":{msg}}}")
+}
+
 /// Routes one request, returning `(status, body, content type)`.
 /// (`POST /admin/shutdown` is intercepted by the worker loop, which owns
 /// the shutdown handle; everything else lands here.)
@@ -1626,10 +1634,6 @@ fn route(
     state: &ServeState,
     tracer: &mut RequestTracer,
 ) -> (u16, String, &'static str) {
-    let json_error = |msg: String| {
-        serde_json::to_string(&Value::Map(vec![("error".to_string(), Value::Str(msg))]))
-            .unwrap_or_default()
-    };
     let (path, query) = split_query(&req.path);
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => (200, "ok\n".to_string(), "text/plain; charset=utf-8"),
@@ -1645,15 +1649,15 @@ fn route(
                 state.flight.chrome_recent(n, "pulp-serve"),
                 "application/json",
             ),
-            Err(msg) => (400, json_error(msg), "application/json"),
+            Err(msg) => (400, json_error(&msg), "application/json"),
         },
         ("GET", "/debug/slow") => match query_count(query, "n", 16, state.flight.slow_capacity()) {
             Ok(n) => (200, state.flight.slow_json(n), "application/json"),
-            Err(msg) => (400, json_error(msg), "application/json"),
+            Err(msg) => (400, json_error(&msg), "application/json"),
         },
         ("POST", "/predict" | "/predict/batch") => match predict(req, state, tracer) {
             Ok(body) => (200, body, "application/json"),
-            Err(msg) => (400, json_error(msg), "application/json"),
+            Err(msg) => (400, json_error(&msg), "application/json"),
         },
         ("GET", "/predict" | "/predict/batch" | "/admin/shutdown") => {
             (405, "use POST\n".to_string(), "text/plain; charset=utf-8")
@@ -1662,17 +1666,20 @@ fn route(
     }
 }
 
-/// One featurised prediction request: the full static vector plus, for
-/// known kernels, the identity used to look up the measured energy.
-struct Featurized {
-    full: Vec<f64>,
-    lookup: Option<(String, String, usize)>,
+/// What a `/predict` reply echoes besides the prediction: for a registered
+/// kernel, the `(kernel, dtype, size)` asked for and, when the training
+/// sweep measured that sample, its energies.
+#[derive(Default)]
+struct Echo<'a> {
+    kernel: Option<(&'a str, DType, usize)>,
+    energy: Option<&'a [f64]>,
 }
 
 /// Turns one `/predict`-shaped body (already parsed) into the full static
-/// feature vector — either taken verbatim from `features` or computed
-/// server-side for a registered `kernel`.
-fn featurize(body: &Value) -> Result<Featurized, String> {
+/// feature vector and the reply's echo. The vector is taken verbatim from
+/// `features`, served from the training table for a swept `kernel`, or
+/// computed by building any other registered one.
+fn featurize<'a>(state: &'a ServeState, body: &'a Value) -> Result<(Vec<f64>, Echo<'a>), String> {
     if let Ok(seq) = body.field("features").and_then(Value::as_seq) {
         let full: Vec<f64> = seq
             .iter()
@@ -1681,19 +1688,25 @@ fn featurize(body: &Value) -> Result<Featurized, String> {
                     .map_err(|_| "features must be an array of numbers".to_string())
             })
             .collect::<Result<_, _>>()?;
-        return Ok(Featurized { full, lookup: None });
+        return Ok((full, Echo::default()));
     }
     let name = body
         .field("kernel")
         .and_then(Value::as_str)
         .map_err(|_| "body needs `features` (array) or `kernel` (string)".to_string())?;
-    let dtype_text = body.field("dtype").and_then(Value::as_str).unwrap_or("i32");
-    let dtype = match dtype_text {
-        "i32" => kernel_ir::DType::I32,
-        "f32" => kernel_ir::DType::F32,
+    let dtype = match body.field("dtype").and_then(Value::as_str).unwrap_or("i32") {
+        "i32" => DType::I32,
+        "f32" => DType::F32,
         other => return Err(format!("unknown dtype `{other}` (want i32 or f32)")),
     };
     let size = body.field("size").and_then(Value::as_u64).unwrap_or(2048) as usize;
+    let echo = |energy| Echo {
+        kernel: Some((name, dtype, size)),
+        energy,
+    };
+    if let Some((row, energy)) = state.registered.get(&(name.to_string(), dtype, size)) {
+        return Ok((row.clone(), echo(Some(energy))));
+    }
     let def = pulp_kernels::registry()
         .into_iter()
         .find(|d| d.name == name)
@@ -1701,75 +1714,45 @@ fn featurize(body: &Value) -> Result<Featurized, String> {
     if !def.supports(dtype) {
         return Err(format!("kernel `{name}` does not support {dtype}"));
     }
-    let kernel = def
+    let built = def
         .build(&pulp_kernels::KernelParams::new(dtype, size))
         .map_err(|e| format!("kernel `{name}` rejects size {size}: {e}"))?;
-    Ok(Featurized {
-        full: static_feature_vector(&kernel),
-        lookup: Some((name.to_string(), dtype.to_string(), size)),
-    })
+    Ok((static_feature_vector(&built), echo(None)))
 }
 
-/// Builds one `/predict`-reply map for a finished prediction, folding the
-/// expected-energy lookup into the energy-lookup counter. `lookup` is the
-/// `(kernel, dtype, size)` identity of a registered kernel's request.
-fn reply_map(state: &ServeState, cores: usize, lookup: Option<&(String, String, usize)>) -> Value {
-    // Expected energy at the predicted core count, when the training sweep
-    // measured this exact sample.
-    let expected = lookup.and_then(|(name, dtype, size)| {
-        state
-            .samples
-            .iter()
-            .find(|(k, d, p, _)| k == name && d == dtype && *p == *size)
-            .and_then(|(_, _, _, energy)| energy.get(cores - 1).copied())
-    });
-    let outcome = if expected.is_some() { "hit" } else { "miss" };
-    state.counter_add(
-        "pulp_predict_energy_lookups_total",
-        "Expected-energy lookups against the training sweep.",
-        &[("outcome", outcome)],
-        1.0,
+/// Appends one `/predict` reply object for a finished prediction to
+/// `out`, `model` being the model's name as a JSON string; returns
+/// whether the expected energy at `cores` was known. Scalars go through
+/// `serde_json::to_string`, so floats and strings are formatted exactly
+/// as a serialised `Value` tree formats them.
+fn write_reply(out: &mut String, model: &str, cores: usize, echo: &Echo) -> bool {
+    let expected = echo.energy.and_then(|e| e.get(cores - 1).copied());
+    let json = |s: &str| serde_json::to_string(s).unwrap_or_default();
+    let _ = write!(
+        out,
+        "{{\"cores\":{cores},\"class\":{},\"expected_energy_fj\":{},\"model\":{model}",
+        cores - 1,
+        serde_json::to_string(&expected).unwrap_or_default(),
     );
-    let mut reply = vec![
-        ("cores".to_string(), Value::U64(cores as u64)),
-        ("class".to_string(), Value::U64((cores - 1) as u64)),
-        (
-            "expected_energy_fj".to_string(),
-            expected.map_or(Value::Null, Value::F64),
-        ),
-        (
-            "model".to_string(),
-            Value::Str(state.metadata.feature_set.clone()),
-        ),
-    ];
-    if let Some((name, dtype, size)) = lookup {
-        reply.push(("kernel".to_string(), Value::Str(name.clone())));
-        reply.push(("dtype".to_string(), Value::Str(dtype.clone())));
-        reply.push(("size".to_string(), Value::U64(*size as u64)));
+    if let Some((name, dtype, size)) = echo.kernel {
+        let _ = write!(
+            out,
+            ",\"kernel\":{},\"dtype\":{},\"size\":{size}",
+            json(name),
+            json(&dtype.to_string()),
+        );
     }
-    Value::Map(reply)
-}
-
-fn observe_stages(state: &ServeState, stages: &[(&str, f64)]) {
-    if let Ok(mut metrics) = state.metrics.lock() {
-        for (stage, s) in stages {
-            metrics.histogram_observe_with(
-                "pulp_predict_stage_seconds",
-                "Per-stage /predict latency.",
-                &[("stage", stage)],
-                *s,
-                latency_buckets,
-            );
-        }
-    }
+    out.push('}');
+    expected.is_some()
 }
 
 /// Serves both prediction routes: one `/predict` body, or a
 /// `/predict/batch` body whose `requests` array holds `/predict` bodies.
 /// Parse → featurise and width-check every item → one
-/// [`EnergyPredictor::predict_cores_batch`] call → the item's reply map,
-/// or `{count, results}` with one map per item, in order. A batch item's
-/// error names it (`requests[i]: ...`).
+/// [`EnergyPredictor::predict_cores_batch`] call → the item's reply
+/// object, or `{count, results}` with one object per item, in order,
+/// written straight into one response string. A batch item's error names
+/// it (`requests[i]: ...`).
 ///
 /// Stage timings come from the request tracer's spans, so the
 /// `pulp_predict_stage_seconds` histograms and the span tree in the flight
@@ -1800,18 +1783,17 @@ fn predict(
 
     let span = tracer.begin("features");
     let mut rows = Vec::with_capacity(items.len());
-    let mut lookups = Vec::with_capacity(items.len());
+    let mut echoes = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
         // Validated per item so a batch error names the offender;
         // `predict_cores_batch` would only report the width.
-        let featurized = featurize(item).and_then(|f| {
-            EnergyPredictor::check_feature_width(&f.full).map_err(|e| e.to_string())?;
+        match featurize(state, item).and_then(|f| {
+            EnergyPredictor::check_feature_width(&f.0).map_err(|e| e.to_string())?;
             Ok(f)
-        });
-        match featurized {
-            Ok(Featurized { full, lookup }) => {
+        }) {
+            Ok((full, echo)) => {
                 rows.push(full);
-                lookups.push(lookup);
+                echoes.push(echo);
             }
             Err(e) if batch => return Err(format!("requests[{i}]: {e}")),
             Err(e) => return Err(e),
@@ -1827,42 +1809,60 @@ fn predict(
     let predict_s = tracer.finish(span);
 
     let span = tracer.begin("serialize");
-    let mut results: Vec<Value> = cores
-        .iter()
-        .zip(&lookups)
-        .map(|(&c, lookup)| reply_map(state, c, lookup.as_ref()))
-        .collect();
-    let reply = if batch {
-        Value::Map(vec![
-            ("count".to_string(), Value::U64(results.len() as u64)),
-            ("results".to_string(), Value::Seq(results)),
-        ])
-    } else {
-        results.swap_remove(0)
-    };
-    let out = serde_json::to_string(&reply).map_err(|e| e.to_string());
+    // A registered-kernel reply is ~120 bytes.
+    let mut out = String::with_capacity(32 + 128 * items.len());
+    if batch {
+        let _ = write!(out, "{{\"count\":{},\"results\":[", items.len());
+    }
+    let model = serde_json::to_string(&state.metadata.feature_set).unwrap_or_default();
+    let mut hits = 0;
+    for (i, (&c, echo)) in cores.iter().zip(&echoes).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        hits += usize::from(write_reply(&mut out, &model, c, echo));
+    }
+    if batch {
+        out.push_str("]}");
+    }
     let serialize_s = tracer.finish(span);
 
-    observe_stages(
-        state,
-        &[
-            ("parse", parse_s),
-            ("features", features_s),
-            ("predict", predict_s),
-            ("serialize", serialize_s),
-        ],
-    );
-    if batch {
-        if let Ok(mut metrics) = state.metrics.lock() {
-            metrics.histogram_observe(
-                "pulp_predict_batch_size",
-                "Items per /predict/batch request.",
-                &[],
-                items.len() as f64,
-            );
-        }
+    let mut metrics = state.metrics();
+    let stages = [
+        ("parse", parse_s),
+        ("features", features_s),
+        ("predict", predict_s),
+        ("serialize", serialize_s),
+    ];
+    for (stage, s) in stages {
+        metrics.histogram_observe_with(
+            "pulp_predict_stage_seconds",
+            "Per-stage /predict latency.",
+            &[("stage", stage)],
+            s,
+            latency_buckets,
+        );
     }
-    out
+    // Expected energy at the predicted core count is known exactly when
+    // the training sweep measured the sample.
+    let outcomes = [("hit", hits), ("miss", items.len() - hits)];
+    for (outcome, n) in outcomes.into_iter().filter(|&(_, n)| n > 0) {
+        metrics.counter_add(
+            "pulp_predict_energy_lookups_total",
+            "Expected-energy lookups against the training sweep.",
+            &[("outcome", outcome)],
+            n as f64,
+        );
+    }
+    if batch {
+        metrics.histogram_observe(
+            "pulp_predict_batch_size",
+            "Items per /predict/batch request.",
+            &[],
+            items.len() as f64,
+        );
+    }
+    Ok(out)
 }
 
 /// Folds one served request into the registry: cumulative counter and
@@ -1870,32 +1870,31 @@ fn predict(
 fn record_request(state: &ServeState, req: &Request, status: u16, elapsed_s: f64) {
     let endpoint = endpoint_label(&req.path);
     let now_s = state.started.elapsed().as_secs();
-    if let Ok(mut metrics) = state.metrics.lock() {
-        metrics.counter_add(
-            "pulp_http_requests_total",
-            "HTTP requests served, by endpoint and status.",
-            &[("endpoint", endpoint), ("status", &status.to_string())],
-            1.0,
-        );
-        metrics.histogram_observe_with(
-            "pulp_http_request_seconds",
-            "End-to-end request latency.",
-            &[("endpoint", endpoint)],
-            elapsed_s,
-            latency_buckets,
-        );
-        metrics.windowed_observe_with(
-            "pulp_serve_request_seconds_window",
-            "Request latency over the sliding window (p50/p90/p99).",
-            &[("endpoint", endpoint)],
-            elapsed_s,
-            now_s,
-            || WindowConfig {
-                buckets: latency_buckets(),
-                ..WindowConfig::default()
-            },
-        );
-    }
+    let mut metrics = state.metrics();
+    metrics.counter_add(
+        "pulp_http_requests_total",
+        "HTTP requests served, by endpoint and status.",
+        &[("endpoint", endpoint), ("status", &status.to_string())],
+        1.0,
+    );
+    metrics.histogram_observe_with(
+        "pulp_http_request_seconds",
+        "End-to-end request latency.",
+        &[("endpoint", endpoint)],
+        elapsed_s,
+        latency_buckets,
+    );
+    metrics.windowed_observe_with(
+        "pulp_serve_request_seconds_window",
+        "Request latency over the sliding window (p50/p90/p99).",
+        &[("endpoint", endpoint)],
+        elapsed_s,
+        now_s,
+        || WindowConfig {
+            buckets: latency_buckets(),
+            ..WindowConfig::default()
+        },
+    );
 }
 
 #[cfg(unix)]
@@ -1973,7 +1972,7 @@ mod tests {
     }
 
     fn tracer() -> RequestTracer {
-        RequestTracer::new(0, 0)
+        RequestTracer::with_read(0, 0, 0)
     }
 
     /// The one prediction handler, on the route `req` names.
@@ -2435,5 +2434,267 @@ mod tests {
         finish_request(&quiet, ServeOptions::default().slow_ms, t, "/healthz", 200);
         assert!(quiet.log_lines().expect("sink").is_empty());
         assert_eq!(quiet.flight.len(), 1);
+    }
+
+    /// A quick state together with the dataset it was trained on.
+    fn quick_parts() -> (ServeState, LabeledDataset) {
+        let opts = PipelineOptions::quick(&["vec_scale", "fpu_storm"]);
+        let data = LabeledDataset::build(&opts).expect("quick dataset");
+        (ServeState::fit(&data, MetricsRegistry::new(), &opts), data)
+    }
+
+    /// One `/predict` reply as the handler produced it before the training
+    /// table and direct rendering: the kernel built from the registry, the
+    /// energy found by scanning the dataset, the reply a serialised `Value`
+    /// tree. Also says whether the energy was known.
+    fn oracle_item(state: &ServeState, data: &LabeledDataset, item: &Value) -> (Value, bool) {
+        let (full, lookup) = match item.field("features").and_then(Value::as_seq) {
+            Ok(seq) => (
+                seq.iter().map(|v| v.as_f64().expect("number")).collect(),
+                None,
+            ),
+            Err(_) => {
+                let name = item
+                    .field("kernel")
+                    .and_then(Value::as_str)
+                    .expect("kernel");
+                let dtype = match item.field("dtype").and_then(Value::as_str) {
+                    Ok("f32") => DType::F32,
+                    _ => DType::I32,
+                };
+                let size = item.field("size").and_then(Value::as_u64).unwrap_or(2048) as usize;
+                let def = pulp_kernels::registry()
+                    .into_iter()
+                    .find(|d| d.name == name)
+                    .expect("registered kernel");
+                let kernel = def
+                    .build(&pulp_kernels::KernelParams::new(dtype, size))
+                    .expect("kernel builds");
+                let lookup = (name.to_string(), dtype.to_string(), size);
+                (static_feature_vector(&kernel), Some(lookup))
+            }
+        };
+        let cores = state
+            .predictor
+            .predict_cores_batch(&[full])
+            .expect("predicts")[0];
+        let expected = lookup.as_ref().and_then(|(name, dtype, size)| {
+            data.samples
+                .iter()
+                .find(|s| {
+                    &s.kernel == name && &s.dtype.to_string() == dtype && s.payload_bytes == *size
+                })
+                .and_then(|s| s.energy.get(cores - 1).copied())
+        });
+        let mut reply = vec![
+            ("cores".to_string(), Value::U64(cores as u64)),
+            ("class".to_string(), Value::U64((cores - 1) as u64)),
+            (
+                "expected_energy_fj".to_string(),
+                expected.map_or(Value::Null, Value::F64),
+            ),
+            (
+                "model".to_string(),
+                Value::Str(state.metadata.feature_set.clone()),
+            ),
+        ];
+        if let Some((name, dtype, size)) = lookup {
+            reply.push(("kernel".to_string(), Value::Str(name)));
+            reply.push(("dtype".to_string(), Value::Str(dtype)));
+            reply.push(("size".to_string(), Value::U64(size as u64)));
+        }
+        (Value::Map(reply), expected.is_some())
+    }
+
+    /// The oracle's body for a `/predict` or `/predict/batch` request, and
+    /// how many of its items knew their expected energy.
+    fn oracle(
+        state: &ServeState,
+        data: &LabeledDataset,
+        path: &str,
+        body: &str,
+    ) -> (String, usize) {
+        let body: Value = serde_json::from_str(body).expect("json body");
+        let (reply, hits) = if path == "/predict/batch" {
+            let items = body
+                .field("requests")
+                .and_then(Value::as_seq)
+                .expect("requests");
+            let (results, hits): (Vec<Value>, Vec<bool>) =
+                items.iter().map(|i| oracle_item(state, data, i)).unzip();
+            let reply = Value::Map(vec![
+                ("count".to_string(), Value::U64(results.len() as u64)),
+                ("results".to_string(), Value::Seq(results)),
+            ]);
+            (reply, hits.into_iter().filter(|&h| h).count())
+        } else {
+            let (reply, hit) = oracle_item(state, data, &body);
+            (reply, usize::from(hit))
+        };
+        (serde_json::to_string(&reply).expect("serialises"), hits)
+    }
+
+    /// `/predict` bodies covering every swept sample, off-grid sizes, a
+    /// registered kernel outside the sweep, defaults and feature vectors.
+    fn probe_bodies(data: &LabeledDataset) -> Vec<String> {
+        let mut bodies: Vec<String> = data
+            .samples
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"kernel\":\"{}\",\"dtype\":\"{}\",\"size\":{}}}",
+                    s.kernel, s.dtype, s.payload_bytes
+                )
+            })
+            .collect();
+        bodies.extend(
+            [
+                r#"{"kernel": "vec_scale", "dtype": "i32", "size": 1000}"#,
+                r#"{"kernel": "fpu_storm", "dtype": "f32", "size": 3000}"#,
+                r#"{"kernel": "gemm", "dtype": "f32", "size": 2048}"#,
+                r#"{"kernel": "vec_scale"}"#,
+                r#"{"features": [1.5, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 1e300]}"#,
+            ]
+            .map(str::to_string),
+        );
+        let row: Vec<String> = data.samples[0]
+            .static_x
+            .iter()
+            .map(|v| format!("{v:?}"))
+            .collect();
+        bodies.push(format!("{{\"features\":[{}]}}", row.join(",")));
+        bodies
+    }
+
+    #[test]
+    fn registered_rows_are_the_static_features_of_a_fresh_build() {
+        let (state, data) = quick_parts();
+        assert_eq!(state.registered.len(), data.len());
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for s in &data.samples {
+            let (row, energy) = &state.registered[&(s.kernel.clone(), s.dtype, s.payload_bytes)];
+            let def = pulp_kernels::registry()
+                .into_iter()
+                .find(|d| d.name == s.kernel)
+                .expect("registered kernel");
+            let kernel = def
+                .build(&pulp_kernels::KernelParams::new(s.dtype, s.payload_bytes))
+                .expect("kernel builds");
+            assert_eq!(bits(row), bits(&static_feature_vector(&kernel)), "{}", s.id);
+            assert_eq!(bits(energy), bits(&s.energy), "{}", s.id);
+        }
+    }
+
+    #[test]
+    fn predict_bodies_are_byte_identical_to_the_value_tree_oracle() {
+        let (state, data) = quick_parts();
+        for body in probe_bodies(&data) {
+            let reply = predict(&post("/predict", &body), &state).expect("predicts");
+            assert_eq!(reply, oracle(&state, &data, "/predict", &body).0, "{body}");
+        }
+    }
+
+    #[test]
+    fn mixed_batches_are_byte_identical_to_the_value_tree_oracle() {
+        let (state, data) = quick_parts();
+        let bodies = probe_bodies(&data);
+        for items in [&bodies[..], &bodies[bodies.len() - 4..], &bodies[..1]] {
+            let body = format!("{{\"requests\": [{}]}}", items.join(", "));
+            let reply = predict(&post("/predict/batch", &body), &state).expect("batch");
+            assert_eq!(reply, oracle(&state, &data, "/predict/batch", &body).0);
+        }
+    }
+
+    #[test]
+    fn energy_lookup_counts_match_per_item_counting() {
+        let (state, data) = quick_parts();
+        let count = |outcome: &str| {
+            state.metric_value("pulp_predict_energy_lookups_total", &[("outcome", outcome)])
+        };
+        let bodies = probe_bodies(&data);
+        let features = bodies.last().expect("a features body");
+        predict(&post("/predict", features), &state).expect("predicts");
+        // An outcome no item had is not counted at all, not counted as 0.
+        assert_eq!((count("hit"), count("miss")), (None, Some(1.0)));
+        let (mut hits, mut items) = (0, 1);
+        let batch = format!("{{\"requests\": [{}]}}", bodies.join(", "));
+        let requests = bodies
+            .iter()
+            .map(|b| ("/predict", b.clone()))
+            .chain([("/predict/batch", batch)]);
+        for (path, body) in requests {
+            predict(&post(path, &body), &state).expect("predicts");
+            hits += oracle(&state, &data, path, &body).1;
+            items += if path == "/predict" { 1 } else { bodies.len() };
+            assert_eq!(count("hit"), Some(hits as f64), "{body}");
+            assert_eq!(count("miss"), Some((items - hits) as f64), "{body}");
+        }
+        assert!(hits > 0 && hits < items);
+    }
+
+    /// One request on a fresh connection; the reply's status and body.
+    fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all((head + body).as_bytes()).expect("send");
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("a reply before the timeout");
+        let (head, body) = reply.split_once("\r\n\r\n").expect("head and body");
+        (head[9..12].parse().expect("status code"), body.to_string())
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_its_worker_serves_on() {
+        /// Panics on `/panic` while holding the metrics lock, so the
+        /// registry is poisoned too; routes everything else.
+        fn panicking(
+            req: &Request,
+            state: &ServeState,
+            tracer: &mut RequestTracer,
+        ) -> (u16, String, &'static str) {
+            if req.path == "/panic" {
+                let _held = state.metrics.lock();
+                panic!("handler fault under test");
+            }
+            super::route(req, state, tracer)
+        }
+        let state = Arc::new(quick_state().with_logger(Logger::to_sink(LogFormat::Text)));
+        let opts = ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", Arc::clone(&state), opts).expect("bind");
+        let addr = server.addr;
+        let running = std::thread::spawn(move || server.run_with(panicking));
+
+        let (status, body) = call(addr, "POST", "/panic", "");
+        assert_eq!(
+            (status, body.as_str()),
+            (500, r#"{"error":"internal error"}"#)
+        );
+        let kernel = r#"{"kernel": "vec_scale", "dtype": "i32", "size": 2048}"#;
+        let (status, body) = call(addr, "POST", "/predict", kernel);
+        assert_eq!(status, 200, "the one worker survived: {body}");
+        let (status, metrics) = call(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200, "a poisoned registry still renders");
+        assert!(
+            metrics.contains(r#"pulp_http_requests_total{endpoint="other",status="500"} 1"#),
+            "{metrics}"
+        );
+        let lines = state.log_lines().expect("sink logger");
+        assert!(
+            lines.iter().any(|l| l.contains("handler panicked")),
+            "{lines:?}"
+        );
+        assert_eq!(call(addr, "POST", "/admin/shutdown", "").0, 200);
+        running.join().expect("the server drains and returns");
     }
 }
