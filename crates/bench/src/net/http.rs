@@ -1,11 +1,9 @@
 //! Incremental HTTP/1.1 request parsing for non-blocking sockets.
 //!
-//! The blocking tier read requests with `BufRead::read_line`; readiness
-//! delivers bytes in arbitrary fragments, so [`HttpParser`] buffers them
-//! and re-parses on demand: feed what the socket had, then [`take`] either
-//! yields a complete [`Request`], asks for more bytes, or fails with the
-//! same [`RequestError`] taxonomy the blocking reader used (so the 400 /
-//! 408 / 413 response surface is unchanged).
+//! Readiness delivers bytes in arbitrary fragments, so [`HttpParser`]
+//! buffers them: feed what the socket had, then [`take`] either yields a
+//! complete [`Request`], asks for more bytes, or fails with a
+//! [`RequestError`]. How the bytes were split never changes the outcome.
 //!
 //! [`take`]: HttpParser::take
 
@@ -23,17 +21,12 @@ pub struct Request {
 pub enum RequestError {
     /// Clean end of stream between requests (normal keep-alive end).
     Eof,
-    /// A read deadline fired mid-request (slowloris or a stalled peer).
-    /// The parser never produces this itself — deadlines live on the
-    /// event loop's timer wheel — but the error surface keeps the variant
-    /// so response mapping stays in one place.
-    TimedOut,
     /// The declared `Content-Length` exceeds the configured cap; nothing
     /// was allocated for it.
     TooLarge { length: usize, limit: usize },
     /// The request line or headers do not parse as HTTP.
     Malformed(&'static str),
-    /// Any other transport error.
+    /// The stream ended mid-body.
     Io,
 }
 
@@ -51,29 +44,31 @@ pub enum Parsed {
 /// readiness parser must buffer heads it has not finished parsing.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
+/// A parsed request line and the headers read so far.
+struct Head {
+    method: String,
+    path: String,
+    content_length: usize,
+    close: bool,
+}
+
 enum State {
     /// Waiting for the request line.
     Line,
     /// Request line parsed; accumulating headers.
-    Headers {
-        method: String,
-        path: String,
-        content_length: usize,
-        close: bool,
-    },
+    Headers(Head),
     /// Headers done; waiting for `content_length` body bytes.
-    Body {
-        method: String,
-        path: String,
-        content_length: usize,
-        close: bool,
-    },
+    Body(Head),
 }
 
 pub struct HttpParser {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by the parser.
     pos: usize,
+    /// Bytes past `pos` already scanned and known to hold no `\n`.
+    scanned: usize,
+    /// Head bytes of the current request consumed so far.
+    head: usize,
     state: State,
     eof: bool,
 }
@@ -89,6 +84,8 @@ impl HttpParser {
         HttpParser {
             buf: Vec::new(),
             pos: 0,
+            scanned: 0,
+            head: 0,
             state: State::Line,
             eof: false,
         }
@@ -113,24 +110,35 @@ impl HttpParser {
         self.pos < self.buf.len() || !matches!(self.state, State::Line)
     }
 
-    /// Pops one full line (without its `\n`, trailing whitespace trimmed
-    /// like the blocking tier's `read_line` + `trim_end`). At EOF the
-    /// un-terminated remainder counts as a final line, exactly as
-    /// `read_line` would have returned it.
-    fn next_line(&mut self) -> Option<String> {
+    /// Pops one full line (without its `\n`, trailing whitespace
+    /// trimmed); at EOF the un-terminated remainder counts as a final
+    /// line. The scan resumes where the last one stopped, so a line that
+    /// arrives one byte per read costs linear time. A head that outgrows
+    /// [`MAX_HEAD_BYTES`] is refused whether or not its last line is
+    /// complete yet.
+    fn next_line(&mut self) -> Result<Option<String>, RequestError> {
         let rest = &self.buf[self.pos..];
-        let (raw_end, consume) = match rest.iter().position(|&b| b == b'\n') {
-            Some(nl) => (nl, nl + 1),
-            None if self.eof && !rest.is_empty() => (rest.len(), rest.len()),
-            None => return None,
+        let (raw_end, consume) = match rest[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(i) => (self.scanned + i, self.scanned + i + 1),
+            None if self.eof => (rest.len(), rest.len()),
+            None => (rest.len(), 0),
         };
+        if self.head + raw_end > MAX_HEAD_BYTES {
+            return Err(RequestError::Malformed("request head too large"));
+        }
+        if consume == 0 {
+            self.scanned = rest.len();
+            return Ok(None);
+        }
         let mut end = raw_end;
         while end > 0 && rest[end - 1].is_ascii_whitespace() {
             end -= 1;
         }
         let line = String::from_utf8_lossy(&rest[..end]).into_owned();
         self.pos += consume;
-        Some(line)
+        self.head += consume;
+        self.scanned = 0;
+        Ok(Some(line))
     }
 
     /// Drops consumed bytes once they dominate the buffer.
@@ -141,11 +149,20 @@ impl HttpParser {
         }
     }
 
+    /// Parks `state` and asks for more bytes.
+    fn need_more(&mut self, state: State) -> Parsed {
+        self.state = state;
+        self.compact();
+        Parsed::NeedMore
+    }
+
     fn fail(&mut self, err: RequestError) -> Parsed {
         // A parse failure poisons the connection (the caller answers with
         // a final response and closes); drop the buffer.
         self.buf.clear();
         self.pos = 0;
+        self.scanned = 0;
+        self.head = 0;
         self.state = State::Line;
         Parsed::Failed(err)
     }
@@ -155,90 +172,64 @@ impl HttpParser {
         loop {
             match std::mem::replace(&mut self.state, State::Line) {
                 State::Line => {
-                    let Some(line) = self.next_line() else {
-                        return self.need_more_or_eof_line();
+                    let line = match self.next_line() {
+                        Ok(Some(line)) => line,
+                        // With EOF fed, `next_line` already surrendered
+                        // any partial remainder: a clean close.
+                        Ok(None) if self.eof => return Parsed::Failed(RequestError::Eof),
+                        Ok(None) => return self.need_more(State::Line),
+                        Err(e) => return self.fail(e),
                     };
                     match parse_request_line(&line) {
-                        Ok((method, path, close)) => {
-                            self.state = State::Headers {
-                                method,
-                                path,
-                                content_length: 0,
-                                close,
-                            };
-                        }
+                        Ok(head) => self.state = State::Headers(head),
                         Err(e) => return self.fail(e),
                     }
                 }
-                State::Headers {
-                    method,
-                    path,
-                    mut content_length,
-                    mut close,
-                } => {
-                    let Some(line) = self.next_line() else {
-                        self.state = State::Headers {
-                            method,
-                            path,
-                            content_length,
-                            close,
-                        };
-                        return self.need_more_or_eof_headers();
+                State::Headers(mut head) => {
+                    let line = match self.next_line() {
+                        Ok(Some(line)) => line,
+                        Ok(None) if self.eof => {
+                            return self.fail(RequestError::Malformed("headers truncated"))
+                        }
+                        Ok(None) => return self.need_more(State::Headers(head)),
+                        Err(e) => return self.fail(e),
                     };
-                    if line.is_empty() {
+                    if !line.is_empty() {
+                        if let Err(e) = parse_header(&line, &mut head) {
+                            return self.fail(e);
+                        }
+                        self.state = State::Headers(head);
+                    } else if head.content_length > max_body {
                         // Refuse attacker-controlled allocations: check the
                         // declared length against the cap before reserving
                         // a single byte for the body.
-                        if content_length > max_body {
-                            return self.fail(RequestError::TooLarge {
-                                length: content_length,
-                                limit: max_body,
-                            });
-                        }
-                        self.state = State::Body {
-                            method,
-                            path,
-                            content_length,
-                            close,
-                        };
-                        continue;
-                    }
-                    match parse_header(&line, &mut content_length, &mut close) {
-                        Ok(()) => {
-                            self.state = State::Headers {
-                                method,
-                                path,
-                                content_length,
-                                close,
-                            };
-                        }
-                        Err(e) => return self.fail(e),
+                        return self.fail(RequestError::TooLarge {
+                            length: head.content_length,
+                            limit: max_body,
+                        });
+                    } else {
+                        self.state = State::Body(head);
                     }
                 }
-                State::Body {
-                    method,
-                    path,
-                    content_length,
-                    close,
-                } => {
-                    if self.buf.len() - self.pos < content_length {
-                        self.state = State::Body {
-                            method,
-                            path,
-                            content_length,
-                            close,
-                        };
+                State::Body(head) => {
+                    let end = self.pos + head.content_length;
+                    if self.buf.len() < end {
                         if self.eof {
-                            // The blocking reader's `read_exact` hit EOF
-                            // mid-body: a transport error, not a 400.
+                            // A transport error, not a 400.
                             return self.fail(RequestError::Io);
                         }
-                        return Parsed::NeedMore;
+                        return self.need_more(State::Body(head));
                     }
-                    let body_bytes = &self.buf[self.pos..self.pos + content_length];
-                    let body = String::from_utf8_lossy(body_bytes).into_owned();
-                    self.pos += content_length;
+                    let body = String::from_utf8_lossy(&self.buf[self.pos..end]).into_owned();
+                    self.pos = end;
+                    self.head = 0;
                     self.compact();
+                    let Head {
+                        method,
+                        path,
+                        close,
+                        ..
+                    } = head;
                     return Parsed::Request(Request {
                         method,
                         path,
@@ -249,38 +240,9 @@ impl HttpParser {
             }
         }
     }
-
-    /// No complete line while waiting for a request line. With EOF fed,
-    /// [`next_line`] already surrendered any partial remainder, so landing
-    /// here at EOF means a clean close between requests.
-    ///
-    /// [`next_line`]: HttpParser::next_line
-    fn need_more_or_eof_line(&mut self) -> Parsed {
-        if self.eof {
-            return Parsed::Failed(RequestError::Eof);
-        }
-        if self.buf.len() - self.pos > MAX_HEAD_BYTES {
-            return self.fail(RequestError::Malformed("request head too large"));
-        }
-        self.compact();
-        Parsed::NeedMore
-    }
-
-    /// No complete line while inside the header block.
-    fn need_more_or_eof_headers(&mut self) -> Parsed {
-        if self.eof {
-            // The blocking reader saw `read_line` return 0 mid-headers.
-            return self.fail(RequestError::Malformed("headers truncated"));
-        }
-        if self.buf.len() - self.pos > MAX_HEAD_BYTES {
-            return self.fail(RequestError::Malformed("request head too large"));
-        }
-        self.compact();
-        Parsed::NeedMore
-    }
 }
 
-fn parse_request_line(line: &str) -> Result<(String, String, bool), RequestError> {
+fn parse_request_line(line: &str) -> Result<Head, RequestError> {
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -296,28 +258,28 @@ fn parse_request_line(line: &str) -> Result<(String, String, bool), RequestError
     if !path.starts_with('/') {
         return Err(RequestError::Malformed("path must start with `/`"));
     }
-    let http10 = version == "HTTP/1.0";
-    Ok((method.to_string(), path.to_string(), http10))
+    Ok(Head {
+        method: method.to_string(),
+        path: path.to_string(),
+        content_length: 0,
+        close: version == "HTTP/1.0",
+    })
 }
 
-fn parse_header(
-    line: &str,
-    content_length: &mut usize,
-    close: &mut bool,
-) -> Result<(), RequestError> {
+fn parse_header(line: &str, head: &mut Head) -> Result<(), RequestError> {
     let Some((name, value)) = line.split_once(':') else {
         return Err(RequestError::Malformed("header without `:`"));
     };
     let value = value.trim();
     if name.eq_ignore_ascii_case("content-length") {
-        *content_length = value
+        head.content_length = value
             .parse()
             .map_err(|_| RequestError::Malformed("unparseable Content-Length"))?;
     } else if name.eq_ignore_ascii_case("connection") {
         if value.eq_ignore_ascii_case("close") {
-            *close = true;
+            head.close = true;
         } else if value.eq_ignore_ascii_case("keep-alive") {
-            *close = false;
+            head.close = false;
         }
     }
     Ok(())
@@ -326,6 +288,8 @@ fn parse_header(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn take_all(text: &str, max_body: usize) -> Parsed {
         let mut p = HttpParser::new();
@@ -390,8 +354,7 @@ mod tests {
                 "eof mid-head misclassified for {raw:?}"
             );
         }
-        // A request line cut short by EOF parses as the short line the
-        // blocking reader's final `read_line` would have returned.
+        // A request line cut short by EOF parses as a final short line.
         assert!(matches!(
             take_all("GET /x", 1024),
             Parsed::Failed(RequestError::Malformed(
@@ -428,5 +391,121 @@ mod tests {
             p.take(1024),
             Parsed::Failed(RequestError::Malformed("request head too large"))
         ));
+    }
+
+    /// The requests a stream yields and how it ends, fed one-shot
+    /// (`cuts` empty) or piece by piece between the `cuts` offsets.
+    fn outcome(stream: &[u8], cuts: &[usize], max_body: usize) -> (Vec<String>, String) {
+        let mut p = HttpParser::new();
+        let mut requests = Vec::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&stream.len()]) {
+            p.feed(&stream[from..to]);
+            from = to;
+            if to == stream.len() {
+                p.feed_eof();
+            }
+            loop {
+                match p.take(max_body) {
+                    Parsed::NeedMore => break,
+                    Parsed::Request(r) => {
+                        requests.push(format!("{} {} {:?} {}", r.method, r.path, r.body, r.close))
+                    }
+                    Parsed::Failed(e) => {
+                        let end = match e {
+                            RequestError::Eof => "eof".to_string(),
+                            RequestError::Io => "io".to_string(),
+                            RequestError::TooLarge { length, limit } => {
+                                format!("too large {length} {limit}")
+                            }
+                            RequestError::Malformed(why) => format!("malformed: {why}"),
+                        };
+                        return (requests, end);
+                    }
+                }
+            }
+        }
+        unreachable!("an EOF-fed parser always resolves")
+    }
+
+    /// A random stream: a few pipelined requests, then maybe a broken
+    /// tail — truncated, garbage, an oversized body, or a head near,
+    /// at or past `MAX_HEAD_BYTES` in one line or in many.
+    fn arb_stream(rng: &mut StdRng) -> Vec<u8> {
+        let request = |rng: &mut StdRng| {
+            let body = "b".repeat(rng.gen_range(0..40));
+            let version = ["HTTP/1.1", "HTTP/1.0"][rng.gen_range(0..2)];
+            let conn = ["", "Connection: close\r\n", "connection: Keep-Alive\r\n"];
+            format!(
+                "POST /p{} {version}\r\nHost: t \r\n{}Content-Length: {}\r\n\r\n{body}",
+                rng.gen_range(0..9),
+                conn[rng.gen_range(0..3)],
+                body.len()
+            )
+        };
+        let mut s = String::new();
+        for _ in 0..rng.gen_range(0..4) {
+            s += &request(rng);
+        }
+        match rng.gen_range(0..8) {
+            0 => {
+                let r = request(rng);
+                s += &r[..rng.gen_range(0..r.len())];
+            }
+            1 => {
+                s += [
+                    "garbage\r\n\r\n",
+                    "GET x HTTP/1.1\r\n\r\n",
+                    "GET / HTTP/1.1\nnope\n\n",
+                ][rng.gen_range(0..3)]
+            }
+            2 => s += "POST /big HTTP/1.1\r\nContent-Length: 99999\r\n\r\nxyz",
+            3 => {
+                let pad = MAX_HEAD_BYTES - 40 + rng.gen_range(0..60);
+                s += &format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(pad));
+            }
+            4 => {
+                s += "GET / HTTP/1.1\r\n";
+                for _ in 0..rng.gen_range(60..70) {
+                    s += &format!("X: {}\r\n", "a".repeat(1000));
+                }
+                s += "\r\n";
+            }
+            _ => {}
+        }
+        s.into_bytes()
+    }
+
+    #[test]
+    fn any_split_of_any_stream_parses_like_one_shot() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_4e77);
+        let mut ends = std::collections::BTreeSet::new();
+        for case in 0..400 {
+            let stream = arb_stream(&mut rng);
+            let whole = outcome(&stream, &[], 64);
+            let mut cuts: Vec<usize> = if stream.len() < 400 && case % 4 == 0 {
+                (1..stream.len()).collect() // one byte per read
+            } else {
+                let n = rng.gen_range(1..40);
+                (0..n).map(|_| rng.gen_range(0..stream.len() + 1)).collect()
+            };
+            cuts.sort_unstable();
+            assert_eq!(
+                outcome(&stream, &cuts, 64),
+                whole,
+                "case {case}, cuts {cuts:?}"
+            );
+            ends.insert(whole.1);
+        }
+        // Every class of ending was reached.
+        for end in [
+            "eof",
+            "io",
+            "too large 99999 64",
+            "malformed: request head too large",
+        ] {
+            assert!(ends.contains(end), "{end} never reached: {ends:?}");
+        }
+        assert!(ends.len() >= 7, "{ends:?}");
     }
 }

@@ -8,13 +8,12 @@
 //! - [`poller`] — a readiness [`Poller`] over `epoll(7)` on Linux with a
 //!   portable `poll(2)` fallback elsewhere, plus an eventfd [`Waker`] so
 //!   worker threads can interrupt a blocked wait.
-//! - [`timer`] — a hashed [`TimerWheel`] that replaces per-socket
-//!   `SO_RCVTIMEO`/`SO_SNDTIMEO` deadlines: non-blocking sockets cannot
-//!   time out on their own, so the event loop arms wheel entries instead.
+//! - [`timer`] — a hashed [`TimerWheel`] for connection deadlines:
+//!   non-blocking sockets cannot time out on their own, so the event loop
+//!   arms wheel entries instead.
 //! - [`http`] — an incremental HTTP/1.1 parser ([`HttpParser`]) that
 //!   accepts bytes as readiness delivers them and yields at most one
-//!   request at a time, preserving the blocking tier's exact error
-//!   taxonomy ([`RequestError`]).
+//!   request at a time, or a [`RequestError`].
 
 pub mod http;
 pub mod poller;

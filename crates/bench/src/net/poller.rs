@@ -89,9 +89,8 @@ mod linux {
         data: u64,
     }
 
+    // From the platform C library std already links (no libc crate).
     extern "C" {
-        // All from the platform C library std already links; the workspace
-        // stays dependency-free (no libc crate), same as the signal shim.
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -119,6 +118,7 @@ mod linux {
 
     impl EventFd {
         fn new() -> io::Result<Self> {
+            // SAFETY: eventfd takes no pointers; a negative return owns no fd.
             let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
             if fd < 0 {
                 return Err(io::Error::last_os_error());
@@ -129,12 +129,14 @@ mod linux {
         pub(super) fn signal(&self) {
             if self.fd >= 0 {
                 let one: u64 = 1;
+                // SAFETY: `one` is 8 readable bytes that outlive the call.
                 let _ = unsafe { write(self.fd, &one as *const u64 as *const u8, 8) };
             }
         }
 
         fn drain(&self) {
             let mut buf = [0u8; 8];
+            // SAFETY: `buf` is 8 writable bytes that outlive the call.
             let _ = unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
         }
     }
@@ -142,6 +144,7 @@ mod linux {
     impl Drop for EventFd {
         fn drop(&mut self) {
             if self.fd >= 0 {
+                // SAFETY: this struct owns `fd`, and drop runs once.
                 let _ = unsafe { close(self.fd) };
             }
         }
@@ -166,6 +169,7 @@ mod linux {
             events,
             data: token,
         };
+        // SAFETY: `ev` is a valid epoll_event that outlives the call.
         if unsafe { epoll_ctl(epfd, op, fd, &mut ev) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -174,26 +178,17 @@ mod linux {
 
     impl Poller {
         pub fn new() -> io::Result<Self> {
+            let waker = std::sync::Arc::new(EventFd::new()?);
+            // SAFETY: epoll_create1 takes no pointers; a negative return owns no fd.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            let waker = match EventFd::new() {
-                Ok(w) => w,
-                Err(e) => {
-                    unsafe { close(epfd) };
-                    return Err(e);
-                }
-            };
-            if let Err(e) = ctl(epfd, EPOLL_CTL_ADD, waker.fd, EPOLLIN, WAKER_TOKEN) {
-                unsafe { close(epfd) };
-                return Err(e);
-            }
-            Ok(Poller {
-                epfd,
-                waker: std::sync::Arc::new(waker),
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
+            // Owned from here on: an early return drops (and closes) it.
+            let buf = vec![EpollEvent { events: 0, data: 0 }; 1024];
+            let poller = Poller { epfd, waker, buf };
+            ctl(epfd, EPOLL_CTL_ADD, poller.waker.fd, EPOLLIN, WAKER_TOKEN)?;
+            Ok(poller)
         }
 
         pub fn waker(&self) -> Waker {
@@ -221,6 +216,8 @@ mod linux {
                 None => -1,
                 Some(ms) => ms.min(i32::MAX as u64) as i32,
             };
+            // SAFETY: `buf` has room for the `buf.len()` events the kernel may
+            // write, and outlives the call.
             let n = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -256,6 +253,7 @@ mod linux {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: this struct owns `epfd`, and drop runs once.
             let _ = unsafe { close(self.epfd) };
         }
     }
@@ -338,6 +336,7 @@ mod fallback {
                 tokens.push(token);
             }
             let timeout = timeout_ms.unwrap_or(MAX_WAIT_MS).min(MAX_WAIT_MS) as i32;
+            // SAFETY: `fds` holds `fds.len()` initialised entries that outlive the call.
             let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout) };
             if n < 0 {
                 let e = io::Error::last_os_error();

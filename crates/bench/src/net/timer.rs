@@ -38,10 +38,6 @@ impl TimerWheel {
         }
     }
 
-    pub fn granularity_ms(&self) -> u64 {
-        self.granularity_ms
-    }
-
     /// `true` when nothing is armed — the event loop may block forever.
     pub fn is_idle(&self) -> bool {
         self.armed == 0

@@ -14,17 +14,14 @@
 //! ```
 //!
 //! The event loop (the thread that calls [`Server::run`]) owns every
-//! socket: it accepts, reads and incrementally parses requests, flushes
-//! responses, and arms read/write deadlines on a hashed timer wheel
-//! ([`crate::net`] supplies the epoll shim, parser and wheel). Workers
-//! never touch a socket — they pull parsed requests off the bounded queue,
-//! run the predictor, render the response bytes and hand them back through
-//! a completion list plus an eventfd waker. Admission is a bounded
-//! *active* set of `workers + queue_depth` connections (accept → response
-//! flushed); beyond it connections shed with `503` + `Retry-After`.
-//! Established keep-alive connections parked between requests hold no
-//! slot, no thread and no timer, which is what lets one loop hold 10k+
-//! open connections.
+//! socket, epoll and the timer wheel ([`crate::net`]); a socket-free
+//! connection core decides what each connection does next. Workers never
+//! touch a socket — they run the predictor, render the response bytes and
+//! hand them back through a completion list plus an eventfd waker.
+//! Admission is a bounded *active* set of `workers + queue_depth`
+//! connections (accept → response flushed); beyond it connections shed
+//! with `503` + `Retry-After`. Parked keep-alive connections hold no slot,
+//! no thread and no timer, which is what lets one loop hold 10k+ of them.
 //!
 //! Endpoints:
 //!
@@ -59,11 +56,10 @@
 //! * `GET /debug/slow?n=K` — the K worst requests by total latency since
 //!   start as a compact JSON span breakdown, slowest first.
 //!
-//! Every admitted request draws a plain `u64` trace id from a
-//! [`TraceIdGen`] (at accept, and afresh on each keep-alive reuse); each
-//! request records read/queue-wait/features/predict/serialize/write
-//! child spans under one `request` root, feeds the completed tree
-//! into a bounded [`FlightRecorder`], and — when it exceeds
+//! Every request draws a plain `u64` trace id from a [`TraceIdGen`] when
+//! a worker picks it up, records read/queue-wait/features/predict/
+//! serialize/write child spans under one `request` root, feeds the
+//! completed tree into a bounded [`FlightRecorder`], and — when it exceeds
 //! [`ServeOptions::slow_ms`] — emits a structured slow-request log line
 //! through the state's [`Logger`] (JSON when `--log-json` is set).
 //! Request latency is additionally folded into sliding-window series
@@ -82,8 +78,11 @@
 //! shim — no async runtime, no HTTP crate, no libc crate — mirroring how
 //! the rest of the workspace treats dependencies.
 
-use crate::net::{raw_fd, Event, HttpParser, Interest, Parsed, Poller, TimerWheel, Waker};
+mod conn;
+
+use crate::net::{raw_fd, Event, Interest, Poller, TimerWheel, Waker};
 pub use crate::net::{Request, RequestError};
+use conn::{Action, ConnCore, Input, Job};
 use kernel_ir::DType;
 use pulp_energy::manifest::RunManifest;
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
@@ -306,11 +305,6 @@ impl ServeState {
         &self.flight
     }
 
-    /// This service's structured logger.
-    pub fn logger(&self) -> &Logger {
-        &self.logger
-    }
-
     /// Snapshot of the logger's in-memory sink (`None` for stderr loggers);
     /// lets tests read slow-request lines through the shared state.
     pub fn log_lines(&self) -> Option<Vec<String>> {
@@ -471,16 +465,10 @@ impl<T> BoundedQueue<T> {
     /// Blocks until an item is available; `None` once the queue is closed
     /// *and* drained.
     fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(item) = g.0.pop_front() {
-                return Some(item);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self.not_empty.wait(g).expect("queue wait");
-        }
+        let g = self.inner.lock().expect("queue lock");
+        let empty = |(q, closed): &mut (VecDeque<T>, bool)| q.is_empty() && !*closed;
+        let mut g = self.not_empty.wait_while(g, empty).expect("queue wait");
+        g.0.pop_front()
     }
 
     /// Stops accepting new items; consumers drain what is queued, then see
@@ -533,64 +521,6 @@ pub struct Server {
 /// [`route`], which only tests replace.
 type Handler = fn(&Request, &ServeState, &mut RequestTracer) -> (u16, String, &'static str);
 
-/// Where a connection currently is in its life cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    /// Accumulating request bytes (an active slot is held).
-    Reading,
-    /// A parsed request is with the worker pool; socket interest is muted
-    /// so a pipelining peer cannot spin the event loop.
-    Dispatched,
-    /// Flushing a response.
-    Writing,
-    /// Established keep-alive connection between requests. Holds no active
-    /// slot and no deadline — parked idle connections are what the
-    /// readiness tier scales to, far beyond the worker count.
-    Idle,
-}
-
-/// Per-connection state machine driven by the event loop.
-struct Conn {
-    stream: TcpStream,
-    phase: Phase,
-    parser: HttpParser,
-    /// Trace id of the connection's next request (drawn at accept for the
-    /// first; fresh ids on keep-alive reuse).
-    trace_id: u64,
-    /// Requests dispatched on this connection so far.
-    served: usize,
-    /// First byte of the current request (accept time for fresh
-    /// connections) — the dispatch turns this into the `read` span.
-    request_started: Instant,
-    /// Authoritative armed deadline; timer-wheel entries that no longer
-    /// match are stale (lazy cancellation).
-    deadline_ms: Option<u64>,
-    /// `true` once at least one response has been fully written.
-    established: bool,
-    /// This connection holds one of the bounded active slots.
-    holds_slot: bool,
-    /// Response bytes in flight and the write cursor.
-    out: Vec<u8>,
-    out_pos: usize,
-    keep_after_write: bool,
-    /// For routed responses: the tracer (write span open), endpoint label
-    /// and status to finalize once the response is fully flushed.
-    write_meta: Option<(RequestTracer, SpanId, &'static str, u16)>,
-}
-
-/// One parsed request on its way to a worker.
-struct Job {
-    token: u64,
-    req: Request,
-    trace_id: u64,
-    /// Wire time: first byte to parse completion, in µs (the `read` span).
-    read_us: u64,
-    /// Queued-at instant; pickup time minus this is the queue wait.
-    enqueued: Instant,
-    /// 1-based request ordinal on its connection.
-    index: usize,
-}
-
 /// A finished request on its way back from a worker to the event loop.
 struct Completion {
     token: u64,
@@ -605,7 +535,8 @@ struct Completion {
 struct ServerCtx {
     state: Arc<ServeState>,
     opts: ServeOptions,
-    queue: Arc<BoundedQueue<Job>>,
+    /// Jobs with their `read` span (µs) and the instant they were queued.
+    queue: Arc<BoundedQueue<(Job, u64, Instant)>>,
     completions: Mutex<Vec<Completion>>,
     shutdown: ShutdownHandle,
     handler: Handler,
@@ -672,18 +603,10 @@ impl Server {
     /// /admin/shutdown`, [`ShutdownHandle::trigger`], or a signal wired
     /// via [`install_signal_shutdown`]).
     ///
-    /// The calling thread becomes the event loop: it accepts, reads,
-    /// parses, writes and tracks deadlines for every connection, while the
-    /// fixed worker pool executes the actual prediction work. Admission is
-    /// a bounded *active* set — connections from accept (or from the first
-    /// byte of a keep-alive reuse) until their response is flushed — of
-    /// `workers + queue_depth`; beyond it, connections shed with 503 +
-    /// `Retry-After`. Established idle keep-alive connections are parked
-    /// outside the active set at no per-connection thread cost, which is
-    /// where the 10k+ concurrency headroom comes from. On drain, parked
-    /// idle and silent fresh connections close immediately, in-flight
-    /// requests (including partially read ones) complete, then workers are
-    /// joined.
+    /// The calling thread becomes the event loop and the fixed worker pool
+    /// does the prediction work. On drain, parked idle and silent fresh
+    /// connections close at once, in-flight requests (partially read ones
+    /// included) complete, then the workers are joined.
     pub fn run(self) {
         self.run_with(route);
     }
@@ -692,12 +615,11 @@ impl Server {
     fn run_with(self, handler: Handler) {
         let shutdown = self.shutdown_handle();
         let Server {
-            addr: _,
             listener,
             state,
             opts,
-            shutdown: _,
             mut poller,
+            ..
         } = self;
         for (knob, v) in [
             ("workers", opts.workers.max(1)),
@@ -718,10 +640,10 @@ impl Server {
         }
         state.note_queue_depth(0);
         state.note_open_connections(0);
+        let core = ConnCore::new(&opts);
         // Sized so that admission control alone bounds it: every active
         // connection contributes at most one queued job.
-        let slot_capacity = opts.workers.max(1) + opts.queue_depth.max(1);
-        let queue = Arc::new(BoundedQueue::new(slot_capacity));
+        let queue = Arc::new(BoundedQueue::new(core.capacity()));
         let ctx = Arc::new(ServerCtx {
             state: Arc::clone(&state),
             opts,
@@ -750,18 +672,12 @@ impl Server {
         EventLoop {
             state,
             ctx,
-            opts,
             poller,
             listener: Some(listener),
-            conns: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-            open: 0,
-            active_slots: 0,
-            slot_capacity,
+            core,
+            streams: HashMap::new(),
             timers: TimerWheel::new(TIMER_GRANULARITY_MS, TIMER_SLOTS),
             started: Instant::now(),
-            draining: false,
             last_shed_log_s: None,
         }
         .run(&shutdown);
@@ -773,28 +689,23 @@ impl Server {
     }
 }
 
-/// The readiness event loop: single-threaded owner of every connection's
-/// state machine, the timer wheel and the admission slots.
+/// The readiness event loop: the I/O shell around the [`ConnCore`]. It
+/// owns epoll, `accept`, the timer wheel and every socket, feeds what
+/// happens to the core and carries out the actions the core returns.
 struct EventLoop {
     state: Arc<ServeState>,
     ctx: Arc<ServerCtx>,
-    opts: ServeOptions,
     poller: Poller,
-    /// Dropped at drain start so new connections are refused at the socket.
+    /// Dropped at drain start so new connections are refused at the
+    /// socket: `None` means draining.
     listener: Option<TcpListener>,
-    /// Connection slab; tokens embed `(generation << 32) | index` so stale
-    /// timer entries and completions for a recycled index are ignored.
-    conns: Vec<Option<Conn>>,
-    gens: Vec<u32>,
-    free: Vec<usize>,
-    /// Open connections (slab occupancy), mirrored to the gauge.
-    open: usize,
-    /// Connections currently in the bounded active set.
-    active_slots: usize,
-    slot_capacity: usize,
+    /// A routed response carries its tracer with the `write` span open,
+    /// endpoint label and status until the core finalises it.
+    core: ConnCore<(RequestTracer, SpanId, &'static str, u16)>,
+    /// Every open connection's socket, by core token.
+    streams: HashMap<u64, TcpStream>,
     timers: TimerWheel,
     started: Instant,
-    draining: bool,
     /// Second (of `now_s`) the last shed log line was emitted — rate-limits
     /// shed logging to one line per second under overload.
     last_shed_log_s: Option<u64>,
@@ -804,174 +715,173 @@ impl EventLoop {
     fn run(mut self, shutdown: &ShutdownHandle) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let timeout = if self.draining {
-                Some(TIMER_GRANULARITY_MS)
-            } else if self.timers.is_idle() {
-                None // fully idle: block until accept/readiness/waker
-            } else {
-                Some(self.timers.granularity_ms())
-            };
+            // Fully idle: block until accept, readiness or the waker.
+            let busy = self.listener.is_none() || !self.timers.is_idle();
+            let timeout = busy.then_some(TIMER_GRANULARITY_MS);
             if let Err(e) = self.poller.wait(&mut events, timeout) {
                 self.state
                     .logger
                     .warn("serve", "poller wait failed", &[("error", e.to_string())]);
                 std::thread::sleep(Duration::from_millis(TIMER_GRANULARITY_MS));
             }
-            if shutdown.is_shutdown() && !self.draining {
-                self.begin_drain();
+            if let Some(listener) = self.listener.take_if(|_| shutdown.is_shutdown()) {
+                let _ = self.poller.remove(raw_fd(&listener));
+                self.core.drain();
+                self.apply();
             }
+            // Connection events go where the core's interest says.
             for ev in events.iter().copied() {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_ready();
-                } else {
-                    self.conn_event(ev);
+                match self.core.interest(ev.token) {
+                    _ if ev.token == LISTENER_TOKEN => self.accept_ready(),
+                    Some(Interest::Read) if ev.readable || ev.hangup => self.read(ev.token),
+                    Some(Interest::Write) if ev.writable || ev.hangup => self.write(ev.token),
+                    _ => {}
                 }
+                self.apply();
             }
             self.drain_completions();
-            let now = self.now_ms();
-            self.fire_timers(now);
-            if self.draining && self.open == 0 {
+            self.fire_timers();
+            if self.listener.is_none() && self.core.open() == 0 {
                 return;
             }
         }
     }
 
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+    /// The core's clock: µs since the loop started.
+    fn now_us(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
     }
 
-    fn token_of(&self, idx: usize) -> u64 {
-        (u64::from(self.gens[idx]) << 32) | idx as u64
-    }
-
-    /// Resolves a token to a live slab index, refusing stale generations.
-    fn conn_at(&self, token: u64) -> Option<usize> {
-        let idx = (token & u32::MAX as u64) as usize;
-        let gen = (token >> 32) as u32;
-        if idx < self.conns.len() && self.gens[idx] == gen && self.conns[idx].is_some() {
-            Some(idx)
-        } else {
-            None
-        }
-    }
-
-    fn try_acquire_slot(&mut self) -> bool {
-        if self.active_slots < self.slot_capacity {
-            self.active_slots += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release_slot(&mut self, idx: usize) {
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        if conn.holds_slot {
-            conn.holds_slot = false;
-            self.active_slots -= 1;
-        }
-    }
-
-    /// Arms the connection's read/write deadline, `timeout_ms` from now.
-    fn arm_deadline(&mut self, idx: usize) {
-        let at_ms = self.now_ms() + self.opts.timeout_ms.max(1);
-        let token = self.token_of(idx);
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.deadline_ms = Some(at_ms);
-        self.timers.schedule(at_ms, token);
-    }
-
-    fn clear_deadline(&mut self, idx: usize) {
-        self.conns[idx].as_mut().expect("live conn").deadline_ms = None;
-    }
-
-    /// Accepts a burst of pending connections; admission happens here.
+    /// Accepts a burst of pending connections.
     fn accept_ready(&mut self) {
-        let mut accepted = 0usize;
-        while accepted < ACCEPT_BATCH {
+        for _ in 0..ACCEPT_BATCH {
             let Some(listener) = &self.listener else {
                 return;
             };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted += 1;
-                    if self.draining {
-                        drop(stream);
-                        continue;
-                    }
-                    if !self.try_acquire_slot() {
-                        self.shed_fresh(stream);
-                        continue;
-                    }
-                    self.admit(stream);
-                }
-                Err(ref e) if e.kind() == ErrorKind::WouldBlock => return,
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
                 Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(_) => return, // WouldBlock (backlog drained) or a failed accept
+            };
+            let _ = stream.set_nonblocking(true);
+            let _ = stream.set_nodelay(true);
+            let token = self.core.accept(self.now_us());
+            let registered = self.poller.add(raw_fd(&stream), token, Interest::Read);
+            self.streams.insert(token, stream);
+            self.state.note_open_connections(self.core.open());
+            if registered.is_err() {
+                self.core.handle(self.now_us(), token, Input::ReadError);
             }
+            self.apply();
         }
         // The whole batch filled without hitting WouldBlock: connections
         // are arriving faster than one readiness round drains them.
         self.state.note_accept_saturation();
     }
 
-    /// Registers an admitted connection (slot already acquired): fresh
-    /// connections enter `Reading` with the read deadline armed at accept,
-    /// exactly like the blocking tier's `SO_RCVTIMEO` from accept.
-    fn admit(&mut self, stream: TcpStream) {
-        let _ = stream.set_nonblocking(true);
-        let _ = stream.set_nodelay(true);
-        let conn = Conn {
-            stream,
-            phase: Phase::Reading,
-            parser: HttpParser::new(),
-            trace_id: self.state.trace_ids.next_id(),
-            served: 0,
-            request_started: Instant::now(),
-            deadline_ms: None,
-            established: false,
-            holds_slot: true,
-            out: Vec::new(),
-            out_pos: 0,
-            keep_after_write: false,
-            write_meta: None,
-        };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.conns[idx] = Some(conn);
-                idx
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.gens.push(0);
-                self.conns.len() - 1
-            }
-        };
-        self.open += 1;
-        self.state.note_open_connections(self.open);
-        let token = self.token_of(idx);
-        let fd = raw_fd(&self.conns[idx].as_ref().expect("live conn").stream);
-        if self.poller.add(fd, token, Interest::Read).is_err() {
-            self.close_conn(idx);
-            return;
+    /// Reads while the core wants bytes, at most `READ_BURST_BYTES` per
+    /// event (level-triggered polling re-reports the rest).
+    fn read(&mut self, token: u64) {
+        let mut buf = [0u8; 16 * 1024];
+        let mut total = 0usize;
+        while total < READ_BURST_BYTES && self.core.interest(token) == Some(Interest::Read) {
+            let Some(stream) = self.streams.get_mut(&token) else {
+                return;
+            };
+            let input = match stream.read(&mut buf) {
+                Ok(0) => Input::Eof,
+                Ok(n) => {
+                    total += n;
+                    Input::Read(&buf[..n])
+                }
+                Err(ref e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => Input::ReadError,
+            };
+            self.core.handle(self.now_us(), token, input);
         }
-        self.arm_deadline(idx);
     }
 
-    /// Sheds a just-accepted connection (no slot available): 503 +
-    /// `Retry-After`, written blocking with a bounded timeout — the socket
-    /// is fresh, so this is one buffer copy in practice.
-    fn shed_fresh(&mut self, mut stream: TcpStream) {
-        self.note_shed_with_log();
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(self.opts.timeout_ms.max(1))));
-        let bytes = render_response(
-            503,
-            "server overloaded, retry later\n",
-            "text/plain; charset=utf-8",
-            false,
-            &[("Retry-After", &self.opts.retry_after_secs.to_string())],
-        );
-        let _ = stream.write_all(&bytes);
+    /// Writes what the core has pending and reports how far it got.
+    fn write(&mut self, token: u64) {
+        let Some(stream) = self.streams.get_mut(&token) else {
+            return;
+        };
+        let input = loop {
+            match stream.write(self.core.pending(token)) {
+                Ok(0) => break Input::WriteError,
+                Ok(n) => break Input::Wrote(n),
+                Err(ref e) if e.kind() == ErrorKind::WouldBlock => break Input::WouldBlock,
+                Err(ref e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break Input::WriteError,
+            }
+        };
+        self.core.handle(self.now_us(), token, input);
+    }
+
+    /// Hands worker completions to the core; the `write` span opens here.
+    fn drain_completions(&mut self) {
+        let done = std::mem::take(&mut *self.ctx.completions.lock().expect("completions lock"));
+        for c in done {
+            let mut tracer = c.tracer;
+            let write = tracer.begin("write");
+            let meta = (tracer, write, c.endpoint, c.status);
+            let input = Input::Completed {
+                bytes: c.bytes,
+                keep: c.keep,
+                meta,
+            };
+            self.core.handle(self.now_us(), c.token, input);
+            self.apply();
+        }
+    }
+
+    fn fire_timers(&mut self) {
+        let now_us = self.now_us();
+        let mut expired: Vec<(u64, u64)> = Vec::new();
+        self.timers.advance(now_us / 1000, &mut expired);
+        for (token, at_ms) in expired {
+            self.core.handle(now_us, token, Input::Timer(at_ms));
+        }
+        self.apply();
+    }
+
+    /// Carries out the core's actions, including those that writing
+    /// queues on the way.
+    fn apply(&mut self) {
+        while let Some(action) = self.core.next_action() {
+            match action {
+                Action::Dispatch(job) => {
+                    let read_us = self.now_us().saturating_sub(job.started_us);
+                    // Every queued job's connection holds one of the active
+                    // slots, and the queue has a place for each slot.
+                    let item = (job, read_us, Instant::now());
+                    let Ok(depth) = self.ctx.queue.try_push(item) else {
+                        unreachable!("active slots bound the queued jobs");
+                    };
+                    self.state.note_queue_depth(depth);
+                }
+                Action::Send(token) => self.write(token),
+                Action::Interest(token, interest) => {
+                    if let Some(stream) = self.streams.get(&token) {
+                        let _ = self.poller.modify(raw_fd(stream), token, interest);
+                    }
+                }
+                Action::Arm(token, at_ms) => self.timers.schedule(at_ms, token),
+                Action::Finish((mut tracer, write, endpoint, status)) => {
+                    tracer.finish(write);
+                    finish_request(&self.state, self.ctx.opts.slow_ms, tracer, endpoint, status);
+                }
+                Action::Close(token) => {
+                    if let Some(stream) = self.streams.remove(&token) {
+                        let _ = self.poller.remove(raw_fd(&stream));
+                    }
+                    self.state.note_open_connections(self.core.open());
+                }
+                Action::Shed => self.note_shed_with_log(),
+                Action::TimedOut(kind) => self.state.note_timeout(kind),
+            }
+        }
     }
 
     /// Counts a shed and emits the post-hoc analysis log line, rate-limited
@@ -983,383 +893,17 @@ impl EventLoop {
             return;
         }
         self.last_shed_log_s = Some(now_s);
+        let retry_after = self.ctx.opts.retry_after_secs;
         self.state.logger.warn(
             "serve",
             "connection shed",
             &[
                 ("queue_depth", self.ctx.queue.depth().to_string()),
-                ("active_connections", self.active_slots.to_string()),
-                ("open_connections", self.open.to_string()),
-                ("retry_after_secs", self.opts.retry_after_secs.to_string()),
+                ("active_connections", self.core.active().to_string()),
+                ("open_connections", self.core.open().to_string()),
+                ("retry_after_secs", retry_after.to_string()),
             ],
         );
-    }
-
-    /// Routes one readiness event to the owning connection's state.
-    fn conn_event(&mut self, ev: Event) {
-        let Some(idx) = self.conn_at(ev.token) else {
-            return;
-        };
-        match self.conns[idx].as_ref().expect("live conn").phase {
-            Phase::Reading | Phase::Idle => {
-                if ev.readable || ev.hangup {
-                    self.do_read(idx);
-                }
-            }
-            Phase::Writing => {
-                if ev.writable || ev.hangup {
-                    self.do_write(idx);
-                }
-            }
-            // Interest is muted while dispatched; a stray event (e.g. a
-            // hangup race) is picked up after the response is written.
-            Phase::Dispatched => {}
-        }
-    }
-
-    /// Reads until `WouldBlock` (bounded per event), feeding the parser.
-    /// The first byte on an idle connection re-enters admission control.
-    fn do_read(&mut self, idx: usize) {
-        let mut buf = [0u8; 16 * 1024];
-        let mut total = 0usize;
-        loop {
-            let conn = self.conns[idx].as_mut().expect("live conn");
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.parser.feed_eof();
-                    if conn.phase == Phase::Idle && !conn.parser.has_partial() {
-                        // Clean keep-alive close between requests.
-                        self.close_conn(idx);
-                        return;
-                    }
-                    break;
-                }
-                Ok(n) => {
-                    if conn.phase == Phase::Idle && !self.reactivate(idx) {
-                        return; // overloaded: a 503 is on its way out
-                    }
-                    let conn = self.conns[idx].as_mut().expect("live conn");
-                    conn.parser.feed(&buf[..n]);
-                    total += n;
-                    if total >= READ_BURST_BYTES {
-                        break; // level-triggered: the rest re-reports
-                    }
-                }
-                Err(ref e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Transport error mid-read: same as the blocking tier's
-                    // `RequestError::Io` — drop without a response.
-                    self.close_conn(idx);
-                    return;
-                }
-            }
-        }
-        if self.conns[idx].as_ref().expect("live conn").phase == Phase::Reading {
-            self.pump_parser(idx);
-        }
-    }
-
-    /// First byte of a keep-alive reuse: rejoin the active set, or shed
-    /// with the same 503 contract as a fresh connection when full.
-    /// Returns `false` when the connection left the `Idle` phase without
-    /// becoming `Reading` (i.e. it is shedding).
-    fn reactivate(&mut self, idx: usize) -> bool {
-        if !self.try_acquire_slot() {
-            self.shed(idx);
-            return false;
-        }
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.holds_slot = true;
-        conn.phase = Phase::Reading;
-        conn.request_started = Instant::now();
-        conn.trace_id = self.state.trace_ids.next_id();
-        self.arm_deadline(idx);
-        true
-    }
-
-    /// Tries to complete one request out of the parse buffer.
-    fn pump_parser(&mut self, idx: usize) {
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        match conn.parser.take(self.opts.max_body_bytes) {
-            Parsed::NeedMore => {}
-            Parsed::Request(req) => self.dispatch(idx, req),
-            Parsed::Failed(RequestError::Eof) | Parsed::Failed(RequestError::Io) => {
-                self.close_conn(idx);
-            }
-            Parsed::Failed(RequestError::TimedOut) => {
-                // The incremental parser never produces this (deadlines
-                // live on the timer wheel), but map it like the old tier.
-                self.state.note_timeout("read");
-                self.respond_and_close(idx, 408, "request deadline exceeded\n".to_string(), &[]);
-            }
-            Parsed::Failed(RequestError::TooLarge { length, limit }) => {
-                self.respond_and_close(
-                    idx,
-                    413,
-                    format!("body of {length} bytes exceeds the {limit}-byte limit\n"),
-                    &[],
-                );
-            }
-            Parsed::Failed(RequestError::Malformed(why)) => {
-                self.respond_and_close(idx, 400, format!("malformed request: {why}\n"), &[]);
-            }
-        }
-    }
-
-    /// Hands a parsed request to the worker pool and mutes the socket.
-    fn dispatch(&mut self, idx: usize, req: Request) {
-        self.clear_deadline(idx);
-        let token = self.token_of(idx);
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.phase = Phase::Dispatched;
-        conn.served += 1;
-        let job = Job {
-            token,
-            req,
-            trace_id: conn.trace_id,
-            read_us: conn.request_started.elapsed().as_micros() as u64,
-            enqueued: Instant::now(),
-            index: conn.served,
-        };
-        let fd = raw_fd(&conn.stream);
-        let _ = self.poller.modify(fd, token, Interest::None);
-        match self.ctx.queue.try_push(job) {
-            Ok(depth) => self.state.note_queue_depth(depth),
-            // Unreachable by construction (active slots bound queued jobs),
-            // but degrade like any other overload if it happens.
-            Err(_) => self.shed(idx),
-        }
-    }
-
-    /// Sheds an admitted connection with the same 503 + `Retry-After`
-    /// contract as a fresh one.
-    fn shed(&mut self, idx: usize) {
-        self.note_shed_with_log();
-        let retry_after = self.opts.retry_after_secs.to_string();
-        let body = "server overloaded, retry later\n".to_string();
-        self.respond_and_close(idx, 503, body, &[("Retry-After", &retry_after)]);
-    }
-
-    /// Starts flushing a transport-level error response (400/408/413/503)
-    /// and closes once it is out. These bypass the flight recorder and the
-    /// request counters, matching the blocking tier.
-    fn respond_and_close(&mut self, idx: usize, status: u16, body: String, extra: &[(&str, &str)]) {
-        let bytes = render_response(status, &body, "text/plain; charset=utf-8", false, extra);
-        let token = self.token_of(idx);
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.out = bytes;
-        conn.out_pos = 0;
-        conn.keep_after_write = false;
-        conn.write_meta = None;
-        conn.phase = Phase::Writing;
-        let fd = raw_fd(&conn.stream);
-        let _ = self.poller.modify(fd, token, Interest::None);
-        self.arm_deadline(idx);
-        self.do_write(idx);
-    }
-
-    /// Collects worker completions and starts their response writes.
-    fn drain_completions(&mut self) {
-        let done: Vec<Completion> = {
-            let mut guard = self.ctx.completions.lock().expect("completions lock");
-            std::mem::take(&mut *guard)
-        };
-        for completion in done {
-            let Some(idx) = self.conn_at(completion.token) else {
-                // The connection died while its request executed (only
-                // possible on registration failure); keep the books
-                // consistent by recording the trace anyway.
-                let Completion {
-                    tracer,
-                    endpoint,
-                    status,
-                    ..
-                } = completion;
-                finish_request(&self.state, self.opts.slow_ms, tracer, endpoint, status);
-                continue;
-            };
-            self.begin_write(idx, completion);
-        }
-    }
-
-    /// Starts flushing a routed response; the write span stays open until
-    /// the last byte is out.
-    fn begin_write(&mut self, idx: usize, completion: Completion) {
-        let Completion {
-            bytes,
-            keep,
-            status,
-            endpoint,
-            mut tracer,
-            ..
-        } = completion;
-        let span = tracer.begin("write");
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.out = bytes;
-        conn.out_pos = 0;
-        conn.keep_after_write = keep;
-        conn.write_meta = Some((tracer, span, endpoint, status));
-        conn.phase = Phase::Writing;
-        self.arm_deadline(idx);
-        self.do_write(idx);
-    }
-
-    /// Writes until done or `WouldBlock`; only a stalled write registers
-    /// write interest (the optimistic first flush usually completes).
-    fn do_write(&mut self, idx: usize) {
-        enum Next {
-            Done,
-            Stalled,
-            Broken,
-        }
-        let next = loop {
-            let conn = self.conns[idx].as_mut().expect("live conn");
-            let pending = &conn.out[conn.out_pos..];
-            if pending.is_empty() {
-                break Next::Done;
-            }
-            match conn.stream.write(pending) {
-                Ok(0) => break Next::Broken,
-                Ok(n) => conn.out_pos += n,
-                Err(ref e) if e.kind() == ErrorKind::WouldBlock => break Next::Stalled,
-                Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break Next::Broken,
-            }
-        };
-        match next {
-            Next::Done => self.finish_write(idx),
-            Next::Stalled => {
-                let token = self.token_of(idx);
-                let fd = raw_fd(&self.conns[idx].as_ref().expect("live conn").stream);
-                let _ = self.poller.modify(fd, token, Interest::Write);
-            }
-            Next::Broken => self.abort_write(idx, false),
-        }
-    }
-
-    /// A response could not be fully written (error or deadline). The
-    /// request itself already executed, so its trace is still recorded —
-    /// matching the blocking tier, which recorded before checking the
-    /// write result.
-    fn abort_write(&mut self, idx: usize, timed_out: bool) {
-        if timed_out {
-            self.state.note_timeout("write");
-        }
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        if let Some((mut tracer, span, endpoint, status)) = conn.write_meta.take() {
-            tracer.finish(span);
-            finish_request(&self.state, self.opts.slow_ms, tracer, endpoint, status);
-        }
-        self.close_conn(idx);
-    }
-
-    /// The response is fully flushed: finalize the trace, release the
-    /// active slot, and either park the connection idle or close it.
-    fn finish_write(&mut self, idx: usize) {
-        self.clear_deadline(idx);
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        let meta = conn.write_meta.take();
-        let keep = conn.keep_after_write;
-        conn.out = Vec::new();
-        conn.out_pos = 0;
-        conn.established = true;
-        if let Some((mut tracer, span, endpoint, status)) = meta {
-            tracer.finish(span);
-            finish_request(&self.state, self.opts.slow_ms, tracer, endpoint, status);
-        }
-        self.release_slot(idx);
-        if !keep || self.draining {
-            self.close_conn(idx);
-            return;
-        }
-        let token = self.token_of(idx);
-        let conn = self.conns[idx].as_mut().expect("live conn");
-        conn.phase = Phase::Idle;
-        let fd = raw_fd(&conn.stream);
-        let _ = self.poller.modify(fd, token, Interest::Read);
-        if self.conns[idx]
-            .as_ref()
-            .expect("live conn")
-            .parser
-            .has_partial()
-            && self.reactivate(idx)
-        {
-            // Pipelined bytes arrived with the previous request; they may
-            // already hold a complete next request.
-            self.pump_parser(idx);
-        }
-    }
-
-    /// Fires elapsed deadlines. Stale entries (re-armed or disarmed since
-    /// scheduling) are ignored by matching the connection's authoritative
-    /// deadline — lazy cancellation.
-    fn fire_timers(&mut self, now_ms: u64) {
-        let mut expired: Vec<(u64, u64)> = Vec::new();
-        self.timers.advance(now_ms, &mut expired);
-        for (token, deadline) in expired {
-            let Some(idx) = self.conn_at(token) else {
-                continue;
-            };
-            let conn = self.conns[idx].as_ref().expect("live conn");
-            if conn.deadline_ms != Some(deadline) {
-                continue;
-            }
-            match conn.phase {
-                Phase::Reading => {
-                    self.state.note_timeout("read");
-                    self.respond_and_close(
-                        idx,
-                        408,
-                        "request deadline exceeded\n".to_string(),
-                        &[],
-                    );
-                }
-                Phase::Writing => self.abort_write(idx, true),
-                // No deadline runs while dispatched or parked idle.
-                Phase::Dispatched | Phase::Idle => {}
-            }
-        }
-    }
-
-    /// Begins the graceful drain: refuse new connections at the socket,
-    /// close parked idle and silent fresh connections, and let everything
-    /// mid-request (reading, executing, writing) run to completion under
-    /// its normal deadlines.
-    fn begin_drain(&mut self) {
-        self.draining = true;
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.remove(raw_fd(&listener));
-            drop(listener);
-        }
-        for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_ref() else {
-                continue;
-            };
-            let droppable = match conn.phase {
-                Phase::Idle => !conn.parser.has_partial(),
-                // A fresh connection that never sent a byte has nothing in
-                // flight to drain.
-                Phase::Reading => !conn.parser.has_partial(),
-                Phase::Dispatched | Phase::Writing => false,
-            };
-            if droppable {
-                self.close_conn(idx);
-            }
-        }
-    }
-
-    /// Removes a connection: deregisters, recycles the slab slot (bumping
-    /// the generation so stale tokens miss) and releases its active slot.
-    fn close_conn(&mut self, idx: usize) {
-        self.release_slot(idx);
-        let conn = self.conns[idx].take().expect("live conn");
-        let _ = self.poller.remove(raw_fd(&conn.stream));
-        drop(conn);
-        self.gens[idx] = self.gens[idx].wrapping_add(1);
-        self.free.push(idx);
-        self.open -= 1;
-        self.state.note_open_connections(self.open);
     }
 }
 
@@ -1367,10 +911,11 @@ impl EventLoop {
 /// response bytes, and hand the completion back to the event loop. Workers
 /// never touch sockets — prediction work is all they do.
 fn worker_loop(ctx: &ServerCtx) {
-    while let Some(job) = ctx.queue.pop() {
+    while let Some((job, read_us, enqueued)) = ctx.queue.pop() {
         ctx.state.note_queue_depth(ctx.queue.depth());
-        let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
-        let mut tracer = RequestTracer::with_read(job.trace_id, job.read_us, queue_wait_us);
+        let queue_wait_us = enqueued.elapsed().as_micros() as u64;
+        let trace_id = ctx.state.trace_ids.next_id();
+        let mut tracer = RequestTracer::with_read(trace_id, read_us, queue_wait_us);
         if job.index > 1 {
             ctx.state.note_keepalive_reuse();
         }
@@ -1390,7 +935,7 @@ fn worker_loop(ctx: &ServerCtx) {
             // this completion, and a drain waits for the connection.
             let handle = AssertUnwindSafe(|| (ctx.handler)(&job.req, &ctx.state, &mut tracer));
             std::panic::catch_unwind(handle).unwrap_or_else(|_| {
-                let fields = [("trace_id", job.trace_id.to_string())];
+                let fields = [("trace_id", trace_id.to_string())];
                 ctx.state.logger.warn("serve", "handler panicked", &fields);
                 (500, json_error("internal error"), "application/json")
             })
@@ -1398,9 +943,7 @@ fn worker_loop(ctx: &ServerCtx) {
         let elapsed = tracer.finish(handle_span);
         record_request(&ctx.state, &job.req, status, elapsed);
         ctx.state.inflight_delta(-1);
-        let keep = !ctx.shutdown.is_shutdown()
-            && !job.req.close
-            && job.index < ctx.opts.keepalive_max_requests.max(1);
+        let keep = job.keep && !ctx.shutdown.is_shutdown();
         let bytes = render_response(status, &body, content_type, keep, &[]);
         let completion = Completion {
             token: job.token,
@@ -1925,6 +1468,8 @@ mod signal {
     /// Installs the handlers and spawns the watcher that triggers
     /// `handle` once a signal arrives.
     pub fn install(handle: ShutdownHandle) {
+        // SAFETY: `on_signal` only stores to an atomic, which is
+        // async-signal-safe, and the handler stays valid for the process.
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);
@@ -1955,6 +1500,7 @@ pub fn install_signal_shutdown(handle: ShutdownHandle) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{HttpParser, Parsed};
     use pulp_obs::validate_exposition;
 
     fn quick_state() -> ServeState {

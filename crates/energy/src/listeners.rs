@@ -307,11 +307,6 @@ impl PulpListeners {
         }
     }
 
-    /// The registered path → listener routing table (for diagnostics).
-    pub fn registered_paths(&self) -> impl Iterator<Item = &str> {
-        self.routes.keys().map(String::as_str)
-    }
-
     /// Dispatches one parsed event to its listener.
     ///
     /// Unknown paths are ignored (GVSOC traces interleave many components;
@@ -565,7 +560,7 @@ mod tests {
     #[test]
     fn routing_table_covers_all_components() {
         let l = PulpListeners::new(&config());
-        let paths: Vec<&str> = l.registered_paths().collect();
+        let paths: Vec<&str> = l.routes.keys().map(String::as_str).collect();
         // 8 cores x 2 + 16 + 32 + event unit + icache + dma
         assert_eq!(paths.len(), 8 * 2 + 16 + 32 + 3);
         assert!(paths.contains(&"cluster/pe7/trace"));

@@ -211,16 +211,6 @@ impl Dataset {
             n_classes: self.n_classes,
         }
     }
-
-    /// Looks up feature columns by name.
-    ///
-    /// Returns `None` if any name is missing.
-    pub fn columns_named(&self, names: &[&str]) -> Option<Vec<usize>> {
-        names
-            .iter()
-            .map(|n| self.feature_names.iter().position(|f| f == n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -282,12 +272,5 @@ mod tests {
         assert_eq!(d.n_features(), 1);
         assert_eq!(d.row(0), &[2.0]);
         assert_eq!(d.feature_names(), &["b".to_string()]);
-    }
-
-    #[test]
-    fn columns_named_resolves() {
-        let d = small();
-        assert_eq!(d.columns_named(&["b", "a"]), Some(vec![1, 0]));
-        assert_eq!(d.columns_named(&["zzz"]), None);
     }
 }

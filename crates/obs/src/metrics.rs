@@ -429,23 +429,11 @@ impl MetricsRegistry {
     }
 
     /// Records `value` into the sliding-window histogram `name{labels}` at
-    /// caller time `now_s` (seconds; e.g. seconds since service start),
-    /// using the [`WindowConfig::default`] layout. The series renders as a
-    /// `gauge` family of p50/p90/p99 samples labelled `quantile`, computed
-    /// over the window anchored at the most recent observation.
-    pub fn windowed_observe(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        value: f64,
-        now_s: u64,
-    ) {
-        self.windowed_observe_with(name, help, labels, value, now_s, WindowConfig::default);
-    }
-
-    /// [`windowed_observe`](Self::windowed_observe) with an explicit window
-    /// layout, applied only when the series is first created.
+    /// caller time `now_s` (seconds; e.g. seconds since service start).
+    /// `config` gives the window layout and is applied only when the series
+    /// is first created. The series renders as a `gauge` family of
+    /// p50/p90/p99 samples labelled `quantile`, computed over the window
+    /// anchored at the most recent observation.
     pub fn windowed_observe_with(
         &mut self,
         name: &str,
@@ -1187,7 +1175,14 @@ mod tests {
     fn windowed_histogram_renders_quantile_gauges() {
         let mut reg = MetricsRegistry::new();
         for i in 0..100u64 {
-            reg.windowed_observe("w_seconds_window", "w.", &[("endpoint", "/p")], 0.001, i);
+            reg.windowed_observe_with(
+                "w_seconds_window",
+                "w.",
+                &[("endpoint", "/p")],
+                0.001,
+                i,
+                WindowConfig::default,
+            );
         }
         let text = reg.render();
         assert!(text.contains("# TYPE w_seconds_window gauge"), "{text}");
@@ -1201,7 +1196,7 @@ mod tests {
     #[test]
     fn empty_windowed_series_render_no_samples() {
         let mut reg = MetricsRegistry::new();
-        reg.windowed_observe("w_window", "w.", &[], f64::NAN, 0);
+        reg.windowed_observe_with("w_window", "w.", &[], f64::NAN, 0, WindowConfig::default);
         let text = reg.render();
         assert!(text.contains("# TYPE w_window gauge"));
         assert!(!text.contains("w_window{"), "{text}");
@@ -1225,9 +1220,9 @@ mod tests {
     #[test]
     fn windowed_backwards_time_is_dropped() {
         let mut reg = MetricsRegistry::new();
-        reg.windowed_observe("w_window", "w.", &[], 1.0, 1000);
+        reg.windowed_observe_with("w_window", "w.", &[], 1.0, 1000, WindowConfig::default);
         // Same slot index, older epoch: must not clobber the newer slot.
-        reg.windowed_observe("w_window", "w.", &[], 1.0, 400);
+        reg.windowed_observe_with("w_window", "w.", &[], 1.0, 400, WindowConfig::default);
         assert_eq!(reg.windowed_count("w_window", &[]), Some(1));
     }
 

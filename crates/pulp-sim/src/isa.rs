@@ -60,12 +60,6 @@ impl OpKind {
         matches!(self, OpKind::Load | OpKind::Store)
     }
 
-    /// Returns `true` for control-flow operations.
-    #[inline]
-    pub fn is_control(self) -> bool {
-        matches!(self, OpKind::Branch | OpKind::Jump)
-    }
-
     /// Short lower-case mnemonic used in textual traces.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -166,8 +160,6 @@ mod tests {
         assert!(OpKind::Fp(FpOp::Mul).is_fp());
         assert!(!OpKind::Mul.is_fp());
         assert!(OpKind::Load.is_mem());
-        assert!(OpKind::Branch.is_control());
-        assert!(!OpKind::Alu.is_control());
     }
 
     #[test]
