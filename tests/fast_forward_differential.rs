@@ -5,14 +5,16 @@
 //! synchronisation skeleton (so they always validate): per-core compute
 //! blocks, blocking and asynchronous DMA transfers, fork/join regions and
 //! critical sections, each closed by a cluster barrier. Every sampled
-//! program runs at 1..=8 cores through both simulator modes and must
-//! produce bit-identical architectural statistics (including the per-core
-//! 10-cause cycle histograms) and an identical trace-event stream.
+//! program runs at 1..=8 cores through both simulator modes, with clock
+//! gating on and in the clock-gating ablation, and must produce
+//! bit-identical architectural statistics (including the per-core
+//! 10-cause cycle histograms), an identical trace-event stream and
+//! identical `RegionProfiler` serial/parallel regions.
 
 use proptest::prelude::*;
 use pulp_sim::{
-    simulate_opts, AddrExpr, ClusterConfig, FpOp, NoTelemetry, OpKind, Program, SegOp, SimOptions,
-    SimScratch, SimStats, TraceEvent, VecSink, TCDM_BASE,
+    simulate_opts, AddrExpr, ClusterConfig, FpOp, OpKind, Program, RegionProfile, RegionProfiler,
+    SegOp, SimOptions, SimScratch, SimStats, TraceEvent, VecSink, TCDM_BASE,
 };
 
 fn instr(kind: OpKind) -> SegOp {
@@ -126,51 +128,60 @@ fn arb_episode() -> impl Strategy<Value = Episode> {
         })
 }
 
+/// One run's statistics, trace-event stream and region profile.
 fn run(
     config: &ClusterConfig,
     program: &Program,
     opts: &SimOptions,
     scratch: &mut SimScratch,
-) -> (SimStats, Vec<(u64, TraceEvent)>) {
+) -> (SimStats, Vec<(u64, TraceEvent)>, Vec<RegionProfile>) {
     let mut sink = VecSink::new();
-    let stats = simulate_opts(config, program, opts, &mut sink, &mut NoTelemetry, scratch)
+    let mut profiler = RegionProfiler::new();
+    let stats = simulate_opts(config, program, opts, &mut sink, &mut profiler, scratch)
         .expect("episode programs always terminate");
-    (stats, sink.events)
+    (stats, sink.events, profiler.regions().to_vec())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Fast-forward is bit-identical to the single-step oracle on random
-    /// episode programs at every team size: same statistics, same 10-cause
-    /// cycle histograms, same trace-event stream.
+    /// episode programs at every team size, with clock gating and in the
+    /// clock-gating ablation (`repro ablation_platform`'s platform): same
+    /// statistics, same 10-cause cycle histograms, same trace-event stream,
+    /// same serial/parallel regions.
     #[test]
     fn fast_forward_matches_oracle_on_random_programs(
         episodes in prop::collection::vec(arb_episode(), 1..6),
         team in 1usize..9,
     ) {
-        let config = ClusterConfig::default();
         let program = program_of_episodes(team, &episodes);
         prop_assert_eq!(program.validate(), Ok(()));
         let ff_opts = SimOptions::default();
         let oracle_opts = SimOptions::oracle();
         let mut scratch = SimScratch::new();
-        let (ff, ff_events) = run(&config, &program, &ff_opts, &mut scratch);
-        let (oracle, oracle_events) = run(&config, &program, &oracle_opts, &mut scratch);
-        // The oracle must never take a bulk span.
-        prop_assert_eq!(oracle.fast_forward.spans, 0);
-        prop_assert_eq!(oracle.fast_forward.skipped_cycles, 0);
-        // Per-core cause histograms agree exactly.
-        for (core, (a, b)) in ff.cores.iter().zip(oracle.cores.iter()).enumerate() {
-            prop_assert_eq!(
-                &a.breakdown, &b.breakdown,
-                "core {} cause histogram diverged", core
-            );
+        for config in [ClusterConfig::default(), ClusterConfig::default().without_clock_gating()] {
+            let gating = config.model_clock_gating;
+            let (ff, ff_events, ff_regions) = run(&config, &program, &ff_opts, &mut scratch);
+            let (oracle, oracle_events, oracle_regions) =
+                run(&config, &program, &oracle_opts, &mut scratch);
+            // The oracle must never take a bulk span.
+            prop_assert_eq!(oracle.fast_forward.spans, 0);
+            prop_assert_eq!(oracle.fast_forward.skipped_cycles, 0);
+            // Per-core cause histograms agree exactly.
+            for (core, (a, b)) in ff.cores.iter().zip(oracle.cores.iter()).enumerate() {
+                prop_assert_eq!(
+                    &a.breakdown, &b.breakdown,
+                    "gating {}: core {} cause histogram diverged", gating, core
+                );
+            }
+            // The trace streams are identical event for event.
+            prop_assert_eq!(ff_events, oracle_events, "gating {}", gating);
+            // Every cycle lands in the same serial/parallel region.
+            prop_assert_eq!(ff_regions, oracle_regions, "gating {}", gating);
+            // Architectural state is bit-identical modulo the ff diagnostics.
+            prop_assert_eq!(ff.without_fast_forward(), oracle, "gating {}", gating);
         }
-        // The trace streams are identical event for event.
-        prop_assert_eq!(ff_events, oracle_events);
-        // Architectural state is bit-identical modulo the ff diagnostics.
-        prop_assert_eq!(ff.without_fast_forward(), oracle);
     }
 
     /// The adaptive scan re-arm points never miss a skippable span: on
@@ -189,8 +200,8 @@ proptest! {
         let adaptive_opts = SimOptions::default(); // adaptive_scan: true
         let always_opts = SimOptions::default().with_adaptive_scan(false);
         let mut scratch = SimScratch::new();
-        let (adaptive, adaptive_events) = run(&config, &program, &adaptive_opts, &mut scratch);
-        let (always, always_events) = run(&config, &program, &always_opts, &mut scratch);
+        let (adaptive, adaptive_events, _) = run(&config, &program, &adaptive_opts, &mut scratch);
+        let (always, always_events, _) = run(&config, &program, &always_opts, &mut scratch);
         // Same spans: an armed scan at every point the always-scan skips.
         prop_assert_eq!(adaptive.fast_forward.spans, always.fast_forward.spans);
         prop_assert_eq!(
@@ -235,8 +246,10 @@ fn fast_forward_engages_and_matches_on_dma_heavy_program() {
     let mut scratch = SimScratch::new();
     for team in [2usize, 4, 8] {
         let program = program_of_episodes(team, &episodes);
-        let (ff, ff_events) = run(&config, &program, &SimOptions::default(), &mut scratch);
-        let (oracle, oracle_events) = run(&config, &program, &SimOptions::oracle(), &mut scratch);
+        let (ff, ff_events, ff_regions) =
+            run(&config, &program, &SimOptions::default(), &mut scratch);
+        let (oracle, oracle_events, oracle_regions) =
+            run(&config, &program, &SimOptions::oracle(), &mut scratch);
         assert!(
             ff.skip_ratio() > 0.5,
             "team {team}: expected heavy skipping, got {}",
@@ -244,5 +257,6 @@ fn fast_forward_engages_and_matches_on_dma_heavy_program() {
         );
         assert_eq!(ff.without_fast_forward(), oracle, "team {team}");
         assert_eq!(ff_events, oracle_events, "team {team}");
+        assert_eq!(ff_regions, oracle_regions, "team {team}");
     }
 }

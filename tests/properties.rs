@@ -63,16 +63,23 @@ fn arb_kernel() -> impl Strategy<Value = kernel_ir::Kernel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random kernels simulate successfully at every team size and keep
+    /// Random kernels simulate successfully at every team size 1..=8,
+    /// attribute every cycle of every core to exactly one cause, and keep
     /// their memory traffic invariant across team sizes.
     #[test]
     fn traffic_conservation_on_random_kernels(kernel in arb_kernel()) {
         let cfg = config();
         let mut reference = None;
-        for team in [1usize, 3, 8] {
+        for team in 1..=8 {
             let lowered = lower(&kernel, team, &cfg).expect("lower");
             let stats = simulate(&cfg, &lowered.program).expect("simulate");
             prop_assert_eq!(stats.check_consistency(), Ok(()));
+            for (core, c) in stats.cores.iter().enumerate() {
+                prop_assert_eq!(
+                    c.breakdown.total(), stats.cycles,
+                    "team {} core {}: causes do not tile the run", team, core
+                );
+            }
             let traffic = (stats.l1_reads(), stats.l1_writes());
             match reference {
                 None => reference = Some(traffic),
@@ -177,7 +184,7 @@ proptest! {
     /// the kernel's declared array windows (no stray addresses escape the
     /// lowering's layout).
     #[test]
-    fn lowered_addresses_stay_in_declared_arrays(kernel in arb_kernel(), team in 1usize..8) {
+    fn lowered_addresses_stay_in_declared_arrays(kernel in arb_kernel(), team in 1usize..9) {
         use pulp_sim::{TraceEvent, VecSink};
         let cfg = config();
         let lowered = lower(&kernel, team, &cfg).expect("lower");
@@ -221,7 +228,7 @@ proptest! {
     #[test]
     fn random_straightline_programs_simulate(
         ops in prop::collection::vec(0usize..6, 1..64),
-        team in 1usize..8,
+        team in 1usize..9,
     ) {
         let stream: Vec<SegOp> = ops
             .iter()
