@@ -47,6 +47,9 @@ pub enum SimError {
         /// The exhausted budget.
         budget: u64,
     },
+    /// The finished run broke an accounting invariant of
+    /// [`SimStats::check_consistency`]; the message names the core.
+    Invariant(String),
 }
 
 impl fmt::Display for SimError {
@@ -68,6 +71,7 @@ impl fmt::Display for SimError {
             Self::CycleLimit { budget } => {
                 write!(f, "cycle budget of {budget} exhausted (deadlock?)")
             }
+            Self::Invariant(msg) => write!(f, "accounting invariant violated: {msg}"),
         }
     }
 }
@@ -102,7 +106,8 @@ enum Mode {
     /// Finishing a multi-cycle operation; `left` cycles remain, attributed
     /// to `cause`.
     Busy,
-    /// Master executing the fork runtime code for `left` more cycles.
+    /// Master executing the fork runtime code for `left` more cycles
+    /// (`cause` is `Runtime`).
     Forking,
     SleepBarrier,
     SleepFork,
@@ -211,7 +216,7 @@ fn scale_sampled_nanos(raw: u64, events: u64, timed: u64) -> u64 {
 ///
 /// A labelling sweep runs the same kernel at up to 8 team sizes back to
 /// back; handing the same scratch to each run reuses the per-core state
-/// vectors (core modes, fork sequence numbers, clock-gating flags) instead
+/// vectors (core modes, fork sequence numbers, sleep intervals) instead
 /// of reallocating them. A scratch carries no state between runs — it is
 /// fully reinitialised on entry — so reuse is purely an allocation saving.
 #[derive(Debug, Default)]
@@ -224,7 +229,7 @@ pub struct SimScratch {
     left: Vec<u32>,
     cause: Vec<CycleCause>,
     forks_seen: Vec<u64>,
-    cg_open: Vec<bool>,
+    sleepers: Sleepers,
     /// Precomputed per-core FPU index (`ClusterConfig::fpu_of` hoisted out
     /// of the issue path).
     fpu_of: Vec<usize>,
@@ -245,10 +250,117 @@ impl SimScratch {
         self.cause.resize(team, CycleCause::Idle);
         self.forks_seen.clear();
         self.forks_seen.resize(team, 0);
-        self.cg_open.clear();
-        self.cg_open.resize(config.num_cores, false);
+        self.sleepers.gating = config.model_clock_gating;
+        self.sleepers.open.clear();
+        self.sleepers.open.resize(config.num_cores, false);
+        self.sleepers.asleep_since.resize(config.num_cores, 0);
+        self.sleepers
+            .cause
+            .resize(config.num_cores, CycleCause::Idle);
         self.fpu_of.clear();
         self.fpu_of.extend((0..team).map(|c| config.fpu_of(c)));
+    }
+}
+
+/// Sleeping cores, one slot per physical core.
+///
+/// With clock gating a sleeping core is in one open interval. Table I
+/// charges a gated core a constant per cycle, so only the interval's
+/// length matters: its cycles are charged in one step when it closes (fork
+/// wake, barrier release, end of run) or is flushed before a telemetry
+/// region boundary. In the clock-gating ablation a sleeping core actively
+/// waits, one `Stall` per cycle, and no interval opens.
+#[derive(Debug, Default)]
+struct Sleepers {
+    gating: bool,
+    open: Vec<bool>,
+    /// First cycle of the open interval not yet charged.
+    asleep_since: Vec<u64>,
+    cause: Vec<CycleCause>,
+}
+
+impl Sleepers {
+    /// Accounts `core` sleeping at `cycle` on `cause`: opens its interval,
+    /// announced by `CgEnter`, unless one is open, or in the ablation
+    /// stalls. The cause tags the whole interval: a sleeping core's reason
+    /// cannot change until it wakes, which closes the interval.
+    fn sleep<S: TraceSink, T: Telemetry>(
+        &mut self,
+        stats: &mut SimStats,
+        sink: &mut S,
+        telemetry: &mut T,
+        cycle: u64,
+        core: usize,
+        cause: CycleCause,
+    ) {
+        if !self.gating {
+            stall(stats, sink, telemetry, cycle, core, cause);
+        } else if self.enter(core, cycle, cause) {
+            sink.emit(cycle, TraceEvent::CgEnter { core, cause });
+        }
+    }
+
+    /// Opens `core`'s interval at `cycle` unless one is open; returns
+    /// whether it opened.
+    fn enter(&mut self, core: usize, cycle: u64, cause: CycleCause) -> bool {
+        let opens = !self.open[core];
+        if opens {
+            self.open[core] = true;
+            self.asleep_since[core] = cycle;
+            self.cause[core] = cause;
+        }
+        opens
+    }
+
+    /// Charges `core`'s open interval up to `end` (exclusive) and restarts
+    /// it there.
+    fn charge<T: Telemetry>(
+        &mut self,
+        stats: &mut SimStats,
+        telemetry: &mut T,
+        core: usize,
+        end: u64,
+    ) {
+        let (since, cause) = (self.asleep_since[core], self.cause[core]);
+        stats.cores[core].cg_cycles += end - since;
+        stats.cores[core].breakdown.add_n(cause, end - since);
+        telemetry.advance_n(since, core, end - since, cause);
+        self.asleep_since[core] = end;
+    }
+
+    /// Charges every open interval up to the loop position at `cycle`:
+    /// cores before `visited` through `cycle`, the others up to it. Runs
+    /// before every telemetry region boundary, so each cycle lands in the
+    /// region the per-cycle loop puts it in.
+    fn flush<T: Telemetry>(
+        &mut self,
+        stats: &mut SimStats,
+        telemetry: &mut T,
+        cycle: u64,
+        visited: usize,
+    ) {
+        for core in 0..self.open.len() {
+            if self.open[core] {
+                self.charge(stats, telemetry, core, cycle + u64::from(core < visited));
+            }
+        }
+    }
+
+    /// Charges `core`'s interval, if open, up to `at` and closes it with a
+    /// `CgExit` at `at`.
+    fn exit<S: TraceSink, T: Telemetry>(
+        &mut self,
+        stats: &mut SimStats,
+        sink: &mut S,
+        telemetry: &mut T,
+        core: usize,
+        at: u64,
+    ) {
+        if self.open[core] {
+            self.charge(stats, telemetry, core, at);
+            self.open[core] = false;
+            sink.emit(at, TraceEvent::CgExit { core });
+        }
     }
 }
 
@@ -347,7 +459,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         left,
         cause,
         forks_seen,
-        cg_open,
+        sleepers,
         fpu_of,
     } = scratch;
 
@@ -420,7 +532,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             if h > 1 {
                 stats.fast_forward.horizon_skips += 1;
                 bulk_advance(
-                    config, &mut stats, modes, left, cause, cg_open, &mut eu, sink, telemetry,
+                    config, &mut stats, modes, left, cause, sleepers, &mut eu, sink, telemetry,
                     cycle, h,
                 );
                 cycle += h;
@@ -439,29 +551,11 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
 
         for core in 0..team {
             match modes[core] {
-                Mode::Finished => {
-                    count_sleep(
-                        config,
-                        &mut stats,
-                        cg_open,
-                        sink,
-                        telemetry,
-                        cycle,
-                        core,
-                        CycleCause::Idle,
-                    );
-                }
-                Mode::Busy => {
-                    stall(&mut stats, sink, telemetry, cycle, core, cause[core]);
-                    any_active = true;
-                    let l = left[core].saturating_sub(1);
-                    left[core] = l;
-                    if l == 0 {
-                        modes[core] = Mode::Ready;
-                        ready_next += usize::from(!cursors[core].next_is_dma_wait());
-                    }
-                }
-                Mode::Forking => {
+                Mode::SleepFork if eu.fork_ready(forks_seen[core]) => {
+                    // Wake: this cycle is the dispatch cycle.
+                    sleepers.exit(&mut stats, sink, telemetry, core, cycle);
+                    forks_seen[core] += 1;
+                    cursors[core].advance();
                     stall(
                         &mut stats,
                         sink,
@@ -471,60 +565,35 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         CycleCause::Runtime,
                     );
                     any_active = true;
-                    let l = left[core].saturating_sub(1);
-                    left[core] = l;
-                    if l == 0 {
-                        eu.signal_fork();
-                        telemetry.on_fork(cycle);
-                        sink.emit(cycle, TraceEvent::Fork);
-                        cursors[core].advance();
-                        modes[core] = Mode::Ready;
-                        ready_next += usize::from(!cursors[core].next_is_dma_wait());
-                    }
+                    modes[core] = Mode::Ready;
+                    ready_next += usize::from(!cursors[core].next_is_dma_wait());
                 }
-                Mode::SleepBarrier => {
-                    count_sleep(
-                        config,
+                Mode::Finished | Mode::SleepBarrier | Mode::SleepFork => {
+                    sleepers.sleep(
                         &mut stats,
-                        cg_open,
                         sink,
                         telemetry,
                         cycle,
                         core,
-                        CycleCause::Barrier,
+                        bulk_class(modes, cause, team, core).0,
                     );
                 }
-                Mode::SleepFork => {
-                    if eu.fork_ready(forks_seen[core]) {
-                        // Wake: this cycle is the dispatch cycle.
-                        if cg_open[core] {
-                            cg_open[core] = false;
-                            sink.emit(cycle, TraceEvent::CgExit { core });
+                Mode::Busy | Mode::Forking => {
+                    stall(&mut stats, sink, telemetry, cycle, core, cause[core]);
+                    any_active = true;
+                    let l = left[core].saturating_sub(1);
+                    left[core] = l;
+                    if l == 0 {
+                        if modes[core] == Mode::Forking {
+                            // Telemetry opens the parallel region at `cycle + 1`.
+                            sleepers.flush(&mut stats, telemetry, cycle, core);
+                            eu.signal_fork();
+                            telemetry.on_fork(cycle);
+                            sink.emit(cycle, TraceEvent::Fork);
+                            cursors[core].advance();
                         }
-                        forks_seen[core] += 1;
-                        cursors[core].advance();
-                        stall(
-                            &mut stats,
-                            sink,
-                            telemetry,
-                            cycle,
-                            core,
-                            CycleCause::Runtime,
-                        );
-                        any_active = true;
                         modes[core] = Mode::Ready;
                         ready_next += usize::from(!cursors[core].next_is_dma_wait());
-                    } else {
-                        count_sleep(
-                            config,
-                            &mut stats,
-                            cg_open,
-                            sink,
-                            telemetry,
-                            cycle,
-                            core,
-                            CycleCause::ForkWait,
-                        );
                     }
                 }
                 Mode::Ready => {
@@ -532,16 +601,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     if step == Step::Done {
                         modes[core] = Mode::Finished;
                         finished += 1;
-                        count_sleep(
-                            config,
-                            &mut stats,
-                            cg_open,
-                            sink,
-                            telemetry,
-                            cycle,
-                            core,
-                            CycleCause::Idle,
-                        );
+                        sleepers.sleep(&mut stats, sink, telemetry, cycle, core, CycleCause::Idle);
                         continue;
                     }
                     any_active = true;
@@ -554,7 +614,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         left,
                         cause,
                         forks_seen,
-                        cg_open,
+                        sleepers,
                         fpu_of,
                         &mut eu,
                         &mut dma,
@@ -573,18 +633,12 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             }
         }
 
-        // Unused physical cores are clock-gated for the whole run.
-        for core in team..config.num_cores {
-            count_sleep(
-                config,
-                &mut stats,
-                cg_open,
-                sink,
-                telemetry,
-                cycle,
-                core,
-                CycleCause::Idle,
-            );
+        // Unused physical cores sleep for the whole run: with clock gating
+        // their one interval opens at cycle 0 and closes at the end.
+        if cycle == 0 || !config.model_clock_gating {
+            for core in team..config.num_cores {
+                sleepers.sleep(&mut stats, sink, telemetry, cycle, core, CycleCause::Idle);
+            }
         }
 
         if barrier_release {
@@ -592,14 +646,12 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         }
         if eu.tick_release() {
             stats.barriers += 1;
+            sleepers.flush(&mut stats, telemetry, cycle, config.num_cores);
             telemetry.on_barrier_release(cycle);
             sink.emit(cycle, TraceEvent::BarrierRelease);
             for core in 0..team {
                 if modes[core] == Mode::SleepBarrier {
-                    if cg_open[core] {
-                        cg_open[core] = false;
-                        sink.emit(cycle + 1, TraceEvent::CgExit { core });
-                    }
+                    sleepers.exit(&mut stats, sink, telemetry, core, cycle + 1);
                     cursors[core].advance();
                     modes[core] = Mode::Ready;
                     ready_next += usize::from(!cursors[core].next_is_dma_wait());
@@ -628,11 +680,9 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             scale_sampled_nanos(step_nanos_raw, step_events, step_timed);
     }
 
-    // Close dangling clock-gating regions for the listeners.
-    for (core, open) in cg_open.iter().enumerate().take(config.num_cores) {
-        if *open {
-            sink.emit(cycle, TraceEvent::CgExit { core });
-        }
+    // Charge and close the intervals still open: finished and unused cores.
+    for core in 0..config.num_cores {
+        sleepers.exit(&mut stats, sink, telemetry, core, cycle);
     }
 
     stats.cycles = cycle;
@@ -656,7 +706,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         },
     );
     telemetry.on_finish(cycle);
-    debug_assert_eq!(stats.check_consistency(), Ok(()));
+    stats.check_consistency().map_err(SimError::Invariant)?;
     Ok(stats)
 }
 
@@ -673,34 +723,6 @@ fn stall<S: TraceSink, T: Telemetry>(
     stats.cores[core].breakdown.add(cause);
     telemetry.advance_n(cycle, core, 1, cause);
     sink.emit(cycle, TraceEvent::Stall { core, cause });
-}
-
-/// Accounts one sleeping cycle for `core`, routed to clock gating or active
-/// wait depending on the configuration's ablation switch. The cause tags
-/// the whole gating region (emitted once, on `CgEnter`): a sleeping core's
-/// reason cannot change until it wakes, which closes the region.
-#[allow(clippy::too_many_arguments)]
-fn count_sleep<S: TraceSink, T: Telemetry>(
-    config: &ClusterConfig,
-    stats: &mut SimStats,
-    cg_open: &mut [bool],
-    sink: &mut S,
-    telemetry: &mut T,
-    cycle: u64,
-    core: usize,
-    cause: CycleCause,
-) {
-    if config.model_clock_gating {
-        if !cg_open[core] {
-            cg_open[core] = true;
-            sink.emit(cycle, TraceEvent::CgEnter { core, cause });
-        }
-        stats.cores[core].cg_cycles += 1;
-        stats.cores[core].breakdown.add(cause);
-        telemetry.advance_n(cycle, core, 1, cause);
-    } else {
-        stall(stats, sink, telemetry, cycle, core, cause);
-    }
 }
 
 /// Number of cycles from `cycle` during which no core can change state: the
@@ -788,8 +810,7 @@ fn bulk_class(
         return (CycleCause::Idle, true);
     }
     match modes[core] {
-        Mode::Busy => (cause[core], false),
-        Mode::Forking => (CycleCause::Runtime, false),
+        Mode::Busy | Mode::Forking => (cause[core], false),
         Mode::Ready => (CycleCause::Dma, false),
         Mode::SleepBarrier => (CycleCause::Barrier, true),
         Mode::SleepFork => (CycleCause::ForkWait, true),
@@ -801,8 +822,10 @@ fn bulk_class(
 ///
 /// Replays the trace events the single-step loop would have emitted (in the
 /// same cycle-major, core-minor order), bulk-updates the per-core stats and
-/// telemetry, decrements the countdown modes and the pending barrier
-/// release, and books the span in [`crate::stats::FastForwardStats`].
+/// telemetry of the cores awake, opens the sleepers' [`Sleepers`] intervals
+/// (which keep running through the span), decrements the countdown modes
+/// and the pending barrier release, and books the span in
+/// [`crate::stats::FastForwardStats`].
 #[allow(clippy::too_many_arguments)]
 fn bulk_advance<S: TraceSink, T: Telemetry>(
     config: &ClusterConfig,
@@ -810,7 +833,7 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     modes: &mut [Mode],
     left: &mut [u32],
     cause: &mut [CycleCause],
-    cg_open: &mut [bool],
+    sleepers: &mut Sleepers,
     eu: &mut EventUnit,
     sink: &mut S,
     telemetry: &mut T,
@@ -820,11 +843,11 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     let team = modes.len();
 
     // Trace replay must happen before any state mutation so `bulk_class`
-    // and `cg_open` still describe the span's first cycle.
+    // and `sleepers` still describe the span's first cycle.
     if !sink.is_null() {
         let mut emitters = 0usize;
         let mut pending_cg = 0usize;
-        for (core, open) in cg_open.iter().enumerate().take(config.num_cores) {
+        for (core, open) in sleepers.open.iter().enumerate() {
             let (_, sleeping) = bulk_class(modes, cause, team, core);
             if sleeping && config.model_clock_gating {
                 if !open {
@@ -848,7 +871,7 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
             // cycle; if nobody emits per cycle, one pass suffices.
             let cycles = if emitters > 0 { n } else { 1 };
             for i in 0..cycles {
-                for (core, open) in cg_open.iter().enumerate().take(config.num_cores) {
+                for (core, open) in sleepers.open.iter().enumerate() {
                     let (cause, sleeping) = bulk_class(modes, cause, team, core);
                     if sleeping && config.model_clock_gating {
                         if i == 0 && !open {
@@ -866,14 +889,11 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     for core in 0..config.num_cores {
         let (span_cause, sleeping) = bulk_class(modes, cause, team, core);
         if sleeping && config.model_clock_gating {
-            cg_open[core] = true;
-            stats.cores[core].cg_cycles += n;
-        } else {
-            stats.cores[core].idle_cycles += n;
+            sleepers.enter(core, cycle, span_cause);
+            continue;
         }
-        if !sleeping {
-            any_active = true;
-        }
+        any_active |= !sleeping;
+        stats.cores[core].idle_cycles += n;
         stats.cores[core].breakdown.add_n(span_cause, n);
         telemetry.advance_n(cycle, core, n, span_cause);
         if core < team {
@@ -934,7 +954,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
     left: &mut [u32],
     cause: &mut [CycleCause],
     forks_seen: &mut [u64],
-    cg_open: &mut [bool],
+    sleepers: &mut Sleepers,
     fpu_of: &[usize],
     eu: &mut EventUnit,
     dma: &mut DmaEngine,
@@ -968,6 +988,8 @@ fn step_core<S: TraceSink, T: Telemetry>(
         Step::Fork => {
             stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             if fork_cycles <= 1 {
+                // Telemetry opens the parallel region at `cycle + 1`.
+                sleepers.flush(stats, telemetry, cycle, core);
                 eu.signal_fork();
                 telemetry.on_fork(cycle);
                 sink.emit(cycle, TraceEvent::Fork);
@@ -976,6 +998,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
             }
             modes[core] = Mode::Forking;
             left[core] = fork_cycles - 1;
+            cause[core] = CycleCause::Runtime;
         }
         Step::WaitFork => {
             if eu.fork_ready(forks_seen[core]) {
@@ -986,21 +1009,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
             }
             modes[core] = Mode::SleepFork;
             // This cycle already counts as sleeping.
-            if config.model_clock_gating {
-                cg_open[core] = true;
-                sink.emit(
-                    cycle,
-                    TraceEvent::CgEnter {
-                        core,
-                        cause: CycleCause::ForkWait,
-                    },
-                );
-                stats.cores[core].cg_cycles += 1;
-                stats.cores[core].breakdown.add(CycleCause::ForkWait);
-                telemetry.advance_n(cycle, core, 1, CycleCause::ForkWait);
-                return Ok(false);
-            }
-            stall(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
+            sleepers.sleep(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
         }
         Step::CriticalBegin => {
             if eu.try_lock(core) {
@@ -1023,12 +1032,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
         Step::Dma { words, inbound } => {
             // Blocking transfer: the issuing core programs the engine and
             // actively waits for completion.
-            let t = if inbound {
-                DmaTransfer::inbound(words)
-            } else {
-                DmaTransfer::outbound(words)
-            };
-            let busy = dma.schedule(cycle, t) as u32;
+            let busy = dma.schedule(cycle, DmaTransfer { words, inbound }) as u32;
             sink.emit(cycle, TraceEvent::Dma { words, inbound });
             stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
             cursors[core].advance();
@@ -1046,12 +1050,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
                 return Ok(true);
             }
-            let t = if inbound {
-                DmaTransfer::inbound(words)
-            } else {
-                DmaTransfer::outbound(words)
-            };
-            dma.schedule(cycle, t);
+            dma.schedule(cycle, DmaTransfer { words, inbound });
             sink.emit(cycle, TraceEvent::Dma { words, inbound });
             // One cycle to program the engine; the core then continues.
             stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
@@ -1127,29 +1126,16 @@ fn exec_op<S: TraceSink, T: Telemetry>(
         !cursors[core].next_is_dma_wait()
     };
     let ready = match op.kind {
-        OpKind::Alu => {
+        OpKind::Alu | OpKind::Mul | OpKind::Div | OpKind::Branch | OpKind::Jump => {
             stats.cores[core].alu_ops += 1;
             retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, 1, CycleCause::ExecTail)
-        }
-        OpKind::Mul => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, config.mul_latency, CycleCause::ExecTail)
-        }
-        OpKind::Div => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, config.int_div_latency, CycleCause::ExecTail)
-        }
-        OpKind::Branch | OpKind::Jump => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(
-                cursors,
-                1 + config.taken_branch_penalty,
-                CycleCause::ExecTail,
-            )
+            let latency = match op.kind {
+                OpKind::Mul => config.mul_latency,
+                OpKind::Div => config.int_div_latency,
+                OpKind::Branch | OpKind::Jump => 1 + config.taken_branch_penalty,
+                _ => 1,
+            };
+            finish(cursors, latency, CycleCause::ExecTail)
         }
         OpKind::Nop => {
             stats.cores[core].nop_ops += 1;
@@ -1682,7 +1668,12 @@ mod tests {
         let mut modes = vec![Mode::Busy];
         let mut left = vec![left0];
         let mut cause = vec![CycleCause::Dma];
-        let mut cg_open = vec![false; config.num_cores];
+        let mut sleepers = Sleepers {
+            gating: config.model_clock_gating,
+            open: vec![false; config.num_cores],
+            asleep_since: vec![0; config.num_cores],
+            cause: vec![CycleCause::Idle; config.num_cores],
+        };
         let mut eu = EventUnit::new(1);
         bulk_advance(
             &config,
@@ -1690,7 +1681,7 @@ mod tests {
             &mut modes,
             &mut left,
             &mut cause,
-            &mut cg_open,
+            &mut sleepers,
             &mut eu,
             &mut NullSink,
             &mut NoTelemetry,

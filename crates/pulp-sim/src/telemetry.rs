@@ -23,12 +23,16 @@ use crate::cause::{CycleBreakdown, CycleCause};
 pub trait Telemetry {
     /// One core spent `n` consecutive cycles starting at `cycle` on `cause`.
     ///
-    /// The one attribution hook. A stepped cycle arrives with `n == 1`; the
-    /// event-horizon fast-forward reports a core's whole quiescent span in
-    /// one call (nothing can change inside it). Across cores, spans arrive
-    /// core-major inside a bulk step rather than cycle-major; per-core or
-    /// order-insensitive accumulators — every implementation in this
-    /// workspace — are unaffected.
+    /// The one attribution hook. A stepped cycle of an awake core arrives
+    /// with `n == 1`; the event-horizon fast-forward reports an awake
+    /// core's whole quiescent span in one call (nothing can change inside
+    /// it). A clock-gated core's sleep interval arrives in one call when it
+    /// closes, split only where a region boundary falls inside it: open
+    /// intervals are flushed before every [`Telemetry::on_fork`] and
+    /// [`Telemetry::on_barrier_release`], so each cycle arrives in the
+    /// region it belongs to. Per core, spans arrive in time order; across
+    /// cores they do not, which per-core or order-insensitive accumulators
+    /// — every implementation in this workspace — do not notice.
     #[inline(always)]
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         let _ = (cycle, core, n, cause);

@@ -44,6 +44,7 @@ fn error_messages_are_lowercase_and_unpunctuated() {
     // C-GOOD-ERR: concise, lowercase, no trailing period.
     let messages = [
         pulp_sim::SimError::CycleLimit { budget: 10 }.to_string(),
+        pulp_sim::SimError::Invariant("core 3: accounted 9 cycles of 10".into()).to_string(),
         kernel_ir::ValidateKernelError::NestedParallel.to_string(),
         kernel_ir::LowerError::ZeroChunk.to_string(),
     ];
