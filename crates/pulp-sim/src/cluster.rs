@@ -1126,16 +1126,29 @@ fn exec_op<S: TraceSink, T: Telemetry>(
         !cursors[core].next_is_dma_wait()
     };
     let ready = match op.kind {
-        OpKind::Alu | OpKind::Mul | OpKind::Div | OpKind::Branch | OpKind::Jump => {
+        OpKind::Alu => {
             stats.cores[core].alu_ops += 1;
             retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            let latency = match op.kind {
-                OpKind::Mul => config.mul_latency,
-                OpKind::Div => config.int_div_latency,
-                OpKind::Branch | OpKind::Jump => 1 + config.taken_branch_penalty,
-                _ => 1,
-            };
-            finish(cursors, latency, CycleCause::ExecTail)
+            finish(cursors, 1, CycleCause::ExecTail)
+        }
+        OpKind::Mul => {
+            stats.cores[core].alu_ops += 1;
+            retire(stats, sink, telemetry, cycle, core, op.kind, None);
+            finish(cursors, config.mul_latency, CycleCause::ExecTail)
+        }
+        OpKind::Div => {
+            stats.cores[core].alu_ops += 1;
+            retire(stats, sink, telemetry, cycle, core, op.kind, None);
+            finish(cursors, config.int_div_latency, CycleCause::ExecTail)
+        }
+        OpKind::Branch | OpKind::Jump => {
+            stats.cores[core].alu_ops += 1;
+            retire(stats, sink, telemetry, cycle, core, op.kind, None);
+            finish(
+                cursors,
+                1 + config.taken_branch_penalty,
+                CycleCause::ExecTail,
+            )
         }
         OpKind::Nop => {
             stats.cores[core].nop_ops += 1;
