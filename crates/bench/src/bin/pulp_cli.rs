@@ -308,9 +308,6 @@ fn serve_options(args: &Args) -> ServeOptions {
     if let Some(n) = args.slow_ms {
         o.slow_ms = n;
     }
-    if let Some(n) = args.flight_capacity {
-        o.flight_capacity = n;
-    }
     if let Some(n) = args.retry_after_secs {
         o.retry_after_secs = n;
     }
@@ -328,11 +325,12 @@ fn cmd_serve(args: &Args) -> ExitCode {
     let serve_opts = serve_options(args);
     // The request-path logger moves into the server state: slow-request
     // lines from worker threads honour `--log-json` too.
-    let state = Arc::new(
-        ServeState::train(&opts)
-            .with_flight_capacity(serve_opts.flight_capacity)
-            .with_logger(args.logger()),
-    );
+    let mut state = ServeState::train(&opts).with_logger(args.logger());
+    if let Some(n) = args.flight_capacity {
+        state = state.with_flight_capacity(n);
+    }
+    let flight_capacity = state.flight().capacity();
+    let state = Arc::new(state);
     let addr = args.addr.as_deref().unwrap_or("127.0.0.1:7878");
     let server = match Server::bind_with(addr, state, serve_opts) {
         Ok(s) => s,
@@ -365,7 +363,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
                 serve_opts.keepalive_max_requests.to_string(),
             ),
             ("slow_ms", serve_opts.slow_ms.to_string()),
-            ("flight_capacity", serve_opts.flight_capacity.to_string()),
+            ("flight_capacity", flight_capacity.to_string()),
             ("retry_after_secs", serve_opts.retry_after_secs.to_string()),
         ],
     );
@@ -995,11 +993,10 @@ mod tests {
             ("serve --flight-capacity", Err("--flight-capacity")),
         ]);
         let o = serve_options(&parse(line).expect("parse"));
-        assert_eq!((o.slow_ms, o.flight_capacity), (0, 512));
+        assert_eq!(o.slow_ms, 0);
         // Defaults flow through when the flags are absent.
         let d = serve_options(&parse("serve").expect("parse"));
         assert_eq!(d.slow_ms, ServeOptions::default().slow_ms);
-        assert_eq!(d.flight_capacity, ServeOptions::default().flight_capacity);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! quantized flat inference path: every flattenable model is also fitted
 //! on the **full** dataset, compiled to a [`FlatModel`], and its integer
 //! predictions are compared row-by-row against the float reference. The
-//! mismatch counts land in the record, whose zero limit makes
-//! `pulp_cli bench diff` fail on any count above zero — so a quantization
-//! bug can never ship silently.
+//! mismatch counts land in the record, whose zero limit fails the run and
+//! `pulp_cli bench diff` on any count above zero — so a quantization bug
+//! can never ship silently.
 //!
 //! Determinism: predictions come from
 //! [`repeated_cross_val_predict`], which places each repetition's
@@ -58,7 +58,7 @@ pub struct ModelsBenchRow {
     pub flat_trees: Option<u64>,
     /// Rows of the full dataset where the flat (quantized integer)
     /// prediction differed from the float reference. `Some(0)` is the only
-    /// acceptable value for flattenable models; `bench diff` fails on
+    /// acceptable value for flattenable models; the record's limit fails
     /// anything greater.
     pub flat_mismatches: Option<u64>,
 }
@@ -85,51 +85,6 @@ pub struct ModelsBenchReport {
 }
 
 impl ModelsBenchReport {
-    /// Checks the record's invariants: every zoo member present, all
-    /// accuracies in range, and zero flat/float mismatches on every
-    /// flattenable model.
-    ///
-    /// # Errors
-    ///
-    /// Returns one message per violated invariant.
-    pub fn verify(&self) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        for model in MODELS {
-            if !self.rows.iter().any(|r| r.model == model) {
-                problems.push(format!("zoo member `{model}` missing from the record"));
-            }
-        }
-        for r in &self.rows {
-            for (name, v) in [
-                ("static_at_0", r.static_at_0),
-                ("static_at_5", r.static_at_5),
-            ] {
-                if !(0.0..=1.0).contains(&v) {
-                    problems.push(format!("{}: {name} = {v} outside [0, 1]", r.model));
-                }
-            }
-            if r.static_at_5 + 1e-12 < r.static_at_0 {
-                problems.push(format!(
-                    "{}: accuracy fell when the tolerance loosened ({} @0% vs {} @5%)",
-                    r.model, r.static_at_0, r.static_at_5
-                ));
-            }
-            if let Some(m) = r.flat_mismatches {
-                if m > 0 {
-                    problems.push(format!(
-                        "{}: flat inference diverged from the float reference on {m} row(s)",
-                        r.model
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
-
     /// The `BENCH_models.json` record: every figure of the report, zoo
     /// members as `model/field`, gated on static@5 accuracy
     /// ([`ACCURACY_TOLERANCE`]) and on zero flat/float mismatches. Models
@@ -394,50 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_accepts_a_healthy_report() {
-        healthy_report().verify().expect("healthy");
-    }
-
-    #[test]
-    fn verify_rejects_mismatches_missing_models_and_bad_accuracy() {
-        let mut r = healthy_report();
-        r.rows[1].flat_mismatches = Some(3);
-        let problems = r.verify().unwrap_err();
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("forest") && p.contains("3 row(s)")),
-            "{problems:?}"
-        );
-
-        let mut r = healthy_report();
-        r.rows.retain(|row| row.model != "gbt");
-        let problems = r.verify().unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("`gbt` missing")),
-            "{problems:?}"
-        );
-
-        let mut r = healthy_report();
-        r.rows[0].static_at_5 = 1.5;
-        let problems = r.verify().unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("outside [0, 1]")),
-            "{problems:?}"
-        );
-
-        // Accuracy must be monotone in the tolerance.
-        let mut r = healthy_report();
-        r.rows[0].static_at_0 = 0.95;
-        r.rows[0].static_at_5 = 0.90;
-        let problems = r.verify().unwrap_err();
-        assert!(
-            problems.iter().any(|p| p.contains("tolerance loosened")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
     fn report_round_trips_through_json_with_null_flat_fields() {
         let r = healthy_report();
         let json = serde_json::to_string_pretty(&r).expect("serialise");
@@ -464,6 +375,22 @@ mod tests {
             "kNN has no flat form"
         );
         assert!(record.regressions(&record).expect("comparable").is_empty());
+        assert_eq!(record.breaches(), Vec::<String>::new());
+
+        let mut r = healthy_report();
+        r.rows[1].flat_mismatches = Some(3);
+        assert_eq!(
+            r.record().breaches(),
+            ["forest/flat_mismatches: 3 count above the 0 limit"]
+        );
+        // A zoo member gone from a candidate is a regression against any
+        // baseline that gated it.
+        r.rows.retain(|row| row.model != "gbt");
+        let missing = record.regressions(&r.record()).expect("comparable");
+        assert!(
+            missing.contains(&"gbt/static_at_5: missing from candidate".to_string()),
+            "{missing:?}"
+        );
     }
 
     #[test]

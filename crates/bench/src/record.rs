@@ -3,8 +3,9 @@
 //! `repro headline`, `bench sim`, `bench serve` and `bench models` all write a
 //! [`BenchRecord`]: which benchmark, which profile, the provenance hash
 //! and a flat list of named [`Metric`]s. Each metric carries its own
-//! gate ([`Tolerance`]), so [`BenchRecord::regressions`] — behind both
-//! `pulp_cli bench diff` and `bench history` — needs no knowledge of any
+//! gate ([`Tolerance`]), so [`BenchRecord::regressions`] — behind
+//! `pulp_cli bench diff`, `bench history` and the runner's check of every
+//! fresh record ([`BenchRecord::breaches`]) — needs no knowledge of any
 //! particular benchmark. Metric names are `field` or `row/field` (for
 //! example `static_at_5`, `alu@8/ff_cycles_per_s`, `kernel/p99_us`), and
 //! the run journal's `bench_record` events carry exactly these names
@@ -348,7 +349,8 @@ impl BenchRecord {
     ///   absolute tolerance;
     /// * a candidate value beyond a limit. A limit binds the candidate
     ///   alone, so it is checked on candidate metrics the baseline lacks
-    ///   too.
+    ///   too;
+    /// * a non-finite candidate value, whatever its gate.
     ///
     /// # Errors
     ///
@@ -368,6 +370,10 @@ impl BenchRecord {
             .map(|m| format!("{}: missing from candidate", m.name))
             .collect();
         for new in &candidate.metrics {
+            if !new.value.is_finite() {
+                out.push(format!("{}: non-finite value {}", new.name, new.value));
+                continue;
+            }
             let old = self.get(&new.name);
             let gate = match old {
                 Some(old) => old.tolerance,
@@ -378,6 +384,17 @@ impl BenchRecord {
             }
         }
         Ok(out)
+    }
+
+    /// The record checked on its own: the [`regressions`](Self::regressions)
+    /// against an empty baseline of the same bench and profile, so only its
+    /// limits and the non-finite rule apply.
+    pub fn breaches(&self) -> Vec<String> {
+        let empty = Self {
+            profile: self.profile.clone(),
+            ..Self::new(&self.bench, false)
+        };
+        empty.regressions(self).expect("same bench and profile")
     }
 
     /// One line for the `bench history` table: the worst value of each
@@ -500,6 +517,24 @@ mod tests {
         let two_gates = r#"{"name":"x","value":1.0,"unit":"u","better":"lower",
             "tolerance":{"limit":0.0,"relative":0.1}}"#;
         assert!(serde_json::from_str::<Metric>(two_gates).is_err());
+    }
+
+    #[test]
+    fn a_record_checked_alone_reports_its_breached_limits_and_non_finite_values() {
+        let mut r = zoo();
+        assert_eq!(r.breaches(), Vec::<String>::new());
+        r.metrics[2].value = 2.0;
+        r.push("late_sends", f64::NAN, ("count", Lower, None));
+        assert_eq!(
+            r.breaches(),
+            [
+                "tree@8/flat_mismatches: 2 count above the 0 limit",
+                "late_sends: non-finite value NaN",
+            ]
+        );
+        // Relative and absolute gates need a baseline, so alone they hold.
+        r.metrics[1].value = 0.0;
+        assert_eq!(r.breaches().len(), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The bench bodies behind `pulp_cli bench sim|serve|models`: each runs its
 //! measurement, prints its table, writes its extra artifacts and hands its
-//! report, record and invariant check to the runner.
+//! report and record to the runner, which fails the run on any breach of
+//! the record's own limits.
 
 use super::{Output, Run};
 use crate::{
@@ -52,10 +53,7 @@ pub(super) fn serve_provenance(args: &Args) -> Vec<(&'static str, String)> {
     vec![("rate_rps", rate.to_string())]
 }
 
-/// The simulator benchmark (see [`crate::sim_bench`]): fails if any
-/// fast-forward run diverges from its single-step oracle, if the
-/// barrier/DMA basket never skips a cycle, or if the profiling telemetry
-/// changes the simulation's results.
+/// The simulator benchmark (see [`crate::sim_bench`]).
 pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
     let args = run.args;
     let opts = sim_options(args);
@@ -68,14 +66,12 @@ pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
     );
     let report = run_sim_bench(&opts, run.journal.as_mut());
     print!("{}", report.render_table());
-    Ok(Output::bench(&report, report.record(), report.verify()))
+    Ok(Output::bench(&report, report.record()))
 }
 
 /// The serving-layer load benchmark (see [`crate::serve_bench`]) against
-/// a server trained on `data`: fails on correctness errors, a
-/// batch/sequential divergence, or (in the quick profile) any shed or
-/// timeout. `--trace-out` and `--hist-out` save the flight-recorder trace
-/// and the open-loop latency histogram.
+/// a server trained on `data`. `--trace-out` and `--hist-out` save the
+/// flight-recorder trace and the open-loop latency histogram.
 pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
     let args = run.args;
     let opts = serve_options(args);
@@ -107,15 +103,10 @@ pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stri
             println!("wrote {} ({what})", path.display());
         }
     }
-    Ok(Output::bench(
-        &bench.report,
-        bench.report.record(),
-        bench.verify(),
-    ))
+    Ok(Output::bench(&bench.report, bench.report.record()))
 }
 
-/// The model-zoo benchmark (see [`crate::models_bench`]): fails on any
-/// flat/float mismatch or out-of-range accuracy.
+/// The model-zoo benchmark (see [`crate::models_bench`]).
 pub(super) fn models(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
     let protocol = run.protocol;
     eprintln!(
@@ -131,5 +122,5 @@ pub(super) fn models(run: &mut Run, data: &LabeledDataset) -> Result<Output, Str
     );
     let report = run_models_bench(data, &protocol, run.args.quick);
     print!("{}", report.render_table());
-    Ok(Output::bench(&report, report.record(), report.verify()))
+    Ok(Output::bench(&report, report.record()))
 }

@@ -8,8 +8,9 @@
 //! [`Args`], opens the run journal, loads the dataset for the entries that
 //! read it, writes the `--json` dump and the run manifest, and writes the
 //! bench record of the entries that produce one, stamped with the
-//! manifest hash and journalled as the `bench_record` tail. It prints
-//! every invariant violation a bench reports. A violation or a failed
+//! manifest hash and journalled as the `bench_record` tail. It then
+//! checks the record on its own ([`BenchRecord::breaches`]: its limits,
+//! and no non-finite value) and prints each breach. A breach or a failed
 //! record write is an error exit. An entry's body keeps only its
 //! computation, its printing and its extra artifacts.
 //!
@@ -63,10 +64,8 @@ pub struct Run<'a> {
 pub struct Output {
     /// The `--json` record.
     json: Value,
-    /// The bench record to journal and write (`--out`).
+    /// The bench record to journal, write (`--out`) and check.
     bench: Option<BenchRecord>,
-    /// The bench's invariant check: one message per violation.
-    verdict: Result<(), Vec<String>>,
 }
 
 impl Output {
@@ -75,21 +74,14 @@ impl Output {
         Self {
             json: record.to_value(),
             bench: None,
-            verdict: Ok(()),
         }
     }
 
-    /// An output whose `--json` record is `report`, writing `bench` and
-    /// reporting `verdict`.
-    fn bench(
-        report: &impl Serialize,
-        bench: BenchRecord,
-        verdict: Result<(), Vec<String>>,
-    ) -> Self {
+    /// An output whose `--json` record is `report`, writing `bench`.
+    fn bench(report: &impl Serialize, bench: BenchRecord) -> Self {
         Self {
             json: report.to_value(),
             bench: Some(bench),
-            verdict,
         }
     }
 }
@@ -221,13 +213,17 @@ fn execute(tool: &str, exp: &Experiment, options: &[(&str, String)], args: &Args
             ),
             Ok(()) => {}
         }
-    }
-    if let Err(problems) = &out.verdict {
-        eprintln!("{tool}: {} invariant violation(s):", problems.len());
-        for p in problems {
-            eprintln!("  {p}");
+        let breaches = record.breaches();
+        if !breaches.is_empty() {
+            eprintln!(
+                "{tool}: {} breach(es) of the record's limits:",
+                breaches.len()
+            );
+            for b in &breaches {
+                eprintln!("  {b}");
+            }
+            ok = false;
         }
-        ok = false;
     }
     if ok {
         ExitCode::SUCCESS
@@ -240,12 +236,13 @@ fn execute(tool: &str, exp: &Experiment, options: &[(&str, String)], args: &Args
 mod tests {
     use super::*;
 
-    /// A bench body's output that measures nothing: one metric and
-    /// `verdict`.
-    fn stub(verdict: Result<(), Vec<String>>) -> Result<Output, String> {
+    /// A bench body's output that measures nothing: one metric, `x`, with
+    /// a limit of 1.
+    fn stub(x: f64) -> Result<Output, String> {
         let mut record = BenchRecord::new("stub", true);
-        record.push("x", 1.0, ("count", crate::Better::Lower, None));
-        Ok(Output::bench(&"stub", record, verdict))
+        let limit = Some(crate::Tolerance::Limit(1.0));
+        record.push("x", x, ("count", crate::Better::Lower, limit));
+        Ok(Output::bench(&"stub", record))
     }
 
     /// A fresh scratch directory for one test.
@@ -276,7 +273,7 @@ mod tests {
             quiet: true,
             ..Args::default()
         };
-        let body = Standalone(|_| stub(Ok(())));
+        let body = Standalone(|_| stub(1.0));
         assert_eq!(execute("stub", &body, &[], &args), ExitCode::FAILURE);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -291,28 +288,38 @@ mod tests {
             quiet: true,
             ..Args::default()
         };
-        let body = Standalone(|_| stub(Ok(())));
+        let body = Standalone(|_| stub(1.0));
         assert_eq!(execute("stub", &body, &[], &args), ExitCode::SUCCESS);
         let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record written");
         assert!(
             !record.manifest_hash.is_empty(),
             "stamped with the manifest"
         );
-        let journal = pulp_obs::JournalReader::read_file(&dir.join("run.jsonl")).expect("journal");
-        let tail: Vec<&str> = journal
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                pulp_obs::JournalEvent::BenchRecord { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tail, ["x"]);
-        // A violation fails the run, but the record is still written.
-        std::fs::remove_file(dir.join("BENCH_stub.json")).expect("remove record");
-        let body = Standalone(|_| stub(Err(vec!["x is wrong".to_string()])));
+        let tail = || {
+            let journal =
+                pulp_obs::JournalReader::read_file(&dir.join("run.jsonl")).expect("journal");
+            journal
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    pulp_obs::JournalEvent::BenchRecord { name, value, .. } => {
+                        Some((name.clone(), *value))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(tail(), [("x".to_string(), 1.0)]);
+        // A breached limit fails the run, but the record is still written
+        // and journalled.
+        for file in ["BENCH_stub.json", "run.jsonl"] {
+            std::fs::remove_file(dir.join(file)).expect("remove");
+        }
+        let body = Standalone(|_| stub(2.0));
         assert_eq!(execute("stub", &body, &[], &args), ExitCode::FAILURE);
-        assert!(dir.join("BENCH_stub.json").is_file());
+        let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record written");
+        assert_eq!(record.get("x").map(|m| m.value), Some(2.0));
+        assert_eq!(tail(), [("x".to_string(), 2.0)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -329,7 +336,7 @@ mod tests {
                 quiet: true,
                 ..Args::default()
             };
-            let body = Standalone(|_| stub(Ok(())));
+            let body = Standalone(|_| stub(1.0));
             let options = sim_options(&args);
             assert_eq!(
                 execute("bench_sim", &body, &options, &args),

@@ -527,5 +527,5 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
         run.start.elapsed().as_millis() as u64,
         run.opts.cache.as_ref().map(|c| c.stats()),
     );
-    Ok(Output::bench(&h, record, Ok(())))
+    Ok(Output::bench(&h, record))
 }

@@ -129,11 +129,6 @@ pub struct ServeOptions {
     /// structured slow-request log line with the full span breakdown
     /// (`--slow-ms`).
     pub slow_ms: u64,
-    /// Completed request traces retained by the flight recorder
-    /// (`--flight-capacity`). Applied by `pulp_cli serve` via
-    /// [`ServeState::with_flight_capacity`]; states built directly default
-    /// to the same value.
-    pub flight_capacity: usize,
     /// `Retry-After` value (seconds) announced on 503 shed responses
     /// (`--retry-after-secs`).
     pub retry_after_secs: u64,
@@ -151,7 +146,6 @@ impl Default for ServeOptions {
             max_body_bytes: 1 << 20,
             keepalive_max_requests: 1_000,
             slow_ms: 500,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             retry_after_secs: 1,
         }
     }
@@ -288,7 +282,8 @@ impl ServeState {
         self
     }
 
-    /// Replaces the flight recorder with one retaining `capacity` traces.
+    /// Replaces the flight recorder with one retaining `capacity` traces
+    /// (`--flight-capacity`; [`DEFAULT_FLIGHT_CAPACITY`] otherwise).
     #[must_use]
     pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
         self.flight = FlightRecorder::new(capacity);
@@ -1808,7 +1803,7 @@ mod tests {
         assert!(o.workers >= 1 && o.queue_depth >= 1);
         assert!(o.timeout_ms >= 1 && o.max_body_bytes >= 1024);
         assert!(o.keepalive_max_requests > 1);
-        assert!(o.slow_ms >= 1 && o.flight_capacity >= 1);
+        assert!(o.slow_ms >= 1);
     }
 
     #[test]

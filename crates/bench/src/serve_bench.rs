@@ -21,7 +21,10 @@
 //! p50/p90/p99 latency and the server's own shed/timeout/keep-alive
 //! counters; its [`record`](ServeBenchReport::record) is
 //! `BENCH_serve.json`, which `pulp_cli bench diff` gates on p99
-//! regressions, failed requests and any shedding in the quick profile.
+//! regressions, and whose limits (failed requests, batch/sequential
+//! parity, the flight-recorder capture, a collapsed open-loop schedule,
+//! and any shedding or timeout in the quick profile) fail the run that
+//! writes it.
 //!
 //! The model is trained on the dataset `pulp_cli bench serve` loads through
 //! the sweep cache, like `pulp_cli serve`: the quick kernel set under
@@ -206,6 +209,8 @@ pub struct ServeBenchReport {
     /// `true` when one `/predict/batch` probe matched sequential
     /// `/predict` calls item-for-item.
     pub batch_matches_sequential: bool,
+    /// `true` when the flight-recorder capture passes [`check_trace`].
+    pub trace_ok: bool,
     /// One latency digest per mix.
     pub rows: Vec<ServeBenchMixRow>,
     /// Open-loop (Poisson-arrival, coordinated-omission-safe) results.
@@ -229,35 +234,6 @@ pub struct ServeBenchRun {
 }
 
 impl ServeBenchRun {
-    /// [`ServeBenchReport::verify`] plus the flight-recorder checks: the
-    /// captured trace must pass [`validate_chrome_trace`] and actually
-    /// contain the per-request child spans the server promises.
-    ///
-    /// # Errors
-    ///
-    /// Returns one message per violated invariant.
-    pub fn verify(&self) -> Result<(), Vec<String>> {
-        let mut problems = match self.report.verify() {
-            Ok(()) => Vec::new(),
-            Err(p) => p,
-        };
-        if let Err(e) = validate_chrome_trace(&self.trace_json) {
-            problems.push(format!("/debug/requests trace is malformed: {e}"));
-        }
-        for span in ["queue_wait", "predict", "write"] {
-            if !self.trace_json.contains(&format!("\"{span}\"")) {
-                problems.push(format!(
-                    "/debug/requests trace is missing `{span}` spans after a full load run"
-                ));
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
-
     /// Renders the open-loop latency distribution as a JSON histogram
     /// artifact: power-of-two bucket upper bounds in µs with per-bucket
     /// counts, so CI can archive the full tail shape, not just the
@@ -285,6 +261,25 @@ impl ServeBenchRun {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+}
+
+/// Checks a flight-recorder capture taken after a full load run: it must
+/// pass [`validate_chrome_trace`] and hold the per-request child spans the
+/// server promises.
+///
+/// # Errors
+///
+/// Returns what is wrong with the capture.
+pub fn check_trace(trace_json: &str) -> Result<(), String> {
+    validate_chrome_trace(trace_json)
+        .map_err(|e| format!("/debug/requests trace is malformed: {e}"))?;
+    match ["queue_wait", "predict", "write"]
+        .into_iter()
+        .find(|span| !trace_json.contains(&format!("\"{span}\"")))
+    {
+        Some(span) => Err(format!("/debug/requests trace has no `{span}` spans")),
+        None => Ok(()),
     }
 }
 
@@ -764,6 +759,9 @@ pub fn run_serve_bench(
         .and_then(|mut c| c.request("GET", "/debug/requests?n=256", ""))
         .map(|(status, body)| if status == 200 { body } else { String::new() })
         .unwrap_or_default();
+    let trace_ok = check_trace(&trace_json)
+        .inspect_err(|e| eprintln!("bench serve: {e}"))
+        .is_ok();
 
     // Exercise the graceful-shutdown path on every benchmark run, then
     // read the server's own counters before the state goes away.
@@ -828,6 +826,7 @@ pub fn run_serve_bench(
             timeouts_total,
             keepalive_reuse_total,
             batch_matches_sequential: batch_ok,
+            trace_ok,
             rows,
             open_loop: open_report,
         },
@@ -839,12 +838,19 @@ pub fn run_serve_bench(
 impl ServeBenchReport {
     /// The `BENCH_serve.json` record: every figure of the report, closed-loop
     /// mixes as `mix/field` and the open loop as `open_loop/field`, gated on
-    /// p99 latency ([`P99_TOLERANCE`]), failed requests and — in the quick
-    /// profile, whose fleet fits the queue — any shedding.
+    /// p99 latency ([`P99_TOLERANCE`]). Its limits: no failed request, the
+    /// batch probe matching sequential calls, a well-formed flight-recorder
+    /// capture, an open loop achieving a quarter of its target rate, and —
+    /// in the quick profile, whose fleet fits the queue — no shed, timeout
+    /// or failed open-loop response.
     pub fn record(&self) -> BenchRecord {
         use Better::{Higher, Lower};
         let p99 = Some(Tolerance::Relative(P99_TOLERANCE));
         let none = Some(Tolerance::Limit(0.0));
+        let quick_none = none.filter(|_| self.quick);
+        let must = Some(Tolerance::Limit(1.0));
+        let o = &self.open_loop;
+        let collapsed = (o.requests > 0).then_some(Tolerance::Limit(0.25 * o.target_rps));
         BenchRecord::from_report(
             &self.bench,
             self.quick,
@@ -854,12 +860,14 @@ impl ServeBenchReport {
                 "p99_us" => ("us", Lower, p99),
                 "p50_us" | "p90_us" | "p999_us" | "max_us" => ("us", Lower, None),
                 "errors" if row.is_empty() => ("count", Lower, none),
-                "shed_total" => ("count", Lower, none.filter(|_| self.quick)),
-                "errors" | "timeouts_total" | "late_sends" => ("count", Lower, None),
+                "errors" if row == "open_loop" => ("count", Lower, quick_none),
+                "shed_total" | "timeouts_total" => ("count", Lower, quick_none),
+                "errors" | "late_sends" => ("count", Lower, None),
                 "wall_s" => ("s", Lower, None),
                 "duration_s" => ("s", Higher, None),
-                "throughput_rps" | "target_rps" | "achieved_rps" => ("1/s", Higher, None),
-                "batch_matches_sequential" => ("bool", Higher, None),
+                "achieved_rps" => ("1/s", Higher, collapsed),
+                "throughput_rps" | "target_rps" => ("1/s", Higher, None),
+                "batch_matches_sequential" | "trace_ok" => ("bool", Higher, must),
                 _ => ("count", Higher, None),
             },
         )
@@ -924,66 +932,14 @@ impl ServeBenchReport {
         );
         out
     }
-
-    /// Checks the invariants every benchmark run must uphold — and, in the
-    /// quick profile, the zero-shed/zero-timeout requirement CI gates on
-    /// (the quick fleet is sized to fit the queue; shedding there means
-    /// admission control regressed).
-    ///
-    /// # Errors
-    ///
-    /// Returns one message per violated invariant.
-    pub fn verify(&self) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        if self.errors > 0 {
-            problems.push(format!(
-                "{} request(s) failed the correctness checks",
-                self.errors
-            ));
-        }
-        if !self.batch_matches_sequential {
-            problems.push("batch /predict/batch diverged from sequential /predict".to_string());
-        }
-        if self.quick && self.shed_total > 0.0 {
-            problems.push(format!(
-                "quick profile shed {} connection(s); its fleet must fit the queue",
-                self.shed_total
-            ));
-        }
-        if self.quick && self.timeouts_total > 0.0 {
-            problems.push(format!(
-                "quick profile hit {} read/write timeout(s)",
-                self.timeouts_total
-            ));
-        }
-        if self.rows.iter().map(|r| r.requests).sum::<u64>() != self.total_requests {
-            problems.push("per-mix request counts do not add up".to_string());
-        }
-        let o = &self.open_loop;
-        if self.quick && o.errors > 0 {
-            problems.push(format!(
-                "open-loop quick profile had {} failed response(s)",
-                o.errors
-            ));
-        }
-        if o.requests > 0 && o.achieved_rps < o.target_rps * 0.25 {
-            problems.push(format!(
-                "open-loop generator only achieved {:.0} of {:.0} target rps — \
-                 the schedule collapsed instead of measuring the server",
-                o.achieved_rps, o.target_rps
-            ));
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Breaks one figure of a healthy report.
+    type Fault = fn(&mut ServeBenchReport);
 
     #[test]
     fn percentiles_pick_the_expected_ranks() {
@@ -1046,6 +1002,7 @@ mod tests {
             timeouts_total: 0.0,
             keepalive_reuse_total: 27.0,
             batch_matches_sequential: true,
+            trace_ok: true,
             rows: MIXES
                 .iter()
                 .map(|m| ServeBenchMixRow {
@@ -1111,40 +1068,43 @@ mod tests {
         assert_eq!(total, 6, "bucket counts cover every sample");
     }
 
+    /// The breaches of `report`'s record.
+    fn breaches(report: &ServeBenchReport) -> Vec<String> {
+        report.record().breaches()
+    }
+
     #[test]
     fn open_loop_gates_catch_errors_and_collapsed_schedules() {
         let mut report = healthy_report();
         report.open_loop.errors = 3;
-        let problems = report.verify().expect_err("quick open-loop errors fail");
+        let problems = breaches(&report);
         assert!(
-            problems.iter().any(|p| p.contains("open-loop")),
+            problems.iter().any(|p| p.starts_with("open_loop/errors: ")),
             "{problems:?}"
         );
+        report.quick = false;
+        assert_eq!(breaches(&report), Vec::<String>::new(), "full may fail");
         let mut collapsed = healthy_report();
         collapsed.open_loop.achieved_rps = collapsed.open_loop.target_rps * 0.1;
-        let problems = collapsed.verify().expect_err("collapsed schedule fails");
+        let problems = breaches(&collapsed);
         assert!(
-            problems.iter().any(|p| p.contains("achieved")),
+            problems
+                .iter()
+                .any(|p| p.starts_with("open_loop/achieved_rps: ")),
             "{problems:?}"
         );
+        // A run that issued nothing has no schedule to collapse.
+        collapsed.open_loop.requests = 0;
+        assert_eq!(breaches(&collapsed), Vec::<String>::new());
     }
 
     #[test]
     fn report_round_trips_through_json_and_verifies() {
         let report = healthy_report();
-        report.verify().expect("healthy report verifies");
+        assert_eq!(breaches(&report), Vec::<String>::new());
         let json = serde_json::to_string_pretty(&report).expect("serialise");
         let back: ServeBenchReport = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(back, report);
-
-        // A shedding quick run fails verification.
-        let mut shedding = report.clone();
-        shedding.shed_total = 2.0;
-        let problems = shedding.verify().expect_err("shed must fail quick verify");
-        assert!(problems.iter().any(|p| p.contains("shed")), "{problems:?}");
-        // A full-profile run may shed without failing.
-        shedding.quick = false;
-        shedding.verify().expect("full profile tolerates shed");
     }
 
     #[test]
@@ -1165,6 +1125,30 @@ mod tests {
         assert_eq!(full.profile, "full");
         assert_eq!(full.get("shed_total").and_then(|m| m.tolerance), None);
         assert!(record.regressions(&record).expect("comparable").is_empty());
+
+        // Each invariant, broken alone, is a breach naming its metric; the
+        // quick-only ones hold in the full profile.
+        let faults: [(&str, bool, Fault); 5] = [
+            ("errors", false, |r| r.errors = 2),
+            ("batch_matches_sequential", false, |r| {
+                r.batch_matches_sequential = false;
+            }),
+            ("trace_ok", false, |r| r.trace_ok = false),
+            ("shed_total", true, |r| r.shed_total = 2.0),
+            ("timeouts_total", true, |r| r.timeouts_total = 1.0),
+        ];
+        for (metric, quick_only, fault) in faults {
+            let mut broken = healthy_report();
+            fault(&mut broken);
+            let problems = breaches(&broken);
+            assert_eq!(problems.len(), 1, "{metric}: {problems:?}");
+            assert!(
+                problems[0].starts_with(&format!("{metric}: ")),
+                "{problems:?}"
+            );
+            broken.quick = false;
+            assert_eq!(breaches(&broken).is_empty(), quick_only, "{metric}");
+        }
     }
 
     #[test]
@@ -1185,27 +1169,12 @@ mod tests {
         rec.end(root);
         flight.record(RequestTrace::new(7, "/predict", 200, rec.spans().to_vec()));
 
-        let run = ServeBenchRun {
-            report: healthy_report(),
-            trace_json: flight.chrome_recent(4, "pulp-serve"),
-            open_loop_latencies_us: vec![100, 150, 900],
-        };
-        run.verify()
-            .expect("healthy run with a real trace verifies");
-
-        let bad = ServeBenchRun {
-            report: healthy_report(),
-            trace_json: "{}".to_string(),
-            open_loop_latencies_us: Vec::new(),
-        };
-        let problems = bad.verify().expect_err("a malformed trace must fail");
-        assert!(
-            problems.iter().any(|p| p.contains("malformed")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("queue_wait")),
-            "{problems:?}"
-        );
+        let trace = flight.chrome_recent(4, "pulp-serve");
+        assert_eq!(check_trace(&trace), Ok(()));
+        let problem = check_trace("{}").expect_err("a malformed trace must fail");
+        assert!(problem.contains("malformed"), "{problem}");
+        let problem = check_trace(&trace.replace("\"write\"", "\"send\""))
+            .expect_err("a trace without write spans must fail");
+        assert!(problem.contains("`write`"), "{problem}");
     }
 }

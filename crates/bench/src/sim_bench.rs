@@ -9,7 +9,9 @@
 //!
 //! [`SimBenchReport::record`] is the `BENCH_sim.json` record (see
 //! [`crate::record`]): `bench diff` gates it on per-basket fast-forward
-//! throughput, the speedup floor and labeling throughput.
+//! throughput and labeling throughput, and its limits (the speedup floor,
+//! the telemetry cost, oracle and telemetry parity, and barrier/DMA spans)
+//! fail the run that writes it.
 //!
 //! ## How the `scan`/`hit` columns are measured
 //!
@@ -592,19 +594,23 @@ impl SimBenchReport {
     /// The `BENCH_sim.json` record: every figure of the report, rows as
     /// `basket@cores/field`, gated on throughput ([`THROUGHPUT_TOLERANCE`]),
     /// the fast-forward speedup floor ([`SPEEDUP_FLOOR`]) and the telemetry
-    /// cost limit ([`TELEMETRY_LIMIT_PCT`]).
+    /// cost limit ([`TELEMETRY_LIMIT_PCT`]). Every fast-forward run must
+    /// match its oracle, the profiled run its `NoTelemetry` twin, and the
+    /// barrier/DMA basket — sleeping workers behind a long DMA drain — must
+    /// take a bulk span at 2, 4 and 8 cores, or the fast-forward is dead.
     pub fn record(&self) -> BenchRecord {
         use Better::{Higher, Lower};
         let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
         let floor = Some(Tolerance::Limit(SPEEDUP_FLOOR));
         let telemetry = Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT));
+        let must = Some(Tolerance::Limit(1.0));
         let rows = ["basket", "cores"];
         BenchRecord::from_report(
             &self.bench,
             self.quick,
             self,
             &rows,
-            |_, field| match field {
+            |row, field| match field {
                 "ff_cycles_per_s" => ("cycles/s", Higher, throughput),
                 "oracle_cycles_per_s" => ("cycles/s", Higher, None),
                 "labeling_samples_per_s" => ("samples/s", Higher, throughput),
@@ -612,7 +618,10 @@ impl SimBenchReport {
                 "speedup" => ("x", Higher, floor),
                 "telemetry_overhead_pct" => ("%", Lower, telemetry),
                 "cycles" | "telemetry_cycles" => ("cycles", Lower, None),
-                "oracle_match" | "telemetry_match" => ("bool", Higher, None),
+                "oracle_match" | "telemetry_match" => ("bool", Higher, must),
+                "spans" if matches!(row, "barrier_dma@2" | "barrier_dma@4" | "barrier_dma@8") => {
+                    ("count", Higher, must)
+                }
                 "skip_ratio" | "horizon_hit_rate" => ("ratio", Higher, None),
                 "horizon_scan_share" | "labeling_journal_overhead" => ("ratio", Lower, None),
                 "ff_wall_s" | "oracle_wall_s" | "horizon_scan_s" | "horizon_step_s" => {
@@ -685,73 +694,14 @@ impl SimBenchReport {
         );
         out
     }
-
-    /// Checks the invariants the benchmark must uphold: every fast-forward
-    /// run bit-identical to its oracle, the barrier/DMA basket actually
-    /// skipping cycles (a zero skip there means the fast-forward is dead),
-    /// the profiled and the `NoTelemetry` run agreeing, and every figure
-    /// finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns one message per violated invariant.
-    pub fn verify(&self) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        for r in &self.rows {
-            if !r.oracle_match {
-                problems.push(format!(
-                    "{} @ {} cores: fast-forward diverged from the single-step oracle",
-                    r.basket, r.cores
-                ));
-            }
-        }
-        for r in self.rows.iter().filter(|r| r.basket == "barrier_dma") {
-            if r.cores > 1 && r.skip_ratio <= 0.0 {
-                problems.push(format!(
-                    "barrier_dma @ {} cores: skip ratio is zero — fast-forward never engaged",
-                    r.cores
-                ));
-            }
-            if r.cores > 1 && r.horizon_hit_rate <= 0.0 {
-                problems.push(format!(
-                    "barrier_dma @ {} cores: horizon hit rate is zero — instrumented run saw no skips",
-                    r.cores
-                ));
-            }
-        }
-        for r in &self.rows {
-            if r.horizon_scan_s + r.horizon_step_s <= 0.0 {
-                problems.push(format!(
-                    "{} @ {} cores: horizon wall split is empty — timing instrumentation is dead",
-                    r.basket, r.cores
-                ));
-            }
-        }
-        if !self.telemetry_match {
-            problems
-                .push("telemetry: profile_run and simulate_opts(NoTelemetry) disagree".to_string());
-        }
-        // Non-finite floats don't survive serde_json and break `bench
-        // diff`; the wall clamps must keep every figure finite.
-        for m in self.record().metrics {
-            if !m.value.is_finite() {
-                problems.push(format!(
-                    "{} is non-finite ({}) — would corrupt the JSON record",
-                    m.name, m.value
-                ));
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Breaks one figure of a healthy report.
+    type Fault = fn(&mut SimBenchReport);
 
     /// The quick profile at one timing pair per configuration.
     fn quick_run(journal: Option<&mut JournalWriter>) -> SimBenchReport {
@@ -779,7 +729,13 @@ mod tests {
     fn quick_bench_passes_its_own_verification() {
         let report = quick_run(None);
         assert_eq!(report.rows.len(), BASKETS.len() * TEAM_SIZES.len());
-        report.verify().expect("benchmark invariants hold");
+        // One timing pair is too few for the speedup floor and the
+        // telemetry cost; every other limit is an invariant.
+        let mut record = report.record();
+        record
+            .metrics
+            .retain(|m| !m.name.ends_with("/speedup") && m.name != "telemetry_overhead_pct");
+        assert_eq!(record.breaches(), Vec::<String>::new());
         // The barrier/DMA basket is the fast-forward's best case: sleeping
         // workers and a master parked on a long DMA drain.
         let dma8 = report
@@ -833,22 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn verify_rejects_non_finite_ratios() {
-        let mut report = quick_run(None);
-        report.rows[0].speedup = f64::INFINITY;
-        let problems = report.verify().expect_err("inf must be rejected");
-        assert!(
-            problems.iter().any(|p| p.contains("speedup is non-finite")),
-            "got {problems:?}"
-        );
-    }
-
-    #[test]
     fn telemetry_overhead_is_measured_finite_and_gated() {
         // Regression: the standalone guard indexed an empty sample and
         // panicked when asked for zero iterations; one pair must give a
         // usable figure.
-        let mut report = quick_run(None);
+        let report = quick_run(None);
         assert!(report.telemetry_match, "profiled and plain runs agree");
         assert!(report.telemetry_cycles > 0);
         let record = report.record();
@@ -864,23 +809,6 @@ mod tests {
         assert!(report
             .render_table()
             .contains("telemetry: gemm f32 32768B team 8"));
-        report.verify().expect("benchmark invariants hold");
-
-        report.telemetry_overhead_pct = f64::NAN;
-        let problems = report.verify().expect_err("NaN must be rejected");
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("telemetry_overhead_pct is non-finite")),
-            "got {problems:?}"
-        );
-        report.telemetry_overhead_pct = 0.0;
-        report.telemetry_match = false;
-        let problems = report.verify().expect_err("diverging stats must fail");
-        assert!(
-            problems.iter().any(|p| p.contains("telemetry")),
-            "got {problems:?}"
-        );
     }
 
     #[test]
@@ -946,10 +874,16 @@ mod tests {
             horizon_step_s: 0.009,
             horizon_scan_share: 1e-4,
         };
+        let dma = SimBenchRow {
+            basket: "barrier_dma".to_string(),
+            cores: 2,
+            skip_ratio: 0.9,
+            ..row.clone()
+        };
         let report = SimBenchReport {
             bench: "sim".to_string(),
             quick: false,
-            rows: vec![row],
+            rows: vec![row, dma],
             labeling_samples: 24,
             labeling_threads: 1,
             labeling_wall_s: 0.12,
@@ -968,7 +902,7 @@ mod tests {
         );
         assert_eq!(
             record.metrics.len(),
-            13 + 7 + 3,
+            2 * 13 + 7 + 3,
             "every row, labeling and telemetry figure"
         );
         let gate = |name: &str| record.get(name).and_then(|m| m.tolerance);
@@ -982,7 +916,30 @@ mod tests {
             Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT))
         );
         assert_eq!(record.get("alu@8/oracle_match").map(|m| m.value), Some(1.0));
+        assert_eq!(gate("alu@8/spans"), None, "only barrier_dma must skip");
         assert!(record.regressions(&record).expect("comparable").is_empty());
+        assert_eq!(record.breaches(), Vec::<String>::new());
+
+        // Each invariant, broken alone, is a breach naming its metric.
+        let faults: [(&str, Fault); 5] = [
+            ("alu@8/oracle_match", |r| r.rows[0].oracle_match = false),
+            ("barrier_dma@2/spans", |r| r.rows[1].spans = 0),
+            ("telemetry_match", |r| r.telemetry_match = false),
+            ("alu@8/speedup", |r| r.rows[0].speedup = 0.5),
+            ("telemetry_overhead_pct", |r| {
+                r.telemetry_overhead_pct = f64::NAN
+            }),
+        ];
+        for (metric, fault) in faults {
+            let mut broken = report.clone();
+            fault(&mut broken);
+            let breaches = broken.record().breaches();
+            assert_eq!(breaches.len(), 1, "{metric}: {breaches:?}");
+            assert!(
+                breaches[0].starts_with(&format!("{metric}: ")),
+                "{breaches:?}"
+            );
+        }
     }
 
     #[test]

@@ -328,20 +328,13 @@ impl Sleepers {
         self.asleep_since[core] = end;
     }
 
-    /// Charges every open interval up to the loop position at `cycle`:
-    /// cores before `visited` through `cycle`, the others up to it. Runs
-    /// before every telemetry region boundary, so each cycle lands in the
-    /// region the per-cycle loop puts it in.
-    fn flush<T: Telemetry>(
-        &mut self,
-        stats: &mut SimStats,
-        telemetry: &mut T,
-        cycle: u64,
-        visited: usize,
-    ) {
+    /// Charges every open interval through `cycle`. Runs after the core
+    /// loop and before every telemetry region boundary, so each cycle
+    /// lands in the region that holds it.
+    fn flush<T: Telemetry>(&mut self, stats: &mut SimStats, telemetry: &mut T, cycle: u64) {
         for core in 0..self.open.len() {
             if self.open[core] {
-                self.charge(stats, telemetry, core, cycle + u64::from(core < visited));
+                self.charge(stats, telemetry, core, cycle + 1);
             }
         }
     }
@@ -544,6 +537,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         step_events += 1;
 
         let mut barrier_release = false;
+        let mut forked = false;
         let mut any_active = false;
         // Cores ending this iteration `Ready` on a step that can issue next
         // cycle; zero re-arms the horizon scan.
@@ -585,10 +579,8 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     left[core] = l;
                     if l == 0 {
                         if modes[core] == Mode::Forking {
-                            // Telemetry opens the parallel region at `cycle + 1`.
-                            sleepers.flush(&mut stats, telemetry, cycle, core);
                             eu.signal_fork();
-                            telemetry.on_fork(cycle);
+                            forked = true;
                             sink.emit(cycle, TraceEvent::Fork);
                             cursors[core].advance();
                         }
@@ -622,6 +614,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         &mut l2_port,
                         &mut fpus,
                         &mut barrier_release,
+                        &mut forked,
                         sink,
                         telemetry,
                         cycle,
@@ -641,12 +634,18 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             }
         }
 
+        // Telemetry opens the parallel region at `cycle + 1`, once every
+        // core has been charged for the fork cycle.
+        if forked {
+            sleepers.flush(&mut stats, telemetry, cycle);
+            telemetry.on_fork(cycle);
+        }
         if barrier_release {
             eu.schedule_release(config.barrier_latency);
         }
         if eu.tick_release() {
             stats.barriers += 1;
-            sleepers.flush(&mut stats, telemetry, cycle, config.num_cores);
+            sleepers.flush(&mut stats, telemetry, cycle);
             telemetry.on_barrier_release(cycle);
             sink.emit(cycle, TraceEvent::BarrierRelease);
             for core in 0..team {
@@ -962,6 +961,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
     l2_port: &mut TcdmArbiter,
     fpus: &mut FpuPool,
     barrier_release: &mut bool,
+    forked: &mut bool,
     sink: &mut S,
     telemetry: &mut T,
     cycle: u64,
@@ -988,10 +988,8 @@ fn step_core<S: TraceSink, T: Telemetry>(
         Step::Fork => {
             stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             if fork_cycles <= 1 {
-                // Telemetry opens the parallel region at `cycle + 1`.
-                sleepers.flush(stats, telemetry, cycle, core);
                 eu.signal_fork();
-                telemetry.on_fork(cycle);
+                *forked = true;
                 sink.emit(cycle, TraceEvent::Fork);
                 cursors[core].advance();
                 return Ok(!cursors[core].next_is_dma_wait());

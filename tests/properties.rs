@@ -162,7 +162,8 @@ proptest! {
         prop_assert_eq!(all, (0..labels.len()).collect::<Vec<_>>());
     }
 
-    /// Tolerance accuracy is monotone in the tolerance for any energies.
+    /// Tolerance accuracy is a fraction, monotone in the tolerance, for
+    /// any energies.
     #[test]
     fn tolerance_accuracy_is_monotone(
         energies in prop::collection::vec(
@@ -175,6 +176,7 @@ proptest! {
         let mut last = 0.0;
         for t in [0.0, 0.05, 0.2, 1.0, 10.0] {
             let acc = tolerance_accuracy(preds, &energies, t);
+            prop_assert!((0.0..=1.0).contains(&acc), "accuracy {} at {}", acc, t);
             prop_assert!(acc >= last - 1e-12);
             last = acc;
         }

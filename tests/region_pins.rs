@@ -6,7 +6,8 @@
 //! regions partitioning the run). A simulator change that moves cycles
 //! from one region to another keeps every sum and passes them. This test
 //! pins each region's kind, index, start, end and per-cause breakdown, so
-//! such a move fails here.
+//! such a move fails here. A second test checks that each region's cells
+//! tile its cycles times the cluster's cores.
 //!
 //! The fixture is `tests/fixtures/region_pins.txt`, one line per region.
 //! Regenerate it only after an intentional attribution change, with
@@ -15,20 +16,22 @@
 
 use kernel_ir::{lower, DType};
 use pulp_kernels::{registry, KernelParams};
-use pulp_sim::{simulate_opts, ClusterConfig, NullSink, RegionProfiler, SimOptions, SimScratch};
+use pulp_sim::{
+    simulate_opts, ClusterConfig, NullSink, RegionProfile, RegionProfiler, SimOptions, SimScratch,
+};
 use std::fmt::Write;
 
 const FIXTURE: &str = include_str!("fixtures/region_pins.txt");
 
 const KERNELS: [&str; 3] = ["fir", "gemm", "atax"];
 
-/// One line per region of every pinned run, simulated with
-/// `fast_forward` as given.
-fn render_regions(fast_forward: bool) -> String {
+/// Every region of every pinned run, simulated with `fast_forward` as
+/// given, under its run's name (`fir t1`).
+fn pinned_regions(fast_forward: bool) -> Vec<(String, RegionProfile)> {
     let config = ClusterConfig::default();
     let defs = registry();
     let mut scratch = SimScratch::new();
-    let mut out = String::new();
+    let mut out = Vec::new();
     for name in KERNELS {
         let def = defs
             .iter()
@@ -53,23 +56,48 @@ fn render_regions(fast_forward: bool) -> String {
                 &mut scratch,
             )
             .expect("simulates");
-            for r in profiler.regions() {
-                write!(
-                    out,
-                    "{name} t{team} {} {}..{}",
-                    r.label(),
-                    r.start_cycle,
-                    r.end_cycle
-                )
-                .expect("write to string");
-                for (cause, n) in r.breakdown.iter().filter(|&(_, n)| n > 0) {
-                    write!(out, " {cause}={n}").expect("write to string");
-                }
-                out.push('\n');
-            }
+            let run = format!("{name} t{team}");
+            out.extend(profiler.regions().iter().map(|r| (run.clone(), r.clone())));
         }
     }
     out
+}
+
+/// One line per region of every pinned run, simulated with
+/// `fast_forward` as given.
+fn render_regions(fast_forward: bool) -> String {
+    let mut out = String::new();
+    for (run, r) in pinned_regions(fast_forward) {
+        write!(
+            out,
+            "{run} {} {}..{}",
+            r.label(),
+            r.start_cycle,
+            r.end_cycle
+        )
+        .expect("write to string");
+        for (cause, n) in r.breakdown.iter().filter(|&(_, n)| n > 0) {
+            write!(out, " {cause}={n}").expect("write to string");
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn every_region_tiles_its_cycles_times_the_cores() {
+    let cores = ClusterConfig::default().num_cores as u64;
+    for fast_forward in [true, false] {
+        for (run, r) in pinned_regions(fast_forward) {
+            let cells: u64 = r.breakdown.iter().map(|(_, n)| n).sum();
+            assert_eq!(
+                cells,
+                (r.end_cycle - r.start_cycle) * cores,
+                "{run} {}: cells do not tile the region",
+                r.label()
+            );
+        }
+    }
 }
 
 #[test]
