@@ -1317,6 +1317,12 @@ mod tests {
                 Ok(&["tcdm_conflict@8/speedup: 0.84 u below the 0.95 limit"]),
             ),
             (
+                "limit: the candidate's own limit binds where the baseline has no gate",
+                rec("sim", true, &[("x", 1.0, Higher, None)]),
+                rec("sim", true, &[("x", 0.0, Higher, Some(Limit(1.0)))]),
+                Ok(&["x: 0 u below the 1 limit"]),
+            ),
+            (
                 "speedup: a candidate without the column",
                 sim_speedup(&[("alu@1", 1.2)], None),
                 sim_cps(true, 1e7),

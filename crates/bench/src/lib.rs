@@ -40,7 +40,7 @@ pub mod sim_bench;
 
 pub use cli::Args;
 pub use models_bench::{run_models_bench, ModelsBenchReport, ModelsBenchRow, MODELS};
-pub use profiling::{profile_run, recorder_of_run, CauseRun, CoreTimeline, ProfiledRun};
+pub use profiling::{profile_run, recorder_of_run, ProfiledRun};
 pub use record::{BenchRecord, Better, Tolerance};
 pub use serve_bench::{
     run_serve_bench, OpenLoopReport, ServeBenchMixRow, ServeBenchOptions, ServeBenchReport,

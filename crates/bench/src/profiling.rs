@@ -1,72 +1,20 @@
-//! Bridges the simulator's [`Telemetry`] stream into `pulp-obs` recorders.
+//! Bridges the simulator's [`Telemetry`](pulp_sim::Telemetry) stream into
+//! `pulp-obs` recorders.
 //!
-//! [`profile_run`] executes a program once with full attribution telemetry
-//! and returns the statistics, the serial/parallel region profiles and a
-//! per-core cause timeline. [`recorder_of_run`] turns that into a
-//! recorder whose [`pulp_obs::chrome_trace`] is a Chrome trace-event JSON
-//! (load it at `chrome://tracing` or ui.perfetto.dev): track 0 carries the
-//! region spans and fork/release markers, tracks `1..=n` carry one lane
-//! per core whose spans are maximal runs of a single [`CycleCause`].
+//! [`profile_run`] executes a program once with a [`CoreTimeline`] and
+//! returns the statistics, the serial/parallel region profiles derived
+//! from the timeline, and the timeline itself. [`recorder_of_run`] turns
+//! that into a recorder whose [`pulp_obs::chrome_trace`] is a Chrome
+//! trace-event JSON (load it at `chrome://tracing` or ui.perfetto.dev):
+//! track 0 carries the region spans and fork/release markers, tracks
+//! `1..=n` carry one lane per core whose spans are maximal runs of a
+//! single [`CycleCause`](pulp_sim::CycleCause).
 
 use pulp_obs::Recorder;
 use pulp_sim::{
-    simulate_opts, ClusterConfig, CycleCause, NullSink, Program, RegionProfile, RegionProfiler,
-    SimError, SimOptions, SimScratch, SimStats, Telemetry,
+    simulate_opts, ClusterConfig, CoreTimeline, NullSink, Program, RegionKind, RegionProfile,
+    SimError, SimOptions, SimScratch, SimStats,
 };
-
-/// A maximal run of consecutive cycles a core spent on one cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CauseRun {
-    /// The attributed cause.
-    pub cause: CycleCause,
-    /// First cycle of the run.
-    pub start: u64,
-    /// One past the last cycle of the run.
-    pub end: u64,
-}
-
-impl CauseRun {
-    /// Run length in cycles.
-    pub fn cycles(&self) -> u64 {
-        self.end - self.start
-    }
-}
-
-/// Telemetry that compacts each core's per-cycle attribution into maximal
-/// same-cause runs (the lanes of the Chrome trace).
-#[derive(Debug, Clone, Default)]
-pub struct CoreTimeline {
-    lanes: Vec<Vec<CauseRun>>,
-}
-
-impl CoreTimeline {
-    /// One lane per core, each a time-ordered list of cause runs.
-    pub fn lanes(&self) -> &[Vec<CauseRun>] {
-        &self.lanes
-    }
-}
-
-impl Telemetry for CoreTimeline {
-    // O(1) attribution, also for the simulator's fast-forward spans: a
-    // span either extends the core's current run or opens one new run.
-    fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
-        if n == 0 {
-            return;
-        }
-        if self.lanes.len() <= core {
-            self.lanes.resize(core + 1, Vec::new());
-        }
-        let lane = &mut self.lanes[core];
-        match lane.last_mut() {
-            Some(run) if run.cause == cause && run.end == cycle => run.end = cycle + n,
-            _ => lane.push(CauseRun {
-                cause,
-                start: cycle,
-                end: cycle + n,
-            }),
-        }
-    }
-}
 
 /// Everything one instrumented run produces.
 #[derive(Debug, Clone)]
@@ -75,41 +23,8 @@ pub struct ProfiledRun {
     pub stats: SimStats,
     /// Serial/parallel region segmentation with per-region attribution.
     pub regions: Vec<RegionProfile>,
-    /// Per-core cause timeline.
+    /// Per-core cause timeline and region boundaries.
     pub timeline: CoreTimeline,
-    /// Fork-signal cycles.
-    pub forks: Vec<u64>,
-    /// Barrier-release cycles.
-    pub releases: Vec<u64>,
-}
-
-#[derive(Debug, Default)]
-struct BridgeTelemetry {
-    regions: RegionProfiler,
-    timeline: CoreTimeline,
-    forks: Vec<u64>,
-    releases: Vec<u64>,
-}
-
-impl Telemetry for BridgeTelemetry {
-    fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
-        self.regions.advance_n(cycle, core, n, cause);
-        self.timeline.advance_n(cycle, core, n, cause);
-    }
-
-    fn on_fork(&mut self, cycle: u64) {
-        self.regions.on_fork(cycle);
-        self.forks.push(cycle);
-    }
-
-    fn on_barrier_release(&mut self, cycle: u64) {
-        self.regions.on_barrier_release(cycle);
-        self.releases.push(cycle);
-    }
-
-    fn on_finish(&mut self, cycles: u64) {
-        self.regions.on_finish(cycles);
-    }
 }
 
 /// Runs `program` once with full attribution telemetry.
@@ -122,21 +37,19 @@ pub fn profile_run(
     program: &Program,
     max_cycles: u64,
 ) -> Result<ProfiledRun, SimError> {
-    let mut tel = BridgeTelemetry::default();
+    let mut timeline = CoreTimeline::default();
     let stats = simulate_opts(
         config,
         program,
         &SimOptions::default().with_max_cycles(max_cycles),
         &mut NullSink,
-        &mut tel,
+        &mut timeline,
         &mut SimScratch::new(),
     )?;
     Ok(ProfiledRun {
+        regions: timeline.regions(stats.cycles),
         stats,
-        regions: tel.regions.regions().to_vec(),
-        timeline: tel.timeline,
-        forks: tel.forks,
-        releases: tel.releases,
+        timeline,
     })
 }
 
@@ -153,13 +66,14 @@ pub fn recorder_of_run(run: &ProfiledRun) -> Recorder {
         rec.set_time(region.end_cycle);
         rec.end(span);
     }
-    for &cycle in &run.forks {
-        rec.set_time(cycle);
-        rec.event("fork");
-    }
-    for &cycle in &run.releases {
-        rec.set_time(cycle);
-        rec.event("barrier_release");
+    for (kind, name) in [
+        (RegionKind::Parallel, "fork"),
+        (RegionKind::Serial, "barrier_release"),
+    ] {
+        for &(cycle, _) in run.timeline.boundaries().iter().filter(|b| b.1 == kind) {
+            rec.set_time(cycle);
+            rec.event(name);
+        }
     }
     for lane in run.timeline.lanes() {
         let mut core_rec = Recorder::manual();
@@ -177,7 +91,7 @@ pub fn recorder_of_run(run: &ProfiledRun) -> Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pulp_sim::{OpKind, SegOp};
+    use pulp_sim::{CauseRun, OpKind, SegOp};
 
     fn fork_join_program() -> Program {
         let instr = |kind| SegOp::Instr { kind, addr: None };
@@ -212,7 +126,7 @@ mod tests {
 
     #[test]
     fn timeline_advance_n_matches_repeated_single_steps() {
-        use pulp_sim::CycleCause;
+        use pulp_sim::{CycleCause, Telemetry};
         let mut bulk = CoreTimeline::default();
         let mut single = CoreTimeline::default();
         let pattern = [

@@ -348,8 +348,8 @@ impl BenchRecord {
     /// * a candidate value beyond the baseline metric's relative or
     ///   absolute tolerance;
     /// * a candidate value beyond a limit. A limit binds the candidate
-    ///   alone, so it is checked on candidate metrics the baseline lacks
-    ///   too;
+    ///   alone, so the candidate's own limit is checked too, also where the
+    ///   baseline lacks the metric or gates it otherwise;
     /// * a non-finite candidate value, whatever its gate.
     ///
     /// # Errors
@@ -375,12 +375,12 @@ impl BenchRecord {
                 continue;
             }
             let old = self.get(&new.name);
-            let gate = match old {
-                Some(old) => old.tolerance,
-                None => new.tolerance.filter(|t| matches!(t, Tolerance::Limit(_))),
-            };
-            if let Some(message) = gate.and_then(|t| new.breach(old, t)) {
-                out.push(message);
+            let gate = old.and_then(|old| old.tolerance);
+            let own_limit = new
+                .tolerance
+                .filter(|t| matches!(t, Tolerance::Limit(_)) && Some(*t) != gate);
+            for tolerance in [gate, own_limit].into_iter().flatten() {
+                out.extend(new.breach(old, tolerance));
             }
         }
         Ok(out)

@@ -267,14 +267,14 @@ impl SimScratch {
 /// With clock gating a sleeping core is in one open interval. Table I
 /// charges a gated core a constant per cycle, so only the interval's
 /// length matters: its cycles are charged in one step when it closes (fork
-/// wake, barrier release, end of run) or is flushed before a telemetry
-/// region boundary. In the clock-gating ablation a sleeping core actively
-/// waits, one `Stall` per cycle, and no interval opens.
+/// wake, barrier release, end of run). In the clock-gating ablation a
+/// sleeping core actively waits, one `Stall` per cycle, and no interval
+/// opens.
 #[derive(Debug, Default)]
 struct Sleepers {
     gating: bool,
     open: Vec<bool>,
-    /// First cycle of the open interval not yet charged.
+    /// First cycle of the open interval.
     asleep_since: Vec<u64>,
     cause: Vec<CycleCause>,
 }
@@ -312,33 +312,6 @@ impl Sleepers {
         opens
     }
 
-    /// Charges `core`'s open interval up to `end` (exclusive) and restarts
-    /// it there.
-    fn charge<T: Telemetry>(
-        &mut self,
-        stats: &mut SimStats,
-        telemetry: &mut T,
-        core: usize,
-        end: u64,
-    ) {
-        let (since, cause) = (self.asleep_since[core], self.cause[core]);
-        stats.cores[core].cg_cycles += end - since;
-        stats.cores[core].breakdown.add_n(cause, end - since);
-        telemetry.advance_n(since, core, end - since, cause);
-        self.asleep_since[core] = end;
-    }
-
-    /// Charges every open interval through `cycle`. Runs after the core
-    /// loop and before every telemetry region boundary, so each cycle
-    /// lands in the region that holds it.
-    fn flush<T: Telemetry>(&mut self, stats: &mut SimStats, telemetry: &mut T, cycle: u64) {
-        for core in 0..self.open.len() {
-            if self.open[core] {
-                self.charge(stats, telemetry, core, cycle + 1);
-            }
-        }
-    }
-
     /// Charges `core`'s interval, if open, up to `at` and closes it with a
     /// `CgExit` at `at`.
     fn exit<S: TraceSink, T: Telemetry>(
@@ -350,7 +323,10 @@ impl Sleepers {
         at: u64,
     ) {
         if self.open[core] {
-            self.charge(stats, telemetry, core, at);
+            let (since, cause) = (self.asleep_since[core], self.cause[core]);
+            stats.cores[core].cg_cycles += at - since;
+            stats.cores[core].breakdown.add_n(cause, at - since);
+            telemetry.advance_n(since, core, at - since, cause);
             self.open[core] = false;
             sink.emit(at, TraceEvent::CgExit { core });
         }
@@ -436,7 +412,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
     if team == 0 {
         let mut stats = SimStats::new(config.num_cores, config.tcdm_banks, config.l2_banks);
         stats.team_size = 0;
-        telemetry.on_finish(0);
         return Ok(stats);
     }
 
@@ -634,10 +609,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             }
         }
 
-        // Telemetry opens the parallel region at `cycle + 1`, once every
-        // core has been charged for the fork cycle.
         if forked {
-            sleepers.flush(&mut stats, telemetry, cycle);
             telemetry.on_fork(cycle);
         }
         if barrier_release {
@@ -645,7 +617,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         }
         if eu.tick_release() {
             stats.barriers += 1;
-            sleepers.flush(&mut stats, telemetry, cycle);
             telemetry.on_barrier_release(cycle);
             sink.emit(cycle, TraceEvent::BarrierRelease);
             for core in 0..team {
@@ -704,7 +675,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             count: stats.icache.refills,
         },
     );
-    telemetry.on_finish(cycle);
     stats.check_consistency().map_err(SimError::Invariant)?;
     Ok(stats)
 }
@@ -844,41 +814,20 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     // Trace replay must happen before any state mutation so `bulk_class`
     // and `sleepers` still describe the span's first cycle.
     if !sink.is_null() {
-        let mut emitters = 0usize;
-        let mut pending_cg = 0usize;
-        for (core, open) in sleepers.open.iter().enumerate() {
-            let (_, sleeping) = bulk_class(modes, cause, team, core);
-            if sleeping && config.model_clock_gating {
-                if !open {
-                    pending_cg += 1;
-                }
-            } else {
-                emitters += 1;
-            }
-        }
-        if emitters == 1 && pending_cg == 0 {
-            // Single stalling core, everyone else already gated: the span's
-            // whole event stream is one repeated `Stall`.
-            for core in 0..config.num_cores {
+        // Gated sleepers emit only their `CgEnter` on the first span cycle;
+        // if nobody stalls, one pass suffices.
+        let stalls = (0..config.num_cores)
+            .any(|core| !(bulk_class(modes, cause, team, core).1 && config.model_clock_gating));
+        let cycles = if stalls { n } else { 1 };
+        for i in 0..cycles {
+            for (core, open) in sleepers.open.iter().enumerate() {
                 let (cause, sleeping) = bulk_class(modes, cause, team, core);
-                if !(sleeping && config.model_clock_gating) {
-                    sink.emit_n(cycle, n, TraceEvent::Stall { core, cause });
-                }
-            }
-        } else {
-            // Gated sleepers emit only their `CgEnter` on the first span
-            // cycle; if nobody emits per cycle, one pass suffices.
-            let cycles = if emitters > 0 { n } else { 1 };
-            for i in 0..cycles {
-                for (core, open) in sleepers.open.iter().enumerate() {
-                    let (cause, sleeping) = bulk_class(modes, cause, team, core);
-                    if sleeping && config.model_clock_gating {
-                        if i == 0 && !open {
-                            sink.emit(cycle, TraceEvent::CgEnter { core, cause });
-                        }
-                    } else {
-                        sink.emit(cycle + i, TraceEvent::Stall { core, cause });
+                if sleeping && config.model_clock_gating {
+                    if i == 0 && !open {
+                        sink.emit(cycle, TraceEvent::CgEnter { core, cause });
                     }
+                } else {
+                    sink.emit(cycle + i, TraceEvent::Stall { core, cause });
                 }
             }
         }

@@ -82,5 +82,5 @@ pub use program::{AddrExpr, Cursor, Program, SegOp, Step, ValidateProgramError};
 pub use stats::{
     BankStats, CoreStats, DmaStats, FastForwardStats, IcacheStats, SimStats, SimStatsSummary,
 };
-pub use telemetry::{NoTelemetry, RegionKind, RegionProfile, RegionProfiler, Telemetry};
+pub use telemetry::{CauseRun, CoreTimeline, NoTelemetry, RegionKind, RegionProfile, Telemetry};
 pub use trace::{render_line, NullSink, TextSink, TraceEvent, TraceSink, VecSink};

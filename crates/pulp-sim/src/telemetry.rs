@@ -7,11 +7,13 @@
 //! `simulate` monomorphises to exactly the uninstrumented loop: there is
 //! no second loop for the instrumented path to drift from.
 //!
-//! [`RegionProfiler`] is the bundled implementation: it segments a run
-//! into serial/parallel regions (fork → barrier-release spans) and
-//! accumulates a [`CycleBreakdown`] per segment, giving the per-parallel-
-//! region attribution the profiling CLI reports. The cost of the profiling
-//! run built on it (`pulp-bench`'s `profile_run`) is `bench sim`'s gated
+//! [`CoreTimeline`] is the bundled implementation: it compacts each
+//! core's attribution into maximal same-cause runs and records the region
+//! boundaries. [`CoreTimeline::regions`] derives the serial/parallel
+//! regions (fork → barrier-release spans) with a [`CycleBreakdown`] each
+//! from them, by cycle number, giving the per-parallel-region attribution
+//! the profiling CLI reports. The cost of the profiling run built on it
+//! (`pulp-bench`'s `profile_run`) is `bench sim`'s gated
 //! `telemetry_overhead_pct`.
 
 use crate::cause::{CycleBreakdown, CycleCause};
@@ -27,12 +29,10 @@ pub trait Telemetry {
     /// with `n == 1`; the event-horizon fast-forward reports an awake
     /// core's whole quiescent span in one call (nothing can change inside
     /// it). A clock-gated core's sleep interval arrives in one call when it
-    /// closes, split only where a region boundary falls inside it: open
-    /// intervals are flushed before every [`Telemetry::on_fork`] and
-    /// [`Telemetry::on_barrier_release`], so each cycle arrives in the
-    /// region it belongs to. Per core, spans arrive in time order; across
-    /// cores they do not, which per-core or order-insensitive accumulators
-    /// — every implementation in this workspace — do not notice.
+    /// closes, which may be after the region-boundary hooks of cycles it
+    /// covers, so an accumulator places a span by its cycle numbers, not by
+    /// when it arrives. Per core, spans arrive in time order; across cores
+    /// they do not.
     #[inline(always)]
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         let _ = (cycle, core, n, cause);
@@ -48,12 +48,6 @@ pub trait Telemetry {
     #[inline(always)]
     fn on_barrier_release(&mut self, cycle: u64) {
         let _ = cycle;
-    }
-
-    /// The run finished after `cycles` total cycles.
-    #[inline(always)]
-    fn on_finish(&mut self, cycles: u64) {
-        let _ = cycles;
     }
 }
 
@@ -82,7 +76,7 @@ pub struct RegionProfile {
     pub index: usize,
     /// First cycle of the region.
     pub start_cycle: u64,
-    /// One past the last cycle of the region (filled on close).
+    /// One past the last cycle of the region.
     pub end_cycle: u64,
     /// Cycle attribution summed over all cores for this span.
     pub breakdown: CycleBreakdown,
@@ -103,191 +97,285 @@ impl RegionProfile {
     }
 }
 
-/// Telemetry that attributes cycles to serial/parallel regions.
-///
-/// Segmentation model: a run starts in a serial region; each fork signal
-/// opens a parallel region, and the next barrier release closes it back to
-/// serial. Barrier releases inside serial spans (e.g. consecutive barriers
-/// without an intervening fork) are treated as region-neutral. This is a
-/// telemetry-level view — `SimStats` stays the per-run ground truth.
+/// A maximal run of consecutive cycles a core spent on one cause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CauseRun {
+    /// The attributed cause.
+    pub cause: CycleCause,
+    /// First cycle of the run.
+    pub start: u64,
+    /// One past the last cycle of the run.
+    pub end: u64,
+}
+
+impl CauseRun {
+    /// Run length in cycles.
+    pub fn cycles(&self) -> u64 {
+        self.end - self.start
+    }
+}
+
+/// Telemetry that compacts each core's per-cycle attribution into maximal
+/// same-cause runs (the lanes of the Chrome trace) and records the region
+/// boundaries; [`CoreTimeline::regions`] derives the serial/parallel
+/// regions from both.
 #[derive(Debug, Clone, Default)]
-pub struct RegionProfiler {
-    regions: Vec<RegionProfile>,
-    serial_count: usize,
-    parallel_count: usize,
-    /// Total per-cause attribution over the whole run (all cores).
-    pub totals: CycleBreakdown,
+pub struct CoreTimeline {
+    lanes: Vec<Vec<CauseRun>>,
+    boundaries: Vec<(u64, RegionKind)>,
 }
 
-impl RegionProfiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Self::default()
+impl CoreTimeline {
+    /// One lane per core, each a time-ordered list of cause runs.
+    pub fn lanes(&self) -> &[Vec<CauseRun>] {
+        &self.lanes
     }
 
-    /// Closed + open regions recorded so far, in time order.
-    pub fn regions(&self) -> &[RegionProfile] {
-        &self.regions
+    /// The fork (`Parallel`) and barrier-release (`Serial`) cycles in call
+    /// order, each tagged with the region kind it switches to.
+    pub fn boundaries(&self) -> &[(u64, RegionKind)] {
+        &self.boundaries
     }
 
-    fn open(&mut self, kind: RegionKind, cycle: u64) {
-        let index = match kind {
-            RegionKind::Serial => {
-                self.serial_count += 1;
-                self.serial_count - 1
+    /// The serial/parallel regions of a run of `cycles` cycles.
+    ///
+    /// Segmentation model: the run starts in a serial region; a fork at
+    /// cycle `c` opens a parallel region at `c + 1` (the fork cycle still
+    /// belongs to the region it closes), and the next barrier release at
+    /// `c` closes it back to serial at `c + 1`. Barrier releases inside
+    /// serial spans (e.g. consecutive barriers without an intervening
+    /// fork) are region-neutral, and an empty trailing region (a release on
+    /// the run's final cycle) is dropped. A region's breakdown is every
+    /// core's runs clipped to its cycles. This is a telemetry-level view —
+    /// `SimStats` stays the per-run ground truth.
+    pub fn regions(&self, cycles: u64) -> Vec<RegionProfile> {
+        let mut starts = vec![(0, RegionKind::Serial)];
+        for &(cycle, kind) in &self.boundaries {
+            // A fork always opens a region; a release only closes a
+            // parallel one.
+            let open = starts[starts.len() - 1].1;
+            if kind == RegionKind::Parallel || open == RegionKind::Parallel {
+                starts.push((cycle + 1, kind));
             }
-            RegionKind::Parallel => {
-                self.parallel_count += 1;
-                self.parallel_count - 1
-            }
-        };
-        self.regions.push(RegionProfile {
-            kind,
-            index,
-            start_cycle: cycle,
-            end_cycle: cycle,
-            breakdown: CycleBreakdown::default(),
-        });
-    }
-
-    fn close_current(&mut self, cycle: u64) {
-        if let Some(r) = self.regions.last_mut() {
-            r.end_cycle = cycle;
         }
-    }
-
-    fn current_kind(&self) -> Option<RegionKind> {
-        self.regions.last().map(|r| r.kind)
+        let ends = starts
+            .iter()
+            .skip(1)
+            .map(|&(start, _)| start)
+            .chain([cycles]);
+        let (mut serial, mut parallel) = (0, 0);
+        // Per lane, the first run not wholly inside the earlier regions.
+        let mut next = vec![0; self.lanes.len()];
+        let mut regions: Vec<RegionProfile> = starts
+            .iter()
+            .zip(ends)
+            .map(|(&(start, kind), end)| {
+                let count = match kind {
+                    RegionKind::Serial => &mut serial,
+                    RegionKind::Parallel => &mut parallel,
+                };
+                let index = *count;
+                *count += 1;
+                let mut breakdown = CycleBreakdown::default();
+                for (lane, i) in self.lanes.iter().zip(&mut next) {
+                    while let Some(run) = lane.get(*i).filter(|r| r.start < end) {
+                        breakdown.add_n(run.cause, run.end.min(end) - run.start.max(start));
+                        if run.end > end {
+                            break;
+                        }
+                        *i += 1;
+                    }
+                }
+                RegionProfile {
+                    kind,
+                    index,
+                    start_cycle: start,
+                    end_cycle: end,
+                    breakdown,
+                }
+            })
+            .collect();
+        if regions.last().is_some_and(|r| r.cycles() == 0) {
+            regions.pop();
+        }
+        regions
     }
 }
 
-impl Telemetry for RegionProfiler {
-    fn advance_n(&mut self, cycle: u64, _core: usize, n: u64, cause: CycleCause) {
-        // O(1) bulk attribution: a span never crosses a fork or release
-        // (those end the span), so it lands entirely in the current region.
+impl Telemetry for CoreTimeline {
+    // O(1) attribution, also for the simulator's fast-forward spans: a
+    // span either extends the core's current run or opens one new run.
+    fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         if n == 0 {
             return;
         }
-        if self.regions.is_empty() {
-            self.open(RegionKind::Serial, cycle);
+        if self.lanes.len() <= core {
+            self.lanes.resize(core + 1, Vec::new());
         }
-        self.totals.add_n(cause, n);
-        if let Some(r) = self.regions.last_mut() {
-            r.breakdown.add_n(cause, n);
-            r.end_cycle = r.end_cycle.max(cycle + n);
+        let lane = &mut self.lanes[core];
+        match lane.last_mut() {
+            Some(run) if run.cause == cause && run.end == cycle => run.end = cycle + n,
+            _ => lane.push(CauseRun {
+                cause,
+                start: cycle,
+                end: cycle + n,
+            }),
         }
     }
 
     fn on_fork(&mut self, cycle: u64) {
-        if self.regions.is_empty() {
-            self.open(RegionKind::Serial, cycle);
-        }
-        // The fork cycle itself still belongs to the serial span.
-        self.close_current(cycle + 1);
-        self.open(RegionKind::Parallel, cycle + 1);
+        self.boundaries.push((cycle, RegionKind::Parallel));
     }
 
     fn on_barrier_release(&mut self, cycle: u64) {
-        if self.current_kind() == Some(RegionKind::Parallel) {
-            self.close_current(cycle + 1);
-            self.open(RegionKind::Serial, cycle + 1);
-        }
-    }
-
-    fn on_finish(&mut self, cycles: u64) {
-        self.close_current(cycles);
-        // Drop an empty trailing region (e.g. a barrier release on the
-        // run's final cycle).
-        if let Some(last) = self.regions.last() {
-            if last.cycles() == 0 && last.breakdown.total() == 0 {
-                self.regions.pop();
-            }
-        }
+        self.boundaries.push((cycle, RegionKind::Serial));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CycleCause::{Barrier, Execute, ForkWait, Idle, Runtime};
+
+    fn labels(regions: &[RegionProfile]) -> Vec<String> {
+        regions.iter().map(RegionProfile::label).collect()
+    }
 
     #[test]
     fn no_telemetry_is_a_unit() {
         let mut t = NoTelemetry;
-        t.advance_n(0, 0, 1, CycleCause::Execute);
+        t.advance_n(0, 0, 1, Execute);
         t.on_fork(1);
         t.on_barrier_release(2);
-        t.on_finish(3);
     }
 
     #[test]
     fn profiler_segments_fork_join() {
-        let mut p = RegionProfiler::new();
-        // Serial prologue: 2 cycles of execute on core 0.
-        p.advance_n(0, 0, 1, CycleCause::Execute);
-        p.advance_n(1, 0, 1, CycleCause::Runtime);
-        p.on_fork(1);
+        let mut t = CoreTimeline::default();
+        // Serial prologue: 2 cycles on core 0.
+        t.advance_n(0, 0, 1, Execute);
+        t.advance_n(1, 0, 1, Runtime);
+        t.on_fork(1);
         // Parallel body.
-        p.advance_n(2, 0, 1, CycleCause::Execute);
-        p.advance_n(2, 1, 1, CycleCause::Execute);
-        p.advance_n(3, 0, 1, CycleCause::Barrier);
-        p.advance_n(3, 1, 1, CycleCause::Execute);
-        p.on_barrier_release(3);
+        t.advance_n(2, 0, 1, Execute);
+        t.advance_n(2, 1, 1, Execute);
+        t.advance_n(3, 0, 1, Barrier);
+        t.advance_n(3, 1, 1, Execute);
+        t.on_barrier_release(3);
         // Serial epilogue.
-        p.advance_n(4, 0, 1, CycleCause::Execute);
-        p.on_finish(5);
+        t.advance_n(4, 0, 1, Execute);
 
-        let regions = p.regions();
-        assert_eq!(regions.len(), 3);
+        let regions = t.regions(5);
+        assert_eq!(labels(&regions), ["serial#0", "parallel#0", "serial#1"]);
         assert_eq!(regions[0].kind, RegionKind::Serial);
-        assert_eq!(regions[0].label(), "serial#0");
         assert_eq!(regions[0].breakdown.total(), 2);
         assert_eq!(regions[1].kind, RegionKind::Parallel);
+        assert_eq!((regions[1].start_cycle, regions[1].end_cycle), (2, 4));
         assert_eq!(regions[1].breakdown.execute, 3);
         assert_eq!(regions[1].breakdown.barrier, 1);
         assert_eq!(regions[2].kind, RegionKind::Serial);
-        assert_eq!(regions[2].label(), "serial#1");
-        assert_eq!(p.totals.total(), 7);
+        let cells: u64 = regions.iter().map(|r| r.breakdown.total()).sum();
+        assert_eq!(cells, 7);
     }
 
     #[test]
     fn advance_n_matches_repeated_single_steps() {
-        let mut bulk = RegionProfiler::new();
-        let mut single = RegionProfiler::new();
+        let mut bulk = CoreTimeline::default();
+        let mut single = CoreTimeline::default();
         // Serial prologue, fork, a long quiet parallel span, join.
-        for p in [&mut bulk, &mut single] {
-            p.advance_n(0, 0, 1, CycleCause::Execute);
-            p.on_fork(0);
+        for t in [&mut bulk, &mut single] {
+            t.on_fork(2);
+            t.on_barrier_release(42);
         }
-        bulk.advance_n(1, 0, 40, CycleCause::Barrier);
-        bulk.advance_n(1, 1, 40, CycleCause::ForkWait);
-        for c in 1..41 {
-            single.advance_n(c, 0, 1, CycleCause::Barrier);
-            single.advance_n(c, 1, 1, CycleCause::ForkWait);
+        let spans = [
+            (0u64, 0usize, 3u64, Execute),
+            (3, 0, 40, Barrier),
+            (0, 1, 3, Idle),
+            (3, 1, 40, ForkWait),
+            (43, 0, 2, Barrier),
+        ];
+        for (cycle, core, n, cause) in spans {
+            bulk.advance_n(cycle, core, n, cause);
+            for i in 0..n {
+                single.advance_n(cycle + i, core, 1, cause);
+            }
         }
-        for p in [&mut bulk, &mut single] {
-            p.on_barrier_release(40);
-            p.on_finish(41);
-        }
-        assert_eq!(bulk.totals, single.totals);
-        assert_eq!(bulk.regions(), single.regions());
+        assert_eq!(bulk.lanes(), single.lanes());
+        assert_eq!(bulk.lanes()[0].len(), 2, "same-cause spans merge");
+        assert_eq!(bulk.regions(45), single.regions(45));
     }
 
     #[test]
     fn advance_n_zero_is_a_noop() {
-        let mut p = RegionProfiler::new();
-        p.advance_n(5, 0, 0, CycleCause::Barrier);
-        assert!(p.regions().is_empty());
-        assert_eq!(p.totals.total(), 0);
+        let mut t = CoreTimeline::default();
+        t.advance_n(5, 0, 0, Barrier);
+        assert!(t.lanes().is_empty());
+        assert!(t.regions(0).is_empty());
     }
 
     #[test]
     fn spurious_release_in_serial_is_neutral() {
-        let mut p = RegionProfiler::new();
-        p.advance_n(0, 0, 1, CycleCause::Execute);
-        p.on_barrier_release(0);
-        p.advance_n(1, 0, 1, CycleCause::Execute);
-        p.on_finish(2);
-        assert_eq!(p.regions().len(), 1);
-        assert_eq!(p.regions()[0].breakdown.execute, 2);
+        let mut with = CoreTimeline::default();
+        let mut without = CoreTimeline::default();
+        for t in [&mut with, &mut without] {
+            t.advance_n(0, 0, 8, Execute);
+            t.on_fork(1);
+            t.on_barrier_release(3);
+        }
+        with.on_barrier_release(5);
+        let regions = with.regions(8);
+        assert_eq!(regions, without.regions(8));
+        assert_eq!(labels(&regions), ["serial#0", "parallel#0", "serial#1"]);
+        assert_eq!(regions[2].breakdown.execute, 4);
+    }
+
+    #[test]
+    fn release_on_the_final_cycle_leaves_no_empty_region() {
+        let mut t = CoreTimeline::default();
+        t.advance_n(0, 0, 4, Execute);
+        t.on_fork(0);
+        t.on_barrier_release(3);
+        let regions = t.regions(4);
+        assert_eq!(labels(&regions), ["serial#0", "parallel#0"]);
+        assert_eq!(regions[1].end_cycle, 4);
+    }
+
+    #[test]
+    fn a_run_without_a_fork_is_one_serial_region() {
+        let mut t = CoreTimeline::default();
+        t.advance_n(0, 0, 6, Execute);
+        t.advance_n(0, 1, 6, Idle);
+        let mut breakdown = CycleBreakdown::default();
+        breakdown.add_n(Execute, 6);
+        breakdown.add_n(Idle, 6);
+        let serial = RegionProfile {
+            kind: RegionKind::Serial,
+            index: 0,
+            start_cycle: 0,
+            end_cycle: 6,
+            breakdown,
+        };
+        assert_eq!(t.regions(6), [serial]);
+    }
+
+    #[test]
+    fn a_span_reported_after_the_fork_lands_by_its_cycles() {
+        // Core 1 sleeps through the fork and the release; its interval
+        // arrives in one call after both hooks and is split by cycle.
+        let mut t = CoreTimeline::default();
+        t.advance_n(0, 0, 2, Runtime);
+        t.on_fork(1);
+        t.advance_n(2, 0, 2, Execute);
+        t.on_barrier_release(3);
+        t.advance_n(0, 1, 4, ForkWait);
+        let regions = t.regions(4);
+        assert_eq!(labels(&regions), ["serial#0", "parallel#0"]);
+        assert_eq!(regions[0].breakdown.runtime, 2);
+        assert_eq!(regions[0].breakdown.fork_wait, 2);
+        assert_eq!(regions[1].breakdown.execute, 2);
+        assert_eq!(regions[1].breakdown.fork_wait, 2);
+        for r in &regions {
+            assert_eq!(r.breakdown.total(), r.cycles() * 2, "{}", r.label());
+        }
     }
 }

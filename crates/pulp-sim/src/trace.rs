@@ -93,25 +93,10 @@ pub enum TraceEvent {
 /// Receiver of trace events.
 ///
 /// The simulator is generic over the sink so the fast path ([`NullSink`])
-/// compiles to nothing. Pass `&mut` sinks where needed — the trait is
-/// implemented for mutable references.
+/// compiles to nothing.
 pub trait TraceSink {
     /// Called once per event with the cycle it occurred in.
     fn emit(&mut self, cycle: u64, event: TraceEvent);
-
-    /// Emits `event` once per cycle for `n` consecutive cycles starting at
-    /// `cycle`.
-    ///
-    /// Delta-aware entry point for the simulator's fast-forward: a core
-    /// that actively waits through a whole bulk span produces `n` identical
-    /// `Stall` lines, and this method delivers them without re-entering the
-    /// per-cycle loop. The default implementation replays `emit` per cycle,
-    /// so the observable stream is identical to single-step emission.
-    fn emit_n(&mut self, cycle: u64, n: u64, event: TraceEvent) {
-        for i in 0..n {
-            self.emit(cycle + i, event);
-        }
-    }
 
     /// Returns `true` when the sink discards everything ([`NullSink`]).
     ///
@@ -132,28 +117,8 @@ impl TraceSink for NullSink {
     fn emit(&mut self, _cycle: u64, _event: TraceEvent) {}
 
     #[inline(always)]
-    fn emit_n(&mut self, _cycle: u64, _n: u64, _event: TraceEvent) {}
-
-    #[inline(always)]
     fn is_null(&self) -> bool {
         true
-    }
-}
-
-impl<S: TraceSink + ?Sized> TraceSink for &mut S {
-    #[inline(always)]
-    fn emit(&mut self, cycle: u64, event: TraceEvent) {
-        (**self).emit(cycle, event);
-    }
-
-    #[inline(always)]
-    fn emit_n(&mut self, cycle: u64, n: u64, event: TraceEvent) {
-        (**self).emit_n(cycle, n, event);
-    }
-
-    #[inline(always)]
-    fn is_null(&self) -> bool {
-        (**self).is_null()
     }
 }
 
@@ -370,23 +335,8 @@ mod tests {
     }
 
     #[test]
-    fn emit_n_replays_one_event_per_cycle() {
-        let mut sink = VecSink::new();
-        let stall = TraceEvent::Stall {
-            core: 3,
-            cause: CycleCause::Barrier,
-        };
-        sink.emit_n(10, 4, stall);
-        assert_eq!(
-            sink.events,
-            vec![(10, stall), (11, stall), (12, stall), (13, stall)]
-        );
-    }
-
-    #[test]
     fn null_sink_reports_itself() {
         assert!(NullSink.is_null());
-        assert!((&mut NullSink as &mut NullSink).is_null());
         assert!(!VecSink::new().is_null());
         assert!(!TextSink::new().is_null());
     }

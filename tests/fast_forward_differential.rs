@@ -9,11 +9,12 @@
 //! gating on and in the clock-gating ablation, and must produce
 //! bit-identical architectural statistics (including the per-core
 //! 10-cause cycle histograms), an identical trace-event stream and
-//! identical `RegionProfiler` serial/parallel regions.
+//! identical serial/parallel regions derived by `CoreTimeline::regions`,
+//! which tile the run.
 
 use proptest::prelude::*;
 use pulp_sim::{
-    simulate_opts, AddrExpr, ClusterConfig, FpOp, OpKind, Program, RegionProfile, RegionProfiler,
+    simulate_opts, AddrExpr, ClusterConfig, CoreTimeline, FpOp, OpKind, Program, RegionProfile,
     SegOp, SimOptions, SimScratch, SimStats, TraceEvent, VecSink, TCDM_BASE,
 };
 
@@ -136,10 +137,11 @@ fn run(
     scratch: &mut SimScratch,
 ) -> (SimStats, Vec<(u64, TraceEvent)>, Vec<RegionProfile>) {
     let mut sink = VecSink::new();
-    let mut profiler = RegionProfiler::new();
-    let stats = simulate_opts(config, program, opts, &mut sink, &mut profiler, scratch)
+    let mut timeline = CoreTimeline::default();
+    let stats = simulate_opts(config, program, opts, &mut sink, &mut timeline, scratch)
         .expect("episode programs always terminate");
-    (stats, sink.events, profiler.regions().to_vec())
+    let regions = timeline.regions(stats.cycles);
+    (stats, sink.events, regions)
 }
 
 proptest! {
@@ -149,7 +151,7 @@ proptest! {
     /// episode programs at every team size, with clock gating and in the
     /// clock-gating ablation (`repro ablation_platform`'s platform): same
     /// statistics, same 10-cause cycle histograms, same trace-event stream,
-    /// same serial/parallel regions.
+    /// same serial/parallel regions, which tile `[0, cycles)` × the cores.
     #[test]
     fn fast_forward_matches_oracle_on_random_programs(
         episodes in prop::collection::vec(arb_episode(), 1..6),
@@ -177,6 +179,22 @@ proptest! {
             }
             // The trace streams are identical event for event.
             prop_assert_eq!(ff_events, oracle_events, "gating {}", gating);
+            // The regions tile the run: no gaps, and each region's cells
+            // are its cycles times the cluster's cores.
+            let mut covered = 0;
+            for r in &ff_regions {
+                prop_assert_eq!(
+                    r.start_cycle, covered,
+                    "gating {}: gap before {}", gating, r.label()
+                );
+                prop_assert_eq!(
+                    r.breakdown.total(),
+                    r.cycles() * config.num_cores as u64,
+                    "gating {}: {} cells do not tile it", gating, r.label()
+                );
+                covered = r.end_cycle;
+            }
+            prop_assert_eq!(covered, ff.cycles, "gating {}", gating);
             // Every cycle lands in the same serial/parallel region.
             prop_assert_eq!(ff_regions, oracle_regions, "gating {}", gating);
             // Architectural state is bit-identical modulo the ff diagnostics.

@@ -15,7 +15,7 @@ use kernel_ir::lower;
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy_model::replay_oracle;
 use pulp_obs::{chrome_trace, validate_chrome_trace, Recorder};
-use pulp_sim::{simulate_opts, ClusterConfig, NullSink, RegionProfiler, SimOptions, SimScratch};
+use pulp_sim::{simulate_opts, ClusterConfig, CoreTimeline, NullSink, SimOptions, SimScratch};
 use serde::Value;
 
 fn lowered_program(team: usize, config: &ClusterConfig) -> pulp_sim::Program {
@@ -35,13 +35,13 @@ fn every_cycle_has_exactly_one_cause_at_every_team_size() {
     let config = ClusterConfig::default();
     for team in 1..=8 {
         let program = lowered_program(team, &config);
-        let mut profiler = RegionProfiler::new();
+        let mut timeline = CoreTimeline::default();
         let stats = simulate_opts(
             &config,
             &program,
             &SimOptions::default().with_max_cycles(10_000_000),
             &mut NullSink,
-            &mut profiler,
+            &mut timeline,
             &mut SimScratch::new(),
         )
         .expect("simulate");
@@ -59,9 +59,11 @@ fn every_cycle_has_exactly_one_cause_at_every_team_size() {
             "team {team}: cluster-wide attribution must be cycles x cores"
         );
         // The region segmentation is a partition of the same cells.
-        let region_cells: u64 = profiler.regions().iter().map(|r| r.breakdown.total()).sum();
+        let regions = timeline.regions(stats.cycles);
+        let region_cells: u64 = regions.iter().map(|r| r.breakdown.total()).sum();
         assert_eq!(region_cells, stats.cycles * stats.cores.len() as u64);
-        assert_eq!(profiler.totals.total(), region_cells);
+        let lane_cells: u64 = timeline.lanes().iter().flatten().map(|r| r.cycles()).sum();
+        assert_eq!(lane_cells, region_cells);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Region-attribution pins: the exact serial/parallel segmentation that
-//! [`RegionProfiler`] reports for fir, gemm and atax (F32, 512 B) at
-//! teams 1..=8, with the fast-forward on and off.
+//! [`CoreTimeline::regions`] derives for fir, gemm and atax (F32, 512 B)
+//! at teams 1..=8, with the fast-forward on and off.
 //!
 //! The other telemetry tests check only sums (every cell attributed once,
 //! regions partitioning the run). A simulator change that moves cycles
@@ -17,7 +17,7 @@
 use kernel_ir::{lower, DType};
 use pulp_kernels::{registry, KernelParams};
 use pulp_sim::{
-    simulate_opts, ClusterConfig, NullSink, RegionProfile, RegionProfiler, SimOptions, SimScratch,
+    simulate_opts, ClusterConfig, CoreTimeline, NullSink, RegionProfile, SimOptions, SimScratch,
 };
 use std::fmt::Write;
 
@@ -46,18 +46,23 @@ fn pinned_regions(fast_forward: bool) -> Vec<(String, RegionProfile)> {
                 fast_forward,
                 ..SimOptions::default().with_max_cycles(10_000_000)
             };
-            let mut profiler = RegionProfiler::new();
-            simulate_opts(
+            let mut timeline = CoreTimeline::default();
+            let stats = simulate_opts(
                 &config,
                 &program,
                 &opts,
                 &mut NullSink,
-                &mut profiler,
+                &mut timeline,
                 &mut scratch,
             )
             .expect("simulates");
             let run = format!("{name} t{team}");
-            out.extend(profiler.regions().iter().map(|r| (run.clone(), r.clone())));
+            out.extend(
+                timeline
+                    .regions(stats.cycles)
+                    .into_iter()
+                    .map(|r| (run.clone(), r)),
+            );
         }
     }
     out
