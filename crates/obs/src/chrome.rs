@@ -298,7 +298,7 @@ mod tests {
             r.end(root);
             r.spans().to_vec()
         };
-        let flight = FlightRecorder::with_stripes(4, 1);
+        let flight = FlightRecorder::new(4);
         flight.record(RequestTrace::new(7, "/predict", 200, request(0)));
         flight.record(RequestTrace::new(8, "/predict/batch", 400, request(10)));
         assert_eq!(

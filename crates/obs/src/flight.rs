@@ -3,8 +3,8 @@
 //! The serving tier gives every admitted request a trace id from a
 //! [`TraceIdGen`] and records its stages as a span tree in a
 //! [`crate::Recorder`]. On completion the tree is frozen into a
-//! [`RequestTrace`] and pushed into the [`FlightRecorder`], a lock-striped
-//! ring that keeps the last N completed traces with O(1) eviction, plus a
+//! [`RequestTrace`] and pushed into the [`FlightRecorder`], one ring that
+//! keeps exactly the last N completed traces with O(1) eviction, plus a
 //! small "worst K since start" table for post-hoc tail forensics. Retained
 //! traces render deterministically as Chrome trace-event JSON (one thread
 //! lane per trace, see [`crate::chrome`]) accepted by
@@ -14,7 +14,7 @@ use crate::recorder::SpanRecord;
 use serde::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Monotonic trace-id source: an atomic counter starting at a seed.
 ///
@@ -95,48 +95,48 @@ impl RequestTrace {
 /// How many "worst since start" traces the recorder keeps.
 const SLOW_TABLE_CAP: usize = 64;
 
-/// Bounded lock-striped ring of the last N completed [`RequestTrace`]s.
+/// Bounded ring of the last N completed [`RequestTrace`]s.
 ///
-/// Traces are sharded over stripes by trace id; each stripe is a
-/// [`VecDeque`] with a fixed cap, so insertion evicts the stripe's oldest
-/// trace in O(1) and contention is spread across stripes. A global atomic
-/// sequence totals completions and lets [`FlightRecorder::recent`] merge
-/// stripes back into completion order. A separate bounded table keeps the
-/// worst `SLOW_TABLE_CAP` traces by total duration since start.
+/// One [`VecDeque`] with a fixed cap holds the retained traces in
+/// completion order, so insertion evicts the oldest trace in O(1) and
+/// retention is exactly the newest `capacity`. A separate bounded table
+/// keeps the worst `SLOW_TABLE_CAP` traces by total duration since start.
+/// Ring, completion count and table share one lock: the serving tier
+/// records from its event-loop thread only, so there is no contention to
+/// spread.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<VecDeque<Arc<RequestTrace>>>>,
-    stripe_cap: usize,
-    seq: AtomicU64,
-    slow: Mutex<Vec<Arc<RequestTrace>>>,
+    capacity: usize,
+    inner: Mutex<Flight>,
+}
+
+/// The state behind the [`FlightRecorder`]'s lock.
+#[derive(Debug, Default)]
+struct Flight {
+    ring: VecDeque<Arc<RequestTrace>>,
+    /// Completions recorded since start (the last assigned sequence).
+    seq: u64,
+    /// Sorted descending by duration, ties in completion order.
+    slow: Vec<Arc<RequestTrace>>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining roughly `capacity` traces over 8 stripes (the
-    /// per-stripe cap rounds up, so total retention is at least
-    /// `capacity`). `capacity` is clamped to at least 1.
+    /// A recorder retaining the newest `capacity` traces. `capacity` is
+    /// clamped to at least 1.
     pub fn new(capacity: usize) -> Self {
-        Self::with_stripes(capacity, 8)
-    }
-
-    /// A recorder with an explicit stripe count. With one stripe eviction
-    /// order is exactly completion order (used by the eviction tests); more
-    /// stripes trade exactness of the oldest-evicted guarantee for less
-    /// lock contention.
-    pub fn with_stripes(capacity: usize, stripes: usize) -> Self {
-        let stripes = stripes.max(1);
-        let stripe_cap = capacity.max(1).div_ceil(stripes);
         Self {
-            stripes: (0..stripes).map(|_| Mutex::new(VecDeque::new())).collect(),
-            stripe_cap,
-            seq: AtomicU64::new(0),
-            slow: Mutex::new(Vec::new()),
+            capacity: capacity.max(1),
+            inner: Mutex::new(Flight::default()),
         }
     }
 
-    /// Total retention across stripes (per-stripe cap × stripes).
+    fn lock(&self) -> MutexGuard<'_, Flight> {
+        self.inner.lock().expect("flight recorder poisoned")
+    }
+
+    /// Maximum traces the ring retains.
     pub fn capacity(&self) -> usize {
-        self.stripe_cap * self.stripes.len()
+        self.capacity
     }
 
     /// Maximum traces the slow table retains (`SLOW_TABLE_CAP`) — the
@@ -147,10 +147,7 @@ impl FlightRecorder {
 
     /// Number of traces currently retained.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("flight stripe poisoned").len())
-            .sum()
+        self.lock().ring.len()
     }
 
     /// True when no trace has been retained yet.
@@ -160,60 +157,43 @@ impl FlightRecorder {
 
     /// Completions recorded since start (including evicted traces).
     pub fn completed(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.lock().seq
     }
 
-    /// Records a completed trace, evicting the owning stripe's oldest trace
-    /// if the stripe is full. Returns the trace's completion sequence.
+    /// Records a completed trace, evicting the oldest retained trace if the
+    /// ring is full. Returns the trace's completion sequence.
     pub fn record(&self, mut trace: RequestTrace) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let total = trace.total_ticks();
+        let mut flight = self.lock();
+        flight.seq += 1;
+        let seq = flight.seq;
         trace.seq = seq;
         let trace = Arc::new(trace);
-        let stripe = (trace.trace_id % self.stripes.len() as u64) as usize;
-        {
-            let mut q = self.stripes[stripe].lock().expect("flight stripe poisoned");
-            if q.len() >= self.stripe_cap {
-                q.pop_front();
-            }
-            q.push_back(Arc::clone(&trace));
+        if flight.ring.len() >= self.capacity {
+            flight.ring.pop_front();
         }
-        let total = trace.total_ticks();
-        let mut slow = self.slow.lock().expect("flight slow table poisoned");
-        // Sorted descending by duration (ties keep completion order); the
-        // table is tiny, so a sorted insert beats re-sorting on read.
-        let pos = slow.partition_point(|t| t.total_ticks() >= total);
+        flight.ring.push_back(Arc::clone(&trace));
+        // The table is tiny, so a sorted insert beats re-sorting on read.
+        let pos = flight.slow.partition_point(|t| t.total_ticks() >= total);
         if pos < SLOW_TABLE_CAP {
-            slow.insert(pos, trace);
-            slow.truncate(SLOW_TABLE_CAP);
+            flight.slow.insert(pos, trace);
+            flight.slow.truncate(SLOW_TABLE_CAP);
         }
         seq
     }
 
     /// The most recent `n` retained traces in completion order (oldest
-    /// first). Merges all stripes, so this is the read-side (slow) path.
+    /// first).
     pub fn recent(&self, n: usize) -> Vec<Arc<RequestTrace>> {
-        let mut all: Vec<Arc<RequestTrace>> = Vec::new();
-        for stripe in &self.stripes {
-            all.extend(
-                stripe
-                    .lock()
-                    .expect("flight stripe poisoned")
-                    .iter()
-                    .cloned(),
-            );
-        }
-        all.sort_by_key(|t| t.seq);
-        if all.len() > n {
-            all.drain(..all.len() - n);
-        }
-        all
+        let flight = self.lock();
+        let skip = flight.ring.len().saturating_sub(n);
+        flight.ring.iter().skip(skip).cloned().collect()
     }
 
     /// The worst `k` traces by total duration since start (not limited to
     /// the ring's retention window), slowest first.
     pub fn slowest(&self, k: usize) -> Vec<Arc<RequestTrace>> {
-        let slow = self.slow.lock().expect("flight slow table poisoned");
-        slow.iter().take(k).cloned().collect()
+        self.lock().slow.iter().take(k).cloned().collect()
     }
 
     /// The most recent `n` traces as a Chrome trace-event JSON string, one
@@ -280,7 +260,7 @@ mod tests {
 
     #[test]
     fn single_stripe_evicts_oldest_in_completion_order() {
-        let fr = FlightRecorder::with_stripes(3, 1);
+        let fr = FlightRecorder::new(3);
         for id in 0..5u64 {
             fr.record(trace_of(id, 10 + id));
         }
@@ -293,19 +273,23 @@ mod tests {
         assert_eq!(seqs, vec![3, 4, 5]);
     }
 
+    /// Completion order, not trace-id order, decides what `recent` returns
+    /// and what the ring evicts.
     #[test]
     fn striped_recent_merges_in_completion_order() {
-        let fr = FlightRecorder::new(16);
+        let fr = FlightRecorder::new(3);
         for id in [5u64, 2, 9, 4, 0, 7] {
             fr.record(trace_of(id, 100));
         }
-        let ids: Vec<u64> = fr.recent(4).iter().map(|t| t.trace_id).collect();
-        assert_eq!(ids, vec![9, 4, 0, 7]);
+        let ids: Vec<u64> = fr.recent(10).iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, vec![4, 0, 7]);
+        let ids: Vec<u64> = fr.recent(2).iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, vec![0, 7]);
     }
 
     #[test]
     fn slowest_survives_ring_eviction() {
-        let fr = FlightRecorder::with_stripes(2, 1);
+        let fr = FlightRecorder::new(2);
         fr.record(trace_of(1, 500)); // slowest, will be evicted from the ring
         for id in 2..6u64 {
             fr.record(trace_of(id, 10));

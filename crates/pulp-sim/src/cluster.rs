@@ -129,16 +129,15 @@ pub struct SimOptions {
     pub fast_forward: bool,
     /// Adaptive horizon checks (on by default): the scan that computes the
     /// event horizon is skipped entirely while any core ended the previous
-    /// iteration `Ready` on immediately runnable work — such a core pins
-    /// the horizon to 1, so the scan provably cannot skip. The scan re-arms
-    /// only on state transitions that could open a quiescent span: a core
-    /// entering a countdown (`Busy`/`Forking`), going to sleep (barrier or
-    /// fork wait), finishing, or parking on `DmaWait`. The set of scans
-    /// that *skip* is identical to the always-scan strategy, so spans,
-    /// skipped cycles and all architectural results are bit-identical; only
-    /// `horizon_computations` shrinks (ALU-bound programs drop from one
-    /// scan per cycle to ~one per run). Disable to scan every iteration —
-    /// the re-arm coverage property tests use that as their reference.
+    /// stepped cycle `Ready` on a step other than `DmaWait` — such a core
+    /// can issue, which pins the horizon to 1, so the scan provably cannot
+    /// skip. The loop reads this one predicate from the core state each
+    /// stepped cycle leaves. The set of scans that *skip* is identical to
+    /// the always-scan strategy, so spans, skipped cycles and all
+    /// architectural results are bit-identical; only `horizon_computations`
+    /// shrinks (ALU-bound programs drop from one scan per cycle to ~one per
+    /// run). Disable to scan every iteration — the re-arm coverage property
+    /// tests use that as their reference.
     pub adaptive_scan: bool,
     /// Measures the wall-time split between the horizon scan and stepped
     /// execution (`horizon_scan_nanos`/`step_nanos` in
@@ -453,11 +452,11 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
     // Cores in `Mode::Finished`; they never leave it, so an O(1) counter
     // replaces the per-iteration all-finished scan.
     let mut finished = 0usize;
-    // The adaptive-scan arm flag: `true` while no core is provably `Ready`
-    // on immediately runnable work, i.e. while a horizon scan *could* find
-    // a skippable span. Each stepped iteration recomputes it from the
-    // transitions it performs (see `SimOptions::adaptive_scan`); a bulk
-    // advance always leaves the woken state worth scanning again.
+    // The adaptive-scan arm flag: `true` while no core is `Ready` on work it
+    // can issue, i.e. while a horizon scan *could* find a skippable span.
+    // Each stepped iteration recomputes it from the state it leaves (see
+    // `SimOptions::adaptive_scan`); a bulk advance always leaves the woken
+    // state worth scanning again.
     let mut scan_armed = true;
     // Sampled-timing state (see `SimOptions::horizon_timing`): raw nanos and
     // how many of the events were clocked, scaled to the full event counts
@@ -511,12 +510,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             .then(std::time::Instant::now);
         step_events += 1;
 
-        let mut barrier_release = false;
-        let mut forked = false;
         let mut any_active = false;
-        // Cores ending this iteration `Ready` on a step that can issue next
-        // cycle; zero re-arms the horizon scan.
-        let mut ready_next = 0usize;
 
         for core in 0..team {
             match modes[core] {
@@ -535,7 +529,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     );
                     any_active = true;
                     modes[core] = Mode::Ready;
-                    ready_next += usize::from(!cursors[core].next_is_dma_wait());
                 }
                 Mode::Finished | Mode::SleepBarrier | Mode::SleepFork => {
                     sleepers.sleep(
@@ -555,12 +548,11 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     if l == 0 {
                         if modes[core] == Mode::Forking {
                             eu.signal_fork();
-                            forked = true;
+                            telemetry.on_fork(cycle);
                             sink.emit(cycle, TraceEvent::Fork);
                             cursors[core].advance();
                         }
                         modes[core] = Mode::Ready;
-                        ready_next += usize::from(!cursors[core].next_is_dma_wait());
                     }
                 }
                 Mode::Ready => {
@@ -572,7 +564,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         continue;
                     }
                     any_active = true;
-                    let ready = step_core(
+                    step_core(
                         config,
                         fork_cycles,
                         &mut stats,
@@ -588,15 +580,12 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         &mut arbiter,
                         &mut l2_port,
                         &mut fpus,
-                        &mut barrier_release,
-                        &mut forked,
                         sink,
                         telemetry,
                         cycle,
                         core,
                         step,
                     )?;
-                    ready_next += usize::from(ready);
                 }
             }
         }
@@ -609,12 +598,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             }
         }
 
-        if forked {
-            telemetry.on_fork(cycle);
-        }
-        if barrier_release {
-            eu.schedule_release(config.barrier_latency);
-        }
         if eu.tick_release() {
             stats.barriers += 1;
             telemetry.on_barrier_release(cycle);
@@ -624,7 +607,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     sleepers.exit(&mut stats, sink, telemetry, core, cycle + 1);
                     cursors[core].advance();
                     modes[core] = Mode::Ready;
-                    ready_next += usize::from(!cursors[core].next_is_dma_wait());
                 }
             }
             eu.release_barrier();
@@ -633,7 +615,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         if any_active || !config.model_clock_gating {
             stats.cluster_active_cycles += 1;
         }
-        scan_armed = ready_next == 0;
+        scan_armed = !(0..team).any(|c| modes[c] == Mode::Ready && !cursors[c].next_is_dma_wait());
         if let Some(t0) = step_t0 {
             step_nanos_raw += t0.elapsed().as_nanos() as u64;
             step_timed += 1;
@@ -886,12 +868,7 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     stats.fast_forward.skipped_cycles += n;
 }
 
-/// Executes one `Ready`-mode step for `core` and returns whether the core
-/// ends the cycle `Ready` on immediately runnable work (the contribution to
-/// the adaptive scan's re-arm count): `true` for any outcome that leaves the
-/// core able to issue next cycle — retire with latency 1, a contention
-/// retry, an immediate fork — and `false` when it enters a countdown, goes
-/// to sleep, or rests on a `DmaWait`.
+/// Executes one `Ready`-mode step for `core`.
 #[allow(clippy::too_many_arguments)]
 fn step_core<S: TraceSink, T: Telemetry>(
     config: &ClusterConfig,
@@ -909,72 +886,66 @@ fn step_core<S: TraceSink, T: Telemetry>(
     arbiter: &mut TcdmArbiter,
     l2_port: &mut TcdmArbiter,
     fpus: &mut FpuPool,
-    barrier_release: &mut bool,
-    forked: &mut bool,
     sink: &mut S,
     telemetry: &mut T,
     cycle: u64,
     core: usize,
     step: Step,
-) -> Result<bool, SimError> {
+) -> Result<(), SimError> {
     match step {
         // Completion is detected by the main loop before dispatching here.
         Step::Done => unreachable!("step_core called on a finished cursor"),
-        Step::Op(op) => {
-            return exec_op(
-                config, stats, cursors, modes, left, cause, fpu_of, arbiter, l2_port, fpus, sink,
-                telemetry, cycle, core, op,
-            );
-        }
+        Step::Op(op) => exec_op(
+            config, stats, cursors, modes, left, cause, fpu_of, arbiter, l2_port, fpus, sink,
+            telemetry, cycle, core, op,
+        )?,
         Step::Barrier => {
             sink.emit(cycle, TraceEvent::BarrierArrive { core });
             stall(stats, sink, telemetry, cycle, core, CycleCause::Barrier);
             modes[core] = Mode::SleepBarrier;
             if eu.arrive(core) {
-                *barrier_release = true;
+                eu.schedule_release(config.barrier_latency);
             }
         }
         Step::Fork => {
             stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             if fork_cycles <= 1 {
                 eu.signal_fork();
-                *forked = true;
+                telemetry.on_fork(cycle);
                 sink.emit(cycle, TraceEvent::Fork);
                 cursors[core].advance();
-                return Ok(!cursors[core].next_is_dma_wait());
+            } else {
+                modes[core] = Mode::Forking;
+                left[core] = fork_cycles - 1;
+                cause[core] = CycleCause::Runtime;
             }
-            modes[core] = Mode::Forking;
-            left[core] = fork_cycles - 1;
-            cause[core] = CycleCause::Runtime;
         }
         Step::WaitFork => {
             if eu.fork_ready(forks_seen[core]) {
                 forks_seen[core] += 1;
                 cursors[core].advance();
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
-                return Ok(!cursors[core].next_is_dma_wait());
+            } else {
+                modes[core] = Mode::SleepFork;
+                // This cycle already counts as sleeping.
+                sleepers.sleep(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
             }
-            modes[core] = Mode::SleepFork;
-            // This cycle already counts as sleeping.
-            sleepers.sleep(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
         }
         Step::CriticalBegin => {
             if eu.try_lock(core) {
                 retire(stats, sink, telemetry, cycle, core, OpKind::Alu, None);
                 stats.cores[core].alu_ops += 1;
                 cursors[core].advance();
-                return Ok(!cursors[core].next_is_dma_wait());
+            } else {
+                // Lock spin: retries next cycle.
+                stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             }
-            // Lock spin: retries next cycle.
-            stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
-            return Ok(true);
         }
         Step::CriticalEnd => {
             eu.unlock(core);
             retire(stats, sink, telemetry, cycle, core, OpKind::Alu, None);
             stats.cores[core].alu_ops += 1;
             cursors[core].advance();
-            return Ok(!cursors[core].next_is_dma_wait());
         }
         Step::Dma { words, inbound } => {
             // Blocking transfer: the issuing core programs the engine and
@@ -987,35 +958,30 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 modes[core] = Mode::Busy;
                 left[core] = busy - 1;
                 cause[core] = CycleCause::Dma;
-                return Ok(false);
             }
-            return Ok(!cursors[core].next_is_dma_wait());
         }
         Step::DmaAsync { words, inbound } => {
             if dma.busy_at(cycle) {
                 // Engine still streaming a previous transfer: retry.
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
-                return Ok(true);
+            } else {
+                dma.schedule(cycle, DmaTransfer { words, inbound });
+                sink.emit(cycle, TraceEvent::Dma { words, inbound });
+                // One cycle to program the engine; the core then continues.
+                stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
+                cursors[core].advance();
             }
-            dma.schedule(cycle, DmaTransfer { words, inbound });
-            sink.emit(cycle, TraceEvent::Dma { words, inbound });
-            // One cycle to program the engine; the core then continues.
-            stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
-            cursors[core].advance();
-            return Ok(!cursors[core].next_is_dma_wait());
         }
         Step::DmaWait => {
             stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
+            // While the engine drains, the core rests on `DmaWait`, which
+            // does not pin the horizon.
             if !dma.busy_at(cycle) {
                 cursors[core].advance();
-                return Ok(!cursors[core].next_is_dma_wait());
             }
-            // Still draining: the core rests on `DmaWait`, which must not
-            // pin the horizon.
-            return Ok(false);
         }
     }
-    Ok(false)
+    Ok(())
 }
 
 /// Records the fetch + trace event shared by every retirement path.
@@ -1034,8 +1000,7 @@ fn retire<S: TraceSink, T: Telemetry>(
     sink.emit(cycle, TraceEvent::Insn { core, kind, addr });
 }
 
-/// Executes one micro-op for `core`; returns the ready-immediate flag with
-/// the same contract as [`step_core`].
+/// Executes one micro-op for `core`.
 #[allow(clippy::too_many_arguments)]
 fn exec_op<S: TraceSink, T: Telemetry>(
     config: &ClusterConfig,
@@ -1053,26 +1018,20 @@ fn exec_op<S: TraceSink, T: Telemetry>(
     cycle: u64,
     core: usize,
     op: MicroOp,
-) -> Result<bool, SimError> {
+) -> Result<(), SimError> {
     // An executing core is never clock-gated; CG flags are managed by the
     // sleep paths. `finish` consumes the step and schedules any multi-cycle
-    // tail as Busy time attributed to `tail_cause`; it reports whether the
-    // core stays immediately runnable (single-cycle retire not resting on
-    // `DmaWait`).
-    let mut finish = |cursors: &mut [crate::program::Cursor<'_>],
-                      latency: u32,
-                      tail_cause: CycleCause|
-     -> bool {
-        cursors[core].advance();
-        if latency > 1 {
-            modes[core] = Mode::Busy;
-            left[core] = latency - 1;
-            cause[core] = tail_cause;
-            return false;
-        }
-        !cursors[core].next_is_dma_wait()
-    };
-    let ready = match op.kind {
+    // tail as Busy time attributed to `tail_cause`.
+    let mut finish =
+        |cursors: &mut [crate::program::Cursor<'_>], latency: u32, tail_cause: CycleCause| {
+            cursors[core].advance();
+            if latency > 1 {
+                modes[core] = Mode::Busy;
+                left[core] = latency - 1;
+                cause[core] = tail_cause;
+            }
+        };
+    match op.kind {
         OpKind::Alu => {
             stats.cores[core].alu_ops += 1;
             retire(stats, sink, telemetry, cycle, core, op.kind, None);
@@ -1120,7 +1079,6 @@ fn exec_op<S: TraceSink, T: Telemetry>(
                         CycleCause::FpuContention,
                     );
                     // Arbitration retry next cycle.
-                    true
                 }
             }
         }
@@ -1151,13 +1109,12 @@ fn exec_op<S: TraceSink, T: Telemetry>(
                         CycleCause::TcdmConflict,
                     );
                     // Arbitration retry next cycle.
-                    true
                 }
             } else if config.is_l2(addr) {
                 if !l2_port.try_access(0, cycle) {
                     stall(stats, sink, telemetry, cycle, core, CycleCause::L2Wait);
                     // Port retry next cycle.
-                    return Ok(true);
+                    return Ok(());
                 }
                 let bank = config.l2_bank_of(addr);
                 stats.cores[core].l2_ops += 1;
@@ -1173,8 +1130,8 @@ fn exec_op<S: TraceSink, T: Telemetry>(
                 return Err(SimError::AddressOutOfRange { core, addr });
             }
         }
-    };
-    Ok(ready)
+    }
+    Ok(())
 }
 
 #[cfg(test)]

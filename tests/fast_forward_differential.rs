@@ -6,7 +6,8 @@
 //! blocks, blocking and asynchronous DMA transfers, fork/join regions and
 //! critical sections, each closed by a cluster barrier. Every sampled
 //! program runs at 1..=8 cores through both simulator modes, with clock
-//! gating on and in the clock-gating ablation, and must produce
+//! gating on and in the clock-gating ablation, and (in the first property)
+//! under fork and barrier latencies drawn down to zero, and must produce
 //! bit-identical architectural statistics (including the per-core
 //! 10-cause cycle histograms), an identical trace-event stream and
 //! identical serial/parallel regions derived by `CoreTimeline::regions`,
@@ -149,20 +150,31 @@ proptest! {
 
     /// Fast-forward is bit-identical to the single-step oracle on random
     /// episode programs at every team size, with clock gating and in the
-    /// clock-gating ablation (`repro ablation_platform`'s platform): same
-    /// statistics, same 10-cause cycle histograms, same trace-event stream,
-    /// same serial/parallel regions, which tile `[0, cycles)` × the cores.
+    /// clock-gating ablation (`repro ablation_platform`'s platform), and
+    /// under fork and barrier latencies down to zero (an immediate fork, a
+    /// release in the arrival cycle): same statistics, same 10-cause cycle
+    /// histograms, same trace-event stream, same serial/parallel regions,
+    /// which tile `[0, cycles)` × the cores.
     #[test]
     fn fast_forward_matches_oracle_on_random_programs(
         episodes in prop::collection::vec(arb_episode(), 1..6),
         team in 1usize..9,
+        fork_latency in prop::sample::select(vec![0u32, 1, 2, 384]),
+        fork_per_worker in prop::sample::select(vec![0u32, 24]),
+        barrier_latency in prop::sample::select(vec![0u32, 1, 48]),
     ) {
         let program = program_of_episodes(team, &episodes);
         prop_assert_eq!(program.validate(), Ok(()));
         let ff_opts = SimOptions::default();
         let oracle_opts = SimOptions::oracle();
         let mut scratch = SimScratch::new();
-        for config in [ClusterConfig::default(), ClusterConfig::default().without_clock_gating()] {
+        let base = ClusterConfig {
+            fork_latency,
+            fork_per_worker,
+            barrier_latency,
+            ..ClusterConfig::default()
+        };
+        for config in [base.clone(), base.without_clock_gating()] {
             let gating = config.model_clock_gating;
             let (ff, ff_events, ff_regions) = run(&config, &program, &ff_opts, &mut scratch);
             let (oracle, oracle_events, oracle_regions) =

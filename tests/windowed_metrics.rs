@@ -105,14 +105,14 @@ proptest! {
         }
     }
 
-    /// A single-stripe recorder at capacity retains exactly the most recent
-    /// `cap` traces, oldest-first, and still counts every completion.
+    /// A recorder at capacity retains exactly the most recent `cap` traces,
+    /// oldest-first, and still counts every completion.
     #[test]
     fn flight_recorder_at_capacity_keeps_exactly_the_newest_traces(
         cap in 1usize..24,
         extra in 0usize..60,
     ) {
-        let recorder = FlightRecorder::with_stripes(cap, 1);
+        let recorder = FlightRecorder::new(cap);
         let total = cap + extra;
         for i in 0..total as u64 {
             recorder.record(RequestTrace::new(i, "req", 200, Vec::new()));
@@ -127,9 +127,8 @@ proptest! {
     }
 }
 
-/// The striped (default-layout) recorder never retains more than its
-/// per-stripe ceilings allow, and `recent` always reports completion order
-/// regardless of which stripe each trace landed in.
+/// The default recorder retains exactly `capacity` traces at most, and
+/// `recent` always reports completion order.
 #[test]
 fn striped_recorder_bounds_retention_and_orders_by_completion() {
     let capacity = 16;
@@ -137,11 +136,8 @@ fn striped_recorder_bounds_retention_and_orders_by_completion() {
     for i in 0..10 * capacity as u64 {
         recorder.record(RequestTrace::new(i, "req", 200, Vec::new()));
     }
-    assert!(
-        recorder.len() <= capacity,
-        "retained {} traces, capacity {capacity}",
-        recorder.len()
-    );
+    assert_eq!(recorder.len(), capacity);
+    assert_eq!(recorder.capacity(), capacity);
     assert_eq!(recorder.completed(), 10 * capacity as u64);
     let seqs: Vec<u64> = recorder.recent(capacity).iter().map(|t| t.seq()).collect();
     assert!(
