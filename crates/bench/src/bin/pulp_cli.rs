@@ -115,6 +115,7 @@ use pulp_energy_model::{energy_waterfall, EnergyModel};
 use pulp_kernels::{registry, KernelDef, KernelParams};
 use pulp_ml::TreeParams;
 use pulp_sim::{simulate_traced, ClusterConfig, TextSink};
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -131,12 +132,12 @@ const DEFAULT_RUN_BUDGET: u64 = 100_000_000;
 
 /// `bench diff`: gates the candidate record at `new_path` against the
 /// baseline at `old_path`.
-fn cmd_bench_diff(old_path: &str, new_path: &str) -> ExitCode {
+fn cmd_bench_diff(old_path: &str, new_path: &str, out: &mut dyn Write) -> io::Result<ExitCode> {
     let load = |path: &str| BenchRecord::load(Path::new(path));
     let outcome = load(old_path).and_then(|old| old.regressions(&load(new_path)?));
-    match outcome {
+    Ok(match outcome {
         Ok(regressions) if regressions.is_empty() => {
-            println!("bench diff: no regressions ({old_path} -> {new_path})");
+            writeln!(out, "bench diff: no regressions ({old_path} -> {new_path})")?;
             ExitCode::SUCCESS
         }
         Ok(regressions) => {
@@ -150,47 +151,47 @@ fn cmd_bench_diff(old_path: &str, new_path: &str) -> ExitCode {
             eprintln!("bench diff: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Validates a run journal and prints its deterministic report: per-stage
 /// wall breakdown, shard throughput table, top-K slowest kernels and cache
 /// attribution. The output is a pure function of the journal bytes.
-fn cmd_report(path: &str) -> ExitCode {
-    match pulp_obs::JournalReader::read_file(Path::new(path)) {
+fn cmd_report(path: &str, out: &mut dyn Write) -> io::Result<ExitCode> {
+    Ok(match pulp_obs::JournalReader::read_file(Path::new(path)) {
         Ok(journal) => {
-            print!("{}", pulp_obs::render_report(&journal));
+            write!(out, "{}", pulp_obs::render_report(&journal))?;
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("report: {path}: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Structurally validates each journal: schema version, gap-free sequence
 /// numbers, run_start/run_end framing, stage discipline, trailing newline.
 /// Prints one line per file; any invalid journal fails the command.
-fn cmd_journal_validate(paths: &[String]) -> ExitCode {
+fn cmd_journal_validate(paths: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let mut failed = false;
     for path in paths {
         let outcome = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| pulp_obs::validate_journal(&text).map_err(|e| e.to_string()));
         match outcome {
-            Ok(()) => println!("journal validate: {path}: ok"),
+            Ok(()) => writeln!(out, "journal validate: {path}: ok")?,
             Err(e) => {
                 eprintln!("journal validate: {path}: {e}");
                 failed = true;
             }
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Reads every `BENCH_*.json` record in `dir` (sorted by file name), groups
@@ -198,12 +199,12 @@ fn cmd_journal_validate(paths: &[String]) -> ExitCode {
 /// regressions between consecutive records of a group with the comparator
 /// behind `bench diff`. Journals (`*.jsonl`) in the directory contribute
 /// their `bench_record` tails.
-fn cmd_bench_history(dir: &str) -> ExitCode {
+fn cmd_bench_history(dir: &str, out: &mut dyn Write) -> io::Result<ExitCode> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("bench history: cannot read {dir}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut records: Vec<String> = Vec::new();
@@ -219,8 +220,11 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
     records.sort();
     journals.sort();
     if records.is_empty() && journals.is_empty() {
-        println!("bench history: no BENCH_*.json records or *.jsonl journals in {dir}");
-        return ExitCode::SUCCESS;
+        writeln!(
+            out,
+            "bench history: no BENCH_*.json records or *.jsonl journals in {dir}"
+        )?;
+        return Ok(ExitCode::SUCCESS);
     }
     // Parse and group by (bench, profile); groups keep file-name order.
     // One group: the (bench, profile) key plus its (file, record) rows.
@@ -243,12 +247,13 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
     groups.sort_by(|(a, _), (b, _)| a.cmp(b));
     let mut flagged = 0usize;
     for ((bench, profile), list) in &groups {
-        println!(
+        writeln!(
+            out,
             "== {bench} ({profile} profile), {} record(s) ==",
             list.len()
-        );
+        )?;
         for (name, record) in list {
-            println!("  {name:<28} {}", record.summary());
+            writeln!(out, "  {name:<28} {}", record.summary())?;
         }
         for pair in list.windows(2) {
             let (old_name, old) = &pair[0];
@@ -256,11 +261,11 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
             match old.regressions(new) {
                 Ok(regressions) => {
                     for r in &regressions {
-                        println!("  REGRESSION {old_name} -> {new_name}: {r}");
+                        writeln!(out, "  REGRESSION {old_name} -> {new_name}: {r}")?;
                     }
                     flagged += regressions.len();
                 }
-                Err(e) => println!("  (cannot compare {old_name} -> {new_name}: {e})"),
+                Err(e) => writeln!(out, "  (cannot compare {old_name} -> {new_name}: {e})")?,
             }
         }
     }
@@ -269,22 +274,29 @@ fn cmd_bench_history(dir: &str) -> ExitCode {
         match pulp_obs::JournalReader::read_file(Path::new(&path)) {
             Ok(journal) => {
                 let (tool, _, _) = journal.run_start();
-                println!("== journal {name} (run {}, tool {tool}) ==", journal.run_id);
+                writeln!(
+                    out,
+                    "== journal {name} (run {}, tool {tool}) ==",
+                    journal.run_id
+                )?;
                 for ev in &journal.events {
                     if let pulp_obs::JournalEvent::BenchRecord { bench, name, value } = ev {
-                        println!("  {bench:<8} {name:<36} {value:.3}");
+                        writeln!(out, "  {bench:<8} {name:<36} {value:.3}")?;
                     }
                 }
             }
-            Err(e) => println!("== journal {name}: invalid ({e}) =="),
+            Err(e) => writeln!(out, "== journal {name}: invalid ({e}) ==")?,
         }
     }
     if flagged > 0 {
-        println!("bench history: {flagged} regression(s) flagged");
+        writeln!(out, "bench history: {flagged} regression(s) flagged")?;
     } else {
-        println!("bench history: no regressions across consecutive records");
+        writeln!(
+            out,
+            "bench history: no regressions across consecutive records"
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The server capacity knobs implied by the command line.
@@ -411,52 +423,68 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    match run(&args, &mut io::stdout()) {
+        Ok(code) => code,
+        // The reader closed the pipe (`pulp_cli repro | head -1`): the
+        // output it wanted is written. SIGPIPE stays ignored, as `serve`
+        // needs, so the closed pipe arrives here as an error.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs the command `args` names. Everything the command prints to stdout
+/// itself goes through `out`, the one writer.
+fn run(args: &Args, out: &mut dyn Write) -> io::Result<ExitCode> {
     let defs = registry();
     let config = ClusterConfig::default();
-
-    match args.command.as_str() {
+    Ok(match args.command.as_str() {
         "list" => {
-            println!("{:<24} {:<10} dtypes", "kernel", "suite");
+            writeln!(out, "{:<24} {:<10} dtypes", "kernel", "suite")?;
             for d in &defs {
                 let dtypes: Vec<String> = d.dtypes.iter().map(|t| t.to_string()).collect();
-                println!(
+                writeln!(
+                    out,
                     "{:<24} {:<10} {}",
                     d.name,
                     d.suite.to_string(),
                     dtypes.join(",")
-                );
+                )?;
             }
             ExitCode::SUCCESS
         }
         "pretty" => {
-            let (_, kernel) = match kernel_arg(&defs, &args) {
+            let (_, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
-            print!("{kernel}");
+            write!(out, "{kernel}")?;
             ExitCode::SUCCESS
         }
         "features" => {
-            let (_, kernel) = match kernel_arg(&defs, &args) {
+            let (_, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             for (n, v) in static_feature_names()
                 .iter()
                 .zip(static_feature_vector(&kernel))
             {
-                println!("{n:>10} = {v:.4}");
+                writeln!(out, "{n:>10} = {v:.4}")?;
             }
             ExitCode::SUCCESS
         }
         "disasm" => {
-            let (_, kernel) = match kernel_arg(&defs, &args) {
+            let (_, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             match lower(&kernel, args.team(), &config) {
                 Ok(lowered) => {
-                    print!("{}", lowered.program.disassemble());
+                    write!(out, "{}", lowered.program.disassemble())?;
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -466,29 +494,31 @@ fn main() -> ExitCode {
             }
         }
         "measure" => {
-            let (_, kernel) = match kernel_arg(&defs, &args) {
+            let (_, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             match measure_kernel(&kernel, &config, &EnergyModel::table1()) {
                 Ok(profile) => {
-                    println!(
+                    writeln!(
+                        out,
                         "{:>6} {:>12} {:>10} {:>9}",
                         "cores", "energy [uJ]", "cycles", "speedup"
-                    );
+                    )?;
                     for c in 0..8 {
                         let mark = if c == profile.label() {
                             "  <== min energy"
                         } else {
                             ""
                         };
-                        println!(
+                        writeln!(
+                            out,
                             "{:>6} {:>12.4} {:>10} {:>8.2}x{mark}",
                             c + 1,
                             profile.energy[c] * 1e-9,
                             profile.cycles[c],
                             profile.speedup(c)
-                        );
+                        )?;
                     }
                     ExitCode::SUCCESS
                 }
@@ -499,13 +529,13 @@ fn main() -> ExitCode {
             }
         }
         "classify" => {
-            let (_, kernel) = match kernel_arg(&defs, &args) {
+            let (_, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             eprintln!("training on the {} kernel set...", args.profile());
             let opts = args.pipeline_options();
-            let trained = pulp_bench::load_or_build_dataset(&opts, &args, None)
+            let trained = pulp_bench::load_or_build_dataset(&opts, args, None)
                 .map_err(|e| format!("training-set build failed: {e}"))
                 .and_then(|data| {
                     EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default())
@@ -515,37 +545,39 @@ fn main() -> ExitCode {
                 Ok(p) => p,
                 Err(e) => {
                     eprintln!("{e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let cores = predictor.predict_cores(&kernel);
-            println!("predicted minimum-energy configuration: {cores} cores");
+            writeln!(out, "predicted minimum-energy configuration: {cores} cores")?;
             if let Ok(profile) = measure_kernel(&kernel, &config, &EnergyModel::table1()) {
-                println!(
+                writeln!(
+                    out,
                     "simulated ground truth: {} cores (waste of prediction: {:.2}%)",
                     profile.label() + 1,
                     profile.waste(cores - 1) * 100.0
-                );
+                )?;
             }
             ExitCode::SUCCESS
         }
         "mca" => {
-            let (_, kernel) = match kernel_arg(&defs, &args) {
+            let (_, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let block = pulp_mca::kernel_block(&kernel);
             let features = pulp_mca::analyze_block(&block, pulp_mca::DEFAULT_ITERATIONS);
-            print!(
+            write!(
+                out,
                 "{}",
                 pulp_mca::render_report(block.len(), pulp_mca::DEFAULT_ITERATIONS, &features)
-            );
+            )?;
             ExitCode::SUCCESS
         }
         "profile" => {
-            let (name, kernel) = match kernel_arg(&defs, &args) {
+            let (name, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let model = EnergyModel::table1();
             for team in 1..=config.num_cores {
@@ -553,7 +585,7 @@ fn main() -> ExitCode {
                     Ok(l) => l,
                     Err(e) => {
                         eprintln!("lowering failed at team {team}: {e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 let run = match profile_run(
@@ -564,46 +596,48 @@ fn main() -> ExitCode {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!("simulation failed at team {team}: {e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 if let Err(e) = run.stats.check_consistency() {
                     eprintln!("attribution inconsistent at team {team}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 let attributed = run.stats.breakdown_totals().total();
-                println!("== {name} team {team} ==");
-                print!("{}", run.stats.summary());
-                println!(
+                writeln!(out, "== {name} team {team} ==")?;
+                write!(out, "{}", run.stats.summary())?;
+                writeln!(
+                    out,
                     "attribution: {attributed} cycle-cells = {} cycles x {} cores (exclusive)",
                     run.stats.cycles,
                     run.stats.cores.len()
-                );
+                )?;
                 for r in &run.regions {
-                    println!(
+                    writeln!(
+                        out,
                         "  {:<12} cycles {:>8}..{:<8} ({} cycles, {} executed)",
                         r.label(),
                         r.start_cycle,
                         r.end_cycle,
                         r.cycles(),
                         r.breakdown.execute
-                    );
+                    )?;
                 }
-                print!("{}", energy_waterfall(&run.stats, &model, &config));
-                println!();
+                write!(out, "{}", energy_waterfall(&run.stats, &model, &config))?;
+                writeln!(out)?;
             }
             ExitCode::SUCCESS
         }
         "trace" => {
-            let (name, kernel) = match kernel_arg(&defs, &args) {
+            let (name, kernel) = match kernel_arg(&defs, args) {
                 Ok(k) => k,
-                Err(code) => return code,
+                Err(code) => return Ok(code),
             };
             let lowered = match lower(&kernel, args.team(), &config) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("lowering failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             if let Some(path) = &args.chrome {
@@ -615,7 +649,7 @@ fn main() -> ExitCode {
                     Ok(r) => r,
                     Err(e) => {
                         eprintln!("simulation failed: {e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 let mut rec = recorder_of_run(&run);
@@ -624,14 +658,15 @@ fn main() -> ExitCode {
                     pulp_obs::chrome_trace(&rec, &format!("pulp_cli {name} t{}", args.team()));
                 if let Err(e) = std::fs::write(path, &json) {
                     eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
-                println!(
+                writeln!(
+                    out,
                     "wrote {}: {} cycles, {} spans (load in chrome://tracing or ui.perfetto.dev)",
                     path.display(),
                     run.stats.cycles,
                     rec.spans().len()
-                );
+                )?;
                 ExitCode::SUCCESS
             } else {
                 let mut sink = TextSink::new();
@@ -642,7 +677,7 @@ fn main() -> ExitCode {
                     &mut sink,
                 ) {
                     Ok(_) => {
-                        print!("{}", sink.text);
+                        write!(out, "{}", sink.text)?;
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
@@ -654,16 +689,16 @@ fn main() -> ExitCode {
         }
         "cache" => {
             let [action] = args.operands.as_slice() else {
-                return usage();
+                return Ok(usage());
             };
             let dir = args.sweep_cache_dir();
             match action.as_str() {
                 "stats" => match SweepCache::dir_stats(&dir) {
                     Ok(stats) => {
-                        println!("cache dir : {}", dir.display());
-                        println!("version   : {}", default_cache_version());
-                        println!("entries   : {}", stats.entries);
-                        println!("size      : {} bytes", stats.bytes);
+                        writeln!(out, "cache dir : {}", dir.display())?;
+                        writeln!(out, "version   : {}", default_cache_version())?;
+                        writeln!(out, "entries   : {}", stats.entries)?;
+                        writeln!(out, "size      : {} bytes", stats.bytes)?;
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
@@ -673,7 +708,11 @@ fn main() -> ExitCode {
                 },
                 "clear" => match SweepCache::clear(&dir) {
                     Ok(removed) => {
-                        println!("removed {removed} cached sweep(s) from {}", dir.display());
+                        writeln!(
+                            out,
+                            "removed {removed} cached sweep(s) from {}",
+                            dir.display()
+                        )?;
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
@@ -684,35 +723,35 @@ fn main() -> ExitCode {
                 _ => usage(),
             }
         }
-        "serve" => cmd_serve(&args),
+        "serve" => cmd_serve(args),
         "repro" => match args.operands.as_slice() {
             [] => {
                 for (name, _) in repro::EXPERIMENTS {
-                    println!("{name}");
+                    writeln!(out, "{name}")?;
                 }
                 ExitCode::SUCCESS
             }
-            [name] => repro::run(name, &args),
+            [name] => repro::run(name, args),
             _ => usage(),
         },
         "report" => match args.operands.as_slice() {
-            [path] => cmd_report(path),
+            [path] => cmd_report(path, out)?,
             _ => usage(),
         },
         "journal" => match args.operands.as_slice() {
             [action, paths @ ..] if action == "validate" && !paths.is_empty() => {
-                cmd_journal_validate(paths)
+                cmd_journal_validate(paths, out)?
             }
             _ => usage(),
         },
         "bench" => match args.operands.as_slice() {
-            [action, old, new] if action == "diff" => cmd_bench_diff(old, new),
-            [action, dir] if action == "history" => cmd_bench_history(dir),
-            [name] => repro::bench(name, &args),
+            [action, old, new] if action == "diff" => cmd_bench_diff(old, new, out)?,
+            [action, dir] if action == "history" => cmd_bench_history(dir, out)?,
+            [name] => repro::bench(name, args),
             _ => usage(),
         },
         _ => usage(),
-    }
+    })
 }
 
 #[cfg(test)]

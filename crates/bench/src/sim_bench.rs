@@ -598,8 +598,11 @@ impl SimBenchReport {
     /// match its oracle, the profiled run its `NoTelemetry` twin, and the
     /// barrier/DMA basket — sleeping workers behind a long DMA drain — must
     /// take a bulk span at 2, 4 and 8 cores, or the fast-forward is dead.
+    /// The simulator is deterministic, so the figures that count cycles,
+    /// spans and scans are exact: a worsening by any amount is a regression.
     pub fn record(&self) -> BenchRecord {
         use Better::{Higher, Lower};
+        let exact = Some(Tolerance::Absolute(0.0));
         let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
         let floor = Some(Tolerance::Limit(SPEEDUP_FLOOR));
         let telemetry = Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT));
@@ -617,12 +620,13 @@ impl SimBenchReport {
                 "labeling_observed_samples_per_s" => ("samples/s", Higher, None),
                 "speedup" => ("x", Higher, floor),
                 "telemetry_overhead_pct" => ("%", Lower, telemetry),
-                "cycles" | "telemetry_cycles" => ("cycles", Lower, None),
+                "cycles" | "telemetry_cycles" => ("cycles", Lower, exact),
                 "oracle_match" | "telemetry_match" => ("bool", Higher, must),
                 "spans" if matches!(row, "barrier_dma@2" | "barrier_dma@4" | "barrier_dma@8") => {
                     ("count", Higher, must)
                 }
-                "skip_ratio" | "horizon_hit_rate" => ("ratio", Higher, None),
+                "spans" => ("count", Higher, exact),
+                "skip_ratio" | "horizon_hit_rate" => ("ratio", Higher, exact),
                 "horizon_scan_share" | "labeling_journal_overhead" => ("ratio", Lower, None),
                 "ff_wall_s" | "oracle_wall_s" | "horizon_scan_s" | "horizon_step_s" => {
                     ("s", Lower, None)
@@ -916,7 +920,11 @@ mod tests {
             Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT))
         );
         assert_eq!(record.get("alu@8/oracle_match").map(|m| m.value), Some(1.0));
-        assert_eq!(gate("alu@8/spans"), None, "only barrier_dma must skip");
+        let exact = Some(Tolerance::Absolute(0.0));
+        assert_eq!(gate("alu@8/spans"), exact, "only barrier_dma must skip");
+        for field in ["alu@8/cycles", "alu@8/skip_ratio", "telemetry_cycles"] {
+            assert_eq!(gate(field), exact, "{field}");
+        }
         assert!(record.regressions(&record).expect("comparable").is_empty());
         assert_eq!(record.breaches(), Vec::<String>::new());
 

@@ -8,12 +8,13 @@
 
 use crate::cause::CycleCause;
 use crate::config::ClusterConfig;
+use crate::decode::{Decoded, Op};
 use crate::dma::{DmaEngine, DmaTransfer};
 use crate::event_unit::EventUnit;
 use crate::fpu::FpuPool;
 use crate::icache::refills_for_static_insns;
-use crate::isa::{MicroOp, OpKind};
-use crate::program::{Program, SegOp, Step, ValidateProgramError};
+use crate::isa::OpKind;
+use crate::program::{Program, SegOp, ValidateProgramError};
 use crate::stats::SimStats;
 use crate::tcdm::TcdmArbiter;
 use crate::telemetry::{NoTelemetry, Telemetry};
@@ -214,12 +215,14 @@ fn scale_sampled_nanos(raw: u64, events: u64, timed: u64) -> u64 {
 /// Reusable per-run working memory for [`simulate_opts`].
 ///
 /// A labelling sweep runs the same kernel at up to 8 team sizes back to
-/// back; handing the same scratch to each run reuses the per-core state
-/// vectors (core modes, fork sequence numbers, sleep intervals) instead
-/// of reallocating them. A scratch carries no state between runs — it is
-/// fully reinitialised on entry — so reuse is purely an allocation saving.
+/// back; handing the same scratch to each run reuses the decoded program
+/// and the per-core state vectors (core modes, fork sequence numbers,
+/// sleep intervals) instead of reallocating them. A scratch carries no
+/// state between runs — it is fully reinitialised on entry — so reuse is
+/// purely an allocation saving.
 #[derive(Debug, Default)]
 pub struct SimScratch {
+    code: Decoded,
     // Struct-of-arrays core state: `modes` is the one-byte dispatch tag the
     // hot loop switches on; `left` and `cause` carry the countdown payload
     // for `Busy`/`Forking` cores so the horizon scan and bulk advance walk
@@ -240,7 +243,9 @@ impl SimScratch {
         Self::default()
     }
 
-    fn prepare(&mut self, team: usize, config: &ClusterConfig) {
+    fn prepare(&mut self, program: &Program, config: &ClusterConfig) {
+        let team = program.num_cores();
+        self.code.decode(program, config);
         self.modes.clear();
         self.modes.resize(team, Mode::Ready);
         self.left.clear();
@@ -417,11 +422,9 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
     let mut stats = SimStats::new(config.num_cores, config.tcdm_banks, config.l2_banks);
     stats.team_size = team;
 
-    let mut cursors: Vec<_> = (0..team)
-        .map(|c| crate::program::Cursor::new(program, c))
-        .collect();
-    scratch.prepare(team, config);
+    scratch.prepare(program, config);
     let SimScratch {
+        code,
         modes,
         left,
         cause,
@@ -481,16 +484,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     .horizon_computations
                     .is_multiple_of(TIMING_SAMPLE_PERIOD))
             .then(std::time::Instant::now);
-            let h = event_horizon(
-                &mut cursors,
-                modes,
-                left,
-                forks_seen,
-                &eu,
-                &dma,
-                cycle,
-                max_cycles,
-            );
+            let h = event_horizon(code, modes, left, forks_seen, &eu, &dma, cycle, max_cycles);
             if let Some(t0) = scan_t0 {
                 scan_nanos_raw += t0.elapsed().as_nanos() as u64;
                 scan_timed += 1;
@@ -518,7 +512,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     // Wake: this cycle is the dispatch cycle.
                     sleepers.exit(&mut stats, sink, telemetry, core, cycle);
                     forks_seen[core] += 1;
-                    cursors[core].advance();
+                    code.advance(core);
                     stall(
                         &mut stats,
                         sink,
@@ -550,14 +544,14 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                             eu.signal_fork();
                             telemetry.on_fork(cycle);
                             sink.emit(cycle, TraceEvent::Fork);
-                            cursors[core].advance();
+                            code.advance(core);
                         }
                         modes[core] = Mode::Ready;
                     }
                 }
                 Mode::Ready => {
-                    let step = cursors[core].current();
-                    if step == Step::Done {
+                    let op = code.current(core);
+                    if op == Op::Done {
                         modes[core] = Mode::Finished;
                         finished += 1;
                         sleepers.sleep(&mut stats, sink, telemetry, cycle, core, CycleCause::Idle);
@@ -568,7 +562,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         config,
                         fork_cycles,
                         &mut stats,
-                        &mut cursors,
+                        code,
                         modes,
                         left,
                         cause,
@@ -584,7 +578,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         telemetry,
                         cycle,
                         core,
-                        step,
+                        op,
                     )?;
                 }
             }
@@ -602,11 +596,11 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             stats.barriers += 1;
             telemetry.on_barrier_release(cycle);
             sink.emit(cycle, TraceEvent::BarrierRelease);
-            for core in 0..team {
-                if modes[core] == Mode::SleepBarrier {
+            for (core, mode) in modes.iter_mut().enumerate() {
+                if *mode == Mode::SleepBarrier {
                     sleepers.exit(&mut stats, sink, telemetry, core, cycle + 1);
-                    cursors[core].advance();
-                    modes[core] = Mode::Ready;
+                    code.advance(core);
+                    *mode = Mode::Ready;
                 }
             }
             eu.release_barrier();
@@ -615,7 +609,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         if any_active || !config.model_clock_gating {
             stats.cluster_active_cycles += 1;
         }
-        scan_armed = !(0..team).any(|c| modes[c] == Mode::Ready && !cursors[c].next_is_dma_wait());
+        scan_armed = !(0..team).any(|c| modes[c] == Mode::Ready && !code.next_is_dma_wait(c));
         if let Some(t0) = step_t0 {
             step_nanos_raw += t0.elapsed().as_nanos() as u64;
             step_timed += 1;
@@ -662,6 +656,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
 }
 
 /// Accounts one active-wait cycle for `core`, attributed to `cause`.
+#[inline(always)]
 fn stall<S: TraceSink, T: Telemetry>(
     stats: &mut SimStats,
     sink: &mut S,
@@ -692,7 +687,7 @@ fn stall<S: TraceSink, T: Telemetry>(
 ///   expires on the very next cycle.
 #[allow(clippy::too_many_arguments)]
 fn event_horizon(
-    cursors: &mut [crate::program::Cursor<'_>],
+    code: &Decoded,
     modes: &[Mode],
     left: &[u32],
     forks_seen: &[u64],
@@ -713,7 +708,7 @@ fn event_horizon(
             // blocking `DmaWait`, which provably spins until the engine
             // drains.
             Mode::Ready => {
-                if cursors[core].next_is_dma_wait() {
+                if code.next_is_dma_wait(core) {
                     dma.free_at().saturating_sub(cycle)
                 } else {
                     0
@@ -868,13 +863,13 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     stats.fast_forward.skipped_cycles += n;
 }
 
-/// Executes one `Ready`-mode step for `core`.
+/// Executes `core`'s current op, `op`, in one `Ready`-mode cycle.
 #[allow(clippy::too_many_arguments)]
 fn step_core<S: TraceSink, T: Telemetry>(
     config: &ClusterConfig,
     fork_cycles: u32,
     stats: &mut SimStats,
-    cursors: &mut [crate::program::Cursor<'_>],
+    code: &mut Decoded,
     modes: &mut [Mode],
     left: &mut [u32],
     cause: &mut [CycleCause],
@@ -890,16 +885,95 @@ fn step_core<S: TraceSink, T: Telemetry>(
     telemetry: &mut T,
     cycle: u64,
     core: usize,
-    step: Step,
+    op: Op,
 ) -> Result<(), SimError> {
-    match step {
-        // Completion is detected by the main loop before dispatching here.
-        Step::Done => unreachable!("step_core called on a finished cursor"),
-        Step::Op(op) => exec_op(
-            config, stats, cursors, modes, left, cause, fpu_of, arbiter, l2_port, fpus, sink,
-            telemetry, cycle, core, op,
-        )?,
-        Step::Barrier => {
+    // Consumes the op and books any multi-cycle tail as `Busy` time on
+    // `tail_cause`. An executing core is never clock-gated; the sleep
+    // paths manage the gating intervals.
+    let mut finish = |code: &mut Decoded, latency: u32, tail_cause| {
+        code.advance(core);
+        if latency > 1 {
+            modes[core] = Mode::Busy;
+            left[core] = latency - 1;
+            cause[core] = tail_cause;
+        }
+    };
+    match op {
+        Op::Int { kind, latency } => {
+            stats.cores[core].alu_ops += 1;
+            retire(stats, sink, telemetry, cycle, core, kind, None);
+            finish(code, latency, CycleCause::ExecTail);
+        }
+        Op::Nop => {
+            stats.cores[core].nop_ops += 1;
+            retire(stats, sink, telemetry, cycle, core, OpKind::Nop, None);
+            code.advance(core);
+        }
+        Op::Fp(f) => match fpus.try_issue(fpu_of[core], f, cycle) {
+            Some(issue) => {
+                stats.cores[core].fp_ops += 1;
+                retire(stats, sink, telemetry, cycle, core, OpKind::Fp(f), None);
+                finish(code, issue.core_busy, CycleCause::ExecTail);
+            }
+            // Arbitration retry next cycle.
+            None => stall(
+                stats,
+                sink,
+                telemetry,
+                cycle,
+                core,
+                CycleCause::FpuContention,
+            ),
+        },
+        Op::Mem { store, at } => {
+            let addr = code.addr(at);
+            let kind = if store { OpKind::Store } else { OpKind::Load };
+            if config.is_tcdm(addr) {
+                let bank = config.tcdm_bank_of(addr);
+                if arbiter.try_access(bank, cycle) {
+                    stats.cores[core].l1_ops += 1;
+                    if store {
+                        stats.l1_banks[bank].writes += 1;
+                    } else {
+                        stats.l1_banks[bank].reads += 1;
+                    }
+                    sink.emit(cycle, TraceEvent::L1Access { bank, write: store });
+                    retire(stats, sink, telemetry, cycle, core, kind, Some(addr));
+                    code.advance(core);
+                } else {
+                    stats.l1_banks[bank].conflicts += 1;
+                    sink.emit(cycle, TraceEvent::L1Conflict { bank });
+                    // Arbitration retry next cycle.
+                    stall(
+                        stats,
+                        sink,
+                        telemetry,
+                        cycle,
+                        core,
+                        CycleCause::TcdmConflict,
+                    );
+                }
+            } else if config.is_l2(addr) {
+                if !l2_port.try_access(0, cycle) {
+                    // Port retry next cycle.
+                    stall(stats, sink, telemetry, cycle, core, CycleCause::L2Wait);
+                    return Ok(());
+                }
+                let bank = config.l2_bank_of(addr);
+                stats.cores[core].l2_ops += 1;
+                if store {
+                    stats.l2_banks[bank].writes += 1;
+                } else {
+                    stats.l2_banks[bank].reads += 1;
+                }
+                sink.emit(cycle, TraceEvent::L2Access { bank, write: store });
+                retire(stats, sink, telemetry, cycle, core, kind, Some(addr));
+                finish(code, config.l2_latency, CycleCause::L2Wait);
+            } else {
+                return Err(SimError::AddressOutOfRange { core, addr });
+            }
+        }
+        Op::Barrier => {
             sink.emit(cycle, TraceEvent::BarrierArrive { core });
             stall(stats, sink, telemetry, cycle, core, CycleCause::Barrier);
             modes[core] = Mode::SleepBarrier;
@@ -907,23 +981,23 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 eu.schedule_release(config.barrier_latency);
             }
         }
-        Step::Fork => {
+        Op::Fork => {
             stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             if fork_cycles <= 1 {
                 eu.signal_fork();
                 telemetry.on_fork(cycle);
                 sink.emit(cycle, TraceEvent::Fork);
-                cursors[core].advance();
+                code.advance(core);
             } else {
                 modes[core] = Mode::Forking;
                 left[core] = fork_cycles - 1;
                 cause[core] = CycleCause::Runtime;
             }
         }
-        Step::WaitFork => {
+        Op::WaitFork => {
             if eu.fork_ready(forks_seen[core]) {
                 forks_seen[core] += 1;
-                cursors[core].advance();
+                code.advance(core);
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             } else {
                 modes[core] = Mode::SleepFork;
@@ -931,36 +1005,31 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 sleepers.sleep(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
             }
         }
-        Step::CriticalBegin => {
+        Op::CriticalBegin => {
             if eu.try_lock(core) {
                 retire(stats, sink, telemetry, cycle, core, OpKind::Alu, None);
                 stats.cores[core].alu_ops += 1;
-                cursors[core].advance();
+                code.advance(core);
             } else {
                 // Lock spin: retries next cycle.
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             }
         }
-        Step::CriticalEnd => {
+        Op::CriticalEnd => {
             eu.unlock(core);
             retire(stats, sink, telemetry, cycle, core, OpKind::Alu, None);
             stats.cores[core].alu_ops += 1;
-            cursors[core].advance();
+            code.advance(core);
         }
-        Step::Dma { words, inbound } => {
+        Op::Dma { words, inbound } => {
             // Blocking transfer: the issuing core programs the engine and
             // actively waits for completion.
             let busy = dma.schedule(cycle, DmaTransfer { words, inbound }) as u32;
             sink.emit(cycle, TraceEvent::Dma { words, inbound });
             stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
-            cursors[core].advance();
-            if busy > 1 {
-                modes[core] = Mode::Busy;
-                left[core] = busy - 1;
-                cause[core] = CycleCause::Dma;
-            }
+            finish(code, busy, CycleCause::Dma);
         }
-        Step::DmaAsync { words, inbound } => {
+        Op::DmaAsync { words, inbound } => {
             if dma.busy_at(cycle) {
                 // Engine still streaming a previous transfer: retry.
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
@@ -969,22 +1038,28 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 sink.emit(cycle, TraceEvent::Dma { words, inbound });
                 // One cycle to program the engine; the core then continues.
                 stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
-                cursors[core].advance();
+                code.advance(core);
             }
         }
-        Step::DmaWait => {
+        Op::DmaWait => {
             stall(stats, sink, telemetry, cycle, core, CycleCause::Dma);
             // While the engine drains, the core rests on `DmaWait`, which
             // does not pin the horizon.
             if !dma.busy_at(cycle) {
-                cursors[core].advance();
+                code.advance(core);
             }
+        }
+        // The main loop retires finished cores, and decoding folds the
+        // loop markers.
+        Op::Done | Op::LoopBegin { .. } | Op::LoopEnd { .. } => {
+            unreachable!("step_core on {op:?}")
         }
     }
     Ok(())
 }
 
 /// Records the fetch + trace event shared by every retirement path.
+#[inline(always)]
 fn retire<S: TraceSink, T: Telemetry>(
     stats: &mut SimStats,
     sink: &mut S,
@@ -998,140 +1073,6 @@ fn retire<S: TraceSink, T: Telemetry>(
     stats.cores[core].breakdown.add(CycleCause::Execute);
     telemetry.advance_n(cycle, core, 1, CycleCause::Execute);
     sink.emit(cycle, TraceEvent::Insn { core, kind, addr });
-}
-
-/// Executes one micro-op for `core`.
-#[allow(clippy::too_many_arguments)]
-fn exec_op<S: TraceSink, T: Telemetry>(
-    config: &ClusterConfig,
-    stats: &mut SimStats,
-    cursors: &mut [crate::program::Cursor<'_>],
-    modes: &mut [Mode],
-    left: &mut [u32],
-    cause: &mut [CycleCause],
-    fpu_of: &[usize],
-    arbiter: &mut TcdmArbiter,
-    l2_port: &mut TcdmArbiter,
-    fpus: &mut FpuPool,
-    sink: &mut S,
-    telemetry: &mut T,
-    cycle: u64,
-    core: usize,
-    op: MicroOp,
-) -> Result<(), SimError> {
-    // An executing core is never clock-gated; CG flags are managed by the
-    // sleep paths. `finish` consumes the step and schedules any multi-cycle
-    // tail as Busy time attributed to `tail_cause`.
-    let mut finish =
-        |cursors: &mut [crate::program::Cursor<'_>], latency: u32, tail_cause: CycleCause| {
-            cursors[core].advance();
-            if latency > 1 {
-                modes[core] = Mode::Busy;
-                left[core] = latency - 1;
-                cause[core] = tail_cause;
-            }
-        };
-    match op.kind {
-        OpKind::Alu => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, 1, CycleCause::ExecTail)
-        }
-        OpKind::Mul => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, config.mul_latency, CycleCause::ExecTail)
-        }
-        OpKind::Div => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, config.int_div_latency, CycleCause::ExecTail)
-        }
-        OpKind::Branch | OpKind::Jump => {
-            stats.cores[core].alu_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(
-                cursors,
-                1 + config.taken_branch_penalty,
-                CycleCause::ExecTail,
-            )
-        }
-        OpKind::Nop => {
-            stats.cores[core].nop_ops += 1;
-            retire(stats, sink, telemetry, cycle, core, op.kind, None);
-            finish(cursors, 1, CycleCause::ExecTail)
-        }
-        OpKind::Fp(f) => {
-            let fpu = fpu_of[core];
-            match fpus.try_issue(fpu, f, cycle) {
-                Some(issue) => {
-                    stats.cores[core].fp_ops += 1;
-                    retire(stats, sink, telemetry, cycle, core, op.kind, None);
-                    finish(cursors, issue.core_busy, CycleCause::ExecTail)
-                }
-                None => {
-                    stall(
-                        stats,
-                        sink,
-                        telemetry,
-                        cycle,
-                        core,
-                        CycleCause::FpuContention,
-                    );
-                    // Arbitration retry next cycle.
-                }
-            }
-        }
-        OpKind::Load | OpKind::Store => {
-            let addr = op.addr.expect("memory op without address");
-            let write = op.kind == OpKind::Store;
-            if config.is_tcdm(addr) {
-                let bank = config.tcdm_bank_of(addr);
-                if arbiter.try_access(bank, cycle) {
-                    stats.cores[core].l1_ops += 1;
-                    if write {
-                        stats.l1_banks[bank].writes += 1;
-                    } else {
-                        stats.l1_banks[bank].reads += 1;
-                    }
-                    sink.emit(cycle, TraceEvent::L1Access { bank, write });
-                    retire(stats, sink, telemetry, cycle, core, op.kind, Some(addr));
-                    finish(cursors, 1, CycleCause::ExecTail)
-                } else {
-                    stats.l1_banks[bank].conflicts += 1;
-                    sink.emit(cycle, TraceEvent::L1Conflict { bank });
-                    stall(
-                        stats,
-                        sink,
-                        telemetry,
-                        cycle,
-                        core,
-                        CycleCause::TcdmConflict,
-                    );
-                    // Arbitration retry next cycle.
-                }
-            } else if config.is_l2(addr) {
-                if !l2_port.try_access(0, cycle) {
-                    stall(stats, sink, telemetry, cycle, core, CycleCause::L2Wait);
-                    // Port retry next cycle.
-                    return Ok(());
-                }
-                let bank = config.l2_bank_of(addr);
-                stats.cores[core].l2_ops += 1;
-                if write {
-                    stats.l2_banks[bank].writes += 1;
-                } else {
-                    stats.l2_banks[bank].reads += 1;
-                }
-                sink.emit(cycle, TraceEvent::L2Access { bank, write });
-                retire(stats, sink, telemetry, cycle, core, op.kind, Some(addr));
-                finish(cursors, config.l2_latency, CycleCause::L2Wait)
-            } else {
-                return Err(SimError::AddressOutOfRange { core, addr });
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

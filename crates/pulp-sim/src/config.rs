@@ -111,13 +111,13 @@ impl ClusterConfig {
     /// consecutive banks.
     #[inline]
     pub fn tcdm_bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) as usize) % self.tcdm_banks
+        bank_of(addr, self.tcdm_banks)
     }
 
     /// Returns the L2 bank index serving byte address `addr`.
     #[inline]
     pub fn l2_bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) as usize) % self.l2_banks
+        bank_of(addr, self.l2_banks)
     }
 
     /// Returns the FPU index serving `core` (fixed 2:1 mapping on `8c4flp`).
@@ -197,6 +197,19 @@ impl ClusterConfig {
         assert!(n > 0 && n <= 1024, "core count out of range: {n}");
         self.num_cores = n;
         self
+    }
+}
+
+/// The bank of word-interleaved memory with `banks` banks serving byte
+/// address `addr`. Bank counts are powers of two on every PULP instance, and
+/// there the modulo is a mask rather than a division on every access.
+#[inline]
+fn bank_of(addr: u32, banks: usize) -> usize {
+    let word = (addr >> 2) as usize;
+    if banks.is_power_of_two() {
+        word & (banks - 1)
+    } else {
+        word % banks
     }
 }
 

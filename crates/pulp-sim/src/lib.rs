@@ -51,6 +51,7 @@
 pub mod cause;
 pub mod cluster;
 pub mod config;
+mod decode;
 pub mod dma;
 pub mod event_unit;
 pub mod fpu;
@@ -78,7 +79,7 @@ pub use cluster::{
 };
 pub use config::{ClusterConfig, L2_BASE, TCDM_BASE};
 pub use isa::{FpOp, MicroOp, OpKind};
-pub use program::{AddrExpr, Cursor, Program, SegOp, Step, ValidateProgramError};
+pub use program::{AddrExpr, Program, SegOp, ValidateProgramError};
 pub use stats::{
     BankStats, CoreStats, DmaStats, FastForwardStats, IcacheStats, SimStats, SimStatsSummary,
 };

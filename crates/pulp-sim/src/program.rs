@@ -1,13 +1,17 @@
-//! Per-core programs and their execution cursor.
+//! Per-core programs.
 //!
 //! A [`Program`] holds one compact bytecode stream per core. The bytecode
 //! encodes loops symbolically (trip count + body) instead of unrolling them,
 //! so multi-million-instruction kernels occupy a few kilobytes. Memory
 //! operations carry an [`AddrExpr`] — an affine expression over the induction
-//! variables of the enclosing loops — which the [`Cursor`] evaluates while
-//! walking the loop nest.
+//! variables of the enclosing loops — which the simulator evaluates while
+//! walking the loop nest. The simulator walks a decoded copy of each stream
+//! (`crate::decode`); the reference walk over the bytecode itself, `Cursor`,
+//! is kept for tests.
 
-use crate::isa::{MicroOp, OpKind};
+#[cfg(test)]
+use crate::isa::MicroOp;
+use crate::isa::OpKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -103,7 +107,8 @@ pub enum SegOp {
     DmaWait,
 }
 
-/// What the cursor hands to the cluster for the current step.
+/// What the reference cursor hands out for the current step.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Execute a micro-op.
@@ -239,16 +244,21 @@ impl Program {
         let mut skeleton0: Vec<u8> = Vec::new();
         for (core, stream) in self.streams.iter().enumerate() {
             let mut depth = 0usize;
-            let mut opens: Vec<usize> = Vec::new();
-            let mut skeleton: Vec<u8> = Vec::new();
+            // The pc of the outermost open `LoopBegin`.
+            let mut outermost = 0;
+            // Sized up front, so the simulator, which validates every
+            // program it runs, allocates once per core whatever the shape.
+            let mut skeleton: Vec<u8> = Vec::with_capacity(stream.len());
             for (pc, op) in stream.iter().enumerate() {
                 match op {
                     SegOp::LoopBegin { .. } => {
-                        opens.push(pc);
+                        if depth == 0 {
+                            outermost = pc;
+                        }
                         depth += 1;
                     }
                     SegOp::LoopEnd => {
-                        if opens.pop().is_none() {
+                        if depth == 0 {
                             return Err(ValidateProgramError::UnmatchedLoopEnd { core, pc });
                         }
                         depth -= 1;
@@ -270,8 +280,11 @@ impl Program {
                     _ => {}
                 }
             }
-            if let Some(&pc) = opens.first() {
-                return Err(ValidateProgramError::UnclosedLoop { core, pc });
+            if depth > 0 {
+                return Err(ValidateProgramError::UnclosedLoop {
+                    core,
+                    pc: outermost,
+                });
             }
             if core == 0 {
                 skeleton0 = skeleton;
@@ -378,12 +391,14 @@ impl Program {
     }
 }
 
-/// Interpreter state walking one core's bytecode.
+/// The reference walk over one core's bytecode, which the decoded walk
+/// (`crate::decode`) must reproduce step for step.
 ///
-/// The cursor yields [`Step`]s one at a time; the cluster decides how many
-/// cycles each step costs. `advance` must be called exactly once after each
-/// yielded step that completed (memory grants, lock acquisition etc. may
-/// retry the same step across cycles by simply not advancing).
+/// The cursor yields [`Step`]s one at a time. `advance` must be called
+/// exactly once after each yielded step that completed (memory grants, lock
+/// acquisition etc. may retry the same step across cycles by simply not
+/// advancing).
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct Cursor<'p> {
     stream: &'p [SegOp],
@@ -395,12 +410,14 @@ pub struct Cursor<'p> {
     ivs: Vec<u64>,
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     begin_pc: usize,
     remaining: u64,
 }
 
+#[cfg(test)]
 impl<'p> Cursor<'p> {
     /// Creates a cursor over `core`'s stream of `program`.
     ///
@@ -507,14 +524,6 @@ impl<'p> Cursor<'p> {
 
     /// Whether the next yieldable step is [`Step::DmaWait`], without
     /// evaluating address expressions.
-    ///
-    /// This is the cheap probe behind the adaptive horizon scan: a core in
-    /// `Ready` mode counts as "immediately runnable" — pinning the event
-    /// horizon to 1 — *except* when it is parked on `DmaWait`, which can
-    /// quiesce for the whole DMA drain. The hot loop calls this on every
-    /// transition into `Ready`, so it must stay cheaper than
-    /// [`Cursor::current`] (no `MicroOp` construction, no `AddrExpr` eval).
-    #[inline]
     pub fn next_is_dma_wait(&mut self) -> bool {
         matches!(self.resolve(), Some(SegOp::DmaWait))
     }

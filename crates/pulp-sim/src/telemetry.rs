@@ -31,8 +31,8 @@ pub trait Telemetry {
     /// it). A clock-gated core's sleep interval arrives in one call when it
     /// closes, which may be after the region-boundary hooks of cycles it
     /// covers, so an accumulator places a span by its cycle numbers, not by
-    /// when it arrives. Per core, spans arrive in time order; across cores
-    /// they do not.
+    /// when it arrives. Per core, spans arrive in time order, each starting
+    /// where the core's previous one ended; across cores they do not.
     #[inline(always)]
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         let _ = (cycle, core, n, cause);
@@ -121,14 +121,52 @@ impl CauseRun {
 /// regions from both.
 #[derive(Debug, Clone, Default)]
 pub struct CoreTimeline {
-    lanes: Vec<Vec<CauseRun>>,
+    lanes: Vec<Lane>,
     boundaries: Vec<(u64, RegionKind)>,
+}
+
+/// One core's runs, each stored as one word: the cycle it starts at,
+/// shifted left by [`CAUSE_BITS`], over its cause's index in
+/// [`CycleCause::ALL`].
+///
+/// A core's spans arrive in time order without gaps (see
+/// [`Telemetry::advance_n`]), so a run ends where the next one starts, and
+/// the last one at `end`: a span that extends the current run only moves
+/// `end`.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    starts: Vec<u64>,
+    end: u64,
+    /// The cause of the last run, kept next to `end`.
+    current: Option<CycleCause>,
+}
+
+/// Low bits of a [`Lane`] word that hold the cause.
+const CAUSE_BITS: u32 = 4;
+
+impl Lane {
+    /// The `i`-th run, if any.
+    fn run(&self, i: usize) -> Option<CauseRun> {
+        let word = *self.starts.get(i)?;
+        let end = self
+            .starts
+            .get(i + 1)
+            .map_or(self.end, |&next| next >> CAUSE_BITS);
+        Some(CauseRun {
+            cause: CycleCause::ALL[(word & ((1 << CAUSE_BITS) - 1)) as usize],
+            start: word >> CAUSE_BITS,
+            end,
+        })
+    }
 }
 
 impl CoreTimeline {
     /// One lane per core, each a time-ordered list of cause runs.
-    pub fn lanes(&self) -> &[Vec<CauseRun>] {
-        &self.lanes
+    pub fn lanes(&self) -> Vec<Vec<CauseRun>> {
+        self.lanes
+            .iter()
+            .map(|lane| (0..lane.starts.len()).filter_map(|i| lane.run(i)).collect())
+            .collect()
     }
 
     /// The fork (`Parallel`) and barrier-release (`Serial`) cycles in call
@@ -178,7 +216,7 @@ impl CoreTimeline {
                 *count += 1;
                 let mut breakdown = CycleBreakdown::default();
                 for (lane, i) in self.lanes.iter().zip(&mut next) {
-                    while let Some(run) = lane.get(*i).filter(|r| r.start < end) {
+                    while let Some(run) = lane.run(*i).filter(|r| r.start < end) {
                         breakdown.add_n(run.cause, run.end.min(end) - run.start.max(start));
                         if run.end > end {
                             break;
@@ -205,22 +243,33 @@ impl CoreTimeline {
 impl Telemetry for CoreTimeline {
     // O(1) attribution, also for the simulator's fast-forward spans: a
     // span either extends the core's current run or opens one new run.
+    #[inline]
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         if n == 0 {
             return;
         }
         if self.lanes.len() <= core {
-            self.lanes.resize(core + 1, Vec::new());
+            self.lanes.resize(core + 1, Lane::default());
         }
         let lane = &mut self.lanes[core];
-        match lane.last_mut() {
-            Some(run) if run.cause == cause && run.end == cycle => run.end = cycle + n,
-            _ => lane.push(CauseRun {
-                cause,
-                start: cycle,
-                end: cycle + n,
-            }),
+        // A run's end is the next run's start, so a gap would be charged
+        // to the run before it. The simulator never leaves one (its spans
+        // tile every core's cycles); checking each span in release builds
+        // would cost the timeline a sixth of its time.
+        debug_assert!(
+            lane.starts.is_empty() || lane.end == cycle,
+            "core {core}: span at {cycle} leaves a gap after {}",
+            lane.end
+        );
+        if lane.current != Some(cause) {
+            assert!(
+                cycle >> (u64::BITS - CAUSE_BITS) == 0,
+                "core {core}: runs start below cycle 2^60, not {cycle}"
+            );
+            lane.current = Some(cause);
+            lane.starts.push(cycle << CAUSE_BITS | cause as u64);
         }
+        lane.end = cycle + n;
     }
 
     fn on_fork(&mut self, cycle: u64) {
@@ -239,6 +288,37 @@ mod tests {
 
     fn labels(regions: &[RegionProfile]) -> Vec<String> {
         regions.iter().map(RegionProfile::label).collect()
+    }
+
+    #[test]
+    fn lane_words_keep_every_cause_and_start() {
+        let mut t = CoreTimeline::default();
+        let start = (1 << (u64::BITS - CAUSE_BITS)) - 16;
+        for (i, cause) in CycleCause::ALL.into_iter().enumerate() {
+            t.advance_n(start + i as u64, 0, 1, cause);
+        }
+        let runs = &t.lanes()[0];
+        assert_eq!(runs.len(), CycleCause::ALL.len());
+        for (i, (run, cause)) in runs.iter().zip(CycleCause::ALL).enumerate() {
+            let at = start + i as u64;
+            assert_eq!((run.cause, run.start, run.end), (cause, at, at + 1));
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "leaves a gap")]
+    fn a_gap_in_a_lane_is_refused() {
+        let mut t = CoreTimeline::default();
+        t.advance_n(0, 0, 2, Execute);
+        t.advance_n(3, 0, 1, Execute);
+    }
+
+    #[test]
+    #[should_panic(expected = "below cycle 2^60")]
+    fn a_run_past_the_lane_word_range_is_refused() {
+        let mut t = CoreTimeline::default();
+        t.advance_n(1 << (u64::BITS - CAUSE_BITS), 0, 1, Execute);
     }
 
     #[test]
