@@ -85,10 +85,11 @@
 //!
 //! Every `BENCH_*.json` is one [`BenchRecord`] schema: bench, profile,
 //! manifest hash and a list of metrics, each carrying its own gate — a
-//! relative or absolute worsening allowed against the baseline, or a limit
-//! on the candidate alone. `bench diff OLD NEW` fails when a gated metric
-//! of OLD is missing from NEW, when NEW breaks a gate, or (as an error)
-//! when the two records differ in bench or profile.
+//! relative or absolute worsening allowed against the baseline, an exact
+//! match of the baseline, or a limit on the candidate alone. `bench diff
+//! OLD NEW` fails when a gated metric of OLD is missing from NEW, when NEW
+//! breaks a gate, or (as an error) when the two records differ in bench or
+//! profile.
 //!
 //! `bench history DIR` reads every `BENCH_*.json` record in `DIR` (sorted by
 //! file name), groups them by bench and profile, prints each record's worst
@@ -731,7 +732,7 @@ fn run(args: &Args, out: &mut dyn Write) -> io::Result<ExitCode> {
                 }
                 ExitCode::SUCCESS
             }
-            [name] => repro::run(name, args),
+            [name] => repro::run(name, args, out)?,
             _ => usage(),
         },
         "report" => match args.operands.as_slice() {
@@ -747,7 +748,7 @@ fn run(args: &Args, out: &mut dyn Write) -> io::Result<ExitCode> {
         "bench" => match args.operands.as_slice() {
             [action, old, new] if action == "diff" => cmd_bench_diff(old, new, out)?,
             [action, dir] if action == "history" => cmd_bench_history(dir, out)?,
-            [name] => repro::bench(name, args),
+            [name] => repro::bench(name, args, out)?,
             _ => usage(),
         },
         _ => usage(),
@@ -760,7 +761,7 @@ mod tests {
     use pulp_bench::record::ACCURACY_TOLERANCE;
     use pulp_bench::{Better, Tolerance};
     use Better::{Higher, Lower};
-    use Tolerance::{Absolute, Limit, Relative};
+    use Tolerance::{Absolute, Exact, Limit, Relative};
 
     fn parse(line: &str) -> Result<Args, String> {
         Args::parse_from(line.split_whitespace().map(str::to_string))
@@ -1368,6 +1369,45 @@ mod tests {
                 Ok(&["alu@1/speedup: missing"]),
             ),
         ]);
+    }
+
+    #[test]
+    fn bench_diff_gates_exact_counts_in_both_directions() {
+        // Exact gate (the simulator's deterministic counts).
+        let cycles = |value| rec("sim", true, &[("alu@1/cycles", value, Lower, Some(Exact))]);
+        check_diffs(vec![
+            (
+                "exact: an equal value passes",
+                cycles(8050.0),
+                cycles(8050.0),
+                Ok(&[]),
+            ),
+            (
+                "exact: a fall in the better direction fails",
+                cycles(8050.0),
+                cycles(4000.0),
+                Ok(&["alu@1/cycles: 8050 -> 4000 u (must equal the baseline)"]),
+            ),
+            (
+                "exact: a rise by one fails",
+                cycles(8050.0),
+                cycles(8051.0),
+                Ok(&["alu@1/cycles: 8050 -> 8051"]),
+            ),
+        ]);
+        // The committed quick baseline carries the gate.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/BENCH_sim_quick.json"
+        );
+        let base = BenchRecord::load(std::path::Path::new(path)).expect("baseline loads");
+        for value in [4000.0, 8051.0] {
+            let mut cand = base.clone();
+            let m = cand.metrics.iter_mut().find(|m| m.name == "alu@1/cycles");
+            m.expect("alu@1/cycles").value = value;
+            let got = base.regressions(&cand).expect("comparable");
+            assert_eq!(got.len(), 1, "{value}: {got:?}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum Better {
     Lower,
 }
 
-/// The gate a metric carries. Exactly one of three forms.
+/// The gate a metric carries. Exactly one of four forms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Tolerance {
     /// Largest worsening relative to the baseline value (`0.2` = 20%).
@@ -36,6 +36,10 @@ pub enum Tolerance {
     /// Largest worsening in the metric's own unit (`0.01` = one point of
     /// accuracy).
     Absolute(f64),
+    /// The candidate must equal the baseline: a move in either direction
+    /// fails. For deterministic figures, where any change is a change of
+    /// semantics that must re-commit the baseline. Written `{"exact":0.0}`.
+    Exact,
     /// A bound on the candidate alone, whatever the baseline says: the
     /// candidate may not be worse than this value.
     Limit(f64),
@@ -114,6 +118,7 @@ impl Serialize for Tolerance {
         let (kind, x) = match *self {
             Self::Relative(x) => ("relative", x),
             Self::Absolute(x) => ("absolute", x),
+            Self::Exact => ("exact", 0.0),
             Self::Limit(x) => ("limit", x),
         };
         Value::Map(vec![(kind.to_string(), Value::F64(x))])
@@ -128,12 +133,14 @@ impl Deserialize for Tolerance {
                 match kind.as_str() {
                     "relative" => Ok(Self::Relative(x)),
                     "absolute" => Ok(Self::Absolute(x)),
+                    "exact" if x == 0.0 => Ok(Self::Exact),
+                    "exact" => Err(DeError::msg(format!("an exact gate is 0, got {x}"))),
                     "limit" => Ok(Self::Limit(x)),
                     other => Err(DeError::msg(format!("unknown tolerance kind {other:?}"))),
                 }
             }
             _ => Err(DeError::msg(
-                "a tolerance is exactly one of relative, absolute or limit",
+                "a tolerance is exactly one of relative, absolute, exact or limit",
             )),
         }
     }
@@ -185,6 +192,17 @@ impl Metric {
                         self.unit,
                         short((new - old).abs()),
                         short(a)
+                    )
+                })
+            }
+            Tolerance::Exact => {
+                let old = baseline?.value;
+                (new != old).then(|| {
+                    format!(
+                        "{name}: {} -> {} {} (must equal the baseline)",
+                        short(old),
+                        short(new),
+                        self.unit
                     )
                 })
             }
@@ -517,6 +535,16 @@ mod tests {
         let two_gates = r#"{"name":"x","value":1.0,"unit":"u","better":"lower",
             "tolerance":{"limit":0.0,"relative":0.1}}"#;
         assert!(serde_json::from_str::<Metric>(two_gates).is_err());
+        let exact = |gate: &str| {
+            let text = format!(
+                r#"{{"name":"x","value":1.0,"unit":"u","better":"lower","tolerance":{gate}}}"#
+            );
+            serde_json::from_str::<Metric>(&text).map(|m| m.tolerance)
+        };
+        assert_eq!(exact(r#"{"exact":0.0}"#).ok(), Some(Some(Tolerance::Exact)));
+        assert!(exact(r#"{"exact":1.0}"#).is_err());
+        r.push("spans", 3.0, ("count", Higher, Some(Tolerance::Exact)));
+        assert!(r.to_json().contains(r#""tolerance":{"exact":0.0}"#));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! report and record to the runner, which fails the run on any breach of
 //! the record's own limits.
 
-use super::{Output, Run};
+use super::{Output, Run, Stop};
 use crate::{
     run_models_bench, run_serve_bench, run_sim_bench, Args, ServeBenchOptions, SimBenchOptions,
 };
@@ -54,7 +54,7 @@ pub(super) fn serve_provenance(args: &Args) -> Vec<(&'static str, String)> {
 }
 
 /// The simulator benchmark (see [`crate::sim_bench`]).
-pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
+pub(super) fn sim(run: &mut Run) -> Result<Output, Stop> {
     let args = run.args;
     let opts = sim_options(args);
     eprintln!(
@@ -65,14 +65,14 @@ pub(super) fn sim(run: &mut Run) -> Result<Output, String> {
         opts.iters
     );
     let report = run_sim_bench(&opts, run.journal.as_mut());
-    print!("{}", report.render_table());
+    write!(run.out, "{}", report.render_table())?;
     Ok(Output::bench(&report, report.record()))
 }
 
 /// The serving-layer load benchmark (see [`crate::serve_bench`]) against
 /// a server trained on `data`. `--trace-out` and `--hist-out` save the
 /// flight-recorder trace and the open-loop latency histogram.
-pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     let args = run.args;
     let opts = serve_options(args);
     eprintln!(
@@ -87,7 +87,7 @@ pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stri
         opts.open_loop_rate_rps
     );
     let bench = run_serve_bench(&opts, data, &run.opts);
-    print!("{}", bench.report.render_table());
+    write!(run.out, "{}", bench.report.render_table())?;
     let histogram = bench.open_loop_histogram_json();
     for (path, text, what) in [
         (
@@ -100,14 +100,14 @@ pub(super) fn serve(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stri
         if let Some(path) = path {
             std::fs::write(path, text)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            println!("wrote {} ({what})", path.display());
+            writeln!(run.out, "wrote {} ({what})", path.display())?;
         }
     }
     Ok(Output::bench(&bench.report, bench.report.record()))
 }
 
 /// The model-zoo benchmark (see [`crate::models_bench`]).
-pub(super) fn models(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn models(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     let protocol = run.protocol;
     eprintln!(
         "bench models: {} run ({} folds x {} repeats, cv-threads {})...",
@@ -121,6 +121,6 @@ pub(super) fn models(run: &mut Run, data: &LabeledDataset) -> Result<Output, Str
         }
     );
     let report = run_models_bench(data, &protocol, run.args.quick);
-    print!("{}", report.render_table());
+    write!(run.out, "{}", report.render_table())?;
     Ok(Output::bench(&report, report.record()))
 }

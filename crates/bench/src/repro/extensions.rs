@@ -2,7 +2,7 @@
 //! loop unrolling (E9), the learning curve (E10), alternative cluster
 //! shapes (E11) and leave-one-suite-out generalisation (E12).
 
-use super::{Output, Run};
+use super::{Output, Run, Stop};
 use kernel_ir::{lower, unroll_innermost, DType};
 use pulp_energy::pipeline::LabeledDataset;
 use pulp_energy::report::render_class_distribution;
@@ -15,6 +15,7 @@ use pulp_ml::{
 use pulp_sim::{simulate, ClusterConfig};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{self, Write};
 
 /// The registry entry of kernel `name`.
 fn kernel_def(name: &str) -> KernelDef {
@@ -33,7 +34,7 @@ fn kernel_def(name: &str) -> KernelDef {
 /// that mechanism was irrelevant — the paper's premise would not hold on
 /// our substrate. The manifest records the *baseline* configuration; the
 /// ablated variants are derived from it deterministically.
-pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, String> {
+pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct AblationRecord {
         name: String,
@@ -76,10 +77,12 @@ pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, String> {
     let baseline = &datasets["baseline"];
     let base_labels = baseline.labels();
 
-    println!(
+    let out = &mut *run.out;
+    writeln!(
+        out,
         "E7 — platform-mechanism ablation ({} samples per variant)\n",
         baseline.len()
-    );
+    )?;
     let mut records = Vec::new();
     for (name, _) in &variants {
         let d = &datasets[name];
@@ -91,10 +94,10 @@ pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, String> {
             .count() as f64
             / labels.len() as f64;
         let mean = labels.iter().map(|&l| (l + 1) as f64).sum::<f64>() / labels.len() as f64;
-        println!("--- {name} ---");
-        print!("{}", render_class_distribution(&d.class_counts()));
-        println!("label agreement with baseline: {:.1}%", agree * 100.0);
-        println!("mean optimal cores: {mean:.2}\n");
+        writeln!(out, "--- {name} ---")?;
+        write!(out, "{}", render_class_distribution(&d.class_counts()))?;
+        writeln!(out, "label agreement with baseline: {:.1}%", agree * 100.0)?;
+        writeln!(out, "mean optimal cores: {mean:.2}\n")?;
         records.push(AblationRecord {
             name: name.to_string(),
             class_counts: d.class_counts().to_vec(),
@@ -103,23 +106,26 @@ pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, String> {
         });
     }
 
-    println!("shape checks:");
+    writeln!(out, "shape checks:")?;
     let find = |n: &str| records.iter().find(|r| r.name == n);
     let mean_of = |n: &str| find(n).map_or(0.0, |r| r.mean_label);
-    println!(
+    writeln!(
+        out,
         "  removing clock gating changes labels ({}% agreement)",
         (find("no-clock-gating").map_or(1.0, |r| r.label_agreement_with_baseline) * 100.0).round()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  removing FPU contention pushes optima to more cores: {:.2} -> {:.2}",
         mean_of("baseline"),
         mean_of("no-fpu-contention")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  removing bank conflicts pushes optima to more cores: {:.2} -> {:.2}",
         mean_of("baseline"),
         mean_of("no-bank-conflicts")
-    );
+    )?;
     Ok(Output::json(&records))
 }
 
@@ -133,7 +139,7 @@ pub(super) fn ablation_platform(run: &mut Run) -> Result<Output, String> {
 /// measures the energy at the optimum, whether the optimal core count
 /// moves, and whether a predictor trained on factor-1 code still places
 /// unrolled kernels within tolerance.
-pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Row {
         kernel: String,
@@ -155,11 +161,13 @@ pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Ou
     let predictor =
         EnergyPredictor::train(data, StaticFeatureSet::All, TreeParams::default()).expect("train");
 
-    println!("E9 — loop-unrolling ablation\n");
-    println!(
+    let out = &mut *run.out;
+    writeln!(out, "E9 — loop-unrolling ablation\n")?;
+    writeln!(
+        out,
         "{:<12} {:>7} {:>6} {:>12} {:>10} {:>10} {:>12}",
         "kernel", "unroll", "best", "E@best [uJ]", "saved", "static op", "pred waste"
-    );
+    )?;
     let mut rows = Vec::new();
     for name in ["fir", "gemm", "autocorr", "conv2d_5x5"] {
         let base = kernel_def(name)
@@ -177,7 +185,8 @@ pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Ou
             let predicted = predictor.predict_cores(&kernel) - 1;
             let waste = profile.waste(predicted);
             let op = static_feature_vector(&kernel)[0];
-            println!(
+            writeln!(
+                out,
                 "{:<12} {:>7} {:>6} {:>12.4} {:>9.1}% {:>10} {:>11.1}%",
                 name,
                 factor,
@@ -186,7 +195,7 @@ pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Ou
                 (1.0 - e_best / rolled_energy) * 100.0,
                 op,
                 waste * 100.0
-            );
+            )?;
             rows.push(Row {
                 kernel: name.to_string(),
                 factor,
@@ -199,20 +208,24 @@ pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Ou
         }
     }
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     let saved_any = rows
         .iter()
         .any(|r| r.factor > 1 && r.energy_saved_vs_rolled > 0.02);
-    println!("  unrolling saves energy somewhere (> 2%): {saved_any}");
+    writeln!(
+        out,
+        "  unrolling saves energy somewhere (> 2%): {saved_any}"
+    )?;
     let max_waste = rows
         .iter()
         .filter(|r| r.factor > 1)
         .map(|r| r.predictor_waste)
         .fold(0.0f64, f64::max);
-    println!(
+    writeln!(
+        out,
         "  factor-1 predictor stays within {:.1}% waste on unrolled code",
         max_waste * 100.0
-    );
+    )?;
     Ok(Output::json(&rows))
 }
 
@@ -224,7 +237,7 @@ pub(super) fn unroll_ablation(run: &mut Run, data: &LabeledDataset) -> Result<Ou
 /// growing stratified fraction of the dataset and tests on the held-out
 /// remainder, answering how quickly accuracy saturates — i.e. how much
 /// smaller the paper's measurement campaign could have been.
-pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Point {
         train_fraction: f64,
@@ -244,11 +257,16 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
     let folds_per_step = 10usize;
     let repeats = protocol.repeats.clamp(3, 30);
 
-    println!("E10 — learning curve (static ALL features, {repeats} repetitions)\n");
-    println!(
+    let out = &mut *run.out;
+    writeln!(
+        out,
+        "E10 — learning curve (static ALL features, {repeats} repetitions)\n"
+    )?;
+    writeln!(
+        out,
         "{:>10} {:>9} {:>16} {:>16}",
         "fraction", "samples", "acc@0% (std)", "acc@5% (std)"
-    );
+    )?;
     let mut points = Vec::new();
     for train_folds in 1..folds_per_step {
         // Each repetition derives everything from its index, so fanning
@@ -274,7 +292,8 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
         let (m0, s0) = mean_std(&acc0);
         let (m5, s5) = mean_std(&acc5);
         let fraction = train_folds as f64 / folds_per_step as f64;
-        println!(
+        writeln!(
+            out,
             "{:>9.0}% {:>9} {:>9.1}% ({:>4.1}) {:>9.1}% ({:>4.1})",
             fraction * 100.0,
             train_samples,
@@ -282,7 +301,7 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
             s0 * 100.0,
             m5 * 100.0,
             s5 * 100.0
-        );
+        )?;
         points.push(Point {
             train_fraction: fraction,
             train_samples,
@@ -293,19 +312,21 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
         });
     }
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     let first = points.first().expect("points");
     let last = points.last().expect("points");
-    println!(
+    writeln!(
+        out,
         "  accuracy grows with data: {:.1}% -> {:.1}% @5% tolerance",
         first.acc_at_5_mean * 100.0,
         last.acc_at_5_mean * 100.0
-    );
+    )?;
     let half = &points[points.len() / 2];
-    println!(
+    writeln!(
+        out,
         "  half the dataset already reaches {:.1}% of the full-data accuracy",
         100.0 * half.acc_at_5_mean / last.acc_at_5_mean
-    );
+    )?;
     Ok(Output::json(&points))
 }
 
@@ -319,7 +340,7 @@ pub(super) fn learning_curve(run: &mut Run, data: &LabeledDataset) -> Result<Out
 /// kernels. It shows the labels are a property of the *platform*, not the
 /// kernel alone: the same source moves its optimum when the cluster shape
 /// changes. The manifest records the paper-shape baseline.
-pub(super) fn cluster_sweep(_: &mut Run) -> Result<Output, String> {
+pub(super) fn cluster_sweep(run: &mut Run) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Row {
         cluster: String,
@@ -346,11 +367,13 @@ pub(super) fn cluster_sweep(_: &mut Run) -> Result<Output, String> {
         ("fir", DType::F32),
     ];
 
-    println!("E11 — cluster-shape sweep (payload 8196 B)\n");
-    println!(
+    let out = &mut *run.out;
+    writeln!(out, "E11 — cluster-shape sweep (payload 8196 B)\n")?;
+    writeln!(
+        out,
         "{:<14} {:<16} {:>6} {:>10} {:>14}",
         "cluster", "kernel", "dtype", "best", "E@best [uJ]"
-    );
+    )?;
     let mut rows = Vec::new();
     for (cluster_name, config) in shapes {
         for (name, dtype) in kernels {
@@ -366,7 +389,8 @@ pub(super) fn cluster_sweep(_: &mut Run) -> Result<Output, String> {
                     best = (team, e);
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "{:<14} {:<16} {:>6} {:>7}/{:<2} {:>14.4}",
                 cluster_name,
                 name,
@@ -374,7 +398,7 @@ pub(super) fn cluster_sweep(_: &mut Run) -> Result<Output, String> {
                 best.0,
                 config.num_cores,
                 best.1 * 1e-9
-            );
+            )?;
             rows.push(Row {
                 cluster: cluster_name.to_string(),
                 kernel: name.to_string(),
@@ -386,23 +410,25 @@ pub(super) fn cluster_sweep(_: &mut Run) -> Result<Output, String> {
         }
     }
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     let opt = |cluster: &str, kernel: &str| {
         rows.iter()
             .find(|r| r.cluster.starts_with(cluster) && r.kernel == kernel)
             .map_or(0, |r| r.optimal_cores)
     };
-    println!(
+    writeln!(
+        out,
         "  fpu_storm/f32 optimum tracks the FPU count: 8c2f={} 8c4f={} 16c8f={}",
         opt("8c2f", "fpu_storm"),
         opt("8c4f", "fpu_storm"),
         opt("16c8f", "fpu_storm")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  bank_hammer stays low everywhere: 8c4f={} 16c8f={}",
         opt("8c4f", "bank_hammer"),
         opt("16c8f", "bank_hammer")
-    );
+    )?;
     Ok(Output::json(&rows))
 }
 
@@ -414,7 +440,7 @@ pub(super) fn cluster_sweep(_: &mut Run) -> Result<Output, String> {
 /// faces: **does the model generalise to kernel families it has never
 /// seen?** Train on two suites, test on the third — and, stricter still,
 /// leave single kernels out entirely.
-pub(super) fn suite_generalization(_: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn suite_generalization(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Row {
         held_out: String,
@@ -436,7 +462,8 @@ pub(super) fn suite_generalization(_: &mut Run, data: &LabeledDataset) -> Result
         let e: Vec<Vec<f64>> = test.iter().map(|&r| energies[r].clone()).collect();
         (preds, e)
     };
-    let row = |held_out: String, preds: &[usize], e: &[Vec<f64>]| {
+    // Scores the held-out predictions and prints their row to `out`.
+    let row = |out: &mut dyn Write, held_out: String, preds: &[usize], e: &[Vec<f64>]| {
         let row = Row {
             held_out,
             test_samples: preds.len(),
@@ -444,26 +471,32 @@ pub(super) fn suite_generalization(_: &mut Run, data: &LabeledDataset) -> Result
             acc_at_5: tolerance_accuracy(preds, e, 0.05),
             acc_at_10: tolerance_accuracy(preds, e, 0.10),
         };
-        println!(
+        writeln!(
+            out,
             "{:<22} {:>8} {:>7.1}% {:>7.1}% {:>7.1}%",
             row.held_out,
             row.test_samples,
             row.acc_at_0 * 100.0,
             row.acc_at_5 * 100.0,
             row.acc_at_10 * 100.0
-        );
-        row
+        )?;
+        io::Result::Ok(row)
     };
 
-    println!("E12 — leave-one-suite-out generalisation (static ALL features)\n");
-    println!(
+    let out = &mut *run.out;
+    writeln!(
+        out,
+        "E12 — leave-one-suite-out generalisation (static ALL features)\n"
+    )?;
+    writeln!(
+        out,
         "{:<22} {:>8} {:>8} {:>8} {:>8}",
         "held-out", "samples", "acc@0%", "acc@5%", "acc@10%"
-    );
+    )?;
     let mut rows = Vec::new();
     for suite in ["polybench", "utdsp", "custom"] {
         let (preds, e) = holdout(&|i| data.samples[i].suite.to_string() == suite);
-        rows.push(row(format!("suite:{suite}"), &preds, &e));
+        rows.push(row(out, format!("suite:{suite}"), &preds, &e)?);
     }
 
     // Leave-one-kernel-out over every kernel, pooled.
@@ -475,24 +508,31 @@ pub(super) fn suite_generalization(_: &mut Run, data: &LabeledDataset) -> Result
         loko_preds.extend(preds);
         loko_energy.extend(e);
     }
-    let mut loko = row("kernel (LOKO, pooled)".into(), &loko_preds, &loko_energy);
+    let mut loko = row(
+        out,
+        "kernel (LOKO, pooled)".into(),
+        &loko_preds,
+        &loko_energy,
+    )?;
     loko.held_out = "kernel:LOKO".into();
     let loko_at_5 = loko.acc_at_5;
     rows.push(loko);
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     let within_suite = rows
         .iter()
         .take(3)
         .map(|r| r.acc_at_5)
         .fold(f64::INFINITY, f64::min);
-    println!(
+    writeln!(
+        out,
         "  worst held-out-suite acc@5%: {:.1}%",
         within_suite * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  LOKO acc@5% {:.1}% vs mixed-CV ~94%: unseen-kernel generalisation is the hard case",
         loko_at_5 * 100.0
-    );
+    )?;
     Ok(Output::json(&rows))
 }

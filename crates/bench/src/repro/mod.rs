@@ -12,7 +12,10 @@
 //! checks the record on its own ([`BenchRecord::breaches`]: its limits,
 //! and no non-finite value) and prints each breach. A breach or a failed
 //! record write is an error exit. An entry's body keeps only its
-//! computation, its printing and its extra artifacts.
+//! computation, its printing and its extra artifacts. It prints through
+//! [`Run::out`], the writer `pulp_cli`'s `main` hands the runner, so a
+//! closed stdout ends the run as an [`io::Error`] for `main` to judge,
+//! not as a panic.
 //!
 //! Each experiment name is also the manifest and journal `tool` string,
 //! and a bench runs as `bench_<name>`, so a manifest hash or journal run
@@ -30,6 +33,7 @@ use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
 use pulp_energy::Protocol;
 use pulp_obs::{append_or_warn, JournalWriter};
 use serde::{Serialize, Value};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -38,12 +42,32 @@ use Experiment::{Dataset, Evaluation, Standalone};
 /// An experiment body, by what the shared steps prepare for it.
 pub enum Experiment {
     /// Needs no dataset.
-    Standalone(fn(&mut Run) -> Result<Output, String>),
+    Standalone(fn(&mut Run) -> Result<Output, Stop>),
     /// Reads the labelled dataset.
-    Dataset(fn(&mut Run, &LabeledDataset) -> Result<Output, String>),
+    Dataset(fn(&mut Run, &LabeledDataset) -> Result<Output, Stop>),
     /// Cross-validates on the labelled dataset: the evaluation protocol
     /// is part of the run's provenance (manifest and journal run id).
-    Evaluation(fn(&mut Run, &LabeledDataset) -> Result<Output, String>),
+    Evaluation(fn(&mut Run, &LabeledDataset) -> Result<Output, Stop>),
+}
+
+/// Why an experiment body stopped before producing its [`Output`].
+pub enum Stop {
+    /// Writing to [`Run::out`] failed; the runner hands the error on.
+    Write(io::Error),
+    /// The experiment failed; the runner prints the message and exits 1.
+    Failed(String),
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        Self::Write(e)
+    }
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Self::Failed(message)
+    }
 }
 
 /// What the shared steps hand an experiment body.
@@ -58,6 +82,8 @@ pub struct Run<'a> {
     pub(crate) protocol: Protocol,
     /// The run journal (`--journal`), if one is open.
     pub(crate) journal: Option<JournalWriter>,
+    /// Where the body prints its tables: `pulp_cli`'s stdout.
+    pub(crate) out: &'a mut dyn Write,
 }
 
 /// What an experiment body returns to the shared steps.
@@ -126,31 +152,41 @@ pub const BENCHES: &[(&str, Experiment, BenchOptions)] = &[
     ("models", Evaluation(benches::models), |_| Vec::new()),
 ];
 
-/// Runs the experiment called `name` with `args`.
-pub fn run(name: &str, args: &Args) -> ExitCode {
+/// Runs the experiment called `name` with `args`, printing to `out`. A
+/// failed write to `out` ends the run as its error.
+pub fn run(name: &str, args: &Args, out: &mut dyn Write) -> io::Result<ExitCode> {
     match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-        Some((tool, exp)) => execute(tool, exp, &[], args),
+        Some((tool, exp)) => execute(tool, exp, &[], args, out),
         None => {
             eprintln!("error: unknown experiment `{name}`; `pulp_cli repro` lists them");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     }
 }
 
-/// Runs the bench called `name` with `args`.
-pub fn bench(name: &str, args: &Args) -> ExitCode {
+/// Runs the bench called `name` with `args`, printing to `out`. A failed
+/// write to `out` ends the run as its error.
+pub fn bench(name: &str, args: &Args, out: &mut dyn Write) -> io::Result<ExitCode> {
     match BENCHES.iter().find(|(n, ..)| *n == name) {
-        Some((_, exp, options)) => execute(&format!("bench_{name}"), exp, &options(args), args),
+        Some((_, exp, options)) => {
+            execute(&format!("bench_{name}"), exp, &options(args), args, out)
+        }
         None => {
             eprintln!("error: unknown bench `{name}`; want sim, serve or models");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     }
 }
 
 /// The one runner: runs `exp` under the manifest and journal tool string
-/// `tool`, with `options` as manifest extras.
-fn execute(tool: &str, exp: &Experiment, options: &[(&str, String)], args: &Args) -> ExitCode {
+/// `tool`, with `options` as manifest extras, printing to `out`.
+fn execute(
+    tool: &str,
+    exp: &Experiment,
+    options: &[(&str, String)],
+    args: &Args,
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
     let start = Instant::now();
     let opts = args.pipeline_options();
     let protocol = args.protocol();
@@ -166,21 +202,23 @@ fn execute(tool: &str, exp: &Experiment, options: &[(&str, String)], args: &Args
         opts,
         protocol,
         journal,
+        out,
     };
     let outcome = match exp {
         Standalone(body) => body(&mut run),
         Dataset(body) | Evaluation(body) => {
             match load_or_build_dataset(&run.opts, args, run.journal.as_mut()) {
                 Ok(data) => body(&mut run, &data),
-                Err(e) => Err(format!("dataset build failed: {e}")),
+                Err(e) => Err(Stop::Failed(format!("dataset build failed: {e}"))),
             }
         }
     };
     let out = match outcome {
         Ok(out) => out,
-        Err(e) => {
+        Err(Stop::Write(e)) => return Err(e),
+        Err(Stop::Failed(e)) => {
             eprintln!("{tool}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     args.dump_json(&out.json);
@@ -225,11 +263,11 @@ fn execute(tool: &str, exp: &Experiment, options: &[(&str, String)], args: &Args
             ok = false;
         }
     }
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 #[cfg(test)]
@@ -238,7 +276,7 @@ mod tests {
 
     /// A bench body's output that measures nothing: one metric, `x`, with
     /// a limit of 1.
-    fn stub(x: f64) -> Result<Output, String> {
+    fn stub(x: f64) -> Result<Output, Stop> {
         let mut record = BenchRecord::new("stub", true);
         let limit = Some(crate::Tolerance::Limit(1.0));
         record.push("x", x, ("count", crate::Better::Lower, limit));
@@ -262,8 +300,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 16, "duplicate registry name");
-        assert_eq!(run("nope", &Args::default()), ExitCode::from(2));
-        assert_eq!(bench("nope", &Args::default()), ExitCode::from(2));
+        let mut out = io::sink();
+        assert_eq!(
+            run("nope", &Args::default(), &mut out).ok(),
+            Some(ExitCode::from(2))
+        );
+        assert_eq!(
+            bench("nope", &Args::default(), &mut out).ok(),
+            Some(ExitCode::from(2))
+        );
         // A record that cannot be written (`--out` names a directory) is an
         // error exit, for every entry of either table.
         let dir = scratch("unwritable");
@@ -274,7 +319,8 @@ mod tests {
             ..Args::default()
         };
         let body = Standalone(|_| stub(1.0));
-        assert_eq!(execute("stub", &body, &[], &args), ExitCode::FAILURE);
+        let code = execute("stub", &body, &[], &args, &mut out).ok();
+        assert_eq!(code, Some(ExitCode::FAILURE));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -289,7 +335,9 @@ mod tests {
             ..Args::default()
         };
         let body = Standalone(|_| stub(1.0));
-        assert_eq!(execute("stub", &body, &[], &args), ExitCode::SUCCESS);
+        let mut out = io::sink();
+        let code = execute("stub", &body, &[], &args, &mut out).ok();
+        assert_eq!(code, Some(ExitCode::SUCCESS));
         let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record written");
         assert!(
             !record.manifest_hash.is_empty(),
@@ -316,7 +364,8 @@ mod tests {
             std::fs::remove_file(dir.join(file)).expect("remove");
         }
         let body = Standalone(|_| stub(2.0));
-        assert_eq!(execute("stub", &body, &[], &args), ExitCode::FAILURE);
+        let code = execute("stub", &body, &[], &args, &mut out).ok();
+        assert_eq!(code, Some(ExitCode::FAILURE));
         let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record written");
         assert_eq!(record.get("x").map(|m| m.value), Some(2.0));
         assert_eq!(tail(), [("x".to_string(), 2.0)]);
@@ -338,10 +387,8 @@ mod tests {
             };
             let body = Standalone(|_| stub(1.0));
             let options = sim_options(&args);
-            assert_eq!(
-                execute("bench_sim", &body, &options, &args),
-                ExitCode::SUCCESS
-            );
+            let code = execute("bench_sim", &body, &options, &args, &mut io::sink()).ok();
+            assert_eq!(code, Some(ExitCode::SUCCESS));
             let record = BenchRecord::load(&dir.join("BENCH_stub.json")).expect("record");
             record.manifest_hash
         };
@@ -362,7 +409,11 @@ mod tests {
             quiet: true,
             ..Args::default()
         };
-        assert_eq!(run("table1_energy_model", &args), ExitCode::SUCCESS);
+        let mut out = Vec::new();
+        let code = run("table1_energy_model", &args, &mut out).ok();
+        assert_eq!(code, Some(ExitCode::SUCCESS));
+        let table = String::from_utf8(out).expect("utf-8");
+        assert!(table.starts_with("E1 / Table I"), "{table}");
         let rows: serde::Value = serde_json::from_str(
             &std::fs::read_to_string(dir.join("t1.json")).expect("json written"),
         )
@@ -387,7 +438,8 @@ mod tests {
             quiet: true,
             ..Args::default()
         };
-        assert_eq!(run("headline", &args), ExitCode::FAILURE);
+        let code = run("headline", &args, &mut io::sink()).ok();
+        assert_eq!(code, Some(ExitCode::FAILURE));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! The paper's evaluation, E1–E6: Table I, the §IV-B dataset statistics,
 //! Figure 2 left and right, Table IV and the headline accuracies.
 
-use super::{Output, Run};
+use super::{Output, Run, Stop};
 use crate::record::ACCURACY_TOLERANCE;
 use crate::{BenchRecord, Better, Tolerance};
 use pulp_energy::pipeline::LabeledDataset;
@@ -56,7 +56,7 @@ fn marginal(config: &ClusterConfig, model: &EnergyModel, kind: OpKind, addr: Opt
 /// *marginal* energy per event next to the Table-I coefficient it should
 /// reproduce. Deviations expose accounting bugs (each event must be
 /// charged exactly once).
-pub(super) fn table1_energy_model(_: &mut Run) -> Result<Output, String> {
+pub(super) fn table1_energy_model(run: &mut Run) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Row {
         class: &'static str,
@@ -105,12 +105,20 @@ pub(super) fn table1_energy_model(_: &mut Run) -> Result<Output, String> {
         ),
     ];
 
-    println!("E1 / Table I — energy model calibration (single-class microbenchmarks, 1 core)");
-    println!("platform overhead per active cycle: {idle_per_cycle:.0} fJ");
-    println!(
+    let out = &mut *run.out;
+    writeln!(
+        out,
+        "E1 / Table I — energy model calibration (single-class microbenchmarks, 1 core)"
+    )?;
+    writeln!(
+        out,
+        "platform overhead per active cycle: {idle_per_cycle:.0} fJ"
+    )?;
+    writeln!(
+        out,
         "{:<30} {:>12} {:>12} {:>8}",
         "class", "table1 fJ", "measured fJ", "err%"
-    );
+    )?;
     let mut rows = Vec::new();
     for (class, kind, addr, expected) in cases {
         // Measured removes the I-cache fetch and the platform overhead
@@ -122,7 +130,10 @@ pub(super) fn table1_energy_model(_: &mut Run) -> Result<Output, String> {
             - if nop { 0.0 } else { idle_per_cycle };
         let adjusted_expected = expected + if nop { idle_per_cycle } else { 0.0 };
         let err = 100.0 * (measured - adjusted_expected) / adjusted_expected;
-        println!("{class:<30} {adjusted_expected:>12.0} {measured:>12.0} {err:>7.2}%");
+        writeln!(
+            out,
+            "{class:<30} {adjusted_expected:>12.0} {measured:>12.0} {err:>7.2}%"
+        )?;
         rows.push(Row {
             class,
             table1_fj: adjusted_expected,
@@ -134,7 +145,10 @@ pub(super) fn table1_energy_model(_: &mut Run) -> Result<Output, String> {
         .iter()
         .map(|r| r.error_percent.abs())
         .fold(0.0, f64::max);
-    println!("\nmax |error| = {worst:.2}% (expected ~0: the accounting charges each event once)");
+    writeln!(
+        out,
+        "\nmax |error| = {worst:.2}% (expected ~0: the accounting charges each event once)"
+    )?;
     Ok(Output::json(&rows))
 }
 
@@ -144,7 +158,7 @@ pub(super) fn table1_energy_model(_: &mut Run) -> Result<Output, String> {
 /// 15%, except for the class with label 8 which accounts for the 34.8% of
 /// the samples collection". This regenerates the class distribution of the
 /// measured dataset, plus per-suite and per-dtype breakdowns.
-pub(super) fn dataset_stats(_: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn dataset_stats(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Record {
         total_samples: usize,
@@ -155,15 +169,17 @@ pub(super) fn dataset_stats(_: &mut Run, data: &LabeledDataset) -> Result<Output
         mean_label_by_payload: BTreeMap<usize, f64>,
     }
 
-    println!("E2 / §IV-B — dataset statistics\n");
-    println!("samples: {} (paper: 448)", data.len());
+    let out = &mut *run.out;
+    writeln!(out, "E2 / §IV-B — dataset statistics\n")?;
+    writeln!(out, "samples: {} (paper: 448)", data.len())?;
     let counts = data.class_counts();
-    println!("\nminimum-energy class distribution:");
-    print!("{}", render_class_distribution(&counts));
+    writeln!(out, "\nminimum-energy class distribution:")?;
+    write!(out, "{}", render_class_distribution(&counts))?;
 
     let total = data.len() as f64;
     let shares: Vec<f64> = counts.iter().map(|&c| c as f64 / total).collect();
-    println!(
+    writeln!(
+        out,
         "\nlargest class: {} cores with {:.1}% (paper: class 8 at 34.8%)",
         counts
             .iter()
@@ -172,7 +188,7 @@ pub(super) fn dataset_stats(_: &mut Run, data: &LabeledDataset) -> Result<Output
             .map(|(i, _)| i + 1)
             .unwrap_or(0),
         shares.iter().cloned().fold(0.0, f64::max) * 100.0
-    );
+    )?;
 
     let mut by_suite: BTreeMap<String, usize> = BTreeMap::new();
     let mut by_dtype: BTreeMap<String, usize> = BTreeMap::new();
@@ -180,8 +196,8 @@ pub(super) fn dataset_stats(_: &mut Run, data: &LabeledDataset) -> Result<Output
         *by_suite.entry(s.suite.to_string()).or_insert(0) += 1;
         *by_dtype.entry(s.dtype.to_string()).or_insert(0) += 1;
     }
-    println!("\nby suite: {by_suite:?}");
-    println!("by dtype: {by_dtype:?}");
+    writeln!(out, "\nby suite: {by_suite:?}")?;
+    writeln!(out, "by dtype: {by_dtype:?}")?;
 
     // Problem size influences the optimum: report the mean optimal core
     // count per payload size.
@@ -191,11 +207,11 @@ pub(super) fn dataset_stats(_: &mut Run, data: &LabeledDataset) -> Result<Output
         e.0 += s.label + 1;
         e.1 += 1;
     }
-    println!("\nmean optimal cores by payload size:");
+    writeln!(out, "\nmean optimal cores by payload size:")?;
     let mut mean_label_by_payload = BTreeMap::new();
     for (size, (sum, n)) in &by_payload {
         let mean = *sum as f64 / *n as f64;
-        println!("  {size:>6} B: {mean:.2} cores");
+        writeln!(out, "  {size:>6} B: {mean:.2} cores")?;
         mean_label_by_payload.insert(*size, mean);
     }
 
@@ -220,7 +236,7 @@ fn at(curve: &ToleranceCurve, t: f64) -> f64 {
 /// Expected shape (paper): the decision tree always beats always-8; AGG
 /// static features exceed 75% accuracy at 5% tolerance; dynamic features
 /// sit above static ones by a bounded margin.
-pub(super) fn fig2_left(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn fig2_left(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     let protocol = &run.protocol;
     let tolerances = default_tolerances();
     let energies = data.energies();
@@ -245,24 +261,27 @@ pub(super) fn fig2_left(run: &mut Run, data: &LabeledDataset) -> Result<Output, 
     let naive = always_n_curve(8, &energies, &tolerances);
 
     let curves = vec![static_curve, dynamic_curve, naive];
-    println!("E3 / Figure 2 (left) — accuracy vs energy tolerance\n");
-    print!("{}", render_curves(&curves));
+    let out = &mut *run.out;
+    writeln!(out, "E3 / Figure 2 (left) — accuracy vs energy tolerance\n")?;
+    write!(out, "{}", render_curves(&curves))?;
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     let [s, d, n] = &curves[..] else {
         unreachable!("three curves")
     };
-    println!(
+    writeln!(
+        out,
         "  static(AGG) @5%  = {:.1}%  (paper: >75%)",
         at(s, 0.05) * 100.0
-    );
-    println!("  static(AGG) @0%  = {:.1}%", at(s, 0.0) * 100.0);
-    println!("  dynamic     @5%  = {:.1}%", at(d, 0.05) * 100.0);
-    println!("  always-8    @5%  = {:.1}%", at(n, 0.05) * 100.0);
-    println!(
+    )?;
+    writeln!(out, "  static(AGG) @0%  = {:.1}%", at(s, 0.0) * 100.0)?;
+    writeln!(out, "  dynamic     @5%  = {:.1}%", at(d, 0.05) * 100.0)?;
+    writeln!(out, "  always-8    @5%  = {:.1}%", at(n, 0.05) * 100.0)?;
+    writeln!(
+        out,
         "  tree beats always-8 at every tolerance: {}",
         s.tolerances.iter().all(|&t| at(s, t) >= at(n, t))
-    );
+    )?;
     Ok(Output::json(&curves))
 }
 
@@ -276,7 +295,7 @@ const OPTIMIZED_FEATURES: usize = 6;
 /// Expected shape (paper): the families are roughly coherent at 0%
 /// tolerance (~57%), approach 80% at 5%, and pruning to the most important
 /// features improves the 0%-tolerance accuracy.
-pub(super) fn fig2_right(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn fig2_right(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     let (args, protocol) = (run.args, &run.protocol);
     let tolerances = default_tolerances();
     let energies = data.energies();
@@ -328,18 +347,20 @@ pub(super) fn fig2_right(run: &mut Run, data: &LabeledDataset) -> Result<Output,
         protocol,
     ));
 
-    println!("E4 / Figure 2 (right) — static feature families\n");
-    print!("{}", render_curves(&curves));
-    println!("\noptimised set keeps: {kept:?}");
+    let out = &mut *run.out;
+    writeln!(out, "E4 / Figure 2 (right) — static feature families\n")?;
+    write!(out, "{}", render_curves(&curves))?;
+    writeln!(out, "\noptimised set keeps: {kept:?}")?;
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     for c in &curves {
-        println!(
+        writeln!(
+            out,
             "  {:<10} @0% = {:>5.1}%   @5% = {:>5.1}%",
             c.label,
             at(c, 0.0) * 100.0,
             at(c, 0.05) * 100.0
-        );
+        )?;
     }
     Ok(Output::json(&curves))
 }
@@ -350,7 +371,7 @@ pub(super) fn fig2_right(run: &mut Run, data: &LabeledDataset) -> Result<Output,
 /// shape (paper): `PE_sleep` at extreme parallelism dominates the dynamic
 /// ranking; `avgws`, `F4` and `F1` dominate the static ranking, with a few
 /// MCA port pressures in the tail.
-pub(super) fn table4_importance(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn table4_importance(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     #[derive(Serialize)]
     struct Record {
         dynamic: Vec<RankedFeature>,
@@ -364,32 +385,37 @@ pub(super) fn table4_importance(run: &mut Run, data: &LabeledDataset) -> Result<
         protocol,
     );
 
-    println!("E5 / Table IV — most relevant features\n");
-    print!(
+    let out = &mut *run.out;
+    writeln!(out, "E5 / Table IV — most relevant features\n")?;
+    write!(
+        out,
         "{}",
         render_importances("Dynamic features (top 12):", &dynamic, 12)
-    );
-    println!();
-    print!(
+    )?;
+    writeln!(out)?;
+    write!(
+        out,
         "{}",
         render_importances("Static features (top 9):", &static_, 9)
-    );
+    )?;
 
-    println!("\nshape checks:");
+    writeln!(out, "\nshape checks:")?;
     let top_dynamic: Vec<&str> = dynamic.iter().take(4).map(|r| r.name.as_str()).collect();
-    println!(
+    writeln!(
+        out,
         "  PE_sleep among top dynamic features: {} (top 4: {:?})",
         top_dynamic.iter().any(|n| n.starts_with("PE_sleep")),
         top_dynamic
-    );
+    )?;
     let top_static: Vec<&str> = static_.iter().take(3).map(|r| r.name.as_str()).collect();
-    println!(
+    writeln!(
+        out,
         "  avgws/F-features lead static ranking: {} (top 3: {:?})",
         top_static
             .iter()
             .any(|n| matches!(*n, "avgws" | "F1" | "F3" | "F4" | "transfer")),
         top_static
-    );
+    )?;
     Ok(Output::json(&Record { dynamic, static_ }))
 }
 
@@ -447,7 +473,7 @@ fn headline_record(
 ///
 /// Also writes the `BENCH_headline.json` bench record (`--out` to
 /// retarget) and journals the evaluation as a `train_eval` stage.
-pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     let tolerances = default_tolerances();
     let energies = data.energies();
     let protocol = run.protocol;
@@ -479,8 +505,9 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
         always8_at_5: at(&naive, 0.05),
     };
 
-    println!("E6 — headline numbers (ours [tree] vs paper [tree])\n");
-    println!("{:<34} {:>8} {:>10}", "metric", "ours", "paper");
+    let out = &mut *run.out;
+    writeln!(out, "E6 — headline numbers (ours [tree] vs paper [tree])\n")?;
+    writeln!(out, "{:<34} {:>8} {:>10}", "metric", "ours", "paper")?;
     let pct = |v: f64| format!("{:.1}%", v * 100.0);
     for (metric, ours, paper) in [
         ("static accuracy @0% tolerance", h.static_at_0, "~57%"),
@@ -492,7 +519,7 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
         ("static-dynamic gap @5%", h.gap_at_5, "<10%"),
         ("always-8 accuracy @5%", h.always8_at_5, "-"),
     ] {
-        println!("{metric:<34} {:>8} {paper:>10}", pct(ours));
+        writeln!(out, "{metric:<34} {:>8} {paper:>10}", pct(ours))?;
     }
 
     // One CV pass for the confusion structure: most confusion should sit
@@ -501,10 +528,10 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
         DecisionTree::new(protocol.tree)
     });
     let confusion = confusion_matrix(&preds, all.labels(), pulp_energy::NUM_CLASSES);
-    println!("\nconfusion matrix (static features, one CV pass):");
-    print!("{}", render_confusion(&confusion));
+    writeln!(out, "\nconfusion matrix (static features, one CV pass):")?;
+    write!(out, "{}", render_confusion(&confusion))?;
 
-    println!("\nshape verdicts:");
+    writeln!(out, "\nshape verdicts:")?;
     for (ok, claim) in [
         (
             h.static_at_5 - h.static_at_0 > 0.10,
@@ -518,7 +545,7 @@ pub(super) fn headline(run: &mut Run, data: &LabeledDataset) -> Result<Output, S
         ),
         (h.static_at_5 > h.always8_at_5, "tree beats always-8 @5%"),
     ] {
-        println!("  [{}] {claim}", if ok { "OK" } else { "DEVIATES" });
+        writeln!(out, "  [{}] {claim}", if ok { "OK" } else { "DEVIATES" })?;
     }
 
     let record = headline_record(

@@ -1,7 +1,7 @@
 //! Utilities that ride on the experiment plumbing: the dataset as CSV and
 //! the cycle-attribution / energy-waterfall profile sweep.
 
-use super::{Output, Run};
+use super::{Output, Run, Stop};
 use crate::{profile_run, QUICK_KERNELS};
 use kernel_ir::{lower, DType};
 use pulp_energy::pipeline::LabeledDataset;
@@ -23,7 +23,7 @@ fn csv_escape(s: &str) -> String {
 /// (spreadsheets, pandas, R) — one row per sample with identity columns,
 /// the per-class energies and cycles, the full static and dynamic feature
 /// vectors and the label. `--json` dumps the raw `LabeledDataset` record.
-pub(super) fn dataset_export(run: &mut Run, data: &LabeledDataset) -> Result<Output, String> {
+pub(super) fn dataset_export(run: &mut Run, data: &LabeledDataset) -> Result<Output, Stop> {
     let mut cols: Vec<String> = vec![
         "id".into(),
         "kernel".into(),
@@ -36,7 +36,8 @@ pub(super) fn dataset_export(run: &mut Run, data: &LabeledDataset) -> Result<Out
     cols.extend((1..=8).map(|c| format!("cycles_{c}c")));
     cols.extend(static_feature_names());
     cols.extend(dynamic_feature_names());
-    println!("{}", cols.join(","));
+    let out = &mut *run.out;
+    writeln!(out, "{}", cols.join(","))?;
 
     for s in &data.samples {
         let mut row: Vec<String> = vec![
@@ -51,7 +52,7 @@ pub(super) fn dataset_export(run: &mut Run, data: &LabeledDataset) -> Result<Out
         row.extend(s.cycles.iter().map(|c| c.to_string()));
         row.extend(s.static_x.iter().map(|v| format!("{v}")));
         row.extend(s.dynamic_x.iter().map(|v| format!("{v}")));
-        println!("{}", row.join(","));
+        writeln!(out, "{}", row.join(","))?;
     }
     if !run.args.quiet {
         run.args.logger().info(
@@ -81,18 +82,20 @@ fn dominant_stall(b: &CycleBreakdown) -> (CycleCause, u64) {
 /// cycles, energy and the dominant non-execute stall cause. `--detail`
 /// adds the full per-core stall table and the energy waterfall of each
 /// kernel's minimum-energy team; `--quiet` prints only the detail.
-pub(super) fn profile_report(run: &mut Run) -> Result<Output, String> {
+pub(super) fn profile_report(run: &mut Run) -> Result<Output, Stop> {
     let args = run.args;
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
     let defs = registry();
     let mut json_kernels: Vec<(String, Value)> = Vec::new();
 
+    let out = &mut *run.out;
     if !args.quiet {
-        println!(
+        writeln!(
+            out,
             "{:<20} {:>4} {:>10} {:>12} {:>7} {:<14}",
             "kernel", "team", "cycles", "energy [uJ]", "exec%", "top stall"
-        );
+        )?;
     }
     for name in QUICK_KERNELS {
         let def = defs
@@ -125,7 +128,8 @@ pub(super) fn profile_report(run: &mut Run) -> Result<Output, String> {
             let exec_pct = 100.0 * totals.execute as f64 / totals.total() as f64;
             let (cause, n) = dominant_stall(&totals);
             if !args.quiet {
-                println!(
+                writeln!(
+                    out,
                     "{:<20} {:>4} {:>10} {:>12.4} {:>6.1}% {:<10} ({n})",
                     name,
                     team,
@@ -133,7 +137,7 @@ pub(super) fn profile_report(run: &mut Run) -> Result<Output, String> {
                     fj * 1e-9,
                     exec_pct,
                     cause.token()
-                );
+                )?;
             }
             if best.is_none_or(|(_, e)| fj < e) {
                 best = Some((team, fj));
@@ -158,9 +162,13 @@ pub(super) fn profile_report(run: &mut Run) -> Result<Output, String> {
             let lowered = lower(&kernel, team, &config).expect("lowering succeeded above");
             let profiled = profile_run(&config, &lowered.program, 100_000_000)
                 .expect("simulation succeeded above");
-            println!("-- {name} detail (minimum-energy team {team}) --");
-            print!("{}", profiled.stats.summary());
-            print!("{}", energy_waterfall(&profiled.stats, &model, &config));
+            writeln!(out, "-- {name} detail (minimum-energy team {team}) --")?;
+            write!(out, "{}", profiled.stats.summary())?;
+            write!(
+                out,
+                "{}",
+                energy_waterfall(&profiled.stats, &model, &config)
+            )?;
         }
         json_kernels.push((name.to_string(), Value::Seq(team_values)));
     }

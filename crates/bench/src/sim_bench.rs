@@ -13,19 +13,6 @@
 //! the telemetry cost, oracle and telemetry parity, and barrier/DMA spans)
 //! fail the run that writes it.
 //!
-//! ## How the `scan`/`hit` columns are measured
-//!
-//! The horizon wall split (`horizon_scan_s` / `horizon_step_s`, rendered as
-//! the `scan` share column) comes from a separate `horizon_timing`
-//! instrumented pass, and the simulator **samples** that timing: one clocked
-//! event in every 32, scaled back up to the full event count. Clocking every
-//! iteration would attribute the two `Instant::now()` calls themselves to
-//! the split and inflate the scan share on short baskets; sampling keeps the
-//! probe overhead at ~3% of events while the scaled split stays an unbiased
-//! estimate (spans are homogeneous within a basket). The split is a ratio
-//! diagnostic, not a throughput claim — `ff [cyc/s]` always comes from the
-//! uninstrumented run.
-//!
 //! The report also carries a **labeling throughput** figure: the sweep
 //! driver ([`sweep_kernels`]) is timed over the quick kernel
 //! set and reported as samples labelled per wall-second, giving the corpus
@@ -155,17 +142,9 @@ pub struct SimBenchRow {
     /// `true` when the fast-forward run's architectural results are
     /// bit-identical to the oracle's.
     pub oracle_match: bool,
-    /// Fraction of horizon computations that produced a bulk skip, from a
-    /// separate `horizon_timing`-instrumented run.
+    /// Fraction of the fast-forward run's horizon scans that produced a
+    /// bulk span.
     pub horizon_hit_rate: f64,
-    /// Wall seconds the instrumented run spent scanning for the next event
-    /// horizon.
-    pub horizon_scan_s: f64,
-    /// Wall seconds the instrumented run spent in per-cycle stepping.
-    pub horizon_step_s: f64,
-    /// `horizon_scan_s / (horizon_scan_s + horizon_step_s)` — the share of
-    /// instrumented wall time paid for the fast-forward bookkeeping.
-    pub horizon_scan_share: f64,
 }
 
 /// The full benchmark report; its `record()` is written to `BENCH_sim.json`.
@@ -397,7 +376,6 @@ pub fn run_sim_bench(
         fast_forward: false,
         ..ff_opts
     };
-    let timing_opts = ff_opts.with_horizon_timing(true);
     let mut scratch = SimScratch::new();
     let mut rows = Vec::new();
     for basket in BASKETS {
@@ -416,11 +394,6 @@ pub fn run_sim_bench(
                     |s| simulate_basket(&config, &program, &ff_opts, s),
                     |s| simulate_basket(&config, &program, &oracle_opts, s),
                 );
-                // A separate instrumented pass: `horizon_timing` samples one
-                // event in 32 (see the module docs), but even the sampled
-                // probes must not pollute `ff_wall_s`. One iteration is
-                // enough — the split is a ratio, not a throughput claim.
-                let timed = simulate_basket(&config, &program, &timing_opts, &mut scratch);
                 let cycles = ff.cycles;
                 rows.push(SimBenchRow {
                     basket: basket.to_string(),
@@ -434,10 +407,7 @@ pub fn run_sim_bench(
                     skip_ratio: ff.skip_ratio(),
                     spans: ff.fast_forward.spans,
                     oracle_match: ff.without_fast_forward() == oracle,
-                    horizon_hit_rate: timed.fast_forward.horizon_hit_rate(),
-                    horizon_scan_s: timed.fast_forward.horizon_scan_nanos as f64 / 1e9,
-                    horizon_step_s: timed.fast_forward.step_nanos as f64 / 1e9,
-                    horizon_scan_share: timed.fast_forward.horizon_scan_share(),
+                    horizon_hit_rate: ff.fast_forward.horizon_hit_rate(),
                 });
             }
         });
@@ -599,10 +569,11 @@ impl SimBenchReport {
     /// barrier/DMA basket — sleeping workers behind a long DMA drain — must
     /// take a bulk span at 2, 4 and 8 cores, or the fast-forward is dead.
     /// The simulator is deterministic, so the figures that count cycles,
-    /// spans and scans are exact: a worsening by any amount is a regression.
+    /// spans and scans are exact: a change in either direction is a
+    /// regression.
     pub fn record(&self) -> BenchRecord {
         use Better::{Higher, Lower};
-        let exact = Some(Tolerance::Absolute(0.0));
+        let exact = Some(Tolerance::Exact);
         let throughput = Some(Tolerance::Relative(THROUGHPUT_TOLERANCE));
         let floor = Some(Tolerance::Limit(SPEEDUP_FLOOR));
         let telemetry = Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT));
@@ -627,10 +598,8 @@ impl SimBenchReport {
                 }
                 "spans" => ("count", Higher, exact),
                 "skip_ratio" | "horizon_hit_rate" => ("ratio", Higher, exact),
-                "horizon_scan_share" | "labeling_journal_overhead" => ("ratio", Lower, None),
-                "ff_wall_s" | "oracle_wall_s" | "horizon_scan_s" | "horizon_step_s" => {
-                    ("s", Lower, None)
-                }
+                "labeling_journal_overhead" => ("ratio", Lower, None),
+                "ff_wall_s" | "oracle_wall_s" => ("s", Lower, None),
                 "labeling_wall_s" | "labeling_observed_wall_s" => ("s", Lower, None),
                 _ => ("count", Higher, None),
             },
@@ -643,7 +612,7 @@ impl SimBenchReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<14} {:>5} {:>12} {:>14} {:>14} {:>8} {:>6} {:>6} {:>6} {:>6}",
+            "{:<14} {:>5} {:>12} {:>14} {:>14} {:>8} {:>6} {:>6} {:>6}",
             "basket",
             "cores",
             "cycles",
@@ -652,13 +621,12 @@ impl SimBenchReport {
             "speedup",
             "skip",
             "hit",
-            "scan",
             "match"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<14} {:>5} {:>12} {:>14.3e} {:>14.3e} {:>7.2}x {:>5.1}% {:>5.1}% {:>5.1}% {:>6}",
+                "{:<14} {:>5} {:>12} {:>14.3e} {:>14.3e} {:>7.2}x {:>5.1}% {:>5.1}% {:>6}",
                 r.basket,
                 r.cores,
                 r.cycles,
@@ -667,12 +635,9 @@ impl SimBenchReport {
                 r.speedup,
                 r.skip_ratio * 100.0,
                 r.horizon_hit_rate * 100.0,
-                r.horizon_scan_share * 100.0,
                 if r.oracle_match { "ok" } else { "FAIL" }
             );
         }
-        // `scan` above is the sampled horizon-timing split (1 event in 32,
-        // scaled); see the module docs for the method.
         let _ = writeln!(
             out,
             "labeling: {} samples @ {} threads in {:.3}s = {:.1} samples/s",
@@ -763,18 +728,8 @@ mod tests {
             "alu@1 has no quiescent spans, got skip ratio {}",
             alu1.skip_ratio
         );
-        // The instrumented pass fills the wall split for every row and the
-        // skip-friendly basket converts horizon computations into skips.
+        // The skip-friendly basket converts horizon computations into skips.
         assert!(dma8.horizon_hit_rate > 0.0, "no horizon skips at dma@8");
-        for r in &report.rows {
-            assert!(
-                r.horizon_scan_s + r.horizon_step_s > 0.0,
-                "{} @ {}: empty horizon wall split",
-                r.basket,
-                r.cores
-            );
-            assert!((0.0..=1.0).contains(&r.horizon_scan_share));
-        }
     }
 
     #[test]
@@ -874,9 +829,6 @@ mod tests {
             spans: 1,
             oracle_match: true,
             horizon_hit_rate: 0.3,
-            horizon_scan_s: 1e-6,
-            horizon_step_s: 0.009,
-            horizon_scan_share: 1e-4,
         };
         let dma = SimBenchRow {
             basket: "barrier_dma".to_string(),
@@ -906,7 +858,7 @@ mod tests {
         );
         assert_eq!(
             record.metrics.len(),
-            2 * 13 + 7 + 3,
+            2 * 10 + 7 + 3,
             "every row, labeling and telemetry figure"
         );
         let gate = |name: &str| record.get(name).and_then(|m| m.tolerance);
@@ -920,7 +872,7 @@ mod tests {
             Some(Tolerance::Limit(TELEMETRY_LIMIT_PCT))
         );
         assert_eq!(record.get("alu@8/oracle_match").map(|m| m.value), Some(1.0));
-        let exact = Some(Tolerance::Absolute(0.0));
+        let exact = Some(Tolerance::Exact);
         assert_eq!(gate("alu@8/spans"), exact, "only barrier_dma must skip");
         for field in ["alu@8/cycles", "alu@8/skip_ratio", "telemetry_cycles"] {
             assert_eq!(gate(field), exact, "{field}");

@@ -140,17 +140,6 @@ pub struct SimOptions {
     /// run). Disable to scan every iteration — the re-arm coverage property
     /// tests use that as their reference.
     pub adaptive_scan: bool,
-    /// Measures the wall-time split between the horizon scan and stepped
-    /// execution (`horizon_scan_nanos`/`step_nanos` in
-    /// [`crate::stats::FastForwardStats`]). Off by default: clock reads
-    /// perturb throughput runs, so benchmarks take a separate instrumented
-    /// run for the split. To keep the observer effect out of the measured
-    /// split itself, timing is *sampled*: one in
-    /// `TIMING_SAMPLE_PERIOD` scan/step events is clocked (the first
-    /// always is) and the totals are scaled up by the event count at the
-    /// end, so short runs still report a non-zero split while long runs pay
-    /// two clock reads per 32 events instead of per iteration.
-    pub horizon_timing: bool,
 }
 
 impl Default for SimOptions {
@@ -159,7 +148,6 @@ impl Default for SimOptions {
             max_cycles: DEFAULT_MAX_CYCLES,
             fast_forward: true,
             adaptive_scan: true,
-            horizon_timing: false,
         }
     }
 }
@@ -181,34 +169,12 @@ impl SimOptions {
         self
     }
 
-    /// Enables the horizon-overhead wall-time split.
-    #[must_use]
-    pub fn with_horizon_timing(mut self, horizon_timing: bool) -> Self {
-        self.horizon_timing = horizon_timing;
-        self
-    }
-
     /// Toggles the adaptive horizon-scan gating (see
     /// [`SimOptions::adaptive_scan`]).
     #[must_use]
     pub fn with_adaptive_scan(mut self, adaptive_scan: bool) -> Self {
         self.adaptive_scan = adaptive_scan;
         self
-    }
-}
-
-/// One in this many `horizon_timing` scan/step events is actually clocked;
-/// the first event of each kind always is. See
-/// [`SimOptions::horizon_timing`].
-const TIMING_SAMPLE_PERIOD: u64 = 32;
-
-/// Scales a sampled nano total up to the full event count
-/// (`raw * events / timed`, in u128 to avoid overflow).
-fn scale_sampled_nanos(raw: u64, events: u64, timed: u64) -> u64 {
-    if timed == 0 {
-        0
-    } else {
-        (u128::from(raw) * u128::from(events) / u128::from(timed)) as u64
     }
 }
 
@@ -461,14 +427,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
     // `SimOptions::adaptive_scan`); a bulk advance always leaves the woken
     // state worth scanning again.
     let mut scan_armed = true;
-    // Sampled-timing state (see `SimOptions::horizon_timing`): raw nanos and
-    // how many of the events were clocked, scaled to the full event counts
-    // after the run.
-    let mut scan_nanos_raw = 0u64;
-    let mut scan_timed = 0u64;
-    let mut step_events = 0u64;
-    let mut step_nanos_raw = 0u64;
-    let mut step_timed = 0u64;
     loop {
         if finished == team {
             break;
@@ -478,20 +436,9 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         }
 
         if opts.fast_forward && (scan_armed || !opts.adaptive_scan) {
-            let scan_t0 = (opts.horizon_timing
-                && stats
-                    .fast_forward
-                    .horizon_computations
-                    .is_multiple_of(TIMING_SAMPLE_PERIOD))
-            .then(std::time::Instant::now);
             let h = event_horizon(code, modes, left, forks_seen, &eu, &dma, cycle, max_cycles);
-            if let Some(t0) = scan_t0 {
-                scan_nanos_raw += t0.elapsed().as_nanos() as u64;
-                scan_timed += 1;
-            }
             stats.fast_forward.horizon_computations += 1;
             if h > 1 {
-                stats.fast_forward.horizon_skips += 1;
                 bulk_advance(
                     config, &mut stats, modes, left, cause, sleepers, &mut eu, sink, telemetry,
                     cycle, h,
@@ -500,9 +447,6 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                 continue;
             }
         }
-        let step_t0 = (opts.horizon_timing && step_events.is_multiple_of(TIMING_SAMPLE_PERIOD))
-            .then(std::time::Instant::now);
-        step_events += 1;
 
         let mut any_active = false;
 
@@ -610,20 +554,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             stats.cluster_active_cycles += 1;
         }
         scan_armed = !(0..team).any(|c| modes[c] == Mode::Ready && !code.next_is_dma_wait(c));
-        if let Some(t0) = step_t0 {
-            step_nanos_raw += t0.elapsed().as_nanos() as u64;
-            step_timed += 1;
-        }
         cycle += 1;
-    }
-    if opts.horizon_timing {
-        stats.fast_forward.horizon_scan_nanos = scale_sampled_nanos(
-            scan_nanos_raw,
-            stats.fast_forward.horizon_computations,
-            scan_timed,
-        );
-        stats.fast_forward.step_nanos =
-            scale_sampled_nanos(step_nanos_raw, step_events, step_timed);
     }
 
     // Charge and close the intervals still open: finished and unused cores.
@@ -1378,37 +1309,12 @@ mod tests {
     fn horizon_accounting_counts_scans_and_skips() {
         let p = dma_barrier_program();
         let s = run_opts(&p, &SimOptions::default());
-        // One scan per non-bulk iteration plus one per bulk span.
-        assert!(s.fast_forward.horizon_computations > 0);
-        assert_eq!(s.fast_forward.horizon_skips, s.fast_forward.spans);
-        assert!(s.fast_forward.horizon_skips <= s.fast_forward.horizon_computations);
-        // Timing was off: the wall-time split stays untouched.
-        assert_eq!(s.fast_forward.horizon_scan_nanos, 0);
-        assert_eq!(s.fast_forward.step_nanos, 0);
-        assert_eq!(s.fast_forward.horizon_scan_share(), 0.0);
+        // Every scan that skips books exactly one span.
+        assert!(s.fast_forward.spans > 0);
+        assert!(s.fast_forward.spans <= s.fast_forward.horizon_computations);
         // The oracle runs no scans at all.
         let oracle = run_opts(&p, &SimOptions::oracle());
         assert_eq!(oracle.fast_forward.horizon_computations, 0);
-    }
-
-    #[test]
-    fn horizon_timing_fills_the_wall_split_without_changing_results() {
-        let p = dma_barrier_program();
-        let timed = run_opts(&p, &SimOptions::default().with_horizon_timing(true));
-        let untimed = run_opts(&p, &SimOptions::default());
-        assert!(
-            timed.fast_forward.horizon_scan_nanos > 0,
-            "timed run must measure the scan: {:?}",
-            timed.fast_forward
-        );
-        // Architectural results and the discrete horizon counters are
-        // identical; only the nano fields differ.
-        assert_eq!(timed.without_fast_forward(), untimed.without_fast_forward());
-        assert_eq!(
-            timed.fast_forward.horizon_computations,
-            untimed.fast_forward.horizon_computations
-        );
-        assert_eq!(timed.fast_forward.spans, untimed.fast_forward.spans);
     }
 
     #[test]
@@ -1638,10 +1544,6 @@ mod tests {
             assert_eq!(
                 adaptive.fast_forward.skipped_cycles,
                 always.fast_forward.skipped_cycles
-            );
-            assert_eq!(
-                adaptive.fast_forward.horizon_skips,
-                always.fast_forward.horizon_skips
             );
             assert!(
                 adaptive.fast_forward.horizon_computations

@@ -276,14 +276,13 @@ impl Decoded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::MicroOp;
     use crate::program::{AddrExpr, Cursor, Step};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// The step the reference cursor would hand out at `core`'s position.
     fn step_of(code: &Decoded, core: usize) -> Step {
-        let op = |kind, addr| Step::Op(MicroOp { kind, addr });
+        let op = |kind, addr| Step::Op { kind, addr };
         match code.current(core) {
             Op::Int { kind, .. } => op(kind, None),
             Op::Nop => op(OpKind::Nop, None),

@@ -96,40 +96,6 @@ impl OpKind {
     }
 }
 
-/// A fully-resolved micro-operation ready for execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MicroOp {
-    /// Operation class.
-    pub kind: OpKind,
-    /// Byte address for memory operations, `None` otherwise.
-    pub addr: Option<u32>,
-}
-
-impl MicroOp {
-    /// Creates a non-memory micro-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is a memory operation (use [`MicroOp::mem`]).
-    pub fn op(kind: OpKind) -> Self {
-        assert!(!kind.is_mem(), "memory ops need an address");
-        Self { kind, addr: None }
-    }
-
-    /// Creates a memory micro-op targeting byte address `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is not a memory operation.
-    pub fn mem(kind: OpKind, addr: u32) -> Self {
-        assert!(kind.is_mem(), "only loads/stores carry addresses");
-        Self {
-            kind,
-            addr: Some(addr),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,17 +126,5 @@ mod tests {
         assert!(OpKind::Fp(FpOp::Mul).is_fp());
         assert!(!OpKind::Mul.is_fp());
         assert!(OpKind::Load.is_mem());
-    }
-
-    #[test]
-    #[should_panic(expected = "memory ops need an address")]
-    fn op_constructor_rejects_mem() {
-        let _ = MicroOp::op(OpKind::Load);
-    }
-
-    #[test]
-    #[should_panic(expected = "only loads/stores carry addresses")]
-    fn mem_constructor_rejects_alu() {
-        let _ = MicroOp::mem(OpKind::Alu, 0);
     }
 }

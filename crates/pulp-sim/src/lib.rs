@@ -78,7 +78,7 @@ pub use cluster::{
     simulate, simulate_opts, simulate_traced, SimError, SimOptions, SimScratch, DEFAULT_MAX_CYCLES,
 };
 pub use config::{ClusterConfig, L2_BASE, TCDM_BASE};
-pub use isa::{FpOp, MicroOp, OpKind};
+pub use isa::{FpOp, OpKind};
 pub use program::{AddrExpr, Program, SegOp, ValidateProgramError};
 pub use stats::{
     BankStats, CoreStats, DmaStats, FastForwardStats, IcacheStats, SimStats, SimStatsSummary,

@@ -9,8 +9,6 @@
 //! (`crate::decode`); the reference walk over the bytecode itself, `Cursor`,
 //! is kept for tests.
 
-#[cfg(test)]
-use crate::isa::MicroOp;
 use crate::isa::OpKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -112,7 +110,12 @@ pub enum SegOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Execute a micro-op.
-    Op(MicroOp),
+    Op {
+        /// Operation class.
+        kind: OpKind,
+        /// Byte address for memory operations, `None` otherwise.
+        addr: Option<u32>,
+    },
     /// Arrive at the cluster barrier.
     Barrier,
     /// Master fork point.
@@ -499,10 +502,10 @@ impl<'p> Cursor<'p> {
         match op {
             SegOp::Instr { kind, addr } => {
                 let a = addr.as_ref().map(|e| e.eval(&self.ivs));
-                Step::Op(MicroOp {
+                Step::Op {
                     kind: *kind,
                     addr: a,
-                })
+                }
             }
             SegOp::Barrier => Step::Barrier,
             SegOp::Fork => Step::Fork,
@@ -566,10 +569,10 @@ mod tests {
         assert_eq!(steps.len(), 2);
         assert_eq!(
             steps[0],
-            Step::Op(MicroOp {
+            Step::Op {
                 kind: OpKind::Alu,
                 addr: None
-            })
+            }
         );
     }
 
@@ -595,10 +598,10 @@ mod tests {
         let steps = drain(&p, 0);
         assert_eq!(
             steps,
-            vec![Step::Op(MicroOp {
+            vec![Step::Op {
                 kind: OpKind::Nop,
                 addr: None
-            })]
+            }]
         );
     }
 
@@ -634,7 +637,7 @@ mod tests {
         let addrs: Vec<u32> = drain(&p, 0)
             .into_iter()
             .map(|s| match s {
-                Step::Op(MicroOp { addr: Some(a), .. }) => a,
+                Step::Op { addr: Some(a), .. } => a,
                 other => panic!("unexpected step {other:?}"),
             })
             .collect();
@@ -724,7 +727,7 @@ mod tests {
         assert_eq!(c.current(), Step::DmaWait);
         c.advance();
         assert!(!c.next_is_dma_wait());
-        assert!(matches!(c.current(), Step::Op(_)));
+        assert!(matches!(c.current(), Step::Op { .. }));
         c.advance();
         assert!(!c.next_is_dma_wait());
         assert_eq!(c.current(), Step::Done);

@@ -91,14 +91,11 @@ pub struct DmaStats {
 /// fast-forward is disabled. When comparing a fast-forward run against the
 /// single-step oracle, compare [`SimStats::without_fast_forward`] copies.
 ///
-/// The horizon-overhead fields attribute where the simulator's own wall
-/// time goes: `horizon_computations`/`horizon_skips` count how often the
-/// horizon scan ran and how often it paid off, and the two `*_nanos` fields
-/// split wall time between scanning and stepping. The nano fields stay zero
-/// unless [`crate::SimOptions::horizon_timing`] is set — clock reads
-/// perturb throughput runs, so timing is an explicit diagnostic mode, and
-/// the split is *sampled* (one clocked event in 32, scaled to the full
-/// event count) so the timers themselves stay out of the measurement.
+/// `horizon_computations` counts how often the horizon scan ran; every scan
+/// that paid off books exactly one of the `spans`, so their ratio is the
+/// scan's hit rate. Records written when this struct also carried a skip
+/// counter and a sampled wall-time split still load: unknown keys are
+/// ignored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FastForwardStats {
     /// Bulk-advance spans taken (each replaces >= 2 single-step iterations).
@@ -111,38 +108,16 @@ pub struct FastForwardStats {
     /// iteration. Defaults when absent in serialised records.
     #[serde(default)]
     pub horizon_computations: u64,
-    /// Horizon scans that yielded a skip (horizon > 1, so a bulk advance
-    /// replaced the iteration). Defaults when absent.
-    #[serde(default)]
-    pub horizon_skips: u64,
-    /// Wall time spent inside the horizon scan, in nanoseconds. Zero
-    /// unless timing was requested. Defaults when absent.
-    #[serde(default)]
-    pub horizon_scan_nanos: u64,
-    /// Wall time spent in stepped (non-skipped) loop iterations, in
-    /// nanoseconds. Zero unless timing was requested. Defaults when absent.
-    #[serde(default)]
-    pub step_nanos: u64,
 }
 
 impl FastForwardStats {
-    /// Fraction of horizon scans that yielded a skip (0.0 when none ran).
+    /// Fraction of horizon scans that yielded a skip, `spans /
+    /// horizon_computations` (0.0 when none ran).
     pub fn horizon_hit_rate(&self) -> f64 {
         if self.horizon_computations == 0 {
             0.0
         } else {
-            self.horizon_skips as f64 / self.horizon_computations as f64
-        }
-    }
-
-    /// Share of measured wall time spent scanning for the horizon rather
-    /// than stepping (0.0 when timing was off or nothing was measured).
-    pub fn horizon_scan_share(&self) -> f64 {
-        let total = self.horizon_scan_nanos + self.step_nanos;
-        if total == 0 {
-            0.0
-        } else {
-            self.horizon_scan_nanos as f64 / total as f64
+            self.spans as f64 / self.horizon_computations as f64
         }
     }
 }
@@ -486,38 +461,43 @@ mod tests {
     #[test]
     fn horizon_overhead_ratios_and_serde_defaults() {
         let mut s = SimStats::new(1, 1, 1);
+        s.cycles = 3;
+        s.fast_forward.spans = 4;
+        s.fast_forward.skipped_cycles = 9;
         s.fast_forward.horizon_computations = 10;
-        s.fast_forward.horizon_skips = 4;
-        s.fast_forward.horizon_scan_nanos = 30;
-        s.fast_forward.step_nanos = 70;
         assert!((s.fast_forward.horizon_hit_rate() - 0.4).abs() < 1e-12);
-        assert!((s.fast_forward.horizon_scan_share() - 0.3).abs() < 1e-12);
         assert_eq!(FastForwardStats::default().horizon_hit_rate(), 0.0);
-        assert_eq!(FastForwardStats::default().horizon_scan_share(), 0.0);
         // The oracle view clears the horizon fields with the rest.
         assert_eq!(
             s.without_fast_forward().fast_forward,
             FastForwardStats::default()
         );
-        // Records serialised before the horizon fields existed still
-        // round-trip: strip them from the nested map and deserialise.
-        s.cycles = 3;
-        let serde::Value::Map(mut entries) = serde::Serialize::to_value(&s) else {
-            panic!("SimStats must serialise to a map");
+        // Deserialises `s` with only the `keep` keys of its `fast_forward`
+        // map, plus the `extra` keys.
+        let with_keys = |keep: &[&str], extra: &[&str]| {
+            let serde::Value::Map(mut entries) = serde::Serialize::to_value(&s) else {
+                panic!("SimStats must serialise to a map");
+            };
+            let ff = entries
+                .iter_mut()
+                .find(|(k, _)| k == "fast_forward")
+                .expect("fast_forward present");
+            let serde::Value::Map(inner) = &mut ff.1 else {
+                panic!("fast_forward must serialise to a map");
+            };
+            inner.retain(|(k, _)| keep.contains(&k.as_str()));
+            inner.extend(extra.iter().map(|k| (k.to_string(), serde::Value::U64(7))));
+            serde::Deserialize::from_value(&serde::Value::Map(entries)).expect("deserialise")
         };
-        let ff = entries
-            .iter_mut()
-            .find(|(k, _)| k == "fast_forward")
-            .expect("fast_forward present");
-        let serde::Value::Map(inner) = &mut ff.1 else {
-            panic!("fast_forward must serialise to a map");
-        };
-        inner.retain(|(k, _)| k == "spans" || k == "skipped_cycles");
-        let back: SimStats =
-            serde::Deserialize::from_value(&serde::Value::Map(entries)).expect("deserialise");
-        assert_eq!(back.cycles, 3);
-        assert_eq!(back.fast_forward.horizon_computations, 0);
-        assert_eq!(back.fast_forward.step_nanos, 0);
+        let all = ["spans", "skipped_cycles", "horizon_computations"];
+        // Records written with the retired skip counter and wall-time split
+        // still load; the extra keys are ignored.
+        let old: SimStats = with_keys(&all, &["horizon_skips", "horizon_scan_nanos", "step_nanos"]);
+        assert_eq!(old, s);
+        // Records written before the horizon counter existed still load.
+        let older: SimStats = with_keys(&all[..2], &[]);
+        assert_eq!(older.fast_forward.horizon_computations, 0);
+        assert_eq!(older.fast_forward.spans, 4);
     }
 
     #[test]

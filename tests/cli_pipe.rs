@@ -1,5 +1,6 @@
 //! `pulp_cli` output into a pipe whose reader goes away, as in
-//! `pulp_cli repro | head -1`: the command stops writing and exits 0,
+//! `pulp_cli repro | head -1` or `pulp_cli repro table1_energy_model |
+//! true`: the command stops writing and exits 0,
 //! with no panic. SIGPIPE stays ignored (the server relies on it), so the
 //! closed pipe reaches the command as a `BrokenPipe` write error.
 
@@ -33,6 +34,19 @@ fn a_listing_into_a_closed_pipe_exits_cleanly() {
         .output()
         .expect("pulp_cli runs");
     assert_clean_exit("repro", &out);
+}
+
+#[test]
+fn an_experiment_table_into_a_closed_pipe_exits_cleanly() {
+    // The experiments print their tables through the same writer as
+    // `main`, so a closed pipe ends the run instead of panicking.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = pulp_cli(&["repro", "table1_energy_model", "--quiet", "--no-manifest"])
+        .stdout(writer)
+        .output()
+        .expect("pulp_cli runs");
+    assert_clean_exit("repro table1_energy_model", &out);
 }
 
 #[test]

@@ -238,10 +238,6 @@ proptest! {
             adaptive.fast_forward.skipped_cycles,
             always.fast_forward.skipped_cycles
         );
-        prop_assert_eq!(
-            adaptive.fast_forward.horizon_skips,
-            always.fast_forward.horizon_skips
-        );
         // Adaptive never scans more often than once per iteration.
         prop_assert!(
             adaptive.fast_forward.horizon_computations
