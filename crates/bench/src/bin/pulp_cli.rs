@@ -1395,18 +1395,19 @@ mod tests {
                 Ok(&["alu@1/cycles: 8050 -> 8051"]),
             ),
         ]);
-        // The committed quick baseline carries the gate.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../baselines/BENCH_sim_quick.json"
-        );
-        let base = BenchRecord::load(std::path::Path::new(path)).expect("baseline loads");
-        for value in [4000.0, 8051.0] {
-            let mut cand = base.clone();
-            let m = cand.metrics.iter_mut().find(|m| m.name == "alu@1/cycles");
-            m.expect("alu@1/cycles").value = value;
-            let got = base.regressions(&cand).expect("comparable");
-            assert_eq!(got.len(), 1, "{value}: {got:?}");
+        // Both committed sim baselines carry the gate: one cycle either way
+        // fails.
+        for file in ["BENCH_sim_quick.json", "BENCH_sim.json"] {
+            let path = format!("{}/../../baselines/{file}", env!("CARGO_MANIFEST_DIR"));
+            let base = BenchRecord::load(std::path::Path::new(&path)).expect("baseline loads");
+            let at = base.metrics.iter().position(|m| m.name == "alu@1/cycles");
+            let at = at.expect("alu@1/cycles");
+            for delta in [-1.0, 1.0] {
+                let mut cand = base.clone();
+                cand.metrics[at].value += delta;
+                let got = base.regressions(&cand).expect("comparable");
+                assert_eq!(got.len(), 1, "{file} {delta:+}: {got:?}");
+            }
         }
     }
 

@@ -102,7 +102,7 @@ impl Serialize for Better {
 }
 
 impl Deserialize for Better {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn from_value(v: Value) -> Result<Self, DeError> {
         match v.as_str()? {
             "higher" => Ok(Self::Higher),
             "lower" => Ok(Self::Lower),
@@ -126,7 +126,7 @@ impl Serialize for Tolerance {
 }
 
 impl Deserialize for Tolerance {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn from_value(v: Value) -> Result<Self, DeError> {
         match v.as_map()? {
             [(kind, x)] => {
                 let x = x.as_f64()?;

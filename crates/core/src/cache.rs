@@ -237,16 +237,14 @@ impl SweepCache {
     }
 
     fn parse_entry(text: &str, version: &str, sample: &str) -> Option<Vec<EnergySummary>> {
-        let value: Value = serde_json::from_str(text).ok()?;
-        let entry_version = String::from_value(value.field("version").ok()?).ok()?;
-        if entry_version != version {
+        let mut value: Value = serde_json::from_str(text).ok()?;
+        if value.field("version").ok()?.as_str().ok()? != version
+            || value.field("sample").ok()?.as_str().ok()? != sample
+        {
             return None;
         }
-        let entry_sample = String::from_value(value.field("sample").ok()?).ok()?;
-        if entry_sample != sample {
-            return None;
-        }
-        let summaries = Vec::<EnergySummary>::from_value(value.field("summaries").ok()?).ok()?;
+        let summaries =
+            Vec::<EnergySummary>::from_value(value.take_field("summaries").ok()?).ok()?;
         if summaries.is_empty() || !summaries.iter().all(EnergySummary::is_plausible) {
             return None;
         }

@@ -223,7 +223,7 @@ impl JournalEvent {
     }
 
     /// Decodes one parsed journal line into `(seq, run_id, event)`.
-    fn from_value(v: &Value) -> Result<(u64, String, Self), String> {
+    fn from_value(v: Value) -> Result<(u64, String, Self), String> {
         let field = |name: &str| v.field(name).map_err(|e| e.to_string());
         let text = |name: &str| {
             field(name).and_then(|f| f.as_str().map(str::to_string).map_err(|e| e.to_string()))
@@ -586,7 +586,7 @@ impl JournalReader {
             let v: Value = serde_json::from_str(line)
                 .map_err(|e| format!("line {n}: not valid JSON ({e})"))?;
             let (seq, run, ev) =
-                JournalEvent::from_value(&v).map_err(|e| format!("line {n}: {e}"))?;
+                JournalEvent::from_value(v).map_err(|e| format!("line {n}: {e}"))?;
             if saw_end {
                 return Err(format!("line {n}: event after run_end"));
             }

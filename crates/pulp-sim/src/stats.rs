@@ -454,7 +454,7 @@ mod tests {
         entries.retain(|(k, _)| k != "fast_forward");
         assert_eq!(entries.len(), before - 1, "field present before removal");
         let back: SimStats =
-            serde::Deserialize::from_value(&serde::Value::Map(entries)).expect("deserialise");
+            serde::Deserialize::from_value(serde::Value::Map(entries)).expect("deserialise");
         assert_eq!(back, s);
     }
 
@@ -487,7 +487,7 @@ mod tests {
             };
             inner.retain(|(k, _)| keep.contains(&k.as_str()));
             inner.extend(extra.iter().map(|k| (k.to_string(), serde::Value::U64(7))));
-            serde::Deserialize::from_value(&serde::Value::Map(entries)).expect("deserialise")
+            serde::Deserialize::from_value(serde::Value::Map(entries)).expect("deserialise")
         };
         let all = ["spans", "skipped_cycles", "horizon_computations"];
         // Records written with the retired skip counter and wall-time split
