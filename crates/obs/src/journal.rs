@@ -36,7 +36,7 @@
 //! assert!(render_report(&journal).contains("measure"));
 //! ```
 
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -222,63 +222,84 @@ impl JournalEvent {
         Value::Map(map)
     }
 
-    /// Decodes one parsed journal line into `(seq, run_id, event)`.
-    fn from_value(v: Value) -> Result<(u64, String, Self), String> {
-        let field = |name: &str| v.field(name).map_err(|e| e.to_string());
-        let text = |name: &str| {
-            field(name).and_then(|f| f.as_str().map(str::to_string).map_err(|e| e.to_string()))
+    /// Decodes one journal line into `(seq, run_id, event)`.
+    ///
+    /// # Errors
+    ///
+    /// A line that is not JSON, or not a journal event of this schema
+    /// version, as readable text.
+    pub fn from_line(line: &str) -> Result<(u64, String, Self), String> {
+        let v: Value = serde_json::from_str(line).map_err(|e| format!("not valid JSON ({e})"))?;
+        Self::from_value(v)
+    }
+
+    /// Decodes one parsed journal line into `(seq, run_id, event)`. Its
+    /// strings move out of `v`.
+    fn from_value(mut v: Value) -> Result<(u64, String, Self), String> {
+        fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, String> {
+            v.field(name).map_err(|e| e.to_string())
+        }
+        fn text(v: &mut Value, name: &str) -> Result<String, String> {
+            v.take_field(name)
+                .and_then(String::from_value)
+                .map_err(|e| e.to_string())
+        }
+        let uint = |v: &Value, name: &str| {
+            field(v, name).and_then(|f| f.as_u64().map_err(|e| e.to_string()))
         };
-        let uint = |name: &str| field(name).and_then(|f| f.as_u64().map_err(|e| e.to_string()));
-        let float = |name: &str| field(name).and_then(|f| f.as_f64().map_err(|e| e.to_string()));
-        let version = uint("v")?;
+        let float = |v: &Value, name: &str| {
+            field(v, name).and_then(|f| f.as_f64().map_err(|e| e.to_string()))
+        };
+        let v = &mut v;
+        let version = uint(v, "v")?;
         if version != JOURNAL_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported journal schema version {version} (reader supports {JOURNAL_SCHEMA_VERSION})"
             ));
         }
-        let seq = uint("seq")?;
-        let run = text("run")?;
-        let kind = text("ev")?;
+        let seq = uint(v, "seq")?;
+        let run = text(v, "run")?;
+        let kind = text(v, "ev")?;
         let ev = match kind.as_str() {
             "run_start" => Self::RunStart {
-                tool: text("tool")?,
-                manifest_hash: text("manifest")?,
-                seed: uint("seed")?,
+                tool: text(v, "tool")?,
+                manifest_hash: text(v, "manifest")?,
+                seed: uint(v, "seed")?,
             },
             "stage_start" => Self::StageStart {
-                stage: text("stage")?,
+                stage: text(v, "stage")?,
             },
             "stage_end" => Self::StageEnd {
-                stage: text("stage")?,
-                wall_ms: float("wall_ms")?,
+                stage: text(v, "stage")?,
+                wall_ms: float(v, "wall_ms")?,
             },
             "heartbeat" => Self::Heartbeat {
-                shard: uint("shard")?,
-                done: uint("done")?,
-                assigned: uint("assigned")?,
-                elapsed_ms: uint("elapsed_ms")?,
-                kernels_per_s: float("kernels_per_s")?,
-                cache_hits: uint("cache_hits")?,
-                cache_misses: uint("cache_misses")?,
+                shard: uint(v, "shard")?,
+                done: uint(v, "done")?,
+                assigned: uint(v, "assigned")?,
+                elapsed_ms: uint(v, "elapsed_ms")?,
+                kernels_per_s: float(v, "kernels_per_s")?,
+                cache_hits: uint(v, "cache_hits")?,
+                cache_misses: uint(v, "cache_misses")?,
             },
             "cache" => Self::Cache {
-                hits: uint("hits")?,
-                misses: uint("misses")?,
-                invalidations: uint("invalidations")?,
+                hits: uint(v, "hits")?,
+                misses: uint(v, "misses")?,
+                invalidations: uint(v, "invalidations")?,
             },
             "slow_kernel" => Self::SlowKernel {
-                sample: text("sample")?,
-                wall_ms: float("wall_ms")?,
-                cycles: uint("cycles")?,
+                sample: text(v, "sample")?,
+                wall_ms: float(v, "wall_ms")?,
+                cycles: uint(v, "cycles")?,
             },
             "bench_record" => Self::BenchRecord {
-                bench: text("bench")?,
-                name: text("name")?,
-                value: float("value")?,
+                bench: text(v, "bench")?,
+                name: text(v, "name")?,
+                value: float(v, "value")?,
             },
             "run_end" => Self::RunEnd {
-                ok: field("ok")?.as_bool().map_err(|e| e.to_string())?,
-                events: uint("events")?,
+                ok: field(v, "ok")?.as_bool().map_err(|e| e.to_string())?,
+                events: uint(v, "events")?,
             },
             other => return Err(format!("unknown event kind `{other}`")),
         };
@@ -583,10 +604,8 @@ impl JournalReader {
         }
         for (lineno, line) in text.lines().enumerate() {
             let n = lineno + 1;
-            let v: Value = serde_json::from_str(line)
-                .map_err(|e| format!("line {n}: not valid JSON ({e})"))?;
             let (seq, run, ev) =
-                JournalEvent::from_value(v).map_err(|e| format!("line {n}: {e}"))?;
+                JournalEvent::from_line(line).map_err(|e| format!("line {n}: {e}"))?;
             if saw_end {
                 return Err(format!("line {n}: event after run_end"));
             }

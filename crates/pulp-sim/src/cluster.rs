@@ -14,10 +14,13 @@ use crate::event_unit::EventUnit;
 use crate::fpu::FpuPool;
 use crate::icache::refills_for_static_insns;
 use crate::isa::OpKind;
+use crate::period::{
+    self, AccessKind, Detector, Kept, Period, Recording, ReplayScratch, Runs, Snapshot, MAX_PERIOD,
+};
 use crate::program::{Program, SegOp, ValidateProgramError};
 use crate::stats::SimStats;
 use crate::tcdm::TcdmArbiter;
-use crate::telemetry::{NoTelemetry, Telemetry};
+use crate::telemetry::{CauseRun, NoTelemetry, Telemetry};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use std::fmt;
 
@@ -120,10 +123,13 @@ enum Mode {
 pub struct SimOptions {
     /// Cycle budget before the run is declared hung.
     pub max_cycles: u64,
-    /// Enables the event-horizon fast-forward: when no core is `Ready`, the
-    /// clock jumps to the next cycle at which any state transition is
-    /// possible, attributing the skipped cycles in bulk. Every
-    /// architectural result — [`SimStats`] counters, trace-event stream,
+    /// Enables the fast-forward. The event horizon: when no core is
+    /// `Ready`, the clock jumps to the next cycle at which any state
+    /// transition is possible, attributing the skipped cycles in bulk. The
+    /// periodic loop skip: when the cluster repeats one iteration of an
+    /// innermost loop, as many more iterations as provably repeat it are
+    /// applied in one step (see `crate::period`). Every architectural
+    /// result — [`SimStats`] counters, trace-event stream, telemetry,
     /// downstream energy labels — is bit-identical either way; only the
     /// [`crate::stats::FastForwardStats`] diagnostics differ. Disable to
     /// run the single-step oracle (the differential tests do).
@@ -201,6 +207,13 @@ pub struct SimScratch {
     /// Precomputed per-core FPU index (`ClusterConfig::fpu_of` hoisted out
     /// of the issue path).
     fpu_of: Vec<usize>,
+    /// The periodic loop skip: its snapshots, the iteration it records,
+    /// and the periods it keeps.
+    detector: Detector,
+    recording: Recording,
+    runs: Runs,
+    kept: Kept,
+    replay: ReplayScratch,
 }
 
 impl SimScratch {
@@ -229,6 +242,21 @@ impl SimScratch {
             .resize(config.num_cores, CycleCause::Idle);
         self.fpu_of.clear();
         self.fpu_of.extend((0..team).map(|c| config.fpu_of(c)));
+        let slots = self.code.slots().0.len();
+        let shape = period::Shape {
+            cores: config.num_cores,
+            slots,
+            mem_ops: self.code.addrs().len(),
+            key: 2 * team + slots + 4 + config.num_fpus,
+        };
+        period::reserve(
+            shape,
+            &mut self.detector,
+            &mut self.recording,
+            &mut self.runs,
+            &mut self.kept,
+            &mut self.replay,
+        );
     }
 }
 
@@ -303,6 +331,73 @@ impl Sleepers {
     }
 }
 
+/// The caller's trace sink, seen through the period recorder: while an
+/// iteration is recorded (`on`), the events a sink that keeps them
+/// receives are kept for replay too, and the memory path notes every bank
+/// access.
+struct Tap<'a, S> {
+    sink: &'a mut S,
+    on: bool,
+    rec: &'a mut Recording,
+}
+
+impl<S: TraceSink> TraceSink for Tap<'_, S> {
+    #[inline(always)]
+    fn emit(&mut self, cycle: u64, event: TraceEvent) {
+        if !self.sink.is_null() && self.on {
+            self.rec.events.push((cycle, event));
+        }
+        self.sink.emit(cycle, event);
+    }
+
+    #[inline(always)]
+    fn is_null(&self) -> bool {
+        self.sink.is_null()
+    }
+}
+
+impl<S> Tap<'_, S> {
+    #[inline(always)]
+    fn access(&mut self, cycle: u64, at: u32, addr: u32, kind: AccessKind) {
+        if self.on {
+            self.rec.access(cycle, at, addr, kind);
+        }
+    }
+}
+
+/// The caller's telemetry, seen through the period recorder: while an
+/// iteration is recorded (`on`), each core's spans are kept as its runs.
+struct Watch<'a, T> {
+    telemetry: &'a mut T,
+    on: bool,
+    runs: &'a mut Runs,
+}
+
+impl<T: Telemetry> Telemetry for Watch<'_, T> {
+    #[inline(always)]
+    fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
+        if self.on {
+            self.runs.charge(cycle, core, n, cause);
+        }
+        self.telemetry.advance_n(cycle, core, n, cause);
+    }
+
+    #[inline(always)]
+    fn repeat(&mut self, core: usize, runs: &[CauseRun], times: u64) {
+        self.telemetry.repeat(core, runs, times);
+    }
+
+    #[inline(always)]
+    fn on_fork(&mut self, cycle: u64) {
+        self.telemetry.on_fork(cycle);
+    }
+
+    #[inline(always)]
+    fn on_barrier_release(&mut self, cycle: u64) {
+        self.telemetry.on_barrier_release(cycle);
+    }
+}
+
 /// Runs `program` on the cluster described by `config`, collecting stats.
 ///
 /// Convenience wrapper over [`simulate_traced`] using a [`NullSink`] and the
@@ -348,13 +443,13 @@ pub fn simulate_traced<S: TraceSink>(
 /// (their leakage and gating energy still counts, which is what makes
 /// small team sizes pay for the silicon they do not use).
 ///
-/// `telemetry` receives [`Telemetry::advance_n`] calls that attribute
-/// every cycle of every cluster core to one exclusive [`CycleCause`], plus
-/// fork and barrier-release region boundaries. Pass [`NoTelemetry`] for
-/// the zero-cost path. `opts.fast_forward` selects between the
-/// event-horizon fast-forward (default; bulk-advances over quiescent
-/// spans) and the single-step oracle; both produce bit-identical
-/// architectural results. `scratch` is reinitialised on entry and may be
+/// `telemetry` receives [`Telemetry::advance_n`] and [`Telemetry::repeat`]
+/// calls that attribute every cycle of every cluster core to one exclusive
+/// [`CycleCause`], plus fork and barrier-release region boundaries. Pass
+/// [`NoTelemetry`] for the zero-cost path. `opts.fast_forward` selects
+/// between the fast-forward (default; bulk-advances over quiescent spans
+/// and repeated loop iterations) and the single-step oracle; both produce
+/// bit-identical architectural results. `scratch` is reinitialised on entry and may be
 /// reused across runs to avoid reallocating per-core state.
 ///
 /// # Errors
@@ -397,7 +492,22 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         forks_seen,
         sleepers,
         fpu_of,
+        detector,
+        recording,
+        runs,
+        kept,
+        replay,
     } = scratch;
+    let sink = &mut Tap {
+        sink,
+        on: false,
+        rec: recording,
+    };
+    let telemetry = &mut Watch {
+        telemetry,
+        on: false,
+        runs,
+    };
 
     let mut eu = EventUnit::new(team);
     let mut dma = DmaEngine::new();
@@ -444,12 +554,15 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     cycle, h,
                 );
                 cycle += h;
+                // An iteration too long to record is dropped.
+                if sink.on && cycle - sink.rec.start > MAX_PERIOD {
+                    (sink.on, telemetry.on) = (false, false);
+                }
                 continue;
             }
         }
 
         let mut any_active = false;
-
         for core in 0..team {
             match modes[core] {
                 Mode::SleepFork if eu.fork_ready(forks_seen[core]) => {
@@ -555,6 +668,18 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         }
         scan_armed = !(0..team).any(|c| modes[c] == Mode::Ready && !code.next_is_dma_wait(c));
         cycle += 1;
+        if opts.fast_forward {
+            if sink.on && cycle - sink.rec.start > MAX_PERIOD {
+                (sink.on, telemetry.on) = (false, false);
+            }
+            let edges = code.take_edges();
+            if edges != 0 {
+                cycle = at_edge(
+                    config, max_cycles, &mut stats, code, modes, left, cause, forks_seen, sleepers,
+                    &eu, &dma, &mut fpus, detector, kept, replay, sink, telemetry, edges, cycle,
+                );
+            }
+        }
     }
 
     // Charge and close the intervals still open: finished and unused cores.
@@ -794,6 +919,159 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     stats.fast_forward.skipped_cycles += n;
 }
 
+/// The periodic loop skip, at a cycle boundary where the cores in `edges`
+/// took an innermost loop's back-edge. Returns the cycle to go on from.
+///
+/// Only the anchor's back-edges count: the lowest-index core awake, which
+/// stays the anchor as long as the cluster repeats itself. At each, the
+/// cluster is snapshot (see `period::Detector`) and compared with the
+/// last snapshot: a match starts recording the next iteration, and when
+/// that one ends in a match too it is kept as a period. A snapshot whose
+/// key is a kept period's replays that period as often as it provably
+/// repeats (`Period::replay`), a period just kept at once.
+#[allow(clippy::too_many_arguments)]
+fn at_edge<S: TraceSink, T: Telemetry>(
+    config: &ClusterConfig,
+    max_cycles: u64,
+    stats: &mut SimStats,
+    code: &mut Decoded,
+    modes: &[Mode],
+    left: &[u32],
+    cause: &[CycleCause],
+    forks_seen: &[u64],
+    sleepers: &Sleepers,
+    eu: &EventUnit,
+    dma: &DmaEngine,
+    fpus: &mut FpuPool,
+    detector: &mut Detector,
+    kept: &mut Kept,
+    replay: &mut ReplayScratch,
+    sink: &mut Tap<'_, S>,
+    telemetry: &mut Watch<'_, T>,
+    edges: u64,
+    mut cycle: u64,
+) -> u64 {
+    let awake = |m: &Mode| !matches!(m, Mode::SleepBarrier | Mode::SleepFork | Mode::Finished);
+    let Some(anchor) = modes.iter().position(awake) else {
+        return cycle;
+    };
+    if edges & 1u64.checked_shl(anchor as u32).unwrap_or(0) == 0 {
+        return cycle;
+    }
+    // A replay moves no event counter.
+    let barriers = stats.barriers;
+    let snap = |out: &mut Snapshot, cycle: u64, code: &Decoded, fpus: &FpuPool| {
+        snapshot(
+            out, cycle, anchor, code, modes, left, cause, forks_seen, sleepers, eu, dma, fpus,
+            barriers,
+        );
+    };
+    snap(&mut detector.cur, cycle, code, fpus);
+    let recording = sink.on;
+    (sink.on, telemetry.on) = (false, false);
+    let matched = detector.period().is_some();
+    if matched && recording && Period::recorded(detector, sink.rec, telemetry.runs) {
+        kept.keep(detector, sink.rec, telemetry.runs, stats);
+    }
+    let times = kept.find(&detector.cur).map_or(0, |period| {
+        let budget = (max_cycles - cycle) / period.cycles;
+        let times = period.replay(config, stats, code, replay, budget);
+        if times > 0 {
+            for core in 0..stats.cores.len() {
+                let runs = period.runs_at(core, cycle, replay);
+                if !runs.is_empty() {
+                    telemetry.telemetry.repeat(core, runs, times);
+                }
+            }
+            if !sink.is_null() {
+                period.replay_events(sink.sink, config, replay, cycle, times);
+            }
+            fpus.skip(times * period.cycles);
+            stats.fast_forward.periods += 1;
+            stats.fast_forward.skipped_cycles += times * period.cycles;
+            cycle += times * period.cycles;
+        }
+        times
+    });
+    if times > 0 {
+        snap(&mut detector.cur, cycle, code, fpus);
+    } else if matched {
+        sink.rec.begin(cycle, stats, code.addrs());
+        telemetry.runs.begin(cycle);
+        (sink.on, telemetry.on) = (true, true);
+    }
+    detector.armed = true;
+    std::mem::swap(&mut detector.prev, &mut detector.cur);
+    cycle
+}
+
+/// Writes into `out` the cluster state at `cycle`. The key is what one
+/// period must reproduce, relative to the clock: every core's mode,
+/// countdown, fork readiness, sleep and place in its stream, the event
+/// unit's barrier, lock and release state, and how long the DMA engine
+/// and the FPUs stay busy. The marks are the counters of what no period
+/// may contain: forks, sleeps, barrier releases and DMA transfers. Loop
+/// counters go apart, as they move on.
+#[allow(clippy::too_many_arguments)]
+fn snapshot(
+    out: &mut Snapshot,
+    cycle: u64,
+    anchor: usize,
+    code: &Decoded,
+    modes: &[Mode],
+    left: &[u32],
+    cause: &[CycleCause],
+    forks_seen: &[u64],
+    sleepers: &Sleepers,
+    eu: &EventUnit,
+    dma: &DmaEngine,
+    fpus: &FpuPool,
+    barriers: u64,
+) {
+    out.cycle = cycle;
+    out.anchor = anchor;
+    let [arrived, forks, lock, release] = eu.period_key();
+    let (key, marks) = (&mut out.key, &mut out.marks);
+    key.clear();
+    marks.clear();
+    for (core, &mode) in modes.iter().enumerate() {
+        // Only a counting mode reads its countdown and cause, and only an
+        // open interval its start and cause.
+        let counting = matches!(mode, Mode::Busy | Mode::Forking);
+        let asleep = sleepers.open[core];
+        key.push(
+            mode as u64
+                | u64::from(forks > forks_seen[core]) << 3
+                | u64::from(asleep) << 4
+                | if counting {
+                    (cause[core] as u64) << 8 | u64::from(left[core]) << 32
+                } else {
+                    0
+                },
+        );
+        marks.extend([
+            forks_seen[core],
+            if asleep {
+                sleepers.asleep_since[core] << 4 | sleepers.cause[core] as u64
+            } else {
+                0
+            },
+        ]);
+    }
+    code.position_key(key);
+    key.extend([arrived, lock, release, dma.free_at().saturating_sub(cycle)]);
+    key.extend(fpus.busy_for(cycle));
+    marks.extend([forks, barriers, dma.words_transferred(), dma.busy_cycles()]);
+    out.hash = key.iter().fold(0, |h: u64, &x| {
+        (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    let (ivs, entries) = code.slots();
+    out.ivs.clear();
+    out.ivs.extend_from_slice(ivs);
+    out.entries.clear();
+    out.entries.extend_from_slice(entries);
+}
+
 /// Executes `core`'s current op, `op`, in one `Ready`-mode cycle.
 #[allow(clippy::too_many_arguments)]
 fn step_core<S: TraceSink, T: Telemetry>(
@@ -812,7 +1090,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
     arbiter: &mut TcdmArbiter,
     l2_port: &mut TcdmArbiter,
     fpus: &mut FpuPool,
-    sink: &mut S,
+    sink: &mut Tap<'_, S>,
     telemetry: &mut T,
     cycle: u64,
     core: usize,
@@ -863,16 +1141,20 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 let bank = config.tcdm_bank_of(addr);
                 if arbiter.try_access(bank, cycle) {
                     stats.cores[core].l1_ops += 1;
-                    if store {
+                    let access = if store {
                         stats.l1_banks[bank].writes += 1;
+                        AccessKind::L1Write
                     } else {
                         stats.l1_banks[bank].reads += 1;
-                    }
+                        AccessKind::L1Read
+                    };
+                    sink.access(cycle, at, addr, access);
                     sink.emit(cycle, TraceEvent::L1Access { bank, write: store });
                     retire(stats, sink, telemetry, cycle, core, kind, Some(addr));
                     code.advance(core);
                 } else {
                     stats.l1_banks[bank].conflicts += 1;
+                    sink.access(cycle, at, addr, AccessKind::L1Conflict);
                     sink.emit(cycle, TraceEvent::L1Conflict { bank });
                     // Arbitration retry next cycle.
                     stall(
@@ -892,11 +1174,14 @@ fn step_core<S: TraceSink, T: Telemetry>(
                 }
                 let bank = config.l2_bank_of(addr);
                 stats.cores[core].l2_ops += 1;
-                if store {
+                let access = if store {
                     stats.l2_banks[bank].writes += 1;
+                    AccessKind::L2Write
                 } else {
                     stats.l2_banks[bank].reads += 1;
-                }
+                    AccessKind::L2Read
+                };
+                sink.access(cycle, at, addr, access);
                 sink.emit(cycle, TraceEvent::L2Access { bank, write: store });
                 retire(stats, sink, telemetry, cycle, core, kind, Some(addr));
                 finish(code, config.l2_latency, CycleCause::L2Wait);
@@ -1558,14 +1843,11 @@ mod tests {
 
     #[test]
     fn adaptive_scan_pays_no_overhead_on_alu_programs() {
-        // A straight compute loop never opens a quiescent span; the
+        // A straight compute stream never opens a quiescent span; the
         // adaptive gate should collapse the scan count to the initial
-        // arm while the always-scan reference pays one per cycle.
-        let p = Program::new(vec![vec![
-            SegOp::LoopBegin { trip: 256 },
-            instr(OpKind::Alu),
-            SegOp::LoopEnd,
-        ]]);
+        // arm while the always-scan reference pays one per cycle. (A loop
+        // would be skipped by the period skip, which steps few cycles.)
+        let p = Program::new(vec![vec![instr(OpKind::Alu); 256]]);
         let adaptive = run_opts(&p, &SimOptions::default());
         let always = run_opts(&p, &SimOptions::default().with_adaptive_scan(false));
         assert_eq!(

@@ -12,6 +12,12 @@
 //! address, `base + Σ c · iv` over the loops around it; a loop's end adds
 //! each coefficient on its depth to its op's address, and the loop's exit
 //! takes the loop's whole contribution back out. An access is one read.
+//!
+//! The periodic fast-forward (`crate::period`) reads the loop state
+//! through the same structure: which cores took an innermost loop's
+//! back-edge, each slot's counter and how often a loop was entered at it,
+//! and it runs `n` iterations of a live loop at once through the loop's
+//! address steps.
 
 use crate::config::ClusterConfig;
 use crate::isa::{FpOp, OpKind};
@@ -59,12 +65,13 @@ pub(crate) enum Op {
     },
     /// Closes the loop that `begin` opened: back to the body until `slot`
     /// has counted the loop's trip, each iteration applying the address
-    /// steps `steps[lo..hi]`.
+    /// steps `steps[lo..hi]`. `innermost`: the body holds no loop.
     LoopEnd {
         begin: u32,
         slot: u32,
         lo: u32,
         hi: u32,
+        innermost: bool,
     },
     /// The stream is exhausted.
     Done,
@@ -96,6 +103,13 @@ pub(crate) struct Decoded {
     /// `c`'s loops at depth `d` count in slot `first slot of c + d`.
     ivs: Vec<u64>,
     trips: Vec<u64>,
+    /// Per slot, how many loops were entered at it, and the `LoopEnd` pc
+    /// of the last one.
+    entries: Vec<u64>,
+    ends: Vec<u32>,
+    /// Bit `c`: core `c` took an innermost loop's back-edge since the last
+    /// [`Decoded::take_edges`] (cores from 64 on are not tracked).
+    edges: u64,
     /// Decode-time stack of the open `LoopBegin` pcs.
     open: Vec<usize>,
 }
@@ -110,6 +124,8 @@ impl Decoded {
         self.pcs.clear();
         self.open.clear();
         let mut slots = 0;
+        // The most recent `LoopBegin`: a loop is innermost iff it is its own.
+        let mut last_begin = usize::MAX;
         for core in 0..program.num_cores() {
             let first_slot = slots;
             self.pcs.push(self.ops.len());
@@ -143,7 +159,8 @@ impl Decoded {
                         }
                     }
                     SegOp::LoopBegin { trip } => {
-                        self.open.push(self.ops.len());
+                        last_begin = self.ops.len();
+                        self.open.push(last_begin);
                         slots = slots.max(first_slot + depth + 1);
                         Op::LoopBegin {
                             trip,
@@ -164,6 +181,7 @@ impl Decoded {
                             slot: *slot,
                             lo: 0,
                             hi: 0,
+                            innermost: begin == last_begin,
                         }
                     }
                     SegOp::Barrier => Op::Barrier,
@@ -197,9 +215,14 @@ impl Decoded {
         self.ivs.resize(slots, 0);
         self.trips.clear();
         self.trips.resize(slots, 0);
+        self.entries.clear();
+        self.entries.resize(slots, 0);
+        self.ends.clear();
+        self.ends.resize(slots, 0);
         for core in 0..self.pcs.len() {
-            self.pcs[core] = self.fold(self.pcs[core]);
+            self.pcs[core] = self.fold(core, self.pcs[core]);
         }
+        self.edges = 0;
     }
 
     /// `core`'s current op: never a loop marker.
@@ -218,7 +241,7 @@ impl Decoded {
     /// Consumes `core`'s current op and folds the loop markers after it.
     #[inline]
     pub(crate) fn advance(&mut self, core: usize) {
-        self.pcs[core] = self.fold(self.pcs[core] + 1);
+        self.pcs[core] = self.fold(core, self.pcs[core] + 1);
     }
 
     /// The current address of the memory op `Op::Mem { at, .. }`.
@@ -232,16 +255,19 @@ impl Decoded {
         v as u32
     }
 
-    /// Runs the loop bookkeeping from `pc` up to the next op that is not
-    /// a loop marker, and returns its pc.
+    /// Runs `core`'s loop bookkeeping from `pc` up to the next op that is
+    /// not a loop marker, and returns its pc.
     #[inline]
-    fn fold(&mut self, mut pc: usize) -> usize {
+    fn fold(&mut self, core: usize, mut pc: usize) -> usize {
         loop {
             match self.ops[pc] {
                 Op::LoopBegin { trip: 0, end, .. } => pc = end as usize + 1,
-                Op::LoopBegin { trip, slot, .. } => {
-                    self.ivs[slot as usize] = 0;
-                    self.trips[slot as usize] = trip;
+                Op::LoopBegin { trip, end, slot } => {
+                    let slot = slot as usize;
+                    self.ivs[slot] = 0;
+                    self.trips[slot] = trip;
+                    self.entries[slot] += 1;
+                    self.ends[slot] = end;
                     pc += 1;
                 }
                 Op::LoopEnd {
@@ -249,6 +275,7 @@ impl Decoded {
                     slot,
                     lo,
                     hi,
+                    innermost,
                 } => {
                     let iv = &mut self.ivs[slot as usize];
                     *iv += 1;
@@ -264,11 +291,83 @@ impl Decoded {
                         for s in steps {
                             self.addrs[s.at as usize] += s.by;
                         }
+                        if innermost {
+                            self.edges |= 1u64.checked_shl(core as u32).unwrap_or(0);
+                        }
                         pc = begin as usize + 1;
                     }
                 }
                 _ => return pc,
             }
+        }
+    }
+
+    /// The cores that took an innermost loop's back-edge since the last
+    /// call, one bit each, and clears them.
+    #[inline]
+    pub(crate) fn take_edges(&mut self) -> u64 {
+        std::mem::take(&mut self.edges)
+    }
+
+    /// Pushes what places every core in its stream: its pc, and each loop
+    /// slot's trip count.
+    pub(crate) fn position_key(&self, out: &mut Vec<u64>) {
+        out.extend(self.pcs.iter().map(|&pc| pc as u64));
+        out.extend(&self.trips);
+    }
+
+    /// Each slot's iteration counter and how many loops were entered at
+    /// it.
+    pub(crate) fn slots(&self) -> (&[u64], &[u64]) {
+        (&self.ivs, &self.entries)
+    }
+
+    /// Every memory op's current address.
+    pub(crate) fn addrs(&self) -> &[i64] {
+        &self.addrs
+    }
+
+    /// Every loop slot's counter, and every memory op's address.
+    pub(crate) fn counters(&self) -> (&[u64], &[i64]) {
+        (&self.ivs, &self.addrs)
+    }
+
+    /// Iterations the loop live at `slot` runs before its exit, the
+    /// current one included.
+    pub(crate) fn iterations_left(&self, slot: usize) -> u64 {
+        self.trips[slot] - self.ivs[slot]
+    }
+
+    /// Adds to `delta`, per memory op, how far `n` more iterations of the
+    /// loop live at `slot` move its address.
+    pub(crate) fn address_steps(&self, slot: usize, n: i64, delta: &mut [i64]) {
+        for s in self.live_steps(slot) {
+            delta[s.at as usize] += s.by * n;
+        }
+    }
+
+    /// Runs `n` more back-edges of the loop live at `slot` at once: its
+    /// counter and the addresses it steps move as `n` folds would move
+    /// them. The caller keeps the counter below the trip.
+    pub(crate) fn skip_iterations(&mut self, slot: usize, n: u64) {
+        self.ivs[slot] += n;
+        debug_assert!(self.ivs[slot] < self.trips[slot], "skip past a loop exit");
+        let (lo, hi) = self.live_range(slot);
+        for s in &self.steps[lo..hi] {
+            self.addrs[s.at as usize] += s.by * n as i64;
+        }
+    }
+
+    fn live_steps(&self, slot: usize) -> &[AddrStep] {
+        let (lo, hi) = self.live_range(slot);
+        &self.steps[lo..hi]
+    }
+
+    /// The address-step range of the loop last entered at `slot`.
+    fn live_range(&self, slot: usize) -> (usize, usize) {
+        match self.ops[self.ends[slot] as usize] {
+            Op::LoopEnd { lo, hi, .. } => (lo as usize, hi as usize),
+            op => unreachable!("slot {slot} ends at {op:?}"),
         }
     }
 }

@@ -88,6 +88,18 @@ impl EventUnit {
         }
     }
 
+    /// The unit's state as numbers: arrivals, forks signalled, the lock
+    /// holder and the pending release (`u64::MAX` for none). A stretch
+    /// that leaves them unchanged had no arrival, fork or release.
+    pub(crate) fn period_key(&self) -> [u64; 4] {
+        [
+            self.arrived_count as u64,
+            self.forks_signalled,
+            self.lock_holder.map_or(u64::MAX, |c| c as u64),
+            self.release_countdown.map_or(u64::MAX, u64::from),
+        ]
+    }
+
     /// Registers `core`'s arrival at the barrier.
     ///
     /// Returns `true` when this arrival completes the barrier (caller must

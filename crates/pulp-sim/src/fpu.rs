@@ -72,6 +72,18 @@ impl FpuPool {
         Some(FpuIssue { core_busy })
     }
 
+    /// Cycles each FPU stays occupied from `cycle` on (0 when free): the
+    /// pool's state relative to the clock.
+    pub(crate) fn busy_for(&self, cycle: u64) -> impl Iterator<Item = u64> + '_ {
+        self.free_at.iter().map(move |&f| f.saturating_sub(cycle))
+    }
+
+    /// Moves every occupancy stamp `cycles` later, for a clock that jumps
+    /// `cycles` ahead over work that repeats the pool's use exactly.
+    pub(crate) fn skip(&mut self, cycles: u64) {
+        self.free_at.iter_mut().for_each(|f| *f += cycles);
+    }
+
     /// Number of FPUs in the pool.
     pub fn len(&self) -> usize {
         self.free_at.len()

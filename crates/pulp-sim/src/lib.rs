@@ -57,6 +57,7 @@ pub mod event_unit;
 pub mod fpu;
 pub mod icache;
 pub mod isa;
+mod period;
 pub mod program;
 pub mod stats;
 pub mod tcdm;

@@ -45,6 +45,39 @@ impl CoreStats {
     pub fn active_wait_cycles(&self) -> u64 {
         self.idle_cycles + self.nop_ops
     }
+
+    /// Turns these counters, read earlier, into what each gained up to
+    /// `now`.
+    pub(crate) fn gain_to(&mut self, now: &CoreStats) {
+        self.zip_with(now, |was, now| now - was);
+    }
+
+    /// Adds `times` times `gain` to every counter.
+    pub(crate) fn add_times(&mut self, gain: &CoreStats, times: u64) {
+        self.zip_with(gain, |now, gain| now + times * gain);
+    }
+
+    /// Sets every counter to `f(counter, other's counter)`.
+    fn zip_with(&mut self, other: &CoreStats, f: impl Fn(u64, u64) -> u64) {
+        let fields = [
+            (&mut self.alu_ops, other.alu_ops),
+            (&mut self.fp_ops, other.fp_ops),
+            (&mut self.l1_ops, other.l1_ops),
+            (&mut self.l2_ops, other.l2_ops),
+            (&mut self.nop_ops, other.nop_ops),
+            (&mut self.idle_cycles, other.idle_cycles),
+            (&mut self.cg_cycles, other.cg_cycles),
+            (&mut self.fetches, other.fetches),
+        ];
+        for (field, theirs) in fields {
+            *field = f(*field, theirs);
+        }
+        let mut breakdown = CycleBreakdown::default();
+        for (cause, theirs) in other.breakdown.iter() {
+            breakdown.add_n(cause, f(self.breakdown.count(cause), theirs));
+        }
+        self.breakdown = breakdown;
+    }
 }
 
 /// Per-TCDM-bank activity counters.
@@ -93,14 +126,15 @@ pub struct DmaStats {
 ///
 /// `horizon_computations` counts how often the horizon scan ran; every scan
 /// that paid off books exactly one of the `spans`, so their ratio is the
-/// scan's hit rate. Records written when this struct also carried a skip
-/// counter and a sampled wall-time split still load: unknown keys are
-/// ignored.
+/// scan's hit rate. `periods` counts the periodic loop skips, whose cycles
+/// `skipped_cycles` includes. Records written when this struct also
+/// carried a skip counter and a sampled wall-time split still load:
+/// unknown keys are ignored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FastForwardStats {
     /// Bulk-advance spans taken (each replaces >= 2 single-step iterations).
     pub spans: u64,
-    /// Cycles advanced inside bulk spans.
+    /// Cycles advanced inside bulk spans and periodic loop skips.
     pub skipped_cycles: u64,
     /// Horizon scans performed. With adaptive scanning (the default) this
     /// is only the iterations where a quiescent span was possible; with
@@ -108,6 +142,11 @@ pub struct FastForwardStats {
     /// iteration. Defaults when absent in serialised records.
     #[serde(default)]
     pub horizon_computations: u64,
+    /// Periodic loop skips taken: each applied `k >= 1` repetitions of a
+    /// recorded loop iteration in one step. Defaults when absent in
+    /// serialised records.
+    #[serde(default)]
+    pub periods: u64,
 }
 
 impl FastForwardStats {

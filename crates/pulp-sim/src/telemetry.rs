@@ -1,11 +1,12 @@
 //! Telemetry hook points for the simulator's hot loop.
 //!
 //! [`Telemetry`] receives one attribution callback per core per span of
-//! cycles (with its [`CycleCause`]) plus region boundaries (fork signals
-//! and barrier releases). Every hook defaults to an empty
-//! `#[inline(always)]` method and [`NoTelemetry`] overrides none, so
-//! `simulate` monomorphises to exactly the uninstrumented loop: there is
-//! no second loop for the instrumented path to drift from.
+//! cycles (with its [`CycleCause`]), one per core per periodic loop skip,
+//! plus region boundaries (fork signals and barrier releases). Every hook
+//! defaults to an `#[inline(always)]` method that does nothing but call
+//! the attribution hook, and [`NoTelemetry`] overrides none, so its calls
+//! compile to nothing: there is no second loop for the instrumented path
+//! to drift from.
 //!
 //! [`CoreTimeline`] is the bundled implementation: it compacts each
 //! core's attribution into maximal same-cause runs and records the region
@@ -20,12 +21,12 @@ use crate::cause::{CycleBreakdown, CycleCause};
 
 /// Observer of per-cycle attribution and region boundaries.
 ///
-/// All methods default to no-ops so implementations override only what
-/// they need.
+/// All methods default to no-ops, or to the attribution hook, so
+/// implementations override only what they need.
 pub trait Telemetry {
     /// One core spent `n` consecutive cycles starting at `cycle` on `cause`.
     ///
-    /// The one attribution hook. A stepped cycle of an awake core arrives
+    /// The attribution hook. A stepped cycle of an awake core arrives
     /// with `n == 1`; the event-horizon fast-forward reports an awake
     /// core's whole quiescent span in one call (nothing can change inside
     /// it). A clock-gated core's sleep interval arrives in one call when it
@@ -36,6 +37,24 @@ pub trait Telemetry {
     #[inline(always)]
     fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
         let _ = (cycle, core, n, cause);
+    }
+
+    /// `core`'s spans `runs`, which tile one period from where the core's
+    /// attribution stands (`runs[0].start` to the last run's `end`), and
+    /// then repeat: `times` periods back to back in all.
+    ///
+    /// The periodic fast-forward reports a core's share of the loop
+    /// iterations it skips in one call. The default replays every
+    /// repetition through [`Telemetry::advance_n`].
+    #[inline(always)]
+    fn repeat(&mut self, core: usize, runs: &[CauseRun], times: u64) {
+        let Some(last) = runs.last() else { return };
+        let period = last.end - runs[0].start;
+        for i in 0..times {
+            for r in runs {
+                self.advance_n(r.start + i * period, core, r.cycles(), r.cause);
+            }
+        }
     }
 
     /// The master signalled a fork (a parallel region opens).
@@ -132,31 +151,142 @@ pub struct CoreTimeline {
 /// A core's spans arrive in time order without gaps (see
 /// [`Telemetry::advance_n`]), so a run ends where the next one starts, and
 /// the last one at `end`: a span that extends the current run only moves
-/// `end`.
+/// `end`. A repeated period ([`Telemetry::repeat`]) is stored once, with
+/// its repetition count, between the words before and after it.
 #[derive(Debug, Clone, Default)]
 struct Lane {
     starts: Vec<u64>,
     end: u64,
     /// The cause of the last run, kept next to `end`.
     current: Option<CycleCause>,
+    /// The repeated periods, in time order.
+    repeats: Vec<Repeat>,
+    /// Every repeat's runs, packed like `starts`, each start relative to
+    /// the repeat's period.
+    patterns: Vec<u64>,
+}
+
+/// A period of runs repeated back to back.
+#[derive(Debug, Clone, Copy)]
+struct Repeat {
+    /// The number of `starts` words before it.
+    at: usize,
+    /// First cycle of the first repetition.
+    start: u64,
+    period: u64,
+    times: u64,
+    /// Its runs are `patterns[lo..hi]`.
+    lo: usize,
+    hi: usize,
 }
 
 /// Low bits of a [`Lane`] word that hold the cause.
 const CAUSE_BITS: u32 = 4;
 
+fn cause_of(word: u64) -> CycleCause {
+    CycleCause::ALL[(word & ((1 << CAUSE_BITS) - 1)) as usize]
+}
+
+/// A position in a [`Lane`]: the next word and the next repeat.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    word: usize,
+    repeat: usize,
+}
+
+/// One word's run, or one repeat, from its start to the start of what
+/// follows it (a repeat's last run extends to there too).
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    start: u64,
+    end: u64,
+    what: What,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum What {
+    Run(CycleCause),
+    Repeat(Repeat),
+}
+
 impl Lane {
-    /// The `i`-th run, if any.
-    fn run(&self, i: usize) -> Option<CauseRun> {
-        let word = *self.starts.get(i)?;
-        let end = self
-            .starts
-            .get(i + 1)
-            .map_or(self.end, |&next| next >> CAUSE_BITS);
-        Some(CauseRun {
-            cause: CycleCause::ALL[(word & ((1 << CAUSE_BITS) - 1)) as usize],
-            start: word >> CAUSE_BITS,
-            end,
-        })
+    /// The piece at `at`, if any, and the cursor past it.
+    fn piece(&self, at: Cursor) -> Option<(Piece, Cursor)> {
+        let (start, what, next) = match self.repeats.get(at.repeat) {
+            Some(r) if r.at == at.word => (
+                r.start,
+                What::Repeat(*r),
+                Cursor {
+                    repeat: at.repeat + 1,
+                    ..at
+                },
+            ),
+            _ => {
+                let word = *self.starts.get(at.word)?;
+                let next = Cursor {
+                    word: at.word + 1,
+                    ..at
+                };
+                (word >> CAUSE_BITS, What::Run(cause_of(word)), next)
+            }
+        };
+        let end = self.start_at(next).unwrap_or(self.end);
+        Some((Piece { start, end, what }, next))
+    }
+
+    fn start_at(&self, at: Cursor) -> Option<u64> {
+        match self.repeats.get(at.repeat) {
+            Some(r) if r.at == at.word => Some(r.start),
+            _ => self.starts.get(at.word).map(|w| w >> CAUSE_BITS),
+        }
+    }
+
+    /// Calls `f` with each run of `piece`, `(cause, start, end)`, in time
+    /// order; a repeat's runs may share causes with their neighbours.
+    fn for_each_run(&self, piece: &Piece, mut f: impl FnMut(CycleCause, u64, u64)) {
+        match piece.what {
+            What::Run(cause) => f(cause, piece.start, piece.end),
+            What::Repeat(r) => {
+                let pattern = &self.patterns[r.lo..r.hi];
+                for i in 0..r.times {
+                    let base = r.start + i * r.period;
+                    for (j, &word) in pattern.iter().enumerate() {
+                        let end = match pattern.get(j + 1) {
+                            Some(next) => base + (next >> CAUSE_BITS),
+                            None if i + 1 == r.times => piece.end,
+                            None => base + r.period,
+                        };
+                        f(cause_of(word), base + (word >> CAUSE_BITS), end);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds `piece`'s cycles inside `[from, to)` to `breakdown`. The
+    /// repetitions of a repeat wholly inside are charged in one step per
+    /// run of its period.
+    fn charge(&self, piece: &Piece, from: u64, to: u64, breakdown: &mut CycleBreakdown) {
+        let mut clipped = |cause, start: u64, end: u64| {
+            let (start, end) = (start.max(from), end.min(to));
+            if start < end {
+                breakdown.add_n(cause, end - start);
+            }
+        };
+        match piece.what {
+            What::Repeat(r) if from <= r.start && r.start + r.times * r.period <= to => {
+                let pattern = &self.patterns[r.lo..r.hi];
+                let body = r.start + r.times * r.period;
+                for (j, &word) in pattern.iter().enumerate() {
+                    let end = pattern.get(j + 1).map_or(r.period, |w| w >> CAUSE_BITS);
+                    let cycles = r.times * (end - (word >> CAUSE_BITS));
+                    clipped(cause_of(word), body - cycles, body);
+                }
+                // The last run goes on to the next piece.
+                clipped(cause_of(pattern[pattern.len() - 1]), body, piece.end);
+            }
+            _ => self.for_each_run(piece, clipped),
+        }
     }
 }
 
@@ -165,7 +295,18 @@ impl CoreTimeline {
     pub fn lanes(&self) -> Vec<Vec<CauseRun>> {
         self.lanes
             .iter()
-            .map(|lane| (0..lane.starts.len()).filter_map(|i| lane.run(i)).collect())
+            .map(|lane| {
+                let mut runs: Vec<CauseRun> = Vec::new();
+                let mut at = Cursor::default();
+                while let Some((piece, next)) = lane.piece(at) {
+                    lane.for_each_run(&piece, |cause, start, end| match runs.last_mut() {
+                        Some(run) if run.cause == cause => run.end = end,
+                        _ => runs.push(CauseRun { cause, start, end }),
+                    });
+                    at = next;
+                }
+                runs
+            })
             .collect()
     }
 
@@ -202,8 +343,8 @@ impl CoreTimeline {
             .map(|&(start, _)| start)
             .chain([cycles]);
         let (mut serial, mut parallel) = (0, 0);
-        // Per lane, the first run not wholly inside the earlier regions.
-        let mut next = vec![0; self.lanes.len()];
+        // Per lane, the first piece not wholly inside the earlier regions.
+        let mut next = vec![Cursor::default(); self.lanes.len()];
         let mut regions: Vec<RegionProfile> = starts
             .iter()
             .zip(ends)
@@ -215,13 +356,13 @@ impl CoreTimeline {
                 let index = *count;
                 *count += 1;
                 let mut breakdown = CycleBreakdown::default();
-                for (lane, i) in self.lanes.iter().zip(&mut next) {
-                    while let Some(run) = lane.run(*i).filter(|r| r.start < end) {
-                        breakdown.add_n(run.cause, run.end.min(end) - run.start.max(start));
-                        if run.end > end {
+                for (lane, at) in self.lanes.iter().zip(&mut next) {
+                    while let Some((piece, after)) = lane.piece(*at).filter(|p| p.0.start < end) {
+                        lane.charge(&piece, start, end, &mut breakdown);
+                        if piece.end > end {
                             break;
                         }
-                        *i += 1;
+                        *at = after;
                     }
                 }
                 RegionProfile {
@@ -270,6 +411,49 @@ impl Telemetry for CoreTimeline {
             lane.starts.push(cycle << CAUSE_BITS | cause as u64);
         }
         lane.end = cycle + n;
+    }
+
+    // O(runs of one period), whatever `times` is: the repetition is kept
+    // as one `Repeat`, which `lanes` expands and `regions` charges in bulk.
+    fn repeat(&mut self, core: usize, runs: &[CauseRun], times: u64) {
+        let (Some(first), Some(last)) = (runs.first(), runs.last()) else {
+            return;
+        };
+        let period = last.end - first.start;
+        if runs.iter().all(|r| r.cause == first.cause) {
+            return self.advance_n(first.start, core, times * period, first.cause);
+        }
+        if times == 0 {
+            return;
+        }
+        if self.lanes.len() <= core {
+            self.lanes.resize(core + 1, Lane::default());
+        }
+        let lane = &mut self.lanes[core];
+        debug_assert_eq!(
+            lane.end, first.start,
+            "core {core}: the repeated period does not follow the lane"
+        );
+        let end = lane.end + times * period;
+        assert!(
+            end >> (u64::BITS - CAUSE_BITS) == 0,
+            "core {core}: runs end below cycle 2^60, not {end}"
+        );
+        let lo = lane.patterns.len();
+        lane.patterns.extend(
+            runs.iter()
+                .map(|r| (r.start - first.start) << CAUSE_BITS | r.cause as u64),
+        );
+        lane.repeats.push(Repeat {
+            at: lane.starts.len(),
+            start: lane.end,
+            period,
+            times,
+            lo,
+            hi: lane.patterns.len(),
+        });
+        lane.current = Some(last.cause);
+        lane.end = end;
     }
 
     fn on_fork(&mut self, cycle: u64) {
@@ -383,6 +567,78 @@ mod tests {
         assert_eq!(bulk.lanes(), single.lanes());
         assert_eq!(bulk.lanes()[0].len(), 2, "same-cause spans merge");
         assert_eq!(bulk.regions(45), single.regions(45));
+    }
+
+    /// A timeline fed through the trait's default `repeat`, which replays
+    /// every repetition through `advance_n`.
+    #[derive(Default)]
+    struct Replayed(CoreTimeline);
+
+    impl Telemetry for Replayed {
+        fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
+            self.0.advance_n(cycle, core, n, cause);
+        }
+
+        fn on_fork(&mut self, cycle: u64) {
+            self.0.on_fork(cycle);
+        }
+
+        fn on_barrier_release(&mut self, cycle: u64) {
+            self.0.on_barrier_release(cycle);
+        }
+    }
+
+    #[test]
+    fn repeats_match_their_replay_through_advance_n() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let causes = [Execute, Barrier, Runtime];
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut kept, mut replayed) = (CoreTimeline::default(), Replayed::default());
+            let (mut ends, mut fork) = ([0u64; 2], 0);
+            for _ in 0..rng.gen_range(1..12) {
+                let core = rng.gen_range(0..2);
+                let at = ends[core];
+                if rng.gen_range(0..3) == 0 {
+                    // A period of a few runs, its first and last cause
+                    // sometimes equal, sometimes all one cause.
+                    let mut runs = Vec::new();
+                    let mut start = at;
+                    for _ in 0..rng.gen_range(1..4) {
+                        let end = start + rng.gen_range(1..4);
+                        let cause = causes[rng.gen_range(0..causes.len())];
+                        runs.push(CauseRun { cause, start, end });
+                        start = end;
+                    }
+                    let times = rng.gen_range(0..5);
+                    kept.repeat(core, &runs, times);
+                    replayed.repeat(core, &runs, times);
+                    ends[core] += times * (start - at);
+                } else {
+                    let n = rng.gen_range(1..6);
+                    let cause = causes[rng.gen_range(0..causes.len())];
+                    kept.advance_n(at, core, n, cause);
+                    replayed.advance_n(at, core, n, cause);
+                    ends[core] += n;
+                }
+                // Boundaries come in time order, as the simulator calls
+                // them.
+                let now = ends[0].max(ends[1]);
+                if rng.gen_range(0..4) == 0 && now > fork {
+                    fork = rng.gen_range(fork..now);
+                    kept.on_fork(fork);
+                    replayed.on_fork(fork);
+                }
+            }
+            assert_eq!(kept.lanes(), replayed.0.lanes(), "seed {seed}");
+            let cycles = ends[0].max(ends[1]);
+            assert_eq!(
+                kept.regions(cycles),
+                replayed.0.regions(cycles),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

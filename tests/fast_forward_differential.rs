@@ -12,11 +12,19 @@
 //! 10-cause cycle histograms), an identical trace-event stream and
 //! identical serial/parallel regions derived by `CoreTimeline::regions`,
 //! which tile the run.
+//!
+//! Loop programs exercise the periodic loop skip: every core runs the same
+//! innermost loop, optionally inside an outer one, over ALU, multiply,
+//! paired-FPU (cores `c` and `c + 4` share an FPU) and divide ops, loads
+//! and stores that walk rows and columns with different strides, a
+//! constant address every core hits, and critical sections. They must
+//! match the oracle too, and a cycle budget that runs out mid-loop must
+//! run out at the same cycle.
 
 use proptest::prelude::*;
 use pulp_sim::{
     simulate_opts, AddrExpr, ClusterConfig, CoreTimeline, FpOp, OpKind, Program, RegionProfile,
-    SegOp, SimOptions, SimScratch, SimStats, TraceEvent, VecSink, TCDM_BASE,
+    SegOp, SimError, SimOptions, SimScratch, SimStats, TraceEvent, VecSink, TCDM_BASE,
 };
 
 fn instr(kind: OpKind) -> SegOp {
@@ -43,6 +51,48 @@ enum Episode {
     Fork(Vec<u8>),
     /// Every core takes the cluster critical section.
     Critical,
+    /// Every core runs `trip` iterations of `body` (op codes, see
+    /// [`loop_op`]), inside an outer loop of `outer` trips when it is
+    /// above 1, each iteration optionally taking the critical section.
+    Loop {
+        trip: u64,
+        outer: u64,
+        body: Vec<u8>,
+        stride: i64,
+        critical: bool,
+    },
+}
+
+/// One op of a loop body: `code` picks ALU, multiply, a pipelined FP op
+/// (which the core's FPU partner contends for), an FP divide, a load down
+/// a row (`stride` bytes per iteration), a store down a column, or a load
+/// of one address every core hits. Addresses move with the inner loop at
+/// `depth` and, when `depth` is 1, with the outer loop at depth 0. The
+/// widest stride walks the stores out of the TCDM in the longest nests.
+fn loop_op(code: u8, core: usize, depth: u8, stride: i64) -> SegOp {
+    let access = |kind, base: u32, step: i64| {
+        let mut terms = vec![(depth, step)];
+        if depth == 1 {
+            terms.push((0, 48 * step + 4));
+        }
+        SegOp::Instr {
+            kind,
+            addr: Some(AddrExpr {
+                base: i64::from(base),
+                terms,
+            }),
+        }
+    };
+    let row = TCDM_BASE + 64 * core as u32;
+    match code % 7 {
+        0 => instr(OpKind::Alu),
+        1 => instr(OpKind::Mul),
+        2 => instr(OpKind::Fp(FpOp::Mul)),
+        3 => instr(OpKind::Fp(FpOp::Div)),
+        4 => access(OpKind::Load, row, stride),
+        5 => access(OpKind::Store, row + 0x4000, stride * 8 + 4),
+        _ => load(TCDM_BASE + 0xC000),
+    }
 }
 
 fn ops_of_mix(mix: u8, reps: u8, out: &mut Vec<SegOp>) {
@@ -101,6 +151,33 @@ fn program_of_episodes(team: usize, episodes: &[Episode]) -> Program {
                     stream.push(SegOp::CriticalEnd);
                 }
             }
+            Episode::Loop {
+                trip,
+                outer,
+                body,
+                stride,
+                critical,
+            } => {
+                let depth = u8::from(*outer > 1);
+                for (core, stream) in streams.iter_mut().enumerate() {
+                    if depth == 1 {
+                        stream.push(SegOp::LoopBegin { trip: *outer });
+                        stream.push(instr(OpKind::Alu));
+                    }
+                    stream.push(SegOp::LoopBegin { trip: *trip });
+                    stream.extend(body.iter().map(|&op| loop_op(op, core, depth, *stride)));
+                    if *critical {
+                        stream.push(SegOp::CriticalBegin);
+                        stream.push(instr(OpKind::Alu));
+                        stream.push(SegOp::CriticalEnd);
+                    }
+                    stream.push(SegOp::LoopEnd);
+                    if depth == 1 {
+                        stream.push(instr(OpKind::Branch));
+                        stream.push(SegOp::LoopEnd);
+                    }
+                }
+            }
         }
         for stream in &mut streams {
             stream.push(SegOp::Barrier);
@@ -130,19 +207,48 @@ fn arb_episode() -> impl Strategy<Value = Episode> {
         })
 }
 
+fn arb_loop() -> impl Strategy<Value = Episode> {
+    (
+        1u64..48,
+        prop::sample::select(vec![1u64, 1, 2, 4]),
+        prop::collection::vec(0u8..7, 1..6),
+        prop::sample::select(vec![0i64, 4, 8, 20, 64]),
+        prop::sample::select(vec![false, false, false, true]),
+    )
+        .prop_map(|(trip, outer, body, stride, critical)| Episode::Loop {
+            trip,
+            outer,
+            body,
+            stride,
+            critical,
+        })
+}
+
 /// One run's statistics, trace-event stream and region profile.
+type Observed = (SimStats, Vec<(u64, TraceEvent)>, Vec<RegionProfile>);
+
+/// One run, observed, or its error.
+fn try_run(
+    config: &ClusterConfig,
+    program: &Program,
+    opts: &SimOptions,
+    scratch: &mut SimScratch,
+) -> Result<Observed, SimError> {
+    let mut sink = VecSink::new();
+    let mut timeline = CoreTimeline::default();
+    let stats = simulate_opts(config, program, opts, &mut sink, &mut timeline, scratch)?;
+    let regions = timeline.regions(stats.cycles);
+    Ok((stats, sink.events, regions))
+}
+
+/// One run of a program that terminates, observed.
 fn run(
     config: &ClusterConfig,
     program: &Program,
     opts: &SimOptions,
     scratch: &mut SimScratch,
-) -> (SimStats, Vec<(u64, TraceEvent)>, Vec<RegionProfile>) {
-    let mut sink = VecSink::new();
-    let mut timeline = CoreTimeline::default();
-    let stats = simulate_opts(config, program, opts, &mut sink, &mut timeline, scratch)
-        .expect("episode programs always terminate");
-    let regions = timeline.regions(stats.cycles);
-    (stats, sink.events, regions)
+) -> Observed {
+    try_run(config, program, opts, scratch).expect("episode programs always terminate")
 }
 
 proptest! {
@@ -249,6 +355,104 @@ proptest! {
         // And the architectural results are bit-identical.
         prop_assert_eq!(adaptive.without_fast_forward(), always.without_fast_forward());
         prop_assert_eq!(adaptive_events, always_events);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Loop-heavy programs, between fork/join and compute episodes,
+    /// match the oracle at every team size, with clock gating and in its
+    /// ablation: statistics, trace events and regions. And a cycle budget
+    /// that runs out inside the loops runs out alike.
+    #[test]
+    fn fast_forward_matches_oracle_on_loop_programs(
+        loops in prop::collection::vec(arb_loop(), 1..4),
+        others in prop::collection::vec(arb_episode(), 0..3),
+        team in 1usize..9,
+        cut in 1u64..100,
+    ) {
+        let mut episodes = loops;
+        episodes.extend(others);
+        let program = program_of_episodes(team, &episodes);
+        prop_assert_eq!(program.validate(), Ok(()));
+        let mut scratch = SimScratch::new();
+        for config in [ClusterConfig::default(), ClusterConfig::default().without_clock_gating()] {
+            let gating = config.model_clock_gating;
+            let ff = try_run(&config, &program, &SimOptions::default(), &mut scratch);
+            let oracle = try_run(&config, &program, &SimOptions::oracle(), &mut scratch);
+            // A store walked out of the TCDM fails alike, at the same op.
+            let (ff, oracle) = match (ff, oracle) {
+                (Ok(ff), Ok(oracle)) => (ff, oracle),
+                (ff, oracle) => {
+                    prop_assert_eq!(ff.map(|r| r.0), oracle.map(|r| r.0), "gating {}", gating);
+                    continue;
+                }
+            };
+            let ((ff, ff_events, ff_regions), (oracle, oracle_events, oracle_regions)) = (ff, oracle);
+            prop_assert_eq!(ff.without_fast_forward(), oracle.clone(), "gating {}", gating);
+            prop_assert!(ff_events == oracle_events, "gating {}: trace events differ", gating);
+            prop_assert_eq!(ff_regions, oracle_regions, "gating {}", gating);
+            let budget = oracle.cycles * cut / 100;
+            let limited = |opts: SimOptions, scratch: &mut SimScratch| {
+                simulate_opts(
+                    &config,
+                    &program,
+                    &opts.with_max_cycles(budget),
+                    &mut pulp_sim::NullSink,
+                    &mut pulp_sim::NoTelemetry,
+                    scratch,
+                )
+            };
+            let ff_cut = limited(SimOptions::default(), &mut scratch);
+            let oracle_cut = limited(SimOptions::oracle(), &mut scratch);
+            prop_assert_eq!(&ff_cut, &oracle_cut, "gating {} budget {}", gating, budget);
+            prop_assert_eq!(oracle_cut, Err(SimError::CycleLimit { budget }));
+        }
+    }
+}
+
+/// The loop programs above only test the periodic skip if it engages:
+/// a fixed loop program skips most of its cycles at every team size, with
+/// and without clock gating, and matches the oracle.
+#[test]
+fn period_skips_engage_on_loop_programs() {
+    let episodes = [
+        Episode::Loop {
+            trip: 40,
+            outer: 4,
+            body: vec![4, 2, 5, 0],
+            stride: 4,
+            critical: false,
+        },
+        Episode::Fork(vec![3, 1]),
+        Episode::Loop {
+            trip: 32,
+            outer: 1,
+            body: vec![3, 4, 6],
+            stride: 8,
+            critical: true,
+        },
+    ];
+    let mut scratch = SimScratch::new();
+    for team in 1..=8 {
+        let program = program_of_episodes(team, &episodes);
+        for config in [
+            ClusterConfig::default(),
+            ClusterConfig::default().without_clock_gating(),
+        ] {
+            let (ff, ff_events, ff_regions) =
+                run(&config, &program, &SimOptions::default(), &mut scratch);
+            let (oracle, oracle_events, oracle_regions) =
+                run(&config, &program, &SimOptions::oracle(), &mut scratch);
+            assert!(ff.fast_forward.periods > 0, "team {team}: no period skip");
+            assert_eq!(ff.without_fast_forward(), oracle, "team {team}");
+            assert!(
+                ff_events == oracle_events,
+                "team {team}: trace events differ"
+            );
+            assert_eq!(ff_regions, oracle_regions, "team {team}");
+        }
     }
 }
 

@@ -2,26 +2,33 @@
 
 use kernel_ir::{lower, DType, KernelBuilder, Suite};
 use proptest::prelude::*;
-use pulp_energy_model::{energy_of, replay_oracle, EnergyModel};
+use pulp_energy_model::{energy_of, energy_waterfall, replay_oracle, EnergyModel};
 use pulp_ml::{stratified_folds, tolerance_accuracy};
 use pulp_sim::{
-    render_line, simulate, simulate_traced, ClusterConfig, FpOp, OpKind, Program, SegOp, TraceEvent,
+    render_line, simulate, simulate_opts, simulate_traced, ClusterConfig, CoreTimeline, FpOp,
+    OpKind, Program, SegOp, SimOptions, SimScratch, SimStats, TraceEvent, VecSink,
 };
 
 fn config() -> ClusterConfig {
     ClusterConfig::default()
 }
 
+/// Side of the square matrices a random kernel's inner loop may walk.
+const SIDE: usize = 64;
+
 /// A random kernel: 1 parallel loop over a random trip count, a random
-/// body mix, optionally a nested sequential loop.
+/// body mix, optionally a nested sequential loop of up to 64 trips: on one
+/// vector, or down a row of one matrix and a column of another
+/// (`i*n + k` next to `k*n + i`), so that accesses issued in one cycle
+/// move through the banks with different strides.
 fn arb_kernel() -> impl Strategy<Value = kernel_ir::Kernel> {
     (
         1u64..200,       // parallel trip
         0u32..6,         // compute ops
         0u32..3,         // loads
         0u32..2,         // stores
-        prop::bool::ANY, // nested loop?
-        1u64..8,         // nested trip
+        0u8..3,          // nested loop: none, on the vector, on the matrices
+        1u64..65,        // nested trip
         prop::bool::ANY, // f32?
         prop::bool::ANY, // critical?
     )
@@ -32,16 +39,25 @@ fn arb_kernel() -> impl Strategy<Value = kernel_ir::Kernel> {
                 let mut b = KernelBuilder::new("prop", Suite::Custom, dtype, n * 4);
                 let x = b.array("x", n);
                 let acc = b.array("acc", 4);
-                b.par_for(trip.min(n as u64), |b, i| {
+                let rows = b.array("rows", SIDE * SIDE);
+                let cols = b.array("cols", SIDE * SIDE);
+                let side = if nested == 2 { SIDE } else { n };
+                b.par_for(trip.min(side as u64), |b, i| {
                     for _ in 0..loads {
                         b.load(x, i);
                     }
                     b.compute(ops);
-                    if nested {
-                        b.for_(ntrip, |b, _j| {
+                    match nested {
+                        1 => b.for_(ntrip, |b, _j| {
                             b.load(x, i);
                             b.compute(1);
-                        });
+                        }),
+                        2 => b.for_(ntrip, |b, k| {
+                            b.load(rows, i * SIDE + k);
+                            b.load(cols, k * SIDE + i);
+                            b.compute(1);
+                        }),
+                        _ => {}
                     }
                     for _ in 0..stores {
                         b.store(x, i);
@@ -280,6 +296,99 @@ proptest! {
             base.clone().with_seed(seed + 1).manifest_hash(),
             base.manifest_hash()
         );
+    }
+}
+
+/// One run's statistics, trace-event stream, core timeline and regions.
+type Observed = (
+    SimStats,
+    Vec<(u64, TraceEvent)>,
+    Vec<Vec<pulp_sim::CauseRun>>,
+    Vec<pulp_sim::RegionProfile>,
+);
+
+/// One run of a lowered kernel, observed.
+fn observed_run(
+    config: &ClusterConfig,
+    program: &Program,
+    opts: &SimOptions,
+    scratch: &mut SimScratch,
+) -> Observed {
+    let mut sink = VecSink::new();
+    let mut timeline = CoreTimeline::default();
+    let stats = simulate_opts(config, program, opts, &mut sink, &mut timeline, scratch)
+        .expect("lowered kernels simulate");
+    let regions = timeline.regions(stats.cycles);
+    (stats, sink.events, timeline.lanes(), regions)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On lowered random kernels at every team size, the fast-forward (the
+    /// event horizon and the periodic loop skip) equals the single-step
+    /// oracle: statistics, trace-event stream, telemetry lanes and
+    /// regions. And the energy waterfall's components sum to the total
+    /// `energy_of` reports.
+    #[test]
+    fn fast_forward_matches_oracle_on_lowered_kernels(kernel in arb_kernel()) {
+        let cfg = config();
+        let model = EnergyModel::table1();
+        let mut scratch = SimScratch::new();
+        for team in 1..=8 {
+            let program = lower(&kernel, team, &cfg).expect("lower").program;
+            let (ff, ff_events, ff_lanes, ff_regions) =
+                observed_run(&cfg, &program, &SimOptions::default(), &mut scratch);
+            let (oracle, events, lanes, regions) =
+                observed_run(&cfg, &program, &SimOptions::oracle(), &mut scratch);
+            prop_assert_eq!(ff.without_fast_forward(), oracle.clone(), "team {}", team);
+            prop_assert!(ff_events == events, "team {}: trace events differ", team);
+            prop_assert_eq!(ff_lanes, lanes, "team {}", team);
+            prop_assert_eq!(ff_regions, regions, "team {}", team);
+            let waterfall = energy_waterfall(&oracle, &model, &cfg);
+            let total = energy_of(&oracle, &model, &cfg).total();
+            prop_assert!(
+                (waterfall.total() - total).abs() <= 1e-9 * total,
+                "team {}: waterfall {} vs total {}", team, waterfall.total(), total
+            );
+        }
+    }
+}
+
+/// The lowered-kernel differential above only means something if the
+/// periodic skip engages on such kernels: a matrix row-by-column loop and
+/// a vector loop, fixed, both skip most of their cycles at every team
+/// size and stay equal to the oracle.
+#[test]
+fn period_skips_engage_on_lowered_loops() {
+    let cfg = config();
+    let mut b = KernelBuilder::new("rowcol", Suite::Custom, DType::F32, 4096);
+    let rows = b.array("rows", SIDE * SIDE);
+    let cols = b.array("cols", SIDE * SIDE);
+    b.par_for(SIDE as u64, |b, i| {
+        b.for_(SIDE as u64, |b, k| {
+            b.load(rows, i * SIDE + k);
+            b.load(cols, k * SIDE + i);
+            b.compute(1);
+        });
+    });
+    let kernel = b.build().expect("valid");
+    let mut scratch = SimScratch::new();
+    for team in 1..=8 {
+        let program = lower(&kernel, team, &cfg).expect("lower").program;
+        let (ff, ff_events, ff_lanes, _) =
+            observed_run(&cfg, &program, &SimOptions::default(), &mut scratch);
+        let (oracle, events, lanes, _) =
+            observed_run(&cfg, &program, &SimOptions::oracle(), &mut scratch);
+        assert!(ff.fast_forward.periods > 0, "team {team}: no period skip");
+        assert!(
+            ff.skip_ratio() > 0.5,
+            "team {team}: skip ratio {}",
+            ff.skip_ratio()
+        );
+        assert_eq!(ff.without_fast_forward(), oracle, "team {team}");
+        assert!(ff_events == events, "team {team}: trace events differ");
+        assert_eq!(ff_lanes, lanes, "team {team}");
     }
 }
 

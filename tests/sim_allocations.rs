@@ -8,9 +8,15 @@
 //! so does decoding into fresh buffers instead of the scratch's, because
 //! the two programs' decoded streams differ in length.
 //!
+//! The periodic loop skip records, keeps and replays loop iterations in
+//! buffers of the scratch, sized once: a warm run that takes period skips
+//! allocates exactly what a warm run of a loop-free program does.
+//!
 //! The JSON parse: a parse frees nothing, because every block it allocates
 //! is in the tree it returns, and a typed load moves its strings out of
-//! that tree. A copy of the tree, or of a string in it, frees blocks.
+//! that tree. A copy of the tree, or of a string in it, frees blocks. A
+//! journal line decodes with the allocations of its parse alone: its
+//! strings move out of the tree.
 //!
 //! A counting `#[global_allocator]` lives in this test binary only, so it
 //! costs the library nothing. It counts per thread, so the harness's other
@@ -20,8 +26,10 @@ use kernel_ir::{lower, DType};
 use pulp_energy::SweepCache;
 use pulp_energy_model::{DynamicFeatures, EnergyModel, EnergySummary};
 use pulp_kernels::{registry, KernelParams};
+use pulp_obs::JournalEvent;
 use pulp_sim::{
-    simulate_opts, ClusterConfig, NoTelemetry, NullSink, Program, SimOptions, SimScratch, SimStats,
+    simulate_opts, ClusterConfig, NoTelemetry, NullSink, OpKind, Program, SegOp, SimOptions,
+    SimScratch, SimStats,
 };
 use serde::{Deserialize, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,6 +106,16 @@ fn gemm(payload_bytes: usize, config: &ClusterConfig) -> Program {
 
 /// Allocations of one run of `program` on `scratch`, and its cycles.
 fn allocations(config: &ClusterConfig, program: &Program, scratch: &mut SimScratch) -> (u64, u64) {
+    let (allocs, stats) = counted_run(config, program, scratch);
+    (allocs, stats.cycles)
+}
+
+/// Allocations of one run of `program` on `scratch`, and its stats.
+fn counted_run(
+    config: &ClusterConfig,
+    program: &Program,
+    scratch: &mut SimScratch,
+) -> (u64, SimStats) {
     let (stats, allocs, _) = counted(|| {
         simulate_opts(
             config,
@@ -107,9 +125,9 @@ fn allocations(config: &ClusterConfig, program: &Program, scratch: &mut SimScrat
             &mut NoTelemetry,
             scratch,
         )
-        .expect("gemm simulates")
+        .expect("the program simulates")
     });
-    (allocs, stats.cycles)
+    (allocs, stats)
 }
 
 #[test]
@@ -130,6 +148,58 @@ fn a_warm_run_allocates_the_same_whatever_its_length() {
         small_allocs, large_allocs,
         "allocations per warm run: {small_allocs} at {small_cycles} cycles, \
          {large_allocs} at {large_cycles} cycles"
+    );
+}
+
+#[test]
+fn period_skips_allocate_nothing_once_warm() {
+    let config = ClusterConfig::default();
+    let looped = gemm(8 * 1024, &config);
+    let straight = Program::new(vec![
+        vec![
+            SegOp::Instr {
+                kind: OpKind::Alu,
+                addr: None,
+            };
+            4
+        ];
+        8
+    ]);
+    let mut scratch = SimScratch::new();
+    counted_run(&config, &looped, &mut scratch);
+    let (looped_allocs, stats) = counted_run(&config, &looped, &mut scratch);
+    assert!(
+        stats.fast_forward.periods > 0,
+        "the pin needs period skips: {:?}",
+        stats.fast_forward
+    );
+    let (straight_allocs, _) = counted_run(&config, &straight, &mut scratch);
+    assert_eq!(
+        looped_allocs, straight_allocs,
+        "a warm run with {} period skips allocates {looped_allocs} times, \
+         a loop-free one {straight_allocs}",
+        stats.fast_forward.periods
+    );
+}
+
+#[test]
+fn a_journal_line_decodes_without_copying_its_strings() {
+    let line = r#"{"v":1,"seq":3,"run":"sim-0123456789abcdef","ev":"stage_end","stage":"labeling","wall_ms":12.5}"#;
+    let (tree, tree_allocs, _) = counted(|| serde_json::from_str::<Value>(line).expect("parses"));
+    drop(tree);
+    let (decoded, allocs, _) = counted(|| JournalEvent::from_line(line).expect("decodes"));
+    let (seq, run, event) = decoded;
+    assert_eq!((seq, run.as_str()), (3, "sim-0123456789abcdef"));
+    assert_eq!(
+        event,
+        JournalEvent::StageEnd {
+            stage: "labeling".into(),
+            wall_ms: 12.5
+        }
+    );
+    assert_eq!(
+        allocs, tree_allocs,
+        "decoding allocated {allocs} times; its parse alone allocates {tree_allocs}"
     );
 }
 
