@@ -242,20 +242,12 @@ impl SimScratch {
             .resize(config.num_cores, CycleCause::Idle);
         self.fpu_of.clear();
         self.fpu_of.extend((0..team).map(|c| config.fpu_of(c)));
-        let slots = self.code.slots().0.len();
-        let shape = period::Shape {
-            cores: config.num_cores,
-            slots,
-            mem_ops: self.code.addrs().len(),
-            key: 2 * team + slots + 4 + config.num_fpus,
-        };
-        period::reserve(
-            shape,
+        period::reset(
+            config.num_cores,
             &mut self.detector,
             &mut self.recording,
             &mut self.runs,
             &mut self.kept,
-            &mut self.replay,
         );
     }
 }
@@ -996,7 +988,7 @@ fn at_edge<S: TraceSink, T: Telemetry>(
     if times > 0 {
         snap(&mut detector.cur, cycle, code, fpus);
     } else if matched {
-        sink.rec.begin(cycle, stats, code.addrs());
+        sink.rec.begin(cycle, stats, code.counters().2);
         telemetry.runs.begin(cycle);
         (sink.on, telemetry.on) = (true, true);
     }
@@ -1062,10 +1054,7 @@ fn snapshot(
     key.extend([arrived, lock, release, dma.free_at().saturating_sub(cycle)]);
     key.extend(fpus.busy_for(cycle));
     marks.extend([forks, barriers, dma.words_transferred(), dma.busy_cycles()]);
-    out.hash = key.iter().fold(0, |h: u64, &x| {
-        (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
-    });
-    let (ivs, entries) = code.slots();
+    let (ivs, entries, _) = code.counters();
     out.ivs.clear();
     out.ivs.extend_from_slice(ivs);
     out.entries.clear();

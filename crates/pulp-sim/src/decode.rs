@@ -316,20 +316,10 @@ impl Decoded {
         out.extend(&self.trips);
     }
 
-    /// Each slot's iteration counter and how many loops were entered at
-    /// it.
-    pub(crate) fn slots(&self) -> (&[u64], &[u64]) {
-        (&self.ivs, &self.entries)
-    }
-
-    /// Every memory op's current address.
-    pub(crate) fn addrs(&self) -> &[i64] {
-        &self.addrs
-    }
-
-    /// Every loop slot's counter, and every memory op's address.
-    pub(crate) fn counters(&self) -> (&[u64], &[i64]) {
-        (&self.ivs, &self.addrs)
+    /// Each loop slot's iteration counter and how many loops were entered
+    /// at it, and every memory op's current address.
+    pub(crate) fn counters(&self) -> (&[u64], &[u64], &[i64]) {
+        (&self.ivs, &self.entries, &self.addrs)
     }
 
     /// Iterations the loop live at `slot` runs before its exit, the
@@ -338,29 +328,29 @@ impl Decoded {
         self.trips[slot] - self.ivs[slot]
     }
 
-    /// Adds to `delta`, per memory op, how far `n` more iterations of the
+    /// Adds to `steps`, per memory op, how far `n` more iterations of the
     /// loop live at `slot` move its address.
-    pub(crate) fn address_steps(&self, slot: usize, n: i64, delta: &mut [i64]) {
-        for s in self.live_steps(slot) {
-            delta[s.at as usize] += s.by * n;
+    pub(crate) fn address_steps(&self, slot: usize, n: i64, steps: &mut [i64]) {
+        let (lo, hi) = self.live_range(slot);
+        for s in &self.steps[lo..hi] {
+            steps[s.at as usize] += s.by * n;
         }
     }
 
-    /// Runs `n` more back-edges of the loop live at `slot` at once: its
-    /// counter and the addresses it steps move as `n` folds would move
-    /// them. The caller keeps the counter below the trip.
+    /// Runs `n` more back-edges of the loop live at `slot` at once; the
+    /// addresses it steps move with [`Decoded::move_addresses`]. The
+    /// caller keeps the counter below the trip.
     pub(crate) fn skip_iterations(&mut self, slot: usize, n: u64) {
         self.ivs[slot] += n;
         debug_assert!(self.ivs[slot] < self.trips[slot], "skip past a loop exit");
-        let (lo, hi) = self.live_range(slot);
-        for s in &self.steps[lo..hi] {
-            self.addrs[s.at as usize] += s.by * n as i64;
-        }
     }
 
-    fn live_steps(&self, slot: usize) -> &[AddrStep] {
-        let (lo, hi) = self.live_range(slot);
-        &self.steps[lo..hi]
+    /// Moves every memory op's address on by `times` times its entry in
+    /// `steps`.
+    pub(crate) fn move_addresses(&mut self, steps: &[i64], times: u64) {
+        for (addr, step) in self.addrs.iter_mut().zip(steps) {
+            *addr += step * times as i64;
+        }
     }
 
     /// The address-step range of the loop last entered at `slot`.

@@ -40,7 +40,6 @@ use crate::decode::Decoded;
 use crate::stats::{BankStats, CoreStats, SimStats};
 use crate::telemetry::CauseRun;
 use crate::trace::{TraceEvent, TraceSink};
-use std::mem;
 
 /// Longest period the recorder follows, in cycles. A longer one is
 /// dropped, which bounds the recording buffers: per core, one run and one
@@ -58,8 +57,6 @@ pub(crate) struct Snapshot {
     /// The state relative to the clock: what the next cycles do depends
     /// on it and on the loop counters and addresses alone.
     pub(crate) key: Vec<u64>,
-    /// A hash of `key`, to look kept periods up by.
-    pub(crate) hash: u64,
     /// Counters of events no period may contain.
     pub(crate) marks: Vec<u64>,
     /// Every loop slot's counter, and how many loops were entered at it.
@@ -242,7 +239,6 @@ pub(crate) struct Period {
     ready: bool,
     anchor: usize,
     pub(crate) cycles: u64,
-    hash: u64,
     key: Vec<u64>,
     /// The loop counters at the start, and how each slot moves.
     ivs: Vec<u64>,
@@ -279,29 +275,23 @@ pub(crate) struct Kept {
 impl Kept {
     /// The kept period that replays from `snapshot`, if any.
     pub(crate) fn find(&self, snapshot: &Snapshot) -> Option<&Period> {
-        self.periods.iter().find(|p| {
-            p.ready
-                && p.hash == snapshot.hash
-                && p.anchor == snapshot.anchor
-                && p.key == snapshot.key
-        })
+        self.periods.iter().find(|p| p.replays_from(snapshot))
     }
 
     /// Keeps the iteration just recorded, which ran from the detector's
     /// `prev` snapshot to its `cur` one, as a period, in place of the one
-    /// with its key if any. The recording's buffers are swapped in, not
-    /// copied.
+    /// with its key if any.
     pub(crate) fn keep(
         &mut self,
         detector: &Detector,
-        rec: &mut Recording,
-        runs: &mut Runs,
+        rec: &Recording,
+        runs: &Runs,
         stats: &SimStats,
     ) {
         let i = match self
             .periods
             .iter()
-            .position(|p| p.ready && p.hash == detector.prev.hash && p.key == detector.prev.key)
+            .position(|p| p.replays_from(&detector.prev))
         {
             Some(i) => i,
             None => {
@@ -313,79 +303,45 @@ impl Kept {
     }
 }
 
-/// The sizes a program's period buffers take.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Shape {
-    /// Cluster cores, loop slots, memory ops, and `u64`s in a key.
-    pub(crate) cores: usize,
-    pub(crate) slots: usize,
-    pub(crate) mem_ops: usize,
-    pub(crate) key: usize,
-}
-
-/// Gives every period buffer but the trace events room for the longest
-/// period of a program of `shape`, so that recording, keeping and
-/// replaying never allocate once a scratch has run it, and forgets the
-/// periods kept.
-pub(crate) fn reserve(
-    shape: Shape,
+/// Forgets the last snapshot, the recording and the periods kept, for a
+/// run on `cores` cores.
+///
+/// The recording grows cycle by cycle, by as much as the program's
+/// iterations hold, so it gets room for the longest period up front
+/// (about 20 KiB at 8 cores): what a warm run allocates then does not
+/// depend on the program's loops. Every other buffer keeps its capacity
+/// and grows on first use; a kept period is copied out of the recording,
+/// so a scratch that has run a program keeps and replays its periods
+/// again without allocating.
+pub(crate) fn reset(
+    cores: usize,
     detector: &mut Detector,
     rec: &mut Recording,
     runs: &mut Runs,
     kept: &mut Kept,
-    replay: &mut ReplayScratch,
 ) {
-    let Shape {
-        cores,
-        slots,
-        mem_ops,
-        key,
-    } = shape;
-    let accesses = cores * (MAX_PERIOD as usize + 2);
+    let longest = MAX_PERIOD as usize + 2;
     detector.armed = false;
-    for snapshot in [&mut detector.prev, &mut detector.cur] {
-        room(&mut snapshot.key, key);
-        room(&mut snapshot.marks, 2 * cores + 4);
-        room(&mut snapshot.ivs, slots);
-        room(&mut snapshot.entries, slots);
+    rec.accesses.clear();
+    rec.accesses.reserve(cores * longest);
+    runs.per_core.resize_with(cores, Vec::new);
+    for core in &mut runs.per_core {
+        core.clear();
+        core.reserve(longest);
     }
-    room(&mut detector.moves, slots);
-    room(&mut rec.cores, cores);
-    room(&mut rec.addrs, mem_ops);
-    room(&mut rec.accesses, accesses);
-    room_per_core(&mut runs.per_core, cores);
     kept.periods.resize_with(KEPT, Period::default);
     kept.next = 0;
     for period in &mut kept.periods {
         period.ready = false;
-        room(&mut period.key, key);
-        room(&mut period.ivs, slots);
-        room(&mut period.moves, slots);
-        room(&mut period.addrs, mem_ops);
-        room(&mut period.gains, cores);
-        room(&mut period.accesses, accesses);
-        room_per_core(&mut period.runs, cores);
-    }
-    room(&mut replay.steps, mem_ops);
-    room(&mut replay.shift, mem_ops);
-    room(&mut replay.runs, MAX_PERIOD as usize + 2);
-}
-
-/// Empties `v` and gives it room for `n` items.
-fn room<T>(v: &mut Vec<T>, n: usize) {
-    v.clear();
-    v.reserve(n);
-}
-
-/// One run buffer per core, each with room for the longest period.
-fn room_per_core(per_core: &mut Vec<Vec<CauseRun>>, cores: usize) {
-    per_core.resize_with(cores, Vec::new);
-    for runs in per_core.iter_mut() {
-        room(runs, MAX_PERIOD as usize + 2);
     }
 }
 
 impl Period {
+    /// Whether this period is kept and replays from `snapshot`.
+    fn replays_from(&self, snapshot: &Snapshot) -> bool {
+        self.ready && self.anchor == snapshot.anchor && self.key == snapshot.key
+    }
+
     /// Whether the iteration just recorded is one whole period: the
     /// recording started at the detector's `prev`, nothing but its own
     /// runs was charged, and every core that ran in it ran through all of
@@ -402,34 +358,30 @@ impl Period {
                 .all(|r| r.last().is_none_or(|last| last.end == end))
     }
 
-    fn keep(
-        &mut self,
-        detector: &Detector,
-        rec: &mut Recording,
-        runs: &mut Runs,
-        stats: &SimStats,
-    ) {
+    fn keep(&mut self, detector: &Detector, rec: &Recording, runs: &Runs, stats: &SimStats) {
         let start = rec.start;
         self.ready = true;
         self.anchor = detector.prev.anchor;
         self.cycles = detector.cur.cycle - start;
-        self.hash = detector.prev.hash;
         self.key.clone_from(&detector.prev.key);
         self.ivs.clone_from(&detector.prev.ivs);
         self.moves.clone_from(&detector.moves);
-        mem::swap(&mut self.addrs, &mut rec.addrs);
-        mem::swap(&mut self.gains, &mut rec.cores);
+        self.addrs.clone_from(&rec.addrs);
+        self.gains.clone_from(&rec.cores);
         for (gain, now) in self.gains.iter_mut().zip(&stats.cores) {
             gain.gain_to(now);
         }
         self.active_cycles = stats.cluster_active_cycles - rec.active_cycles;
-        mem::swap(&mut self.runs, &mut runs.per_core);
+        self.runs.resize_with(runs.per_core.len(), Vec::new);
+        for (mine, recorded) in self.runs.iter_mut().zip(&runs.per_core) {
+            mine.clone_from(recorded);
+        }
         for run in self.runs.iter_mut().flatten() {
             run.start -= start;
             run.end -= start;
         }
-        mem::swap(&mut self.accesses, &mut rec.accesses);
-        mem::swap(&mut self.events, &mut rec.events);
+        self.accesses.clone_from(&rec.accesses);
+        self.events.clone_from(&rec.events);
         for (cycle, _) in &mut self.events {
             *cycle -= start;
         }
@@ -457,7 +409,7 @@ impl Period {
         mut times: u64,
     ) -> u64 {
         let ReplayScratch { steps, shift, .. } = scratch;
-        let (ivs, addrs) = code.counters();
+        let (ivs, _, addrs) = code.counters();
         shift.clear();
         shift.extend(addrs.iter().zip(&self.addrs).map(|(now, then)| now - then));
         steps.clear();
@@ -495,6 +447,7 @@ impl Period {
                 code.skip_iterations(slot, n * times);
             }
         }
+        code.move_addresses(steps, times);
         times
     }
 

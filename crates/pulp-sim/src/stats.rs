@@ -57,23 +57,36 @@ impl CoreStats {
         self.zip_with(gain, |now, gain| now + times * gain);
     }
 
-    /// Sets every counter to `f(counter, other's counter)`.
+    /// Sets every counter to `f(counter, other's counter)`. `other` is
+    /// taken apart field by field, so a new counter fails to compile here
+    /// until it is added.
     fn zip_with(&mut self, other: &CoreStats, f: impl Fn(u64, u64) -> u64) {
+        let CoreStats {
+            alu_ops,
+            fp_ops,
+            l1_ops,
+            l2_ops,
+            nop_ops,
+            idle_cycles,
+            cg_cycles,
+            fetches,
+            breakdown: other_breakdown,
+        } = other;
         let fields = [
-            (&mut self.alu_ops, other.alu_ops),
-            (&mut self.fp_ops, other.fp_ops),
-            (&mut self.l1_ops, other.l1_ops),
-            (&mut self.l2_ops, other.l2_ops),
-            (&mut self.nop_ops, other.nop_ops),
-            (&mut self.idle_cycles, other.idle_cycles),
-            (&mut self.cg_cycles, other.cg_cycles),
-            (&mut self.fetches, other.fetches),
+            (&mut self.alu_ops, alu_ops),
+            (&mut self.fp_ops, fp_ops),
+            (&mut self.l1_ops, l1_ops),
+            (&mut self.l2_ops, l2_ops),
+            (&mut self.nop_ops, nop_ops),
+            (&mut self.idle_cycles, idle_cycles),
+            (&mut self.cg_cycles, cg_cycles),
+            (&mut self.fetches, fetches),
         ];
-        for (field, theirs) in fields {
+        for (field, &theirs) in fields {
             *field = f(*field, theirs);
         }
         let mut breakdown = CycleBreakdown::default();
-        for (cause, theirs) in other.breakdown.iter() {
+        for (cause, theirs) in other_breakdown.iter() {
             breakdown.add_n(cause, f(self.breakdown.count(cause), theirs));
         }
         self.breakdown = breakdown;

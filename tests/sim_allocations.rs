@@ -9,8 +9,8 @@
 //! the two programs' decoded streams differ in length.
 //!
 //! The periodic loop skip records, keeps and replays loop iterations in
-//! buffers of the scratch, sized once: a warm run that takes period skips
-//! allocates exactly what a warm run of a loop-free program does.
+//! buffers the scratch keeps between runs: a warm run that takes period
+//! skips allocates exactly what a warm run of a loop-free program does.
 //!
 //! The JSON parse: a parse frees nothing, because every block it allocates
 //! is in the tree it returns, and a typed load moves its strings out of
