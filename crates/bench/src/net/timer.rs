@@ -1,8 +1,9 @@
 //! A hashed timer wheel for connection deadlines.
 //!
 //! Non-blocking sockets cannot carry `SO_RCVTIMEO`-style deadlines, so the
-//! event loop arms entries here instead: read deadlines at accept / first
-//! byte, write deadlines when a response starts flushing. Entries hash into
+//! event loop arms entries here instead, at most one per connection: a
+//! connection's read and write deadlines share its entry, which re-arms
+//! when it fires before a deadline that has moved later. Entries hash into
 //! `deadline / granularity % slots`; [`TimerWheel::advance`] walks the
 //! cursor over elapsed ticks and fires everything whose tick has been
 //! reached, re-homing entries that wrapped a full rotation.
@@ -10,6 +11,7 @@
 //! Cancellation is lazy — the owner keeps the authoritative deadline per
 //! connection and ignores fired entries that no longer match, so disarming
 //! is free and stale entries cost one tuple until their tick drains.
+//! [`TimerWheel::entries`] counts them with the live ones.
 
 /// Timer precision and capacity are fixed per wheel at construction.
 pub struct TimerWheel {
@@ -41,6 +43,11 @@ impl TimerWheel {
     /// `true` when nothing is armed — the event loop may block forever.
     pub fn is_idle(&self) -> bool {
         self.armed == 0
+    }
+
+    /// Entries armed and not yet fired, lazily-cancelled ones included.
+    pub fn entries(&self) -> usize {
+        self.armed
     }
 
     /// Arms `token` to fire once `deadline_ms` is reached. Deadlines in the
@@ -137,9 +144,11 @@ mod tests {
             w.schedule(t * 7 + 1, t);
         }
         let mut out = Vec::new();
+        assert_eq!(w.entries(), 16);
         // Jump far past everything (many whole rotations).
         w.advance(10_000, &mut out);
         assert_eq!(out.len(), 16);
+        assert_eq!(w.entries(), 0);
         assert!(w.is_idle());
     }
 

@@ -17,11 +17,14 @@
 //! socket, epoll and the timer wheel ([`crate::net`]); a socket-free
 //! connection core decides what each connection does next. Workers never
 //! touch a socket — they run the predictor, render the response bytes and
-//! hand them back through a completion list plus an eventfd waker.
+//! hand them back through a completion list plus an eventfd waker. A lone
+//! request (the only one a poll round completed, with nothing else in
+//! flight) skips that hand-off and runs on the loop thread itself.
 //! Admission is a bounded *active* set of `workers + queue_depth`
 //! connections (accept → response flushed); beyond it connections shed
 //! with `503` + `Retry-After`. Parked keep-alive connections hold no slot,
-//! no thread and no timer, which is what lets one loop hold 10k+ of them.
+//! no thread and at most one timer entry, which is what lets one loop hold
+//! 10k+ of them.
 //!
 //! Endpoints:
 //!
@@ -57,7 +60,7 @@
 //!   start as a compact JSON span breakdown, slowest first.
 //!
 //! Every request draws a plain `u64` trace id from a [`TraceIdGen`] when
-//! a worker picks it up, records read/queue-wait/features/predict/
+//! it starts to run, records read/queue-wait/features/predict/
 //! serialize/write child spans under one `request` root, feeds the
 //! completed tree into a bounded [`FlightRecorder`], and — when it exceeds
 //! [`ServeOptions::slow_ms`] — emits a structured slow-request log line
@@ -404,6 +407,16 @@ impl ServeState {
         );
     }
 
+    fn note_timer_entries(&self, n: usize) {
+        self.gauge_set(
+            "pulp_serve_timer_entries",
+            "Timer-wheel entries armed, those of closed connections that have \
+             not fired yet included (at most one per connection).",
+            &[],
+            n as f64,
+        );
+    }
+
     fn note_open_connections(&self, n: usize) {
         self.gauge_set(
             "pulp_serve_open_connections",
@@ -635,6 +648,7 @@ impl Server {
         }
         state.note_queue_depth(0);
         state.note_open_connections(0);
+        state.note_timer_entries(0);
         let core = ConnCore::new(&opts);
         // Sized so that admission control alone bounds it: every active
         // connection contributes at most one queued job.
@@ -671,6 +685,7 @@ impl Server {
             listener: Some(listener),
             core,
             streams: HashMap::new(),
+            dispatched: Vec::new(),
             timers: TimerWheel::new(TIMER_GRANULARITY_MS, TIMER_SLOTS),
             started: Instant::now(),
             last_shed_log_s: None,
@@ -699,6 +714,9 @@ struct EventLoop {
     core: ConnCore<(RequestTracer, SpanId, &'static str, u16)>,
     /// Every open connection's socket, by core token.
     streams: HashMap<u64, TcpStream>,
+    /// Jobs the core dispatched this round, with their `read` span (µs)
+    /// and dispatch instant; [`EventLoop::dispatch`] places them.
+    dispatched: Vec<(Job, u64, Instant)>,
     timers: TimerWheel,
     started: Instant,
     /// Second (of `now_s`) the last shed log line was emitted — rate-limits
@@ -736,6 +754,7 @@ impl EventLoop {
             }
             self.drain_completions();
             self.fire_timers();
+            self.dispatch();
             if self.listener.is_none() && self.core.open() == 0 {
                 return;
             }
@@ -814,20 +833,46 @@ impl EventLoop {
         self.core.handle(self.now_us(), token, input);
     }
 
-    /// Hands worker completions to the core; the `write` span opens here.
+    /// Hands worker completions to the core.
     fn drain_completions(&mut self) {
         let done = std::mem::take(&mut *self.ctx.completions.lock().expect("completions lock"));
         for c in done {
-            let mut tracer = c.tracer;
-            let write = tracer.begin("write");
-            let meta = (tracer, write, c.endpoint, c.status);
-            let input = Input::Completed {
-                bytes: c.bytes,
-                keep: c.keep,
-                meta,
+            self.complete(c);
+        }
+    }
+
+    /// Hands one completion to the core; the `write` span opens here.
+    fn complete(&mut self, c: Completion) {
+        let mut tracer = c.tracer;
+        let write = tracer.begin("write");
+        let meta = (tracer, write, c.endpoint, c.status);
+        let input = Input::Completed {
+            bytes: c.bytes,
+            keep: c.keep,
+            meta,
+        };
+        self.core.handle(self.now_us(), c.token, input);
+        self.apply();
+    }
+
+    /// Places the jobs the core dispatched this round. A lone request with
+    /// nothing else queued, running or awaiting its write-back runs right
+    /// here on the loop thread: the queue, the worker wake-up and the
+    /// eventfd trip back would cost more than the request. Anything else
+    /// goes to the worker pool, the jobs a lone request pipelined included.
+    fn dispatch(&mut self) {
+        if self.dispatched.len() == 1 && self.core.inflight() == 1 {
+            let (job, read_us, _) = self.dispatched.pop().expect("one job");
+            let completion = execute(&self.ctx, job, read_us, 0);
+            self.complete(completion);
+        }
+        for item in self.dispatched.drain(..) {
+            // Every queued job's connection holds one of the active slots,
+            // and the queue has a place for each slot.
+            let Ok(depth) = self.ctx.queue.try_push(item) else {
+                unreachable!("active slots bound the queued jobs");
             };
-            self.core.handle(self.now_us(), c.token, input);
-            self.apply();
+            self.state.note_queue_depth(depth);
         }
     }
 
@@ -835,6 +880,9 @@ impl EventLoop {
         let now_us = self.now_us();
         let mut expired: Vec<(u64, u64)> = Vec::new();
         self.timers.advance(now_us / 1000, &mut expired);
+        if !expired.is_empty() {
+            self.state.note_timer_entries(self.timers.entries());
+        }
         for (token, at_ms) in expired {
             self.core.handle(now_us, token, Input::Timer(at_ms));
         }
@@ -848,13 +896,7 @@ impl EventLoop {
             match action {
                 Action::Dispatch(job) => {
                     let read_us = self.now_us().saturating_sub(job.started_us);
-                    // Every queued job's connection holds one of the active
-                    // slots, and the queue has a place for each slot.
-                    let item = (job, read_us, Instant::now());
-                    let Ok(depth) = self.ctx.queue.try_push(item) else {
-                        unreachable!("active slots bound the queued jobs");
-                    };
-                    self.state.note_queue_depth(depth);
+                    self.dispatched.push((job, read_us, Instant::now()));
                 }
                 Action::Send(token) => self.write(token),
                 Action::Interest(token, interest) => {
@@ -862,7 +904,10 @@ impl EventLoop {
                         let _ = self.poller.modify(raw_fd(stream), token, interest);
                     }
                 }
-                Action::Arm(token, at_ms) => self.timers.schedule(at_ms, token),
+                Action::Arm(token, at_ms) => {
+                    self.timers.schedule(at_ms, token);
+                    self.state.note_timer_entries(self.timers.entries());
+                }
                 Action::Finish((mut tracer, write, endpoint, status)) => {
                     tracer.finish(write);
                     finish_request(&self.state, self.ctx.opts.slow_ms, tracer, endpoint, status);
@@ -902,23 +947,34 @@ impl EventLoop {
     }
 }
 
-/// One worker: pull parsed requests off the queue, execute, render the
-/// response bytes, and hand the completion back to the event loop. Workers
-/// never touch sockets — prediction work is all they do.
+/// One worker: pull parsed requests off the queue, execute them and hand
+/// each completion back to the event loop. Workers never touch sockets —
+/// prediction work is all they do.
 fn worker_loop(ctx: &ServerCtx) {
     while let Some((job, read_us, enqueued)) = ctx.queue.pop() {
         ctx.state.note_queue_depth(ctx.queue.depth());
         let queue_wait_us = enqueued.elapsed().as_micros() as u64;
-        let trace_id = ctx.state.trace_ids.next_id();
-        let mut tracer = RequestTracer::with_read(trace_id, read_us, queue_wait_us);
-        if job.index > 1 {
-            ctx.state.note_keepalive_reuse();
+        let completion = execute(ctx, job, read_us, queue_wait_us);
+        if let Ok(mut pending) = ctx.completions.lock() {
+            pending.push(completion);
         }
-        ctx.state.inflight_delta(1);
-        let handle_span = tracer.begin("handle");
-        let (status, body, content_type) = if job.req.method == "POST"
-            && job.req.path == "/admin/shutdown"
-        {
+        ctx.shutdown.waker.wake();
+    }
+}
+
+/// Runs one request and renders its response bytes: the handler body that
+/// workers and the event loop's inline path share. `read_us` and
+/// `queue_wait_us` are the request's first two spans.
+fn execute(ctx: &ServerCtx, job: Job, read_us: u64, queue_wait_us: u64) -> Completion {
+    let trace_id = ctx.state.trace_ids.next_id();
+    let mut tracer = RequestTracer::with_read(trace_id, read_us, queue_wait_us);
+    if job.index > 1 {
+        ctx.state.note_keepalive_reuse();
+    }
+    ctx.state.inflight_delta(1);
+    let handle_span = tracer.begin("handle");
+    let (status, body, content_type) =
+        if job.req.method == "POST" && job.req.path == "/admin/shutdown" {
             ctx.shutdown.trigger();
             (
                 200,
@@ -935,39 +991,33 @@ fn worker_loop(ctx: &ServerCtx) {
                 (500, json_error("internal error"), "application/json")
             })
         };
-        let elapsed = tracer.finish(handle_span);
-        record_request(&ctx.state, &job.req, status, elapsed);
-        ctx.state.inflight_delta(-1);
-        let keep = job.keep && !ctx.shutdown.is_shutdown();
-        let bytes = render_response(status, &body, content_type, keep, &[]);
-        let completion = Completion {
-            token: job.token,
-            bytes,
-            keep,
-            status,
-            endpoint: endpoint_label(&job.req.path),
-            tracer,
-        };
-        if let Ok(mut pending) = ctx.completions.lock() {
-            pending.push(completion);
-        }
-        ctx.shutdown.waker.wake();
+    let elapsed = tracer.finish(handle_span);
+    record_request(&ctx.state, &job.req, status, elapsed);
+    ctx.state.inflight_delta(-1);
+    let keep = job.keep && !ctx.shutdown.is_shutdown();
+    Completion {
+        token: job.token,
+        bytes: render_response(status, &body, content_type, keep, &[]),
+        keep,
+        status,
+        endpoint: endpoint_label(&job.req.path),
+        tracer,
     }
 }
 
 /// Builds one request's span tree on a microsecond clock.
 ///
 /// The tracer drives a manual-clock [`Recorder`]: ticks are µs since the
-/// connection was accepted, so the `queue_wait` span (accept → worker
-/// pickup, zero-length on keep-alive reuses) occupies `[0, offset)` and
-/// every later span is stamped from a single `Instant` anchor. Freezing
-/// ([`RequestTracer::into_trace`]) closes the root and yields the
-/// [`RequestTrace`] fed to the flight recorder.
+/// request's first byte, so the `read` and `queue_wait` spans (dispatch →
+/// worker pickup, zero-length for a request run inline on the event loop)
+/// occupy `[0, offset)` and every later span is stamped from a single
+/// `Instant` anchor. Freezing ([`RequestTracer::into_trace`]) closes the
+/// root and yields the [`RequestTrace`] fed to the flight recorder.
 struct RequestTracer {
     /// Trace id drawn for this request at admission.
     trace_id: u64,
     rec: Recorder,
-    /// Real-time anchor: the instant the worker picked the connection up.
+    /// Real-time anchor: the instant the request started to run.
     epoch: Instant,
     /// Ticks (µs) that elapsed before `epoch` — the queue wait.
     offset_us: u64,
@@ -977,8 +1027,9 @@ struct RequestTracer {
 impl RequestTracer {
     /// Builds a tracer whose pre-pickup history is already known: the wire
     /// time (`read` span, `[0, read_us)`) the event loop measured, then
-    /// the queue wait (`[read_us, read_us + queue_wait_us)`). The worker
-    /// calls this at pickup so every later span is stamped live.
+    /// the queue wait (`[read_us, read_us + queue_wait_us)`). [`execute`]
+    /// calls this as the request starts to run, so every later span is
+    /// stamped live.
     fn with_read(trace_id: u64, read_us: u64, queue_wait_us: u64) -> Self {
         let mut rec = Recorder::manual();
         let root = rec.start("request");
@@ -2193,7 +2244,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_handler_answers_500_and_its_worker_serves_on() {
+    fn a_panicking_handler_answers_500_and_the_server_serves_on() {
         /// Panics on `/panic` while holding the metrics lock, so the
         /// registry is poisoned too; routes everything else.
         fn panicking(
@@ -2223,7 +2274,7 @@ mod tests {
         );
         let kernel = r#"{"kernel": "vec_scale", "dtype": "i32", "size": 2048}"#;
         let (status, body) = call(addr, "POST", "/predict", kernel);
-        assert_eq!(status, 200, "the one worker survived: {body}");
+        assert_eq!(status, 200, "the server survived: {body}");
         let (status, metrics) = call(addr, "GET", "/metrics", "");
         assert_eq!(status, 200, "a poisoned registry still renders");
         assert!(
@@ -2235,6 +2286,157 @@ mod tests {
             lines.iter().any(|l| l.contains("handler panicked")),
             "{lines:?}"
         );
+        assert_eq!(call(addr, "POST", "/admin/shutdown", "").0, 200);
+        running.join().expect("the server drains and returns");
+    }
+
+    /// The requests the `recording` handler saw, with the name of the
+    /// thread each ran on.
+    static RAN_ON: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
+
+    /// A one-shot gate: `wait` blocks until the test opens it.
+    struct Gate(Mutex<bool>, Condvar);
+
+    impl Gate {
+        const fn new() -> Self {
+            Gate(Mutex::new(false), Condvar::new())
+        }
+
+        fn wait(&self) {
+            let open = self.0.lock().expect("gate lock");
+            drop(self.1.wait_while(open, |open| !*open).expect("gate wait"));
+        }
+
+        fn open(&self) {
+            *self.0.lock().expect("gate lock") = true;
+            self.1.notify_all();
+        }
+    }
+
+    /// `/hold` and `/hold-worker` wait at these after they are recorded.
+    static HOLD: Gate = Gate::new();
+    static HOLD_WORKER: Gate = Gate::new();
+
+    /// Records where each request runs, holds `/hold` and `/hold-worker`
+    /// at their gates, and routes it.
+    fn recording(
+        req: &Request,
+        state: &ServeState,
+        tracer: &mut RequestTracer,
+    ) -> (u16, String, &'static str) {
+        let thread = std::thread::current()
+            .name()
+            .unwrap_or_default()
+            .to_string();
+        let ran = (req.path.clone(), thread);
+        RAN_ON
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(ran);
+        match req.path.as_str() {
+            "/hold" => HOLD.wait(),
+            "/hold-worker" => HOLD_WORKER.wait(),
+            _ => {}
+        }
+        super::route(req, state, tracer)
+    }
+
+    /// The threads `path` ran on under `recording`.
+    fn ran_on(path: &str) -> Vec<String> {
+        let ran = RAN_ON.lock().unwrap_or_else(PoisonError::into_inner);
+        ran.iter()
+            .filter(|(p, _)| p == path)
+            .map(|(_, thread)| thread.clone())
+            .collect()
+    }
+
+    /// Waits (10 s at most) until `done` holds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A one-worker `recording` server whose event loop runs on a thread
+    /// called `loop_name`.
+    fn recording_server(
+        loop_name: &str,
+    ) -> (SocketAddr, Arc<ServeState>, std::thread::JoinHandle<()>) {
+        let state = Arc::new(quick_state());
+        let opts = ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", Arc::clone(&state), opts).expect("bind");
+        let addr = server.addr;
+        let running = std::thread::Builder::new()
+            .name(loop_name.to_string())
+            .spawn(move || server.run_with(recording))
+            .expect("spawn the event loop");
+        (addr, state, running)
+    }
+
+    #[test]
+    fn a_lone_request_runs_on_the_event_loop_thread_with_a_zero_queue_wait() {
+        let (addr, state, running) = recording_server("serve-loop-lone");
+        let kernel = r#"{"kernel": "vec_scale", "dtype": "i32", "size": 2048}"#;
+        let (status, body) = call(addr, "POST", "/predict", kernel);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(ran_on("/predict"), ["serve-loop-lone"]);
+        // The trace is recorded once its response is flushed.
+        wait_until("the trace is recorded", || state.flight().completed() > 0);
+        let trace = state.flight().recent(1).pop().expect("a recorded trace");
+        let wait = trace.span("queue_wait").expect("a queue_wait span");
+        assert_eq!(wait.duration(), 0, "an inline request waits in no queue");
+        for name in ["predict", "write"] {
+            assert!(trace.span(name).is_some(), "missing span {name}");
+        }
+        // Its read and write deadlines shared one wheel entry.
+        let entries = state.metric_value("pulp_serve_timer_entries", &[]);
+        assert_eq!(entries, Some(1.0));
+        // A lone `POST /admin/shutdown` runs inline too, and still drains.
+        assert_eq!(call(addr, "POST", "/admin/shutdown", "").0, 200);
+        running.join().expect("the server drains and returns");
+    }
+
+    #[test]
+    fn requests_that_share_a_round_or_find_a_job_in_flight_go_to_the_workers() {
+        let (addr, state, running) = recording_server("serve-loop-pair");
+        let send = |stream: &mut TcpStream, path: &str| {
+            let head = format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n");
+            stream.write_all(head.as_bytes()).expect("send");
+        };
+        let mut streams: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        // A lone `/hold` runs inline and holds the loop while both requests
+        // of the pair arrive, so one poll round reads the two of them.
+        let holder = std::thread::spawn(move || call(addr, "POST", "/hold", ""));
+        wait_until("the loop holds", || !ran_on("/hold").is_empty());
+        send(&mut streams[0], "/hold-worker");
+        send(&mut streams[1], "/pair");
+        HOLD.open();
+        // With the one worker held and `/pair` queued behind it, a lone
+        // request queues too instead of running inline.
+        wait_until("the worker holds", || !ran_on("/hold-worker").is_empty());
+        send(&mut streams[2], "/lone");
+        let depth = || state.metric_value("pulp_serve_queue_depth", &[]);
+        wait_until("`/lone` is placed", || {
+            depth() == Some(2.0) || !ran_on("/lone").is_empty()
+        });
+        HOLD_WORKER.open();
+        for mut stream in streams {
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).expect("a reply");
+            assert!(reply.starts_with("HTTP/1.1 404"), "{reply}");
+        }
+        assert_eq!(holder.join().expect("holder").0, 404);
+        assert_eq!(ran_on("/hold"), ["serve-loop-pair"]);
+        for path in ["/hold-worker", "/pair", "/lone"] {
+            assert_eq!(ran_on(path), ["serve-worker-0"], "{path}");
+        }
         assert_eq!(call(addr, "POST", "/admin/shutdown", "").0, 200);
         running.join().expect("the server drains and returns");
     }

@@ -8,9 +8,12 @@
 //! its generation tokens, the bounded active set, deadlines, the
 //! keep-alive cap, shedding and drain.
 //!
-//! Deadlines are cancelled lazily: the connection's own deadline is
-//! authoritative, so clearing one needs no action, and a timer that fires
-//! for a deadline the connection no longer holds is ignored.
+//! A connection keeps at most one timer-wheel entry. Its own deadline is
+//! authoritative: clearing the deadline needs no action, moving it later
+//! needs none either, and when the entry fires before a deadline that has
+//! since moved on, the core re-arms it for that deadline. So keep-alive
+//! traffic costs one entry per connection per timeout, not two per
+//! request, and an entry that outlives its connection is ignored.
 
 use super::{render_response, ServeOptions};
 use crate::net::{HttpParser, Interest, Parsed, Request, RequestError};
@@ -93,8 +96,11 @@ struct Conn<M> {
     served: usize,
     /// First byte of the current request, µs on the caller's clock.
     started_us: u64,
-    /// Authoritative armed deadline (ms).
+    /// Authoritative deadline (ms).
     deadline_ms: Option<u64>,
+    /// When the connection's one timer-wheel entry fires (ms), if it has
+    /// one; never later than `deadline_ms`.
+    timer_ms: Option<u64>,
     /// This connection holds one of the bounded active slots.
     holds_slot: bool,
     /// Response bytes in flight and the write cursor.
@@ -167,6 +173,11 @@ impl<M> ConnCore<M> {
         self.active
     }
 
+    /// Dispatched requests whose completion has not come back.
+    pub(super) fn inflight(&self) -> usize {
+        self.inflight
+    }
+
     /// The next action to carry out, oldest first.
     pub(super) fn next_action(&mut self) -> Option<Action<M>> {
         self.actions.pop_front()
@@ -211,6 +222,7 @@ impl<M> ConnCore<M> {
             served: 0,
             started_us: now_us,
             deadline_ms: None,
+            timer_ms: None,
             holds_slot: false,
             out: Vec::new(),
             out_pos: 0,
@@ -288,14 +300,25 @@ impl<M> ConnCore<M> {
                 self.inflight -= 1;
                 self.respond(idx, now_us, bytes, keep, Some(meta));
             }
-            // Only `Reading` and `Writing` hold deadlines.
-            Input::Timer(at_ms) if self.conn(idx).deadline_ms == Some(at_ms) => {
-                if phase == Phase::Reading {
-                    self.actions.push_back(Action::TimedOut("read"));
-                    self.refuse(idx, now_us, 408, "request deadline exceeded\n");
-                } else {
-                    self.actions.push_back(Action::TimedOut("write"));
-                    self.close(idx);
+            Input::Timer(at_ms) if self.conn(idx).timer_ms == Some(at_ms) => {
+                let c = self.conn_mut(idx);
+                c.timer_ms = None;
+                match c.deadline_ms {
+                    // The deadline moved on since the entry was armed.
+                    Some(deadline_ms) if deadline_ms > at_ms => {
+                        self.conn_mut(idx).timer_ms = Some(deadline_ms);
+                        self.actions.push_back(Action::Arm(token, deadline_ms));
+                    }
+                    // Only `Reading` and `Writing` hold deadlines.
+                    Some(_) if phase == Phase::Reading => {
+                        self.actions.push_back(Action::TimedOut("read"));
+                        self.refuse(idx, now_us, 408, "request deadline exceeded\n");
+                    }
+                    Some(_) => {
+                        self.actions.push_back(Action::TimedOut("write"));
+                        self.close(idx);
+                    }
+                    None => {}
                 }
             }
             _ => {}
@@ -427,11 +450,19 @@ impl<M> ConnCore<M> {
         }
     }
 
-    /// Arms the connection's deadline, `timeout_ms` from now.
+    /// Sets the connection's deadline, `timeout_ms` from now. A wheel entry
+    /// is armed only when the connection has none: deadlines only move
+    /// later, so an existing entry fires first and re-arms (see
+    /// [`Input::Timer`]).
     fn arm(&mut self, idx: usize, now_us: u64) {
         let at_ms = now_us / 1000 + self.timeout_ms;
-        self.conn_mut(idx).deadline_ms = Some(at_ms);
-        self.actions.push_back(Action::Arm(self.token(idx), at_ms));
+        let token = self.token(idx);
+        let c = self.conn_mut(idx);
+        c.deadline_ms = Some(at_ms);
+        if c.timer_ms.is_none() {
+            c.timer_ms = Some(at_ms);
+            self.actions.push_back(Action::Arm(token, at_ms));
+        }
     }
 
     fn set_interest(&mut self, idx: usize, interest: Interest) {
@@ -631,6 +662,9 @@ mod tests {
             self.timers = later;
             for (token, at_ms) in due {
                 self.feed(token, Input::Timer(at_ms));
+                if self.timers.iter().any(|&(t, at)| t == token && at > at_ms) {
+                    self.see("re-armed");
+                }
             }
         }
 
@@ -804,6 +838,10 @@ mod tests {
             for (&token, peer) in &self.peers {
                 let c = core.conn(core.live(token).expect("open peer is live"));
                 assert_eq!(c.interest, peer.interest);
+                // The connection's one wheel entry, and no other, is armed.
+                let entries = self.timers.iter().filter(|&&(t, _)| t == token);
+                let entries: Vec<u64> = entries.map(|&(_, at)| at).collect();
+                assert_eq!(entries, Vec::from_iter(c.timer_ms), "one entry per conn");
                 match c.phase {
                     Phase::Idle => assert!(!c.holds_slot),
                     Phase::Dispatched => {
@@ -811,7 +849,8 @@ mod tests {
                     }
                     Phase::Reading | Phase::Writing => {
                         let at = c.deadline_ms.expect("a deadline");
-                        assert!(self.timers.contains(&(token, at)), "deadline not armed");
+                        let entry = c.timer_ms.expect("a wheel entry");
+                        assert!(entry <= at, "the entry fires after the deadline");
                     }
                 }
             }
@@ -880,11 +919,244 @@ mod tests {
             "shed",
             "read",
             "write",
+            "re-armed",
         ] {
             assert!(
                 seen.get(what).is_some_and(|&n| n > 0),
                 "{what} never happened: {seen:?}"
             );
         }
+    }
+
+    /// One scripted connection story: the core, the clock, what the
+    /// client received and what the event loop counted for it.
+    struct Scenario {
+        core: ConnCore<u64>,
+        now_us: u64,
+        /// Bytes the sockets took, over every connection.
+        received: Vec<u8>,
+        /// Bytes the sockets take before a write fails.
+        write_budget: usize,
+        closed: Vec<u64>,
+        /// Timer-wheel entries `(token, deadline)`: every one armed, and
+        /// those not yet fired.
+        armed: Vec<(u64, u64)>,
+        wheel: Vec<(u64, u64)>,
+        jobs: Vec<Job>,
+        /// Routed responses finalised (their flight-recorder traces).
+        finished: Vec<u64>,
+        /// The `/metrics` counters the event loop moves for the core's
+        /// `Shed` and `TimedOut` actions, by series.
+        counters: BTreeMap<String, usize>,
+    }
+
+    const REQUEST: &[u8] = b"POST /p HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
+
+    impl Scenario {
+        fn new() -> Self {
+            let opts = ServeOptions {
+                workers: 1,
+                queue_depth: 2,
+                timeout_ms: TIMEOUT_MS,
+                max_body_bytes: MAX_BODY,
+                keepalive_max_requests: 10_000,
+                ..ServeOptions::default()
+            };
+            Scenario {
+                core: ConnCore::new(&opts),
+                now_us: 0,
+                received: Vec::new(),
+                write_budget: usize::MAX,
+                closed: Vec::new(),
+                armed: Vec::new(),
+                wheel: Vec::new(),
+                jobs: Vec::new(),
+                finished: Vec::new(),
+                counters: BTreeMap::new(),
+            }
+        }
+
+        fn accept(&mut self) -> u64 {
+            let token = self.core.accept(self.now_us);
+            self.apply();
+            token
+        }
+
+        fn feed(&mut self, token: u64, input: Input<'_, u64>) {
+            self.core.handle(self.now_us, token, input);
+            self.apply();
+        }
+
+        /// Answers the oldest dispatched job with the response `bytes`.
+        fn complete(&mut self, bytes: &str, meta: u64) {
+            let job = self.jobs.remove(0);
+            let bytes = bytes.as_bytes().to_vec();
+            let keep = job.keep;
+            self.feed(job.token, Input::Completed { bytes, keep, meta });
+        }
+
+        /// Advances the clock to `ms` and fires every entry due by then,
+        /// re-armed ones included.
+        fn fire_until(&mut self, ms: u64) {
+            self.now_us = self.now_us.max(ms * 1000);
+            while let Some(i) = self.wheel.iter().position(|&(_, at)| at <= ms) {
+                let (token, at_ms) = self.wheel.remove(i);
+                self.feed(token, Input::Timer(at_ms));
+            }
+        }
+
+        fn apply(&mut self) {
+            while let Some(action) = self.core.next_action() {
+                match action {
+                    Action::Dispatch(job) => self.jobs.push(job),
+                    Action::Send(t) => {
+                        let pending = self.core.pending(t);
+                        let n = pending.len().min(self.write_budget);
+                        self.received.extend_from_slice(&pending[..n]);
+                        self.write_budget -= n;
+                        let input = if n == 0 {
+                            Input::WriteError
+                        } else {
+                            Input::Wrote(n)
+                        };
+                        self.core.handle(self.now_us, t, input);
+                    }
+                    Action::Interest(..) => {}
+                    Action::Arm(t, at_ms) => {
+                        self.armed.push((t, at_ms));
+                        self.wheel.push((t, at_ms));
+                    }
+                    Action::Finish(id) => self.finished.push(id),
+                    Action::Close(t) => self.closed.push(t),
+                    Action::Shed => self.count("pulp_serve_shed_total"),
+                    Action::TimedOut(kind) => {
+                        self.count(&format!("pulp_serve_timeouts_total{{kind=\"{kind}\"}}"));
+                    }
+                }
+            }
+        }
+
+        fn count(&mut self, series: &str) {
+            *self.counters.entry(series.to_string()).or_default() += 1;
+        }
+
+        fn received(&self) -> String {
+            String::from_utf8_lossy(&self.received).into_owned()
+        }
+    }
+
+    #[test]
+    fn a_thousand_keepalive_requests_in_one_timeout_arm_one_entry() {
+        let mut s = Scenario::new();
+        let token = s.accept();
+        for i in 0..1000 {
+            s.now_us += 45; // 1,000 requests in 45 ms, inside the 50 ms timeout
+            s.feed(token, Input::Read(REQUEST));
+            s.complete("ok", i);
+        }
+        assert_eq!(s.finished.len(), 1000);
+        assert!(s.closed.is_empty());
+        // One entry per request read and one per response, before.
+        assert!(s.armed.len() <= 2, "{} entries armed", s.armed.len());
+        assert_eq!(s.armed, vec![(token, TIMEOUT_MS)]);
+    }
+
+    #[test]
+    fn a_deadline_that_moved_later_times_out_at_the_latest_deadline() {
+        let mut s = Scenario::new();
+        let token = s.accept(); // read deadline and its entry: 50 ms
+        s.now_us = 10_000;
+        s.feed(token, Input::Read(REQUEST));
+        s.now_us = 20_000;
+        s.complete("ok", 1); // write deadline 70 ms, flushed at once
+        s.now_us = 30_000;
+        s.feed(token, Input::Read(b"POST /p HTTP/1.1\r\n")); // read deadline 80 ms
+        s.fire_until(50);
+        assert!(s.counters.is_empty(), "timed out early: {:?}", s.counters);
+        assert_eq!(s.armed, vec![(token, 50), (token, 80)], "re-armed");
+        s.fire_until(79);
+        assert!(s.counters.is_empty() && s.closed.is_empty());
+        s.fire_until(80);
+        assert_eq!(
+            s.counters,
+            BTreeMap::from([("pulp_serve_timeouts_total{kind=\"read\"}".into(), 1)])
+        );
+        assert!(s.received().ends_with("request deadline exceeded\n"));
+        assert!(s.received().contains("HTTP/1.1 408"), "{}", s.received());
+        assert_eq!(s.closed, vec![token]);
+    }
+
+    #[test]
+    fn an_entry_that_outlives_its_connection_is_ignored_after_recycling() {
+        let mut s = Scenario::new();
+        let old = s.accept(); // entry at 50 ms
+        s.feed(old, Input::Eof);
+        assert_eq!(s.closed, vec![old]);
+        s.now_us = 10_000;
+        let new = s.accept(); // the same slab index, entry at 60 ms
+        assert_eq!(old & u64::from(u32::MAX), new & u64::from(u32::MAX));
+        assert_ne!(old, new);
+        s.fire_until(50);
+        assert!(s.counters.is_empty(), "{:?}", s.counters);
+        assert_eq!(s.core.interest(new), Some(Interest::Read), "new conn lives");
+        assert_eq!(s.closed, vec![old]);
+        s.fire_until(60);
+        assert_eq!(s.closed, vec![old, new], "the new conn's own entry fires");
+    }
+
+    #[test]
+    fn a_half_close_mid_body_closes_without_a_reply_or_a_count() {
+        let mut s = Scenario::new();
+        let token = s.accept();
+        let partial = b"POST /p HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc";
+        s.feed(token, Input::Read(partial));
+        s.feed(token, Input::Eof);
+        // The client sees its connection close with no bytes: the request
+        // never completed, so there is nothing to answer.
+        assert_eq!(s.received(), "");
+        assert_eq!(s.closed, vec![token]);
+        assert!(s.jobs.is_empty() && s.finished.is_empty());
+        assert_eq!((s.core.open(), s.core.active()), (0, 0), "slot released");
+        // Its entry firing later counts no read timeout.
+        s.fire_until(10 * TIMEOUT_MS);
+        assert!(s.counters.is_empty(), "{:?}", s.counters);
+    }
+
+    #[test]
+    fn a_write_error_mid_response_closes_and_finalises_the_trace_once() {
+        let mut s = Scenario::new();
+        let token = s.accept();
+        s.feed(token, Input::Read(REQUEST));
+        s.write_budget = 10; // the socket breaks ten bytes in
+        s.complete("HTTP/1.1 200 OK\r\n\r\nok", 7);
+        // The client sees a truncated response, then the close.
+        assert_eq!(s.received(), "HTTP/1.1 2");
+        assert_eq!(s.closed, vec![token]);
+        assert_eq!(s.finished, vec![7], "the trace is recorded once");
+        assert_eq!((s.core.open(), s.core.active()), (0, 0));
+        // The write deadline's entry fires later and counts no timeout.
+        s.fire_until(10 * TIMEOUT_MS);
+        assert!(s.counters.is_empty(), "{:?}", s.counters);
+    }
+
+    #[test]
+    fn a_short_body_then_eof_after_a_served_request_closes_after_the_reply() {
+        let mut s = Scenario::new();
+        let token = s.accept();
+        // One complete request, then one whose body stops short, then EOF,
+        // all before the first reply is out.
+        let mut wire = REQUEST.to_vec();
+        wire.extend_from_slice(b"POST /p HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc");
+        s.feed(token, Input::Read(&wire));
+        s.feed(token, Input::Eof);
+        assert_eq!(s.jobs.len(), 1);
+        s.complete("HTTP/1.1 200 OK\r\n\r\nfirst", 1);
+        // The first reply goes out whole; the truncated request gets no
+        // reply (a transport failure, not a 400) and the connection closes.
+        assert_eq!(s.received(), "HTTP/1.1 200 OK\r\n\r\nfirst");
+        assert_eq!(s.closed, vec![token]);
+        assert_eq!(s.finished, vec![1]);
+        s.fire_until(10 * TIMEOUT_MS);
+        assert!(s.counters.is_empty(), "{:?}", s.counters);
     }
 }

@@ -19,12 +19,15 @@
 //! rounds of each round's percentiles — stable enough for a CI gate where
 //! a single round's p99 is not. The report carries throughput, per-mix
 //! p50/p90/p99 latency and the server's own shed/timeout/keep-alive
-//! counters; its [`record`](ServeBenchReport::record) is
+//! counters. After the closed loop, each mix sends a short probe alone
+//! on one connection, and the probe's flight-recorder traces give the mix
+//! its per-phase server spans and the share of the client's latency no
+//! span covers. Its [`record`](ServeBenchReport::record) is
 //! `BENCH_serve.json`, which `pulp_cli bench diff` gates on p99
 //! regressions, and whose limits (failed requests, batch/sequential
 //! parity, the flight-recorder capture, a collapsed open-loop schedule,
-//! and any shedding or timeout in the quick profile) fail the run that
-//! writes it.
+//! more timer-wheel entries than connections, and any shedding or timeout
+//! in the quick profile) fail the run that writes it.
 //!
 //! The model is trained on the dataset `pulp_cli bench serve` loads through
 //! the sweep cache, like `pulp_cli serve`: the quick kernel set under
@@ -37,7 +40,7 @@ use crate::serve::{ServeOptions, ServeState, Server};
 use crate::QUICK_KERNELS;
 use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
 use pulp_energy::static_feature_vector;
-use pulp_obs::{validate_chrome_trace, MetricsRegistry};
+use pulp_obs::{validate_chrome_trace, MetricsRegistry, RequestTrace};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -137,6 +140,61 @@ pub struct ServeBenchMixRow {
     pub p99_us: f64,
     /// Worst observed request latency, microseconds.
     pub max_us: f64,
+    /// Server spans of the mix's probe, by phase.
+    pub span: SpanRow,
+    /// The probe's median client latency beyond the sum of `span`'s
+    /// phases: wake-ups, hand-offs and the client side.
+    pub unattributed_us: f64,
+}
+
+/// Median server span (µs) of one mix's probe requests per phase, under
+/// perfbench's `serve.span.*` names. A trace without a phase's span spent
+/// no time in it. The seven phases partition a request's server time;
+/// `request` is its root span.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SpanRow {
+    pub queue_wait_p50_us: f64,
+    pub read_p50_us: f64,
+    pub parse_p50_us: f64,
+    pub features_p50_us: f64,
+    pub predict_p50_us: f64,
+    pub serialize_p50_us: f64,
+    pub write_p50_us: f64,
+    pub request_p50_us: f64,
+}
+
+impl SpanRow {
+    /// Folds request traces into per-phase medians.
+    fn of(traces: &[Arc<RequestTrace>]) -> Self {
+        let p50 = |name: &str| {
+            let in_trace = |t: &Arc<RequestTrace>| {
+                let spans = t.spans.iter().filter(|s| s.name == name);
+                spans.map(|s| s.duration() as f64).sum::<f64>()
+            };
+            median(&mut traces.iter().map(in_trace).collect::<Vec<f64>>())
+        };
+        Self {
+            queue_wait_p50_us: p50("queue_wait"),
+            read_p50_us: p50("read"),
+            parse_p50_us: p50("parse"),
+            features_p50_us: p50("features"),
+            predict_p50_us: p50("predict"),
+            serialize_p50_us: p50("serialize"),
+            write_p50_us: p50("write"),
+            request_p50_us: p50("request"),
+        }
+    }
+
+    /// The seven phases' sum.
+    fn phases_us(&self) -> f64 {
+        self.queue_wait_p50_us
+            + self.read_p50_us
+            + self.parse_p50_us
+            + self.features_p50_us
+            + self.predict_p50_us
+            + self.serialize_p50_us
+            + self.write_p50_us
+    }
 }
 
 /// Open-loop (constant-arrival-rate) results: the tail-latency view that
@@ -157,6 +215,11 @@ pub struct OpenLoopReport {
     pub duration_s: f64,
     /// Keep-alive connections the arrival process was spread over.
     pub connections: usize,
+    /// Connections the bench opened by the end of this phase, every
+    /// earlier phase's included.
+    pub connections_opened: u64,
+    /// Server-side `pulp_serve_timer_entries` at the end of this phase.
+    pub timer_entries: f64,
     /// Requests issued.
     pub requests: u64,
     /// Responses failing the correctness checks (non-200, bad body).
@@ -198,6 +261,13 @@ pub struct ServeBenchReport {
     pub wall_s: f64,
     /// `total_requests / wall_s`.
     pub throughput_rps: f64,
+    /// Connections the bench opened by the end of the closed loop, the
+    /// warm-up's included.
+    pub connections_opened: u64,
+    /// Server-side `pulp_serve_timer_entries` at the end of the closed
+    /// loop. A connection holds at most one entry, open or closed, until
+    /// it fires, so this never exceeds `connections_opened`.
+    pub timer_entries: f64,
     /// Responses that failed the correctness checks.
     pub errors: u64,
     /// Server-side `pulp_serve_shed_total` after the run.
@@ -330,6 +400,7 @@ struct OpenLoopOutcome {
     requests: u64,
     errors: u64,
     late_sends: u64,
+    opened: u64,
 }
 
 /// Drives the server open-loop: a Poisson arrival schedule at
@@ -362,6 +433,7 @@ fn run_open_loop(
                         requests: 0,
                         errors: 0,
                         late_sends: 0,
+                        opened: 0,
                     };
                     let mut client = match BenchClient::connect(addr) {
                         Ok(c) => c,
@@ -397,6 +469,7 @@ fn run_open_loop(
                         }
                         intended_us += exp_gap_us(&mut rng, mean_gap_us);
                     }
+                    outcome.opened = client.opened;
                     outcome
                 })
                 .expect("bench: spawn open-loop client")
@@ -407,6 +480,7 @@ fn run_open_loop(
         requests: 0,
         errors: 0,
         late_sends: 0,
+        opened: 0,
     };
     for h in handles {
         let one = h.join().expect("bench: open-loop thread panicked");
@@ -414,6 +488,7 @@ fn run_open_loop(
         merged.requests += one.requests;
         merged.errors += one.errors;
         merged.late_sends += one.late_sends;
+        merged.opened += one.opened;
     }
     merged
 }
@@ -422,6 +497,8 @@ fn run_open_loop(
 struct BenchClient {
     reader: BufReader<TcpStream>,
     addr: SocketAddr,
+    /// Connections this client opened, reconnections included.
+    opened: u64,
 }
 
 impl BenchClient {
@@ -431,6 +508,7 @@ impl BenchClient {
         Ok(Self {
             reader: BufReader::new(stream),
             addr,
+            opened: 1,
         })
     }
 
@@ -440,7 +518,9 @@ impl BenchClient {
         match self.try_request(method, path, body) {
             Ok(out) => Ok(out),
             Err(_) => {
+                let opened = self.opened + 1;
                 *self = Self::connect(self.addr)?;
+                self.opened = opened;
                 self.try_request(method, path, body)
             }
         }
@@ -611,6 +691,57 @@ fn batch_matches_sequential(addr: SocketAddr, batch_size: usize) -> bool {
     !batch.is_empty() && batch.iter().all(Option::is_some) && batch == sequential
 }
 
+/// The endpoint a mix posts to.
+fn mix_path(mix: &str) -> &'static str {
+    if mix == "batch" {
+        "/predict/batch"
+    } else {
+        "/predict"
+    }
+}
+
+/// Requests in each mix's span probe.
+const SPAN_PROBE_REQUESTS: usize = 64;
+
+/// Sends [`SPAN_PROBE_REQUESTS`] of `mix` on one connection with nothing
+/// else in flight, then folds their flight-recorder traces. Returns the
+/// mix's per-phase spans, how far the probe's median client latency
+/// exceeds their sum, and the connections the probe opened.
+fn span_probe(
+    addr: SocketAddr,
+    state: &ServeState,
+    mix: &str,
+    batch_size: usize,
+) -> (SpanRow, f64, u64) {
+    let Ok(mut client) = BenchClient::connect(addr) else {
+        return (SpanRow::default(), 0.0, 0);
+    };
+    let bodies = mix_bodies(mix, batch_size);
+    let mut latencies: Vec<u64> = (0..SPAN_PROBE_REQUESTS)
+        .map(|r| {
+            let start = Instant::now();
+            let _ = client.request("POST", mix_path(mix), &bodies[r % bodies.len()]);
+            start.elapsed().as_micros() as u64
+        })
+        .collect();
+    // The loop records a trace just after its response is out: wait until
+    // no trace has landed for a while, so the last probe trace is in.
+    let flight = state.flight();
+    let mut completed = flight.completed();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let now = flight.completed();
+        if now == completed {
+            break;
+        }
+        completed = now;
+    }
+    let span = SpanRow::of(&flight.recent(SPAN_PROBE_REQUESTS));
+    latencies.sort_unstable();
+    let unattributed_us = percentile_us(&latencies, 0.5) - span.phases_us();
+    (span, unattributed_us, client.opened)
+}
+
 /// Runs the load benchmark: trains the model on `data` (built with
 /// `pipeline`), boots the server, drives it with the configured client
 /// fleet, snapshots the flight recorder, then shuts the server down
@@ -637,15 +768,12 @@ pub fn run_serve_bench(
 
     // Warm-up: one request per mix so first-connection costs (kernel
     // registry, lazy allocations) stay out of the measured window.
+    let mut opened = 0u64;
     for mix in MIXES {
         if let Ok(mut c) = BenchClient::connect(addr) {
             let bodies = mix_bodies(mix, opts.batch_size);
-            let path = if mix == "batch" {
-                "/predict/batch"
-            } else {
-                "/predict"
-            };
-            let _ = c.request("POST", path, &bodies[0]);
+            let _ = c.request("POST", mix_path(mix), &bodies[0]);
+            opened += c.opened;
         }
     }
 
@@ -665,28 +793,23 @@ pub fn run_serve_bench(
                 std::thread::Builder::new()
                     .name(format!("serve-bench-client-{i}"))
                     .spawn(move || {
-                        let path = if mix == "batch" {
-                            "/predict/batch"
-                        } else {
-                            "/predict"
-                        };
                         let mut latencies = Vec::with_capacity(n);
                         let mut errors = 0u64;
                         let mut client = match BenchClient::connect(addr) {
                             Ok(c) => c,
-                            Err(_) => return (mix, latencies, n as u64),
+                            Err(_) => return (mix, latencies, n as u64, 0),
                         };
                         for r in 0..n {
                             let body = &bodies[r % bodies.len()];
                             let start = Instant::now();
-                            match client.request("POST", path, body) {
+                            match client.request("POST", mix_path(&mix), body) {
                                 Ok((status, text)) if response_ok(&mix, status, &text) => {
                                     latencies.push(start.elapsed().as_micros() as u64);
                                 }
                                 _ => errors += 1,
                             }
                         }
-                        (mix, latencies, errors)
+                        (mix, latencies, errors, client.opened)
                     })
                     .expect("bench: spawn client")
             })
@@ -697,7 +820,9 @@ pub fn run_serve_bench(
             .map(|m| ((*m).to_string(), Vec::new(), 0u64))
             .collect();
         for h in handles {
-            let (mix, latencies, errors) = h.join().expect("bench: client thread panicked");
+            let (mix, latencies, errors, connects) =
+                h.join().expect("bench: client thread panicked");
+            opened += connects;
             let slot = per_mix
                 .iter_mut()
                 .find(|(m, _, _)| *m == mix)
@@ -722,6 +847,22 @@ pub fn run_serve_bench(
         );
     }
     let wall_s = load_start.elapsed().as_secs_f64();
+    let timer_entries = || {
+        state
+            .metric_value("pulp_serve_timer_entries", &[])
+            .unwrap_or(0.0)
+    };
+    let (connections_opened, closed_loop_entries) = (opened, timer_entries());
+
+    // Span probes: each mix alone on one connection.
+    let probes: Vec<(SpanRow, f64)> = MIXES
+        .iter()
+        .map(|mix| {
+            let (span, unattributed_us, connects) = span_probe(addr, &state, mix, opts.batch_size);
+            opened += connects;
+            (span, unattributed_us)
+        })
+        .collect();
 
     // Open-loop phase: fixed Poisson arrival schedule over the cheap wire
     // path, latencies stamped from intended send times (CO-safe).
@@ -741,6 +882,8 @@ pub fn run_serve_bench(
         achieved_rps: open.requests as f64 / open_wall_s.max(f64::MIN_POSITIVE),
         duration_s: opts.open_loop_duration_s,
         connections: opts.open_loop_connections.max(1),
+        connections_opened: opened + open.opened,
+        timer_entries: timer_entries(),
         requests: open.requests,
         errors: open.errors,
         late_sends: open.late_sends,
@@ -782,7 +925,7 @@ pub fn run_serve_bench(
     let mut rows = Vec::new();
     let mut total_requests = 0u64;
     let mut errors = 0u64;
-    for mix in MIXES {
+    for (mix, (span, unattributed_us)) in MIXES.into_iter().zip(probes) {
         let mut per_stat: [Vec<f64>; 4] = Default::default();
         let (mut requests, mut mix_errors) = (0u64, 0u64);
         for round in &round_stats {
@@ -807,6 +950,8 @@ pub fn run_serve_bench(
             p90_us: median(&mut p90s),
             p99_us: median(&mut p99s),
             max_us: maxes.iter().copied().fold(0.0, f64::max),
+            span,
+            unattributed_us,
         });
     }
 
@@ -821,6 +966,8 @@ pub fn run_serve_bench(
             total_requests,
             wall_s,
             throughput_rps: total_requests as f64 / wall_s.max(f64::MIN_POSITIVE),
+            connections_opened,
+            timer_entries: closed_loop_entries,
             errors,
             shed_total,
             timeouts_total,
@@ -840,9 +987,10 @@ impl ServeBenchReport {
     /// mixes as `mix/field` and the open loop as `open_loop/field`, gated on
     /// p99 latency ([`P99_TOLERANCE`]). Its limits: no failed request, the
     /// batch probe matching sequential calls, a well-formed flight-recorder
-    /// capture, an open loop achieving a quarter of its target rate, and —
-    /// in the quick profile, whose fleet fits the queue — no shed, timeout
-    /// or failed open-loop response.
+    /// capture, an open loop achieving a quarter of its target rate, at
+    /// most one timer-wheel entry per connection opened at the end of each
+    /// load phase, and — in the quick profile, whose fleet fits the queue —
+    /// no shed, timeout or failed open-loop response.
     pub fn record(&self) -> BenchRecord {
         use Better::{Higher, Lower};
         let p99 = Some(Tolerance::Relative(P99_TOLERANCE));
@@ -851,6 +999,7 @@ impl ServeBenchReport {
         let must = Some(Tolerance::Limit(1.0));
         let o = &self.open_loop;
         let collapsed = (o.requests > 0).then_some(Tolerance::Limit(0.25 * o.target_rps));
+        let entries = |opened: u64| Some(Tolerance::Limit(opened as f64));
         BenchRecord::from_report(
             &self.bench,
             self.quick,
@@ -862,7 +1011,13 @@ impl ServeBenchReport {
                 "errors" if row.is_empty() => ("count", Lower, none),
                 "errors" if row == "open_loop" => ("count", Lower, quick_none),
                 "shed_total" | "timeouts_total" => ("count", Lower, quick_none),
-                "errors" | "late_sends" => ("count", Lower, None),
+                "errors" | "late_sends" | "connections_opened" => ("count", Lower, None),
+                "timer_entries" if row.is_empty() => {
+                    ("count", Lower, entries(self.connections_opened))
+                }
+                "timer_entries" => ("count", Lower, entries(o.connections_opened)),
+                "unattributed_us" => ("us", Lower, None),
+                _ if row.ends_with("/span") => ("us", Lower, None),
                 "wall_s" => ("s", Lower, None),
                 "duration_s" => ("s", Higher, None),
                 "achieved_rps" => ("1/s", Higher, collapsed),
@@ -900,6 +1055,33 @@ impl ServeBenchReport {
                 r.mix, r.requests, r.errors, r.p50_us, r.p90_us, r.p99_us, r.max_us
             );
         }
+        for r in &self.rows {
+            let s = &r.span;
+            let _ = writeln!(
+                out,
+                "{:<10} spans p50 [us]: queue_wait {:.0} read {:.0} parse {:.0} features {:.0} \
+                 predict {:.0} serialize {:.0} write {:.0} · request {:.0} · unattributed {:.0}",
+                r.mix,
+                s.queue_wait_p50_us,
+                s.read_p50_us,
+                s.parse_p50_us,
+                s.features_p50_us,
+                s.predict_p50_us,
+                s.serialize_p50_us,
+                s.write_p50_us,
+                s.request_p50_us,
+                r.unattributed_us
+            );
+        }
+        let _ = writeln!(
+            out,
+            "timer-wheel entries: {} after the closed loop ({} connections opened), \
+             {} after the open loop ({})",
+            self.timer_entries,
+            self.connections_opened,
+            self.open_loop.timer_entries,
+            self.open_loop.connections_opened
+        );
         let _ = writeln!(
             out,
             "shed {} · timeouts {} · keep-alive reuses {} · batch≡sequential: {}",
@@ -997,6 +1179,8 @@ mod tests {
             total_requests: 30,
             wall_s: 0.5,
             throughput_rps: 60.0,
+            connections_opened: 18,
+            timer_entries: 18.0,
             errors: 0,
             shed_total: 0.0,
             timeouts_total: 0.0,
@@ -1013,6 +1197,12 @@ mod tests {
                     p90_us: 200.0,
                     p99_us: 300.0,
                     max_us: 400.0,
+                    span: SpanRow {
+                        predict_p50_us: 1.0,
+                        request_p50_us: 20.0,
+                        ..SpanRow::default()
+                    },
+                    unattributed_us: 79.0,
                 })
                 .collect(),
             open_loop: OpenLoopReport {
@@ -1020,6 +1210,8 @@ mod tests {
                 achieved_rps: 295.0,
                 duration_s: 1.5,
                 connections: 4,
+                connections_opened: 25,
+                timer_entries: 25.0,
                 requests: 440,
                 errors: 0,
                 late_sends: 2,
@@ -1128,7 +1320,7 @@ mod tests {
 
         // Each invariant, broken alone, is a breach naming its metric; the
         // quick-only ones hold in the full profile.
-        let faults: [(&str, bool, Fault); 5] = [
+        let faults: [(&str, bool, Fault); 7] = [
             ("errors", false, |r| r.errors = 2),
             ("batch_matches_sequential", false, |r| {
                 r.batch_matches_sequential = false;
@@ -1136,6 +1328,10 @@ mod tests {
             ("trace_ok", false, |r| r.trace_ok = false),
             ("shed_total", true, |r| r.shed_total = 2.0),
             ("timeouts_total", true, |r| r.timeouts_total = 1.0),
+            ("timer_entries", false, |r| r.timer_entries = 19.0),
+            ("open_loop/timer_entries", false, |r| {
+                r.open_loop.timer_entries = 2.0 * 440.0;
+            }),
         ];
         for (metric, quick_only, fault) in faults {
             let mut broken = healthy_report();
@@ -1176,5 +1372,58 @@ mod tests {
         let problem = check_trace(&trace.replace("\"write\"", "\"send\""))
             .expect_err("a trace without write spans must fail");
         assert!(problem.contains("`write`"), "{problem}");
+    }
+
+    #[test]
+    fn span_rows_fold_each_phase_and_stay_ungated() {
+        use pulp_obs::recorder::Recorder;
+
+        // Two traces: a phase missing from one counts as 0 µs there, and a
+        // phase seen twice in one trace counts once, summed.
+        let trace = |phases: &[(&str, u64)]| {
+            let mut rec = Recorder::manual();
+            let root = rec.start("request");
+            let mut t = 0;
+            for &(name, us) in phases {
+                let span = rec.start(name);
+                t += us;
+                rec.set_time(t);
+                rec.end(span);
+            }
+            rec.end(root);
+            Arc::new(RequestTrace::new(1, "/predict", 200, rec.spans().to_vec()))
+        };
+        let row = SpanRow::of(&[
+            trace(&[("queue_wait", 0), ("read", 4), ("predict", 2), ("write", 6)]),
+            trace(&[
+                ("queue_wait", 0),
+                ("predict", 1),
+                ("predict", 3),
+                ("write", 8),
+            ]),
+        ]);
+        assert_eq!(row.queue_wait_p50_us, 0.0);
+        assert_eq!(row.read_p50_us, 0.0, "lower median of 0 and 4");
+        assert_eq!(row.predict_p50_us, 2.0, "lower median of 2 and 1 + 3");
+        assert_eq!((row.write_p50_us, row.request_p50_us), (6.0, 12.0));
+        assert_eq!(row.phases_us(), 8.0);
+
+        let record = healthy_report().record();
+        for mix in MIXES {
+            for name in [
+                "span/queue_wait_p50_us",
+                "span/request_p50_us",
+                "unattributed_us",
+            ] {
+                let m = record.get(&format!("{mix}/{name}")).expect("a span row");
+                assert_eq!((m.unit.as_str(), m.tolerance), ("us", None), "{mix}/{name}");
+            }
+        }
+        let limit = |name: &str| record.get(name).and_then(|m| m.tolerance);
+        assert_eq!(limit("timer_entries"), Some(Tolerance::Limit(18.0)));
+        assert_eq!(
+            limit("open_loop/timer_entries"),
+            Some(Tolerance::Limit(25.0))
+        );
     }
 }
